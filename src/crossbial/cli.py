@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from . import __version__
 from .crossproduct import (BAT, InvalidSystemError, NotABATError,
@@ -125,6 +125,11 @@ def workspace_from_json(obj: dict) -> Workspace:
     if not isinstance(obj, dict) or obj.get("schema") != WORKSPACE_SCHEMA:
         raise WorkspaceError(f"/schema: expected {WORKSPACE_SCHEMA!r}")
     ws = Workspace()
+    for section, kind, what in (("spaces", list, "a list"),
+                                ("structures", dict, "an object"),
+                                ("maps", dict, "an object")):
+        if not isinstance(obj.get(section, kind()), kind):
+            raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
             ws.spaces[e["name"]] = Space(e["name"], int(e["dim"]))
@@ -136,7 +141,8 @@ def workspace_from_json(obj: dict) -> Workspace:
         for name, enc in obj.get(section, {}).items():
             try:
                 target[name] = loader(enc, ws.spaces)
-            except (ScalarParseError, ShapeError, KeyError) as err:
+            except (ScalarParseError, ShapeError, KeyError,
+                    TypeError) as err:
                 raise WorkspaceError(f"/{section}/{name}: {err}") from err
     declared = obj.get("conductor")
     if declared is not None and declared != ws.conductor():
@@ -168,7 +174,15 @@ def load_workspace(path: str) -> Workspace:
 # ---------------------------------------------------------------------------
 
 def _max_dim() -> int:
-    return int(os.environ.get("CROSSBIAL_MAX_DIM", "64"))
+    raw = os.environ.get("CROSSBIAL_MAX_DIM", "64")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(
+            f"CROSSBIAL_MAX_DIM={raw!r} is not a positive integer")
+    return cap
 
 
 def _guard_dim(dim: int) -> None:

@@ -12,15 +12,10 @@ recovers the tuple, splitting the idempotents by exact rank factorisation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
-from .datum import (
-    HopfDatum,
-    _bialgebra_report,
-    product_braiding,
-)
-from .linmaps import LinMap, ShapeError, Space, UNIT, VectFlip
-from .scalars import ONE
+from .datum import HopfDatum, product_braiding
+from .linmaps import LinMap, ShapeError, Space, UNIT, VectFlip, rref
 from .structures import (
     CheckEntry,
     CheckReport,
@@ -28,6 +23,7 @@ from .structures import (
     Structure,
     check_axioms,
     classify_morphism,
+    cross_structure,
 )
 
 
@@ -73,31 +69,14 @@ class BAT:
             raise ShapeError("phi21 must map B2(x)B1 -> B1(x)B2")
 
 
-def _product_structure(t: BAT) -> Structure:
-    id1, id2 = t.b1.id_map(), t.b2.id_map()
-    m = (t.b1.m @ t.b2.m) * (id1 @ t.phi21 @ id2)
-    delta = (id1 @ t.phi12 @ id2) * (t.b1.delta @ t.b2.delta)
-    eta = t.b1.eta @ t.b2.eta
-    eps = t.b1.eps @ t.b2.eps
-    s1, s2 = t.b1.space, t.b2.space
-    P = Space(f"({s1.name}><{s2.name})", s1.dim * s2.dim)
-    return Structure(
-        P,
-        LinMap((P, P), (P,), m.entries),
-        LinMap(UNIT, (P,), eta.entries),
-        LinMap((P,), (P, P), delta.entries),
-        LinMap((P,), UNIT, eps.entries),
-    )
-
-
 def build_cross_product(t: BAT) -> Structure:
     """Assemble the product/coproduct induced by the tuple and verify every
     bialgebra axiom exactly; raise NotABATError naming the first failure."""
     for tag, st in (("B1", t.b1), ("B2", t.b2)):
         if st.eps * st.eta != LinMap.identity(UNIT):
             raise NotABATError(f"{tag} is not counit-normalised")
-    prod = _product_structure(t)
-    verdict = _bialgebra_report(prod, product_braiding(t, prod))
+    prod = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
+    verdict = check_axioms(prod, "bialgebra", psi=product_braiding(t, prod))
     if not verdict.ok:
         bad = verdict.entry(verdict.failed()[0])
         detail = ""
@@ -155,31 +134,6 @@ class DecomposeResult(NamedTuple):
     iso: LinMap  # m_A o (i1 (x) i2), invertible onto A
 
 
-def _rref(rows: List[List[object]]):
-    """Reduced row echelon form with the pivot column list, exact."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    lead = 0
-    for col in range(nc):
-        piv = next((r for r in range(lead, nr) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = ONE / rows[lead][col]
-        rows[lead] = [inv * v for v in rows[lead]]
-        for r in range(nr):
-            if r != lead and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == nr:
-            break
-    return rows, pivots
-
-
 def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
     """Exact rank factorisation Pi = inj o proj with proj o inj = id.
 
@@ -189,7 +143,7 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
     """
     if Pi * Pi != Pi:
         raise InvalidSystemError(f"{name} is not idempotent")
-    rows, pivots = _rref(Pi.to_rows())
+    rows, pivots = rref(Pi.to_rows())
     r = len(pivots)
     B = Space(name, r)
     A = Pi.dom

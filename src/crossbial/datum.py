@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
 
 from .linmaps import (
+    LeftYetterDrinfeld,
     LinMap,
     ShapeError,
     Space,
@@ -40,9 +41,13 @@ from .structures import (
     Structure,
     _algebra_entries,
     _coalgebra_entries,
+    _cross_maps,
     check_action,
+    check_axioms,
     classify_morphism,
     compare,
+    cross_structure,
+    rebind,
     structure_from_json,
     structure_to_json,
 )
@@ -260,11 +265,9 @@ class InducedMaps(NamedTuple):
 
 
 def _induced_raw(d: HopfDatum) -> InducedMaps:
-    id1, id2 = d.b1.id_map(), d.b2.id_map()
     phi12, phi21 = _mixed_maps(d)
-    m_B = (d.b1.m @ d.b2.m) * (id1 @ phi21 @ id2)
-    delta_B = (id1 @ phi12 @ id2) * (d.b1.delta @ d.b2.delta)
-    return InducedMaps(phi12, phi21, m_B, delta_B)
+    return InducedMaps(phi12, phi21,
+                       *_cross_maps(d.b1, d.b2, phi12, phi21))
 
 
 def induced_structures(d: HopfDatum) -> InducedMaps:
@@ -280,44 +283,13 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
     return _induced_raw(d)
 
 
-def _induced_structure(d: HopfDatum) -> Structure:
-    """The induced maps rebound onto a single product space (unchecked)."""
-    ind = _induced_raw(d)
-    s1, s2 = d.b1.space, d.b2.space
-    P = Space(f"({s1.name}><{s2.name})", s1.dim * s2.dim)
-    eta = d.b1.eta @ d.b2.eta
-    eps = d.b1.eps @ d.b2.eps
-    return Structure(
-        P,
-        LinMap((P, P), (P,), ind.m_B.entries),
-        LinMap(UNIT, (P,), eta.entries),
-        LinMap((P,), (P, P), ind.delta_B.entries),
-        LinMap((P,), UNIT, eps.entries),
-    )
-
-
-def _bialgebra_report(st: Structure, psi: LinMap) -> CheckReport:
-    """All bialgebra laws of st, with an explicitly supplied braiding on
-    the (possibly composite) underlying space."""
-    i = st.id_map()
-    entries = [compare("unit-counit", st.eps * st.eta,
-                       LinMap.identity(UNIT))]
-    entries += _algebra_entries(st) + _coalgebra_entries(st)
-    entries.append(compare(
-        "mult-comult", st.delta * st.m,
-        (st.m @ st.m) * (i @ psi @ i) * (st.delta @ st.delta)))
-    entries.append(compare("unit-comult", st.delta * st.eta,
-                           st.eta @ st.eta))
-    entries.append(compare("counit-mult", st.eps * st.m, st.eps @ st.eps))
-    return CheckReport(entries)
-
-
 def product_braiding(d, st: Structure) -> LinMap:
     """The braiding of the product object with itself, rebound to the
     single product space (d supplies braiding, b1, b2)."""
     s1, s2 = d.b1.space, d.b2.space
     psi4 = d.braiding.braiding_list((s1, s2), (s1, s2))
-    return LinMap((st.space, st.space), (st.space, st.space), psi4.entries)
+    P2 = (st.space, st.space)
+    return rebind(psi4, P2, P2, "Psi")
 
 
 def build_bialgebra(d: HopfDatum) -> Structure:
@@ -330,8 +302,8 @@ def build_bialgebra(d: HopfDatum) -> Structure:
     rep = check_hopf_datum(d)
     if not rep.ok:
         raise PreconditionError(f"datum fails {rep.failed()[0]}", report=rep)
-    st = _induced_structure(d)
-    verdict = _bialgebra_report(st, product_braiding(d, st))
+    st = cross_structure(d.b1, d.b2, *_mixed_maps(d))
+    verdict = check_axioms(st, "bialgebra", psi=product_braiding(d, st))
     if not verdict.ok:
         raise ConsistencyError(
             "induced structure fails " + ", ".join(verdict.failed())
@@ -593,18 +565,14 @@ def trivalence(d: HopfDatum) -> dict:
     """
     pattern = _pattern_of(d)
     trivalent = not all(pattern.table[0] + pattern.table[1])
-    prod = _induced_structure(d)
+    prod = cross_structure(d.b1, d.b2, *_mixed_maps(d))
     P = (prod.space,)
     id1, id2 = d.b1.id_map(), d.b2.id_map()
     probes = {
-        "inj1": (LinMap((d.b1.space,), P, (id1 @ d.b2.eta).entries),
-                 d.b1, prod),
-        "inj2": (LinMap((d.b2.space,), P, (d.b1.eta @ id2).entries),
-                 d.b2, prod),
-        "proj1": (LinMap(P, (d.b1.space,), (id1 @ d.b2.eps).entries),
-                  prod, d.b1),
-        "proj2": (LinMap(P, (d.b2.space,), (d.b1.eps @ id2).entries),
-                  prod, d.b2),
+        "inj1": (rebind(id1 @ d.b2.eta, (d.b1.space,), P), d.b1, prod),
+        "inj2": (rebind(d.b1.eta @ id2, (d.b2.space,), P), d.b2, prod),
+        "proj1": (rebind(id1 @ d.b2.eps, P, (d.b1.space,)), prod, d.b1),
+        "proj2": (rebind(d.b1.eps @ id2, P, (d.b2.space,)), prod, d.b2),
     }
     witness = {name: classify_morphism(f, src, dst)
                for name, (f, src, dst) in probes.items()}
@@ -643,10 +611,18 @@ def classify(d: HopfDatum) -> dict:
 # JSON
 # ---------------------------------------------------------------------------
 
+_YD_KINDS = {YetterDrinfeld: "yetter-drinfeld",
+             LeftYetterDrinfeld: "left-yetter-drinfeld"}
+
+
 def datum_to_json(d: HopfDatum) -> dict:
-    spaces = {d.b1.space.name: d.b1.space, d.b2.space.name: d.b2.space}
+    """JSON encoding of d.  A braiding provider other than the flip and the
+    two Yetter-Drinfeld backends has no encoding and raises ShapeError, the
+    error datum_from_json also raises for an encoding it cannot read."""
+    spaces ={d.b1.space.name: d.b1.space, d.b2.space.name: d.b2.space}
     braid: dict = {"kind": "flip"}
-    if getattr(d.braiding, "kind", "") == "YetterDrinfeld":
+    yd_kind = _YD_KINDS.get(type(d.braiding))
+    if yd_kind is not None:
         spaces[d.braiding.host.name] = d.braiding.host
         mods = []
         for sp in sorted(d.braiding._reg, key=lambda s: s.name):
@@ -654,8 +630,11 @@ def datum_to_json(d: HopfDatum) -> dict:
             spaces[sp.name] = sp
             mods.append({"space": sp.name, "act": linmap_to_json(act),
                          "coact": linmap_to_json(coact)})
-        braid = {"kind": "yetter-drinfeld", "host": d.braiding.host.name,
+        braid = {"kind": yd_kind, "host": d.braiding.host.name,
                  "modules": mods}
+    elif not isinstance(d.braiding, VectFlip):
+        raise ShapeError("no JSON encoding for braiding "
+                         f"{type(d.braiding).__name__}")
     return {
         "spaces": [{"name": n, "dim": spaces[n].dim}
                    for n in sorted(spaces)],
@@ -679,8 +658,9 @@ def datum_from_json(obj: dict) -> HopfDatum:
                 for k in ("act_l", "coact_l", "act_r", "coact_r")}
         braid = obj.get("braiding", {"kind": "flip"})
         kind = braid.get("kind", "flip")
-        if kind == "yetter-drinfeld":
-            prov: object = YetterDrinfeld(spaces[braid["host"]])
+        yd_cls = next((c for c, k in _YD_KINDS.items() if k == kind), None)
+        if yd_cls is not None:
+            prov: object = yd_cls(spaces[braid["host"]])
             for mod in braid["modules"]:
                 prov.register(spaces[mod["space"]],
                               linmap_from_json(mod["act"], spaces),

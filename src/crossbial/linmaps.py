@@ -11,7 +11,6 @@ Composition is `g * f` (apply f first), tensoring is `f @ g`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .scalars import Scalar, ZERO, ONE, as_scalar, scalar_from_json, scalar_to_json
@@ -255,37 +254,43 @@ class LinMap:
     # -- inversion / solving ----------------------------------------------
 
     def invert(self) -> "LinMap":
-        """Exact two-sided inverse by Gaussian elimination."""
+        """Exact two-sided inverse, read off the reduced form of [A | I]."""
         n, m = self.nrows, self.ncols
         if n != m:
             raise NotInvertibleError(f"matrix is {n}x{m}, not square")
-        a = self.to_rows()
-        inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rank = 0
-        for col in range(n):
-            piv = None
-            for r in range(rank, n):
-                if a[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv[rank], inv[piv] = inv[piv], inv[rank]
-            pv = a[rank][col]
-            if pv != 1:
-                a[rank] = [x / pv for x in a[rank]]
-                inv[rank] = [x / pv for x in inv[rank]]
-            for r in range(n):
-                if r != rank and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[rank])]
-            rank += 1
+        aug = [row + [ONE if i == j else ZERO for j in range(n)]
+               for i, row in enumerate(self.to_rows())]
+        rows, pivots = rref(aug)
+        rank = sum(1 for c in pivots if c < n)
         if rank < n:
             raise NotInvertibleError(f"singular matrix (rank {rank} of {n})",
                                      rank=rank)
-        return LinMap.from_rows(self.cod, self.dom, inv)
+        return LinMap.from_rows(self.cod, self.dom, [r[n:] for r in rows])
+
+
+def rref(rows: List[List[Scalar]]):
+    """Reduced row echelon form with the pivot column list, exact."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    lead = 0
+    for col in range(nc):
+        piv = next((r for r in range(lead, nr) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = ONE / rows[lead][col]
+        rows[lead] = [inv * v for v in rows[lead]]
+        for r in range(nr):
+            if r != lead and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == nr:
+            break
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------

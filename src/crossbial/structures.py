@@ -20,6 +20,7 @@ from .linmaps import (
     UNIT,
     VectFlip,
     _dims,
+    dim_of,
     unflatten,
 )
 from .scalars import ONE, ZERO, Scalar, scalar_to_json
@@ -158,6 +159,55 @@ class Structure:
                          S if S is not None else self.S)
 
 
+def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
+    """The map f regrouped onto the strands dom -> cod.
+
+    The lexicographic flat indices are unchanged by the regrouping, so the
+    entries carry over as they are; the strands must multiply out to f's
+    size.
+    """
+    if f.ncols != dim_of(dom) or f.nrows != dim_of(cod):
+        names = " (x) ".join(s.name for s in dom + cod)
+        raise ShapeError(f"{tag} is {f.nrows}x{f.ncols}, cannot be rebound "
+                         f"onto {dim_of(cod)}x{dim_of(dom)} over {names}")
+    return LinMap(dom, cod, f.entries)
+
+
+def fuse(space: Space, m: LinMap, eta: LinMap, delta: LinMap, eps: LinMap,
+         S: Optional[LinMap] = None) -> Structure:
+    """Rebind multi-strand structure maps onto the single space `space`;
+    each map's strands must multiply out to the matching power of
+    space.dim."""
+    P = (space,)
+    return Structure(space, rebind(m, P * 2, P, "m"),
+                     rebind(eta, UNIT, P, "eta"),
+                     rebind(delta, P, P * 2, "delta"),
+                     rebind(eps, P, UNIT, "eps"),
+                     None if S is None else rebind(S, P, P, "S"))
+
+
+def _cross_maps(b1: Structure, b2: Structure, phi12: LinMap,
+                phi21: LinMap) -> Tuple[LinMap, LinMap]:
+    """m = (m1 (x) m2) o (id (x) phi21 (x) id) and
+    delta = (id (x) phi12 (x) id) o (delta1 (x) delta2) on B1(x)B2."""
+    id1, id2 = b1.id_map(), b2.id_map()
+    m = (b1.m @ b2.m) * (id1 @ phi21 @ id2)
+    delta = (id1 @ phi12 @ id2) * (b1.delta @ b2.delta)
+    return m, delta
+
+
+def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
+                    phi21: LinMap, name: Optional[str] = None,
+                    S: Optional[LinMap] = None) -> Structure:
+    """The product/coproduct induced on B1(x)B2 by the connecting maps
+    phi12: B1(x)B2 -> B2(x)B1 and phi21: B2(x)B1 -> B1(x)B2, fused onto one
+    product space (default name "(B1><B2)").  Nothing is verified here."""
+    m, delta = _cross_maps(b1, b2, phi12, phi21)
+    s1, s2 = b1.space, b2.space
+    P = Space(name or f"({s1.name}><{s2.name})", s1.dim * s2.dim)
+    return fuse(P, m, b1.eta @ b2.eta, delta, b1.eps @ b2.eps, S)
+
+
 def tensor_structure(a: Structure, b: Structure, bp=None,
                      name: Optional[str] = None) -> Structure:
     """Tensor product structure on A(x)B with the braiding in the middle.
@@ -169,23 +219,9 @@ def tensor_structure(a: Structure, b: Structure, bp=None,
     """
     bp = bp or VectFlip()
     A, B = a.space, b.space
-    ida, idb = a.id_map(), b.id_map()
-    m = (a.m @ b.m) * (ida @ bp.braiding(B, A) @ idb)
-    delta = (ida @ bp.braiding(A, B) @ idb) * (a.delta @ b.delta)
-    eta = a.eta @ b.eta
-    eps = a.eps @ b.eps
     S = a.S @ b.S if a.S is not None and b.S is not None else None
-    # Rebind the two-strand boundaries onto the single product space; the
-    # lexicographic flat indices are unchanged by the regrouping.
-    P = Space(name or f"({A.name}.{B.name})", A.dim * B.dim)
-    return Structure(
-        P,
-        LinMap((P, P), (P,), m.entries),
-        LinMap(UNIT, (P,), eta.entries),
-        LinMap((P,), (P, P), delta.entries),
-        LinMap((P,), UNIT, eps.entries),
-        None if S is None else LinMap((P,), (P,), S.entries),
-    )
+    return cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
+                           name or f"({A.name}.{B.name})", S)
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +247,16 @@ def _coalgebra_entries(s: Structure) -> List[CheckEntry]:
     ]
 
 
-def check_axioms(s: Structure, kind: str, bp=None) -> CheckReport:
+def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
     """Verify the defining laws of an algebra / coalgebra / bialgebra / Hopf
     algebra, each as an exact matrix identity.
 
-    The bialgebra compatibility uses the provider's braiding:
+    The bialgebra compatibility uses the braiding Psi on s(x)s:
     delta o m = (m (x) m) o (id (x) Psi (x) id) o (delta (x) delta).
+    Psi is the provider's braiding of s.space with itself unless given
+    explicitly, as it must be for a fused product space that no provider
+    has registered.
     """
-    bp = bp or VectFlip()
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind == "algebra":
@@ -228,7 +266,8 @@ def check_axioms(s: Structure, kind: str, bp=None) -> CheckReport:
     elif kind in ("bialgebra", "hopf"):
         entries += _algebra_entries(s)
         entries += _coalgebra_entries(s)
-        psi = bp.braiding(s.space, s.space)
+        if psi is None:
+            psi = (bp or VectFlip()).braiding(s.space, s.space)
         entries.append(compare(
             "mult-comult",
             s.delta * s.m,

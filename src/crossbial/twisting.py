@@ -30,6 +30,8 @@ from .structures import (
     classify_morphism,
     compare,
     convolution_inverse,
+    fuse,
+    rebind,
     tensor_structure,
     yd_provider,
     yd_provider_left,
@@ -346,14 +348,8 @@ def _assemble_free_product(C: Structure, H: Structure, B: Structure,
         [idc, idh, psi(sc, sh), psi(sh, sb), idh, idb],
         [idc, H.m, psi(sc, sb), H.m, idb],
     ])
-    sz = Space(name, sc.dim * sh.dim * sb.dim)
-    return Structure(
-        sz,
-        LinMap((sz, sz), (sz,), m6.entries),
-        LinMap(UNIT, (sz,), (C.eta @ H.eta @ B.eta).entries),
-        LinMap((sz,), (sz, sz), d6.entries),
-        LinMap((sz,), UNIT, (C.eps @ H.eps @ B.eps).entries),
-    )
+    return fuse(Space(name, sc.dim * sh.dim * sb.dim), m6,
+                C.eta @ H.eta @ B.eta, d6, C.eps @ H.eps @ B.eps)
 
 
 def _trivial_right_module(H: Structure, k: Structure):
@@ -470,10 +466,10 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
                                 tl_coact, bp,
                                 f"({sh.name}><{sb.name})")
     canon = []
-    mono_c = LinMap((ch.space,), (Z.space,), (idc @ idh @ B.eta).entries)
-    mono_b = LinMap((hb.space,), (Z.space,), (C.eta @ idh @ idb).entries)
-    epi_c = LinMap((Z.space,), (ch.space,), (idc @ idh @ B.eps).entries)
-    epi_b = LinMap((Z.space,), (hb.space,), (C.eps @ idh @ idb).entries)
+    mono_c = rebind(idc @ idh @ B.eta, (ch.space,), (Z.space,))
+    mono_b = rebind(C.eta @ idh @ idb, (hb.space,), (Z.space,))
+    epi_c = rebind(idc @ idh @ B.eps, (Z.space,), (ch.space,))
+    epi_b = rebind(C.eps @ idh @ idb, (Z.space,), (hb.space,))
     for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
                              ("mono-b-side", mono_b, hb, Z),
                              ("epi-c-side", epi_c, Z, ch),
@@ -490,11 +486,11 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
         raise ConsistencyError(
             f"canonical morphism fails: {crep.failed()[0]}")
 
-    chi = LinMap((Z.space, Z.space), UNIT,
-                 (C.eps @ H.eps @ rho @ H.eps @ B.eps).entries)
+    chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
+                 (Z.space, Z.space), UNIT)
     rho_inv = _scalar_inverse(rho, tensor_structure(B, C, bp), bp)
-    chi_inv = LinMap((Z.space, Z.space), UNIT,
-                     (C.eps @ H.eps @ rho_inv @ H.eps @ B.eps).entries)
+    chi_inv = rebind(C.eps @ H.eps @ rho_inv @ H.eps @ B.eps,
+                     (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)
     vrep = validate_cocycle(rho_hat, bp)
     if not vrep.ok:
@@ -502,7 +498,7 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     z_twisted = twist(Z, rho_hat, bp)
 
     direct = _twisted_mult_direct(inp, rho_inv, bp)
-    direct = LinMap((Z.space, Z.space), (Z.space,), direct.entries)
+    direct = rebind(direct, (Z.space, Z.space), (Z.space,))
     if direct != z_twisted.m:
         diff = direct.first_difference(z_twisted.m)
         raise ConsistencyError(

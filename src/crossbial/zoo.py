@@ -20,7 +20,7 @@ from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
 from .linmaps import LinMap, Space, UNIT, flatten
 from .scalars import ONE, ZERO, as_scalar, q_binomial, root_of_unity
-from .structures import Structure
+from .structures import Structure, fuse
 
 
 class ParameterError(ValueError):
@@ -381,7 +381,7 @@ def ore_finite(params: OreParams) -> dict:
     for mask in range(nX):
         for c in range(nC):
             acc_v = {F(0, cidx(cneg(ctup(c)))): ONE}
-            for j in reversed(bits(mask)):
+            for j in bits(mask):
                 # S(x_j) = -x_j g_j^{-1} = g_j^{-1} x_j in normal form
                 sxj = {F(1 << j, cidx(cneg(params.g[j]))): ONE}
                 acc_v = _mul(by, dim, sxj, acc_v)
@@ -446,13 +446,8 @@ def sweedler_crossed_modules():
     sb, sc = Space("SwB", 2), Space("SwC", 2)
     sh = H.space
 
-    def rebind(st: Structure, sp: Space) -> Structure:
-        return Structure(sp, LinMap((sp, sp), (sp,), st.m.entries),
-                         LinMap(UNIT, (sp,), st.eta.entries),
-                         LinMap((sp,), (sp, sp), st.delta.entries),
-                         LinMap((sp,), UNIT, st.eps.entries))
-
-    B, C = rebind(taft, sb), rebind(taft, sc)
+    B, C = (fuse(sp, taft.m, taft.eta, taft.delta, taft.eps)
+            for sp in (sb, sc))
     d_ore, d_rad = ore["datum"], rad["datum"]
     b_act = LinMap((sb, sh), (sb,), d_ore.act_r.entries)
     b_coact = LinMap((sb,), (sb, sh), d_ore.coact_r.entries)
@@ -477,14 +472,8 @@ def braided_line_input(N: int):
     sh = H.space
     sb, sc = Space(f"Line{N}r", 2), Space(f"Line{N}l", 2)
     taft = taft_factor(2, -ONE)
-
-    def rebind(sp: Space) -> Structure:
-        return Structure(sp, LinMap((sp, sp), (sp,), taft.m.entries),
-                         LinMap(UNIT, (sp,), taft.eta.entries),
-                         LinMap((sp,), (sp, sp), taft.delta.entries),
-                         LinMap((sp,), UNIT, taft.eps.entries))
-
-    B, C = rebind(sb), rebind(sc)
+    B, C = (fuse(sp, taft.m, taft.eta, taft.delta, taft.eps)
+            for sp in (sb, sc))
     mone = -ONE
     b_act = LinMap((sb, sh), (sb,),
                    {(i, flatten((i, c), (2, N))): mone ** (i * c)

@@ -161,6 +161,35 @@ def test_dimension_guard(tmp_path, capsys, monkeypatch):
     assert "CROSSBIAL_MAX_DIM" in err
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", ""])
+def test_malformed_dimension_cap_is_a_usage_error(tmp_path, capsys,
+                                                  monkeypatch, cap):
+    path = build_radford_ws(tmp_path, capsys)
+    monkeypatch.setenv("CROSSBIAL_MAX_DIM", cap)
+    code, out, err = run(capsys, "check", "hopf", "--in", path)
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: CROSSBIAL_MAX_DIM" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("structures", [1]), ("maps", 5), ("spaces", {"X": 2}),
+    ("structures", {"main": 1}), ("maps", {"f": [1]})])
+def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
+                                                     section, value):
+    path = build_radford_ws(tmp_path, capsys)
+    obj = json.loads(open(path).read())
+    obj[section] = value
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert f"crossbial: error: /{section}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense", "--in", "x.json"])

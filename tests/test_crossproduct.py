@@ -19,6 +19,7 @@ from crossbial.datum import trivalence
 from crossbial.linmaps import LinMap, ShapeError, Space, UNIT, VectFlip
 from crossbial.structures import tensor_structure
 from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
+from tests.test_acceptance import braided_taft_pairing
 from tests.test_datum import group_hopf
 
 ONE = Fraction(1)
@@ -68,6 +69,22 @@ def test_broken_connecting_map_is_rejected_with_the_first_axiom():
     assert exc.value.report is not None
     assert exc.value.report.failed() == ["left-unit", "right-unit",
                                          "mult-comult", "counit-mult"]
+
+
+def test_braided_q_lines_with_their_braidings_are_not_a_bat():
+    # Over the Yetter-Drinfeld braiding the mixed braiding of the two
+    # q-lines does not square to the identity, so the product checked with
+    # the braiding of the fused product space fails exactly at mult-comult.
+    pairing, prov = braided_taft_pairing()
+    T1, T2 = pairing.H, pairing.A
+    t = BAT(T1, T2, prov.braiding(T1.space, T2.space),
+            prov.braiding(T2.space, T1.space), prov)
+    with pytest.raises(NotABATError) as exc:
+        build_cross_product(t)
+    rep = exc.value.report
+    assert rep.failed() == ["mult-comult"]
+    wit = rep.entry("mult-comult").witness
+    assert (wit.out_index, wit.in_index) == ((1, 3), (1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,17 @@ from crossbial.datum import (
     trivalence,
     trivial_datum,
 )
-from crossbial.linmaps import LinMap, Space, UNIT
+from crossbial.linmaps import LinMap, ShapeError, Space, UNIT
 from crossbial.structures import (
     PreconditionError,
     Structure,
     check_axioms,
     tensor_structure,
+    yd_provider,
+    yd_provider_left,
 )
-from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
+from crossbial.zoo import (OreParams, RadfordParams, ore_finite, radford,
+                           sweedler_crossed_modules)
 
 ONE = Fraction(1)
 
@@ -257,7 +260,33 @@ def test_classification_families():
 # ---------------------------------------------------------------------------
 
 def test_datum_json_roundtrip():
-    for d in (radford_datum(), trivial_datum(group_hopf(2), group_hopf(3))):
+    # one datum per braiding backend; the Yetter-Drinfeld providers have no
+    # __eq__, so their type, host and registered maps are compared
+    inp = sweedler_crossed_modules()
+    right = yd_provider(inp.H, [(inp.B.space, inp.b_act, inp.b_coact)])
+    left = yd_provider_left(inp.H, [(inp.C.space, inp.c_act, inp.c_coact)])
+    cases = [(radford_datum(), "flip"),
+             (trivial_datum(group_hopf(2), group_hopf(3)), "flip"),
+             (trivial_datum(inp.B, inp.C, right), "yetter-drinfeld"),
+             (trivial_datum(inp.B, inp.C, left), "left-yetter-drinfeld")]
+    for d, kind in cases:
         obj = datum_to_json(d)
-        assert obj["braiding"] == {"kind": "flip"}
-        assert datum_from_json(obj) == d
+        back = datum_from_json(obj)
+        if kind == "flip":
+            assert obj["braiding"] == {"kind": "flip"}
+            assert back == d
+            continue
+        assert obj["braiding"]["kind"] == kind
+        assert type(back.braiding) is type(d.braiding)
+        assert dataclasses.replace(back, braiding=d.braiding) == d
+        assert back.braiding.host == d.braiding.host
+        assert back.braiding._reg == d.braiding._reg
+
+
+def test_datum_json_refuses_an_unknown_braiding():
+    class Unknown:
+        """a provider with no JSON encoding"""
+
+    d = dataclasses.replace(radford_datum(), braiding=Unknown())
+    with pytest.raises(ShapeError, match="no JSON encoding"):
+        datum_to_json(d)

@@ -25,6 +25,7 @@ from crossbial.structures import (
     compare,
     convolution_inverse,
     convolution_product,
+    fuse,
     tensor_structure,
     yd_provider,
 )
@@ -410,6 +411,18 @@ def test_tensor_structure_is_hopf():
 def test_tensor_structure_mixed_factors():
     t = tensor_structure(group_hopf(2), dual_group_hopf(2))
     assert check_axioms(t, "hopf").ok
+
+
+def test_fuse_refuses_a_space_of_the_wrong_dimension():
+    # fuse only regroups strands, so any maps of the right sizes will do
+    a, b = group_hopf(2), group_hopf(3)
+    m, eta = a.m @ b.m, a.eta @ b.eta
+    delta, eps = a.delta @ b.delta, a.eps @ b.eps
+    assert fuse(Space("P", 6), m, eta, delta, eps).dim == 6
+    with pytest.raises(ShapeError):
+        fuse(Space("P", 7), m, eta, delta, eps)
+    with pytest.raises(ShapeError):
+        fuse(Space("P", 6), m, eta, delta, eps, S=a.S)
 
 
 def test_compare_rejects_shape_mismatch():

@@ -142,6 +142,36 @@ def test_ore_tower_over_a_larger_group():
     assert rep.ok, rep.failed()
 
 
+def _c2xc2_pairing(ch, g):
+    return (ch[0] * g[0] + ch[1] * g[1]) % 2
+
+
+# every (g, g*) for t = 2 over C2 x C2 that ore_finite accepts: 6 with
+# commuting skew generators, 18 with anticommuting ones
+ORE_C2XC2_FAMILIES = [
+    ((g1, g2), (s1, s2))
+    for g1, g2, s1, s2 in itertools.product(
+        ((0, 0), (1, 0), (0, 1), (1, 1)), repeat=4)
+    if _c2xc2_pairing(s1, g1) == _c2xc2_pairing(s2, g2) == 1
+    and _c2xc2_pairing(s1, g2) == _c2xc2_pairing(s2, g1)]
+
+
+def test_ore_c2xc2_family_count():
+    # x1 x2 = -x2 x1 exactly when g*_1 pairs nontrivially with g_2
+    assert len(ORE_C2XC2_FAMILIES) == 24
+    anti = [(g, s) for g, s in ORE_C2XC2_FAMILIES
+            if _c2xc2_pairing(s[0], g[1]) == 1]
+    assert len(anti) == 18
+
+
+@pytest.mark.parametrize("g, g_star", ORE_C2XC2_FAMILIES)
+def test_ore_c2xc2_two_generator_towers_are_hopf(g, g_star):
+    H = ore_finite(OreParams((2, 2), 2, g, g_star))["H"]
+    assert H.dim == 16
+    rep = check_axioms(H, "hopf")
+    assert rep.ok, rep.failed()
+
+
 def test_ore_finiteness_criterion():
     with pytest.raises(UnsupportedError) as exc:
         ore_finite(OreParams((3,), 1, ((1,),), ((1,),)))
