@@ -241,21 +241,33 @@ def _finish(args, checks, extra, ok) -> int:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _save(args, ws: Workspace, extra: dict) -> None:
+    """Write ws to the -o file, if one was given, and name it in extra."""
+    if args.out:
+        save_workspace(ws, args.out)
+        extra["output"] = args.out
+
+
+def _tower_workspace(out: dict) -> Workspace:
+    """A zoo tower's bialgebra, Hopf datum and projection system."""
+    ws = Workspace().add_structure("main", out["H"])
+    d: HopfDatum = out["datum"]
+    ws.add_structure("b1", d.b1).add_structure("b2", d.b2)
+    for k in ("act_l", "coact_l", "act_r", "coact_r"):
+        ws.add_map(k, getattr(d, k))
+    sysm: ProjectionSystem = out["system"]
+    for k in ("i1", "i2", "p1", "p2"):
+        ws.add_map(k, getattr(sysm, k))
+    return ws
+
+
 def _cmd_zoo(args) -> int:
     if args.zoo_cmd == "list":
         builders = ["group", "ore", "radford"]
         return _finish(args, {}, {"builders": builders}, True)
     if args.builder == "radford":
         out = radford(RadfordParams(args.n, args.q_exp, args.big_n, args.nu))
-        ws = Workspace()
-        ws.add_structure("main", out["H"])
-        d: HopfDatum = out["datum"]
-        ws.add_structure("b1", d.b1).add_structure("b2", d.b2)
-        for k in ("act_l", "coact_l", "act_r", "coact_r"):
-            ws.add_map(k, getattr(d, k))
-        sysm: ProjectionSystem = out["system"]
-        for k in ("i1", "i2", "p1", "p2"):
-            ws.add_map(k, getattr(sysm, k))
+        ws = _tower_workspace(out)
         extra = {"built": "radford", "dim": out["H"].dim}
     elif args.builder == "group":
         H = group_algebra(args.big_n)
@@ -268,26 +280,18 @@ def _cmd_zoo(args) -> int:
             except json.JSONDecodeError as err:
                 raise UsageError(f"--spec is not JSON ({err})") from err
         try:
-            params = OreParams(tuple(spec["orders"]), int(spec["t"]),
-                               tuple(map(tuple, spec["g"])),
-                               tuple(map(tuple, spec["g_star"])))
+            fields = (tuple(map(int, spec["orders"])), int(spec["t"]),
+                      tuple(tuple(map(int, e)) for e in spec["g"]),
+                      tuple(tuple(map(int, e)) for e in spec["g_star"]))
         except (KeyError, TypeError) as err:
             raise UsageError(f"--spec missing field {err}") from err
-        out = ore_finite(params)
-        ws = Workspace()
-        ws.add_structure("main", out["H"])
-        d = out["datum"]
-        ws.add_structure("b1", d.b1).add_structure("b2", d.b2)
-        for k in ("act_l", "coact_l", "act_r", "coact_r"):
-            ws.add_map(k, getattr(d, k))
-        sysm = out["system"]
-        for k in ("i1", "i2", "p1", "p2"):
-            ws.add_map(k, getattr(sysm, k))
+        except ValueError as err:
+            raise UsageError(f"--spec holds a non-integer ({err})") from err
+        out = ore_finite(OreParams(*fields))
+        ws = _tower_workspace(out)
         extra = {"built": "ore", "dim": out["H"].dim}
     _guard_dim(ws.structure("main").dim)
-    if args.out:
-        save_workspace(ws, args.out)
-        extra["output"] = args.out
+    _save(args, ws, extra)
     return _finish(args, {}, extra, True)
 
 
@@ -328,9 +332,7 @@ def _cmd_datum(args) -> int:
     st = build_bialgebra(d)
     out_ws = Workspace().add_structure("main", st)
     extra = {"dim": st.dim}
-    if args.out:
-        save_workspace(out_ws, args.out)
-        extra["output"] = args.out
+    _save(args, out_ws, extra)
     return _finish(args, {}, extra, True)
 
 
@@ -343,9 +345,7 @@ def _cmd_cross(args) -> int:
         st = build_cross_product(t)
         out_ws = Workspace().add_structure("main", st)
         extra = {"dim": st.dim}
-        if args.out:
-            save_workspace(out_ws, args.out)
-            extra["output"] = args.out
+        _save(args, out_ws, extra)
         return _finish(args, {}, extra, True)
     A = ws.structure(args.name)
     _guard_dim(A.dim)
@@ -359,9 +359,7 @@ def _cmd_cross(args) -> int:
         out_ws.add_map("phi12", res.bat.phi12)
         out_ws.add_map("phi21", res.bat.phi21)
         extra = {"factor_dims": [res.bat.b1.dim, res.bat.b2.dim]}
-        if args.out:
-            save_workspace(out_ws, args.out)
-            extra["output"] = args.out
+        _save(args, out_ws, extra)
         return _finish(args, {}, extra, True)
     rep = verify_trivalent_equivalences(A, sysm)
     return _finish(args, {"equivalences": rep}, {}, rep.ok)
@@ -380,9 +378,7 @@ def _cmd_twist(args) -> int:
     out_ws = Workspace().add_structure("main", twisted)
     extra = {"dim": twisted.dim,
              "multiplication_changed": twisted.m != st.m}
-    if args.out:
-        save_workspace(out_ws, args.out)
-        extra["output"] = args.out
+    _save(args, out_ws, extra)
     return _finish(args, {}, extra, True)
 
 
@@ -415,9 +411,7 @@ def _cmd_double_biproduct(args) -> int:
     extra = {"dim": res["Z"].dim,
              "twist_changed_multiplication":
                  res["Z_twisted"].m != res["Z"].m}
-    if args.out:
-        save_workspace(out_ws, args.out)
-        extra["output"] = args.out
+    _save(args, out_ws, extra)
     return _finish(args, {"construction": res["report"]}, extra, True)
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple, Union
 
 from .datum import HopfDatum, product_braiding
-from .linmaps import LinMap, ShapeError, Space, UNIT, VectFlip, rref
+from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip,
+                      reduce_rows)
+from .scalars import ONE
 from .structures import (
     CheckEntry,
     CheckReport,
@@ -143,16 +145,14 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
     """
     if Pi * Pi != Pi:
         raise InvalidSystemError(f"{name} is not idempotent")
-    rows, pivots = rref(Pi.to_rows())
-    r = len(pivots)
-    B = Space(name, r)
+    red = reduce_rows(Pi.by_row().values())
+    pivots = sorted(red)
+    B = Space(name, len(pivots))
     A = Pi.dom
-    inj = LinMap((B,), A, {(u, k): Pi.entry(u, pivots[k])
-                           for u in range(Pi.nrows) for k in range(r)
-                           if Pi.entry(u, pivots[k])})
-    proj = LinMap(A, (B,), {(k, v): rows[k][v]
-                            for k in range(r) for v in range(Pi.ncols)
-                            if rows[k][v]})
+    inj = LinMap((B,), A, {(u, k): v for k, p in enumerate(pivots)
+                           for u, v in Pi.column(p).items()})
+    proj = LinMap(A, (B,), {(k, v): x for k, p in enumerate(pivots)
+                            for v, x in {p: ONE, **red[p]}.items()})
     if proj * inj != LinMap.identity((B,)) or inj * proj != Pi:
         raise InvalidSystemError(f"{name} does not split exactly")
     return inj, proj, B

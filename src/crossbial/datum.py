@@ -650,13 +650,22 @@ def datum_to_json(d: HopfDatum) -> dict:
 
 def datum_from_json(obj: dict) -> HopfDatum:
     try:
-        spaces = {e["name"]: Space(e["name"], int(e["dim"]))
-                  for e in obj["spaces"]}
+        spaces = {}
+        for e in obj["spaces"]:
+            name, dim = e["name"], e["dim"]
+            try:
+                spaces[name] = Space(name, int(dim))
+            except (TypeError, ValueError) as err:
+                raise ShapeError(f"bad datum encoding: space {name!r} has "
+                                 f"dim {dim!r}, not an integer") from err
         b1 = structure_from_json(obj["b1"], spaces)
         b2 = structure_from_json(obj["b2"], spaces)
         maps = {k: linmap_from_json(obj[k], spaces)
                 for k in ("act_l", "coact_l", "act_r", "coact_r")}
         braid = obj.get("braiding", {"kind": "flip"})
+        if not isinstance(braid, dict):
+            raise ShapeError(f"bad datum encoding: braiding {braid!r} is "
+                             "not an object")
         kind = braid.get("kind", "flip")
         yd_cls = next((c for c, k in _YD_KINDS.items() if k == kind), None)
         if yd_cls is not None:

@@ -258,39 +258,53 @@ class LinMap:
         n, m = self.nrows, self.ncols
         if n != m:
             raise NotInvertibleError(f"matrix is {n}x{m}, not square")
-        aug = [row + [ONE if i == j else ZERO for j in range(n)]
-               for i, row in enumerate(self.to_rows())]
-        rows, pivots = rref(aug)
-        rank = sum(1 for c in pivots if c < n)
+        rows = self.by_row()
+        red = reduce_rows({**rows.get(i, {}), n + i: ONE} for i in range(n))
+        rank = sum(1 for c in red if c < n)
         if rank < n:
             raise NotInvertibleError(f"singular matrix (rank {rank} of {n})",
                                      rank=rank)
-        return LinMap.from_rows(self.cod, self.dom, [r[n:] for r in rows])
+        return LinMap(self.cod, self.dom, {(i, c - n): v
+                                           for i, row in red.items()
+                                           for c, v in row.items()})
 
 
-def rref(rows: List[List[Scalar]]):
-    """Reduced row echelon form with the pivot column list, exact."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    lead = 0
-    for col in range(nc):
-        piv = next((r for r in range(lead, nr) if rows[r][col]), None)
-        if piv is None:
+def _subtract(row: Dict[int, Scalar], factor: Scalar,
+              other: Dict[int, Scalar]) -> None:
+    """row -= factor * other, in place, keeping row free of zeros."""
+    for c, v in other.items():
+        cur = row.get(c, ZERO) - factor * v
+        if cur:
+            row[c] = cur
+        else:
+            row.pop(c, None)
+
+
+def reduce_rows(rows: Iterable[Dict[int, Scalar]]
+                ) -> Dict[int, Dict[int, Scalar]]:
+    """Sparse exact Gauss-Jordan elimination of rows given as {col: Scalar}.
+
+    Returns {pivot col: {other col: coeff}}: each pivot row is scaled so
+    that its pivot entry is 1 (left implicit) and mentions no other pivot
+    column.  Sorted by pivot, these rows are the reduced row echelon form.
+    """
+    pivots: Dict[int, Dict[int, Scalar]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        # Pivot rows never mention other pivots, so subtracting them only
+        # brings in non-pivot columns and one pass over the row suffices.
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row.pop(col), pivots[col])
+        if not row:
             continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = ONE / rows[lead][col]
-        rows[lead] = [inv * v for v in rows[lead]]
-        for r in range(nr):
-            if r != lead and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == nr:
-            break
-    return rows, pivots
+        lead = min(row)
+        inv = ONE / row.pop(lead)
+        row = {c: inv * v for c, v in row.items()}
+        for prow in pivots.values():
+            if lead in prow:
+                _subtract(prow, prow.pop(lead), row)
+        pivots[lead] = row
+    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,19 @@ from typing import Dict, List, Optional, Tuple
 
 from .linmaps import (
     ConfigurationError,
+    LeftYetterDrinfeld,
     LinMap,
     ShapeError,
     Space,
     UNIT,
     VectFlip,
+    YetterDrinfeld,
     _dims,
     dim_of,
+    reduce_rows,
     unflatten,
 )
-from .scalars import ONE, ZERO, Scalar, scalar_to_json
+from .scalars import ZERO, Scalar, scalar_to_json
 
 
 class PreconditionError(ValueError):
@@ -412,6 +415,22 @@ def check_crossed_module(cm: CrossedModuleData, bp=None) -> CheckReport:
                        + (compare("crossed-compatibility", lhs, rhs),))
 
 
+def _yd_provider(cls, side: str, host: Structure, modules, bp):
+    kind = "hopf" if host.S is not None else "bialgebra"
+    base = check_axioms(host, kind, bp)
+    if not base.ok:
+        raise PreconditionError(f"host fails {base.failed()[0]}", report=base)
+    prov = cls(host.space)
+    for space, act, coact in modules:
+        rep = check_crossed_module(
+            CrossedModuleData(space, host, act, coact, side), bp)
+        if not rep.ok:
+            raise PreconditionError(
+                f"{space.name}: {rep.failed()[0]}", report=rep)
+        prov.register(space, act, coact)
+    return prov
+
+
 def yd_provider(host: Structure, modules, bp=None):
     """Braiding backend from right crossed modules, validated on the way in.
 
@@ -419,39 +438,13 @@ def yd_provider(host: Structure, modules, bp=None):
     coact: X -> X(x)H.  Each triple must pass check_crossed_module over the
     host before it is registered.
     """
-    from .linmaps import YetterDrinfeld
-    kind = "hopf" if host.S is not None else "bialgebra"
-    base = check_axioms(host, kind, bp)
-    if not base.ok:
-        raise PreconditionError(f"host fails {base.failed()[0]}", report=base)
-    prov = YetterDrinfeld(host.space)
-    for space, act, coact in modules:
-        rep = check_crossed_module(
-            CrossedModuleData(space, host, act, coact, "right"), bp)
-        if not rep.ok:
-            raise PreconditionError(
-                f"{space.name}: {rep.failed()[0]}", report=rep)
-        prov.register(space, act, coact)
-    return prov
+    return _yd_provider(YetterDrinfeld, "right", host, modules, bp)
 
 
 def yd_provider_left(host: Structure, modules, bp=None):
     """Left-sided counterpart of yd_provider: act: H(x)X -> X and
     coact: X -> H(x)X, validated as left crossed modules."""
-    from .linmaps import LeftYetterDrinfeld
-    kind = "hopf" if host.S is not None else "bialgebra"
-    base = check_axioms(host, kind, bp)
-    if not base.ok:
-        raise PreconditionError(f"host fails {base.failed()[0]}", report=base)
-    prov = LeftYetterDrinfeld(host.space)
-    for space, act, coact in modules:
-        rep = check_crossed_module(
-            CrossedModuleData(space, host, act, coact, "left"), bp)
-        if not rep.ok:
-            raise PreconditionError(
-                f"{space.name}: {rep.failed()[0]}", report=rep)
-        prov.register(space, act, coact)
-    return prov
+    return _yd_provider(LeftYetterDrinfeld, "left", host, modules, bp)
 
 
 # -- morphism classification ------------------------------------------------
@@ -473,60 +466,6 @@ def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
                         alg: Structure) -> LinMap:
     """f * g = m o (f (x) g) o delta in Hom(C, A)."""
     return alg.m * (f @ g) * coalg.delta
-
-def _solve_exact(rows, nvars: int):
-    """Solve a sparse exact linear system; free variables are set to zero.
-
-    rows: iterable of (coeff dict {var: Scalar}, rhs Scalar).
-    Returns a {var: Scalar} solution or None when inconsistent.
-    """
-    pivots: Dict[int, Tuple[Dict[int, Scalar], Scalar]] = {}
-    for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
-        # Eliminate known pivots.  Pivot rows never mention other pivots, so
-        # the substitutions only ever introduce non-pivot variables and one
-        # pass over the original support suffices.
-        for var in sorted(coeffs):
-            factor = coeffs.get(var)
-            if var in pivots and factor:
-                del coeffs[var]
-                prow, prhs = pivots[var]
-                for v2, c2 in prow.items():
-                    cur = coeffs.get(v2, ZERO) - factor * c2
-                    if cur:
-                        coeffs[v2] = cur
-                    else:
-                        coeffs.pop(v2, None)
-                rhs = rhs - factor * prhs
-        coeffs = {v: c for v, c in coeffs.items() if c}
-        if not coeffs:
-            if rhs:
-                return None
-            continue
-        lead = min(coeffs)
-        inv = ONE / coeffs[lead]
-        normd = {v: inv * c for v, c in coeffs.items()}
-        nrhs = inv * rhs
-        # back-substitute into the existing pivot rows
-        for pv, (prow, prhs) in list(pivots.items()):
-            if lead in prow:
-                fac = prow.pop(lead)
-                for v2, c2 in normd.items():
-                    if v2 == lead:
-                        continue
-                    cur = prow.get(v2, ZERO) - fac * c2
-                    if cur:
-                        prow[v2] = cur
-                    else:
-                        prow.pop(v2, None)
-                pivots[pv] = (prow, prhs - fac * nrhs)
-        del normd[lead]
-        pivots[lead] = (normd, nrhs)
-    sol = {v: ZERO for v in range(nvars)}
-    for v, (prow, prhs) in pivots.items():
-        # remaining row variables are free (zero), so the pivot value is rhs
-        sol[v] = prhs
-    return sol
 
 
 def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
@@ -551,6 +490,7 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
     L = alg.m * (f @ ida)
     R = alg.m * (ida @ f)
     delta_cols = coalg.delta.by_col()
+    rhs = da * dc  # the right-hand side rides along as one extra column
     rows = []
     for v in range(dc):
         dcol = delta_cols.get(v, {})
@@ -575,14 +515,14 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
                     else:
                         rrows[u].pop(var, None)
         for u in range(da):
-            rows.append((lrows[u], target.entry(u, v)))
-            rows.append((rrows[u], target.entry(u, v)))
-    sol = _solve_exact(rows, da * dc)
-    if sol is None:
+            lrows[u][rhs] = rrows[u][rhs] = target.entry(u, v)
+            rows += (lrows[u], rrows[u])
+    red = reduce_rows(rows)
+    if rhs in red:
         raise NotConvolutionInvertibleError("convolution system inconsistent")
-    g = LinMap((C,), (A,), {(a, c): sol[a * dc + c]
-                            for a in range(da) for c in range(dc)
-                            if sol[a * dc + c]})
+    # free unknowns are zero, so each pivot unknown equals its right side
+    g = LinMap((C,), (A,), {divmod(var, dc): row.get(rhs, ZERO)
+                            for var, row in red.items()})
     if (convolution_product(f, g, coalg, alg) != target
             or convolution_product(g, f, coalg, alg) != target):
         raise NotConvolutionInvertibleError(

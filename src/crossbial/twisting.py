@@ -153,9 +153,9 @@ def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
     back to the original strands.
     """
     k = unit_bialgebra()
-    fp = LinMap((coalg.space,), (k.space,), f.entries)
+    fp = rebind(f, (coalg.space,), (k.space,))
     inv = convolution_inverse(fp, coalg, k, bp)
-    return LinMap(f.dom, UNIT, inv.entries)
+    return rebind(inv, f.dom, UNIT)
 
 
 def cocycle_inverse(c: TwoCocycle, bp=None) -> LinMap:
@@ -352,20 +352,6 @@ def _assemble_free_product(C: Structure, H: Structure, B: Structure,
                 C.eta @ H.eta @ B.eta, d6, C.eps @ H.eps @ B.eps)
 
 
-def _trivial_right_module(H: Structure, k: Structure):
-    sk, sh = k.space, H.space
-    act = LinMap((sk, sh), (sk,), H.eps.entries)
-    coact = LinMap((sk,), (sk, sh), H.eta.entries)
-    return act, coact
-
-
-def _trivial_left_module(H: Structure, k: Structure):
-    sk, sh = k.space, H.space
-    act = LinMap((sh, sk), (sk,), H.eps.entries)
-    coact = LinMap((sk,), (sh, sk), H.eta.entries)
-    return act, coact
-
-
 def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap,
                          bp) -> LinMap:
     """The closed-form twisted multiplication on C(x)H(x)B, evaluated as
@@ -457,13 +443,14 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
 
     # one-sided products via a trivial third factor
     k = unit_bialgebra()
-    tr_act, tr_coact = _trivial_right_module(H, k)
-    tl_act, tl_coact = _trivial_left_module(H, k)
-    ch = _assemble_free_product(C, H, k, tr_act, tr_coact, inp.c_act,
+    sk = k.space
+    ch = _assemble_free_product(C, H, k, rebind(H.eps, (sk, sh), (sk,)),
+                                rebind(H.eta, (sk,), (sk, sh)), inp.c_act,
                                 inp.c_coact, bp,
                                 f"({sc.name}><{sh.name})")
-    hb = _assemble_free_product(k, H, B, inp.b_act, inp.b_coact, tl_act,
-                                tl_coact, bp,
+    hb = _assemble_free_product(k, H, B, inp.b_act, inp.b_coact,
+                                rebind(H.eps, (sh, sk), (sk,)),
+                                rebind(H.eta, (sk,), (sh, sk)), bp,
                                 f"({sh.name}><{sb.name})")
     canon = []
     mono_c = rebind(idc @ idh @ B.eta, (ch.space,), (Z.space,))

@@ -20,7 +20,7 @@ from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
 from .linmaps import LinMap, Space, UNIT, flatten
 from .scalars import ONE, ZERO, as_scalar, q_binomial, root_of_unity
-from .structures import Structure, fuse
+from .structures import Structure, fuse, rebind
 
 
 class ParameterError(ValueError):
@@ -449,10 +449,10 @@ def sweedler_crossed_modules():
     B, C = (fuse(sp, taft.m, taft.eta, taft.delta, taft.eps)
             for sp in (sb, sc))
     d_ore, d_rad = ore["datum"], rad["datum"]
-    b_act = LinMap((sb, sh), (sb,), d_ore.act_r.entries)
-    b_coact = LinMap((sb,), (sb, sh), d_ore.coact_r.entries)
-    c_act = LinMap((sh, sc), (sc,), d_rad.act_l.entries)
-    c_coact = LinMap((sc,), (sh, sc), d_rad.coact_l.entries)
+    b_act = rebind(d_ore.act_r, (sb, sh), (sb,))
+    b_coact = rebind(d_ore.coact_r, (sb,), (sb, sh))
+    c_act = rebind(d_rad.act_l, (sh, sc), (sc,))
+    c_coact = rebind(d_rad.coact_l, (sc,), (sh, sc))
     return DoubleBiproductInput(H, B, C, b_act, b_coact, c_act, c_coact)
 
 

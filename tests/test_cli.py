@@ -86,6 +86,21 @@ def test_zoo_build_ore_from_spec(tmp_path, capsys):
     assert "biproduct" in out
 
 
+@pytest.mark.parametrize("t, g, message", [
+    ("x", [[1]], "--spec holds a non-integer"),
+    (1, [["a"]], "--spec holds a non-integer"),
+    (0, [[1]], "need at least one skew generator")])
+def test_malformed_ore_spec_is_a_usage_error(tmp_path, capsys, t, g,
+                                             message):
+    spec = tmp_path / "ore.json"
+    spec.write_text(json.dumps({"orders": [2], "t": t,
+                                "g": g, "g_star": [[1]]}))
+    code, out, err = run(capsys, "zoo", "build", "ore", "--spec", str(spec))
+    assert code == 2
+    assert out == ""
+    assert f"crossbial: error: {message}" in err
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

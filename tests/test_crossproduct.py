@@ -144,6 +144,20 @@ def test_split_idempotent_is_an_exact_rank_factorisation():
         split_idempotent(LinMap((V,), (V,), {(0, 1): ONE}), "bad")
 
 
+def test_split_idempotent_of_a_non_diagonal_idempotent_is_pinned():
+    # T diag(1, 1, 0) T^-1 for T = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]; the
+    # factors are those the dense elimination gave before the sparse kernel
+    V = Space("V", 3)
+    F = Fraction
+    Pi = LinMap.from_rows((V,), (V,), [[1, 0, 0], [F(1, 3), F(1, 3), F(-1, 3)],
+                                       [F(1, 3), F(-2, 3), F(2, 3)]])
+    inj, proj, B = split_idempotent(Pi, "img")
+    assert B == Space("img", 2)
+    assert inj == LinMap.from_rows((B,), (V,), [[1, 0], [F(1, 3), F(1, 3)],
+                                                [F(1, 3), F(-2, 3)]])
+    assert proj == LinMap.from_rows((V,), (B,), [[1, 0, 0], [0, 1, -1]])
+
+
 # ---------------------------------------------------------------------------
 # the trivalence cross-check
 # ---------------------------------------------------------------------------

@@ -290,3 +290,14 @@ def test_datum_json_refuses_an_unknown_braiding():
     d = dataclasses.replace(radford_datum(), braiding=Unknown())
     with pytest.raises(ShapeError, match="no JSON encoding"):
         datum_to_json(d)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.update(braiding="flip"), "braiding 'flip' is not"),
+    (lambda obj: obj["spaces"][0].update(dim="two"), "dim 'two', not an"),
+])
+def test_datum_json_malformed_fields_are_shape_errors(edit, message):
+    obj = datum_to_json(radford_datum())
+    edit(obj)
+    with pytest.raises(ShapeError, match=message):
+        datum_from_json(obj)

@@ -17,8 +17,9 @@ from crossbial.linmaps import (
     linmap_to_json,
     permutation,
     pipeline_as_linmap,
+    reduce_rows,
 )
-from crossbial.scalars import root_of_unity
+from crossbial.scalars import ONE, ZERO, root_of_unity
 
 F = Fraction
 
@@ -132,6 +133,65 @@ def test_invert_roundtrip(seed):
         return
     assert g * f == LinMap.identity((X, Z))
     assert f * g == LinMap.identity((X, Z))
+
+
+def _dense_rref(rows):
+    """Dense exact Gauss-Jordan elimination, the oracle for reduce_rows:
+    the reduced row echelon form and its pivot column list."""
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    lead = 0
+    for col in range(nc):
+        piv = next((r for r in range(lead, nr) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = ONE / rows[lead][col]
+        rows[lead] = [inv * v for v in rows[lead]]
+        for r in range(nr):
+            if r != lead and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == nr:
+            break
+    return rows, pivots
+
+
+_ENTRIES = st.sampled_from([ZERO, ZERO, ZERO, ONE, -ONE, F(2), F(1, 2),
+                            F(-2, 3), root_of_unity(4, 1)])
+
+
+@st.composite
+def _matrices(draw):
+    """Square, wide or tall matrices; rank-deficient ones are products
+    through fewer dimensions than either side."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["square", "wide", "tall"]))
+    extra = 0 if shape == "square" else draw(st.integers(1, 3))
+    nr, nc = (n, n + extra) if shape != "tall" else (n + extra, n)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(nr, nc) - 1))
+        a = [[draw(_ENTRIES) for _ in range(k)] for _ in range(nr)]
+        b = [[draw(_ENTRIES) for _ in range(nc)] for _ in range(k)]
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), ZERO)
+                 for j in range(nc)] for i in range(nr)]
+    return [[draw(_ENTRIES) for _ in range(nc)] for _ in range(nr)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_reduce_rows_matches_the_dense_rref(m):
+    rows, pivots = _dense_rref(m)
+    red = reduce_rows({c: v for c, v in enumerate(row) if v} for row in m)
+    assert sorted(red) == pivots
+    nc = len(m[0])
+    assert [[ONE if c == p else red[p].get(c, ZERO) for c in range(nc)]
+            for p in pivots] == rows[:len(pivots)]
+    assert not any(any(r) for r in rows[len(pivots):])
 
 
 # -- braiding ---------------------------------------------------------------
