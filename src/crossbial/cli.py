@@ -121,6 +121,14 @@ def workspace_to_json(ws: Workspace) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """x itself if it is a JSON integer; a float, bool or string is refused
+    rather than truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def workspace_from_json(obj: dict) -> Workspace:
     if not isinstance(obj, dict) or obj.get("schema") != WORKSPACE_SCHEMA:
         raise WorkspaceError(f"/schema: expected {WORKSPACE_SCHEMA!r}")
@@ -132,7 +140,7 @@ def workspace_from_json(obj: dict) -> Workspace:
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
-            ws.spaces[e["name"]] = Space(e["name"], int(e["dim"]))
+            ws.spaces[e["name"]] = Space(e["name"], _json_int(e["dim"]))
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
     for section, loader, target in (
@@ -280,9 +288,10 @@ def _cmd_zoo(args) -> int:
             except json.JSONDecodeError as err:
                 raise UsageError(f"--spec is not JSON ({err})") from err
         try:
-            fields = (tuple(map(int, spec["orders"])), int(spec["t"]),
-                      tuple(tuple(map(int, e)) for e in spec["g"]),
-                      tuple(tuple(map(int, e)) for e in spec["g_star"]))
+            fields = (tuple(map(_json_int, spec["orders"])),
+                      _json_int(spec["t"]),
+                      tuple(tuple(map(_json_int, e)) for e in spec["g"]),
+                      tuple(tuple(map(_json_int, e)) for e in spec["g_star"]))
         except (KeyError, TypeError) as err:
             raise UsageError(f"--spec missing field {err}") from err
         except ValueError as err:

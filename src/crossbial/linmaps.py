@@ -67,7 +67,7 @@ def unflatten(flat: int, dims: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "entries", "_cols", "_rows")
+    __slots__ = ("dom", "cod", "entries", "_cols", "_rows", "_ones")
 
     def __init__(self, dom: Iterable[Space], cod: Iterable[Space], entries=None):
         self.dom: SpaceList = tuple(dom)
@@ -83,6 +83,18 @@ class LinMap:
         self.entries = pruned
         self._cols: Optional[Dict[int, Dict[int, Scalar]]] = None
         self._rows = None
+        self._ones: Optional[bool] = None
+
+    @classmethod
+    def _trusted(cls, dom: SpaceList, cod: SpaceList,
+                 entries: Dict[Tuple[int, int], Scalar],
+                 ones: Optional[bool] = None) -> "LinMap":
+        """A map from entries already in range and nonzero (no checks)."""
+        f = object.__new__(cls)
+        f.dom, f.cod, f.entries = dom, cod, entries
+        f._cols = f._rows = None
+        f._ones = ones
+        return f
 
     # -- basics ------------------------------------------------------------
 
@@ -127,6 +139,14 @@ class LinMap:
             self._rows = rows
         return self._rows
 
+    def is_ones(self) -> bool:
+        """True when every nonzero entry is exactly 1: a 0/1 matrix, such as
+        an identity, a permutation or the product of a group algebra.
+        Multiplying by its entries is then the identity on scalars."""
+        if self._ones is None:
+            self._ones = all(v == ONE for v in self.entries.values())
+        return self._ones
+
     def column(self, c: int) -> Dict[int, Scalar]:
         return self.by_col().get(c, {})
 
@@ -145,7 +165,8 @@ class LinMap:
     def identity(spaces: Iterable[Space]) -> "LinMap":
         spaces = tuple(spaces)
         n = dim_of(spaces)
-        return LinMap(spaces, spaces, {(i, i): ONE for i in range(n)})
+        return LinMap._trusted(spaces, spaces, {(i, i): ONE for i in range(n)},
+                               True)
 
     @staticmethod
     def zero(dom: Iterable[Space], cod: Iterable[Space]) -> "LinMap":
@@ -182,15 +203,20 @@ class LinMap:
                 f"({[s.name for s in f.cod]} vs {[s.name for s in self.dom]})")
         out: Dict[Tuple[int, int], Scalar] = {}
         gcols = self.by_col()
+        # A 0/1 factor contributes the other factor's entry unmultiplied;
+        # sums of such terms can still cancel, so zeros are pruned below.
+        g_ones, f_ones = self.is_ones(), f.is_ones()
         for (k, c), v in f.entries.items():
             col = gcols.get(k)
             if not col:
                 continue
             for r, gv in col.items():
                 key = (r, c)
+                term = v if g_ones else gv if f_ones else gv * v
                 cur = out.get(key)
-                out[key] = gv * v if cur is None else cur + gv * v
-        return LinMap(f.dom, self.cod, out)
+                out[key] = term if cur is None else cur + term
+        return LinMap._trusted(f.dom, self.cod,
+                               {k: v for k, v in out.items() if v})
 
     def __mul__(self, other):
         if isinstance(other, LinMap):
@@ -208,12 +234,23 @@ class LinMap:
                       {k: s * v for k, v in self.entries.items()})
 
     def tensor(self, other: "LinMap") -> "LinMap":
+        # Indices are in range by construction and a product of nonzero
+        # field elements is nonzero, so the result needs no checks.  A 0/1
+        # factor contributes no product: 1 * x is x exactly.
         nr2, nc2 = other.nrows, other.ncols
-        out: Dict[Tuple[int, int], Scalar] = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in other.entries.items():
-                out[(r1 * nr2 + r2, c1 * nc2 + c2)] = v1 * v2
-        return LinMap(self.dom + other.dom, self.cod + other.cod, out)
+        e1, e2 = self.entries.items(), other.entries.items()
+        ones1, ones2 = self.is_ones(), other.is_ones()
+        if ones2:
+            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v1
+                   for (r1, c1), v1 in e1 for (r2, c2) in other.entries}
+        elif ones1:
+            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v2
+                   for (r1, c1) in self.entries for (r2, c2), v2 in e2}
+        else:
+            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v1 * v2
+                   for (r1, c1), v1 in e1 for (r2, c2), v2 in e2}
+        return LinMap._trusted(self.dom + other.dom, self.cod + other.cod, out,
+                               True if ones1 and ones2 else None)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)
@@ -330,7 +367,7 @@ def permutation(spaces: Iterable[Space], perm: Iterable[int]) -> LinMap:
         for i, p in enumerate(perm):
             out[p] = idx[i]
         entries[(flatten(tuple(out), cdims), flat)] = ONE
-    return LinMap(spaces, cod, entries)
+    return LinMap._trusted(spaces, cod, entries, True)
 
 
 def flip(x: Space, y: Space) -> LinMap:
@@ -468,22 +505,21 @@ def apply_factor_layer(factors: List[LinMap], vec: Dict[Tuple[int, ...], Scalar]
     dspans = [len(f.dom) for f in factors]
     fdims = [_dims(f.dom) for f in factors]
     cdims = [_dims(f.cod) for f in factors]
+    ones = [f.is_ones() for f in factors]
     out: Dict[Tuple[int, ...], Scalar] = {}
     for key, val in vec.items():
         terms = [((), val)]
         pos = 0
-        for f, span, fd, cd in zip(factors, dspans, fdims, cdims):
+        for f, span, fd, cd, f_ones in zip(factors, dspans, fdims, cdims, ones):
             sub = key[pos:pos + span]
             pos += span
             col = f.column(flatten(sub, fd))
             if not col:
                 terms = []
                 break
-            new_terms = []
-            for prefix, coef in terms:
-                for r, rv in col.items():
-                    new_terms.append((prefix + unflatten(r, cd), coef * rv))
-            terms = new_terms
+            # a 0/1 factor passes coef through unmultiplied
+            terms = [(prefix + unflatten(r, cd), coef if f_ones else coef * rv)
+                     for prefix, coef in terms for r, rv in col.items()]
         for tup, coef in terms:
             cur = out.get(tup)
             out[tup] = coef if cur is None else cur + coef

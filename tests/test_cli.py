@@ -12,7 +12,7 @@ from crossbial.cli import (
 )
 from crossbial.linmaps import LinMap, UNIT
 from crossbial.scalars import root_of_unity
-from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
+from crossbial.zoo import sweedler_crossed_modules, taft_factor
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
 ONE = Fraction(1)
@@ -89,7 +89,10 @@ def test_zoo_build_ore_from_spec(tmp_path, capsys):
 @pytest.mark.parametrize("t, g, message", [
     ("x", [[1]], "--spec holds a non-integer"),
     (1, [["a"]], "--spec holds a non-integer"),
-    (0, [[1]], "need at least one skew generator")])
+    (0, [[1]], "need at least one skew generator"),
+    (1.7, [[1]], "--spec holds a non-integer (1.7 is not an integer)"),
+    (1, [[1.5, 0]], "--spec holds a non-integer (1.5 is not an integer)"),
+    (True, [[1]], "--spec holds a non-integer")])
 def test_malformed_ore_spec_is_a_usage_error(tmp_path, capsys, t, g,
                                              message):
     spec = tmp_path / "ore.json"
@@ -203,6 +206,18 @@ def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
     assert out == ""
     assert f"crossbial: error: /{section}" in err
     assert "Traceback" not in err
+
+
+def test_non_integer_space_dim_is_refused(tmp_path, capsys):
+    path = build_radford_ws(tmp_path, capsys)
+    obj = json.loads(open(path).read())
+    obj["spaces"][0]["dim"] = 2.5
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: /spaces/0: 2.5 is not an integer" in err
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -16,7 +16,7 @@ from crossbial.crossproduct import (
     verify_trivalent_equivalences,
 )
 from crossbial.datum import trivalence
-from crossbial.linmaps import LinMap, ShapeError, Space, UNIT, VectFlip
+from crossbial.linmaps import LinMap, ShapeError, Space, VectFlip
 from crossbial.structures import tensor_structure
 from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
 from tests.test_acceptance import braided_taft_pairing

@@ -303,6 +303,83 @@ def test_pipeline_with_units():
     assert piped == direct
 
 
+# -- 0/1 fast paths against a dense oracle -----------------------------------
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+_POOL = (Space("P", 1), X, Y, Space("W", 3))
+_Z4 = root_of_unity(4, 1)
+_KINDS = {"rational": [ZERO, ZERO, ONE, -ONE, F(2), F(1, 2), F(-2, 3)],
+          "zeta4": [ZERO, ZERO, ONE, -ONE, _Z4, -_Z4, ONE + _Z4, F(1, 3)],
+          "ones": [ZERO, ZERO, ONE]}
+
+
+@st.composite
+def _strands(draw):
+    return tuple(draw(st.lists(st.sampled_from(_POOL), min_size=1,
+                               max_size=2)))
+
+
+@st.composite
+def _maps(draw, dom, cod=None):
+    """A map out of dom: random over Q or Q(zeta_4), a random 0/1 pattern,
+    an identity or a strand permutation (the last two fix the codomain)."""
+    kinds = ["rational", "zeta4", "ones"]
+    if cod is None:
+        kinds += ["identity", "permutation"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "identity":
+        return LinMap.identity(dom)
+    if kind == "permutation":
+        return permutation(dom, draw(st.permutations(range(len(dom)))))
+    if cod is None:
+        cod = draw(_strands())
+    n, m = LinMap.identity(cod).nrows, LinMap.identity(dom).ncols
+    return LinMap.from_rows(dom, cod, [
+        [draw(st.sampled_from(_KINDS[kind])) for _ in range(m)]
+        for _ in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
+    f = data.draw(_maps(data.draw(_strands())))
+    g = data.draw(_maps(f.cod))
+    h = data.draw(_maps(data.draw(_strands())))
+    assert _typed((f @ h).to_rows()) == _typed(_kron(f.to_rows(),
+                                                      h.to_rows()))
+    assert _typed((g * f).to_rows()) == _typed(_matmul(g.to_rows(),
+                                                        f.to_rows()))
+    top = data.draw(_maps(f.cod + h.cod, data.draw(_strands())))
+    oracle = _matmul(top.to_rows(), _kron(f.to_rows(), h.to_rows()))
+    assert _typed(pipeline_as_linmap([[f, h], [top]]).to_rows()) == \
+        _typed(oracle)
+
+
+def test_composites_of_0_1_maps_are_summed_and_pruned():
+    ones = LinMap.from_rows((X,), (X,), [[1, 1], [1, 1]])
+    assert ones.is_ones()
+    doubled = ones * LinMap.from_rows((X,), (X,), [[1, 1], [1, 0]])
+    assert doubled.entries == {(0, 0): F(2), (0, 1): ONE,
+                               (1, 0): F(2), (1, 1): ONE}
+    assert not doubled.is_ones()
+    cancelled = ones * LinMap.from_rows((X,), (X,), [[1, 1], [1, -1]])
+    assert cancelled.entries == {(0, 0): F(2), (1, 0): F(2)}
+    assert not cancelled.is_ones()
+    assert (LinMap.identity((X,)) @ flip(X, Y)).is_ones()
+
+
 # -- JSON -------------------------------------------------------------------
 
 def test_linmap_json_roundtrip():

@@ -13,7 +13,6 @@ from crossbial.linmaps import (
 from crossbial.scalars import root_of_unity
 from crossbial.structures import (
     ActionData,
-    CheckReport,
     CrossedModuleData,
     NotConvolutionInvertibleError,
     PreconditionError,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial.datum import ConsistencyError
-from crossbial.linmaps import LinMap, ShapeError, UNIT, VectFlip
+from crossbial.linmaps import LinMap, ShapeError, UNIT
 from crossbial.scalars import as_scalar, root_of_unity
 from crossbial.structures import (
     PreconditionError,
