@@ -25,7 +25,8 @@ from .crossproduct import (BAT, InvalidSystemError, NotABATError,
 from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
                     check_hopf_datum, classify, recursion_order, trivalence)
 from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
-                      ShapeError, Space, linmap_from_json, linmap_to_json)
+                      ShapeError, Space, json_int, linmap_from_json,
+                      linmap_to_json)
 from .scalars import ConductorMixError, ScalarParseError, scalar_conductor
 from .structures import (CheckReport, NotConvolutionInvertibleError,
                          PreconditionError, Structure, check_axioms,
@@ -121,14 +122,6 @@ def workspace_to_json(ws: Workspace) -> dict:
     }
 
 
-def _json_int(x) -> int:
-    """x itself if it is a JSON integer; a float, bool or string is refused
-    rather than truncated or parsed."""
-    if type(x) is not int:
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def workspace_from_json(obj: dict) -> Workspace:
     if not isinstance(obj, dict) or obj.get("schema") != WORKSPACE_SCHEMA:
         raise WorkspaceError(f"/schema: expected {WORKSPACE_SCHEMA!r}")
@@ -140,7 +133,7 @@ def workspace_from_json(obj: dict) -> Workspace:
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
-            ws.spaces[e["name"]] = Space(e["name"], _json_int(e["dim"]))
+            ws.spaces[e["name"]] = Space(e["name"], json_int(e["dim"]))
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
     for section, loader, target in (
@@ -210,11 +203,6 @@ def _document(args, checks: Dict[str, CheckReport], extra: dict,
         "checks": {name: rep.to_json() for name, rep in checks.items()},
         **extra,
     }
-
-
-def _witness_str(w) -> str:
-    return (f"out={list(w.out_index)} in={list(w.in_index)}: "
-            f"{w.lhs} != {w.rhs}")
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -288,10 +276,10 @@ def _cmd_zoo(args) -> int:
             except json.JSONDecodeError as err:
                 raise UsageError(f"--spec is not JSON ({err})") from err
         try:
-            fields = (tuple(map(_json_int, spec["orders"])),
-                      _json_int(spec["t"]),
-                      tuple(tuple(map(_json_int, e)) for e in spec["g"]),
-                      tuple(tuple(map(_json_int, e)) for e in spec["g_star"]))
+            fields = (tuple(map(json_int, spec["orders"])),
+                      json_int(spec["t"]),
+                      tuple(tuple(map(json_int, e)) for e in spec["g"]),
+                      tuple(tuple(map(json_int, e)) for e in spec["g_star"]))
         except (KeyError, TypeError) as err:
             raise UsageError(f"--spec missing field {err}") from err
         except ValueError as err:

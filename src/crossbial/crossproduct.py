@@ -21,11 +21,11 @@ from .scalars import ONE
 from .structures import (
     CheckEntry,
     CheckReport,
-    PreconditionError,
     Structure,
     check_axioms,
     classify_morphism,
     cross_structure,
+    restrict,
 )
 
 
@@ -203,10 +203,7 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     connecting maps are read off the transported product and coproduct.
     """
     braiding = braiding or VectFlip()
-    pre = check_axioms(A, "bialgebra", braiding)
-    if not pre.ok:
-        raise PreconditionError(f"ambient fails {pre.failed()[0]}",
-                                report=pre)
+    check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
     if isinstance(sys, IdempotentSystem):
         sys = _system_to_projections(A, sys)
     i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
@@ -223,12 +220,7 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     if p2 * i2 != LinMap.identity((s2,)):
         raise InvalidSystemError("p2 o i2 is not the identity")
 
-    factors = []
-    for i, p, s in ((i1, p1, s1), (i2, p2, s2)):
-        factors.append(Structure(
-            s, p * A.m * (i @ i), p * A.eta, (p @ p) * A.delta * i,
-            A.eps * i))
-    b1, b2 = factors
+    b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
     for tag, f, src, dst, want in (
             ("i1", i1, b1, A, "is_algebra_morphism"),
             ("i2", i2, b2, A, "is_algebra_morphism"),

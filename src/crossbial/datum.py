@@ -26,6 +26,7 @@ from .linmaps import (
     _dims,
     dim_of,
     flatten,
+    json_int,
     linmap_from_json,
     linmap_to_json,
     pipeline_as_linmap,
@@ -37,12 +38,11 @@ from .structures import (
     ActionData,
     CheckEntry,
     CheckReport,
-    PreconditionError,
     Structure,
+    _action_report,
     _algebra_entries,
     _coalgebra_entries,
     _cross_maps,
-    check_action,
     check_axioms,
     classify_morphism,
     compare,
@@ -165,18 +165,13 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
         return CheckReport(entries)
 
     bp = d.braiding
-    entries += _prefixed(check_action(
-        ActionData(d.b1.space, d.b2, d.act_l), "module-l", bp).entries,
-        "act-l-")
-    entries += _prefixed(check_action(
-        ActionData(d.b2.space, d.b1, d.act_r), "module-r", bp).entries,
-        "act-r-")
-    entries += _prefixed(check_action(
-        ActionData(d.b1.space, d.b2, d.coact_l), "comodule-l", bp).entries,
-        "coact-l-")
-    entries += _prefixed(check_action(
-        ActionData(d.b2.space, d.b1, d.coact_r), "comodule-r", bp).entries,
-        "coact-r-")
+    for tag, carrier, actor, f, kind in (
+            ("act-l-", d.b1.space, d.b2, d.act_l, "module-l"),
+            ("act-r-", d.b2.space, d.b1, d.act_r, "module-r"),
+            ("coact-l-", d.b1.space, d.b2, d.coact_l, "comodule-l"),
+            ("coact-r-", d.b2.space, d.b1, d.coact_r, "comodule-r")):
+        entries += _prefixed(
+            _action_report(ActionData(carrier, actor, f), kind).entries, tag)
 
     s1, s2 = d.b1.space, d.b2.space
     id1, id2 = d.b1.id_map(), d.b2.id_map()
@@ -277,9 +272,7 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
     fails; for a valid datum the returned m_B with eta_1(x)eta_2 is an
     algebra and delta_B with eps_1(x)eps_2 a coalgebra.
     """
-    rep = check_hopf_datum(d)
-    if not rep.ok:
-        raise PreconditionError(f"datum fails {rep.failed()[0]}", report=rep)
+    check_hopf_datum(d).require("datum fails {}")
     return _induced_raw(d)
 
 
@@ -299,9 +292,7 @@ def build_bialgebra(d: HopfDatum) -> Structure:
     is then verified exactly on the product space; a failure there means a
     non-recursive datum slipped through and raises ConsistencyError.
     """
-    rep = check_hopf_datum(d)
-    if not rep.ok:
-        raise PreconditionError(f"datum fails {rep.failed()[0]}", report=rep)
+    check_hopf_datum(d).require("datum fails {}")
     st = cross_structure(d.b1, d.b2, *_mixed_maps(d))
     verdict = check_axioms(st, "bialgebra", psi=product_braiding(d, st))
     if not verdict.ok:
@@ -654,8 +645,8 @@ def datum_from_json(obj: dict) -> HopfDatum:
         for e in obj["spaces"]:
             name, dim = e["name"], e["dim"]
             try:
-                spaces[name] = Space(name, int(dim))
-            except (TypeError, ValueError) as err:
+                spaces[name] = Space(name, json_int(dim))
+            except ValueError as err:
                 raise ShapeError(f"bad datum encoding: space {name!r} has "
                                  f"dim {dim!r}, not an integer") from err
         b1 = structure_from_json(obj["b1"], spaces)

@@ -117,9 +117,6 @@ class LinMap:
         c = ",".join(s.name for s in self.cod) or "k"
         return f"LinMap({d} -> {c}, {len(self.entries)} entries)"
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def entry(self, r: int, c: int) -> Scalar:
         return self.entries.get((r, c), ZERO)
 
@@ -273,20 +270,6 @@ class LinMap:
     def transpose(self) -> "LinMap":
         return LinMap(self.cod, self.dom,
                       {(c, r): v for (r, c), v in self.entries.items()})
-
-    def apply(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        """Apply to a sparse column vector {flat index: coeff}."""
-        out: Dict[int, Scalar] = {}
-        cols = self.by_col()
-        for c, x in vec.items():
-            col = cols.get(c)
-            if not col:
-                continue
-            for r, v in col.items():
-                cur = out.get(r)
-                y = v * x
-                out[r] = y if cur is None else cur + y
-        return {k: v for k, v in out.items() if v}
 
     # -- inversion / solving ----------------------------------------------
 
@@ -550,6 +533,14 @@ def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
+
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; a float, bool or string is refused
+    with ValueError rather than truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
 
 def linmap_to_json(f: LinMap) -> dict:
     return {

@@ -81,8 +81,15 @@ class CheckReport:
     def failed(self) -> List[str]:
         return [e.axiom for e in self.entries if not e.ok]
 
-    def extended(self, other: "CheckReport") -> "CheckReport":
-        return CheckReport(self.entries + other.entries)
+    def require(self, template: str) -> None:
+        """Raise PreconditionError carrying this report unless every axiom
+        passes.  The message is template with its last "{}" replaced by the
+        first failed axiom; text before it (a space name, say) is taken
+        literally."""
+        if not self.ok:
+            head, _, tail = template.rpartition("{}")
+            raise PreconditionError(head + self.failed()[0] + tail,
+                                    report=self)
 
     def to_json(self) -> list:
         out = []
@@ -153,13 +160,18 @@ class Structure:
         """eta o eps, the convolution unit of End(B)."""
         return self.eta * self.eps
 
-    def with_antipode(self, S: LinMap) -> "Structure":
-        return Structure(self.space, self.m, self.eta, self.delta, self.eps, S)
-
     def replace(self, m=None, delta=None, S=None) -> "Structure":
         return Structure(self.space, m if m is not None else self.m, self.eta,
                          delta if delta is not None else self.delta, self.eps,
                          S if S is not None else self.S)
+
+
+def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
+    """The structure A induces on the source of the injection i through the
+    projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
+    is verified here."""
+    return Structure(i.dom[0], p * A.m * (i @ i), p * A.eta,
+                     (p @ p) * A.delta * i, A.eps * i)
 
 
 def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
@@ -307,20 +319,31 @@ class ActionData:
     map: LinMap
 
 
+_ACTOR_LAWS = {"module-l": "algebra", "module-r": "algebra",
+               "comodule-l": "coalgebra", "comodule-r": "coalgebra"}
+
+
+def _verify_actor(s: Structure, kind: str, bp) -> None:
+    """The laws an actor needs before its (co)action of `kind` means
+    anything: algebra for a module, coalgebra for a comodule."""
+    if kind not in _ACTOR_LAWS:
+        raise ValueError(f"unknown kind {kind!r}")
+    check_axioms(s, _ACTOR_LAWS[kind], bp).require(
+        "actor fails {}; validate it first")
+
+
 def check_action(a: ActionData, kind: str, bp=None) -> CheckReport:
-    """Unit+associativity (counit+coassociativity) of a (co)action."""
+    """Unit+associativity (counit+coassociativity) of a (co)action; the
+    actor's own laws are verified first."""
+    _verify_actor(a.actor, kind, bp)
+    return _action_report(a, kind)
+
+
+def _action_report(a: ActionData, kind: str) -> CheckReport:
+    """The (co)action laws of a, for an actor whose laws already hold."""
     M, H = (a.carrier,), (a.actor.space,)
     im, ih = LinMap.identity(M), LinMap.identity(H)
     act = a.map
-    if kind in ("module-l", "module-r"):
-        pre = check_axioms(a.actor, "algebra", bp)
-    elif kind in ("comodule-l", "comodule-r"):
-        pre = check_axioms(a.actor, "coalgebra", bp)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if not pre.ok:
-        raise PreconditionError(
-            f"actor fails {pre.failed()[0]}; validate it first", report=pre)
     s = a.actor
     if kind == "module-l":
         if act.dom != H + M or act.cod != M:
@@ -374,30 +397,35 @@ class CrossedModuleData:
     side: str = "right"
 
 
+_CROSSED_KINDS = {"right": ("module-r", "comodule-r"),
+                  "left": ("module-l", "comodule-l")}
+
+
 def check_crossed_module(cm: CrossedModuleData, bp=None) -> CheckReport:
     """Compatibility of the action with the coaction over the host.
 
-    Both sides of the defining identity are evaluated as composites on
-    M(x)H (side "right") resp. H(x)M (side "left").
+    The host's algebra and coalgebra laws are verified first.  Both sides
+    of the defining identity are evaluated as composites on M(x)H (side
+    "right") resp. H(x)M (side "left").
     """
-    bp = bp or VectFlip()
+    if cm.side not in _CROSSED_KINDS:
+        raise ValueError(f"unknown side {cm.side!r}")
+    for kind in _CROSSED_KINDS[cm.side]:
+        _verify_actor(cm.host, kind, bp)
+    return _crossed_module_report(cm, bp or VectFlip())
+
+
+def _crossed_module_report(cm: CrossedModuleData, bp) -> CheckReport:
+    """The (co)module laws and the compatibility, for a host whose laws
+    already hold."""
     M, H = (cm.carrier,), (cm.host.space,)
     im, ih = LinMap.identity(M), LinMap.identity(H)
     s = cm.host
-    if cm.side == "right":
-        mod = check_action(ActionData(cm.carrier, s, cm.act), "module-r", bp)
-        com = check_action(ActionData(cm.carrier, s, cm.coact), "comodule-r",
-                           bp)
-    elif cm.side == "left":
-        mod = check_action(ActionData(cm.carrier, s, cm.act), "module-l", bp)
-        com = check_action(ActionData(cm.carrier, s, cm.coact), "comodule-l",
-                           bp)
-    else:
-        raise ValueError(f"unknown side {cm.side!r}")
-    if not mod.ok or not com.ok:
-        bad = (mod if not mod.ok else com)
-        raise PreconditionError(
-            f"(co)module laws fail first: {bad.failed()[0]}", report=bad)
+    mod_kind, com_kind = _CROSSED_KINDS[cm.side]
+    mod = _action_report(ActionData(cm.carrier, s, cm.act), mod_kind)
+    com = _action_report(ActionData(cm.carrier, s, cm.coact), com_kind)
+    mod.require("(co)module laws fail first: {}")
+    com.require("(co)module laws fail first: {}")
     psi_hh = bp.braiding(s.space, s.space)
     if cm.side == "right":
         psi_mh = bp.braiding(cm.carrier, s.space)
@@ -415,20 +443,22 @@ def check_crossed_module(cm: CrossedModuleData, bp=None) -> CheckReport:
                        + (compare("crossed-compatibility", lhs, rhs),))
 
 
-def _yd_provider(cls, side: str, host: Structure, modules, bp):
+def _yd_providers(host: Structure, bp, *groups) -> list:
+    """Verify the host once (as a Hopf algebra when it carries an
+    antipode), then build one provider per (cls, side, modules) group,
+    registering each module only after its crossed-module laws pass."""
     kind = "hopf" if host.S is not None else "bialgebra"
-    base = check_axioms(host, kind, bp)
-    if not base.ok:
-        raise PreconditionError(f"host fails {base.failed()[0]}", report=base)
-    prov = cls(host.space)
-    for space, act, coact in modules:
-        rep = check_crossed_module(
-            CrossedModuleData(space, host, act, coact, side), bp)
-        if not rep.ok:
-            raise PreconditionError(
-                f"{space.name}: {rep.failed()[0]}", report=rep)
-        prov.register(space, act, coact)
-    return prov
+    check_axioms(host, kind, bp).require("host fails {}")
+    provs = []
+    for cls, side, modules in groups:
+        prov = cls(host.space)
+        for space, act, coact in modules:
+            _crossed_module_report(
+                CrossedModuleData(space, host, act, coact, side),
+                bp or VectFlip()).require(f"{space.name}: {{}}")
+            prov.register(space, act, coact)
+        provs.append(prov)
+    return provs
 
 
 def yd_provider(host: Structure, modules, bp=None):
@@ -438,13 +468,14 @@ def yd_provider(host: Structure, modules, bp=None):
     coact: X -> X(x)H.  Each triple must pass check_crossed_module over the
     host before it is registered.
     """
-    return _yd_provider(YetterDrinfeld, "right", host, modules, bp)
+    return _yd_providers(host, bp, (YetterDrinfeld, "right", modules))[0]
 
 
 def yd_provider_left(host: Structure, modules, bp=None):
     """Left-sided counterpart of yd_provider: act: H(x)X -> X and
     coact: X -> H(x)X, validated as left crossed modules."""
-    return _yd_provider(LeftYetterDrinfeld, "left", host, modules, bp)
+    return _yd_providers(host, bp,
+                         (LeftYetterDrinfeld, "left", modules))[0]
 
 
 # -- morphism classification ------------------------------------------------
@@ -476,12 +507,9 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
     the stacked left/right convolution systems, then both identities are
     re-verified on the result before it is returned.
     """
-    cpre = check_axioms(coalg, "coalgebra", bp)
-    apre = check_axioms(alg, "algebra", bp)
-    if not cpre.ok or not apre.ok:
-        bad = cpre if not cpre.ok else apre
-        raise PreconditionError(
-            f"convolution boundary fails {bad.failed()[0]}", report=bad)
+    check_axioms(coalg, "coalgebra", bp).require(
+        "convolution boundary fails {}")
+    check_axioms(alg, "algebra", bp).require("convolution boundary fails {}")
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
     ida = LinMap.identity((A,))

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import ConsistencyError, HopfDatum, _trivial_forms, check_hopf_datum
-from .linmaps import (LinMap, NotInvertibleError, ShapeError, Space, UNIT,
-                      VectFlip, pipeline_as_linmap)
+from .linmaps import (LeftYetterDrinfeld, LinMap, NotInvertibleError,
+                      ShapeError, Space, UNIT, VectFlip, YetterDrinfeld,
+                      pipeline_as_linmap)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
     CheckReport,
     PreconditionError,
     Structure,
+    _yd_providers,
     check_axioms,
     classify_morphism,
     compare,
@@ -33,8 +35,6 @@ from .structures import (
     fuse,
     rebind,
     tensor_structure,
-    yd_provider,
-    yd_provider_left,
 )
 
 
@@ -178,11 +178,14 @@ def validate_cocycle(c: TwoCocycle, bp=None) -> CheckReport:
     """The associativity-style cocycle law plus both unit laws; the two
     unit halves are also compared against each other directly."""
     bp = bp or VectFlip()
+    check_axioms(c.host, "bialgebra", bp).require("host fails {}")
+    return _cocycle_report(c, bp)
+
+
+def _cocycle_report(c: TwoCocycle, bp) -> CheckReport:
+    """The cocycle laws of validate_cocycle, for a host already verified as
+    a bialgebra."""
     b = c.host
-    pre = check_axioms(b, "bialgebra", bp)
-    if not pre.ok:
-        raise PreconditionError(f"host fails {pre.failed()[0]}", report=pre)
-    s = b.space
     idb = b.id_map()
     delta2 = _tensor_square_delta(b, bp)
     chi_m = conv_dot(c.chi, b.m, "left", delta2)
@@ -207,10 +210,13 @@ def twist(b: Structure, c: TwoCocycle, bp=None) -> Structure:
     bp = bp or VectFlip()
     if c.host.space != b.space:
         raise ShapeError("cocycle host does not match the twisted algebra")
-    rep = validate_cocycle(TwoCocycle(b, c.chi, c.chi_inv), bp)
-    if not rep.ok:
-        raise PreconditionError(f"cocycle fails {rep.failed()[0]}",
-                                report=rep)
+    validate_cocycle(TwoCocycle(b, c.chi, c.chi_inv), bp).require(
+        "cocycle fails {}")
+    return _twist(b, c, bp)
+
+
+def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
+    """The body of twist, for a cocycle on b already validated."""
     chi_inv = cocycle_inverse(TwoCocycle(b, c.chi, c.chi_inv), bp)
     delta2 = _tensor_square_delta(b, bp)
     m_chi = conv_dot(chi_inv, conv_dot(c.chi, b.m, "left", delta2),
@@ -245,10 +251,7 @@ def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
     """
     bp = bp or VectFlip()
     for tag, st in (("H", p.H), ("A", p.A)):
-        pre = check_axioms(st, "bialgebra", bp)
-        if not pre.ok:
-            raise PreconditionError(f"{tag} fails {pre.failed()[0]}",
-                                    report=pre)
+        check_axioms(st, "bialgebra", bp).require(f"{tag} fails {{}}")
     H, A, form = p.H, p.A, p.form
     idh, ida = H.id_map(), A.id_map()
     hook = form * (idh @ form @ ida)          # H(x)H(x)A(x)A -> k
@@ -283,10 +286,7 @@ def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
     trivial matched pair over any backend).
     """
     bp = bp or VectFlip()
-    rep = validate_pairing(p, bp)
-    if not rep.ok:
-        raise PreconditionError(f"pairing fails {rep.failed()[0]}",
-                                report=rep)
+    validate_pairing(p, bp).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
     if sh.dim != sa.dim:
@@ -399,14 +399,12 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     sh, sb, sc = H.space, B.space, C.space
     idh, idb, idc = H.id_map(), B.id_map(), C.id_map()
 
-    prov_r = yd_provider(H, [(sb, inp.b_act, inp.b_coact)], bp)
-    prov_l = yd_provider_left(H, [(sc, inp.c_act, inp.c_coact)], bp)
+    prov_r, prov_l = _yd_providers(
+        H, bp, (YetterDrinfeld, "right", [(sb, inp.b_act, inp.b_coact)]),
+        (LeftYetterDrinfeld, "left", [(sc, inp.c_act, inp.c_coact)]))
     for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
-        rep = check_axioms(st, "bialgebra", prov)
-        if not rep.ok:
-            raise PreconditionError(
-                f"{tag} is not a bialgebra in its crossed-module category "
-                f"({rep.failed()[0]})", report=rep)
+        check_axioms(st, "bialgebra", prov).require(
+            f"{tag} is not a bialgebra in its crossed-module category ({{}})")
 
     entries = []
     # square of the mixed braidings against the action/coaction loop
@@ -429,10 +427,7 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
         "pairing-mult-b",
         rho * (B.m @ idc),
         rho2 * (psi_dy @ (bp.braiding_inverse(sc, sc) * C.delta))))
-    pre = CheckReport(entries)
-    if not pre.ok:
-        raise PreconditionError(
-            f"pairing precondition fails: {pre.failed()[0]}", report=pre)
+    CheckReport(entries).require("pairing precondition fails: {}")
 
     Z = _assemble_free_product(
         C, H, B, inp.b_act, inp.b_coact, inp.c_act, inp.c_coact, bp,
@@ -479,10 +474,12 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     chi_inv = rebind(C.eps @ H.eps @ rho_inv @ H.eps @ B.eps,
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)
-    vrep = validate_cocycle(rho_hat, bp)
+    # Z passed check_axioms above and rho_hat is validated here, so the
+    # twist runs its body without either check again
+    vrep = _cocycle_report(rho_hat, bp)
     if not vrep.ok:
         raise ConsistencyError(f"rho_hat fails {vrep.failed()[0]}")
-    z_twisted = twist(Z, rho_hat, bp)
+    z_twisted = _twist(Z, rho_hat, bp)
 
     direct = _twisted_mult_direct(inp, rho_inv, bp)
     direct = rebind(direct, (Z.space, Z.space), (Z.space,))

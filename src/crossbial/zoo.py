@@ -20,7 +20,7 @@ from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
 from .linmaps import LinMap, Space, UNIT, flatten
 from .scalars import ONE, ZERO, as_scalar, q_binomial, root_of_unity
-from .structures import Structure, fuse, rebind
+from .structures import Structure, fuse, rebind, restrict
 
 
 class ParameterError(ValueError):
@@ -399,10 +399,7 @@ def ore_finite(params: OreParams) -> dict:
                               for mask in range(nX) for c in range(nC)})
     system = ProjectionSystem(H, i1, i2, p1, p2)
 
-    b1 = Structure(sg, p1 * mH * (i1 @ i1), p1 * etaH,
-                   (p1 @ p1) * deltaH * i1, epsH * i1)
-    b2 = Structure(sl, p2 * mH * (i2 @ i2), p2 * etaH,
-                   (p2 @ p2) * deltaH * i2, epsH * i2)
+    b1, b2 = restrict(H, i1, p1), restrict(H, i2, p2)
     triv = _trivial_forms(b1, b2)
     aent = {}
     for mask in range(nX):

@@ -295,6 +295,9 @@ def test_datum_json_refuses_an_unknown_braiding():
 @pytest.mark.parametrize("edit, message", [
     (lambda obj: obj.update(braiding="flip"), "braiding 'flip' is not"),
     (lambda obj: obj["spaces"][0].update(dim="two"), "dim 'two', not an"),
+    (lambda obj: obj["spaces"][0].update(dim=2.5), "dim 2.5, not an"),
+    (lambda obj: obj["spaces"][0].update(dim="2"), "dim '2', not an"),
+    (lambda obj: obj["spaces"][0].update(dim=True), "dim True, not an"),
 ])
 def test_datum_json_malformed_fields_are_shape_errors(edit, message):
     obj = datum_to_json(radford_datum())

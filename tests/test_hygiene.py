@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and the tests is used."""
+"""Source hygiene: every imported name in the package and the tests is used,
+and every private function of the package is named somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for p in (ROOT / "src" / "crossbial").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
-                     (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -35,3 +36,35 @@ def test_the_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private(sources):
+    """(file, name) of each function or method named with one leading
+    underscore whose name is read nowhere in `sources` ({file: text})."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted(
+        (f, n.name) for f, tree in trees.items() for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and n.name.startswith("_") and not n.name.startswith("__")
+        and n.name not in used)
+
+
+def test_the_scanner_flags_an_uncalled_private_function():
+    srcs = {"a.py": "def _dead(): pass\ndef _used(): pass\n"
+                    "class K:\n    def __init__(self): self._m()\n"
+                    "    def _m(self): pass\n    def _gone(self): pass\n",
+            "b.py": "from a import _used\n_used()\n"}
+    assert unreferenced_private(srcs) == [("a.py", "_dead"),
+                                          ("a.py", "_gone")]
+
+
+def test_no_uncalled_private_functions():
+    assert unreferenced_private(
+        {p.name: p.read_text() for p in PACKAGE}) == []

@@ -305,6 +305,28 @@ def test_crossed_module_precondition():
         check_crossed_module(CrossedModuleData(M, H, act, broken))
 
 
+def test_crossed_module_refuses_a_host_with_a_broken_unit():
+    s = group_hopf(2)
+    bad = Structure(s.space, s.m, LinMap(UNIT, (s.space,), {(1, 0): ONE}),
+                    s.delta, s.eps)  # unit sent to g
+    M = Space("M", 1)
+    im = LinMap.identity((M,))
+    with pytest.raises(PreconditionError) as exc:
+        check_crossed_module(CrossedModuleData(M, bad, im @ bad.eps,
+                                               im @ bad.eta))
+    assert str(exc.value) == "actor fails left-unit; validate it first"
+    assert exc.value.report is not None
+
+
+def test_yd_provider_refuses_a_host_that_is_not_hopf():
+    H = group_hopf(3)
+    bad = H.replace(S=H.id_map())  # S(g) = g is no antipode on kC3
+    with pytest.raises(PreconditionError) as exc:
+        yd_provider(bad, [])
+    assert str(exc.value) == "host fails left-antipode"
+    assert exc.value.report is not None
+
+
 def test_yd_provider_validates():
     H, M, act, coact = sweedler_yd()
     prov = yd_provider(H, [(M, act, coact)])

@@ -1,0 +1,104 @@
+"""Each precondition is checked once, by the call that receives the data.
+
+A spy stands in for check_axioms in every module that imports it and
+records each call.  A call re-checks when an earlier call in the same chain
+already passed on the same object with the same braiding and a kind at least
+as strong (hopf covers bialgebra, which covers algebra and coalgebra).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from crossbial import cli, crossproduct, datum, structures, twisting, zoo
+from crossbial.datum import check_hopf_datum
+from crossbial.linmaps import UNIT, LinMap, VectFlip
+from crossbial.twisting import (DualPairing, double_biproduct,
+                                matched_pair_from_pairing)
+from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
+                           radford, sweedler_crossed_modules)
+
+ONE = Fraction(1)
+
+COVERS = {"hopf": {"hopf", "bialgebra", "algebra", "coalgebra"},
+          "bialgebra": {"bialgebra", "algebra", "coalgebra"},
+          "algebra": {"algebra"},
+          "coalgebra": {"coalgebra"}}
+
+
+def braiding_key(bp, psi):
+    if psi is not None:
+        return psi
+    return "flip" if bp is None or type(bp) is VectFlip else bp
+
+
+class AxiomSpy:
+    """check_axioms with a record of the verdicts it has handed out."""
+
+    def __init__(self, orig):
+        self.orig = orig
+        self.calls = 0
+        self.passed = []    # (structure, kind, braiding key), kept alive
+        self.repeats = []
+
+    def cover(self, s, kind, bp=None, psi=None):
+        self.passed.append((s, kind, braiding_key(bp, psi)))
+
+    def __call__(self, s, kind, bp=None, psi=None):
+        self.calls += 1
+        key = braiding_key(bp, psi)
+        if any(st is s and kind in COVERS[k] and (b is key or b == key)
+               for st, k, b in self.passed):
+            self.repeats.append((s.space.name, kind))
+        rep = self.orig(s, kind, bp, psi)
+        if rep.ok:
+            self.cover(s, kind, bp, psi)
+        return rep
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    orig = structures.check_axioms
+    s = AxiomSpy(orig)
+    for mod in (structures, datum, twisting, crossproduct, cli, zoo):
+        if getattr(mod, "check_axioms", None) is orig:
+            monkeypatch.setattr(mod, "check_axioms", s)
+    return s
+
+
+def test_the_spy_flags_a_weaker_recheck_under_the_same_braiding(spy):
+    H = group_algebra(2)
+    structures.check_axioms(H, "hopf")
+    structures.check_axioms(H, "coalgebra", VectFlip())
+    structures.check_axioms(group_algebra(2), "hopf")
+    assert spy.repeats == [(H.space.name, "coalgebra")]
+
+
+def test_double_biproduct_checks_each_input_once(spy):
+    inp = sweedler_crossed_modules()
+    sb, sc = inp.B.space, inp.C.space
+    rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
+    assert double_biproduct(inp.with_rho(rho))["report"].ok
+    assert spy.calls > 0
+    assert spy.repeats == []
+
+
+def test_hopf_datum_check_does_not_recheck_its_factors(spy):
+    d = radford(RadfordParams(3, 1, 3, 1))["datum"]
+    # the report's own b1-*/b2-* entries verify these laws first
+    for b in (d.b1, d.b2):
+        for kind in ("algebra", "coalgebra"):
+            spy.cover(b, kind, d.braiding)
+    assert check_hopf_datum(d).ok
+    assert spy.repeats == []
+
+
+def test_matched_pair_checks_each_factor_once(spy):
+    N = 3
+    H, A = group_algebra(N), dual_group_algebra(N)
+    form = LinMap((H.space, A.space), UNIT,
+                  {(0, a * N + a): ONE for a in range(N)})
+    assert matched_pair_from_pairing(DualPairing(H, A, form))[
+        "is_matched_pair"]
+    assert spy.calls > 0
+    assert spy.repeats == []
