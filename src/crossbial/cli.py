@@ -25,7 +25,8 @@ from .crossproduct import (BAT, InvalidSystemError, NotABATError,
 from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
                     check_hopf_datum, classify, recursion_order, trivalence)
 from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
-                      ShapeError, Space, json_int, linmap_from_json,
+                      ShapeError, Space, json_dim, json_int,
+                      linmap_from_json,
                       linmap_to_json)
 from .scalars import ConductorMixError, ScalarParseError, scalar_conductor
 from .structures import (CheckReport, NotConvolutionInvertibleError,
@@ -133,7 +134,7 @@ def workspace_from_json(obj: dict) -> Workspace:
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
-            ws.spaces[e["name"]] = Space(e["name"], json_int(e["dim"]))
+            ws.spaces[e["name"]] = Space(e["name"], json_dim(e["dim"]))
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
     for section, loader, target in (
@@ -261,11 +262,16 @@ def _cmd_zoo(args) -> int:
     if args.zoo_cmd == "list":
         builders = ["group", "ore", "radford"]
         return _finish(args, {}, {"builders": builders}, True)
+    # each builder is guarded by the dim its parameters give, before it
+    # allocates anything
     if args.builder == "radford":
-        out = radford(RadfordParams(args.n, args.q_exp, args.big_n, args.nu))
+        params = RadfordParams(args.n, args.q_exp, args.big_n, args.nu)
+        _guard_dim(params.dim)
+        out = radford(params)
         ws = _tower_workspace(out)
         extra = {"built": "radford", "dim": out["H"].dim}
     elif args.builder == "group":
+        _guard_dim(args.big_n)
         H = group_algebra(args.big_n)
         ws = Workspace().add_structure("main", H)
         extra = {"built": "group", "dim": H.dim}
@@ -284,10 +290,11 @@ def _cmd_zoo(args) -> int:
             raise UsageError(f"--spec missing field {err}") from err
         except ValueError as err:
             raise UsageError(f"--spec holds a non-integer ({err})") from err
-        out = ore_finite(OreParams(*fields))
+        params = OreParams(*fields)
+        _guard_dim(params.dim)
+        out = ore_finite(params)
         ws = _tower_workspace(out)
         extra = {"built": "ore", "dim": out["H"].dim}
-    _guard_dim(ws.structure("main").dim)
     _save(args, ws, extra)
     return _finish(args, {}, extra, True)
 

@@ -23,15 +23,14 @@ from .linmaps import (
     UNIT,
     VectFlip,
     YetterDrinfeld,
-    _dims,
+    apply_at,
     dim_of,
-    flatten,
-    json_int,
+    json_dim,
     linmap_from_json,
     linmap_to_json,
     pipeline_as_linmap,
+    pipeline_columns,
     run_pipeline,
-    unflatten,
 )
 from .scalars import ONE, ZERO
 from .structures import (
@@ -184,68 +183,51 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
     ps21 = bp.braiding(s2, s1)
     phi12, phi21 = _mixed_maps(d)
 
-    # how the units and counits pass through the four interaction maps
-    entries += [
-        compare("unit-act-r", ar * (e2 @ id1), e2 * ep1),
-        compare("counit-coact-l", (id2 @ ep1) * cl, e2 * ep1),
-        compare("act-r-counit", ep2 * ar, ep2 @ ep1),
-        compare("act-l-counit", ep1 * al, ep2 @ ep1),
-        compare("unit-act-l", al * (id2 @ e1), e1 * ep2),
-        compare("counit-coact-r", (ep2 @ id1) * cr, e1 * ep2),
-        compare("coact-r-unit", cr * e2, e2 @ e1),
-        compare("coact-l-unit", cl * e1, e2 @ e1),
+    i11, i22 = LinMap.identity((s1, s1)), LinMap.identity((s2, s2))
+    i21, i221 = LinMap.identity((s2, s1)), LinMap.identity((s2, s2, s1))
+    i211 = LinMap.identity((s2, s1, s1))
+    e2ep1, e1ep2 = e2 * ep1, e1 * ep2
+    ep2ep1, e2e1 = run_pipeline([[ep2, ep1]], i21), apply_at(e2, e1, 1)
+    laws = [
+        # how the units and counits pass through the four interaction maps
+        ("unit-act-r", run_pipeline([[e2, id1], [ar]], id1), e2ep1),
+        ("counit-coact-l", apply_at(cl, ep1, 1), e2ep1),
+        ("act-r-counit", ep2 * ar, ep2ep1),
+        ("act-l-counit", ep1 * al, ep2ep1),
+        ("unit-act-l", run_pipeline([[id2, e1], [al]], id2), e1ep2),
+        ("counit-coact-r", apply_at(cr, ep2, 0), e1ep2),
+        ("coact-r-unit", cr * e2, e2e1),
+        ("coact-l-unit", cl * e1, e2e1),
+        # multiplicatively perturbed coproducts on each factor
+        ("alg-coalg-1", dl1 * m1, run_pipeline(
+            [[dl1, dl1], [id1, cl, id1, id1], [id1, id2, ps11, id1],
+             [id1, al, id1, id1], [m1, m1]], i11)),
+        ("alg-coalg-2", dl2 * m2, run_pipeline(
+            [[dl2, dl2], [id2, id2, cr, id2], [id2, ps22, id1, id2],
+             [id2, id2, ar, id2], [m2, m2]], i22)),
+        ("module-comodule", run_pipeline(
+            [[dl2, dl1], [id2, ps21, id1], [al, ar], [cl, cr],
+             [id2, ps12, id1], [m2, m1]], i21), run_pipeline(
+            [[dl2, dl1], [cr, ps21, cl], [id2, ps11, ps22, id1],
+             [ar, ps12, al], [m2, m1]], i21)),
+        ("module-algebra-1", run_pipeline([[m2, id1], [ar]], i221),
+         run_pipeline([[id2, phi21], [ar, id2], [m2]], i221)),
+        ("module-algebra-2", run_pipeline([[id2, m1], [al]], i211),
+         run_pipeline([[phi21, id1], [id1, al], [m1]], i211)),
+        ("comodule-coalgebra-1", apply_at(cr, dl2, 0),
+         run_pipeline([[cr, id2], [id2, phi12]], dl2)),
+        ("comodule-coalgebra-2", apply_at(cl, dl1, 1),
+         run_pipeline([[id1, cl], [phi12, id1]], dl1)),
+        ("module-coalgebra-1", dl2 * ar, run_pipeline(
+            [[dl2, dl1], [id2, ps21, cl], [ar, ps22, id1], [m2, ar]], i21)),
+        ("module-coalgebra-2", dl1 * al, run_pipeline(
+            [[dl2, dl1], [cr, ps21, id1], [id2, ps11, al], [al, m1]], i21)),
+        ("comodule-algebra-1", cr * m2, run_pipeline(
+            [[dl2, cr], [cr, ps22, id1], [id2, ps12, al], [m2, m1]], i22)),
+        ("comodule-algebra-2", cl * m1, run_pipeline(
+            [[cl, dl1], [id2, ps11, cl], [ar, ps12, id1], [m2, m1]], i11)),
     ]
-
-    # multiplicatively perturbed coproducts on each factor
-    mid1 = (al @ id1) * (id2 @ ps11) * (cl @ id1)
-    mid2 = (id2 @ ar) * (ps22 @ id1) * (id2 @ cr)
-    entries.append(compare(
-        "alg-coalg-1", dl1 * m1,
-        (m1 @ m1) * (id1 @ mid1 @ id1) * (dl1 @ dl1)))
-    entries.append(compare(
-        "alg-coalg-2", dl2 * m2,
-        (m2 @ m2) * (id2 @ mid2 @ id2) * (dl2 @ dl2)))
-
-    entries.append(compare(
-        "module-comodule",
-        ((m2 @ m1) * (id2 @ ps12 @ id1) * (cl @ cr) * (al @ ar)
-         * (id2 @ ps21 @ id1) * (dl2 @ dl1)),
-        ((m2 @ m1) * (ar @ ps12 @ al) * (id2 @ ps11 @ ps22 @ id1)
-         * (cr @ ps21 @ cl) * (dl2 @ dl1))))
-
-    entries.append(compare(
-        "module-algebra-1", ar * (m2 @ id1),
-        m2 * (ar @ id2) * (id2 @ phi21)))
-    entries.append(compare(
-        "module-algebra-2", al * (id2 @ m1),
-        m1 * (id1 @ al) * (phi21 @ id1)))
-
-    entries.append(compare(
-        "comodule-coalgebra-1", (dl2 @ id1) * cr,
-        (id2 @ phi12) * (cr @ id2) * dl2))
-    entries.append(compare(
-        "comodule-coalgebra-2", (id2 @ dl1) * cl,
-        (phi12 @ id1) * (id1 @ cl) * dl1))
-
-    entries.append(compare(
-        "module-coalgebra-1", dl2 * ar,
-        ((m2 @ ar) * (ar @ ps22 @ id1) * (id2 @ ps21 @ cl)
-         * (dl2 @ dl1))))
-    entries.append(compare(
-        "module-coalgebra-2", dl1 * al,
-        ((al @ m1) * (id2 @ ps11 @ al) * (cr @ ps21 @ id1)
-         * (dl2 @ dl1))))
-
-    entries.append(compare(
-        "comodule-algebra-1", cr * m2,
-        ((m2 @ m1) * (id2 @ ps12 @ al) * (cr @ ps22 @ id1)
-         * (dl2 @ cr))))
-    entries.append(compare(
-        "comodule-algebra-2", cl * m1,
-        ((m2 @ m1) * (ar @ ps12 @ id1) * (id2 @ ps11 @ cl)
-         * (cl @ dl1))))
-
-    return CheckReport(entries)
+    return CheckReport(entries + [compare(*law) for law in laws])
 
 
 # ---------------------------------------------------------------------------
@@ -433,58 +415,48 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     row (transposed factors in reverse order), and the two halves are
     joined over the spectator strands."""
     quad = d.quad
-    dims = _dims(quad)
     dV = dim_of(quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
     bottom, top = layers[:6], layers[6:]
     top_t = [[f.transpose() for f in layer] for layer in reversed(top)]
-
+    # each image lives on the 12 strands of the cut; the middle four are
+    # the quad, the outer ones the spectators the halves are joined over
+    R = dim_of(tuple(s for f in top[0] for s in f.dom)[8:])
     from_bot: Dict[tuple, list] = {}
-    for v in range(dV):
-        out = run_pipeline(bottom, {unflatten(v, dims): ONE})
-        for key, val in out.items():
-            side = (key[:4], key[8:])
-            from_bot.setdefault(side, []).append(
-                (v, flatten(key[4:8], dims), val))
     from_top: Dict[tuple, list] = {}
-    for u in range(dV):
-        out = run_pipeline(top_t, {unflatten(u, dims): ONE})
-        for key, val in out.items():
-            side = (key[:4], key[8:])
-            from_top.setdefault(side, []).append(
-                (u, flatten(key[4:8], dims), val))
+    for half, joined in ((bottom, from_bot), (top_t, from_top)):
+        for v, col in pipeline_columns(half):
+            for (key, _), val in col.entries.items():
+                a, rest = divmod(key, dV * R)
+                i, c = divmod(rest, R)
+                joined.setdefault((a, c), []).append((v, i, val))
 
     phi: Dict[int, Dict[int, object]] = {}
     for side, tops in from_top.items():
-        bots = from_bot.get(side)
-        if not bots:
-            continue
-        for u, i, a in tops:
-            for v, j, b in bots:
-                col = phi.setdefault(i * dV + j, {})
-                row = u * dV + v
-                cur = col.get(row, ZERO) + a * b
-                if cur:
-                    col[row] = cur
-                else:
-                    col.pop(row, None)
-    phi = {c: rows for c, rows in phi.items() if rows}
-
+        _join(phi, dV, tops, from_bot.get(side, ()))
     pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
           @ d.b2.unit_counit())
     proj: Dict[int, Dict[int, object]] = {}
-    for (u, i), a in pi.entries.items():
-        for (j, v), b in pi.entries.items():
-            col = proj.setdefault(i * dV + j, {})
+    _join(proj, dV, [(u, i, a) for (u, i), a in pi.entries.items()],
+          [(v, j, b) for (j, v), b in pi.entries.items()])
+    return PhiSuperoperator(quad, dV, {c: rows for c, rows in phi.items()
+                                       if rows},
+                            {c: rows for c, rows in proj.items() if rows})
+
+
+def _join(out, dV: int, tops, bots) -> None:
+    """Add a*b at row u*dV + v of column i*dV + j of the column-sparse
+    out, for each (u, i, a) of tops and (v, j, b) of bots."""
+    for u, i, a in tops:
+        for v, j, b in bots:
+            col = out.setdefault(i * dV + j, {})
             row = u * dV + v
             cur = col.get(row, ZERO) + a * b
             if cur:
                 col[row] = cur
             else:
                 col.pop(row, None)
-    proj = {c: rows for c, rows in proj.items() if rows}
-    return PhiSuperoperator(quad, dV, phi, proj)
 
 
 def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
@@ -645,10 +617,10 @@ def datum_from_json(obj: dict) -> HopfDatum:
         for e in obj["spaces"]:
             name, dim = e["name"], e["dim"]
             try:
-                spaces[name] = Space(name, json_int(dim))
+                spaces[name] = Space(name, json_dim(dim))
             except ValueError as err:
                 raise ShapeError(f"bad datum encoding: space {name!r} has "
-                                 f"dim {dim!r}, not an integer") from err
+                                 f"dim {dim!r}, not an integer >= 1") from err
         b1 = structure_from_json(obj["b1"], spaces)
         b2 = structure_from_json(obj["b2"], spaces)
         maps = {k: linmap_from_json(obj[k], spaces)

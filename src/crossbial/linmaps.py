@@ -193,27 +193,13 @@ class LinMap:
     # -- algebra -----------------------------------------------------------
 
     def compose(self, f: "LinMap") -> "LinMap":
-        """self after f."""
+        """self after f: the strand kernel with self on all of f's
+        codomain."""
         if f.cod != self.dom:
             raise ShapeError(
                 f"cannot compose: inner boundaries differ "
                 f"({[s.name for s in f.cod]} vs {[s.name for s in self.dom]})")
-        out: Dict[Tuple[int, int], Scalar] = {}
-        gcols = self.by_col()
-        # A 0/1 factor contributes the other factor's entry unmultiplied;
-        # sums of such terms can still cancel, so zeros are pruned below.
-        g_ones, f_ones = self.is_ones(), f.is_ones()
-        for (k, c), v in f.entries.items():
-            col = gcols.get(k)
-            if not col:
-                continue
-            for r, gv in col.items():
-                key = (r, c)
-                term = v if g_ones else gv if f_ones else gv * v
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
-        return LinMap._trusted(f.dom, self.cod,
-                               {k: v for k, v in out.items() if v})
+        return apply_at(f, self, 0)
 
     def __mul__(self, other):
         if isinstance(other, LinMap):
@@ -418,35 +404,23 @@ class YetterDrinfeld:
     def braiding(self, x: Space, y: Space) -> LinMap:
         act_x, _ = self._lookup(x)
         _, coact_y = self._lookup(y)
-        idx, idy = LinMap.identity((x,)), LinMap.identity((y,))
-        idh = LinMap.identity((self.host,))
-        step1 = idx @ coact_y                  # X (x) Y -> X (x) Y (x) H
-        step2 = flip(x, y) @ idh               # -> Y (x) X (x) H
-        step3 = idy @ act_x                    # -> Y (x) X
-        return step3 * step2 * step1
+        # X (x) Y -> X (x) Y (x) H -> Y (x) X (x) H -> Y (x) X
+        m = apply_at(LinMap.identity((x, y)), coact_y, 1)
+        return apply_at(apply_at(m, flip(x, y), 0), act_x, 1)
 
     def braiding_inverse(self, x: Space, y: Space) -> LinMap:
         return self.braiding(x, y).invert()
 
     def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
+        # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y}) and
+        # Psi_{X, Y (x) Y'} = (id (x) Psi_{X,Y'}) o (Psi_{X,Y} (x) id): the
+        # last x crosses the ys first, each x crossing them left to right
         xs, ys = tuple(xs), tuple(ys)
-        if not xs:
-            return LinMap.identity(ys)
-        if not ys:
-            return LinMap.identity(xs)
-        if len(xs) == 1 and len(ys) == 1:
-            return self.braiding(xs[0], ys[0])
-        if len(xs) > 1:
-            # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y})
-            head, tail = xs[:1], xs[1:]
-            inner = LinMap.identity(head) @ self.braiding_list(tail, ys)
-            outer = self.braiding_list(head, ys) @ LinMap.identity(tail)
-            return outer * inner
-        # single x, several ys: Psi_{X, Y (x) Y'} = (id (x) Psi_{X,Y'}) o (Psi_{X,Y} (x) id)
-        head, tail = ys[:1], ys[1:]
-        first = self.braiding_list(xs, head) @ LinMap.identity(tail)
-        second = LinMap.identity(head) @ self.braiding_list(xs, tail)
-        return second * first
+        out = LinMap.identity(xs + ys)
+        for i in reversed(range(len(xs))):
+            for j, y in enumerate(ys):
+                out = apply_at(out, self.braiding(xs[i], y), i + j)
+        return out
 
     def braiding_list_inverse(self, xs: SpaceList, ys: SpaceList) -> LinMap:
         return self.braiding_list(xs, ys).invert()
@@ -468,66 +442,92 @@ class LeftYetterDrinfeld(YetterDrinfeld):
     def braiding(self, x: Space, y: Space) -> LinMap:
         act_y = self._lookup(y)[0]
         coact_x = self._lookup(x)[1]
-        idx, idy = LinMap.identity((x,)), LinMap.identity((y,))
-        idh = LinMap.identity((self.host,))
-        step1 = coact_x @ idy                  # X (x) Y -> H (x) X (x) Y
-        step2 = idh @ flip(x, y)               # -> H (x) Y (x) X
-        step3 = act_y @ idx                    # -> Y (x) X
-        return step3 * step2 * step1
+        # X (x) Y -> H (x) X (x) Y -> H (x) Y (x) X -> Y (x) X
+        m = apply_at(LinMap.identity((x, y)), coact_x, 0)
+        return apply_at(apply_at(m, flip(x, y), 1), act_y, 0)
 
 
 # ---------------------------------------------------------------------------
-# sparse layer pipelines (for tall diagram evaluation)
+# the whiskered strand kernel: string diagrams without identity padding
 # ---------------------------------------------------------------------------
 
-def apply_factor_layer(factors: List[LinMap], vec: Dict[Tuple[int, ...], Scalar]):
-    """Apply a horizontal row of maps to a vector keyed by per-strand indices.
+def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
+    """(id (x) f (x) id) o m for f on m's codomain strands from pos on,
+    without building the padded tensor: with D, C the dims of f's domain
+    and codomain and R that of the strands right of f, row (a*D + b)*R + c
+    of m goes to (a*C + r)*R + c for each entry r of f's column b.  An
+    identity f returns m, and a 0/1 factor takes no scalar product.
+    Products of nonzero scalars are nonzero, so only a sum can leave a
+    zero to prune, and a sum-free image of 0/1 maps is 0/1 again."""
+    k = len(f.dom)
+    if m.cod[pos:pos + k] != f.dom:
+        raise ShapeError(f"cannot apply at strand {pos}: strands differ")
+    if (f.dom == f.cod and len(f.entries) == f.ncols and f.is_ones()
+            and all(r == c for r, c in f.entries)):
+        return m
+    R = dim_of(m.cod[pos + k:])
+    DR, CR = f.ncols * R, f.nrows * R
+    fcols = f.by_col()
+    f_ones, m_ones = f.is_ones(), m.is_ones()
+    out: Dict[Tuple[int, int], Scalar] = {}
+    summed = False
+    for (row, col), v in m.entries.items():
+        a, rest = divmod(row, DR)
+        b, c = divmod(rest, R)
+        fcol = fcols.get(b)
+        if not fcol:
+            continue
+        base = a * CR + c
+        for r, fv in fcol.items():
+            key = (base + r * R, col)
+            term = v if f_ones else fv if m_ones else fv * v
+            cur = out.get(key)
+            if cur is None:
+                out[key] = term
+            else:
+                out[key] = cur + term
+                summed = True
+    if summed:
+        out = {key: v for key, v in out.items() if v}
+    return LinMap._trusted(m.dom, m.cod[:pos] + f.cod + m.cod[pos + k:], out,
+                           True if f_ones and m_ones and not summed else None)
 
-    The factors consume the strands left to right; strand counts must add up.
+
+def run_pipeline(layers: List[List[LinMap]], m: LinMap) -> LinMap:
+    """Push m through rows of side-by-side factors, bottom row first.
+
+    Each row must consume m's codomain strands exactly.  Its factors are
+    applied right to left, so the strands of those still to come keep
+    their positions.
     """
-    dspans = [len(f.dom) for f in factors]
-    fdims = [_dims(f.dom) for f in factors]
-    cdims = [_dims(f.cod) for f in factors]
-    ones = [f.is_ones() for f in factors]
-    out: Dict[Tuple[int, ...], Scalar] = {}
-    for key, val in vec.items():
-        terms = [((), val)]
-        pos = 0
-        for f, span, fd, cd, f_ones in zip(factors, dspans, fdims, cdims, ones):
-            sub = key[pos:pos + span]
-            pos += span
-            col = f.column(flatten(sub, fd))
-            if not col:
-                terms = []
-                break
-            # a 0/1 factor passes coef through unmultiplied
-            terms = [(prefix + unflatten(r, cd), coef if f_ones else coef * rv)
-                     for prefix, coef in terms for r, rv in col.items()]
-        for tup, coef in terms:
-            cur = out.get(tup)
-            out[tup] = coef if cur is None else cur + coef
-    return {k: v for k, v in out.items() if v}
-
-
-def run_pipeline(layers: List[List[LinMap]], vec):
     for layer in layers:
-        vec = apply_factor_layer(layer, vec)
-        if not vec:
-            break
-    return vec
+        pos = len(m.cod)
+        if sum(len(f.dom) for f in layer) != pos:
+            raise ShapeError(f"layer does not consume all {pos} strands")
+        for f in reversed(layer):
+            pos -= len(f.dom)
+            m = apply_at(m, f, pos)
+    return m
+
+
+def pipeline_columns(layers: List[List[LinMap]]):
+    """(c, image of basis vector c) for each basis vector of the first
+    layer's domain, pushed through one at a time; an image is a map out
+    of k."""
+    dom = tuple(s for f in layers[0] for s in f.dom)
+    for c in range(dim_of(dom)):
+        yield c, run_pipeline(layers, LinMap._trusted(UNIT, dom, {(c, 0): ONE},
+                                                      True))
 
 
 def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
-    """Materialize a pipeline as a LinMap (domain read off the first layer)."""
+    """Materialize a pipeline as a LinMap (domain read off the first
+    layer), one column at a time."""
     dom = tuple(s for f in layers[0] for s in f.dom)
     cod = tuple(s for f in layers[-1] for s in f.cod)
-    ddims, cdims = _dims(dom), _dims(cod)
-    entries = {}
-    for c in range(dim_of(dom)):
-        vec = {unflatten(c, ddims): ONE}
-        for tup, v in run_pipeline(layers, vec).items():
-            entries[(flatten(tup, cdims), c)] = v
-    return LinMap(dom, cod, entries)
+    return LinMap._trusted(dom, cod, {(r, c): v
+                                      for c, col in pipeline_columns(layers)
+                                      for (r, _), v in col.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +539,14 @@ def json_int(x) -> int:
     with ValueError rather than truncated or parsed."""
     if type(x) is not int:
         raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def json_dim(x) -> int:
+    """x itself if it is a JSON integer of at least 1, the only valid
+    space dim; anything else is refused with ValueError."""
+    if json_int(x) < 1:
+        raise ValueError(f"{x!r} is not a positive integer")
     return x
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 from .datum import ConsistencyError, HopfDatum, _trivial_forms, check_hopf_datum
 from .linmaps import (LeftYetterDrinfeld, LinMap, NotInvertibleError,
                       ShapeError, Space, UNIT, VectFlip, YetterDrinfeld,
-                      pipeline_as_linmap)
+                      pipeline_as_linmap, run_pipeline)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -132,17 +132,17 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     if delta.cod != delta.dom + delta.dom:
         raise ShapeError("delta must be a comultiplication")
     if side == "left":
-        return (chi @ f) * delta
+        return run_pipeline([[chi, f]], delta)
     if side == "right":
-        return (f @ chi) * delta
+        return run_pipeline([[f, chi]], delta)
     raise ValueError(f"unknown side {side!r}")
 
 
 def _tensor_square_delta(b: Structure, bp) -> LinMap:
     """Comultiplication of the tensor coalgebra B (x) B."""
-    s = b.space
-    mid = LinMap.identity((s,)) @ bp.braiding(s, s) @ LinMap.identity((s,))
-    return mid * (b.delta @ b.delta)
+    s, i = b.space, b.id_map()
+    return run_pipeline([[b.delta, b.delta], [i, bp.braiding(s, s), i]],
+                        LinMap.identity((s, s)))
 
 
 def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
@@ -189,10 +189,12 @@ def _cocycle_report(c: TwoCocycle, bp) -> CheckReport:
     idb = b.id_map()
     delta2 = _tensor_square_delta(b, bp)
     chi_m = conv_dot(c.chi, b.m, "left", delta2)
-    left_unit = c.chi * (b.eta @ idb)
-    right_unit = c.chi * (idb @ b.eta)
+    left_unit = run_pipeline([[b.eta, idb], [c.chi]], idb)
+    right_unit = run_pipeline([[idb, b.eta], [c.chi]], idb)
+    b3 = LinMap.identity((b.space,) * 3)
     entries = [
-        compare("2cocycle1", c.chi * (idb @ chi_m), c.chi * (chi_m @ idb)),
+        compare("2cocycle1", run_pipeline([[idb, chi_m], [c.chi]], b3),
+                run_pipeline([[chi_m, idb], [c.chi]], b3)),
         compare("2cocycle2-left", left_unit, b.eps),
         compare("2cocycle2-right", right_unit, b.eps),
         compare("2cocycle2-agree", left_unit, right_unit),
@@ -223,7 +225,7 @@ def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
                      "right", delta2)
     S_chi = None
     if b.S is not None:
-        u = c.chi * (b.id_map() @ b.S) * b.delta
+        u = run_pipeline([[b.id_map(), b.S], [c.chi]], b.delta)
         u_inv = _scalar_inverse(u, b, bp)
         S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
                          "right", b.delta)
@@ -254,14 +256,18 @@ def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
         check_axioms(st, "bialgebra", bp).require(f"{tag} fails {{}}")
     H, A, form = p.H, p.A, p.form
     idh, ida = H.id_map(), A.id_map()
-    hook = form * (idh @ form @ ida)          # H(x)H(x)A(x)A -> k
+    hook = [[idh, form, ida], [form]]         # H(x)H(x)A(x)A -> k
+    hha = LinMap.identity((H.space, H.space, A.space))
+    haa = LinMap.identity((H.space, A.space, A.space))
     entries = [
-        compare("pairing-mult-h", form * (H.m @ ida),
-                hook * (idh @ idh @ A.delta)),
-        compare("pairing-mult-a", form * (idh @ A.m),
-                hook * (H.delta @ ida @ ida)),
-        compare("pairing-unit-h", form * (H.eta @ ida), A.eps),
-        compare("pairing-unit-a", form * (idh @ A.eta), H.eps),
+        compare("pairing-mult-h", run_pipeline([[H.m, ida], [form]], hha),
+                run_pipeline([[idh, idh, A.delta]] + hook, hha)),
+        compare("pairing-mult-a", run_pipeline([[idh, A.m], [form]], haa),
+                run_pipeline([[H.delta, ida, ida]] + hook, haa)),
+        compare("pairing-unit-h", run_pipeline([[H.eta, ida], [form]], ida),
+                A.eps),
+        compare("pairing-unit-a", run_pipeline([[idh, A.eta], [form]], idh),
+                H.eps),
     ]
     return CheckReport(entries)
 
@@ -408,25 +414,29 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
 
     entries = []
     # square of the mixed braidings against the action/coaction loop
-    loop = ((inp.b_act @ inp.c_act)
-            * (idb @ bp.braiding(sh, sh) @ idc)
-            * (inp.b_coact @ inp.c_coact))
+    loop = run_pipeline([[inp.b_coact, inp.c_coact],
+                         [idb, bp.braiding(sh, sh), idc],
+                         [inp.b_act, inp.c_act]], LinMap.identity((sb, sc)))
     entries.append(compare("double-braiding-trivial",
                            bp.braiding(sc, sb) * bp.braiding(sb, sc), loop))
     # pairing compatibilities
-    rho2 = rho * (idb @ rho @ idc)
+    rho2 = [[idb, rho, idc], [rho]]           # B(x)B(x)C(x)C -> k
     psi_dy = prov_r.braiding(sb, sb)
+    bhc = LinMap.identity((sb, sh, sc))
+    bcc, bbc = LinMap.identity((sb, sc, sc)), LinMap.identity((sb, sb, sc))
     entries.append(compare("pairing-balance",
-                           rho * (inp.b_act @ idc),
-                           rho * (idb @ inp.c_act)))
+                           run_pipeline([[inp.b_act, idc], [rho]], bhc),
+                           run_pipeline([[idb, inp.c_act], [rho]], bhc)))
     entries.append(compare(
         "pairing-comult-c",
-        rho * (idb @ C.m),
-        rho2 * ((bp.braiding_inverse(sb, sb) * B.delta) @ idc @ idc)))
+        run_pipeline([[idb, C.m], [rho]], bcc),
+        run_pipeline([[bp.braiding_inverse(sb, sb) * B.delta, idc, idc]]
+                     + rho2, bcc)))
     entries.append(compare(
         "pairing-mult-b",
-        rho * (B.m @ idc),
-        rho2 * (psi_dy @ (bp.braiding_inverse(sc, sc) * C.delta))))
+        run_pipeline([[B.m, idc], [rho]], bbc),
+        run_pipeline([[psi_dy, bp.braiding_inverse(sc, sc) * C.delta]]
+                     + rho2, bbc)))
     CheckReport(entries).require("pairing precondition fails: {}")
 
     Z = _assemble_free_product(

@@ -13,13 +13,13 @@ the algebra with its canonical splitting and interaction maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import Dict, Tuple
+from math import gcd, lcm, prod
+from typing import Tuple
 
 from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
-from .linmaps import LinMap, Space, UNIT, flatten
-from .scalars import ONE, ZERO, as_scalar, q_binomial, root_of_unity
+from .linmaps import LinMap, Space, UNIT, flatten, flip, run_pipeline
+from .scalars import ONE, as_scalar, q_binomial, root_of_unity
 from .structures import Structure, fuse, rebind, restrict
 
 
@@ -32,30 +32,8 @@ class UnsupportedError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# normal-form product helpers
+# helpers
 # ---------------------------------------------------------------------------
-
-def _mul(by_col, dim: int, u: Dict[int, object], v: Dict[int, object]):
-    """Product of two sparse vectors through a multiplication table."""
-    w: Dict[int, object] = {}
-    for a, x in u.items():
-        for b, y in v.items():
-            for r, mv in by_col.get(a * dim + b, {}).items():
-                w[r] = w.get(r, ZERO) + x * y * mv
-    return {k: s for k, s in w.items() if s}
-
-
-def _pair_mul(by_col, dim: int, u, v):
-    """Componentwise product of sparse vectors on a tensor square."""
-    w: Dict[Tuple[int, int], object] = {}
-    for (a, b), x in u.items():
-        for (c, d), y in v.items():
-            for r1, m1 in by_col.get(a * dim + c, {}).items():
-                for r2, m2 in by_col.get(b * dim + d, {}).items():
-                    key = (r1, r2)
-                    w[key] = w.get(key, ZERO) + x * y * m1 * m2
-    return {k: s for k, s in w.items() if s}
-
 
 def _bare(st: Structure) -> Structure:
     """The same structure with the antipode forgotten."""
@@ -159,6 +137,10 @@ class RadfordParams:
         return self.n // gcd(self.n, self.nu)
 
     @property
+    def dim(self) -> int:
+        return self.r * self.N
+
+    @property
     def q(self):
         return root_of_unity(self.n, self.q_exponent)
 
@@ -172,11 +154,10 @@ def radford(params: RadfordParams) -> dict:
     action/coaction pair extracted from it (the right pair is trivial).
     """
     n, N, nu = params.n, params.N, params.nu
-    r, q = params.r, params.q
+    r, q, dim = params.r, params.q, params.dim
     qnu = q ** nu
     b1 = taft_factor(r, qnu)
     b2 = group_algebra(N)
-    dim = r * N
     s = Space(f"Rad({n},{params.q_exponent},{N},{nu})", dim)
 
     def idx(m: int, l: int) -> int:
@@ -205,15 +186,15 @@ def radford(params: RadfordParams) -> dict:
     epsH = LinMap((s,), UNIT, {(0, idx(0, l)): ONE for l in range(N)})
 
     # antipode: S(g) = g^{-1}, S(x) = -g^nu x, extended anti-multiplicatively
-    by = mH.by_col()
-    sx = {idx(1, nu): -(q ** (-nu))}     # -g^nu x in normal form
+    P = (s,)
+    sx = LinMap(UNIT, P, {(idx(1, nu), 0): -(q ** (-nu))})  # -g^nu x
     sent = {}
     for m in range(r):
         for l in range(N):
-            acc = {idx(0, -l): ONE}
+            acc = LinMap(UNIT, P, {(idx(0, -l), 0): ONE})
             for _ in range(m):
-                acc = _mul(by, dim, acc, sx)
-            for row, v in acc.items():
+                acc = mH * (acc @ sx)
+            for (row, _), v in acc.entries.items():
                 sent[(row, idx(m, l))] = v
     H = Structure(s, mH, etaH, deltaH, epsH, LinMap((s,), (s,), sent))
 
@@ -269,6 +250,11 @@ class OreParams:
             raise ParameterError("element/character tuples must match the "
                                  "number of cyclic factors")
 
+    @property
+    def dim(self) -> int:
+        """2^t times the group order: the normal form c X^alpha."""
+        return prod(self.group) << self.t
+
 
 def _character(orders: Tuple[int, ...], expo: Tuple[int, ...], elt):
     """Value of the character with exponent tuple expo at a group element."""
@@ -302,9 +288,7 @@ def ore_finite(params: OreParams) -> dict:
                     f"characters must satisfy g*_l(g_r) g*_r(g_l) = 1; "
                     f"violated at (l, r) = ({l}, {r_})")
 
-    nC = 1
-    for o in orders:
-        nC *= o
+    nC = prod(orders)
     strides = []
     acc = 1
     for o in reversed(orders):
@@ -327,8 +311,7 @@ def ore_finite(params: OreParams) -> dict:
     def cneg(x):
         return tuple((-a) % o for a, o in zip(x, orders))
 
-    nX = 1 << t
-    dim = nX * nC
+    nX, dim = 1 << t, params.dim
     gname = "x".join(str(o) for o in orders)
     s = Space(f"Ore(C{gname};t={t})", dim)
 
@@ -358,21 +341,23 @@ def ore_finite(params: OreParams) -> dict:
                     ment[(F(mask_a | mask_b, cd),
                           F(mask_a, c) * dim + F(mask_b, d))] = coeff
     mH = LinMap((s, s), (s,), ment)
-    by = mH.by_col()
 
-    dgen = []
-    for j in range(t):
-        gj = cidx(params.g[j])
-        dgen.append({(F(1 << j, 0), F(0, gj)): ONE,
-                     (F(0, 0), F(1 << j, 0)): ONE})
+    # delta(c X^alpha) is delta(c) times each delta(x_j), j in alpha, in
+    # the algebra H (x) H
+    P, P2 = (s,), (s, s)
+    i = LinMap.identity(P)
+    mult2 = [[i, flip(s, s), i], [mH, mH]]
+    dgen = [LinMap(UNIT, P2, {(F(1 << j, 0) * dim + F(0, cidx(params.g[j])),
+                               0): ONE, (F(1 << j, 0), 0): ONE})
+            for j in range(t)]
     dent = {}
     for mask in range(nX):
         for c in range(nC):
-            acc_p = {(F(0, c), F(0, c)): ONE}
+            acc = LinMap(UNIT, P2, {(F(0, c) * (dim + 1), 0): ONE})
             for j in bits(mask):
-                acc_p = _pair_mul(by, dim, acc_p, dgen[j])
-            for (r1, r2), v in acc_p.items():
-                dent[(flatten((r1, r2), (dim, dim)), F(mask, c))] = v
+                acc = run_pipeline(mult2, acc @ dgen[j])
+            for (row, _), v in acc.entries.items():
+                dent[(row, F(mask, c))] = v
     deltaH = LinMap((s,), (s, s), dent)
     etaH = LinMap(UNIT, (s,), {(F(0, 0), 0): ONE})
     epsH = LinMap((s,), UNIT, {(0, F(0, c)): ONE for c in range(nC)})
@@ -380,12 +365,13 @@ def ore_finite(params: OreParams) -> dict:
     sent = {}
     for mask in range(nX):
         for c in range(nC):
-            acc_v = {F(0, cidx(cneg(ctup(c)))): ONE}
+            acc = LinMap(UNIT, P, {(F(0, cidx(cneg(ctup(c)))), 0): ONE})
             for j in bits(mask):
                 # S(x_j) = -x_j g_j^{-1} = g_j^{-1} x_j in normal form
-                sxj = {F(1 << j, cidx(cneg(params.g[j]))): ONE}
-                acc_v = _mul(by, dim, sxj, acc_v)
-            for row, v in acc_v.items():
+                sxj = LinMap(UNIT, P, {(F(1 << j, cidx(cneg(params.g[j]))),
+                                        0): ONE})
+                acc = mH * (sxj @ acc)
+            for (row, _), v in acc.entries.items():
                 sent[(row, F(mask, c))] = v
     H = Structure(s, mH, etaH, deltaH, epsH, LinMap((s,), (s,), sent))
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from crossbial import cli
 from crossbial.cli import (
     Workspace,
     load_workspace,
@@ -179,6 +180,30 @@ def test_dimension_guard(tmp_path, capsys, monkeypatch):
     assert "CROSSBIAL_MAX_DIM" in err
 
 
+@pytest.mark.parametrize("builder, argv, dim", [
+    ("radford", ["radford", "--n", "2", "--q-exp", "1", "--N", "4",
+                 "--nu", "1"], 8),
+    ("group_algebra", ["group", "--N", "6"], 6),
+    ("ore_finite", ["ore", "--spec", "SPEC"], 16)])
+def test_zoo_build_is_guarded_before_the_builder_runs(
+        tmp_path, capsys, monkeypatch, builder, argv, dim):
+    spec = tmp_path / "ore.json"
+    spec.write_text(json.dumps({"orders": [2, 2], "t": 2,
+                                "g": [[1, 0], [0, 1]],
+                                "g_star": [[1, 0], [0, 1]]}))
+    argv = [str(spec) if a == "SPEC" else a for a in argv]
+
+    def never(*args):
+        raise AssertionError(f"{builder} ran before the guard")
+    monkeypatch.setattr(cli, builder, never)
+    monkeypatch.setenv("CROSSBIAL_MAX_DIM", "4")
+    code, out, err = run(capsys, "zoo", "build", *argv)
+    assert code == 2
+    assert out == ""
+    assert (f"crossbial: error: total dimension {dim} exceeds "
+            "CROSSBIAL_MAX_DIM=4") in err
+
+
 @pytest.mark.parametrize("cap", ["abc", "0", "-3", ""])
 def test_malformed_dimension_cap_is_a_usage_error(tmp_path, capsys,
                                                   monkeypatch, cap):
@@ -218,6 +243,20 @@ def test_non_integer_space_dim_is_refused(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "crossbial: error: /spaces/0: 2.5 is not an integer" in err
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_non_positive_space_dim_is_refused(tmp_path, capsys, dim):
+    path = build_radford_ws(tmp_path, capsys)
+    obj = json.loads(open(path).read())
+    obj["spaces"][0]["dim"] = dim
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert (f"crossbial: error: /spaces/0: {dim} is not a positive integer"
+            in err)
 
 
 def test_bad_arguments_exit_two(capsys):

@@ -15,9 +15,9 @@ from crossbial.crossproduct import (
     split_idempotent,
     verify_trivalent_equivalences,
 )
-from crossbial.datum import trivalence
-from crossbial.linmaps import LinMap, ShapeError, Space, VectFlip
-from crossbial.structures import tensor_structure
+from crossbial.datum import product_braiding, trivalence
+from crossbial.linmaps import LinMap, ShapeError, Space, VectFlip, run_pipeline
+from crossbial.structures import cross_structure, tensor_structure
 from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_datum import group_hopf
@@ -85,6 +85,30 @@ def test_braided_q_lines_with_their_braidings_are_not_a_bat():
     assert rep.failed() == ["mult-comult"]
     wit = rep.entry("mult-comult").witness
     assert (wit.out_index, wit.in_index) == ((1, 3), (1, 3))
+
+
+def test_kernel_mult_comult_matches_the_eager_composite():
+    # (m (x) m)(id (x) Psi (x) id)(delta (x) delta) through the strand
+    # kernel against the identity-padded tensors it replaced, entry by
+    # entry and scalar type by scalar type
+    H = radford(RadfordParams(3, 1, 3, 1))["H"]
+    pairing, prov = braided_taft_pairing()
+    T1, T2 = pairing.H, pairing.A
+    t = BAT(T1, T2, prov.braiding(T1.space, T2.space),
+            prov.braiding(T2.space, T1.space), prov)
+    prod = cross_structure(T1, T2, t.phi12, t.phi21)
+    cases = [(H, VectFlip().braiding(H.space, H.space)),
+             (T1, prov.braiding(T1.space, T1.space)),
+             (T2, prov.braiding(T2.space, T2.space)),
+             (prod, product_braiding(t, prod))]
+    for s, psi in cases:
+        i = s.id_map()
+        eager = (s.m @ s.m) * (i @ psi @ i) * (s.delta @ s.delta)
+        kernel = run_pipeline([[s.delta, s.delta], [i, psi, i], [s.m, s.m]],
+                              LinMap.identity((s.space, s.space)))
+        assert eager.entries
+        assert sorted((k, type(v), v) for k, v in kernel.entries.items()) \
+            == sorted((k, type(v), v) for k, v in eager.entries.items())
 
 
 # ---------------------------------------------------------------------------

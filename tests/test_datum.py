@@ -304,3 +304,11 @@ def test_datum_json_malformed_fields_are_shape_errors(edit, message):
     edit(obj)
     with pytest.raises(ShapeError, match=message):
         datum_from_json(obj)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_datum_json_refuses_a_non_positive_dim(dim):
+    obj = datum_to_json(radford_datum())
+    obj["spaces"][0]["dim"] = dim
+    with pytest.raises(ShapeError, match=f"dim {dim}, not an integer >= 1"):
+        datum_from_json(obj)

@@ -1,5 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is used,
-and every private function of the package is named somewhere in it."""
+every private function of the package is named somewhere in it, and the
+axiom checkers evaluate their diagrams with the strand kernel, never with
+identity-padded tensors."""
 
 import ast
 from pathlib import Path
@@ -68,3 +70,39 @@ def test_the_scanner_flags_an_uncalled_private_function():
 def test_no_uncalled_private_functions():
     assert unreferenced_private(
         {p.name: p.read_text() for p in PACKAGE}) == []
+
+
+# Functions that evaluate string diagrams: `@` builds structure maps
+# elsewhere, but here it would bring back the second evaluator.
+CHECKERS = {
+    "structures.py": ["check_axioms", "_algebra_entries", "_coalgebra_entries",
+                      "_action_report", "_crossed_module_report",
+                      "convolution_product"],
+    "datum.py": ["check_hopf_datum"],
+    "twisting.py": ["_cocycle_report", "conv_dot"],
+}
+
+
+def tensor_products_in(source: str, names):
+    """(function, line) of each `@` or `@=` in the named functions; a name
+    that is not defined raises KeyError, so a rename cannot slip by."""
+    defs = {n.name: n for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return [(name, n.lineno) for name in names for n in ast.walk(defs[name])
+            if isinstance(n, (ast.BinOp, ast.AugAssign))
+            and isinstance(n.op, ast.MatMult)]
+
+
+def test_the_scanner_flags_a_tensor_product():
+    src = ("def a(x, y):\n    return x * (x @ y)\n"
+           "def b(x):\n    def c(y):\n        y @= x\n    return x * x\n"
+           "def d(x):\n    return x @ x\n")
+    assert tensor_products_in(src, ["a", "b"]) == [("a", 2), ("b", 5)]
+    with pytest.raises(KeyError):
+        tensor_products_in(src, ["gone"])
+
+
+@pytest.mark.parametrize("module", sorted(CHECKERS))
+def test_checkers_build_no_padded_tensors(module):
+    source = (ROOT / "src" / "crossbial" / module).read_text()
+    assert tensor_products_in(source, CHECKERS[module]) == []

@@ -10,8 +10,11 @@ from crossbial.linmaps import (
     NotInvertibleError,
     ShapeError,
     Space,
+    UNIT,
     VectFlip,
     YetterDrinfeld,
+    apply_at,
+    dim_of,
     flip,
     linmap_from_json,
     linmap_to_json,
@@ -318,6 +321,10 @@ def _typed(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
+def _eye(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
 _POOL = (Space("P", 1), X, Y, Space("W", 3))
 _Z4 = root_of_unity(4, 1)
 _KINDS = {"rational": [ZERO, ZERO, ONE, -ONE, F(2), F(1, 2), F(-2, 3)],
@@ -365,6 +372,17 @@ def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
     oracle = _matmul(top.to_rows(), _kron(f.to_rows(), h.to_rows()))
     assert _typed(pipeline_as_linmap([[f, h], [top]]).to_rows()) == \
         _typed(oracle)
+    # the kernel at every strand position, on f and on a 1-column input,
+    # with a factor on none (a map out of k), one or two of the strands
+    col = data.draw(_maps(UNIT, f.cod + h.cod[:1]))
+    for m in (f, col):
+        for pos in range(len(m.cod) + 1):
+            width = data.draw(st.integers(0, min(2, len(m.cod) - pos)))
+            k = data.draw(_maps(m.cod[pos:pos + width]))
+            padded = _kron(_kron(_eye(dim_of(m.cod[:pos])), k.to_rows()),
+                           _eye(dim_of(m.cod[pos + width:])))
+            assert _typed(apply_at(m, k, pos).to_rows()) == \
+                _typed(_matmul(padded, m.to_rows()))
 
 
 def test_composites_of_0_1_maps_are_summed_and_pruned():
