@@ -147,9 +147,14 @@ def workspace_from_json(obj: dict) -> Workspace:
                     TypeError) as err:
                 raise WorkspaceError(f"/{section}/{name}: {err}") from err
     declared = obj.get("conductor")
-    if declared is not None and declared != ws.conductor():
-        raise WorkspaceError(
-            f"/conductor: declared {declared}, computed {ws.conductor()}")
+    if declared is not None:
+        try:
+            json_int(declared)
+        except ValueError as err:
+            raise WorkspaceError(f"/conductor: {err}") from err
+        if declared != ws.conductor():
+            raise WorkspaceError(f"/conductor: declared {declared}, "
+                                 f"computed {ws.conductor()}")
     return ws
 
 
@@ -423,6 +428,13 @@ def _cmd_double_biproduct(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _non_negative(text: str) -> int:
+    """argparse type of a count: a decimal integer of at least 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
+    return int(text)
+
+
 def _common(p: argparse.ArgumentParser, infile=True, out=False, name=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
     if infile:
@@ -470,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = dat.add_subparsers(dest="datum_cmd", required=True)
     _common(dsub.add_parser("check"))
     order = dsub.add_parser("order")
-    order.add_argument("--max-n", dest="max_n", type=int, default=8)
+    order.add_argument("--max-n", dest="max_n", type=_non_negative,
+                       default=8)
     _common(order)
     _common(dsub.add_parser("classify"))
     _common(dsub.add_parser("build"), out=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple, Union
 
 from .datum import HopfDatum, product_braiding
-from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip,
-                      reduce_rows)
+from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip, apply_at,
+                      reduce_rows, run_pipeline)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -100,10 +100,10 @@ def bat_to_hopf_datum(t: BAT) -> HopfDatum:
     """
     build_cross_product(t)
     id1, id2 = t.b1.id_map(), t.b2.id_map()
-    act_l = (id1 @ t.b2.eps) * t.phi21
-    act_r = (t.b1.eps @ id2) * t.phi21
-    coact_l = t.phi12 * (id1 @ t.b2.eta)
-    coact_r = t.phi12 * (t.b1.eta @ id2)
+    act_l = apply_at(t.phi21, t.b2.eps, 1)
+    act_r = apply_at(t.phi21, t.b1.eps, 0)
+    coact_l = run_pipeline([[id1, t.b2.eta], [t.phi12]], id1)
+    coact_r = run_pipeline([[t.b1.eta, id2], [t.phi12]], id2)
     return HopfDatum(t.b1, t.b2, act_l, coact_l, act_r, coact_r, t.braiding)
 
 
@@ -159,25 +159,26 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
 
 
 def _idempotent_preconditions(A: Structure, sys: IdempotentSystem):
-    ia = A.id_map()
+    ia, aa = A.id_map(), LinMap.identity(A.m.dom)
     for tag, Pi in (("Pi1", sys.Pi1), ("Pi2", sys.Pi2)):
         if Pi.dom != (A.space,) or Pi.cod != (A.space,):
             raise ShapeError(f"{tag} must be an endomorphism of A")
         if Pi * Pi != Pi:
             raise InvalidSystemError(f"{tag} is not idempotent")
-        pp = Pi @ Pi
+        m_pp = run_pipeline([[Pi, Pi], [A.m]], aa)
+        pp_delta = run_pipeline([[Pi, Pi]], A.delta)
         conds = [
-            ("product-stability", A.m * pp, Pi * A.m * pp),
+            ("product-stability", m_pp, Pi * m_pp),
             ("unit", Pi * A.eta, A.eta),
-            ("coproduct-stability", pp * A.delta, pp * A.delta * Pi),
+            ("coproduct-stability", pp_delta, pp_delta * Pi),
             ("counit", A.eps * Pi, A.eps),
         ]
         for cname, lhs, rhs in conds:
             if lhs != rhs:
                 raise InvalidSystemError(f"{tag} fails {cname}")
-    both = sys.Pi1 @ sys.Pi2
+    both = run_pipeline([[sys.Pi1, sys.Pi2]], aa)
     f = A.m * both
-    g = both * A.delta
+    g = run_pipeline([[sys.Pi1, sys.Pi2]], A.delta)
     if g * f != both or f * g != ia:
         raise NotASplittingError(
             "m o (Pi1 (x) Pi2) and (Pi1 (x) Pi2) o delta do not split the "
@@ -230,19 +231,19 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
             kind = want.split("_")[1]
             raise InvalidSystemError(f"{tag} is not a {kind} morphism")
 
-    phi = A.m * (i1 @ i2)
-    phi_inv = (p1 @ p2) * A.delta
+    phi = run_pipeline([[i1, i2], [A.m]], LinMap.identity((s1, s2)))
+    phi_inv = run_pipeline([[p1, p2]], A.delta)
     if (phi_inv * phi != LinMap.identity((s1, s2))
             or phi * phi_inv != LinMap.identity((A.space,))):
         raise NotASplittingError(
             "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
             "inverse")
 
-    m_B = phi_inv * A.m * (phi @ phi)
-    delta_B = (phi_inv @ phi_inv) * A.delta * phi
     id1, id2 = b1.id_map(), b2.id_map()
-    phi21 = m_B * (b1.eta @ id2 @ id1 @ b2.eta)
-    phi12 = (b1.eps @ id2 @ id1 @ b2.eps) * delta_B
+    phi21 = run_pipeline([[b1.eta, id2, id1, b2.eta], [phi, phi], [A.m],
+                          [phi_inv]], LinMap.identity((s2, s1)))
+    phi12 = run_pipeline([[A.delta], [phi_inv, phi_inv],
+                          [b1.eps, id2, id1, b2.eps]], phi)
     return DecomposeResult(BAT(b1, b2, phi12, phi21, braiding), phi)
 
 

@@ -120,13 +120,13 @@ def trivial_datum(b1: Structure, b2: Structure, braiding=None) -> HopfDatum:
 
 def _mixed_maps(d: HopfDatum) -> Tuple[LinMap, LinMap]:
     """The two connecting maps B1(x)B2 <-> B2(x)B1 built from the datum."""
+    s1, s2 = d.b1.space, d.b2.space
     id1, id2 = d.b1.id_map(), d.b2.id_map()
-    ps12 = d.braiding.braiding(d.b1.space, d.b2.space)
-    ps21 = d.braiding.braiding(d.b2.space, d.b1.space)
-    phi12 = ((d.b2.m @ d.b1.m) * (id2 @ ps12 @ id1)
-             * (d.coact_l @ d.coact_r))
-    phi21 = ((d.act_l @ d.act_r) * (id2 @ ps21 @ id1)
-             * (d.b2.delta @ d.b1.delta))
+    ps12, ps21 = d.braiding.braiding(s1, s2), d.braiding.braiding(s2, s1)
+    phi12 = run_pipeline([[d.coact_l, d.coact_r], [id2, ps12, id1],
+                          [d.b2.m, d.b1.m]], LinMap.identity((s1, s2)))
+    phi21 = run_pipeline([[d.b2.delta, d.b1.delta], [id2, ps21, id1],
+                          [d.act_l, d.act_r]], LinMap.identity((s2, s1)))
     return phi12, phi21
 
 
@@ -241,12 +241,6 @@ class InducedMaps(NamedTuple):
     delta_B: LinMap
 
 
-def _induced_raw(d: HopfDatum) -> InducedMaps:
-    phi12, phi21 = _mixed_maps(d)
-    return InducedMaps(phi12, phi21,
-                       *_cross_maps(d.b1, d.b2, phi12, phi21))
-
-
 def induced_structures(d: HopfDatum) -> InducedMaps:
     """The connecting maps and the induced product/coproduct on B1(x)B2.
 
@@ -255,7 +249,8 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
     algebra and delta_B with eps_1(x)eps_2 a coalgebra.
     """
     check_hopf_datum(d).require("datum fails {}")
-    return _induced_raw(d)
+    phi12, phi21 = _mixed_maps(d)
+    return InducedMaps(phi12, phi21, *_cross_maps(d.b1, d.b2, phi12, phi21))
 
 
 def product_braiding(d, st: Structure) -> LinMap:

@@ -6,7 +6,8 @@ contract (JSON, to_rows) is a dense row-major matrix.  Basis order of a
 tensor product is lexicographic with the leftmost factor most significant —
 every equality downstream depends on this convention.
 
-Composition is `g * f` (apply f first), tensoring is `f @ g`.
+Composition is `g * f` (apply f first), tensoring is `f @ g`; both run on
+the one strand kernel, `apply_at`.
 """
 
 from __future__ import annotations
@@ -217,23 +218,9 @@ class LinMap:
                       {k: s * v for k, v in self.entries.items()})
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        # Indices are in range by construction and a product of nonzero
-        # field elements is nonzero, so the result needs no checks.  A 0/1
-        # factor contributes no product: 1 * x is x exactly.
-        nr2, nc2 = other.nrows, other.ncols
-        e1, e2 = self.entries.items(), other.entries.items()
-        ones1, ones2 = self.is_ones(), other.is_ones()
-        if ones2:
-            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v1
-                   for (r1, c1), v1 in e1 for (r2, c2) in other.entries}
-        elif ones1:
-            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v2
-                   for (r1, c1) in self.entries for (r2, c2), v2 in e2}
-        else:
-            out = {(r1 * nr2 + r2, c1 * nc2 + c2): v1 * v2
-                   for (r1, c1), v1 in e1 for (r2, c2), v2 in e2}
-        return LinMap._trusted(self.dom + other.dom, self.cod + other.cod, out,
-                               True if ones1 and ones2 else None)
+        """self (x) other: the strand kernel run on an identity."""
+        return run_pipeline([[self, other]],
+                            LinMap.identity(self.dom + other.dom))
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)

@@ -172,8 +172,9 @@ def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
     """The structure A induces on the source of the injection i through the
     projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
     is verified here."""
-    return Structure(i.dom[0], p * A.m * (i @ i), p * A.eta,
-                     (p @ p) * A.delta * i, A.eps * i)
+    m = run_pipeline([[i, i], [A.m], [p]], LinMap.identity(i.dom * 2))
+    return Structure(i.dom[0], m, p * A.eta,
+                     run_pipeline([[A.delta], [p, p]], i), A.eps * i)
 
 
 def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
@@ -208,8 +209,10 @@ def _cross_maps(b1: Structure, b2: Structure, phi12: LinMap,
     """m = (m1 (x) m2) o (id (x) phi21 (x) id) and
     delta = (id (x) phi12 (x) id) o (delta1 (x) delta2) on B1(x)B2."""
     id1, id2 = b1.id_map(), b2.id_map()
-    m = (b1.m @ b2.m) * (id1 @ phi21 @ id2)
-    delta = (id1 @ phi12 @ id2) * (b1.delta @ b2.delta)
+    m = run_pipeline([[id1, phi21, id2], [b1.m, b2.m]],
+                     LinMap.identity(phi12.dom * 2))
+    delta = run_pipeline([[b1.delta, b2.delta], [id1, phi12, id2]],
+                         LinMap.identity(phi12.dom))
     return m, delta
 
 

@@ -309,14 +309,13 @@ def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
                                 "is singular") from None
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p, bp)
-    d2h = (H.delta @ idh) * H.delta
-    d2a = (A.delta @ ida) * A.delta
-    lhd = ((pinv @ idh @ form)
-           * (idh @ bp.braiding_list((sh, sh), (sa,)) @ ida)
-           * (d2h @ A.delta))
-    rhd = ((pinv @ ida @ form)
-           * (idh @ bp.braiding_list((sh,), (sa, sa)) @ ida)
-           * (H.delta @ d2a))
+    ha = LinMap.identity((sh, sa))
+    lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
+                        [idh, bp.braiding_list((sh, sh), (sa,)), ida],
+                        [pinv, idh, form]], ha)
+    rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
+                        [idh, bp.braiding_list((sh,), (sa, sa)), ida],
+                        [pinv, ida, form]], ha)
     triv = _trivial_forms(A, H)
     datum = HopfDatum(A, H, rhd, triv["coact_l"], lhd, triv["coact_r"], bp)
     drep = check_hopf_datum(datum)

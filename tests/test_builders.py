@@ -1,0 +1,138 @@
+"""The structure-map builders against the dense oracle.
+
+Each builder evaluates its composite on the strand kernel; here the same
+composite is multiplied out with dense Kronecker and matrix products, and
+the two must agree entry by entry, scalar type included.
+"""
+
+import pytest
+
+from crossbial.crossproduct import bat_to_hopf_datum, decompose
+from crossbial.datum import _mixed_maps
+from crossbial.linmaps import VectFlip
+from crossbial.scalars import ONE
+from crossbial.structures import cross_structure, restrict
+from crossbial.twisting import matched_pair_from_pairing, pairing_inverse
+from crossbial.zoo import RadfordParams, radford
+from tests.test_acceptance import braided_taft_pairing, canonical_pairing
+from tests.test_linmaps import _kron, _matmul, _typed
+
+
+def kron(*maps):
+    rows = [[ONE]]
+    for f in maps:
+        rows = _kron(rows, f.to_rows())
+    return rows
+
+
+def chain(*mats):
+    """The matrix product of mats, written left to right as composition
+    is: chain(g, f) is g o f."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = _matmul(out, m)
+    return out
+
+
+def rows(f):
+    return f.to_rows()
+
+
+def assert_pinned(f, oracle):
+    assert _typed(f.to_rows()) == _typed(oracle)
+
+
+# Radford (2,1,2,1) is defined over Q, Radford (3,1,3,1) over Q(zeta_3)
+PARS = {"rational": (2, 1, 2, 1), "zeta3": (3, 1, 3, 1)}
+RADFORDS = pytest.mark.parametrize("pars", list(PARS.values()),
+                                   ids=list(PARS))
+
+
+@pytest.mark.parametrize("case", ["rational", "zeta3", "yetter-drinfeld"])
+def test_cross_structure(case):
+    # the flip on Radford factors, or the braided q-lines over kC3
+    if case in PARS:
+        d = radford(RadfordParams(*PARS[case]))["datum"]
+        b1, b2, bp = d.b1, d.b2, VectFlip()
+    else:
+        p, bp = braided_taft_pairing()
+        b1, b2 = p.H, p.A
+    phi12 = bp.braiding(b1.space, b2.space)
+    phi21 = bp.braiding(b2.space, b1.space)
+    st = cross_structure(b1, b2, phi12, phi21)
+    id1, id2 = b1.id_map(), b2.id_map()
+    assert_pinned(st.m, chain(kron(b1.m, b2.m), kron(id1, phi21, id2)))
+    assert_pinned(st.delta, chain(kron(id1, phi12, id2),
+                                  kron(b1.delta, b2.delta)))
+
+
+@RADFORDS
+def test_mixed_maps(pars):
+    d = radford(RadfordParams(*pars))["datum"]
+    phi12, phi21 = _mixed_maps(d)
+    id1, id2 = d.b1.id_map(), d.b2.id_map()
+    ps12 = d.braiding.braiding(d.b1.space, d.b2.space)
+    ps21 = d.braiding.braiding(d.b2.space, d.b1.space)
+    assert_pinned(phi12, chain(kron(d.b2.m, d.b1.m), kron(id2, ps12, id1),
+                               kron(d.coact_l, d.coact_r)))
+    assert_pinned(phi21, chain(kron(d.act_l, d.act_r), kron(id2, ps21, id1),
+                               kron(d.b2.delta, d.b1.delta)))
+
+
+@RADFORDS
+def test_restrict(pars):
+    out = radford(RadfordParams(*pars))
+    A, sys = out["H"], out["system"]
+    for i, p in ((sys.i1, sys.p1), (sys.i2, sys.p2)):
+        b = restrict(A, i, p)
+        assert_pinned(b.m, chain(rows(p), rows(A.m), kron(i, i)))
+        assert_pinned(b.eta, chain(rows(p), rows(A.eta)))
+        assert_pinned(b.delta, chain(kron(p, p), rows(A.delta), rows(i)))
+        assert_pinned(b.eps, chain(rows(A.eps), rows(i)))
+
+
+@RADFORDS
+def test_decompose_and_bat_to_hopf_datum(pars):
+    out = radford(RadfordParams(*pars))
+    A, sys = out["H"], out["system"]
+    res = decompose(A, sys)
+    b1, b2 = res.bat.b1, res.bat.b2
+    id1, id2 = b1.id_map(), b2.id_map()
+    phi = chain(rows(A.m), kron(sys.i1, sys.i2))
+    phi_inv = chain(kron(sys.p1, sys.p2), rows(A.delta))
+    assert_pinned(res.iso, phi)
+    # phi21 = m_B (eta1 (x) id (x) id (x) eta2) and phi12 = (eps1 (x) id
+    # (x) id (x) eps2) delta_B, each product taken right to left
+    spread = chain(_kron(phi, phi), kron(b1.eta, id2, id1, b2.eta))
+    assert_pinned(res.bat.phi21, chain(phi_inv, rows(A.m), spread))
+    counit = chain(kron(b1.eps, id2, id1, b2.eps), _kron(phi_inv, phi_inv))
+    assert_pinned(res.bat.phi12, chain(counit, rows(A.delta), phi))
+
+    t = res.bat
+    d = bat_to_hopf_datum(t)
+    assert_pinned(d.act_l, chain(kron(id1, b2.eps), rows(t.phi21)))
+    assert_pinned(d.act_r, chain(kron(b1.eps, id2), rows(t.phi21)))
+    assert_pinned(d.coact_l, chain(rows(t.phi12), kron(id1, b2.eta)))
+    assert_pinned(d.coact_r, chain(rows(t.phi12), kron(b1.eta, id2)))
+
+
+@pytest.mark.parametrize("case", ["flip", "yetter-drinfeld"])
+def test_matched_pair_actions(case):
+    if case == "flip":
+        p, bp = canonical_pairing(2), VectFlip()
+    else:
+        p, bp = braided_taft_pairing()
+    mp = matched_pair_from_pairing(p, bp)
+    H, A, form = p.H, p.A, p.form
+    sh, sa = H.space, A.space
+    idh, ida = H.id_map(), A.id_map()
+    pinv = pairing_inverse(p, bp)
+    d2h = chain(kron(H.delta, idh), rows(H.delta))
+    d2a = chain(kron(A.delta, ida), rows(A.delta))
+    # the outer product first: the braided middle row is the widest matrix
+    lhd = chain(kron(pinv, idh, form),
+                kron(idh, bp.braiding_list((sh, sh), (sa,)), ida))
+    assert_pinned(mp["lhd"], chain(lhd, _kron(d2h, rows(A.delta))))
+    rhd = chain(kron(pinv, ida, form),
+                kron(idh, bp.braiding_list((sh,), (sa, sa)), ida))
+    assert_pinned(mp["rhd"], chain(rhd, _kron(rows(H.delta), d2a)))

@@ -1,7 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbial import cli
 from crossbial.cli import (
@@ -218,7 +222,8 @@ def test_malformed_dimension_cap_is_a_usage_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("section, value", [
     ("structures", [1]), ("maps", 5), ("spaces", {"X": 2}),
-    ("structures", {"main": 1}), ("maps", {"f": [1]})])
+    ("structures", {"main": 1}), ("maps", {"f": [1]}),
+    ("conductor", True), ("conductor", 1.0)])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)
@@ -263,6 +268,16 @@ def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense", "--in", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("max_n", ["-1", "x"])
+def test_malformed_max_n_is_refused_by_the_parser(tmp_path, capsys, max_n):
+    # exit 1 would claim a verified failure: "not recursive up to -1"
+    path = build_radford_ws(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["datum", "order", "--in", path, "--max-n", max_n])
+    assert exc.value.code == 2
+    assert "argument --max-n" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +400,70 @@ def test_mixed_conductors_are_refused():
     with pytest.raises(Exception) as exc:
         workspace_to_json(ws)
     assert "conductor" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# workspace fuzz
+# ---------------------------------------------------------------------------
+
+FUZZ_COMMANDS = (["check", "hopf"], ["datum", "check"],
+                 ["cross", "decompose"], ["datum", "order", "--max-n", "2"])
+
+
+@pytest.fixture(scope="module")
+def radford_doc(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "rad.json")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["zoo", "build", "radford", "--n", "2", "--q-exp", "1",
+                     "--N", "2", "--nu", "1", "-o", path]) == 0
+    return path, json.loads(open(path).read())
+
+
+def json_paths(node, prefix=()):
+    """The path of every node of a JSON document, the root included."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# half the replacements are scalar encodings, so that many mutants parse
+# and fail a law (exit 1) rather than the schema (exit 2)
+REPLACEMENTS = st.sampled_from(["0/1", "1/1", "-1/1", "1/2"]) | JSON_VALUES
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_workspaces_exit_cleanly(radford_doc, data):
+    # one node of a valid workspace replaced or deleted; every command
+    # must end in 0, 1 or 2, and 1 only with a report or a verified failure
+    path, doc = radford_doc
+    doc = json.loads(json.dumps(doc))
+    where = data.draw(st.sampled_from(list(json_paths(doc))), label="node")
+    if not where:
+        doc = data.draw(JSON_VALUES, label="root")
+    else:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans(), label="delete"):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(REPLACEMENTS, label="value")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc))
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--in", path, "--format", "json"])
+        assert code in (0, 1, 2), (argv, code)
+        if code == 1:
+            assert out.getvalue() or "verified failure" in err.getvalue(), \
+                (argv, err.getvalue())
