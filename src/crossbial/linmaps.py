@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .scalars import Scalar, ZERO, ONE, as_scalar, scalar_from_json, scalar_to_json
+from .scalars import (Scalar, ZERO, ONE, as_scalar, json_int, scalar_from_json,
+                      scalar_to_json)
 
 
 class Space(NamedTuple):
@@ -521,14 +522,6 @@ def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
 # JSON
 # ---------------------------------------------------------------------------
 
-def json_int(x) -> int:
-    """x itself if it is a JSON integer; a float, bool or string is refused
-    with ValueError rather than truncated or parsed."""
-    if type(x) is not int:
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def json_dim(x) -> int:
     """x itself if it is a JSON integer of at least 1, the only valid
     space dim; anything else is refused with ValueError."""
@@ -552,5 +545,35 @@ def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
         matrix = obj["matrix"]
     except KeyError as e:
         raise ShapeError(f"bad LinMap encoding: missing {e}") from e
-    rows = [[scalar_from_json(v) for v in row] for row in matrix]
-    return LinMap.from_rows(dom, cod, rows)
+    # Every entry is parsed before the shape is checked, so a bad scalar
+    # is reported first.  Each distinct encoding is parsed once: a
+    # cyclotomic is keyed only when its conductor is an int and its
+    # coefficients strings, the only kind that parses, so a malformed
+    # encoding never finds a valid one's value.
+    parsed: Dict[object, Scalar] = {}
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    nr, nc = dim_of(cod), dim_of(dom)
+    nrows, rows_ok = 0, True
+    for r, row in enumerate(matrix):
+        c = -1
+        for c, v in enumerate(row):
+            if type(v) is str:
+                key = v
+            elif (type(v) is dict and type(v.get("n")) is int
+                  and type(v.get("coeffs")) is list
+                  and all(type(x) is str for x in v["coeffs"])):
+                key = (v["n"], *v["coeffs"])
+            else:
+                key = None
+            val = parsed.get(key)
+            if val is None:
+                val = scalar_from_json(v)
+                if key is not None:
+                    parsed[key] = val
+            if val:
+                entries[(r, c)] = val
+        rows_ok = rows_ok and c + 1 == nc
+        nrows = r + 1
+    if nrows != nr or not rows_ok:
+        raise ShapeError(f"matrix must be {nr}x{nc}")
+    return LinMap._trusted(dom, cod, entries)

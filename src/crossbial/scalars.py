@@ -2,8 +2,9 @@
 
 Every scalar in a computation is either a `fractions.Fraction` or a `Cyclo`
 with one shared conductor.  Cyclotomics live in the power basis
-1, z, ..., z^{phi(n)-1} reduced modulo the n-th cyclotomic polynomial, so
-equality is coefficient comparison.  A Cyclo whose value is rational is
+1, z, ..., z^{phi(n)-1} reduced modulo the n-th cyclotomic polynomial, as
+int numerators over one positive denominator in lowest terms, so equality
+is field comparison and arithmetic builds no Fraction.  A Cyclo whose value is rational is
 collapsed to a Fraction on construction; mixing two different conductors is
 a hard error (rationals embed freely).
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 Scalar = Union[Fraction, "Cyclo"]
@@ -34,40 +35,18 @@ class ScalarParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, coefficient tuples low -> high
+# cyclotomic polynomials over Z, coefficient tuples low -> high
 # ---------------------------------------------------------------------------
 
-def _poly_trim(c):
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
+def _poly_mul(a, b) -> list:
+    """Product of two int polynomials, len(a) + len(b) - 1 coefficients."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    # exact division over Q; b must be nonzero
-    a = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = ONE / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] * inv_lead
-        if coef:
-            q[i] = coef
-            for j, y in enumerate(b):
-                a[i + j] -= coef * y
-    return _poly_trim(q), _poly_trim(a)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -77,30 +56,96 @@ def euler_phi(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients of Phi_n, low -> high, computed by exact division."""
+    """Coefficients of Phi_n, low -> high: x^n - 1 divided exactly by the
+    product of Phi_d over the proper divisors d of n.  That product is
+    monic with integer coefficients, so the long division stays in Z."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    # x^n - 1 divided by the product of Phi_d for proper divisors d
-    num = tuple([Fraction(-1)] + [ZERO] * (n - 1) + [ONE])
-    den = (ONE,)
+    den = [1]
     for d in range(1, n):
         if n % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    assert r == (), "cyclotomic division must be exact"
-    return q
+    rem = [-1] + [0] * (n - 1) + [1]
+    k = len(den) - 1
+    q = [0] * (n - k + 1)
+    for i in range(n - k, -1, -1):
+        c = rem[i + k]
+        if c:
+            q[i] = c
+            for j, y in enumerate(den):
+                rem[i + j] -= c * y
+    assert not any(rem), "cyclotomic division must be exact"
+    return tuple(q)
+
+
+@lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple:
+    """x^k mod Phi_n for k = 0..n-1, each as sparse ((i, c), ...) pairs.
+    Phi_n is monic with integer coefficients, so every c is an int, and
+    Phi_n divides x^n - 1, so x^k reduces as x^(k mod n)."""
+    phi = cyclotomic_polynomial(n)
+    cur = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(n):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+    return tuple(rows)
+
+
+def _reduce(n: int, d: int, poly) -> list:
+    """The int polynomial poly mod Phi_n, as d = phi(n) coefficients."""
+    out = list(poly[:d])
+    out += [0] * (d - len(out))
+    table = _power_table(n)
+    for k in range(d, len(poly)):
+        c = poly[k]
+        if c:
+            for i, t in table[k % n]:
+                out[i] += c * t
+    return out
+
+
+def _mulmod(n: int, a, b) -> list:
+    """a * b mod Phi_n for int coefficient tuples of length phi(n)."""
+    return _reduce(n, len(a), _poly_mul(a, b))
+
+
+def _cyclo(n: int, nums, den: int) -> Scalar:
+    """The scalar sum(nums[i] z^i) / den for den > 0: a Fraction when its
+    value is rational, else a Cyclo in lowest terms."""
+    if not any(nums[1:]):
+        return Fraction(nums[0], den)
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return Cyclo(n, tuple(nums), den)
+
+
+def _sum(n: int, a, da: int, b, db: int) -> Scalar:
+    """The scalar a/da + b/db for numerator lists a and b."""
+    if da == db:
+        return _cyclo(n, [x + y for x, y in zip(a, b)], da)
+    return _cyclo(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
 
 class Cyclo:
-    """Element of Q(zeta_n) in the power basis mod Phi_n."""
+    """Element of Q(zeta_n) in the power basis mod Phi_n, stored as int
+    numerators `nums` over one positive denominator `den`, with
+    gcd(den, *nums) = 1, so equal values have equal fields."""
 
-    __slots__ = ("n", "coeffs", "_hash")
+    __slots__ = ("n", "nums", "den", "_hash")
 
-    def __init__(self, n: int, coeffs):
-        # internal constructor: assumes coeffs already length phi(n), reduced,
-        # and not rational-valued.  Use make() from user code.
+    def __init__(self, n: int, nums: tuple, den: int):
+        # internal constructor: assumes nums already length phi(n), in
+        # lowest terms over den > 0, and not rational-valued.  Use make()
+        # from user code.
         self.n = n
-        self.coeffs = tuple(coeffs)
+        self.nums = nums
+        self.den = den
         self._hash = None
 
     @staticmethod
@@ -108,32 +153,34 @@ class Cyclo:
         """Canonicalize: reduce mod Phi_n, collapse rational values."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        d = euler_phi(n)
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > d:
-            _, rem = _poly_divmod(tuple(cs), cyclotomic_polynomial(n))
-            cs = list(rem)
-        cs = cs + [ZERO] * (d - len(cs))
-        if all(c == 0 for c in cs[1:]):
-            return cs[0]  # rational value (covers zeta_1 = 1, zeta_2 = -1)
-        return Cyclo(n, cs)
+        den = lcm(*(c.denominator for c in cs))
+        poly = [c.numerator * (den // c.denominator) for c in cs]
+        return _cyclo(n, _reduce(n, euler_phi(n), poly), den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- plumbing ----------------------------------------------------------
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """other as (numerators, denominator) in this basis, or None."""
         if isinstance(other, Cyclo):
             if other.n != self.n:
                 raise ConductorMixError(
                     f"cannot mix conductors {self.n} and {other.n}")
-            return other.coeffs
+            return other.nums, other.den
         if isinstance(other, (int, Fraction)):
-            d = euler_phi(self.n)
-            return (Fraction(other),) + (ZERO,) * (d - 1)
+            return ((other.numerator,) + (0,) * (len(self.nums) - 1),
+                    other.denominator)
         return None
 
     def __eq__(self, other):
         if isinstance(other, Cyclo):
-            return self.n == other.n and self.coeffs == other.coeffs
+            return (self.n == other.n and self.nums == other.nums
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
             return False  # canonical Cyclo is never rational-valued
         return NotImplemented
@@ -144,7 +191,7 @@ class Cyclo:
         return self._hash
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __repr__(self):
         return f"Cyclo({self.n}, {[str(c) for c in self.coeffs]})"
@@ -166,66 +213,69 @@ class Cyclo:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return Cyclo.make(self.n, [a + b for a, b in zip(self.coeffs, oc)])
+        return _sum(self.n, self.nums, self.den, *o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, tuple(-c for c in self.coeffs))
+        return Cyclo(self.n, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return Cyclo.make(self.n, [a - b for a, b in zip(self.coeffs, oc)])
+        return _sum(self.n, self.nums, self.den, [-y for y in o[0]], o[1])
 
     def __rsub__(self, other):
-        oc = self._coerce(other)
-        if oc is None:
+        o = self._operand(other)
+        if o is None:
             return NotImplemented
-        return Cyclo.make(self.n, [b - a for a, b in zip(self.coeffs, oc)])
+        return _sum(self.n, [-x for x in self.nums], self.den, *o)
 
     def __mul__(self, other):
         if isinstance(other, Cyclo):
             if other.n != self.n:
                 raise ConductorMixError(
                     f"cannot mix conductors {self.n} and {other.n}")
-            prod = _poly_mul(self.coeffs, other.coeffs)
-            return Cyclo.make(self.n, prod)
+            return _cyclo(self.n, _mulmod(self.n, self.nums, other.nums),
+                          self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            p = other.numerator
+            if not p:
                 return ZERO
-            return Cyclo(self.n, tuple(c * f for c in self.coeffs))
+            return _cyclo(self.n, [c * p for c in self.nums],
+                          self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via extended Euclid in Q[x] mod Phi_n."""
+        """Multiplicative inverse: the product P of the Galois conjugates
+        z -> z^k (k a unit mod n, k != 1) of the numerator makes
+        nums * P the rational norm r, so self^-1 = den * P / r."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic")
-        phi = cyclotomic_polynomial(self.n)
-
-        def sub(a, b):
-            n = max(len(a), len(b))
-            a = list(a) + [ZERO] * (n - len(a))
-            b = list(b) + [ZERO] * (n - len(b))
-            return _poly_trim([x - y for x, y in zip(a, b)])
-
-        # invariant: r_i = s_i * self (mod phi)
-        r0, s0 = phi, ()
-        r1, s1 = _poly_trim(self.coeffs), (ONE,)
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, s0, r1, s1 = r1, s1, r, sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element not invertible (degenerate)")
-        c = r1[0]
-        return Cyclo.make(self.n, [s / c for s in s1])
+        n, nums = self.n, self.nums
+        table = _power_table(n)
+        prod = None
+        for k in range(2, n):
+            if gcd(k, n) != 1:
+                continue
+            conj = [0] * len(nums)
+            for i, c in enumerate(nums):
+                if c:
+                    for j, t in table[i * k % n]:
+                        conj[j] += c * t
+            prod = conj if prod is None else _mulmod(n, prod, conj)
+        norm = _mulmod(n, nums, prod)
+        assert not any(norm[1:]), "the norm of a cyclotomic is rational"
+        r = norm[0]
+        if r < 0:
+            r, prod = -r, [-c for c in prod]
+        return _cyclo(n, [self.den * c for c in prod], r)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -280,8 +330,7 @@ def root_of_unity(n: int, k: int) -> Scalar:
         return ONE
     if n == 2:
         return -ONE
-    coeffs = [ZERO] * k + [ONE]
-    return Cyclo.make(n, coeffs)
+    return Cyclo.make(n, [0] * k + [1])
 
 
 def q_integer(s: int, p) -> Scalar:
@@ -346,15 +395,25 @@ def scalar_to_json(s: Scalar):
     return rational_to_json(Fraction(s))
 
 
+def json_int(x) -> int:
+    """x itself if it is a JSON integer; a float, bool or string is refused
+    with ValueError rather than truncated or parsed."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return parse_rational(obj)
     if isinstance(obj, dict):
         try:
-            n = int(obj["n"])
+            n = json_int(obj["n"])
             coeffs = obj["coeffs"]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, ValueError) as e:
             raise ScalarParseError(f"malformed cyclotomic {obj!r}") from e
+        if not isinstance(coeffs, list):
+            raise ScalarParseError(f"malformed cyclotomic {obj!r}")
         if n < 1:
             raise ScalarParseError(f"bad conductor in {obj!r}")
         if len(coeffs) > euler_phi(n):

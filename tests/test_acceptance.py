@@ -109,7 +109,7 @@ def braided_taft_pairing():
 def test_radford_suite():
     # Build each catalogue member, verify the Hopf axioms, split it back
     # into its factors, cross-check the trivalence verdicts, and pin the
-    # morphism types of the four split maps; all within thirty seconds.
+    # morphism types of the four split maps; all within five seconds.
     t0 = time.perf_counter()
     for pars in RADFORD_SUITE:
         out = radford(RadfordParams(*pars))
@@ -129,7 +129,7 @@ def test_radford_suite():
                              c["is_coalgebra_morphism"])
         assert verdicts == {"i1": (True, False), "i2": (True, True),
                             "p1": (False, True), "p2": (True, True)}, pars
-    assert time.perf_counter() - t0 < 30
+    assert time.perf_counter() - t0 < 5
 
 
 def test_recursion_fixed_points():
@@ -325,7 +325,7 @@ def test_double_biproduct_suite():
     # hold, the assembled product passes every bialgebra axiom, the
     # induced cocycle validates, and the twist route agrees with the
     # direct twisted-multiplication formula matrix-for-matrix; all
-    # within sixty seconds.
+    # within ten seconds.
     t0 = time.perf_counter()
     inp = sweedler_crossed_modules()
     sb, sc = inp.B.space, inp.C.space
@@ -342,7 +342,7 @@ def test_double_biproduct_suite():
         assert Z.dim == 8
         assert check_axioms(Z, "bialgebra").ok
         assert validate_cocycle(out["rho_hat"]).ok
-    assert time.perf_counter() - t0 < 60
+    assert time.perf_counter() - t0 < 10
 
 
 def test_convolution_inverse_of_the_standard_pairing():

@@ -220,10 +220,21 @@ def test_malformed_dimension_cap_is_a_usage_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _scalar_map(enc):
+    """A map k -> k whose only entry is the scalar encoding enc."""
+    return {"f": {"dom": [], "cod": [], "matrix": [[enc]]}}
+
+
 @pytest.mark.parametrize("section, value", [
     ("structures", [1]), ("maps", 5), ("spaces", {"X": 2}),
     ("structures", {"main": 1}), ("maps", {"f": [1]}),
-    ("conductor", True), ("conductor", 1.0)])
+    ("conductor", True), ("conductor", 1.0),
+    # a cyclotomic's conductor is a JSON integer, its coefficients a list
+    ("maps", _scalar_map({"n": "3", "coeffs": ["1/1"]})),
+    ("maps", _scalar_map({"n": 3.0, "coeffs": ["1/1"]})),
+    ("maps", _scalar_map({"n": 3.7, "coeffs": ["1/1"]})),
+    ("maps", _scalar_map({"n": True, "coeffs": ["1/1"]})),
+    ("maps", _scalar_map({"n": 3, "coeffs": "5"}))])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)

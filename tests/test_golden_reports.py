@@ -1,0 +1,204 @@
+"""Golden digests of CLI report and workspace bytes.
+
+Each case runs one command through `cli.main` in `--format json` and in
+`--format text` and pins the SHA-256 of the report each prints and of the
+workspace it writes.  The Radford algebras cover the rational case and the
+conductors 3, 4 and 8, so a change to the scalar layer that moves a single
+byte of a report or a workspace fails here.  Reports echo the command
+line, so every file is named relative to a fresh working directory.
+"""
+
+import hashlib
+
+import pytest
+
+from crossbial.cli import Workspace, main, save_workspace
+from tests.test_twisting import bicharacter_cocycle
+
+RADFORD = [(2, 1, 2, 1), (3, 1, 3, 1), (4, 1, 4, 1), (8, 1, 8, 4)]
+
+GOLDEN = {
+    "radford 2-1-2-1": {
+        "workspace":
+            "343b82bd4a3a24375895d457fbead04b21e43d69ed73656f67728d718fef7661",
+        "check hopf": {
+            "json":
+                "4224e7c0245a7bf232a5078a2a312194729cdab75ef8807ee22339d6ee573dfa",
+            "text":
+                "ea672e259e9ebd2236afb0e642772a7032332bde03f5cd3f9a8d30b20c5c1d4d",
+        },
+        "datum check": {
+            "json":
+                "e7fffd4e349c73d80f6428b36eccc909e6212b56931831772a1acdb6f67f2926",
+            "text":
+                "0d1e3658d60d8373f7279b1623c9580f5e31f31de2cc1f9bd1a8a804635a814e",
+        },
+        "cross decompose": {
+            "json":
+                "c5eeef32130a60181ad76657a216a54f9b39f476e440293ecc51a6483aa9d1cc",
+            "json.ws":
+                "6593facf3830147fe6161f6ba2de1d1aff4d7e5532b973a8457c0fb734443e19",
+            "text":
+                "abfcc8df3751f7e23d7302930b0ae796a53ed4deffb29d2645ad9a14130b19db",
+            "text.ws":
+                "6593facf3830147fe6161f6ba2de1d1aff4d7e5532b973a8457c0fb734443e19",
+        },
+    },
+    "radford 3-1-3-1": {
+        "workspace":
+            "a6e27bc51d5db5d8f66e8de9ac2c0b48f44c0de24636d304c5c152f5b96daf32",
+        "check hopf": {
+            "json":
+                "e1724e9fbba8dc3768bc262dbd18da06d5883e6ef1c29f0e2b34f1717d3598cd",
+            "text":
+                "cc2d2cbbdac7964db94243677b612ff5f3d3d4241d72aa410ad39da6905546e7",
+        },
+        "datum check": {
+            "json":
+                "e7fffd4e349c73d80f6428b36eccc909e6212b56931831772a1acdb6f67f2926",
+            "text":
+                "0d1e3658d60d8373f7279b1623c9580f5e31f31de2cc1f9bd1a8a804635a814e",
+        },
+        "cross decompose": {
+            "json":
+                "604d9251c8d2aac1374c1ea4da552efdcc9818069793e55fd94764e10dd5f6a5",
+            "json.ws":
+                "8147ece00e987a8cec570d9beab650c1e08c6c8b67b1df28fdaac6b45d2e20c0",
+            "text":
+                "0481a0fdfb7cc26afa62f65b0032581da0bb85a54e913ff7443a35334c2570a1",
+            "text.ws":
+                "8147ece00e987a8cec570d9beab650c1e08c6c8b67b1df28fdaac6b45d2e20c0",
+        },
+    },
+    "radford 4-1-4-1": {
+        "workspace":
+            "ea650357ec63a29dfad6e04c632f18d571c2c81afa8bde876ba185855b1d877a",
+        "check hopf": {
+            "json":
+                "0df60d8af055e2543c9f14d5e1ed1cd4c86929ad1ea2892914292ae863812771",
+            "text":
+                "a3934824c2305a8ab216f7fe203817b257c51094247bc3f86daccce9d64c8004",
+        },
+        "datum check": {
+            "json":
+                "e7fffd4e349c73d80f6428b36eccc909e6212b56931831772a1acdb6f67f2926",
+            "text":
+                "0d1e3658d60d8373f7279b1623c9580f5e31f31de2cc1f9bd1a8a804635a814e",
+        },
+        "cross decompose": {
+            "json":
+                "410609a1191138686540fbf9fdac880a54e7aecf791976380d3bee481e79ca21",
+            "json.ws":
+                "19cf58a5f490bc49e6233f40a6ec8e877674cc265cc40ab9b238c0f237b58b36",
+            "text":
+                "49764d9504594a8a8254ad2fc7df611aab0c9a78f89a8af76b623a64cc1b3063",
+            "text.ws":
+                "19cf58a5f490bc49e6233f40a6ec8e877674cc265cc40ab9b238c0f237b58b36",
+        },
+    },
+    "radford 8-1-8-4": {
+        "workspace":
+            "467e976585e502527ca5bd1fe79abf0b9301cb061849c56456ca09cb1dd19496",
+        "check hopf": {
+            "json":
+                "0df60d8af055e2543c9f14d5e1ed1cd4c86929ad1ea2892914292ae863812771",
+            "text":
+                "a3934824c2305a8ab216f7fe203817b257c51094247bc3f86daccce9d64c8004",
+        },
+        "datum check": {
+            "json":
+                "e7fffd4e349c73d80f6428b36eccc909e6212b56931831772a1acdb6f67f2926",
+            "text":
+                "0d1e3658d60d8373f7279b1623c9580f5e31f31de2cc1f9bd1a8a804635a814e",
+        },
+        "cross decompose": {
+            "json":
+                "89d58e8946153f140524f451cc3f0ea2244e2afdae6eb7d15ce51672f237b237",
+            "json.ws":
+                "25cdc4c22304caafc05d26cbcf905b5328371152f39379936d9a44bdb330f7e0",
+            "text":
+                "a16b9127d8d0cc37ec4f28d107aa9b2201ae7e557288989ead024d6c8348c807",
+            "text.ws":
+                "25cdc4c22304caafc05d26cbcf905b5328371152f39379936d9a44bdb330f7e0",
+        },
+    },
+    "twist C2xC2": {
+        "workspace":
+            "ed684ee1cbb800a7fd45e28456afaf32190317fcb8dd3c9ff6a004750dc51165",
+        "twist apply": {
+            "json":
+                "db2ca2d3a3c4e02ead81d676f16ad38d4197fc0a2e96c2a0a85906d2ce4fb248",
+            "json.ws":
+                "f5016eb0c9f3069578884366cd2718c96b74fcfa02a61aab3c678bd7dd049aba",
+            "text":
+                "b0e46c6d3a6ddef943017d70034c4e47173b2f94331deaf76d1bf704e7836544",
+            "text.ws":
+                "f5016eb0c9f3069578884366cd2718c96b74fcfa02a61aab3c678bd7dd049aba",
+        },
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _file_sha(path: str) -> str:
+    with open(path, "rb") as fh:
+        return _sha(fh.read())
+
+
+def _run(capsys, out, *argv):
+    """Digests of the report in each format and of the workspace written."""
+    digests = {}
+    for fmt in ("json", "text"):
+        extra = ("-o", f"{out}.{fmt}.json") if out else ()
+        code = main([*argv, "--format", fmt, *extra])
+        assert code == 0
+        digests[fmt] = _sha(capsys.readouterr().out.encode())
+        if out:
+            digests[f"{fmt}.ws"] = _file_sha(f"{out}.{fmt}.json")
+    if out:
+        assert digests["json.ws"] == digests["text.ws"]
+    return digests
+
+
+def _radford_digests(capsys, params):
+    n, q, big_n, nu = params
+    assert main(["zoo", "build", "radford", "--n", str(n), "--q-exp", str(q),
+                 "--N", str(big_n), "--nu", str(nu), "-o", "rad.json"]) == 0
+    capsys.readouterr()
+    return {
+        "workspace": _file_sha("rad.json"),
+        "check hopf": _run(capsys, None, "check", "hopf", "--in", "rad.json"),
+        "datum check": _run(capsys, None, "datum", "check",
+                            "--in", "rad.json"),
+        "cross decompose": _run(capsys, "parts", "cross", "decompose",
+                                "--in", "rad.json"),
+    }
+
+
+@pytest.mark.parametrize("params", RADFORD,
+                         ids=["-".join(map(str, p)) for p in RADFORD])
+def test_radford_reports_are_byte_identical(capsys, monkeypatch, tmp_path,
+                                            params):
+    monkeypatch.chdir(tmp_path)
+    key = "radford " + "-".join(map(str, params))
+    assert _radford_digests(capsys, params) == GOLDEN[key]
+
+
+def _twist_digests(capsys):
+    gg, c = bicharacter_cocycle(2)
+    save_workspace(Workspace().add_structure("main", gg)
+                   .add_map("chi", c.chi), "tw.json")
+    return {
+        "workspace": _file_sha("tw.json"),
+        "twist apply": _run(capsys, "twisted", "twist", "apply",
+                            "--in", "tw.json"),
+    }
+
+
+def test_bicharacter_twist_report_is_byte_identical(capsys, monkeypatch,
+                                                     tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert _twist_digests(capsys) == GOLDEN["twist C2xC2"]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from crossbial.linmaps import (
     pipeline_as_linmap,
     reduce_rows,
 )
-from crossbial.scalars import ONE, ZERO, root_of_unity
+from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
+                               root_of_unity, scalar_from_json)
 
 F = Fraction
 
@@ -413,3 +415,108 @@ def test_linmap_json_shape():
     assert enc["dom"] == ["X", "Y"]
     assert enc["cod"] == ["Y", "X"]
     assert len(enc["matrix"]) == 6
+
+
+def _old_linmap_from_json(obj, spaces):
+    """The loader before it kept a parse table: every entry through
+    scalar_from_json, then from_rows."""
+    dom = tuple(spaces[n] for n in obj["dom"])
+    cod = tuple(spaces[n] for n in obj["cod"])
+    rows = [[scalar_from_json(v) for v in row] for row in obj["matrix"]]
+    return LinMap.from_rows(dom, cod, rows)
+
+
+def _assert_same_map(new, old):
+    assert (new.dom, new.cod) == (old.dom, old.cod)
+    # the same entries in the same (row-major) order, type by type
+    assert list(new.entries.items()) == list(old.entries.items())
+    assert [type(v) for v in new.entries.values()] == \
+        [type(v) for v in old.entries.values()]
+
+
+def _zoo_workspaces():
+    from crossbial import zoo
+    from crossbial.cli import Workspace, _tower_workspace
+    for params in [(2, 1, 2, 1), (3, 1, 3, 1), (4, 1, 4, 1), (8, 1, 8, 4),
+                   (3, 2, 6, 1)]:
+        yield _tower_workspace(zoo.radford(zoo.RadfordParams(*params)))
+    for params in [((2,), 1, ((1,),), ((1,),)), ((4,), 1, ((2,),), ((1,),)),
+                   ((2, 2), 2, ((1, 0), (0, 1)), ((1, 0), (0, 1)))]:
+        yield _tower_workspace(zoo.ore_finite(zoo.OreParams(*params)))
+    yield (Workspace().add_structure("main", zoo.group_algebra(4))
+           .add_structure("dual", zoo.dual_group_algebra(3))
+           .add_structure("taft", zoo.taft_factor(3, root_of_unity(3, 1))))
+
+
+def _map_encodings(node):
+    if isinstance(node, dict):
+        if "matrix" in node:
+            yield node
+        for v in node.values():
+            yield from _map_encodings(v)
+
+
+def test_loader_matches_the_parse_then_from_rows_path_on_the_zoo():
+    from crossbial.cli import workspace_to_json
+    seen = 0
+    for ws in _zoo_workspaces():
+        doc = json.loads(json.dumps(workspace_to_json(ws)))
+        spaces = {e["name"]: Space(e["name"], e["dim"])
+                  for e in doc["spaces"]}
+        for enc in _map_encodings(doc):
+            _assert_same_map(linmap_from_json(enc, spaces),
+                             _old_linmap_from_json(enc, spaces))
+            seen += 1
+    assert seen > 100
+
+
+def test_loader_matches_the_old_path_on_odd_zeros_and_mixed_entries():
+    z = {"n": 4, "coeffs": ["0/1", "1/1"]}
+    matrix = [["0", "0/5", "-0/1", z],
+              [{"n": 4, "coeffs": ["2/1"]}, {"n": 4, "coeffs": ["0/1", "0/3"]},
+               "3/6", {"n": 4, "coeffs": ["1/2", "-1/1"], "note": "x"}],
+              [dict(z), "-2", {"n": 4, "coeffs": []}, "1"],
+              ["1/1", "1", {"n": 4, "coeffs": ["1/1"]}, z]]
+    W = Space("W", 4)
+    enc = {"dom": ["W"], "cod": ["W"], "matrix": matrix}
+    new = linmap_from_json(enc, {"W": W})
+    _assert_same_map(new, _old_linmap_from_json(enc, {"W": W}))
+    assert new.entry(0, 3) == root_of_unity(4, 1)
+    assert type(new.entry(1, 0)) is Fraction and new.entry(1, 0) == 2
+    assert (1, 1) not in new.entries and (0, 0) not in new.entries
+    assert type(new.entry(1, 3)) is Cyclo
+
+
+@pytest.mark.parametrize("matrix", [
+    5, [5], ["ab"], [[None, "0"]], [["0", 1.5]], [["0", True]],
+    [["0", {"n": 3.0, "coeffs": ["1/1"]}]], [["0", {"n": 4, "coeffs": "1"}]],
+    [["0", {"n": 4, "coeffs": ["1/1", "0/1", "1/1"]}]], [["0", ["1"]]],
+    [["0", {"n": 4, "coeffs": [["1/1"]]}]],
+    [["0", "1/0"]], [["0", "0"]], [["0", "0"], ["0"]],
+    [["0", "0"], ["0", "0", "0"]], [["0", "0"], ["0", "0"], ["0", "0"]],
+    # a bad scalar is reported before a wrong shape
+    [["0", "0", "x"]], [["0"], ["0", "0"], [{"n": "4", "coeffs": []}]],
+    {"ab": 1}, "ab",
+    # a malformed encoding equal as a Python value to a parsed one
+    [[{"n": 4, "coeffs": ["1/1"]}, {"n": 4.0, "coeffs": ["1/1"]}]],
+    [[{"n": 1, "coeffs": ["1/1"]}, {"n": True, "coeffs": ["1/1"]}]]])
+def test_malformed_matrices_fail_as_on_the_old_path(matrix):
+    X2 = Space("X", 2)
+    enc = {"dom": ["X"], "cod": ["X"], "matrix": matrix}
+    with pytest.raises(Exception) as old:
+        _old_linmap_from_json(enc, {"X": X2})
+    with pytest.raises(Exception) as new:
+        linmap_from_json(enc, {"X": X2})
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)
+
+
+def test_a_bad_scalar_is_reported_before_a_wrong_shape():
+    X2 = Space("X", 2)
+    enc = {"dom": ["X"], "cod": ["X"],
+           "matrix": [["0", "0", "0"], [{"n": 3.5, "coeffs": ["1/1"]}]]}
+    with pytest.raises(ScalarParseError, match="malformed cyclotomic"):
+        linmap_from_json(enc, {"X": X2})
+    enc["matrix"][1] = ["0"]
+    with pytest.raises(ShapeError, match="matrix must be 2x2"):
+        linmap_from_json(enc, {"X": X2})

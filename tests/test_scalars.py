@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -229,3 +230,182 @@ def test_cyclo_json_normalizes_rational_values():
     v = scalar_from_json({"n": 3, "coeffs": ["2/1", "0/1"]})
     assert v == F(2)
     assert isinstance(v, Fraction)
+
+
+@pytest.mark.parametrize("enc", [
+    {"n": 3.7, "coeffs": ["0/1", "1/1"]},
+    {"n": 3.0, "coeffs": ["0/1", "1/1"]},
+    {"n": "3", "coeffs": ["0/1", "1/1"]},
+    {"n": True, "coeffs": ["1/1"]},
+    {"n": None, "coeffs": ["1/1"]},
+    {"n": 3, "coeffs": "12"},
+    {"n": 3, "coeffs": {"0": "1/1"}},
+    {"n": 3, "coeffs": None},
+    {"coeffs": ["1/1"]},
+    {"n": 0, "coeffs": []},
+    {"n": 3, "coeffs": ["1/1", "0/1", "0/1"]},
+    {"n": 3, "coeffs": [1, 0]},
+], ids=["float-n", "integral-float-n", "string-n", "bool-n", "null-n",
+        "string-coeffs", "object-coeffs", "null-coeffs", "missing-n",
+        "zero-n", "too-many-coeffs", "number-coeffs"])
+def test_malformed_cyclotomic_encodings_are_refused(enc):
+    # the conductor must be a JSON integer and the coefficients a list
+    with pytest.raises(ScalarParseError):
+        scalar_from_json(enc)
+
+
+def test_cyclotomic_encoding_accepts_integer_conductor_and_short_list():
+    assert scalar_from_json({"n": 3, "coeffs": ["0/1", "1/1"]}) \
+        == root_of_unity(3, 1)
+    assert scalar_from_json({"n": 3, "coeffs": ["5"]}) == F(5)
+    assert scalar_from_json({"n": 3, "coeffs": []}) == F(0)
+
+
+# -- differential oracle ----------------------------------------------------
+#
+# Cyclo arithmetic as it was done on Fraction polynomials: products
+# reduced by exact division by Phi_n, inverses by extended Euclid in
+# Q[x].  The integer representation must agree with it on every value,
+# every printed form and every collapse to Fraction.
+
+def _poly_trim(c):
+    n = len(c)
+    while n > 0 and c[n - 1] == 0:
+        n -= 1
+    return tuple(c[:n])
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    a = list(a)
+    q = [F(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        coef = a[i + len(b) - 1] / b[-1]
+        if coef:
+            q[i] = coef
+            for j, y in enumerate(b):
+                a[i + j] -= coef * y
+    return _poly_trim(q), _poly_trim(a)
+
+
+def _oracle_phi(n):
+    den = (F(1),)
+    for d in range(1, n):
+        if n % d == 0:
+            den = _poly_mul(den, _oracle_phi(d))
+    q, r = _poly_divmod((F(-1),) + (F(0),) * (n - 1) + (F(1),), den)
+    assert r == ()
+    return q
+
+
+def _oracle_reduce(n, cs):
+    """cs mod Phi_n, padded to phi(n) Fractions."""
+    _, rem = _poly_divmod(tuple(F(c) for c in cs), _oracle_phi(n))
+    return tuple(rem) + (F(0),) * (euler_phi(n) - len(rem))
+
+
+def _oracle_inverse(n, cs):
+    def sub(a, b):
+        k = max(len(a), len(b))
+        a = list(a) + [F(0)] * (k - len(a))
+        b = list(b) + [F(0)] * (k - len(b))
+        return _poly_trim([x - y for x, y in zip(a, b)])
+
+    r0, s0 = _oracle_phi(n), ()
+    r1, s1 = _poly_trim(cs), (F(1),)
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        r0, s0, r1, s1 = r1, s1, r, sub(s0, _poly_mul(q, s1))
+    return _oracle_reduce(n, [s / r1[0] for s in s1])
+
+
+def _oracle_str(n, cs):
+    terms = [str(c) if i == 0 else f"{c}*z" if i == 1 else f"{c}*z^{i}"
+             for i, c in enumerate(cs) if c]
+    return f"({' + '.join(terms) if terms else '0'} | z = zeta_{n})"
+
+
+def _assert_agrees(got, n, cs):
+    """got is the canonical scalar of the coefficients cs mod Phi_n."""
+    if not any(cs[1:]):
+        assert type(got) is Fraction and got == cs[0]
+        return
+    assert type(got) is Cyclo and got.n == n
+    assert all(type(c) is int for c in got.nums) and type(got.den) is int
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert got.coeffs == cs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert repr(got) == f"Cyclo({n}, {[str(c) for c in cs]})"
+    assert str(got) == _oracle_str(n, cs)
+    assert scalar_to_json(got) == {
+        "n": n, "coeffs": [f"{c.numerator}/{c.denominator}" for c in cs]}
+    assert hash(got) == hash((n, cs))
+    assert bool(got) is True
+    assert got == Cyclo.make(n, cs) and got != cs[0]
+
+
+_CONDUCTORS = [3, 4, 5, 7, 8, 9, 12, 15]
+_COEF = st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2),
+                         F(-3, 4), F(5, 3), F(7, 6)])
+
+
+@st.composite
+def _operands(draw):
+    n = draw(st.sampled_from(_CONDUCTORS))
+    d = euler_phi(n)
+    # lists longer than phi(n) exercise the reduction in make
+    a = draw(st.lists(_COEF, min_size=0, max_size=2 * n + 2))
+    b = draw(st.lists(_COEF, min_size=d, max_size=d))
+    q = draw(_COEF)
+    return n, a, b, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands(), st.integers(min_value=-4, max_value=6))
+def test_cyclo_arithmetic_matches_the_fraction_polynomial_oracle(args, k):
+    n, a_cs, b_cs, q = args
+    a, b = Cyclo.make(n, a_cs), Cyclo.make(n, b_cs)
+    ar, br = _oracle_reduce(n, a_cs), _oracle_reduce(n, b_cs)
+    _assert_agrees(a, n, ar)
+    _assert_agrees(b, n, br)
+
+    def mul(x, y):
+        return _oracle_reduce(n, _poly_mul(_poly_trim(x), _poly_trim(y)))
+
+    _assert_agrees(a + b, n, tuple(x + y for x, y in zip(ar, br)))
+    _assert_agrees(a - b, n, tuple(x - y for x, y in zip(ar, br)))
+    _assert_agrees(a * b, n, mul(ar, br))
+    qr = _oracle_reduce(n, [q])
+    for got, want in ((a + q, [x + y for x, y in zip(ar, qr)]),
+                      (q + a, [x + y for x, y in zip(ar, qr)]),
+                      (a - q, [x - y for x, y in zip(ar, qr)]),
+                      (q - a, [y - x for x, y in zip(ar, qr)]),
+                      (a * q, [x * q for x in ar]),
+                      (q * a, [x * q for x in ar])):
+        _assert_agrees(got, n, tuple(want))
+    if q:
+        _assert_agrees(a / q, n, tuple(x / q for x in ar))
+    if isinstance(b, Cyclo):
+        inv = _oracle_inverse(n, br)
+        _assert_agrees(b.inverse(), n, inv)
+        _assert_agrees(a / b, n, mul(ar, inv))
+        _assert_agrees(q / b, n, tuple(q * x for x in inv))
+        want = (F(1),) + (F(0),) * (euler_phi(n) - 1)
+        for _ in range(abs(k)):
+            want = mul(want, inv if k < 0 else br)
+        _assert_agrees(b ** k, n, want)
+
+
+def test_overlong_coefficient_lists_reduce():
+    # zeta_8^7 = -zeta_8^3 once x^4 + 1 = 0 is used
+    _assert_agrees(root_of_unity(8, 7), 8, (F(0), F(0), F(0), F(-1)))
+    _assert_agrees(Cyclo.make(12, [0] * 12 + [1]), 12, (F(1),) + (F(0),) * 3)
