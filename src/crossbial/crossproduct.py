@@ -102,8 +102,8 @@ def bat_to_hopf_datum(t: BAT) -> HopfDatum:
     id1, id2 = t.b1.id_map(), t.b2.id_map()
     act_l = apply_at(t.phi21, t.b2.eps, 1)
     act_r = apply_at(t.phi21, t.b1.eps, 0)
-    coact_l = run_pipeline([[id1, t.b2.eta], [t.phi12]], id1)
-    coact_r = run_pipeline([[t.b1.eta, id2], [t.phi12]], id2)
+    coact_l = run_pipeline([[id1, t.b2.eta], [t.phi12]])
+    coact_r = run_pipeline([[t.b1.eta, id2], [t.phi12]])
     return HopfDatum(t.b1, t.b2, act_l, coact_l, act_r, coact_r, t.braiding)
 
 
@@ -159,14 +159,14 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
 
 
 def _idempotent_preconditions(A: Structure, sys: IdempotentSystem):
-    ia, aa = A.id_map(), LinMap.identity(A.m.dom)
+    ia = A.id_map()
     for tag, Pi in (("Pi1", sys.Pi1), ("Pi2", sys.Pi2)):
         if Pi.dom != (A.space,) or Pi.cod != (A.space,):
             raise ShapeError(f"{tag} must be an endomorphism of A")
         if Pi * Pi != Pi:
             raise InvalidSystemError(f"{tag} is not idempotent")
-        m_pp = run_pipeline([[Pi, Pi], [A.m]], aa)
-        pp_delta = run_pipeline([[Pi, Pi]], A.delta)
+        m_pp = run_pipeline([[Pi, Pi], [A.m]])
+        pp_delta = run_pipeline([[A.delta], [Pi, Pi]])
         conds = [
             ("product-stability", m_pp, Pi * m_pp),
             ("unit", Pi * A.eta, A.eta),
@@ -176,9 +176,9 @@ def _idempotent_preconditions(A: Structure, sys: IdempotentSystem):
         for cname, lhs, rhs in conds:
             if lhs != rhs:
                 raise InvalidSystemError(f"{tag} fails {cname}")
-    both = run_pipeline([[sys.Pi1, sys.Pi2]], aa)
+    both = run_pipeline([[sys.Pi1, sys.Pi2]])
     f = A.m * both
-    g = run_pipeline([[sys.Pi1, sys.Pi2]], A.delta)
+    g = run_pipeline([[A.delta], [sys.Pi1, sys.Pi2]])
     if g * f != both or f * g != ia:
         raise NotASplittingError(
             "m o (Pi1 (x) Pi2) and (Pi1 (x) Pi2) o delta do not split the "
@@ -231,8 +231,8 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
             kind = want.split("_")[1]
             raise InvalidSystemError(f"{tag} is not a {kind} morphism")
 
-    phi = run_pipeline([[i1, i2], [A.m]], LinMap.identity((s1, s2)))
-    phi_inv = run_pipeline([[p1, p2]], A.delta)
+    phi = run_pipeline([[i1, i2], [A.m]])
+    phi_inv = run_pipeline([[A.delta], [p1, p2]])
     if (phi_inv * phi != LinMap.identity((s1, s2))
             or phi * phi_inv != LinMap.identity((A.space,))):
         raise NotASplittingError(
@@ -241,9 +241,9 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
 
     id1, id2 = b1.id_map(), b2.id_map()
     phi21 = run_pipeline([[b1.eta, id2, id1, b2.eta], [phi, phi], [A.m],
-                          [phi_inv]], LinMap.identity((s2, s1)))
-    phi12 = run_pipeline([[A.delta], [phi_inv, phi_inv],
-                          [b1.eps, id2, id1, b2.eps]], phi)
+                          [phi_inv]])
+    phi12 = run_pipeline([[phi], [A.delta], [phi_inv, phi_inv],
+                          [b1.eps, id2, id1, b2.eps]])
     return DecomposeResult(BAT(b1, b2, phi12, phi21, braiding), phi)
 
 

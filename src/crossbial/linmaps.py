@@ -6,8 +6,9 @@ contract (JSON, to_rows) is a dense row-major matrix.  Basis order of a
 tensor product is lexicographic with the leftmost factor most significant —
 every equality downstream depends on this convention.
 
-Composition is `g * f` (apply f first), tensoring is `f @ g`; both run on
-the one strand kernel, `apply_at`.
+Composition is `g * f` (apply f first), tensoring is `f @ g`, the
+one-row diagram `run_pipeline([[f, g]])`; both run on the one strand
+kernel, `apply_at`.
 """
 
 from __future__ import annotations
@@ -219,9 +220,8 @@ class LinMap:
                       {k: s * v for k, v in self.entries.items()})
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        """self (x) other: the strand kernel run on an identity."""
-        return run_pipeline([[self, other]],
-                            LinMap.identity(self.dom + other.dom))
+        """self (x) other: the one-row diagram, run on an identity."""
+        return run_pipeline([[self, other]])
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)
@@ -481,13 +481,20 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
                            True if f_ones and m_ones and not summed else None)
 
 
-def run_pipeline(layers: List[List[LinMap]], m: LinMap) -> LinMap:
-    """Push m through rows of side-by-side factors, bottom row first.
+def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
+    """Evaluate a string diagram given as rows of side-by-side factors,
+    bottom row first.
 
-    Each row must consume m's codomain strands exactly.  Its factors are
-    applied right to left, so the strands of those still to come keep
+    A first row of one factor is the diagram's input as it is; any other
+    first row is pushed through from the identity on its domain strands.
+    Each later row must consume the strands below it exactly.  Its factors
+    are applied right to left, so the strands of those still to come keep
     their positions.
     """
+    if len(layers[0]) == 1:
+        m, layers = layers[0][0], layers[1:]
+    else:
+        m = LinMap.identity(tuple(s for f in layers[0] for s in f.dom))
     for layer in layers:
         pos = len(m.cod)
         if sum(len(f.dom) for f in layer) != pos:
@@ -504,8 +511,8 @@ def pipeline_columns(layers: List[List[LinMap]]):
     of k."""
     dom = tuple(s for f in layers[0] for s in f.dom)
     for c in range(dim_of(dom)):
-        yield c, run_pipeline(layers, LinMap._trusted(UNIT, dom, {(c, 0): ONE},
-                                                      True))
+        yield c, run_pipeline(
+            [[LinMap._trusted(UNIT, dom, {(c, 0): ONE}, True)]] + layers)
 
 
 def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:

@@ -11,6 +11,7 @@ a hard error (rationals embed freely).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -153,7 +154,7 @@ class Cyclo:
         """Canonicalize: reduce mod Phi_n, collapse rational values."""
         if n < 1:
             raise ValueError("conductor must be positive")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         poly = [c.numerator * (den // c.denominator) for c in cs]
         return _cyclo(n, _reduce(n, euler_phi(n), poly), den)
@@ -308,15 +309,19 @@ def scalar_conductor(s: Scalar):
 
 
 def as_scalar(x) -> Scalar:
-    if isinstance(x, Cyclo):
-        return x
+    return x if isinstance(x, Cyclo) else _rational(x)
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction: an int (not a bool), a Fraction or a rational
+    string; anything else, a float above all, is refused."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
         return parse_rational(x)
-    raise TypeError(f"not a scalar: {x!r}")
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def root_of_unity(n: int, k: int) -> Scalar:
@@ -368,21 +373,18 @@ def q_binomial(m: int, l: int, p) -> Scalar:
 # JSON encoding: rationals as "p/q", cyclotomics as {"n": n, "coeffs": [...]}
 # ---------------------------------------------------------------------------
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(s: str) -> Fraction:
+    """An optional '-', ASCII digits and optionally '/' and nonzero ASCII
+    digits, the form rational_to_json writes; no blanks, '+' or '_'."""
     if not isinstance(s, str):
         raise ScalarParseError(f"rational must be a string, got {s!r}")
-    parts = s.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ScalarParseError(f"zero denominator in {s!r}")
-            return Fraction(num, den)
-    except ValueError as e:
-        raise ScalarParseError(f"malformed rational {s!r}") from e
-    raise ScalarParseError(f"malformed rational {s!r}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None or int(match[2] or 1) == 0:
+        raise ScalarParseError(f"malformed rational {s!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def rational_to_json(f: Fraction) -> str:

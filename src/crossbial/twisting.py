@@ -132,17 +132,16 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     if delta.cod != delta.dom + delta.dom:
         raise ShapeError("delta must be a comultiplication")
     if side == "left":
-        return run_pipeline([[chi, f]], delta)
+        return run_pipeline([[delta], [chi, f]])
     if side == "right":
-        return run_pipeline([[f, chi]], delta)
+        return run_pipeline([[delta], [f, chi]])
     raise ValueError(f"unknown side {side!r}")
 
 
 def _tensor_square_delta(b: Structure, bp) -> LinMap:
     """Comultiplication of the tensor coalgebra B (x) B."""
     s, i = b.space, b.id_map()
-    return run_pipeline([[b.delta, b.delta], [i, bp.braiding(s, s), i]],
-                        LinMap.identity((s, s)))
+    return run_pipeline([[b.delta, b.delta], [i, bp.braiding(s, s), i]])
 
 
 def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
@@ -189,12 +188,11 @@ def _cocycle_report(c: TwoCocycle, bp) -> CheckReport:
     idb = b.id_map()
     delta2 = _tensor_square_delta(b, bp)
     chi_m = conv_dot(c.chi, b.m, "left", delta2)
-    left_unit = run_pipeline([[b.eta, idb], [c.chi]], idb)
-    right_unit = run_pipeline([[idb, b.eta], [c.chi]], idb)
-    b3 = LinMap.identity((b.space,) * 3)
+    left_unit = run_pipeline([[b.eta, idb], [c.chi]])
+    right_unit = run_pipeline([[idb, b.eta], [c.chi]])
     entries = [
-        compare("2cocycle1", run_pipeline([[idb, chi_m], [c.chi]], b3),
-                run_pipeline([[chi_m, idb], [c.chi]], b3)),
+        compare("2cocycle1", run_pipeline([[idb, chi_m], [c.chi]]),
+                run_pipeline([[chi_m, idb], [c.chi]])),
         compare("2cocycle2-left", left_unit, b.eps),
         compare("2cocycle2-right", right_unit, b.eps),
         compare("2cocycle2-agree", left_unit, right_unit),
@@ -225,7 +223,7 @@ def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
                      "right", delta2)
     S_chi = None
     if b.S is not None:
-        u = run_pipeline([[b.id_map(), b.S], [c.chi]], b.delta)
+        u = run_pipeline([[b.delta], [b.id_map(), b.S], [c.chi]])
         u_inv = _scalar_inverse(u, b, bp)
         S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
                          "right", b.delta)
@@ -257,16 +255,14 @@ def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
     H, A, form = p.H, p.A, p.form
     idh, ida = H.id_map(), A.id_map()
     hook = [[idh, form, ida], [form]]         # H(x)H(x)A(x)A -> k
-    hha = LinMap.identity((H.space, H.space, A.space))
-    haa = LinMap.identity((H.space, A.space, A.space))
     entries = [
-        compare("pairing-mult-h", run_pipeline([[H.m, ida], [form]], hha),
-                run_pipeline([[idh, idh, A.delta]] + hook, hha)),
-        compare("pairing-mult-a", run_pipeline([[idh, A.m], [form]], haa),
-                run_pipeline([[H.delta, ida, ida]] + hook, haa)),
-        compare("pairing-unit-h", run_pipeline([[H.eta, ida], [form]], ida),
+        compare("pairing-mult-h", run_pipeline([[H.m, ida], [form]]),
+                run_pipeline([[idh, idh, A.delta]] + hook)),
+        compare("pairing-mult-a", run_pipeline([[idh, A.m], [form]]),
+                run_pipeline([[H.delta, ida, ida]] + hook)),
+        compare("pairing-unit-h", run_pipeline([[H.eta, ida], [form]]),
                 A.eps),
-        compare("pairing-unit-a", run_pipeline([[idh, A.eta], [form]], idh),
+        compare("pairing-unit-a", run_pipeline([[idh, A.eta], [form]]),
                 H.eps),
     ]
     return CheckReport(entries)
@@ -309,13 +305,12 @@ def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
                                 "is singular") from None
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p, bp)
-    ha = LinMap.identity((sh, sa))
     lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
                         [idh, bp.braiding_list((sh, sh), (sa,)), ida],
-                        [pinv, idh, form]], ha)
+                        [pinv, idh, form]])
     rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
                         [idh, bp.braiding_list((sh,), (sa, sa)), ida],
-                        [pinv, ida, form]], ha)
+                        [pinv, ida, form]])
     triv = _trivial_forms(A, H)
     datum = HopfDatum(A, H, rhd, triv["coact_l"], lhd, triv["coact_r"], bp)
     drep = check_hopf_datum(datum)
@@ -415,27 +410,25 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     # square of the mixed braidings against the action/coaction loop
     loop = run_pipeline([[inp.b_coact, inp.c_coact],
                          [idb, bp.braiding(sh, sh), idc],
-                         [inp.b_act, inp.c_act]], LinMap.identity((sb, sc)))
+                         [inp.b_act, inp.c_act]])
     entries.append(compare("double-braiding-trivial",
                            bp.braiding(sc, sb) * bp.braiding(sb, sc), loop))
     # pairing compatibilities
     rho2 = [[idb, rho, idc], [rho]]           # B(x)B(x)C(x)C -> k
     psi_dy = prov_r.braiding(sb, sb)
-    bhc = LinMap.identity((sb, sh, sc))
-    bcc, bbc = LinMap.identity((sb, sc, sc)), LinMap.identity((sb, sb, sc))
     entries.append(compare("pairing-balance",
-                           run_pipeline([[inp.b_act, idc], [rho]], bhc),
-                           run_pipeline([[idb, inp.c_act], [rho]], bhc)))
+                           run_pipeline([[inp.b_act, idc], [rho]]),
+                           run_pipeline([[idb, inp.c_act], [rho]])))
     entries.append(compare(
         "pairing-comult-c",
-        run_pipeline([[idb, C.m], [rho]], bcc),
+        run_pipeline([[idb, C.m], [rho]]),
         run_pipeline([[bp.braiding_inverse(sb, sb) * B.delta, idc, idc]]
-                     + rho2, bcc)))
+                     + rho2)))
     entries.append(compare(
         "pairing-mult-b",
-        run_pipeline([[B.m, idc], [rho]], bbc),
+        run_pipeline([[B.m, idc], [rho]]),
         run_pipeline([[psi_dy, bp.braiding_inverse(sc, sc) * C.delta]]
-                     + rho2, bbc)))
+                     + rho2)))
     CheckReport(entries).require("pairing precondition fails: {}")
 
     Z = _assemble_free_product(

@@ -18,7 +18,8 @@ from typing import Tuple
 
 from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
-from .linmaps import LinMap, Space, UNIT, flatten, flip, run_pipeline
+from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
+                      unflatten)
 from .scalars import ONE, as_scalar, q_binomial, root_of_unity
 from .structures import Structure, fuse, rebind, restrict
 
@@ -289,21 +290,10 @@ def ore_finite(params: OreParams) -> dict:
                     f"violated at (l, r) = ({l}, {r_})")
 
     nC = prod(orders)
-    strides = []
-    acc = 1
-    for o in reversed(orders):
-        strides.append(acc)
-        acc *= o
-    strides = tuple(reversed(strides))
-
-    def cidx(elt) -> int:
-        return sum(s * (a % o) for s, a, o in zip(strides, elt, orders))
-
-    def ctup(i: int) -> Tuple[int, ...]:
-        out = []
-        for s, o in zip(strides, orders):
-            out.append((i // s) % o)
-        return tuple(out)
+    # a group element is an exponent tuple, its basis index that tuple
+    # flattened over orders; elts lists the elements by index
+    elts = [unflatten(c, orders) for c in range(nC)]
+    gs = [tuple(a % o for a, o in zip(e, orders)) for e in params.g]
 
     def cadd(x, y):
         return tuple((a + b) % o for a, b, o in zip(x, y, orders))
@@ -335,9 +325,9 @@ def ore_finite(params: OreParams) -> dict:
                 coeff = sign
                 for j in bits(mask_a):
                     coeff = coeff * _character(orders, params.g_star[j],
-                                               ctup(d))
+                                               elts[d])
                 for c in range(nC):
-                    cd = cidx(cadd(ctup(c), ctup(d)))
+                    cd = flatten(cadd(elts[c], elts[d]), orders)
                     ment[(F(mask_a | mask_b, cd),
                           F(mask_a, c) * dim + F(mask_b, d))] = coeff
     mH = LinMap((s, s), (s,), ment)
@@ -347,15 +337,16 @@ def ore_finite(params: OreParams) -> dict:
     P, P2 = (s,), (s, s)
     i = LinMap.identity(P)
     mult2 = [[i, flip(s, s), i], [mH, mH]]
-    dgen = [LinMap(UNIT, P2, {(F(1 << j, 0) * dim + F(0, cidx(params.g[j])),
-                               0): ONE, (F(1 << j, 0), 0): ONE})
+    dgen = [LinMap(UNIT, P2, {(F(1 << j, 0) * dim
+                               + F(0, flatten(gs[j], orders)), 0): ONE,
+                              (F(1 << j, 0), 0): ONE})
             for j in range(t)]
     dent = {}
     for mask in range(nX):
         for c in range(nC):
             acc = LinMap(UNIT, P2, {(F(0, c) * (dim + 1), 0): ONE})
             for j in bits(mask):
-                acc = run_pipeline(mult2, acc @ dgen[j])
+                acc = run_pipeline([[acc @ dgen[j]]] + mult2)
             for (row, _), v in acc.entries.items():
                 dent[(row, F(mask, c))] = v
     deltaH = LinMap((s,), (s, s), dent)
@@ -365,11 +356,12 @@ def ore_finite(params: OreParams) -> dict:
     sent = {}
     for mask in range(nX):
         for c in range(nC):
-            acc = LinMap(UNIT, P, {(F(0, cidx(cneg(ctup(c)))), 0): ONE})
+            acc = LinMap(UNIT, P, {(F(0, flatten(cneg(elts[c]), orders)),
+                                    0): ONE})
             for j in bits(mask):
                 # S(x_j) = -x_j g_j^{-1} = g_j^{-1} x_j in normal form
-                sxj = LinMap(UNIT, P, {(F(1 << j, cidx(cneg(params.g[j]))),
-                                        0): ONE})
+                sxj = LinMap(UNIT, P, {(F(1 << j, flatten(cneg(gs[j]),
+                                                          orders)), 0): ONE})
                 acc = mH * (sxj @ acc)
             for (row, _), v in acc.entries.items():
                 sent[(row, F(mask, c))] = v
@@ -392,7 +384,7 @@ def ore_finite(params: OreParams) -> dict:
         for c in range(nC):
             coeff = ONE
             for j in bits(mask):
-                coeff = coeff * _character(orders, params.g_star[j], ctup(c))
+                coeff = coeff * _character(orders, params.g_star[j], elts[c])
             aent[(mask, flatten((mask, c), (nX, nC)))] = coeff
     act_r = LinMap((sl, sg), (sl,), aent)
 
@@ -403,7 +395,8 @@ def ore_finite(params: OreParams) -> dict:
         return out
 
     coact_r = LinMap((sl,), (sl, sg),
-                     {(flatten((mask, cidx(gprod(mask))), (nX, nC)),
+                     {(flatten((mask, flatten(gprod(mask), orders)),
+                               (nX, nC)),
                        mask): ONE for mask in range(nX)})
     datum = HopfDatum(b1, b2, triv["act_l"], triv["coact_l"],
                       act_r, coact_r)

@@ -234,7 +234,11 @@ def _scalar_map(enc):
     ("maps", _scalar_map({"n": 3.0, "coeffs": ["1/1"]})),
     ("maps", _scalar_map({"n": 3.7, "coeffs": ["1/1"]})),
     ("maps", _scalar_map({"n": True, "coeffs": ["1/1"]})),
-    ("maps", _scalar_map({"n": 3, "coeffs": "5"}))])
+    ("maps", _scalar_map({"n": 3, "coeffs": "5"})),
+    # a rational is '-'?digits('/'digits)?, nothing more lenient
+    ("maps", _scalar_map("1_0/1")), ("maps", _scalar_map(" 3 / 4 ")),
+    ("maps", _scalar_map("\u0663")),
+    ("maps", _scalar_map({"n": 3, "coeffs": ["1_0", "1"]}))])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)

@@ -104,8 +104,7 @@ def test_kernel_mult_comult_matches_the_eager_composite():
     for s, psi in cases:
         i = s.id_map()
         eager = (s.m @ s.m) * (i @ psi @ i) * (s.delta @ s.delta)
-        kernel = run_pipeline([[s.delta, s.delta], [i, psi, i], [s.m, s.m]],
-                              LinMap.identity((s.space, s.space)))
+        kernel = run_pipeline([[s.delta, s.delta], [i, psi, i], [s.m, s.m]])
         assert eager.entries
         assert sorted((k, type(v), v) for k, v in kernel.entries.items()) \
             == sorted((k, type(v), v) for k, v in eager.entries.items())

@@ -22,6 +22,7 @@ from crossbial.linmaps import (
     permutation,
     pipeline_as_linmap,
     reduce_rows,
+    run_pipeline,
 )
 from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
                                root_of_unity, scalar_from_json)
@@ -374,6 +375,15 @@ def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
     oracle = _matmul(top.to_rows(), _kron(f.to_rows(), h.to_rows()))
     assert _typed(pipeline_as_linmap([[f, h], [top]]).to_rows()) == \
         _typed(oracle)
+    # run_pipeline reads its input off the first row: a row of several
+    # factors starts from the identity on their domains, a single factor
+    # (a map out of k too) is the input itself
+    assert _typed(run_pipeline([[f, h], [top]]).to_rows()) == _typed(oracle)
+    assert _typed(run_pipeline([[f], [g]]).to_rows()) == \
+        _typed(_matmul(g.to_rows(), f.to_rows()))
+    vec = data.draw(_maps(UNIT, f.dom + h.dom))
+    assert _typed(run_pipeline([[vec], [f, h], [top]]).to_rows()) == \
+        _typed(_matmul(oracle, vec.to_rows()))
     # the kernel at every strand position, on f and on a 1-column input,
     # with a factor on none (a map out of k), one or two of the strands
     col = data.draw(_maps(UNIT, f.cod + h.cod[:1]))
@@ -385,6 +395,18 @@ def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
                            _eye(dim_of(m.cod[pos + width:])))
             assert _typed(apply_at(m, k, pos).to_rows()) == \
                 _typed(_matmul(padded, m.to_rows()))
+
+
+def test_run_pipeline_refuses_rows_that_do_not_fit():
+    f = _rand_map((X,), (Y,), 25)
+    g = _rand_map((Z,), (Z,), 26)
+    h = _rand_map((Y,), (X,), 27)
+    with pytest.raises(ShapeError, match="does not consume all 2 strands"):
+        run_pipeline([[f, g], [h]])              # too few
+    with pytest.raises(ShapeError, match="does not consume all 1 strands"):
+        run_pipeline([[f], [h, g]])              # too many
+    with pytest.raises(ShapeError, match="strands differ"):
+        run_pipeline([[f, g], [g, h]])           # Y (x) Z under Z (x) Y
 
 
 def test_composites_of_0_1_maps_are_summed_and_pruned():

@@ -15,6 +15,7 @@ from crossbial.scalars import (
     parse_rational,
     q_binomial,
     q_integer,
+    rational_to_json,
     root_of_unity,
     scalar_from_json,
     scalar_to_json,
@@ -215,6 +216,40 @@ def test_rational_parse_rejects_bad_input():
         parse_rational("a/b")
     with pytest.raises(ScalarParseError):
         parse_rational("1/2/3")
+
+
+@pytest.mark.parametrize("text", [
+    "1_0/1", " 3 / 4 ", "\u0663", "+1", "1/-2", "1.5", "5\n", "", "-",
+    "1/", "/2", "0x10", "1e3", "\uff11"])
+def test_rational_parse_takes_ascii_digits_only(text):
+    with pytest.raises(ScalarParseError, match="malformed rational"):
+        parse_rational(text)
+    with pytest.raises(ScalarParseError):
+        scalar_from_json({"n": 3, "coeffs": [text, "1"]})
+
+
+def test_rational_parse_reads_what_rational_to_json_writes():
+    for text, value in [("-0/1", F(0)), ("0/5", F(0)), ("007", F(7)),
+                        ("-12/8", F(-3, 2))]:
+        assert parse_rational(text) == value
+    for value in [F(0), F(-1), F(22, 7), F(-10 ** 30, 7), F(1, 10 ** 30)]:
+        assert parse_rational(rational_to_json(value)) == value
+    with pytest.raises(ScalarParseError, match="malformed rational"):
+        parse_rational("-1/00")
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 1.0], [1.0], [True, 0],
+                                    [root_of_unity(3, 1)], [None]])
+def test_cyclo_make_refuses_inexact_coefficients(coeffs):
+    with pytest.raises(TypeError):
+        Cyclo.make(3, coeffs)
+
+
+def test_cyclo_make_takes_ints_fractions_and_rational_strings():
+    assert Cyclo.make(3, [1, F(1, 2)]) == Cyclo.make(3, ["1", "1/2"])
+    assert Cyclo.make(3, [2, "0/3"]) == F(2)
+    with pytest.raises(ScalarParseError):
+        Cyclo.make(3, ["1.5"])
 
 
 def test_cyclo_json_roundtrip():
