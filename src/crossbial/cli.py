@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import Dict
@@ -183,8 +184,8 @@ def load_workspace(path: str) -> Workspace:
 def _max_dim() -> int:
     raw = os.environ.get("CROSSBIAL_MAX_DIM", "64")
     try:
-        cap = int(raw)
-    except ValueError:
+        cap = _non_negative(raw)
+    except argparse.ArgumentTypeError:
         cap = 0
     if cap < 1:
         raise UsageError(
@@ -428,11 +429,19 @@ def _cmd_double_biproduct(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _integer(text: str, signed: bool = True) -> int:
+    """argparse type of an integer in ASCII decimal digits, '-' only when
+    signed: int() alone would also take blanks, underscores, '+' and other
+    scripts' digits."""
+    if re.fullmatch("-?[0-9]+" if signed else "[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer" + ("" if signed else " >= 0"))
+    return int(text)
+
+
 def _non_negative(text: str) -> int:
     """argparse type of a count: a decimal integer of at least 0."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 0")
-    return int(text)
+    return _integer(text, signed=False)
 
 
 def _common(p: argparse.ArgumentParser, infile=True, out=False, name=False):
@@ -461,13 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
     zb = zsub.add_parser("build")
     bsub = zb.add_subparsers(dest="builder", required=True)
     rad = bsub.add_parser("radford")
-    rad.add_argument("--n", type=int, required=True)
-    rad.add_argument("--q-exp", dest="q_exp", type=int, required=True)
-    rad.add_argument("--N", dest="big_n", type=int, required=True)
-    rad.add_argument("--nu", type=int, required=True)
+    rad.add_argument("--n", type=_integer, required=True)
+    rad.add_argument("--q-exp", dest="q_exp", type=_integer, required=True)
+    rad.add_argument("--N", dest="big_n", type=_integer, required=True)
+    rad.add_argument("--nu", type=_integer, required=True)
     _common(rad, infile=False, out=True)
     grp = bsub.add_parser("group")
-    grp.add_argument("--N", dest="big_n", type=int, required=True)
+    grp.add_argument("--N", dest="big_n", type=_integer, required=True)
     _common(grp, infile=False, out=True)
     ore = bsub.add_parser("ore")
     ore.add_argument("--spec", required=True, metavar="FILE")

@@ -5,9 +5,9 @@ second factor acts on the first from the left (act_l) and coacts on it from
 the left (coact_l), while the first acts/coacts on the second from the right
 (act_r, coact_r).  check_hopf_datum verifies the complete defining system as
 exact matrix identities.  The recursion operator on endomorphisms of
-B1(x)B2(x)B1(x)B2 is realised twice: as a layered pipeline (phi_apply) and
-as an explicit exact superoperator matrix, from which the recursion order is
-a nilpotency computation.
+B1(x)B2(x)B1(x)B2 is a layered pipeline (phi_apply); recursion_order
+assembles it as an exact superoperator matrix and finds the recursion order
+as a nilpotency computation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .linmaps import (
     pipeline_columns,
     run_pipeline,
 )
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 from .structures import (
     ActionData,
     CheckEntry,
@@ -324,51 +324,12 @@ def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
 
 @dataclass(frozen=True)
 class PhiSuperoperator:
-    """The recursion operator and the corner projector as exact matrices.
+    """The recursion operator as an exact matrix on End(B1(x)B2(x)B1(x)B2)
+    vectorised row-major, stored sparsely column by column."""
 
-    Both act on End(B1(x)B2(x)B1(x)B2) vectorised row-major, so each is a
-    (dim^2 x dim^2) matrix stored sparsely column-by-column.
-    """
-
-    spaces: Tuple[Space, ...]
-    dim: int
+    # a column dict, not a LinMap, because perfbench/ reads it; that waits
+    # for the benchmark change of ROADMAP item 5
     phi: Dict[int, Dict[int, object]]
-    proj: Dict[int, Dict[int, object]]
-
-    @property
-    def end_dim(self) -> int:
-        return self.dim * self.dim
-
-    def _apply(self, mat, f: LinMap) -> LinMap:
-        if f.dom != self.spaces or f.cod != self.spaces:
-            raise ShapeError("endomorphism has the wrong boundaries")
-        vec = {r * self.dim + c: v for (r, c), v in f.entries.items()}
-        out = sop_apply(mat, vec)
-        return LinMap(self.spaces, self.spaces,
-                      {divmod(k, self.dim): v for k, v in out.items()})
-
-    def apply_phi(self, f: LinMap) -> LinMap:
-        return self._apply(self.phi, f)
-
-    def apply_proj(self, f: LinMap) -> LinMap:
-        return self._apply(self.proj, f)
-
-
-def sop_identity(n: int):
-    return {c: {c: ONE} for c in range(n)}
-
-
-def sop_sub(a, b):
-    out = {c: dict(rows) for c, rows in a.items()}
-    for c, rows in b.items():
-        dst = out.setdefault(c, {})
-        for r, v in rows.items():
-            cur = dst.get(r, ZERO) - v
-            if cur:
-                dst[r] = cur
-            else:
-                dst.pop(r, None)
-    return {c: rows for c, rows in out.items() if rows}
 
 
 def sop_compose(a, b):
@@ -388,26 +349,13 @@ def sop_compose(a, b):
     return out
 
 
-def sop_apply(a, vec):
-    acc: Dict[int, object] = {}
-    for c, w in vec.items():
-        for u, v in a.get(c, {}).items():
-            cur = acc.get(u, ZERO) + v * w
-            if cur:
-                acc[u] = cur
-            else:
-                acc.pop(u, None)
-    return acc
-
-
 def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     """Assemble the recursion operator matrix without ever materialising a
     12-strand map: the diagram is split at its widest row, the bottom half
     is pushed forward column by column, the top half is pulled back row by
     row (transposed factors in reverse order), and the two halves are
     joined over the spectator strands."""
-    quad = d.quad
-    dV = dim_of(quad)
+    dV = dim_of(d.quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
     bottom, top = layers[:6], layers[6:]
@@ -427,14 +375,7 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     phi: Dict[int, Dict[int, object]] = {}
     for side, tops in from_top.items():
         _join(phi, dV, tops, from_bot.get(side, ()))
-    pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
-          @ d.b2.unit_counit())
-    proj: Dict[int, Dict[int, object]] = {}
-    _join(proj, dV, [(u, i, a) for (u, i), a in pi.entries.items()],
-          [(v, j, b) for (j, v), b in pi.entries.items()])
-    return PhiSuperoperator(quad, dV, {c: rows for c, rows in phi.items()
-                                       if rows},
-                            {c: rows for c, rows in proj.items() if rows})
+    return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
 
 
 def _join(out, dV: int, tops, bots) -> None:
@@ -451,6 +392,16 @@ def _join(out, dV: int, tops, bots) -> None:
                 col.pop(row, None)
 
 
+def _corner_complement(d: HopfDatum) -> Dict[int, Dict[int, object]]:
+    """Id - P as a column dict, P the corner conjugation f -> pi o f o pi.
+
+    P's entry at row u*dV + v, column i*dV + j is pi[u, i] * pi[j, v], so
+    P is the Kronecker product pi (x) pi^T on the vectorised space."""
+    pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
+          @ d.b2.unit_counit())
+    return (LinMap.identity(d.quad * 2) - pi @ pi.transpose()).by_col()
+
+
 def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
     """Least n with Phi^n o (Id - P) = 0 at the superoperator level.
 
@@ -458,7 +409,7 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
     {"not_recursive_up_to": n_max}.
     """
     sop = build_phi_superoperator(d)
-    rem = sop_sub(sop_identity(sop.end_dim), sop.proj)
+    rem = _corner_complement(d)
     for n in range(n_max + 1):
         if not rem:
             return {"order": n}

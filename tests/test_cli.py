@@ -208,7 +208,10 @@ def test_zoo_build_is_guarded_before_the_builder_runs(
             "CROSSBIAL_MAX_DIM=4") in err
 
 
-@pytest.mark.parametrize("cap", ["abc", "0", "-3", ""])
+@pytest.mark.parametrize("cap", ["abc", "0", "-3", "",
+                                 # int() takes these, the cap does not
+                                 " 64", "6_4", "\u0666\u0664", "+64",
+                                 "64\n"])
 def test_malformed_dimension_cap_is_a_usage_error(tmp_path, capsys,
                                                   monkeypatch, cap):
     path = build_radford_ws(tmp_path, capsys)
@@ -283,6 +286,23 @@ def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense", "--in", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("builder, flag, value", [
+    ("radford", "--n", "\u0662"), ("radford", "--q-exp", " 1"),
+    ("radford", "--N", "2\n"), ("radford", "--nu", "+1"),
+    ("group", "--N", "1_6")])
+def test_builder_integers_are_ascii_decimals(capsys, builder, flag, value):
+    # int() would read each value, e.g. "--N 1_6" as 16
+    argv = {"radford": {"--n": "2", "--q-exp": "1", "--N": "2", "--nu": "1"},
+            "group": {"--N": "4"}}[builder]
+    argv[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["zoo", "build", builder]
+             + [a for kv in argv.items() for a in kv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} is not an integer" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("max_n", ["-1", "x"])
