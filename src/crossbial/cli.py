@@ -26,7 +26,7 @@ from .crossproduct import (BAT, InvalidSystemError, NotABATError,
 from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
                     check_hopf_datum, classify, recursion_order, trivalence)
 from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
-                      ShapeError, Space, json_dim, json_int,
+                      ShapeError, Space, json_dim, json_int, json_name,
                       linmap_from_json,
                       linmap_to_json)
 from .scalars import ConductorMixError, ScalarParseError, scalar_conductor
@@ -135,7 +135,8 @@ def workspace_from_json(obj: dict) -> Workspace:
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
-            ws.spaces[e["name"]] = Space(e["name"], json_dim(e["dim"]))
+            ws.spaces[e["name"]] = Space(json_name(e["name"]),
+                                         json_dim(e["dim"]))
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
     for section, loader, target in (
@@ -164,8 +165,9 @@ def canonical_json(doc: dict) -> str:
 
 
 def save_workspace(ws: Workspace, path: str) -> None:
+    text = canonical_json(workspace_to_json(ws))
     with open(path, "w") as fh:
-        fh.write(canonical_json(workspace_to_json(ws)))
+        fh.write(text)
 
 
 def load_workspace(path: str) -> Workspace:
@@ -333,7 +335,7 @@ def _cmd_datum(args) -> int:
     if args.datum_cmd == "classify":
         res = classify(d)
         tri = trivalence(d)
-        extra = {"pattern": tri["pattern"].string,
+        extra = {"pattern": tri["pattern"],
                  "trivalent": tri["trivalent"],
                  "family": res["family"],
                  "consistent": tri["consistent"]}

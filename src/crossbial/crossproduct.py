@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple, Union
 
-from .datum import HopfDatum, product_braiding
+from .datum import HopfDatum, classify, product_braiding
 from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip, apply_at,
                       reduce_rows, run_pipeline)
 from .scalars import ONE
@@ -158,55 +158,31 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
     return inj, proj, B
 
 
-def _idempotent_preconditions(A: Structure, sys: IdempotentSystem):
-    ia = A.id_map()
-    for tag, Pi in (("Pi1", sys.Pi1), ("Pi2", sys.Pi2)):
-        if Pi.dom != (A.space,) or Pi.cod != (A.space,):
-            raise ShapeError(f"{tag} must be an endomorphism of A")
-        if Pi * Pi != Pi:
-            raise InvalidSystemError(f"{tag} is not idempotent")
-        m_pp = run_pipeline([[Pi, Pi], [A.m]])
-        pp_delta = run_pipeline([[A.delta], [Pi, Pi]])
-        conds = [
-            ("product-stability", m_pp, Pi * m_pp),
-            ("unit", Pi * A.eta, A.eta),
-            ("coproduct-stability", pp_delta, pp_delta * Pi),
-            ("counit", A.eps * Pi, A.eps),
-        ]
-        for cname, lhs, rhs in conds:
-            if lhs != rhs:
-                raise InvalidSystemError(f"{tag} fails {cname}")
-    both = run_pipeline([[sys.Pi1, sys.Pi2]])
-    f = A.m * both
-    g = run_pipeline([[A.delta], [sys.Pi1, sys.Pi2]])
-    if g * f != both or f * g != ia:
-        raise NotASplittingError(
-            "m o (Pi1 (x) Pi2) and (Pi1 (x) Pi2) o delta do not split the "
-            "product idempotent")
-
-
-def _system_to_projections(A: Structure, sys: IdempotentSystem
-                           ) -> ProjectionSystem:
-    _idempotent_preconditions(A, sys)
-    i1, p1, _ = split_idempotent(sys.Pi1, f"{A.space.name}[1]")
-    i2, p2, _ = split_idempotent(sys.Pi2, f"{A.space.name}[2]")
-    return ProjectionSystem(A, i1, i2, p1, p2)
-
-
 def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
               braiding=None) -> DecomposeResult:
     """Recover an admissible tuple from a splitting of a bialgebra.
 
-    Every stated precondition is verified: the idempotent conditions (for
-    an IdempotentSystem), p_j o i_j = id, the morphism laws of i_j and p_j
-    against the induced factor structures, and the mutual inverseness of
-    m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A.  The returned tuple's
-    connecting maps are read off the transported product and coproduct.
+    Every stated precondition is verified: p_j o i_j = id, the morphism
+    laws of i_j and p_j against the induced factor structures, and the
+    mutual inverseness of m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A.  An
+    IdempotentSystem is split at once into i_j, p_j with i_j o p_j = Pi_j
+    and checked by those same laws: Pi_j is stable under the product and
+    fixes the unit iff i_j is an algebra morphism, is stable under the
+    coproduct and keeps the counit iff p_j is a coalgebra morphism, and
+    m_A o (Pi1 (x) Pi2) and (Pi1 (x) Pi2) o delta_A split Pi1 (x) Pi2 iff
+    the two maps above are mutually inverse, because i1 (x) i2 is
+    injective and p1 (x) p2 surjective.  The returned tuple's connecting
+    maps are read off the transported product and coproduct.
     """
     braiding = braiding or VectFlip()
     check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
     if isinstance(sys, IdempotentSystem):
-        sys = _system_to_projections(A, sys)
+        for tag, Pi in (("Pi1", sys.Pi1), ("Pi2", sys.Pi2)):
+            if Pi.dom != (A.space,) or Pi.cod != (A.space,):
+                raise ShapeError(f"{tag} must be an endomorphism of A")
+        i1, p1, _ = split_idempotent(sys.Pi1, f"{A.space.name}[1]")
+        i2, p2, _ = split_idempotent(sys.Pi2, f"{A.space.name}[2]")
+        sys = ProjectionSystem(A, i1, i2, p1, p2)
     i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
     for tag, f, into in (("i1", i1, True), ("i2", i2, True),
                          ("p1", p1, False), ("p2", p2, False)):
@@ -256,10 +232,8 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     of the idempotents i_j o p_j is an algebra or a coalgebra morphism.
     All three must agree, and the agreement is the final entry.
     """
-    from .datum import trivalence
     res = decompose(A, sys, braiding)
-    datum = bat_to_hopf_datum(res.bat)
-    v1 = trivalence(datum)["trivalent"]
+    v1 = "0" in classify(bat_to_hopf_datum(res.bat))["pattern"]
 
     b1, b2 = res.bat.b1, res.bat.b2
     probes = ((sys.i1, b1, A), (sys.i2, b2, A),

@@ -26,6 +26,7 @@ from .linmaps import (
     apply_at,
     dim_of,
     json_dim,
+    json_name,
     linmap_from_json,
     linmap_to_json,
     pipeline_as_linmap,
@@ -422,43 +423,14 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
 # trivalence and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrivalencePattern:
-    """Which interaction maps differ from their (co)unit-tensor forms.
-
-    True means nontrivial; the string form orders the flags as
-    (coact_l, coact_r, act_l, act_r).
-    """
-
-    coact_l: bool
-    coact_r: bool
-    act_l: bool
-    act_r: bool
-
-    @property
-    def string(self) -> str:
-        flags = (self.coact_l, self.coact_r, self.act_l, self.act_r)
-        return "".join("1" if b else "0" for b in flags)
-
-    @property
-    def table(self):
-        return ((self.coact_l, self.coact_r), (self.act_l, self.act_r))
-
-    def to_json(self) -> dict:
-        return {"pattern": self.string,
-                "nontrivial": {"coact_l": self.coact_l,
-                               "coact_r": self.coact_r,
-                               "act_l": self.act_l,
-                               "act_r": self.act_r}}
-
-
 _SLOTS = ("coact_l", "coact_r", "act_l", "act_r")
 
 
-def _pattern_of(d: HopfDatum) -> TrivalencePattern:
+def _pattern_of(d: HopfDatum) -> str:
+    """Which interaction maps differ from their (co)unit-tensor forms: one
+    flag per slot of _SLOTS, "1" for nontrivial."""
     forms = _trivial_forms(d.b1, d.b2)
-    return TrivalencePattern(
-        *(getattr(d, k) != forms[k] for k in _SLOTS))
+    return "".join("1" if getattr(d, k) != forms[k] else "0" for k in _SLOTS)
 
 
 def trivalence(d: HopfDatum) -> dict:
@@ -470,7 +442,7 @@ def trivalence(d: HopfDatum) -> dict:
     those maps is both an algebra and a coalgebra morphism.
     """
     pattern = _pattern_of(d)
-    trivalent = not all(pattern.table[0] + pattern.table[1])
+    trivalent = "0" in pattern
     prod = cross_structure(d.b1, d.b2, *_mixed_maps(d))
     P = (prod.space,)
     id1, id2 = d.b1.id_map(), d.b2.id_map()
@@ -509,7 +481,7 @@ def _family(pattern: str) -> str:
 
 def classify(d: HopfDatum) -> dict:
     """Raw triviality pattern plus its mirror/dual symmetry family."""
-    pattern = _pattern_of(d).string
+    pattern = _pattern_of(d)
     return {"pattern": pattern, "family": _family(pattern)}
 
 
@@ -559,6 +531,11 @@ def datum_from_json(obj: dict) -> HopfDatum:
         spaces = {}
         for e in obj["spaces"]:
             name, dim = e["name"], e["dim"]
+            try:
+                json_name(name)
+            except ValueError as err:
+                raise ShapeError(f"bad datum encoding: space name {err}"
+                                 ) from err
             try:
                 spaces[name] = Space(name, json_dim(dim))
             except ValueError as err:

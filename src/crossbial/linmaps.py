@@ -537,6 +537,14 @@ def json_dim(x) -> int:
     return x
 
 
+def json_name(x) -> str:
+    """x itself if it is a JSON string, the only valid space name; anything
+    else is refused with ValueError."""
+    if not isinstance(x, str):
+        raise ValueError(f"{x!r} is not a string")
+    return x
+
+
 def linmap_to_json(f: LinMap) -> dict:
     return {
         "dom": [s.name for s in f.dom],

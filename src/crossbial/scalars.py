@@ -100,12 +100,13 @@ def _reduce(n: int, d: int, poly) -> list:
     """The int polynomial poly mod Phi_n, as d = phi(n) coefficients."""
     out = list(poly[:d])
     out += [0] * (d - len(out))
-    table = _power_table(n)
-    for k in range(d, len(poly)):
-        c = poly[k]
-        if c:
-            for i, t in table[k % n]:
-                out[i] += c * t
+    if len(poly) > d:
+        table = _power_table(n)
+        for k in range(d, len(poly)):
+            c = poly[k]
+            if c:
+                for i, t in table[k % n]:
+                    out[i] += c * t
     return out
 
 
@@ -405,6 +406,11 @@ def json_int(x) -> int:
     return x
 
 
+# The largest conductor a JSON document may name: the reduction table of
+# Phi_n takes seconds to build by n = 10^4, and the zoo writes at most 64.
+MAX_JSON_CONDUCTOR = 1024
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return parse_rational(obj)
@@ -418,6 +424,9 @@ def scalar_from_json(obj) -> Scalar:
             raise ScalarParseError(f"malformed cyclotomic {obj!r}")
         if n < 1:
             raise ScalarParseError(f"bad conductor in {obj!r}")
+        if n > MAX_JSON_CONDUCTOR:
+            raise ScalarParseError(
+                f"conductor {n} exceeds {MAX_JSON_CONDUCTOR}")
         if len(coeffs) > euler_phi(n):
             raise ScalarParseError(f"too many coefficients for conductor {n}")
         return Cyclo.make(n, [parse_rational(c) for c in coeffs])

@@ -24,6 +24,8 @@ from .linmaps import (
     _dims,
     apply_at,
     dim_of,
+    linmap_from_json,
+    linmap_to_json,
     reduce_rows,
     run_pipeline,
     unflatten,
@@ -569,7 +571,6 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
 # ---------------------------------------------------------------------------
 
 def structure_to_json(s: Structure) -> dict:
-    from .linmaps import linmap_to_json
     out = {
         "space": s.space.name,
         "m": linmap_to_json(s.m),
@@ -583,7 +584,6 @@ def structure_to_json(s: Structure) -> dict:
 
 
 def structure_from_json(obj: dict, spaces: Dict[str, Space]) -> Structure:
-    from .linmaps import linmap_from_json
     try:
         space = spaces[obj["space"]]
         maps = {k: linmap_from_json(obj[k], spaces)

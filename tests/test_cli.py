@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from crossbial.cli import (
     save_workspace,
     workspace_to_json,
 )
-from crossbial.linmaps import LinMap, UNIT
+from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import root_of_unity
 from crossbial.zoo import sweedler_crossed_modules, taft_factor
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
@@ -228,6 +229,12 @@ def _scalar_map(enc):
     return {"f": {"dom": [], "cod": [], "matrix": [[enc]]}}
 
 
+def _rad_spaces_and(name):
+    """The spaces of the Radford(2,1,2,1) workspace plus one named name."""
+    return [{"dim": 4, "name": "Rad(2,1,2,1)"}, {"dim": 2, "name": "Taft2"},
+            {"dim": 2, "name": "kC2"}, {"dim": 2, "name": name}]
+
+
 @pytest.mark.parametrize("section, value", [
     ("structures", [1]), ("maps", 5), ("spaces", {"X": 2}),
     ("structures", {"main": 1}), ("maps", {"f": [1]}),
@@ -241,7 +248,10 @@ def _scalar_map(enc):
     # a rational is '-'?digits('/'digits)?, nothing more lenient
     ("maps", _scalar_map("1_0/1")), ("maps", _scalar_map(" 3 / 4 ")),
     ("maps", _scalar_map("\u0663")),
-    ("maps", _scalar_map({"n": 3, "coeffs": ["1_0", "1"]}))])
+    ("maps", _scalar_map({"n": 3, "coeffs": ["1_0", "1"]})),
+    # a space name is a JSON string
+    ("spaces", _rad_spaces_and(7)), ("spaces", _rad_spaces_and(None)),
+    ("spaces", _rad_spaces_and(2.5)), ("spaces", _rad_spaces_and(True))])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)
@@ -254,6 +264,48 @@ def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
     assert out == ""
     assert f"crossbial: error: /{section}" in err
     assert "Traceback" not in err
+
+
+def _renamed(node, old, new):
+    """node with every string equal to old replaced by new."""
+    if isinstance(node, dict):
+        return {k: _renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+def test_non_string_space_name_is_refused(tmp_path, capsys):
+    # Taft2 renamed 7 everywhere: once loaded, the first factor written by
+    # `cross decompose` would have an int name among str ones
+    path = build_radford_ws(tmp_path, capsys)
+    obj = _renamed(json.loads(open(path).read()), "Taft2", 7)
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    keep = tmp_path / "keep.json"
+    keep.write_text("kept\n")
+    code, out, err = run(capsys, "cross", "decompose", "--in", bad,
+                         "-o", str(keep))
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: /spaces/1: 7 is not a string" in err
+    assert keep.read_text() == "kept\n"
+
+
+def test_large_conductor_is_refused_before_any_work(tmp_path, capsys):
+    # Phi_10007's power table alone takes seconds to build
+    path = build_radford_ws(tmp_path, capsys)
+    obj = json.loads(open(path).read())
+    obj["maps"] = _scalar_map({"n": 10007, "coeffs": ["0/1", "1/1"]})
+    del obj["conductor"]
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: /maps/f: conductor 10007 exceeds 1024" in err
 
 
 def test_non_integer_space_dim_is_refused(tmp_path, capsys):
@@ -419,6 +471,16 @@ def test_workspace_roundtrip_is_byte_identical(tmp_path):
     save_workspace(load_workspace(a), b)
     assert open(a).read() == open(b).read()
     assert workspace_to_json(ws)["conductor"] == 3
+
+
+def test_a_failed_save_leaves_the_old_file_as_it_was(tmp_path):
+    # sorting int and str space names raises inside workspace_to_json
+    ws = Workspace(spaces={7: Space(7, 1), "x": Space("x", 1)})
+    path = tmp_path / "keep.json"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(TypeError):
+        save_workspace(ws, str(path))
+    assert path.read_bytes() == b"old bytes\n"
 
 
 def test_workspace_schema_violations_are_pointed_at(tmp_path, capsys):

@@ -134,9 +134,61 @@ def test_idempotent_route_matches_the_projection_route():
     sys2 = IdempotentSystem(H, system.i1 * system.p1, system.i2 * system.p2)
     res = decompose(H, sys2)
     assert (res.bat.b1.dim, res.bat.b2.dim) == (2, 2)
-    assert trivalence(bat_to_hopf_datum(res.bat))["pattern"].string == "1010"
+    assert trivalence(bat_to_hopf_datum(res.bat))["pattern"] == "1010"
     prod = build_cross_product(res.bat)
     assert prod.dim == 4
+
+
+# Idempotents S diag(d) S^-1 on Radford(2,1,2,1), S from a seeded search
+# over {-1, 0, 1}^(4x4): one pair per precondition decompose refuses, each
+# named by the first law an idempotent of the pair breaks, and one valid
+# pair.  The refusal's type is the contract; its wording is not.
+_S = {
+    "a": ((-1, -1, 1, 0), (0, 0, -1, 0), (1, 0, -1, -1), (0, 0, 1, 1)),
+    "b": ((1, -1, 0, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 0, -1, 1)),
+    "c": ((-1, -1, -1, 0), (-1, 1, 1, 0), (0, 1, -1, 1), (-1, 1, 1, -1)),
+    "d": ((0, 1, -1, 1), (-1, -1, -1, -1), (-1, 0, -1, -1), (1, 1, 0, 1)),
+    "e": ((-1, 1, 0, 1), (-1, 1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 1)),
+    "f": ((0, -1, -1, 1), (1, 0, 1, 1), (1, 0, 1, 0), (-1, 1, -1, 1)),
+    "g": ((0, 1, -1, -1), (1, -1, -1, 1), (1, -1, 0, 1), (-1, 1, -1, 1)),
+    "h": ((-1, -1, -1, -1), (1, -1, 0, 0), (-1, -1, 1, -1), (1, 1, -1, 0)),
+    "k": ((1, 1, 0, 0), (1, -1, 0, 1), (-1, 1, 0, 0), (0, 0, 1, 1)),
+    "l": ((1, 1, 1, 1), (1, 1, 0, 0), (1, -1, 0, 1), (0, 1, 1, -1)),
+}
+_IDEMPOTENT_CASES = {
+    "valid": (("a", (1, 1, 0, 0)), ("b", (1, 1, 0, 0)), None),
+    "not-idempotent": (("a", (1, 2, 0, 0)), ("b", (1, 1, 0, 0)),
+                       InvalidSystemError),
+    "product-stability": (("c", (1, 1, 0, 0)), ("d", (1, 1, 0, 0)),
+                          InvalidSystemError),
+    "unit": (("e", (1, 1, 0, 0)), ("f", (1, 1, 0, 0)), InvalidSystemError),
+    "coproduct-stability": (("g", (1, 1, 0, 0)), ("h", (1, 1, 0, 0)),
+                            InvalidSystemError),
+    "counit": (("k", (1, 1, 0, 0)), ("l", (1, 1, 0, 0)), InvalidSystemError),
+    "splitting": (("a", (1, 1, 0, 0)), ("a", (1, 1, 0, 0)),
+                  NotASplittingError),
+}
+
+
+def _conjugated(V, name, diag):
+    S = LinMap.from_rows((V,), (V,), _S[name])
+    D = LinMap((V,), (V,), {(i, i): ONE * x for i, x in enumerate(diag) if x})
+    return S * D * S.invert()
+
+
+@pytest.mark.parametrize("case", sorted(_IDEMPOTENT_CASES))
+def test_idempotent_systems_on_radford(case):
+    H, _, _ = radford_parts()
+    first, second, refusal = _IDEMPOTENT_CASES[case]
+    sys = IdempotentSystem(H, _conjugated(H.space, *first),
+                           _conjugated(H.space, *second))
+    if refusal is None:
+        res = decompose(H, sys)
+        assert (res.bat.b1.dim, res.bat.b2.dim) == (2, 2)
+        build_cross_product(res.bat)
+    else:
+        with pytest.raises(refusal):
+            decompose(H, sys)
 
 
 def test_rank_one_idempotents_do_not_split_the_product():

@@ -236,7 +236,7 @@ def test_order_search_reports_the_cap():
 
 def test_radford_datum_is_trivalent():
     tri = trivalence(radford_datum())
-    assert tri["pattern"].string == "1010"
+    assert tri["pattern"] == "1010"
     assert tri["trivalent"] is True
     assert sorted(tri["both_morphisms"]) == ["inj2", "proj2"]
     assert tri["consistent"] is True
@@ -244,7 +244,7 @@ def test_radford_datum_is_trivalent():
 
 def test_ore_datum_is_trivalent_on_the_other_side():
     tri = trivalence(ore_datum())
-    assert tri["pattern"].string == "0101"
+    assert tri["pattern"] == "0101"
     assert sorted(tri["both_morphisms"]) == ["inj1", "proj1"]
     assert tri["consistent"] is True
 
@@ -305,6 +305,10 @@ def test_datum_json_refuses_an_unknown_braiding():
     (lambda obj: obj["spaces"][0].update(dim=2.5), "dim 2.5, not an"),
     (lambda obj: obj["spaces"][0].update(dim="2"), "dim '2', not an"),
     (lambda obj: obj["spaces"][0].update(dim=True), "dim True, not an"),
+    (lambda obj: obj["spaces"].append({"name": 7, "dim": 2}),
+     "space name 7 is not a string"),
+    (lambda obj: obj["spaces"].append({"name": None, "dim": 2}),
+     "space name None is not a string"),
 ])
 def test_datum_json_malformed_fields_are_shape_errors(edit, message):
     obj = datum_to_json(radford_datum())

@@ -83,8 +83,7 @@ CHECKERS = {
     "datum.py": ["check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "conv_dot",
                     "matched_pair_from_pairing"],
-    "crossproduct.py": ["bat_to_hopf_datum", "_idempotent_preconditions",
-                        "decompose"],
+    "crossproduct.py": ["bat_to_hopf_datum", "decompose"],
 }
 
 

@@ -19,6 +19,7 @@ from crossbial.scalars import (
     root_of_unity,
     scalar_from_json,
     scalar_to_json,
+    _power_table,
 )
 
 F = Fraction
@@ -226,6 +227,22 @@ def test_rational_parse_takes_ascii_digits_only(text):
         parse_rational(text)
     with pytest.raises(ScalarParseError):
         scalar_from_json({"n": 3, "coeffs": [text, "1"]})
+
+
+def test_a_conductor_above_the_json_bound_is_refused():
+    with pytest.raises(ScalarParseError, match="conductor 10007 exceeds"):
+        scalar_from_json({"n": 10007, "coeffs": ["0/1", "1/1"]})
+    z = scalar_from_json({"n": 1024, "coeffs": ["0/1", "1/1"]})
+    assert z.coeffs[:2] == (F(0), F(1))
+    # the Python API takes any conductor
+    assert Cyclo.make(1031, [0, 1]).n == 1031
+
+
+def test_a_reduced_coefficient_list_builds_no_power_table():
+    before = _power_table.cache_info().misses
+    z = scalar_from_json({"n": 1021, "coeffs": ["0/1", "1/1"]})
+    assert z.coeffs == (F(0), F(1)) + (F(0),) * 1018
+    assert _power_table.cache_info().misses == before
 
 
 def test_rational_parse_reads_what_rational_to_json_writes():
