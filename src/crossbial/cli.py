@@ -24,7 +24,7 @@ from .crossproduct import (BAT, InvalidSystemError, NotABATError,
                            build_cross_product, decompose,
                            verify_trivalent_equivalences)
 from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
-                    check_hopf_datum, classify, recursion_order, trivalence)
+                    check_hopf_datum, recursion_order, trivalence)
 from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
                       ShapeError, Space, json_dim, json_int, json_name,
                       linmap_from_json,
@@ -170,13 +170,20 @@ def save_workspace(ws: Workspace, path: str) -> None:
         fh.write(text)
 
 
-def load_workspace(path: str) -> Workspace:
-    with open(path) as fh:
+def _read_json(path: str, error: type, what: str):
+    """The JSON document in the UTF-8 file at path.  Text that is not UTF-8
+    or not JSON (both ValueErrors, as is an integer literal with more
+    digits than int() converts) or nested past the parser's recursion
+    limit raises error(f"{what} ({reason})")."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise WorkspaceError(f"/: not JSON ({err})") from err
-    return workspace_from_json(obj)
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:
+            raise error(f"{what} ({err})") from err
+
+
+def load_workspace(path: str) -> Workspace:
+    return workspace_from_json(_read_json(path, WorkspaceError, "/: not JSON"))
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +291,7 @@ def _cmd_zoo(args) -> int:
         ws = Workspace().add_structure("main", H)
         extra = {"built": "group", "dim": H.dim}
     else:
-        with open(args.spec) as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise UsageError(f"--spec is not JSON ({err})") from err
+        spec = _read_json(args.spec, UsageError, "--spec is not JSON")
         try:
             fields = (tuple(map(json_int, spec["orders"])),
                       json_int(spec["t"]),
@@ -333,12 +336,9 @@ def _cmd_datum(args) -> int:
         res = recursion_order(d, args.max_n)
         return _finish(args, {}, res, "order" in res)
     if args.datum_cmd == "classify":
-        res = classify(d)
         tri = trivalence(d)
-        extra = {"pattern": tri["pattern"],
-                 "trivalent": tri["trivalent"],
-                 "family": res["family"],
-                 "consistent": tri["consistent"]}
+        extra = {k: tri[k]
+                 for k in ("pattern", "trivalent", "family", "consistent")}
         return _finish(args, {}, extra, tri["consistent"])
     # build
     st = build_bialgebra(d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Tuple, Union
 
-from .datum import HopfDatum, classify, product_braiding
+from .datum import HopfDatum, _pattern_of, product_braiding
 from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip, apply_at,
                       reduce_rows, run_pipeline)
 from .scalars import ONE
@@ -134,6 +134,7 @@ class IdempotentSystem:
 class DecomposeResult(NamedTuple):
     bat: BAT
     iso: LinMap  # m_A o (i1 (x) i2), invertible onto A
+    verdicts: Tuple[dict, ...]  # classify_morphism of i1, i2, p1, p2
 
 
 def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
@@ -172,7 +173,9 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     m_A o (Pi1 (x) Pi2) and (Pi1 (x) Pi2) o delta_A split Pi1 (x) Pi2 iff
     the two maps above are mutually inverse, because i1 (x) i2 is
     injective and p1 (x) p2 surjective.  The returned tuple's connecting
-    maps are read off the transported product and coproduct.
+    maps are read off the transported product and coproduct; `verdicts`
+    holds the full classify_morphism dicts of i1, i2, p1 and p2 against
+    the factor structures, in that order.
     """
     braiding = braiding or VectFlip()
     check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
@@ -198,12 +201,14 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
         raise InvalidSystemError("p2 o i2 is not the identity")
 
     b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
+    verdicts = []
     for tag, f, src, dst, want in (
             ("i1", i1, b1, A, "is_algebra_morphism"),
             ("i2", i2, b2, A, "is_algebra_morphism"),
             ("p1", p1, A, b1, "is_coalgebra_morphism"),
             ("p2", p2, A, b2, "is_coalgebra_morphism")):
-        if not classify_morphism(f, src, dst)[want]:
+        verdicts.append(classify_morphism(f, src, dst))
+        if not verdicts[-1][want]:
             kind = want.split("_")[1]
             raise InvalidSystemError(f"{tag} is not a {kind} morphism")
 
@@ -220,7 +225,8 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
                           [phi_inv]])
     phi12 = run_pipeline([[phi], [A.delta], [phi_inv, phi_inv],
                           [b1.eps, id2, id1, b2.eps]])
-    return DecomposeResult(BAT(b1, b2, phi12, phi21, braiding), phi)
+    return DecomposeResult(BAT(b1, b2, phi12, phi21, braiding), phi,
+                           tuple(verdicts))
 
 
 def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
@@ -233,16 +239,9 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     All three must agree, and the agreement is the final entry.
     """
     res = decompose(A, sys, braiding)
-    v1 = "0" in classify(bat_to_hopf_datum(res.bat))["pattern"]
-
-    b1, b2 = res.bat.b1, res.bat.b2
-    probes = ((sys.i1, b1, A), (sys.i2, b2, A),
-              (sys.p1, A, b1), (sys.p2, A, b2))
-    v3 = False
-    for f, src, dst in probes:
-        c = classify_morphism(f, src, dst)
-        if c["is_algebra_morphism"] and c["is_coalgebra_morphism"]:
-            v3 = True
+    v1 = "0" in _pattern_of(bat_to_hopf_datum(res.bat))
+    v3 = any(c["is_algebra_morphism"] and c["is_coalgebra_morphism"]
+             for c in res.verdicts)
     v4 = False
     for i, p in ((sys.i1, sys.p1), (sys.i2, sys.p2)):
         c = classify_morphism(i * p, A, A)

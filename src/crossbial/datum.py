@@ -434,7 +434,7 @@ def _pattern_of(d: HopfDatum) -> str:
 
 
 def trivalence(d: HopfDatum) -> dict:
-    """Triviality pattern plus the morphism witnesses on the product.
+    """Triviality pattern, family and the product's morphism witnesses.
 
     Each of the four canonical unit/counit tensor maps between a factor and
     the induced structure is classified; the datum is trivalent iff at
@@ -458,6 +458,7 @@ def trivalence(d: HopfDatum) -> dict:
             if c["is_algebra_morphism"] and c["is_coalgebra_morphism"]]
     return {
         "pattern": pattern,
+        "family": _family(pattern),
         "trivalent": trivalent,
         "witness": witness,
         "both_morphisms": both,

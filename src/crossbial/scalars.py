@@ -383,9 +383,15 @@ def parse_rational(s: str) -> Fraction:
     if not isinstance(s, str):
         raise ScalarParseError(f"rational must be a string, got {s!r}")
     match = _RATIONAL.fullmatch(s)
-    if match is None or int(match[2] or 1) == 0:
+    if match is None:
         raise ScalarParseError(f"malformed rational {s!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    try:
+        num, den = int(match[1]), int(match[2] or 1)
+    except ValueError as err:  # more digits than int() converts
+        raise ScalarParseError(f"malformed rational ({err})") from err
+    if den == 0:
+        raise ScalarParseError(f"malformed rational {s!r}")
+    return Fraction(num, den)
 
 
 def rational_to_json(f: Fraction) -> str:

@@ -228,8 +228,7 @@ def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
     return fuse(P, m, b1.eta @ b2.eta, delta, b1.eps @ b2.eps, S)
 
 
-def tensor_structure(a: Structure, b: Structure, bp=None,
-                     name: Optional[str] = None) -> Structure:
+def tensor_structure(a: Structure, b: Structure, bp=None) -> Structure:
     """Tensor product structure on A(x)B with the braiding in the middle.
 
     m = (m_A (x) m_B) o (id (x) Psi_{B,A} (x) id) and dually for delta.
@@ -241,7 +240,7 @@ def tensor_structure(a: Structure, b: Structure, bp=None,
     A, B = a.space, b.space
     S = a.S @ b.S if a.S is not None and b.S is not None else None
     return cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
-                           name or f"({A.name}.{B.name})", S)
+                           f"({A.name}.{B.name})", S)
 
 
 # ---------------------------------------------------------------------------

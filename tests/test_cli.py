@@ -251,7 +251,9 @@ def _rad_spaces_and(name):
     ("maps", _scalar_map({"n": 3, "coeffs": ["1_0", "1"]})),
     # a space name is a JSON string
     ("spaces", _rad_spaces_and(7)), ("spaces", _rad_spaces_and(None)),
-    ("spaces", _rad_spaces_and(2.5)), ("spaces", _rad_spaces_and(True))])
+    ("spaces", _rad_spaces_and(2.5)), ("spaces", _rad_spaces_and(True)),
+    # more digits than int() converts from a string
+    ("maps", _scalar_map("1" + "0" * 5000 + "/1"))])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)
@@ -263,6 +265,24 @@ def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert f"crossbial: error: /{section}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff", b"[" * 200000,
+                                     b"1" + b"0" * 5000],
+                         ids=["not-utf8", "too-deep", "5000-digits"])
+@pytest.mark.parametrize("argv, message", [
+    (["check", "hopf", "--in"], "/: not JSON ("),
+    (["zoo", "build", "ore", "--spec"], "--spec is not JSON (")],
+    ids=["workspace", "spec"])
+def test_undecodable_json_files_are_usage_errors(tmp_path, capsys, argv,
+                                                 message, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *argv, str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"crossbial: error: {message}" in err
     assert "Traceback" not in err
 
 

@@ -221,7 +221,9 @@ def test_rational_parse_rejects_bad_input():
 
 @pytest.mark.parametrize("text", [
     "1_0/1", " 3 / 4 ", "\u0663", "+1", "1/-2", "1.5", "5\n", "", "-",
-    "1/", "/2", "0x10", "1e3", "\uff11"])
+    "1/", "/2", "0x10", "1e3", "\uff11",
+    # more digits than int() converts from a string
+    pytest.param("1" + "0" * 5000 + "/1", id="5000-digits")])
 def test_rational_parse_takes_ascii_digits_only(text):
     with pytest.raises(ScalarParseError, match="malformed rational"):
         parse_rational(text)

@@ -6,6 +6,7 @@ already passed on the same object with the same braiding and a kind at least
 as strong (hopf covers bialgebra, which covers algebra and coalgebra).
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,40 @@ def test_matched_pair_checks_each_factor_once(spy):
         "is_matched_pair"]
     assert spy.calls > 0
     assert spy.repeats == []
+
+
+def _count_calls(monkeypatch, name, *mods):
+    """Replace name in each of mods that imports it by a wrapper; the
+    returned list grows by one entry per call."""
+    orig, calls = getattr(mods[0], name), []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    for mod in mods:
+        if getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
+                                                   capsys):
+    out = radford(RadfordParams(3, 1, 3, 1))
+    morphisms = _count_calls(monkeypatch, "classify_morphism",
+                             structures, datum, crossproduct)
+    rep = crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
+    assert rep.ok, rep.failed()
+    # decompose's four split maps, then the two idempotents i_j o p_j
+    assert len(morphisms) == 6
+
+    path = str(tmp_path / "rad.json")
+    assert cli.main(["zoo", "build", "radford", "--n", "3", "--q-exp", "1",
+                     "--N", "3", "--nu", "1", "-o", path]) == 0
+    capsys.readouterr()
+    patterns = _count_calls(monkeypatch, "_pattern_of", datum, crossproduct)
+    assert cli.main(["datum", "classify", "--in", path,
+                     "--format", "json"]) == 0
+    assert len(patterns) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["pattern"], report["family"]) == ("1010", "biproduct")

@@ -227,3 +227,8 @@ def test_zoo_splittings_roundtrip_through_decompose():
                 ore_finite(OreParams((2,), 1, ((1,),), ((1,),)))):
         res = decompose(out["H"], out["system"])
         assert bat_to_hopf_datum(res.bat) == out["datum"]
+        A, sysm, b1, b2 = out["H"], out["system"], res.bat.b1, res.bat.b2
+        assert res.verdicts == (classify_morphism(sysm.i1, b1, A),
+                                classify_morphism(sysm.i2, b2, A),
+                                classify_morphism(sysm.p1, A, b1),
+                                classify_morphism(sysm.p2, A, b2))
