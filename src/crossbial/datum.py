@@ -33,7 +33,7 @@ from .linmaps import (
     pipeline_columns,
     run_pipeline,
 )
-from .scalars import ZERO
+from .scalars import ONE, ZERO, json_int
 from .structures import (
     ActionData,
     CheckEntry,
@@ -352,31 +352,95 @@ def sop_compose(a, b):
 
 def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     """Assemble the recursion operator matrix without ever materialising a
-    12-strand map: the diagram is split at its widest row, the bottom half
-    is pushed forward column by column, the top half is pulled back row by
-    row (transposed factors in reverse order), and the two halves are
-    joined over the spectator strands."""
+    12-strand map, as a meet in the middle of its split diagram.
+
+    The diagram is split at its widest row into a bottom half, from the
+    quad to the 12 strands of the cut, and a top half back to the quad.
+    A vector on the cut has the quad on its middle four strands and a
+    spectator side (a, c) on the outer ones, and each entry of Phi is a
+    sum over sides of a top term times a bottom term.  The half whose push
+    from the quad is cheaper by _cost (the top read upside down) is pushed
+    one basis column at a time; the other half is evaluated only on the
+    sides that push reached (see _meet).  Reading the whole diagram upside
+    down swaps both index pairs of Phi, so when the top half is the
+    cheaper one the upside-down halves go through the same meet and their
+    terms swap roles.
+    """
     dV = dim_of(d.quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
     bottom, top = layers[:6], layers[6:]
-    top_t = [[f.transpose() for f in layer] for layer in reversed(top)]
-    # each image lives on the 12 strands of the cut; the middle four are
-    # the quad, the outer ones the spectators the halves are joined over
-    R = dim_of(tuple(s for f in top[0] for s in f.dom)[8:])
-    from_bot: Dict[tuple, list] = {}
-    from_top: Dict[tuple, list] = {}
-    for half, joined in ((bottom, from_bot), (top_t, from_top)):
-        for v, col in pipeline_columns(half):
-            for (key, _), val in col.entries.items():
+    bottom_cost, top_cost = _cost(bottom), _cost(top, upside_down=True)
+    if top_cost < bottom_cost:
+        tops, bots = _meet(_transposed(top), _transposed(bottom), bottom_cost)
+    else:
+        bots, tops = _meet(bottom, top, top_cost)
+    phi: Dict[int, Dict[int, object]] = {}
+    for side, terms in tops.items():
+        _join(phi, dV, terms, bots.get(side, ()))
+    return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
+
+
+def _transposed(layers: List[List[LinMap]]) -> List[List[LinMap]]:
+    """The diagram read upside down: transposed factors, rows reversed."""
+    return [[f.transpose() for f in layer] for layer in reversed(layers)]
+
+
+def _cost(layers: List[List[LinMap]], upside_down: bool = False) -> int:
+    """A bound on the entries the strand kernel visits while it pushes one
+    basis vector through the layers, or through the layers read upside
+    down: a factor other than an identity (which the kernel skips) visits
+    at most the product of the widest columns of the factors applied
+    before it.  A column of a transposed factor is a row of the factor."""
+    spread, cost = 1, 0
+    for layer in reversed(layers) if upside_down else layers:
+        for f in reversed(layer):
+            if f != LinMap.identity(f.dom):
+                cost += spread
+            lines = f.by_row() if upside_down else f.by_col()
+            spread *= max(map(len, lines.values()), default=0)
+    return cost
+
+
+def _meet(near, far, pull_cost: int):
+    """The terms of both halves of a split diagram, by spectator side.
+
+    near runs from the quad to the cut and is pushed one basis column at
+    a time: its terms on side (a, c) are (v, j, x) for the entry x at cut
+    vector (a, j, c) of the image of quad vector v.  far runs from the cut
+    back to the quad; its terms on side (a, c) are (u, i, y) for its entry
+    y at row u, column (a, i, c).  far is pushed from the cut vectors of
+    the sides near reached, one block of dV columns per side, unless
+    pulling it back from the quad row by row (pushing far read upside
+    down, whose _cost is pull_cost) costs no more by the _cost bounds;
+    then the unreached sides of the pull-back are dropped.  Returns
+    (near terms, far terms); the far terms lie on sides near reached.
+    """
+    cut = tuple(s for f in far[0] for s in f.dom)
+    quad = cut[4:8]
+    dV, R = dim_of(quad), dim_of(cut[8:])
+
+    def by_side(columns, keep=None):
+        terms: Dict[tuple, list] = {}
+        for v, col in columns:
+            for (key, _), x in col.entries.items():
                 a, rest = divmod(key, dV * R)
                 i, c = divmod(rest, R)
-                joined.setdefault((a, c), []).append((v, i, val))
+                if keep is None or (a, c) in keep:
+                    terms.setdefault((a, c), []).append((v, i, x))
+        return terms
 
-    phi: Dict[int, Dict[int, object]] = {}
-    for side, tops in from_top.items():
-        _join(phi, dV, tops, from_bot.get(side, ()))
-    return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
+    near_terms = by_side(pipeline_columns(near))
+    if len(near_terms) * _cost(far) >= pull_cost:
+        return near_terms, by_side(pipeline_columns(_transposed(far)),
+                                   near_terms)
+    far_terms = {}
+    for a, c in near_terms:
+        block = LinMap._trusted(quad, cut, {
+            ((a * dV + i) * R + c, i): ONE for i in range(dV)}, True)
+        image = run_pipeline([[block]] + far)
+        far_terms[(a, c)] = [(u, i, y) for (u, i), y in image.entries.items()]
+    return near_terms, far_terms
 
 
 def _join(out, dV: int, tops, bots) -> None:
@@ -407,8 +471,11 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
     """Least n with Phi^n o (Id - P) = 0 at the superoperator level.
 
     Returns {"order": n} when found within the cap, otherwise
-    {"not_recursive_up_to": n_max}.
+    {"not_recursive_up_to": n_max}.  An n_max that is not an int of at
+    least 0 is refused with ValueError before any work.
     """
+    if json_int(n_max) < 0:
+        raise ValueError(f"n_max {n_max!r} is negative")
     sop = build_phi_superoperator(d)
     rem = _corner_complement(d)
     for n in range(n_max + 1):

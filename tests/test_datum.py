@@ -1,12 +1,15 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from crossbial import datum
 from crossbial.datum import (
     _corner_complement,
     _family,
+    _phi_layers,
     build_bialgebra,
     build_phi_superoperator,
     check_hopf_datum,
@@ -20,7 +23,8 @@ from crossbial.datum import (
     trivalence,
     trivial_datum,
 )
-from crossbial.linmaps import LinMap, ShapeError, Space, UNIT
+from crossbial.linmaps import (LinMap, ShapeError, Space, UNIT, dim_of,
+                               pipeline_columns)
 from crossbial.structures import (
     PreconditionError,
     Structure,
@@ -29,7 +33,8 @@ from crossbial.structures import (
     yd_provider,
     yd_provider_left,
 )
-from crossbial.zoo import (OreParams, RadfordParams, ore_finite, radford,
+from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
+                           group_algebra, ore_finite, radford,
                            sweedler_crossed_modules)
 
 ONE = Fraction(1)
@@ -228,6 +233,95 @@ def test_recursion_operator_stabilises_at_the_order():
 def test_order_search_reports_the_cap():
     d = trivial_datum(group_hopf(2), group_hopf(2))
     assert recursion_order(d, 0) == {"not_recursive_up_to": 0}
+
+
+@pytest.mark.parametrize("n_max", [-1, True, 2.0, "4", None])
+def test_order_search_refuses_a_bad_cap_before_any_work(n_max, monkeypatch):
+    def never(d):
+        raise AssertionError("the superoperator was built")
+
+    monkeypatch.setattr(datum, "build_phi_superoperator", never)
+    with pytest.raises(ValueError):
+        recursion_order(radford_datum(), n_max)
+
+
+def test_order_of_the_doubled_kc4_is_found_quickly():
+    # the superoperator has 65536 columns; pulling both halves back from
+    # the quad took minutes, the cheap half first takes seconds
+    d = trivial_datum(group_algebra(4), group_algebra(4))
+    t0 = time.perf_counter()
+    assert recursion_order(d, 4) == {"order": 1}
+    assert time.perf_counter() - t0 < 20
+
+
+def two_pullback_phi(d):
+    """Phi as the first split build made it, kept as an oracle: the bottom
+    half pushed forward and the whole top half pulled back from the quad,
+    column by column, then joined over every spectator side."""
+    dV = dim_of(d.quad)
+    ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
+    layers = _phi_layers(d, ids)
+    bottom, top = layers[:6], layers[6:]
+    top_t = [[f.transpose() for f in layer] for layer in reversed(top)]
+    R = dim_of(tuple(s for f in top[0] for s in f.dom)[8:])
+    from_bot, from_top = {}, {}
+    for half, joined in ((bottom, from_bot), (top_t, from_top)):
+        for v, col in pipeline_columns(half):
+            for (key, _), val in col.entries.items():
+                a, rest = divmod(key, dV * R)
+                i, c = divmod(rest, R)
+                joined.setdefault((a, c), []).append((v, i, val))
+    phi = {}
+    for side, tops in from_top.items():
+        for u, i, a in tops:
+            for v, j, b in from_bot.get(side, ()):
+                col = phi.setdefault(i * dV + j, {})
+                col[u * dV + v] = col.get(u * dV + v, Fraction(0)) + a * b
+    phi = {c: {r: x for r, x in col.items() if x} for c, col in phi.items()}
+    return {c: col for c, col in phi.items() if col}
+
+
+def build_branch(d, monkeypatch):
+    """How build_phi_superoperator meets the halves of d's diagram: which
+    half it pushes from the quad (the bottom has six rows, the top five)
+    and whether it pulls the other half back from the quad too."""
+    seen = []
+    meet, columns = datum._meet, datum.pipeline_columns
+
+    def spy_meet(near, far, pull_cost):
+        seen.append("bottom-first" if len(near) == 6 else "mirrored")
+        return meet(near, far, pull_cost)
+
+    def spy_columns(layers):
+        seen.append("column")
+        return columns(layers)
+
+    monkeypatch.setattr(datum, "_meet", spy_meet)
+    monkeypatch.setattr(datum, "pipeline_columns", spy_columns)
+    sop = build_phi_superoperator(d)
+    monkeypatch.undo()
+    pulled = seen.count("column") == 2
+    return seen[0], "pull-back" if pulled else "forward", sop
+
+
+def test_superoperator_matches_the_two_pullback_oracle(monkeypatch):
+    from tests.test_acceptance import zoo_datums
+
+    k2, k2_dual = group_algebra(2), dual_group_algebra(2)
+    cases = [(d, None) for d in zoo_datums()] + [
+        (trivial_datum(k2_dual, k2_dual), ("mirrored", "forward")),
+        (trivial_datum(k2, k2_dual), ("mirrored", "pull-back")),
+        (radford_datum(), ("bottom-first", "forward")),
+    ]
+    for d, branch in cases:
+        near, far, sop = build_branch(d, monkeypatch)
+        assert branch in (None, (near, far))
+        want = two_pullback_phi(d)
+        assert sop.phi == want
+        assert {c: {r: repr(v) for r, v in col.items()}
+                for c, col in sop.phi.items()} == {
+            c: {r: repr(v) for r, v in col.items()}
+            for c, col in want.items()}
 
 
 # ---------------------------------------------------------------------------
