@@ -358,89 +358,34 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     quad to the 12 strands of the cut, and a top half back to the quad.
     A vector on the cut has the quad on its middle four strands and a
     spectator side (a, c) on the outer ones, and each entry of Phi is a
-    sum over sides of a top term times a bottom term.  The half whose push
-    from the quad is cheaper by _cost (the top read upside down) is pushed
-    one basis column at a time; the other half is evaluated only on the
-    sides that push reached (see _meet).  Reading the whole diagram upside
-    down swaps both index pairs of Phi, so when the top half is the
-    cheaper one the upside-down halves go through the same meet and their
-    terms swap roles.
+    sum over sides of a top term times a bottom term.  The bottom half is
+    pushed from the quad one basis column at a time.  The top half is
+    pushed only from the cut vectors (a, i, c) of the sides the bottom
+    reached, one block of dV columns per side, and each block's terms are
+    joined with the bottom terms on its side.  On the zoo datums the
+    bottom reaches a few percent of the sides, so most of the top half is
+    never evaluated.
     """
     dV = dim_of(d.quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
     bottom, top = layers[:6], layers[6:]
-    bottom_cost, top_cost = _cost(bottom), _cost(top, upside_down=True)
-    if top_cost < bottom_cost:
-        tops, bots = _meet(_transposed(top), _transposed(bottom), bottom_cost)
-    else:
-        bots, tops = _meet(bottom, top, top_cost)
+    cut = tuple(s for f in top[0] for s in f.dom)
+    R = dim_of(cut[8:])
+    bots: Dict[tuple, list] = {}
+    for v, col in pipeline_columns(bottom):
+        for (key, _), x in col.entries.items():
+            a, rest = divmod(key, dV * R)
+            i, c = divmod(rest, R)
+            bots.setdefault((a, c), []).append((v, i, x))
     phi: Dict[int, Dict[int, object]] = {}
-    for side, terms in tops.items():
-        _join(phi, dV, terms, bots.get(side, ()))
-    return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
-
-
-def _transposed(layers: List[List[LinMap]]) -> List[List[LinMap]]:
-    """The diagram read upside down: transposed factors, rows reversed."""
-    return [[f.transpose() for f in layer] for layer in reversed(layers)]
-
-
-def _cost(layers: List[List[LinMap]], upside_down: bool = False) -> int:
-    """A bound on the entries the strand kernel visits while it pushes one
-    basis vector through the layers, or through the layers read upside
-    down: a factor other than an identity (which the kernel skips) visits
-    at most the product of the widest columns of the factors applied
-    before it.  A column of a transposed factor is a row of the factor."""
-    spread, cost = 1, 0
-    for layer in reversed(layers) if upside_down else layers:
-        for f in reversed(layer):
-            if f != LinMap.identity(f.dom):
-                cost += spread
-            lines = f.by_row() if upside_down else f.by_col()
-            spread *= max(map(len, lines.values()), default=0)
-    return cost
-
-
-def _meet(near, far, pull_cost: int):
-    """The terms of both halves of a split diagram, by spectator side.
-
-    near runs from the quad to the cut and is pushed one basis column at
-    a time: its terms on side (a, c) are (v, j, x) for the entry x at cut
-    vector (a, j, c) of the image of quad vector v.  far runs from the cut
-    back to the quad; its terms on side (a, c) are (u, i, y) for its entry
-    y at row u, column (a, i, c).  far is pushed from the cut vectors of
-    the sides near reached, one block of dV columns per side, unless
-    pulling it back from the quad row by row (pushing far read upside
-    down, whose _cost is pull_cost) costs no more by the _cost bounds;
-    then the unreached sides of the pull-back are dropped.  Returns
-    (near terms, far terms); the far terms lie on sides near reached.
-    """
-    cut = tuple(s for f in far[0] for s in f.dom)
-    quad = cut[4:8]
-    dV, R = dim_of(quad), dim_of(cut[8:])
-
-    def by_side(columns, keep=None):
-        terms: Dict[tuple, list] = {}
-        for v, col in columns:
-            for (key, _), x in col.entries.items():
-                a, rest = divmod(key, dV * R)
-                i, c = divmod(rest, R)
-                if keep is None or (a, c) in keep:
-                    terms.setdefault((a, c), []).append((v, i, x))
-        return terms
-
-    near_terms = by_side(pipeline_columns(near))
-    if len(near_terms) * _cost(far) >= pull_cost:
-        return near_terms, by_side(pipeline_columns(_transposed(far)),
-                                   near_terms)
-    far_terms = {}
-    for a, c in near_terms:
-        block = LinMap._trusted(quad, cut, {
+    for (a, c), terms in bots.items():
+        block = LinMap._trusted(d.quad, cut, {
             ((a * dV + i) * R + c, i): ONE for i in range(dV)}, True)
-        image = run_pipeline([[block]] + far)
-        far_terms[(a, c)] = [(u, i, y) for (u, i), y in image.entries.items()]
-    return near_terms, far_terms
+        image = run_pipeline([[block]] + top)
+        _join(phi, dV, [(u, i, y) for (u, i), y in image.entries.items()],
+              terms)
+    return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
 
 
 def _join(out, dV: int, tops, bots) -> None:
