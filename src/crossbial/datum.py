@@ -42,7 +42,8 @@ from .structures import (
     _action_report,
     _algebra_entries,
     _coalgebra_entries,
-    _cross_maps,
+    _cross_comult,
+    _cross_mult,
     check_axioms,
     classify_morphism,
     compare,
@@ -248,7 +249,8 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
     """
     check_hopf_datum(d).require("datum fails {}")
     phi12, phi21 = _mixed_maps(d)
-    return InducedMaps(phi12, phi21, *_cross_maps(d.b1, d.b2, phi12, phi21))
+    return InducedMaps(phi12, phi21, _cross_mult(d.b1, d.b2, phi21),
+                       _cross_comult(d.b1, d.b2, phi12))
 
 
 def product_braiding(d, st: Structure) -> LinMap:

@@ -133,10 +133,14 @@ def compare(axiom: str, lhs: LinMap, rhs: LinMap) -> CheckEntry:
 
 @dataclass(frozen=True)
 class Structure:
-    """m: B(x)B->B, eta: k->B, delta: B->B(x)B, eps: B->k, optional S: B->B."""
+    """m: B(x)B->B, eta: k->B, delta: B->B(x)B, eps: B->k, optional S: B->B.
+
+    m may be None too: such a structure is a coalgebra (with a unit) only,
+    and the checks and encodings that read m refuse it.
+    """
 
     space: Space
-    m: LinMap
+    m: Optional[LinMap]
     eta: LinMap
     delta: LinMap
     eps: LinMap
@@ -145,11 +149,10 @@ class Structure:
     def __post_init__(self):
         B = (self.space,)
         checks = [("m", self.m, B * 2, B), ("eta", self.eta, UNIT, B),
-                  ("delta", self.delta, B, B * 2), ("eps", self.eps, B, UNIT)]
-        if self.S is not None:
-            checks.append(("S", self.S, B, B))
+                  ("delta", self.delta, B, B * 2), ("eps", self.eps, B, UNIT),
+                  ("S", self.S, B, B)]
         for name, f, dom, cod in checks:
-            if f.dom != dom or f.cod != cod:
+            if f is not None and (f.dom != dom or f.cod != cod):
                 raise ShapeError(f"{name} has wrong boundaries for "
                                  f"{self.space.name}")
 
@@ -193,27 +196,28 @@ def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
     return LinMap(dom, cod, f.entries)
 
 
-def fuse(space: Space, m: LinMap, eta: LinMap, delta: LinMap, eps: LinMap,
-         S: Optional[LinMap] = None) -> Structure:
+def fuse(space: Space, m: Optional[LinMap], eta: LinMap, delta: LinMap,
+         eps: LinMap, S: Optional[LinMap] = None) -> Structure:
     """Rebind multi-strand structure maps onto the single space `space`;
     each map's strands must multiply out to the matching power of
     space.dim."""
     P = (space,)
-    return Structure(space, rebind(m, P * 2, P, "m"),
+    return Structure(space, None if m is None else rebind(m, P * 2, P, "m"),
                      rebind(eta, UNIT, P, "eta"),
                      rebind(delta, P, P * 2, "delta"),
                      rebind(eps, P, UNIT, "eps"),
                      None if S is None else rebind(S, P, P, "S"))
 
 
-def _cross_maps(b1: Structure, b2: Structure, phi12: LinMap,
-                phi21: LinMap) -> Tuple[LinMap, LinMap]:
-    """m = (m1 (x) m2) o (id (x) phi21 (x) id) and
-    delta = (id (x) phi12 (x) id) o (delta1 (x) delta2) on B1(x)B2."""
-    id1, id2 = b1.id_map(), b2.id_map()
-    m = run_pipeline([[id1, phi21, id2], [b1.m, b2.m]])
-    delta = run_pipeline([[b1.delta, b2.delta], [id1, phi12, id2]])
-    return m, delta
+def _cross_mult(b1: Structure, b2: Structure, phi21: LinMap) -> LinMap:
+    """m = (m1 (x) m2) o (id (x) phi21 (x) id) on B1(x)B2."""
+    return run_pipeline([[b1.id_map(), phi21, b2.id_map()], [b1.m, b2.m]])
+
+
+def _cross_comult(b1: Structure, b2: Structure, phi12: LinMap) -> LinMap:
+    """delta = (id (x) phi12 (x) id) o (delta1 (x) delta2) on B1(x)B2."""
+    return run_pipeline([[b1.delta, b2.delta],
+                         [b1.id_map(), phi12, b2.id_map()]])
 
 
 def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
@@ -222,10 +226,10 @@ def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
     """The product/coproduct induced on B1(x)B2 by the connecting maps
     phi12: B1(x)B2 -> B2(x)B1 and phi21: B2(x)B1 -> B1(x)B2, fused onto one
     product space (default name "(B1><B2)").  Nothing is verified here."""
-    m, delta = _cross_maps(b1, b2, phi12, phi21)
     s1, s2 = b1.space, b2.space
     P = Space(name or f"({s1.name}><{s2.name})", s1.dim * s2.dim)
-    return fuse(P, m, b1.eta @ b2.eta, delta, b1.eps @ b2.eps, S)
+    return fuse(P, _cross_mult(b1, b2, phi21), b1.eta @ b2.eta,
+                _cross_comult(b1, b2, phi12), b1.eps @ b2.eps, S)
 
 
 def tensor_structure(a: Structure, b: Structure, bp=None) -> Structure:
@@ -241,6 +245,18 @@ def tensor_structure(a: Structure, b: Structure, bp=None) -> Structure:
     S = a.S @ b.S if a.S is not None and b.S is not None else None
     return cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
                            f"({A.name}.{B.name})", S)
+
+
+def tensor_coalgebra(a: Structure, b: Structure, bp=None) -> Structure:
+    """The tensor coalgebra on A(x)B: tensor_structure's eta, delta and eps
+    on the same space, with no multiplication (m is None).  A convolution
+    inverse over A(x)B reads nothing else; for two factors of dim 16 the
+    multiplication alone would have 65,536 columns."""
+    bp = bp or VectFlip()
+    A, B = a.space, b.space
+    P = Space(f"({A.name}.{B.name})", A.dim * B.dim)
+    return fuse(P, None, a.eta @ b.eta,
+                _cross_comult(a, b, bp.braiding(A, B)), a.eps @ b.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +293,9 @@ def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
     explicitly, as it must be for a fused product space that no provider
     has registered.
     """
+    if s.m is None and kind in ("algebra", "bialgebra", "hopf"):
+        raise ShapeError(f"{kind} check needs a multiplication; "
+                         f"{s.space.name} has none")
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind == "algebra":
@@ -517,7 +536,8 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
 
     The unknown matrix g is found by one sparse Gaussian elimination over
     the stacked left/right convolution systems, then both identities are
-    re-verified on the result before it is returned.
+    re-verified on the result before it is returned.  Only eta, delta and
+    eps of coalg are read, so it may have no m (see tensor_coalgebra).
     """
     check_axioms(coalg, "coalgebra", bp).require(
         "convolution boundary fails {}")
@@ -570,6 +590,9 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
 # ---------------------------------------------------------------------------
 
 def structure_to_json(s: Structure) -> dict:
+    if s.m is None:
+        raise ShapeError(f"structure {s.space.name} has no multiplication "
+                         "to encode")
     out = {
         "space": s.space.name,
         "m": linmap_to_json(s.m),

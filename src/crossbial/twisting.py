@@ -27,6 +27,7 @@ from .structures import (
     CheckReport,
     PreconditionError,
     Structure,
+    _cross_comult,
     _yd_providers,
     check_axioms,
     classify_morphism,
@@ -34,7 +35,7 @@ from .structures import (
     convolution_inverse,
     fuse,
     rebind,
-    tensor_structure,
+    tensor_coalgebra,
 )
 
 
@@ -138,12 +139,6 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     raise ValueError(f"unknown side {side!r}")
 
 
-def _tensor_square_delta(b: Structure, bp) -> LinMap:
-    """Comultiplication of the tensor coalgebra B (x) B."""
-    s, i = b.space, b.id_map()
-    return run_pipeline([[b.delta, b.delta], [i, bp.braiding(s, s), i]])
-
-
 def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
     """Convolution inverse of a scalar-valued form on a coalgebra.
 
@@ -161,8 +156,7 @@ def cocycle_inverse(c: TwoCocycle, bp=None) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
     B (x) B; a stored chi_inv is cross-checked, never trusted."""
     bp = bp or VectFlip()
-    square = tensor_structure(c.host, c.host, bp)
-    inv = _scalar_inverse(c.chi, square, bp)
+    inv = _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host, bp), bp)
     if c.chi_inv is not None and c.chi_inv != inv:
         raise ConsistencyError(
             "stored chi_inv disagrees with the computed convolution inverse")
@@ -186,7 +180,7 @@ def _cocycle_report(c: TwoCocycle, bp) -> CheckReport:
     a bialgebra."""
     b = c.host
     idb = b.id_map()
-    delta2 = _tensor_square_delta(b, bp)
+    delta2 = _cross_comult(b, b, bp.braiding(b.space, b.space))
     chi_m = conv_dot(c.chi, b.m, "left", delta2)
     left_unit = run_pipeline([[b.eta, idb], [c.chi]])
     right_unit = run_pipeline([[idb, b.eta], [c.chi]])
@@ -218,7 +212,7 @@ def twist(b: Structure, c: TwoCocycle, bp=None) -> Structure:
 def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
     """The body of twist, for a cocycle on b already validated."""
     chi_inv = cocycle_inverse(TwoCocycle(b, c.chi, c.chi_inv), bp)
-    delta2 = _tensor_square_delta(b, bp)
+    delta2 = _cross_comult(b, b, bp.braiding(b.space, b.space))
     m_chi = conv_dot(chi_inv, conv_dot(c.chi, b.m, "left", delta2),
                      "right", delta2)
     S_chi = None
@@ -272,7 +266,7 @@ def pairing_inverse(p: DualPairing, bp=None) -> LinMap:
     """Convolution inverse of the form over the tensor coalgebra
     H (x) A."""
     bp = bp or VectFlip()
-    return _scalar_inverse(p.form, tensor_structure(p.H, p.A, bp), bp)
+    return _scalar_inverse(p.form, tensor_coalgebra(p.H, p.A, bp), bp)
 
 
 def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
@@ -472,7 +466,7 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
 
     chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
                  (Z.space, Z.space), UNIT)
-    rho_inv = _scalar_inverse(rho, tensor_structure(B, C, bp), bp)
+    rho_inv = _scalar_inverse(rho, tensor_coalgebra(B, C, bp), bp)
     chi_inv = rebind(C.eps @ H.eps @ rho_inv @ H.eps @ B.eps,
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)

@@ -25,6 +25,8 @@ from crossbial.structures import (
     convolution_inverse,
     convolution_product,
     fuse,
+    structure_to_json,
+    tensor_coalgebra,
     tensor_structure,
     yd_provider,
 )
@@ -432,6 +434,23 @@ def test_tensor_structure_is_hopf():
 def test_tensor_structure_mixed_factors():
     t = tensor_structure(group_hopf(2), dual_group_hopf(2))
     assert check_axioms(t, "hopf").ok
+
+
+@pytest.mark.parametrize("build", ["tensor_coalgebra", "bare"])
+def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
+    a, b = group_hopf(2), group_hopf(3)
+    if build == "tensor_coalgebra":
+        s = tensor_coalgebra(a, b)
+    else:
+        s = Structure(a.space, None, a.eta, a.delta, a.eps, a.S)
+    assert s.m is None
+    rep = check_axioms(s, "coalgebra")
+    assert rep.ok, rep.failed()
+    for kind in ("algebra", "bialgebra", "hopf"):
+        with pytest.raises(ShapeError):
+            check_axioms(s, kind)
+    with pytest.raises(ShapeError):
+        structure_to_json(s)
 
 
 def test_fuse_refuses_a_space_of_the_wrong_dimension():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial.datum import ConsistencyError
-from crossbial.linmaps import LinMap, ShapeError, UNIT
+from crossbial.linmaps import LinMap, ShapeError, UNIT, VectFlip
 from crossbial.scalars import as_scalar, root_of_unity
 from crossbial.structures import (
     PreconditionError,
     check_axioms,
+    tensor_coalgebra,
     tensor_structure,
 )
 from crossbial.twisting import (
@@ -30,6 +31,7 @@ from crossbial.zoo import (
     group_algebra,
     sweedler_crossed_modules,
 )
+from tests.test_acceptance import braided_taft_pairing
 
 ONE = Fraction(1)
 
@@ -223,6 +225,46 @@ def test_braided_line_double_biproduct_twists_nontrivially():
     assert tm != Z.m
     col = {r: v for (r, c), v in tm.entries.items() if c == 24}
     assert col == {9: ONE, 2: ONE, 6: -ONE}
+
+
+def _pairing_sides():
+    p = canonical_pairing(3)
+    return p.H, p.A, VectFlip()
+
+
+def _sweedler_sides():
+    inp = sweedler_crossed_modules()
+    return inp.B, inp.C, VectFlip()
+
+
+def _q_line_sides(braided):
+    p, prov = braided_taft_pairing()
+    return p.H, p.A, prov if braided else VectFlip()
+
+
+TENSOR_FACTORS = {
+    "kC2.kC3": lambda: (group_algebra(2), group_algebra(3), VectFlip()),
+    "pairing-H.A": _pairing_sides,
+    "sweedler-B.C": _sweedler_sides,
+    "q-lines-flip": lambda: _q_line_sides(False),
+    "q-lines-yetter-drinfeld": lambda: _q_line_sides(True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_FACTORS))
+def test_tensor_coalgebra_is_the_tensor_structure_without_m(case):
+    # the convolution inverses solve over tensor_coalgebra, so its eta,
+    # delta and eps must be tensor_structure's, entry for entry
+    a, b, bp = TENSOR_FACTORS[case]()
+    co, full = tensor_coalgebra(a, b, bp), tensor_structure(a, b, bp)
+    assert co.m is None and co.S is None
+    assert repr(co.space) == repr(full.space)
+    for name in ("eta", "delta", "eps"):
+        f, g = getattr(co, name), getattr(full, name)
+        assert (f.dom, f.cod) == (g.dom, g.cod), name
+        assert list(f.entries.items()) == list(g.entries.items()), name
+        assert repr(f) == repr(g), name
+    assert check_axioms(co, "coalgebra", bp).ok
 
 
 def test_unit_bialgebra_is_a_hopf_one():

@@ -14,10 +14,12 @@ import pytest
 from crossbial import cli, crossproduct, datum, structures, twisting, zoo
 from crossbial.datum import check_hopf_datum
 from crossbial.linmaps import UNIT, LinMap, VectFlip
-from crossbial.twisting import (DualPairing, double_biproduct,
-                                matched_pair_from_pairing)
+from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
+                                double_biproduct, matched_pair_from_pairing,
+                                pairing_inverse, twist)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
                            radford, sweedler_crossed_modules)
+from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
 ONE = Fraction(1)
 
@@ -140,3 +142,36 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
     assert len(patterns) == 1
     report = json.loads(capsys.readouterr().out)
     assert (report["pattern"], report["family"]) == ("1010", "biproduct")
+
+
+class MultiplicationBuilt(Exception):
+    pass
+
+
+def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
+    # Every input is built first; then the builder of a cross or tensor
+    # product's multiplication raises, and each solve over a tensor
+    # coalgebra must still return what it returned before.
+    gg, c = bicharacter_cocycle(2)
+    pairing = canonical_pairing(3)
+    inp = sweedler_crossed_modules()
+    sb, sc = inp.B.space, inp.C.space
+    dinp = inp.with_rho(LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE}))
+
+    def run():
+        inv = cocycle_inverse(c)
+        tw = twist(gg, c)
+        back = twist(tw, TwoCocycle(gg, inv))
+        out = double_biproduct(dinp)
+        return (inv, tw, back, pairing_inverse(pairing), out["Z"],
+                out["rho_hat"], out["Z_twisted"], out["report"].to_json())
+
+    want = run()
+
+    def no_multiplication(*args):
+        raise MultiplicationBuilt
+
+    monkeypatch.setattr(structures, "_cross_mult", no_multiplication)
+    with pytest.raises(MultiplicationBuilt):
+        structures.tensor_structure(gg, gg)
+    assert run() == want
