@@ -22,6 +22,7 @@ from .structures import (
     CheckEntry,
     CheckReport,
     Structure,
+    _mult,
     check_axioms,
     classify_morphism,
     cross_structure,
@@ -64,6 +65,7 @@ class BAT:
     braiding: object = field(default_factory=VectFlip)
 
     def __post_init__(self):
+        _mult(self.b1), _mult(self.b2)
         s1, s2 = (self.b1.space,), (self.b2.space,)
         if self.phi12.dom != s1 + s2 or self.phi12.cod != s2 + s1:
             raise ShapeError("phi12 must map B1(x)B2 -> B2(x)B1")

@@ -44,6 +44,7 @@ from .structures import (
     _coalgebra_entries,
     _cross_comult,
     _cross_mult,
+    _mult,
     check_axioms,
     classify_morphism,
     compare,
@@ -84,6 +85,7 @@ class HopfDatum:
     braiding: object = field(default_factory=VectFlip)
 
     def __post_init__(self):
+        _mult(self.b1), _mult(self.b2)
         s1, s2 = (self.b1.space,), (self.b2.space,)
         shapes = [
             ("act_l", self.act_l, s2 + s1, s1),

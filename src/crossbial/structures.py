@@ -136,7 +136,7 @@ class Structure:
     """m: B(x)B->B, eta: k->B, delta: B->B(x)B, eps: B->k, optional S: B->B.
 
     m may be None too: such a structure is a coalgebra (with a unit) only,
-    and the checks and encodings that read m refuse it.
+    and every reader of m refuses it with ShapeError (through _mult).
     """
 
     space: Space
@@ -167,17 +167,19 @@ class Structure:
         """eta o eps, the convolution unit of End(B)."""
         return self.eta * self.eps
 
-    def replace(self, m=None, delta=None, S=None) -> "Structure":
-        return Structure(self.space, m if m is not None else self.m, self.eta,
-                         delta if delta is not None else self.delta, self.eps,
-                         S if S is not None else self.S)
+
+def _mult(s: Structure) -> LinMap:
+    """The multiplication of s; ShapeError if s is a coalgebra only."""
+    if s.m is None:
+        raise ShapeError(f"{s.space.name} has no multiplication")
+    return s.m
 
 
 def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
     """The structure A induces on the source of the injection i through the
     projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
     is verified here."""
-    m = run_pipeline([[i, i], [A.m], [p]])
+    m = run_pipeline([[i, i], [_mult(A)], [p]])
     return Structure(i.dom[0], m, p * A.eta,
                      run_pipeline([[i], [A.delta], [p, p]]), A.eps * i)
 
@@ -211,7 +213,8 @@ def fuse(space: Space, m: Optional[LinMap], eta: LinMap, delta: LinMap,
 
 def _cross_mult(b1: Structure, b2: Structure, phi21: LinMap) -> LinMap:
     """m = (m1 (x) m2) o (id (x) phi21 (x) id) on B1(x)B2."""
-    return run_pipeline([[b1.id_map(), phi21, b2.id_map()], [b1.m, b2.m]])
+    return run_pipeline([[b1.id_map(), phi21, b2.id_map()],
+                         [_mult(b1), _mult(b2)]])
 
 
 def _cross_comult(b1: Structure, b2: Structure, phi12: LinMap) -> LinMap:
@@ -293,9 +296,8 @@ def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
     explicitly, as it must be for a fused product space that no provider
     has registered.
     """
-    if s.m is None and kind in ("algebra", "bialgebra", "hopf"):
-        raise ShapeError(f"{kind} check needs a multiplication; "
-                         f"{s.space.name} has none")
+    if kind in ("algebra", "bialgebra", "hopf"):
+        _mult(s)
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind == "algebra":
@@ -351,19 +353,19 @@ _ACTOR_LAWS = {"module-l": "algebra", "module-r": "algebra",
                "comodule-l": "coalgebra", "comodule-r": "coalgebra"}
 
 
-def _verify_actor(s: Structure, kind: str, bp) -> None:
+def _verify_actor(s: Structure, kind: str) -> None:
     """The laws an actor needs before its (co)action of `kind` means
     anything: algebra for a module, coalgebra for a comodule."""
     if kind not in _ACTOR_LAWS:
         raise ValueError(f"unknown kind {kind!r}")
-    check_axioms(s, _ACTOR_LAWS[kind], bp).require(
+    check_axioms(s, _ACTOR_LAWS[kind]).require(
         "actor fails {}; validate it first")
 
 
-def check_action(a: ActionData, kind: str, bp=None) -> CheckReport:
+def check_action(a: ActionData, kind: str) -> CheckReport:
     """Unit+associativity (counit+coassociativity) of a (co)action; the
     actor's own laws are verified first."""
-    _verify_actor(a.actor, kind, bp)
+    _verify_actor(a.actor, kind)
     return _action_report(a, kind)
 
 
@@ -441,7 +443,7 @@ def check_crossed_module(cm: CrossedModuleData, bp=None) -> CheckReport:
     if cm.side not in _CROSSED_KINDS:
         raise ValueError(f"unknown side {cm.side!r}")
     for kind in _CROSSED_KINDS[cm.side]:
-        _verify_actor(cm.host, kind, bp)
+        _verify_actor(cm.host, kind)
     return _crossed_module_report(cm, bp or VectFlip())
 
 
@@ -513,7 +515,7 @@ def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
     """Test the four morphism laws of f : src -> dst exactly."""
     if f.dom != (src.space,) or f.cod != (dst.space,):
         raise ShapeError("morphism boundaries do not match the structures")
-    alg = ((f * src.m == dst.m * run_pipeline([[f, f]]))
+    alg = ((f * _mult(src) == _mult(dst) * run_pipeline([[f, f]]))
            and (f * src.eta == dst.eta))
     coa = ((run_pipeline([[src.delta], [f, f]]) == dst.delta * f)
            and (dst.eps * f == src.eps))
@@ -527,11 +529,10 @@ def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
 def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
                         alg: Structure) -> LinMap:
     """f * g = m o (f (x) g) o delta in Hom(C, A)."""
-    return alg.m * run_pipeline([[coalg.delta], [f, g]])
+    return _mult(alg) * run_pipeline([[coalg.delta], [f, g]])
 
 
-def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
-                        bp=None) -> LinMap:
+def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     """Solve f * g = eta o eps = g * f for g in Hom(C, A), exactly.
 
     The unknown matrix g is found by one sparse Gaussian elimination over
@@ -539,9 +540,8 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
     re-verified on the result before it is returned.  Only eta, delta and
     eps of coalg are read, so it may have no m (see tensor_coalgebra).
     """
-    check_axioms(coalg, "coalgebra", bp).require(
-        "convolution boundary fails {}")
-    check_axioms(alg, "algebra", bp).require("convolution boundary fails {}")
+    check_axioms(coalg, "coalgebra").require("convolution boundary fails {}")
+    check_axioms(alg, "algebra").require("convolution boundary fails {}")
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
     ida = LinMap.identity((A,))
@@ -590,12 +590,9 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure,
 # ---------------------------------------------------------------------------
 
 def structure_to_json(s: Structure) -> dict:
-    if s.m is None:
-        raise ShapeError(f"structure {s.space.name} has no multiplication "
-                         "to encode")
     out = {
         "space": s.space.name,
-        "m": linmap_to_json(s.m),
+        "m": linmap_to_json(_mult(s)),
         "eta": linmap_to_json(s.eta),
         "delta": linmap_to_json(s.delta),
         "eps": linmap_to_json(s.eps),

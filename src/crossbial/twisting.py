@@ -39,9 +39,9 @@ from .structures import (
 )
 
 
-def unit_bialgebra(name: str = "k") -> Structure:
+def unit_bialgebra() -> Structure:
     """The one-dimensional bialgebra (in fact Hopf algebra) on a point."""
-    s = Space(name, 1)
+    s = Space("k", 1)
     one = {(0, 0): ONE}
     return Structure(s, LinMap((s, s), (s,), one), LinMap(UNIT, (s,), one),
                      LinMap((s,), (s, s), one), LinMap((s,), UNIT, one),
@@ -139,7 +139,7 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     raise ValueError(f"unknown side {side!r}")
 
 
-def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
+def _scalar_inverse(f: LinMap, coalg: Structure) -> LinMap:
     """Convolution inverse of a scalar-valued form on a coalgebra.
 
     The form's multi-strand domain is rolled up into the single space of
@@ -148,7 +148,7 @@ def _scalar_inverse(f: LinMap, coalg: Structure, bp) -> LinMap:
     """
     k = unit_bialgebra()
     fp = rebind(f, (coalg.space,), (k.space,))
-    inv = convolution_inverse(fp, coalg, k, bp)
+    inv = convolution_inverse(fp, coalg, k)
     return rebind(inv, f.dom, UNIT)
 
 
@@ -156,7 +156,7 @@ def cocycle_inverse(c: TwoCocycle, bp=None) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
     B (x) B; a stored chi_inv is cross-checked, never trusted."""
     bp = bp or VectFlip()
-    inv = _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host, bp), bp)
+    inv = _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host, bp))
     if c.chi_inv is not None and c.chi_inv != inv:
         raise ConsistencyError(
             "stored chi_inv disagrees with the computed convolution inverse")
@@ -218,7 +218,7 @@ def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
     S_chi = None
     if b.S is not None:
         u = run_pipeline([[b.delta], [b.id_map(), b.S], [c.chi]])
-        u_inv = _scalar_inverse(u, b, bp)
+        u_inv = _scalar_inverse(u, b)
         S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
                          "right", b.delta)
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)
@@ -266,7 +266,7 @@ def pairing_inverse(p: DualPairing, bp=None) -> LinMap:
     """Convolution inverse of the form over the tensor coalgebra
     H (x) A."""
     bp = bp or VectFlip()
-    return _scalar_inverse(p.form, tensor_coalgebra(p.H, p.A, bp), bp)
+    return _scalar_inverse(p.form, tensor_coalgebra(p.H, p.A, bp))
 
 
 def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
@@ -466,7 +466,7 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
 
     chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
                  (Z.space, Z.space), UNIT)
-    rho_inv = _scalar_inverse(rho, tensor_coalgebra(B, C, bp), bp)
+    rho_inv = _scalar_inverse(rho, tensor_coalgebra(B, C, bp))
     chi_inv = rebind(C.eps @ H.eps @ rho_inv @ H.eps @ B.eps,
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)

@@ -21,7 +21,7 @@ from .datum import HopfDatum, _trivial_forms
 from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
                       unflatten)
 from .scalars import ONE, as_scalar, q_binomial, root_of_unity
-from .structures import Structure, fuse, rebind, restrict
+from .structures import Structure, fuse, restrict
 
 
 class ParameterError(ValueError):
@@ -410,26 +410,12 @@ def ore_finite(params: OreParams) -> dict:
 def sweedler_crossed_modules():
     """Sweedler's truncated factor as a crossed module on both sides.
 
-    H = kC2 with the factor of radford(2,1,2,1) as left crossed module and
-    the mirror factor of the matching Ore tower as right crossed module;
-    packaged as input for the double biproduct (pairing left unset).
+    The braided line pair at N = 2 on the spaces SwB and SwC: H = kC2,
+    with the left crossed module of radford(2,1,2,1) and the mirror right
+    crossed module of the matching Ore tower; packaged as input for the
+    double biproduct (pairing left unset).
     """
-    from .twisting import DoubleBiproductInput
-    H = group_algebra(2)
-    rad = radford(RadfordParams(2, 1, 2, 1))
-    ore = ore_finite(OreParams((2,), 1, ((1,),), ((1,),)))
-    taft = taft_factor(2, -ONE)
-    sb, sc = Space("SwB", 2), Space("SwC", 2)
-    sh = H.space
-
-    B, C = (fuse(sp, taft.m, taft.eta, taft.delta, taft.eps)
-            for sp in (sb, sc))
-    d_ore, d_rad = ore["datum"], rad["datum"]
-    b_act = rebind(d_ore.act_r, (sb, sh), (sb,))
-    b_coact = rebind(d_ore.coact_r, (sb,), (sb, sh))
-    c_act = rebind(d_rad.act_l, (sh, sc), (sc,))
-    c_coact = rebind(d_rad.coact_l, (sc,), (sh, sc))
-    return DoubleBiproductInput(H, B, C, b_act, b_coact, c_act, c_coact)
+    return _line_pair(2, Space("SwB", 2), Space("SwC", 2))
 
 
 def braided_line_input(N: int):
@@ -441,12 +427,16 @@ def braided_line_input(N: int):
     N >= 4 they differ, which is what keeps the induced cocycle twist of
     the assembled product from cancelling out.
     """
-    from .twisting import DoubleBiproductInput
     if N < 2 or N % 2:
         raise ParameterError("N must be even and at least 2")
+    return _line_pair(N, Space(f"Line{N}r", 2), Space(f"Line{N}l", 2))
+
+
+def _line_pair(N: int, sb: Space, sc: Space):
+    """The braided lines of braided_line_input(N) on the spaces sb, sc."""
+    from .twisting import DoubleBiproductInput
     H = group_algebra(N)
     sh = H.space
-    sb, sc = Space(f"Line{N}r", 2), Space(f"Line{N}l", 2)
     taft = taft_factor(2, -ONE)
     B, C = (fuse(sp, taft.m, taft.eta, taft.delta, taft.eps)
             for sp in (sb, sc))

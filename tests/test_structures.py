@@ -1,14 +1,19 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from crossbial.crossproduct import BAT, build_cross_product
+from crossbial.datum import (check_hopf_datum, recursion_order, trivalence,
+                             trivial_datum)
 from crossbial.linmaps import (
     ConfigurationError,
     LinMap,
     ShapeError,
     Space,
     UNIT,
+    VectFlip,
 )
 from crossbial.scalars import root_of_unity
 from crossbial.structures import (
@@ -24,7 +29,9 @@ from crossbial.structures import (
     compare,
     convolution_inverse,
     convolution_product,
+    cross_structure,
     fuse,
+    restrict,
     structure_to_json,
     tensor_coalgebra,
     tensor_structure,
@@ -122,8 +129,9 @@ def test_trivial_structure_passes():
 
 def test_corrupted_comultiplication():
     s = group_hopf(2)
-    bad = s.replace(delta=LinMap((s.space,), (s.space, s.space),
-                                 {(0, 0): ONE, (2, 1): ONE}))  # g -> g(x)1
+    bad = dataclasses.replace(s, delta=LinMap(
+        (s.space,), (s.space, s.space),
+        {(0, 0): ONE, (2, 1): ONE}))  # g -> g(x)1
     rep = check_axioms(bad, "coalgebra")
     assert rep.entry("coassociativity").ok
     assert rep.entry("right-counit").ok
@@ -322,7 +330,8 @@ def test_crossed_module_refuses_a_host_with_a_broken_unit():
 
 def test_yd_provider_refuses_a_host_that_is_not_hopf():
     H = group_hopf(3)
-    bad = H.replace(S=H.id_map())  # S(g) = g is no antipode on kC3
+    # S(g) = g is no antipode on kC3
+    bad = dataclasses.replace(H, S=H.id_map())
     with pytest.raises(PreconditionError) as exc:
         yd_provider(bad, [])
     assert str(exc.value) == "host fails left-antipode"
@@ -395,8 +404,8 @@ def test_zero_map_not_invertible():
 
 def test_convolution_precondition():
     s = group_hopf(2)
-    bad = s.replace(delta=LinMap((s.space,), (s.space, s.space),
-                                 {(0, 0): ONE, (2, 1): ONE}))
+    bad = dataclasses.replace(s, delta=LinMap(
+        (s.space,), (s.space, s.space), {(0, 0): ONE, (2, 1): ONE}))
     with pytest.raises(PreconditionError):
         convolution_inverse(s.id_map(), bad, s)
 
@@ -451,6 +460,22 @@ def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
             check_axioms(s, kind)
     with pytest.raises(ShapeError):
         structure_to_json(s)
+    # every other reader of m refuses it the same way
+    with pytest.raises(ShapeError):
+        classify_morphism(s.id_map(), s, s)
+    with pytest.raises(ShapeError):
+        convolution_product(s.id_map(), s.id_map(), s, s)
+    with pytest.raises(ShapeError):
+        restrict(s, s.id_map(), s.id_map())
+    flip = VectFlip().braiding
+    phi12, phi21 = flip(s.space, a.space), flip(a.space, s.space)
+    with pytest.raises(ShapeError):
+        cross_structure(s, a, phi12, phi21)
+    for reader in (check_hopf_datum, recursion_order, trivalence):
+        with pytest.raises(ShapeError):
+            reader(trivial_datum(s, a))
+    with pytest.raises(ShapeError):
+        build_cross_product(BAT(s, a, phi12, phi21))
 
 
 def test_fuse_refuses_a_space_of_the_wrong_dimension():

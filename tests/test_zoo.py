@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossbial import zoo
 from crossbial.crossproduct import bat_to_hopf_datum, decompose
 from crossbial.datum import check_hopf_datum
 from crossbial.linmaps import LinMap
@@ -213,6 +214,19 @@ def test_braided_line_input_at_two_is_the_sweedler_configuration():
     for field in ("b_act", "b_coact", "c_act", "c_coact"):
         assert getattr(a, field).entries == getattr(b, field).entries
     assert a.rho is None and b.rho is None
+
+
+def test_sweedler_input_builds_no_radford_or_ore_tower(monkeypatch):
+    # the Sweedler input is the braided line pair at N = 2; it needs
+    # neither tower, only its own spaces
+    def no_tower(params):
+        raise AssertionError(f"built a tower for {params}")
+
+    monkeypatch.setattr(zoo, "radford", no_tower)
+    monkeypatch.setattr(zoo, "ore_finite", no_tower)
+    inp = sweedler_crossed_modules()
+    assert [s.space.name for s in (inp.B, inp.C, inp.H)] == \
+        ["SwB", "SwC", "kC2"]
 
 
 def test_braided_line_input_rejects_odd_periods():
