@@ -406,14 +406,25 @@ def _join(out, dV: int, tops, bots) -> None:
                 col.pop(row, None)
 
 
-def _corner_complement(d: HopfDatum) -> Dict[int, Dict[int, object]]:
-    """Id - P as a column dict, P the corner conjugation f -> pi o f o pi.
+def _corner_columns(d: HopfDatum) -> Dict[int, Dict[int, object]]:
+    """Id - P on the columns where P is nonzero, as a column dict; every
+    other column of Id - P is a basis column.
 
-    P's entry at row u*dV + v, column i*dV + j is pi[u, i] * pi[j, v], so
-    P is the Kronecker product pi (x) pi^T on the vectorised space."""
+    P is the corner conjugation f -> pi o f o pi.  Its entry at row
+    u*dV + v, column i*dV + j is pi[u, i] * pi[j, v], so it is read off
+    pi's nonzeros, and no identity on the doubled quad is built."""
     pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
           @ d.b2.unit_counit())
-    return (LinMap.identity(d.quad * 2) - pi @ pi.transpose()).by_col()
+    dV = pi.ncols
+    cols: Dict[int, Dict[int, object]] = {}
+    for (u, i), a in pi.entries.items():
+        for (j, v), b in pi.entries.items():
+            cols.setdefault(i * dV + j, {})[u * dV + v] = -(a * b)
+    for c, col in cols.items():
+        col[c] = ONE + col.get(c, ZERO)
+        if not col[c]:
+            del col[c]
+    return cols
 
 
 def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
@@ -421,17 +432,24 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
 
     Returns {"order": n} when found within the cap, otherwise
     {"not_recursive_up_to": n_max}.  An n_max that is not an int of at
-    least 0 is refused with ValueError before any work.
+    least 0 is refused with ValueError before any work.  Id - P is never
+    built: Phi o (Id - P) is Phi's own column off P's support.
     """
     if json_int(n_max) < 0:
         raise ValueError(f"n_max {n_max!r} is negative")
-    sop = build_phi_superoperator(d)
-    rem = _corner_complement(d)
-    for n in range(n_max + 1):
+    comp = _corner_columns(d)
+    if len(comp) == dim_of(d.quad) ** 2 and not any(comp.values()):
+        return {"order": 0}
+    if n_max == 0:
+        return {"not_recursive_up_to": 0}
+    phi = build_phi_superoperator(d).phi
+    rem = {c: col for c, col in phi.items() if c not in comp}
+    rem.update(sop_compose(phi, comp))
+    for n in range(1, n_max + 1):
         if not rem:
             return {"order": n}
         if n < n_max:
-            rem = sop_compose(sop.phi, rem)
+            rem = sop_compose(phi, rem)
     return {"not_recursive_up_to": n_max}
 
 

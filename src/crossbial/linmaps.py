@@ -241,10 +241,6 @@ class LinMap:
     def __neg__(self) -> "LinMap":
         return LinMap(self.dom, self.cod, {k: -v for k, v in self.entries.items()})
 
-    def transpose(self) -> "LinMap":
-        return LinMap(self.cod, self.dom,
-                      {(c, r): v for (r, c), v in self.entries.items()})
-
     # -- inversion / solving ----------------------------------------------
 
     def invert(self) -> "LinMap":
@@ -358,10 +354,6 @@ class VectFlip:
         perm = tuple(range(l, l + k)) + tuple(range(l))
         return permutation(xs + ys, perm)
 
-    def braiding_list_inverse(self, xs: SpaceList, ys: SpaceList) -> LinMap:
-        # the flip is symmetric: Psi^{-1}_{X,Y} = Psi_{Y,X}
-        return self.braiding_list(ys, xs)
-
 
 class YetterDrinfeld:
     """Braiding from right action / right coaction data over a host Hopf
@@ -409,9 +401,6 @@ class YetterDrinfeld:
             for j, y in enumerate(ys):
                 out = apply_at(out, self.braiding(xs[i], y), i + j)
         return out
-
-    def braiding_list_inverse(self, xs: SpaceList, ys: SpaceList) -> LinMap:
-        return self.braiding_list(xs, ys).invert()
 
 
 class LeftYetterDrinfeld(YetterDrinfeld):

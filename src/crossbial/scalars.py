@@ -339,17 +339,6 @@ def root_of_unity(n: int, k: int) -> Scalar:
     return Cyclo.make(n, [0] * k + [1])
 
 
-def q_integer(s: int, p) -> Scalar:
-    """(s)_p = 1 + p + ... + p^{s-1}."""
-    p = as_scalar(p)
-    total: Scalar = ZERO
-    power: Scalar = ONE
-    for _ in range(s):
-        total = total + power
-        power = power * p
-    return total
-
-
 def q_binomial(m: int, l: int, p) -> Scalar:
     """Gaussian binomial (m choose l)_p by the q-Pascal recurrence.
 

@@ -218,7 +218,8 @@ def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
     S_chi = None
     if b.S is not None:
         u = run_pipeline([[b.delta], [b.id_map(), b.S], [c.chi]])
-        u_inv = _scalar_inverse(u, b)
+        # Doi's identity: u^- = chi^- o (S (x) id) o Delta
+        u_inv = run_pipeline([[b.delta], [b.S, b.id_map()], [chi_inv]])
         S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
                          "right", b.delta)
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)

@@ -440,6 +440,31 @@ def test_twist_validate_and_apply(tmp_path, capsys):
     assert "multiplication_changed: false" in out
 
 
+def test_a_host_that_is_no_bialgebra_is_a_verified_failure(tmp_path,
+                                                           capsys):
+    # over the flip the Taft factor with r = 2 is an algebra and a
+    # coalgebra, but not a bialgebra
+    T = taft_factor(2, -1)
+    s = T.space
+    chi = LinMap((s, s), UNIT, (T.eps @ T.eps).entries)
+    path = str(tmp_path / "taft.json")
+    save_workspace(Workspace().add_structure("main", T).add_map("chi", chi),
+                   path)
+    code, out, err = run(capsys, "twist", "validate", "--in", path)
+    assert code == 1
+    assert out == ""
+    assert "host fails mult-comult" in err
+    assert "failing: mult-comult" in err
+
+
+def test_a_missing_input_file_is_an_io_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", "hopf", "--in",
+                         str(tmp_path / "nosuch.json"))
+    assert code == 2
+    assert out == ""
+    assert "io error" in err
+
+
 def test_pairing_commands(tmp_path, capsys):
     p = canonical_pairing(3)
     ws = (Workspace().add_structure("h", p.H).add_structure("a", p.A)

@@ -7,7 +7,6 @@ import pytest
 
 from crossbial import datum
 from crossbial.datum import (
-    _corner_complement,
     _family,
     _phi_layers,
     build_bialgebra,
@@ -90,6 +89,44 @@ def random_endo(quad, rng, density=0.25):
 def vec(f):
     """f vectorised row-major, as the one column of a column dict."""
     return {0: {r * f.ncols + c: v for (r, c), v in f.entries.items()}}
+
+
+def transpose(f):
+    return LinMap(f.cod, f.dom, {(c, r): v for (r, c), v in f.entries.items()})
+
+
+def reprs(cols):
+    """A column dict with each entry replaced by its repr."""
+    return {c: {r: repr(v) for r, v in col.items()}
+            for c, col in cols.items()}
+
+
+def corner_complement(d):
+    """Id - P as a column dict, P the corner conjugation f -> pi o f o pi,
+    built in full as an oracle of the order search.
+
+    P's entry at row u*dV + v, column i*dV + j is pi[u, i] * pi[j, v], so
+    P is the Kronecker product pi (x) pi^T on the vectorised space."""
+    pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
+          @ d.b2.unit_counit())
+    return (LinMap.identity(d.quad * 2) - pi @ transpose(pi)).by_col()
+
+
+def oracle_remainders(phi, d, n_max):
+    """Id - P, Phi o (Id - P), ..., Phi^n_max o (Id - P), as the order
+    search first computed them, up to the first empty one."""
+    rems = [corner_complement(d)]
+    while rems[-1] and len(rems) <= n_max:
+        rems.append(sop_compose(phi, rems[-1]))
+    return rems
+
+
+def oracle_order(rems, n_max):
+    """The order verdict of the remainders at the cap n_max."""
+    for n, rem in enumerate(rems[:n_max + 1]):
+        if not rem:
+            return {"order": n}
+    return {"not_recursive_up_to": n_max}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +248,7 @@ def test_corner_conjugation_identity():
     for _ in range(6):
         f = random_endo(d.quad, rng)
         assert pi * phi_apply(d, f) * pi == pi * f * pi
-        assert (sop_compose(_corner_complement(d), vec(f))
+        assert (sop_compose(corner_complement(d), vec(f))
                 == vec(f - pi * f * pi))
 
 
@@ -255,6 +292,94 @@ def test_order_of_the_doubled_kc4_is_found_quickly():
     assert time.perf_counter() - t0 < 20
 
 
+# seeds whose remainders stay sparse enough to multiply in well under a
+# second; every seed up to 15 reaches the cap of 4
+PERTURBED_SEEDS = (2, 5, 6, 7)
+
+
+def perturbed_radford_datum(seed):
+    """Radford(2,1,2,1) with two random extra entries in each interaction
+    map: no longer a datum, and its remainders never vanish."""
+    d = radford_datum()
+    rng = random.Random(seed)
+    maps = {}
+    for name in ("act_l", "coact_l", "act_r", "coact_r"):
+        f = getattr(d, name)
+        ent = dict(f.entries)
+        free = [(r, c) for r in range(f.nrows) for c in range(f.ncols)
+                if (r, c) not in ent]
+        for key in rng.sample(free, 2):
+            ent[key] = Fraction(rng.choice([-1, 1]))
+        maps[name] = LinMap(f.dom, f.cod, ent)
+    return dataclasses.replace(d, **maps)
+
+
+def order_search_cases():
+    from tests.test_acceptance import zoo_datums
+
+    k2, k2_dual = group_algebra(2), dual_group_algebra(2)
+    trivial = [(unit_hopf(), unit_hopf()), (k2, k2),
+               (k2_dual, group_algebra(3)), (k2_dual, k2_dual)]
+    return zoo_datums() + [trivial_datum(*pair) for pair in trivial]
+
+
+def test_order_search_matches_the_id_minus_p_oracle(monkeypatch):
+    inputs = []
+
+    def spy(a, b):
+        inputs.append(b)
+        return sop_compose(a, b)
+
+    monkeypatch.setattr(datum, "sop_compose", spy)
+    perturbed = [perturbed_radford_datum(s) for s in PERTURBED_SEEDS]
+    capped = []
+    for d in order_search_cases() + perturbed:
+        sop = build_phi_superoperator(d)
+        # the build is tested on its own; each search here reuses it
+        monkeypatch.setattr(datum, "build_phi_superoperator",
+                            lambda _, sop=sop: sop)
+        want = oracle_remainders(sop.phi, d, 4)
+        for n_max in (0, 1, 2, 4):
+            inputs.clear()
+            assert recursion_order(d, n_max) == oracle_order(want, n_max)
+        # an order verdict reads only whether a remainder is empty; the
+        # search's later products take Phi^n o (Id - P) for n = 1, 2, 3
+        got, same = inputs[1:], want[1:len(inputs)]
+        assert got == same
+        assert [reprs(r) for r in got] == [reprs(r) for r in same]
+        capped.append(oracle_order(want, 4) == {"not_recursive_up_to": 4}
+                      and len(got) == 3 and all(got))
+    # only the perturbed datums run to the cap, with nonzero remainders
+    assert capped == [False] * (len(capped) - len(perturbed)) + [True] * len(
+        perturbed)
+
+
+def test_order_search_builds_no_identity_on_the_doubled_quad(monkeypatch):
+    d = radford_datum()
+    dV = dim_of(d.quad)
+    orig, dims = LinMap.identity, []
+
+    def spy(spaces):
+        f = orig(spaces)
+        dims.append(f.ncols)
+        return f
+
+    monkeypatch.setattr(LinMap, "identity", staticmethod(spy))
+    assert recursion_order(d, 4) == {"order": 1}
+    assert dims and max(dims) < dV * dV
+
+
+def test_a_zero_cap_is_answered_before_the_superoperator_is_built(
+        monkeypatch):
+    def never(d):
+        raise AssertionError("the superoperator was built")
+
+    monkeypatch.setattr(datum, "build_phi_superoperator", never)
+    assert recursion_order(radford_datum(), 0) == {"not_recursive_up_to": 0}
+    k = unit_hopf()
+    assert recursion_order(trivial_datum(k, k), 4) == {"order": 0}
+
+
 def two_pullback_phi(d):
     """Phi as the first split build made it, kept as an oracle: the bottom
     half pushed forward and the whole top half pulled back from the quad,
@@ -263,7 +388,7 @@ def two_pullback_phi(d):
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
     bottom, top = layers[:6], layers[6:]
-    top_t = [[f.transpose() for f in layer] for layer in reversed(top)]
+    top_t = [[transpose(f) for f in layer] for layer in reversed(top)]
     R = dim_of(tuple(s for f in top[0] for s in f.dom)[8:])
     from_bot, from_top = {}, {}
     for half, joined in ((bottom, from_bot), (top_t, from_top)):

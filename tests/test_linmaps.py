@@ -285,7 +285,7 @@ def test_yd_composite_braiding_hexagon():
           (bp.braiding(M, M) @ LinMap.identity((M,)))
     assert lhs == rhs
     # and the inverse really inverts
-    inv = bp.braiding_list_inverse((M,), (M, M))
+    inv = bp.braiding_list((M,), (M, M)).invert()
     assert inv * lhs == LinMap.identity((M, M, M))
 
 

@@ -14,7 +14,6 @@ from crossbial.scalars import (
     euler_phi,
     parse_rational,
     q_binomial,
-    q_integer,
     rational_to_json,
     root_of_unity,
     scalar_from_json,
@@ -157,6 +156,15 @@ def test_q_binomial_edges():
 def test_q_binomial_at_minus_one():
     # (2 1)_{-1} = (2)_{-1} = 1 + (-1) = 0
     assert q_binomial(2, 1, F(-1)) == 0
+
+
+def q_integer(s, p):
+    """(s)_p = 1 + p + ... + p^{s-1}, the oracle of the q-binomials."""
+    total, power = 0, 1
+    for _ in range(s):
+        total = total + power
+        power = power * p
+    return total
 
 
 def test_q_binomial_matches_q_integer():

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial.datum import ConsistencyError
-from crossbial.linmaps import LinMap, ShapeError, UNIT, VectFlip
+from crossbial.linmaps import (LinMap, ShapeError, UNIT, VectFlip,
+                               run_pipeline)
 from crossbial.scalars import as_scalar, root_of_unity
 from crossbial.structures import (
     PreconditionError,
@@ -14,6 +16,7 @@ from crossbial.structures import (
 )
 from crossbial.twisting import (
     DualPairing,
+    _scalar_inverse,
     TwoCocycle,
     cocycle_inverse,
     conv_dot,
@@ -26,9 +29,11 @@ from crossbial.twisting import (
     validate_pairing,
 )
 from crossbial.zoo import (
+    RadfordParams,
     braided_line_input,
     dual_group_algebra,
     group_algebra,
+    radford,
     sweedler_crossed_modules,
 )
 from tests.test_acceptance import braided_taft_pairing
@@ -59,6 +64,22 @@ def bicharacter_cocycle(N, e=1):
                     col = (a * N + b) * N * N + (c * N + d)
                     ent[(0, col)] = z ** (e * b * c)
     return gg, TwoCocycle(gg, LinMap((P, P), UNIT, ent))
+
+
+def coboundary_cocycle(H, seed):
+    """chi(x, y) = gamma(x1) gamma(y1) gamma^-(x2 y2) for a gamma: H -> k
+    with gamma(1) = 1 and small nonzero values elsewhere.  Nonzero on every
+    group-like, gamma is convolution invertible on a pointed H."""
+    rng = random.Random(seed)
+    s = H.space
+    values = [ONE] + [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3))
+                      for _ in range(1, s.dim)]
+    gamma = LinMap((s,), UNIT, {(0, i): v for i, v in enumerate(values)})
+    gamma_inv = _scalar_inverse(gamma, H)
+    flip = VectFlip().braiding(s, s)
+    chi = run_pipeline([[H.delta, H.delta], [H.id_map(), flip, H.id_map()],
+                        [gamma, gamma, H.m], [gamma_inv]])
+    return TwoCocycle(H, chi)
 
 
 def canonical_pairing(N):
@@ -135,6 +156,26 @@ def test_twist_requires_a_valid_cocycle():
     ent[(0, 4)] = as_scalar(2)
     with pytest.raises(PreconditionError):
         twist(gg, TwoCocycle(gg, LinMap(c.chi.dom, UNIT, ent)))
+
+
+@pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1)])
+def test_a_coboundary_twist_moves_the_antipode(params):
+    # every other twist here is of a group algebra, where S^chi = S
+    H = radford(RadfordParams(*params))["H"]
+    c = coboundary_cocycle(H, sum(params))
+    assert validate_cocycle(c).ok
+    tw = twist(H, c)
+    assert tw.m != H.m and tw.S != H.S
+    back = twist(tw, TwoCocycle(tw, cocycle_inverse(c)))
+    assert back.m == H.m and back.S == H.S
+    # the antipode from the convolution inverse of u, solved over H
+    u = run_pipeline([[H.delta], [H.id_map(), H.S], [c.chi]])
+    u_inv = _scalar_inverse(u, H)
+    S_chi = conv_dot(u_inv, conv_dot(u, H.S, "left", H.delta), "right",
+                     H.delta)
+    assert tw.S == S_chi
+    assert repr(sorted(tw.S.entries.items())) == repr(
+        sorted(S_chi.entries.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 pairing_inverse, twist)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
                            radford, sweedler_crossed_modules)
-from tests.test_twisting import bicharacter_cocycle, canonical_pairing
+from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
+                                 coboundary_cocycle)
 
 ONE = Fraction(1)
 
@@ -142,6 +143,20 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
     assert len(patterns) == 1
     report = json.loads(capsys.readouterr().out)
     assert (report["pattern"], report["family"]) == ("1010", "biproduct")
+
+
+def test_twist_checks_each_input_once(spy, monkeypatch):
+    # the twisted antipode's u^- is read off chi^-, not solved for again
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    cases = [bicharacter_cocycle(2), (H4, coboundary_cocycle(H4, 5))]
+    solves = _count_calls(monkeypatch, "convolution_inverse",
+                          structures, twisting)
+    for b, c in cases:
+        solves.clear()
+        assert twist(b, c).S is not None
+        assert len(solves) == 1
+    assert spy.calls > 0
+    assert spy.repeats == []
 
 
 class MultiplicationBuilt(Exception):
