@@ -30,10 +30,9 @@ from .linmaps import (
     linmap_from_json,
     linmap_to_json,
     pipeline_as_linmap,
-    pipeline_columns,
     run_pipeline,
 )
-from .scalars import ONE, ZERO, json_int
+from .scalars import ONE, ZERO, json_int, scalar_to_json
 from .structures import (
     ActionData,
     CheckEntry,
@@ -363,12 +362,13 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     A vector on the cut has the quad on its middle four strands and a
     spectator side (a, c) on the outer ones, and each entry of Phi is a
     sum over sides of a top term times a bottom term.  The bottom half is
-    pushed from the quad one basis column at a time.  The top half is
-    pushed only from the cut vectors (a, i, c) of the sides the bottom
-    reached, one block of dV columns per side, and each block's terms are
-    joined with the bottom terms on its side.  On the zoo datums the
-    bottom reaches a few percent of the sides, so most of the top half is
-    never evaluated.
+    materialised by pipeline_as_linmap, a bounded block of the quad's basis
+    columns per push, and each of its entries is a bottom term.  The top
+    half is pushed only from the cut vectors (a, i, c) of the sides the
+    bottom reached, one block of dV columns per side, and each block's
+    terms are joined with the bottom terms on its side.  On the zoo datums
+    the bottom reaches a few percent of the sides, so most of the top half
+    is never evaluated.
     """
     dV = dim_of(d.quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
@@ -377,11 +377,10 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     cut = tuple(s for f in top[0] for s in f.dom)
     R = dim_of(cut[8:])
     bots: Dict[tuple, list] = {}
-    for v, col in pipeline_columns(bottom):
-        for (key, _), x in col.entries.items():
-            a, rest = divmod(key, dV * R)
-            i, c = divmod(rest, R)
-            bots.setdefault((a, c), []).append((v, i, x))
+    for (key, v), x in pipeline_as_linmap(bottom).entries.items():
+        a, rest = divmod(key, dV * R)
+        i, c = divmod(rest, R)
+        bots.setdefault((a, c), []).append((v, i, x))
     phi: Dict[int, Dict[int, object]] = {}
     for (a, c), terms in bots.items():
         block = LinMap._trusted(d.quad, cut, {
@@ -431,17 +430,21 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
     """Least n with Phi^n o (Id - P) = 0 at the superoperator level.
 
     Returns {"order": n} when found within the cap, otherwise
-    {"not_recursive_up_to": n_max}.  An n_max that is not an int of at
-    least 0 is refused with ValueError before any work.  Id - P is never
-    built: Phi o (Id - P) is Phi's own column off P's support.
+    {"not_recursive_up_to": n_max, "witness": ...} with the first nonzero
+    entry of Phi^n_max o (Id - P) (see _capped).  An n_max that is not an
+    int of at least 0 is refused with ValueError before any work.  Id - P
+    is never built: Phi o (Id - P) is Phi's own column off P's support.
     """
     if json_int(n_max) < 0:
         raise ValueError(f"n_max {n_max!r} is negative")
     comp = _corner_columns(d)
-    if len(comp) == dim_of(d.quad) ** 2 and not any(comp.values()):
+    dV = dim_of(d.quad)
+    if len(comp) == dV ** 2 and not any(comp.values()):
         return {"order": 0}
     if n_max == 0:
-        return {"not_recursive_up_to": 0}
+        # off P's support, column c of Id - P is the basis column e_c
+        c = next(c for c in range(dV ** 2) if c not in comp or comp[c])
+        return _capped(0, dV, c, comp.get(c, {c: ONE}))
     phi = build_phi_superoperator(d).phi
     rem = {c: col for c, col in phi.items() if c not in comp}
     rem.update(sop_compose(phi, comp))
@@ -450,7 +453,20 @@ def recursion_order(d: HopfDatum, n_max: int = 8) -> dict:
             return {"order": n}
         if n < n_max:
             rem = sop_compose(phi, rem)
-    return {"not_recursive_up_to": n_max}
+    c = min(rem)
+    return _capped(n_max, dV, c, rem[c])
+
+
+def _capped(n_max: int, dV: int, c: int, col: Dict[int, object]) -> dict:
+    """The verdict at the cap, witnessed by the first nonzero entry of the
+    last remainder: c is its least nonzero column and col that column, so
+    the entry is col's least row.  Row u*dV + v of column i*dV + j is
+    entry (u, v) of the image of the matrix unit e_i e_j^T."""
+    r = min(col)
+    (u, v), (i, j) = divmod(r, dV), divmod(c, dV)
+    return {"not_recursive_up_to": n_max,
+            "witness": {"u": u, "v": v, "i": i, "j": j,
+                        "value": scalar_to_json(col[r])}}
 
 
 # ---------------------------------------------------------------------------

@@ -494,24 +494,26 @@ def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
     return m
 
 
-def pipeline_columns(layers: List[List[LinMap]]):
-    """(c, image of basis vector c) for each basis vector of the first
-    layer's domain, pushed through one at a time; an image is a map out
-    of k."""
-    dom = tuple(s for f in layers[0] for s in f.dom)
-    for c in range(dim_of(dom)):
-        yield c, run_pipeline(
-            [[LinMap._trusted(UNIT, dom, {(c, 0): ONE}, True)]] + layers)
+# Basis columns per run of pipeline_as_linmap.  A block shares the kernel's
+# per-call set-up among its columns; a fixed small one bounds the maps in
+# flight (an unbounded block tripled the peak memory of a recursion pass).
+PIPELINE_BLOCK = 32
 
 
 def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
     """Materialize a pipeline as a LinMap (domain read off the first
-    layer), one column at a time."""
+    layer), PIPELINE_BLOCK basis columns at a time: each run starts from
+    the partial identity on one block of the domain, and the image's
+    entries are the result's entries in those columns."""
     dom = tuple(s for f in layers[0] for s in f.dom)
     cod = tuple(s for f in layers[-1] for s in f.cod)
-    return LinMap._trusted(dom, cod, {(r, c): v
-                                      for c, col in pipeline_columns(layers)
-                                      for (r, _), v in col.entries.items()})
+    n = dim_of(dom)
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    for lo in range(0, n, PIPELINE_BLOCK):
+        seed = LinMap._trusted(dom, dom, {
+            (c, c): ONE for c in range(lo, min(lo + PIPELINE_BLOCK, n))}, True)
+        entries.update(run_pipeline([[seed]] + layers).entries)
+    return LinMap._trusted(dom, cod, entries)
 
 
 # ---------------------------------------------------------------------------

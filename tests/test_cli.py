@@ -397,6 +397,11 @@ def test_datum_pipeline(tmp_path, capsys):
     assert code == 0 and "verdict: pass" in out
     code, out, _ = run(capsys, "datum", "order", "--in", path)
     assert code == 0 and '"order": 1' in out.replace("order: 1", '"order": 1')
+    # a cap below the order is a verified failure with a witness entry
+    code, out, _ = run(capsys, "datum", "order", "--in", path, "--max-n", "0",
+                       "--format", "json")
+    assert code == 1 and json.loads(out)["witness"] == {
+        "u": 0, "v": 1, "i": 0, "j": 0, "value": "-1/1"}
     code, out, _ = run(capsys, "datum", "classify", "--in", path)
     assert code == 0 and '"1010"' in out
     prod = str(tmp_path / "prod.json")

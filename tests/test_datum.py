@@ -23,7 +23,8 @@ from crossbial.datum import (
     trivial_datum,
 )
 from crossbial.linmaps import (LinMap, ShapeError, Space, UNIT, dim_of,
-                               pipeline_columns)
+                               run_pipeline)
+from crossbial.scalars import scalar_to_json
 from crossbial.structures import (
     PreconditionError,
     Structure,
@@ -95,6 +96,15 @@ def transpose(f):
     return LinMap(f.cod, f.dom, {(c, r): v for (r, c), v in f.entries.items()})
 
 
+def pipeline_columns(layers):
+    """(c, image of basis vector c) for each basis vector of the first
+    row's domain, pushed through the diagram one at a time; an image is a
+    map out of k.  The one-column oracle of the blocked pushes."""
+    dom = tuple(s for f in layers[0] for s in f.dom)
+    for c in range(dim_of(dom)):
+        yield c, run_pipeline([[LinMap(UNIT, dom, {(c, 0): ONE})]] + layers)
+
+
 def reprs(cols):
     """A column dict with each entry replaced by its repr."""
     return {c: {r: repr(v) for r, v in col.items()}
@@ -121,12 +131,17 @@ def oracle_remainders(phi, d, n_max):
     return rems
 
 
-def oracle_order(rems, n_max):
-    """The order verdict of the remainders at the cap n_max."""
+def oracle_order(rems, n_max, dV):
+    """The order verdict of the remainders at the cap n_max, with the
+    first nonzero entry, by (column, row), of the last remainder."""
     for n, rem in enumerate(rems[:n_max + 1]):
         if not rem:
             return {"order": n}
-    return {"not_recursive_up_to": n_max}
+    c, r = min((c, r) for c, col in rems[n_max].items() for r in col)
+    return {"not_recursive_up_to": n_max,
+            "witness": {"u": r // dV, "v": r % dV, "i": c // dV,
+                        "j": c % dV,
+                        "value": scalar_to_json(rems[n_max][c][r])}}
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +283,13 @@ def test_recursion_operator_stabilises_at_the_order():
 
 
 def test_order_search_reports_the_cap():
+    # Id - P maps e_0 e_0^T to e_0 e_0^T - pi e_0 e_0^T pi, whose first
+    # nonzero entry is -1 at (0, 1): basis vector 1 of the quad is
+    # 1 (x) 1 (x) 1 (x) g, which pi's row 0 also reads
     d = trivial_datum(group_hopf(2), group_hopf(2))
-    assert recursion_order(d, 0) == {"not_recursive_up_to": 0}
+    assert recursion_order(d, 0) == {
+        "not_recursive_up_to": 0,
+        "witness": {"u": 0, "v": 1, "i": 0, "j": 0, "value": "-1/1"}}
 
 
 @pytest.mark.parametrize("n_max", [-1, True, 2.0, "4", None])
@@ -341,14 +361,15 @@ def test_order_search_matches_the_id_minus_p_oracle(monkeypatch):
         want = oracle_remainders(sop.phi, d, 4)
         for n_max in (0, 1, 2, 4):
             inputs.clear()
-            assert recursion_order(d, n_max) == oracle_order(want, n_max)
+            assert recursion_order(d, n_max) == oracle_order(
+                want, n_max, dim_of(d.quad))
         # an order verdict reads only whether a remainder is empty; the
         # search's later products take Phi^n o (Id - P) for n = 1, 2, 3
         got, same = inputs[1:], want[1:len(inputs)]
         assert got == same
         assert [reprs(r) for r in got] == [reprs(r) for r in same]
-        capped.append(oracle_order(want, 4) == {"not_recursive_up_to": 4}
-                      and len(got) == 3 and all(got))
+        capped.append("not_recursive_up_to" in oracle_order(
+            want, 4, dim_of(d.quad)) and len(got) == 3 and all(got))
     # only the perturbed datums run to the cap, with nonzero remainders
     assert capped == [False] * (len(capped) - len(perturbed)) + [True] * len(
         perturbed)
@@ -375,7 +396,9 @@ def test_a_zero_cap_is_answered_before_the_superoperator_is_built(
         raise AssertionError("the superoperator was built")
 
     monkeypatch.setattr(datum, "build_phi_superoperator", never)
-    assert recursion_order(radford_datum(), 0) == {"not_recursive_up_to": 0}
+    d = radford_datum()
+    assert recursion_order(d, 0) == oracle_order([corner_complement(d)], 0,
+                                                 dim_of(d.quad))
     k = unit_hopf()
     assert recursion_order(trivial_datum(k, k), 4) == {"order": 0}
 

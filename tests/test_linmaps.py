@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossbial import linmaps, zoo
+from crossbial.datum import _phi_layers
 from crossbial.linmaps import (
+    PIPELINE_BLOCK,
     ConfigurationError,
     LinMap,
     NotInvertibleError,
@@ -26,6 +29,7 @@ from crossbial.linmaps import (
 )
 from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
                                root_of_unity, scalar_from_json)
+from tests.test_datum import pipeline_columns, random_endo
 
 F = Fraction
 
@@ -307,6 +311,59 @@ def test_pipeline_with_units():
     direct = f * (LinMap.identity((X,)) @ eta)
     piped = pipeline_as_linmap([[LinMap.identity((X,)), eta], [f]])
     assert piped == direct
+
+
+def _three_row_diagram(n):
+    """A random map out of an n-dim space beside a vector over Q(zeta_4),
+    then a product with sums, then a flip: a first row of domain dim n."""
+    A = Space("A", n)
+    vec = LinMap(UNIT, (Y,), {(1, 0): F(2), (2, 0): _Z4})
+    return [[_rand_map((A,), (Y, X), 30 + n), vec],
+            [LinMap.identity((Y,)), _rand_map((X, Y), (Y,), 31)],
+            [flip(Y, Y)]]
+
+
+def _phi_diagram_of_radford_3131():
+    """The recursion diagram phi_apply pushes on Radford(3,1,3,1), whose
+    quad has dim 81, around a random endomorphism."""
+    import random
+    d = zoo.radford(zoo.RadfordParams(3, 1, 3, 1))["datum"]
+    return _phi_layers(d, [random_endo(d.quad, random.Random(3), 0.05)])
+
+
+@pytest.mark.parametrize("diagram", [
+    lambda: _three_row_diagram(1),
+    lambda: _three_row_diagram(PIPELINE_BLOCK - 1),
+    lambda: _three_row_diagram(PIPELINE_BLOCK),
+    lambda: _three_row_diagram(PIPELINE_BLOCK + 1),
+    _phi_diagram_of_radford_3131,
+], ids=["dim1", "block-1", "block", "block+1", "dim81"])
+def test_blocked_pipeline_matches_the_one_column_oracle(diagram,
+                                                        monkeypatch):
+    layers = diagram()
+    seeds = []
+
+    def spy(rows):
+        seeds.append(rows[0][0])
+        return run_pipeline(rows)
+
+    monkeypatch.setattr(linmaps, "run_pipeline", spy)
+    got = pipeline_as_linmap(layers)
+    monkeypatch.undo()
+    want = {(r, c): v for c, col in pipeline_columns(layers)
+            for (r, _), v in col.entries.items()}
+    dom = tuple(s for f in layers[0] for s in f.dom)
+    assert got.dom == dom
+    assert got.cod == tuple(s for f in layers[-1] for s in f.cod)
+    assert got.entries == want
+    assert {k: repr(v) for k, v in got.entries.items()} == {
+        k: repr(v) for k, v in want.items()}
+    # each run starts from a partial identity of at most PIPELINE_BLOCK
+    # columns, and the runs cover the domain once, in order
+    assert all(s.dom == s.cod == dom and all(r == c for r, c in s.entries)
+               and len(s.entries) <= PIPELINE_BLOCK for s in seeds)
+    assert [c for s in seeds for _, c in s.entries] == list(
+        range(dim_of(dom)))
 
 
 # -- 0/1 fast paths against a dense oracle -----------------------------------
