@@ -1,11 +1,13 @@
 """Command-line interface and JSON workspace persistence.
 
 A workspace file carries named spaces, structures and maps over a single
-cyclotomic field; builders write them, verification commands read them
-and emit deterministic machine-readable reports.  Exit codes: 0 for a
-passing verdict, 1 for a verified failure, 2 for usage or input errors.
-Timing is written to stderr only, so reports are byte-identical across
-repeated runs.
+cyclotomic field, and optionally a braiding section that names a host
+structure and the module maps of a Yetter-Drinfeld braiding among them;
+without one, every command runs over the flip.  Builders write
+workspaces, verification commands read them and emit deterministic
+machine-readable reports.  Exit codes: 0 for a passing verdict, 1 for a
+verified failure, 2 for usage or input errors.  Timing is written to
+stderr only, so reports are byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from .crossproduct import (BAT, InvalidSystemError, NotABATError,
 from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
                     check_hopf_datum, recursion_order, trivalence)
 from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
-                      ShapeError, Space, json_dim, json_int, json_name,
-                      linmap_from_json,
-                      linmap_to_json)
+                      ShapeError, Space, VectFlip, json_dim, json_int,
+                      json_name, linmap_from_json, linmap_to_json)
 from .scalars import ConductorMixError, ScalarParseError, scalar_conductor
 from .structures import (CheckReport, NotConvolutionInvertibleError,
                          PreconditionError, Structure, check_axioms,
-                         structure_from_json, structure_to_json)
+                         structure_from_json, structure_to_json,
+                         yd_provider, yd_provider_left)
 from .twisting import (DoubleBiproductInput, DualPairing, TwoCocycle,
                        double_biproduct, matched_pair_from_pairing, twist,
                        validate_cocycle, validate_pairing)
@@ -40,6 +42,12 @@ from .zoo import (OreParams, ParameterError, RadfordParams, UnsupportedError,
                   group_algebra, ore_finite, radford)
 
 WORKSPACE_SCHEMA = "crossbial-workspace/1"
+# the schema of a workspace with a braiding section; a /1 reader that met
+# one would take the braided data for data over the flip
+BRAIDED_SCHEMA = "crossbial-workspace/2"
+# each braiding kind and the constructor that verifies its modules
+BRAIDINGS = {"yetter-drinfeld": yd_provider,
+             "left-yetter-drinfeld": yd_provider_left}
 REPORT_SCHEMA = "crossbial-report/1"
 
 
@@ -56,12 +64,21 @@ class WorkspaceError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Workspace:
-    """Named spaces, structures and maps over one coefficient field."""
+    """Named spaces, structures and maps over one coefficient field.
+
+    braiding is None (the flip) or the braiding section
+    {"kind": ..., "host": <structure>, "modules": [{"space": <space>,
+    "act": <map>, "coact": <map>}, ...]}, which names entries of the
+    workspace.  provider is the braiding every command passes on: the
+    flip, or the provider workspace_from_json builds from the section.
+    """
 
     def __init__(self, spaces=None, structures=None, maps=None):
         self.spaces: Dict[str, Space] = dict(spaces or {})
         self.structures: Dict[str, Structure] = dict(structures or {})
         self.maps: Dict[str, LinMap] = dict(maps or {})
+        self.braiding = None
+        self.provider = VectFlip()
 
     def add_structure(self, name: str, st: Structure) -> "Workspace":
         self.structures[name] = st
@@ -113,7 +130,7 @@ class Workspace:
 
 
 def workspace_to_json(ws: Workspace) -> dict:
-    return {
+    doc = {
         "schema": WORKSPACE_SCHEMA,
         "conductor": ws.conductor(),
         "spaces": [{"name": n, "dim": ws.spaces[n].dim}
@@ -122,11 +139,63 @@ def workspace_to_json(ws: Workspace) -> dict:
                        for n, st in ws.structures.items()},
         "maps": {n: linmap_to_json(f) for n, f in ws.maps.items()},
     }
+    if ws.braiding is not None:
+        doc.update(schema=BRAIDED_SCHEMA, braiding=ws.braiding)
+    return doc
+
+
+def _named(table: dict, obj: dict, key: str, where: str, what: str):
+    """The entry of table that obj[key] names."""
+    name = obj.get(key)
+    if not isinstance(name, str) or name not in table:
+        raise WorkspaceError(f"{where}/{key}: {name!r} names no {what} "
+                             "of the workspace")
+    return table[name]
+
+
+def _read_braiding(sec, ws: Workspace) -> None:
+    """Set ws.braiding to the section sec and ws.provider to the provider
+    it names, built by one constructor call that verifies the host and then
+    each module.  A law that fails raises PreconditionError (exit 1); a
+    malformed section raises WorkspaceError at a /braiding pointer."""
+    if not isinstance(sec, dict):
+        raise WorkspaceError("/braiding: expected an object")
+    kind = sec.get("kind")
+    if not isinstance(kind, str) or kind not in BRAIDINGS:
+        raise WorkspaceError(f"/braiding/kind: expected one of "
+                             f"{sorted(BRAIDINGS)}")
+    host = _named(ws.structures, sec, "host", "/braiding", "structure")
+    if not isinstance(sec.get("modules"), list):
+        raise WorkspaceError("/braiding/modules: expected a list")
+    names, modules = [], []
+    for i, mod in enumerate(sec["modules"]):
+        where = f"/braiding/modules/{i}"
+        if not isinstance(mod, dict):
+            raise WorkspaceError(f"{where}: expected an object")
+        space = _named(ws.spaces, mod, "space", where, "space")
+        if any(space is m[0] for m in modules):
+            raise WorkspaceError(f"{where}/space: {space.name!r} is "
+                                 "registered twice")
+        modules.append((space, _named(ws.maps, mod, "act", where, "map"),
+                        _named(ws.maps, mod, "coact", where, "map")))
+        names.append({k: mod[k] for k in ("space", "act", "coact")})
+    _guard_dim(host.dim * max((m[0].dim for m in modules), default=1))
+    try:
+        ws.provider = BRAIDINGS[kind](host, modules)
+    except ShapeError as err:
+        raise WorkspaceError(f"/braiding/modules: {err}") from err
+    ws.braiding = {"kind": kind, "host": sec["host"], "modules": names}
 
 
 def workspace_from_json(obj: dict) -> Workspace:
-    if not isinstance(obj, dict) or obj.get("schema") != WORKSPACE_SCHEMA:
-        raise WorkspaceError(f"/schema: expected {WORKSPACE_SCHEMA!r}")
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema not in (WORKSPACE_SCHEMA, BRAIDED_SCHEMA):
+        raise WorkspaceError(f"/schema: expected {WORKSPACE_SCHEMA!r} or "
+                             f"{BRAIDED_SCHEMA!r}")
+    if (schema == BRAIDED_SCHEMA) != ("braiding" in obj):
+        raise WorkspaceError(f"/schema: a workspace has schema "
+                             f"{BRAIDED_SCHEMA!r} exactly when it has a "
+                             "braiding section")
     ws = Workspace()
     for section, kind, what in (("spaces", list, "a list"),
                                 ("structures", dict, "an object"),
@@ -157,6 +226,8 @@ def workspace_from_json(obj: dict) -> Workspace:
         if declared != ws.conductor():
             raise WorkspaceError(f"/conductor: declared {declared}, "
                                  f"computed {ws.conductor()}")
+    if "braiding" in obj:
+        _read_braiding(obj["braiding"], ws)
     return ws
 
 
@@ -314,7 +385,7 @@ def _cmd_check(args) -> int:
     ws = load_workspace(args.infile)
     st = ws.structure(args.name)
     _guard_dim(st.dim)
-    rep = check_axioms(st, args.kind)
+    rep = check_axioms(st, args.kind, ws.provider)
     extra = {"structure": args.name, "kind": args.kind, "dim": st.dim}
     return _finish(args, {"axioms": rep}, extra, rep.ok)
 
@@ -322,7 +393,7 @@ def _cmd_check(args) -> int:
 def _datum_from_workspace(ws: Workspace) -> HopfDatum:
     return HopfDatum(ws.structure("b1"), ws.structure("b2"),
                      ws.map("act_l"), ws.map("coact_l"),
-                     ws.map("act_r"), ws.map("coact_r"))
+                     ws.map("act_r"), ws.map("coact_r"), ws.provider)
 
 
 def _cmd_datum(args) -> int:
@@ -352,7 +423,7 @@ def _cmd_cross(args) -> int:
     ws = load_workspace(args.infile)
     if args.cross_cmd == "build":
         t = BAT(ws.structure("b1"), ws.structure("b2"),
-                ws.map("phi12"), ws.map("phi21"))
+                ws.map("phi12"), ws.map("phi21"), ws.provider)
         _guard_dim(t.b1.dim * t.b2.dim)
         st = build_cross_product(t)
         out_ws = Workspace().add_structure("main", st)
@@ -364,7 +435,7 @@ def _cmd_cross(args) -> int:
     sysm = ProjectionSystem(A, ws.map("i1"), ws.map("i2"),
                             ws.map("p1"), ws.map("p2"))
     if args.cross_cmd == "decompose":
-        res = decompose(A, sysm)
+        res = decompose(A, sysm, ws.provider)
         out_ws = Workspace()
         out_ws.add_structure("b1", res.bat.b1)
         out_ws.add_structure("b2", res.bat.b2)
@@ -373,7 +444,7 @@ def _cmd_cross(args) -> int:
         extra = {"factor_dims": [res.bat.b1.dim, res.bat.b2.dim]}
         _save(args, out_ws, extra)
         return _finish(args, {}, extra, True)
-    rep = verify_trivalent_equivalences(A, sysm)
+    rep = verify_trivalent_equivalences(A, sysm, ws.provider)
     return _finish(args, {"equivalences": rep}, {}, rep.ok)
 
 
@@ -384,9 +455,9 @@ def _cmd_twist(args) -> int:
     chi_inv = ws.maps.get("chi_inv")
     c = TwoCocycle(st, ws.map("chi"), chi_inv)
     if args.twist_cmd == "validate":
-        rep = validate_cocycle(c)
+        rep = validate_cocycle(c, ws.provider)
         return _finish(args, {"cocycle": rep}, {}, rep.ok)
-    twisted = twist(st, c)
+    twisted = twist(st, c, ws.provider)
     out_ws = Workspace().add_structure("main", twisted)
     extra = {"dim": twisted.dim,
              "multiplication_changed": twisted.m != st.m}
@@ -399,9 +470,9 @@ def _cmd_pairing(args) -> int:
     p = DualPairing(ws.structure("h"), ws.structure("a"), ws.map("form"))
     _guard_dim(p.H.dim * p.A.dim)
     if args.pairing_cmd == "check":
-        rep = validate_pairing(p)
+        rep = validate_pairing(p, ws.provider)
         return _finish(args, {"pairing": rep}, {}, rep.ok)
-    res = matched_pair_from_pairing(p)
+    res = matched_pair_from_pairing(p, ws.provider)
     extra = {"is_matched_pair": res["is_matched_pair"],
              "braiding_involutive": res["braiding_involutive"]}
     return _finish(args, {"interaction": res["report"]}, extra, True)
@@ -414,7 +485,7 @@ def _cmd_double_biproduct(args) -> int:
         ws.map("b_act"), ws.map("b_coact"),
         ws.map("c_act"), ws.map("c_coact"), ws.map("rho"))
     _guard_dim(inp.H.dim * inp.B.dim * inp.C.dim)
-    res = double_biproduct(inp)
+    res = double_biproduct(inp, ws.provider)
     out_ws = Workspace()
     out_ws.add_structure("main", res["Z"])
     out_ws.add_structure("z_twisted", res["Z_twisted"])

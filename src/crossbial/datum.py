@@ -16,19 +16,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
 
 from .linmaps import (
-    LeftYetterDrinfeld,
     LinMap,
     ShapeError,
     Space,
     UNIT,
     VectFlip,
-    YetterDrinfeld,
     apply_at,
     dim_of,
-    json_dim,
-    json_name,
-    linmap_from_json,
-    linmap_to_json,
     pipeline_as_linmap,
     run_pipeline,
 )
@@ -49,8 +43,6 @@ from .structures import (
     compare,
     cross_structure,
     rebind,
-    structure_from_json,
-    structure_to_json,
 )
 
 
@@ -534,85 +526,3 @@ def classify(d: HopfDatum) -> dict:
     """Raw triviality pattern plus its mirror/dual symmetry family."""
     pattern = _pattern_of(d)
     return {"pattern": pattern, "family": _family(pattern)}
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-_YD_KINDS = {YetterDrinfeld: "yetter-drinfeld",
-             LeftYetterDrinfeld: "left-yetter-drinfeld"}
-
-
-def datum_to_json(d: HopfDatum) -> dict:
-    """JSON encoding of d.  A braiding provider other than the flip and the
-    two Yetter-Drinfeld backends has no encoding and raises ShapeError, the
-    error datum_from_json also raises for an encoding it cannot read."""
-    spaces ={d.b1.space.name: d.b1.space, d.b2.space.name: d.b2.space}
-    braid: dict = {"kind": "flip"}
-    yd_kind = _YD_KINDS.get(type(d.braiding))
-    if yd_kind is not None:
-        spaces[d.braiding.host.name] = d.braiding.host
-        mods = []
-        for sp in sorted(d.braiding._reg, key=lambda s: s.name):
-            act, coact = d.braiding._reg[sp]
-            spaces[sp.name] = sp
-            mods.append({"space": sp.name, "act": linmap_to_json(act),
-                         "coact": linmap_to_json(coact)})
-        braid = {"kind": yd_kind, "host": d.braiding.host.name,
-                 "modules": mods}
-    elif not isinstance(d.braiding, VectFlip):
-        raise ShapeError("no JSON encoding for braiding "
-                         f"{type(d.braiding).__name__}")
-    return {
-        "spaces": [{"name": n, "dim": spaces[n].dim}
-                   for n in sorted(spaces)],
-        "b1": structure_to_json(d.b1),
-        "b2": structure_to_json(d.b2),
-        "act_l": linmap_to_json(d.act_l),
-        "coact_l": linmap_to_json(d.coact_l),
-        "act_r": linmap_to_json(d.act_r),
-        "coact_r": linmap_to_json(d.coact_r),
-        "braiding": braid,
-    }
-
-
-def datum_from_json(obj: dict) -> HopfDatum:
-    try:
-        spaces = {}
-        for e in obj["spaces"]:
-            name, dim = e["name"], e["dim"]
-            try:
-                json_name(name)
-            except ValueError as err:
-                raise ShapeError(f"bad datum encoding: space name {err}"
-                                 ) from err
-            try:
-                spaces[name] = Space(name, json_dim(dim))
-            except ValueError as err:
-                raise ShapeError(f"bad datum encoding: space {name!r} has "
-                                 f"dim {dim!r}, not an integer >= 1") from err
-        b1 = structure_from_json(obj["b1"], spaces)
-        b2 = structure_from_json(obj["b2"], spaces)
-        maps = {k: linmap_from_json(obj[k], spaces)
-                for k in ("act_l", "coact_l", "act_r", "coact_r")}
-        braid = obj.get("braiding", {"kind": "flip"})
-        if not isinstance(braid, dict):
-            raise ShapeError(f"bad datum encoding: braiding {braid!r} is "
-                             "not an object")
-        kind = braid.get("kind", "flip")
-        yd_cls = next((c for c, k in _YD_KINDS.items() if k == kind), None)
-        if yd_cls is not None:
-            prov: object = yd_cls(spaces[braid["host"]])
-            for mod in braid["modules"]:
-                prov.register(spaces[mod["space"]],
-                              linmap_from_json(mod["act"], spaces),
-                              linmap_from_json(mod["coact"], spaces))
-        elif kind == "flip":
-            prov = VectFlip()
-        else:
-            raise ShapeError(f"unknown braiding kind {kind!r}")
-    except KeyError as e:
-        raise ShapeError(f"bad datum encoding: missing {e}") from e
-    return HopfDatum(b1, b2, maps["act_l"], maps["coact_l"],
-                     maps["act_r"], maps["coact_r"], prov)

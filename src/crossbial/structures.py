@@ -433,31 +433,19 @@ _CROSSED_KINDS = {"right": ("module-r", "comodule-r"),
                   "left": ("module-l", "comodule-l")}
 
 
-def check_crossed_module(cm: CrossedModuleData, bp=None) -> CheckReport:
-    """Compatibility of the action with the coaction over the host.
-
-    The host's algebra and coalgebra laws are verified first.  Both sides
-    of the defining identity are evaluated as composites on M(x)H (side
-    "right") resp. H(x)M (side "left").
-    """
-    if cm.side not in _CROSSED_KINDS:
-        raise ValueError(f"unknown side {cm.side!r}")
-    for kind in _CROSSED_KINDS[cm.side]:
-        _verify_actor(cm.host, kind)
-    return _crossed_module_report(cm, bp or VectFlip())
-
-
 def _crossed_module_report(cm: CrossedModuleData, bp) -> CheckReport:
-    """The (co)module laws and the compatibility, for a host whose laws
-    already hold."""
+    """The (co)module laws and the compatibility of the action with the
+    coaction, for a host whose laws already hold.  Both sides of the
+    defining identity are evaluated as composites on M(x)H (side "right")
+    resp. H(x)M (side "left")."""
     M, H = (cm.carrier,), (cm.host.space,)
     im, ih = LinMap.identity(M), LinMap.identity(H)
     s = cm.host
     mod_kind, com_kind = _CROSSED_KINDS[cm.side]
     mod = _action_report(ActionData(cm.carrier, s, cm.act), mod_kind)
     com = _action_report(ActionData(cm.carrier, s, cm.coact), com_kind)
-    mod.require("(co)module laws fail first: {}")
-    com.require("(co)module laws fail first: {}")
+    for rep in (mod, com):
+        rep.require(f"{cm.carrier.name}: (co)module laws fail first: {{}}")
     psi_hh = bp.braiding(s.space, s.space)
     psi_mh = bp.braiding(cm.carrier, s.space)
     psi_hm = bp.braiding(s.space, cm.carrier)
@@ -496,8 +484,10 @@ def yd_provider(host: Structure, modules, bp=None):
     """Braiding backend from right crossed modules, validated on the way in.
 
     modules: iterable of (space, act, coact) with act: X(x)H -> X and
-    coact: X -> X(x)H.  Each triple must pass check_crossed_module over the
-    host before it is registered.
+    coact: X -> X(x)H.  The host's laws are verified first; each triple
+    must then pass its (co)module laws and the crossed-module
+    compatibility over the host before it is registered.  A law that
+    fails raises PreconditionError carrying the report.
     """
     return _yd_providers(host, bp, (YetterDrinfeld, "right", modules))[0]
 

@@ -18,7 +18,10 @@ from crossbial.cli import (
 )
 from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import root_of_unity
-from crossbial.zoo import sweedler_crossed_modules, taft_factor
+from crossbial.structures import check_axioms, yd_provider_left
+from crossbial.twisting import matched_pair_from_pairing
+from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
+from tests.test_acceptance import braided_taft_pairing
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
 ONE = Fraction(1)
@@ -550,6 +553,180 @@ def test_mixed_conductors_are_refused():
 
 
 # ---------------------------------------------------------------------------
+# braided workspaces
+# ---------------------------------------------------------------------------
+
+def braided_qline_workspace():
+    """The braided q-line pairing of the acceptance tests as a workspace:
+    the copies h and a, the form, the host kC3, each copy's action and
+    coaction, and the Yetter-Drinfeld braiding section that names them.
+    Also the provider built in Python."""
+    p, prov = braided_taft_pairing()
+    ws = (Workspace().add_structure("h", p.H).add_structure("a", p.A)
+          .add_structure("host", group_algebra(3)).add_map("form", p.form))
+    modules = []
+    for tag, st in (("h", p.H), ("a", p.A)):
+        act, coact = prov._reg[st.space]
+        ws.add_map(f"{tag}_act", act).add_map(f"{tag}_coact", coact)
+        modules.append({"space": st.space.name, "act": f"{tag}_act",
+                        "coact": f"{tag}_coact"})
+    ws.braiding = {"kind": "yetter-drinfeld", "host": "host",
+                   "modules": modules}
+    return ws, prov
+
+
+def sweedler_left_workspace():
+    """The Sweedler input's left crossed module C over kC2 as a workspace
+    with a left Yetter-Drinfeld braiding section; also its provider."""
+    inp = sweedler_crossed_modules()
+    prov = yd_provider_left(inp.H, [(inp.C.space, inp.c_act, inp.c_coact)])
+    ws = (Workspace().add_structure("h", inp.H).add_structure("c", inp.C)
+          .add_map("c_act", inp.c_act).add_map("c_coact", inp.c_coact))
+    ws.braiding = {"kind": "left-yetter-drinfeld", "host": "h",
+                   "modules": [{"space": inp.C.space.name, "act": "c_act",
+                                "coact": "c_coact"}]}
+    return ws, prov
+
+
+@pytest.fixture
+def qline_path(tmp_path):
+    path = str(tmp_path / "qline.json")
+    save_workspace(braided_qline_workspace()[0], path)
+    return path
+
+
+@pytest.mark.parametrize("build", [braided_qline_workspace,
+                                   sweedler_left_workspace])
+def test_braided_workspaces_roundtrip_byte_identical(tmp_path, build):
+    ws, prov = build()
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    save_workspace(ws, a)
+    back = load_workspace(a)
+    save_workspace(back, b)
+    assert open(a).read() == open(b).read()
+    assert json.loads(open(a).read())["schema"] == "crossbial-workspace/2"
+    assert type(back.provider) is type(prov)
+    assert back.provider.host == prov.host
+    assert back.provider._reg == prov._reg
+
+
+def test_braided_verdicts_match_the_python_calls(tmp_path, capsys,
+                                                 qline_path):
+    # the q-line copy is a bialgebra only under its braiding, and the
+    # pairing induces no matched pair, as test_matched_pair_biconditional
+    # finds in Python
+    p, prov = braided_taft_pairing()
+    assert check_axioms(p.H, "bialgebra", prov).ok
+    assert check_axioms(p.H, "bialgebra").failed() == ["mult-comult"]
+    mp = matched_pair_from_pairing(p, prov)
+    code, _, _ = run(capsys, "check", "bialgebra", "--name", "h",
+                     "--in", qline_path)
+    assert code == 0
+    code, out, _ = run(capsys, "pairing", "matched-pair", "--in", qline_path,
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["is_matched_pair"] is mp["is_matched_pair"] is False
+    assert doc["braiding_involutive"] is mp["braiding_involutive"] is False
+    assert doc["checks"]["interaction"] == json.loads(
+        json.dumps(mp["report"].to_json()))
+
+    obj = json.loads(open(qline_path).read())
+    del obj["braiding"]
+    obj["schema"] = "crossbial-workspace/1"
+    flip = str(tmp_path / "flip.json")
+    open(flip, "w").write(json.dumps(obj))
+    code, out, _ = run(capsys, "check", "bialgebra", "--name", "h",
+                       "--in", flip)
+    assert code == 1
+    assert "FAIL mult-comult" in out
+
+
+def _set(path, value):
+    """An edit of a workspace document that sets the node at path."""
+    def edit(obj):
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, pointer", [
+    (_set(("schema",), "crossbial-workspace/1"), "/schema"),
+    (lambda obj: obj.pop("braiding"), "/schema"),
+    (_set(("braiding",), "flip"), "/braiding: expected an object"),
+    (_set(("braiding", "kind"), "symmetric"), "/braiding/kind"),
+    (_set(("braiding", "kind"), ["yetter-drinfeld"]), "/braiding/kind"),
+    (lambda obj: obj["braiding"].pop("host"), "/braiding/host"),
+    (_set(("braiding", "host"), "form"), "/braiding/host"),
+    (_set(("braiding", "modules"), {}), "/braiding/modules"),
+    (_set(("braiding", "modules", 0), "h_act"), "/braiding/modules/0"),
+    (_set(("braiding", "modules", 1, "act"), "gone"),
+     "/braiding/modules/1/act"),
+    (lambda obj: obj["braiding"]["modules"][0].pop("coact"),
+     "/braiding/modules/0/coact"),
+    (_set(("braiding", "modules", 0, "space"), 3),
+     "/braiding/modules/0/space"),
+    (_set(("braiding", "modules", 1, "space"), "TaftH"),
+     "/braiding/modules/1/space"),
+    # the right shape for neither side's action
+    (_set(("braiding", "modules", 0, "act"), "form"), "/braiding/modules"),
+    (_set(("braiding", "kind"), "left-yetter-drinfeld"), "/braiding/modules"),
+])
+def test_malformed_braiding_sections_are_pointed_at(tmp_path, capsys,
+                                                    qline_path, edit,
+                                                    pointer):
+    obj = json.loads(open(qline_path).read())
+    edit(obj)
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert f"crossbial: error: {pointer}" in err
+    assert "Traceback" not in err
+
+
+def test_a_module_that_fails_its_laws_is_a_verified_failure(
+        tmp_path, capsys, qline_path):
+    obj = json.loads(open(qline_path).read())
+    act = obj["maps"]["h_act"]["matrix"]
+    obj["maps"]["h_act"]["matrix"] = [["0/1"] * len(row) for row in act]
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    assert code == 1
+    assert out == ""
+    assert ("crossbial: verified failure: TaftH: (co)module laws fail "
+            "first: action-unit") in err
+    assert "failing: action-unit" in err
+
+
+def test_a_braided_host_is_guarded_before_it_is_checked(capsys, qline_path,
+                                                       monkeypatch):
+    # the host kC3 times a dim-3 module is 9
+    monkeypatch.setenv("CROSSBIAL_MAX_DIM", "8")
+    code, out, err = run(capsys, "pairing", "check", "--in", qline_path)
+    assert code == 2
+    assert "total dimension 9 exceeds CROSSBIAL_MAX_DIM=8" in err
+
+
+def test_output_workspaces_carry_no_braiding(tmp_path, capsys):
+    # the trivial cocycle eps (x) eps on the braided q-line copy h
+    ws, _ = braided_qline_workspace()
+    h = ws.structure("h")
+    path, out = str(tmp_path / "q.json"), str(tmp_path / "out.json")
+    save_workspace(ws.add_map("chi", h.eps @ h.eps), path)
+    code, _, _ = run(capsys, "twist", "apply", "--in", path, "--name", "h",
+                     "-o", out)
+    assert code == 0
+    obj = json.loads(open(out).read())
+    assert obj["schema"] == "crossbial-workspace/1"
+    assert "braiding" not in obj
+
+
+# ---------------------------------------------------------------------------
 # workspace fuzz
 # ---------------------------------------------------------------------------
 
@@ -586,12 +763,10 @@ JSON_VALUES = st.recursive(
 REPLACEMENTS = st.sampled_from(["0/1", "1/1", "-1/1", "1/2"]) | JSON_VALUES
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_mutated_workspaces_exit_cleanly(radford_doc, data):
-    # one node of a valid workspace replaced or deleted; every command
-    # must end in 0, 1 or 2, and 1 only with a report or a verified failure
-    path, doc = radford_doc
+def mutate_and_run(path, doc, commands, data):
+    """Replace or delete one node of the valid workspace doc, write it to
+    path and run each command on it: every command must end in 0, 1 or 2,
+    and 1 only with a report or a verified failure."""
     doc = json.loads(json.dumps(doc))
     where = data.draw(st.sampled_from(list(json_paths(doc))), label="node")
     if not where:
@@ -606,7 +781,7 @@ def test_mutated_workspaces_exit_cleanly(radford_doc, data):
             parent[where[-1]] = data.draw(REPLACEMENTS, label="value")
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))
-    for argv in FUZZ_COMMANDS:
+    for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv + ["--in", path, "--format", "json"])
@@ -614,3 +789,28 @@ def test_mutated_workspaces_exit_cleanly(radford_doc, data):
         if code == 1:
             assert out.getvalue() or "verified failure" in err.getvalue(), \
                 (argv, err.getvalue())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_workspaces_exit_cleanly(radford_doc, data):
+    mutate_and_run(*radford_doc, FUZZ_COMMANDS, data)
+
+
+@pytest.fixture(scope="module")
+def qline_doc(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fuzz") / "qline.json")
+    save_workspace(braided_qline_workspace()[0], path)
+    return path, json.loads(open(path).read())
+
+
+# the braided section's own commands: a copy's bialgebra laws under the
+# braiding, and the pairing laws
+BRAIDED_FUZZ_COMMANDS = FUZZ_COMMANDS + (
+    ["check", "bialgebra", "--name", "h"], ["pairing", "check"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_braided_workspaces_exit_cleanly(qline_doc, data):
+    mutate_and_run(*qline_doc, BRAIDED_FUZZ_COMMANDS, data)

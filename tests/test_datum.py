@@ -13,8 +13,6 @@ from crossbial.datum import (
     build_phi_superoperator,
     check_hopf_datum,
     classify,
-    datum_from_json,
-    datum_to_json,
     induced_structures,
     phi_apply,
     recursion_order,
@@ -22,8 +20,11 @@ from crossbial.datum import (
     trivalence,
     trivial_datum,
 )
-from crossbial.linmaps import (LinMap, ShapeError, Space, UNIT, dim_of,
-                               run_pipeline)
+from crossbial.cli import (Workspace, WorkspaceError, _datum_from_workspace,
+                          load_workspace, save_workspace, workspace_from_json,
+                          workspace_to_json)
+from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, Space, UNIT,
+                               VectFlip, YetterDrinfeld, dim_of, run_pipeline)
 from crossbial.scalars import scalar_to_json
 from crossbial.structures import (
     PreconditionError,
@@ -481,63 +482,96 @@ def test_classification_families():
 
 
 # ---------------------------------------------------------------------------
-# serialisation
+# serialisation: a datum travels as a workspace, its braiding as the
+# workspace's braiding section
 # ---------------------------------------------------------------------------
 
-def test_datum_json_roundtrip():
-    # one datum per braiding backend; the Yetter-Drinfeld providers have no
+YD_KINDS = {YetterDrinfeld: "yetter-drinfeld",
+            LeftYetterDrinfeld: "left-yetter-drinfeld"}
+
+
+def datum_workspace(d, host=None):
+    """d's factors and maps as the workspace the datum commands read; under
+    a Yetter-Drinfeld braiding, also its host structure, each registered
+    module's maps as <space>_act and <space>_coact, and the braiding
+    section that names them."""
+    ws = Workspace().add_structure("b1", d.b1).add_structure("b2", d.b2)
+    for k in ("act_l", "coact_l", "act_r", "coact_r"):
+        ws.add_map(k, getattr(d, k))
+    if type(d.braiding) in YD_KINDS:
+        ws.add_structure("host", host)
+        modules = []
+        for sp in sorted(d.braiding._reg, key=lambda s: s.name):
+            act, coact = d.braiding._reg[sp]
+            ws.add_map(f"{sp.name}_act", act)
+            ws.add_map(f"{sp.name}_coact", coact)
+            modules.append({"space": sp.name, "act": f"{sp.name}_act",
+                            "coact": f"{sp.name}_coact"})
+        ws.braiding = {"kind": YD_KINDS[type(d.braiding)], "host": "host",
+                       "modules": modules}
+    return ws
+
+
+def test_datum_json_roundtrip(tmp_path):
+    # one datum per braiding backend, saved as a workspace and loaded the
+    # way the datum commands load it; the Yetter-Drinfeld providers have no
     # __eq__, so their type, host and registered maps are compared
     inp = sweedler_crossed_modules()
     right = yd_provider(inp.H, [(inp.B.space, inp.b_act, inp.b_coact)])
     left = yd_provider_left(inp.H, [(inp.C.space, inp.c_act, inp.c_coact)])
-    cases = [(radford_datum(), "flip"),
-             (trivial_datum(group_hopf(2), group_hopf(3)), "flip"),
-             (trivial_datum(inp.B, inp.C, right), "yetter-drinfeld"),
-             (trivial_datum(inp.B, inp.C, left), "left-yetter-drinfeld")]
-    for d, kind in cases:
-        obj = datum_to_json(d)
-        back = datum_from_json(obj)
-        if kind == "flip":
-            assert obj["braiding"] == {"kind": "flip"}
+    cases = [radford_datum(), trivial_datum(group_hopf(2), group_hopf(3)),
+             trivial_datum(inp.B, inp.C, right),
+             trivial_datum(inp.B, inp.C, left)]
+    for i, d in enumerate(cases):
+        path = str(tmp_path / f"datum{i}.json")
+        save_workspace(datum_workspace(d, inp.H), path)
+        back = _datum_from_workspace(load_workspace(path))
+        assert type(back.braiding) is type(d.braiding)
+        if type(d.braiding) is VectFlip:
             assert back == d
             continue
-        assert obj["braiding"]["kind"] == kind
-        assert type(back.braiding) is type(d.braiding)
         assert dataclasses.replace(back, braiding=d.braiding) == d
         assert back.braiding.host == d.braiding.host
         assert back.braiding._reg == d.braiding._reg
 
 
 def test_datum_json_refuses_an_unknown_braiding():
-    class Unknown:
-        """a provider with no JSON encoding"""
-
-    d = dataclasses.replace(radford_datum(), braiding=Unknown())
-    with pytest.raises(ShapeError, match="no JSON encoding"):
-        datum_to_json(d)
+    inp = sweedler_crossed_modules()
+    right = yd_provider(inp.H, [(inp.B.space, inp.b_act, inp.b_coact)])
+    obj = workspace_to_json(datum_workspace(
+        trivial_datum(inp.B, inp.C, right), inp.H))
+    obj["braiding"]["kind"] = "symmetric"
+    with pytest.raises(WorkspaceError, match="^/braiding/kind: expected one"):
+        workspace_from_json(obj)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda obj: obj.update(braiding="flip"), "braiding 'flip' is not"),
-    (lambda obj: obj["spaces"][0].update(dim="two"), "dim 'two', not an"),
-    (lambda obj: obj["spaces"][0].update(dim=2.5), "dim 2.5, not an"),
-    (lambda obj: obj["spaces"][0].update(dim="2"), "dim '2', not an"),
-    (lambda obj: obj["spaces"][0].update(dim=True), "dim True, not an"),
-    (lambda obj: obj["spaces"].append({"name": 7, "dim": 2}),
-     "space name 7 is not a string"),
-    (lambda obj: obj["spaces"].append({"name": None, "dim": 2}),
-     "space name None is not a string"),
+    pytest.param(lambda obj: obj.update(braiding="flip"), "^/schema: ",
+                 id="braiding-under-schema-1"),
+    pytest.param(lambda obj: obj["spaces"][0].update(dim="two"),
+                 "^/spaces/0: 'two' is not an integer", id="dim-two"),
+    pytest.param(lambda obj: obj["spaces"][0].update(dim=2.5),
+                 "^/spaces/0: 2.5 is not an integer", id="dim-float"),
+    pytest.param(lambda obj: obj["spaces"][0].update(dim="2"),
+                 "^/spaces/0: '2' is not an integer", id="dim-string"),
+    pytest.param(lambda obj: obj["spaces"][0].update(dim=True),
+                 "^/spaces/0: True is not an integer", id="dim-bool"),
+    pytest.param(lambda obj: obj["spaces"].append({"name": 7, "dim": 2}),
+                 r"^/spaces/\d+: 7 is not a string", id="name-int"),
+    pytest.param(lambda obj: obj["spaces"].append({"name": None, "dim": 2}),
+                 r"^/spaces/\d+: None is not a string", id="name-null"),
 ])
-def test_datum_json_malformed_fields_are_shape_errors(edit, message):
-    obj = datum_to_json(radford_datum())
+def test_datum_json_malformed_fields_are_pointed_at(edit, message):
+    obj = workspace_to_json(datum_workspace(radford_datum()))
     edit(obj)
-    with pytest.raises(ShapeError, match=message):
-        datum_from_json(obj)
+    with pytest.raises(WorkspaceError, match=message):
+        workspace_from_json(obj)
 
 
 @pytest.mark.parametrize("dim", [0, -1])
 def test_datum_json_refuses_a_non_positive_dim(dim):
-    obj = datum_to_json(radford_datum())
+    obj = workspace_to_json(datum_workspace(radford_datum()))
     obj["spaces"][0]["dim"] = dim
-    with pytest.raises(ShapeError, match=f"dim {dim}, not an integer >= 1"):
-        datum_from_json(obj)
+    with pytest.raises(WorkspaceError,
+                       match=f"^/spaces/0: {dim} is not a positive integer"):
+        workspace_from_json(obj)

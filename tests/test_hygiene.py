@@ -1,9 +1,11 @@
 """Source hygiene: every imported name in the package and the tests is used,
-every private function of the package is named somewhere in it, and the
-axiom checkers and structure-map builders evaluate their diagrams with the
-strand kernel, never with identity-padded tensors."""
+every private function of the package is named somewhere in it, every
+public one has a reader outside the tests, and the axiom checkers and
+structure-map builders evaluate their diagrams with the strand kernel,
+never with identity-padded tensors."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,78 @@ def test_the_scanner_flags_an_uncalled_private_function():
 def test_no_uncalled_private_functions():
     assert unreferenced_private(
         {p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def names_read(source: str):
+    """Every name, attribute and string constant in source: the names a
+    reader can reach a definition by, getattr with a string included."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def public_definitions(source: str):
+    """(qualified name, name) of each top-level public function and class,
+    and of each public method of a public class."""
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{sub.name}", sub.name)
+                        for sub in node.body
+                        if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_"))
+
+
+def unread_public(package, readers):
+    """(file, qualified name) of each public definition in package
+    ({file: text}) whose name no text of readers reads."""
+    used = set().union(*map(names_read, readers))
+    return sorted((f, q) for f, text in package.items()
+                  for q, name in public_definitions(text) if name not in used)
+
+
+def test_the_scanner_flags_an_unread_public_name():
+    package = {"a.py": "def used(): pass\ndef dead(): pass\n"
+                       "class K:\n    def m(self): pass\n"
+                       "    def gone(self): pass\n    def _p(self): pass\n"
+                       "def by_string(): pass\n"}
+    readers = ["from a import used, K\nused()\nK().m()\n",
+               "getattr(a, 'by_string')\n"]
+    assert unread_public(package, readers) == [("a.py", "K.gone"),
+                                               ("a.py", "dead")]
+
+
+def readme_python_tour():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", text, re.S)
+
+
+# Public names that nothing outside the tests reads, and why each stays.
+UNREAD_ALLOWED = {
+    ("linmaps.py", "LinMap.from_rows"):
+        "the dense constructor; the module docstring names dense row-major "
+        "matrices as the external contract",
+    ("structures.py", "check_action"):
+        "the checked entry to the (co)action laws; the package itself runs "
+        "_action_report on actors it has verified",
+}
+
+
+def test_every_public_name_has_a_reader():
+    readers = [p.read_text() for p in PACKAGE + sorted(
+        (ROOT / "perfbench").glob("*.py")) + sorted(
+        (ROOT / "tools").glob("*.py"))] + readme_python_tour()
+    unread = unread_public({p.name: p.read_text() for p in PACKAGE}, readers)
+    assert unread == sorted(UNREAD_ALLOWED)
 
 
 # Functions that evaluate string diagrams, the axiom checkers and the

@@ -13,18 +13,17 @@ from crossbial.linmaps import (
     ShapeError,
     Space,
     UNIT,
+    LeftYetterDrinfeld,
     VectFlip,
 )
 from crossbial.scalars import root_of_unity
 from crossbial.structures import (
     ActionData,
-    CrossedModuleData,
     NotConvolutionInvertibleError,
     PreconditionError,
     Structure,
     check_action,
     check_axioms,
-    check_crossed_module,
     classify_morphism,
     compare,
     convolution_inverse,
@@ -36,6 +35,7 @@ from crossbial.structures import (
     tensor_coalgebra,
     tensor_structure,
     yd_provider,
+    yd_provider_left,
 )
 
 ONE = Fraction(1)
@@ -261,29 +261,27 @@ def test_action_shape_errors():
 # crossed modules
 # ---------------------------------------------------------------------------
 
+def registers(H, M, act, coact):
+    """Whether yd_provider verifies (M, act, coact) over H and registers it."""
+    return yd_provider(H, [(M, act, coact)])._reg == {M: (act, coact)}
+
+
 def test_sweedler_crossed_module_passes():
-    H, M, act, coact = sweedler_yd()
-    rep = check_crossed_module(CrossedModuleData(M, H, act, coact))
-    assert rep.ok
+    assert registers(*sweedler_yd())
 
 
 def test_trivial_crossed_module_passes():
     H = group_hopf(3)
     M = Space("M", 2)
     im = LinMap.identity((M,))
-    act = im @ H.eps
-    coact = im @ H.eta
-    rep = check_crossed_module(CrossedModuleData(M, H, act, coact))
-    assert rep.ok
+    assert registers(H, M, im @ H.eps, im @ H.eta)
 
 
 def test_abelian_host_accepts_any_grading():
     # Over an abelian group algebra the compatibility degenerates to
     # deg(m <| g) = g^{-1} deg(m) g, which always holds; regrading the
     # Sweedler module onto the unit keeps it a crossed module.
-    H, M, act, coact = sweedler_yd({(0, 0): ONE, (2, 1): ONE})  # x -> x(x)1
-    rep = check_crossed_module(CrossedModuleData(M, H, act, coact))
-    assert rep.ok
+    assert registers(*sweedler_yd({(0, 0): ONE, (2, 1): ONE}))  # x -> x(x)1
 
 
 def test_nonabelian_incompatible_grading_fails():
@@ -292,10 +290,12 @@ def test_nonabelian_incompatible_grading_fails():
     act = LinMap.identity((M,)) @ H.eps          # trivial action
     coact = LinMap((M,), (M, H.space), {(i * 6 + i, i): ONE
                                         for i in range(6)})  # h -> h(x)h
-    rep = check_crossed_module(CrossedModuleData(M, H, act, coact))
-    assert not rep.ok
-    e = rep.entry("crossed-compatibility")
-    assert not e.ok and e.witness is not None
+    with pytest.raises(PreconditionError) as exc:
+        yd_provider(H, [(M, act, coact)])
+    assert str(exc.value) == "adj: crossed-compatibility"
+    rep = exc.value.report
+    assert rep.failed() == ["crossed-compatibility"]
+    assert rep.entry("crossed-compatibility").witness is not None
 
 
 def test_left_crossed_module_mirror():
@@ -303,29 +303,31 @@ def test_left_crossed_module_mirror():
     H = group_hopf(2)
     C = Space("C", 2)
     ic = LinMap.identity((C,))
-    rep = check_crossed_module(
-        CrossedModuleData(C, H, H.eps @ ic, H.eta @ ic, side="left"))
-    assert rep.ok
+    act, coact = H.eps @ ic, H.eta @ ic
+    prov = yd_provider_left(H, [(C, act, coact)])
+    assert type(prov) is LeftYetterDrinfeld
+    assert prov._reg == {C: (act, coact)}
 
 
 def test_crossed_module_precondition():
     H, M, act, _coact = sweedler_yd()
     broken = LinMap((M,), (M, H.space), {(0, 0): ONE, (1, 1): ONE})
-    with pytest.raises(PreconditionError):
-        check_crossed_module(CrossedModuleData(M, H, act, broken))
+    with pytest.raises(PreconditionError) as exc:
+        yd_provider(H, [(M, act, broken)])
+    assert str(exc.value).startswith("M: (co)module laws fail first: ")
+    assert exc.value.report.failed()[0] in str(exc.value)
 
 
 def test_crossed_module_refuses_a_host_with_a_broken_unit():
     s = group_hopf(2)
     bad = Structure(s.space, s.m, LinMap(UNIT, (s.space,), {(1, 0): ONE}),
-                    s.delta, s.eps)  # unit sent to g
+                    s.delta, s.eps, s.S)  # unit sent to g
     M = Space("M", 1)
     im = LinMap.identity((M,))
     with pytest.raises(PreconditionError) as exc:
-        check_crossed_module(CrossedModuleData(M, bad, im @ bad.eps,
-                                               im @ bad.eta))
-    assert str(exc.value) == "actor fails left-unit; validate it first"
-    assert exc.value.report is not None
+        yd_provider(bad, [(M, im @ bad.eps, im @ bad.eta)])
+    assert str(exc.value) == "host fails left-unit"
+    assert "left-unit" in exc.value.report.failed()
 
 
 def test_yd_provider_refuses_a_host_that_is_not_hopf():

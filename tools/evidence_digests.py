@@ -18,9 +18,13 @@ the output of two trees, run one after the other, differs only where
 their evidence does:
 
     diff before.txt after.txt
+
+A run holds an exclusive lock on a file next to the work directory; a
+second run started while it is held exits 1 without touching anything.
 """
 
 import argparse
+import fcntl
 import hashlib
 import os
 import shutil
@@ -35,6 +39,7 @@ import run as bench  # noqa: E402
 WORKLOADS = ("cli-verify", "twist", "recursion")
 # reports name their input files, so both trees must use the same path
 WORKDIR = os.path.join(tempfile.gettempdir(), "crossbial-evidence")
+LOCKFILE = WORKDIR + ".lock"
 
 
 def parse_args(argv=None):
@@ -71,6 +76,17 @@ def as_text(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    with open(LOCKFILE, "a") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"evidence_digests: {LOCKFILE} is held by another run; "
+                  f"two runs at once share {WORKDIR}", file=sys.stderr)
+            return 1
+        return digests(args)
+
+
+def digests(args) -> int:
     workloads = bench.import_program()
     for name in WORKLOADS:
         for seed in args.seeds:
