@@ -204,10 +204,13 @@ def workspace_from_json(obj: dict) -> Workspace:
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
         try:
-            ws.spaces[e["name"]] = Space(json_name(e["name"]),
-                                         json_dim(e["dim"]))
+            space = Space(json_name(e["name"]), json_dim(e["dim"]))
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
+        if space.name in ws.spaces:
+            raise WorkspaceError(f"/spaces/{i}: space {space.name!r} is "
+                                 "named twice")
+        ws.spaces[space.name] = space
     for section, loader, target in (
             ("structures", structure_from_json, ws.structures),
             ("maps", linmap_from_json, ws.maps)):

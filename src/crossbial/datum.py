@@ -28,7 +28,6 @@ from .linmaps import (
 )
 from .scalars import ONE, ZERO, json_int, scalar_to_json
 from .structures import (
-    ActionData,
     CheckEntry,
     CheckReport,
     Structure,
@@ -129,17 +128,6 @@ def _mixed_maps(d: HopfDatum) -> Tuple[LinMap, LinMap]:
 # the full datum check
 # ---------------------------------------------------------------------------
 
-def _prefixed(entries, prefix: str) -> List[CheckEntry]:
-    out = []
-    for e in entries:
-        name = e.axiom
-        for strip in ("action-", "coaction-"):
-            if name.startswith(strip):
-                name = name[len(strip):]
-        out.append(CheckEntry(prefix + name, e.ok, e.witness))
-    return out
-
-
 def check_hopf_datum(d: HopfDatum) -> CheckReport:
     """Verify every defining identity of the datum, each exactly.
 
@@ -154,7 +142,8 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
         base = [compare("unit-counit", st.eps * st.eta,
                         LinMap.identity(UNIT))]
         base += _algebra_entries(st) + _coalgebra_entries(st)
-        entries += _prefixed(base, tag + "-")
+        entries += [CheckEntry(f"{tag}-{e.axiom}", e.ok, e.witness)
+                    for e in base]
     if not all(e.ok for e in entries):
         return CheckReport(entries)
 
@@ -164,8 +153,7 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
             ("act-r-", d.b2.space, d.b1, d.act_r, "module-r"),
             ("coact-l-", d.b1.space, d.b2, d.coact_l, "comodule-l"),
             ("coact-r-", d.b2.space, d.b1, d.coact_r, "comodule-r")):
-        entries += _prefixed(
-            _action_report(ActionData(carrier, actor, f), kind).entries, tag)
+        entries += _action_report(carrier, actor, f, kind, tag).entries
 
     s1, s2 = d.b1.space, d.b2.space
     id1, id2 = d.b1.id_map(), d.b2.id_map()

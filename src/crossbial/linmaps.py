@@ -363,7 +363,7 @@ class YetterDrinfeld:
     from the pairwise ones (diagonal structure), so the provider stays finite.
     """
 
-    kind = "YetterDrinfeld"
+    side = "right"
 
     def __init__(self, host_space: Space):
         self.host = host_space
@@ -407,7 +407,7 @@ class LeftYetterDrinfeld(YetterDrinfeld):
     """Left-sided variant: Psi(x (x) y) = (x_(-1) |> y) (x) x_(0), from a
     left action H (x) Y -> Y and a left coaction X -> H (x) X."""
 
-    kind = "LeftYetterDrinfeld"
+    side = "left"
 
     def register(self, space: Space, act_l: LinMap, coact_l: LinMap):
         if act_l.dom != (self.host, space) or act_l.cod != (space,):
@@ -546,20 +546,25 @@ def linmap_to_json(f: LinMap) -> dict:
 
 def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
     try:
-        dom = tuple(spaces[n] for n in obj["dom"])
-        cod = tuple(spaces[n] for n in obj["cod"])
+        strands = obj["dom"], obj["cod"]
         matrix = obj["matrix"]
+        for key, names in zip(("dom", "cod"), strands):
+            if type(names) is not list or any(type(n) is not str
+                                              for n in names):
+                raise ShapeError(f"{key} must be a list of space names")
+        dom, cod = (tuple(spaces[n] for n in names) for names in strands)
     except KeyError as e:
         raise ShapeError(f"bad LinMap encoding: missing {e}") from e
     # Every entry is parsed before the shape is checked, so a bad scalar
-    # is reported first.  Each distinct encoding is parsed once: a
-    # cyclotomic is keyed only when its conductor is an int and its
-    # coefficients strings, the only kind that parses, so a malformed
-    # encoding never finds a valid one's value.
+    # is reported first; a matrix or row that is not a JSON list has the
+    # wrong shape even when iterating it yields parsable entries.  Each
+    # distinct encoding is parsed once: a cyclotomic is keyed only when its
+    # conductor is an int and its coefficients strings, the only kind that
+    # parses, so a malformed encoding never finds a valid one's value.
     parsed: Dict[object, Scalar] = {}
     entries: Dict[Tuple[int, int], Scalar] = {}
     nr, nc = dim_of(cod), dim_of(dom)
-    nrows, rows_ok = 0, True
+    nrows, rows_ok = 0, type(matrix) is list
     for r, row in enumerate(matrix):
         c = -1
         for c, v in enumerate(row):
@@ -578,7 +583,7 @@ def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
                     parsed[key] = val
             if val:
                 entries[(r, c)] = val
-        rows_ok = rows_ok and c + 1 == nc
+        rows_ok = rows_ok and type(row) is list and c + 1 == nc
         nrows = r + 1
     if nrows != nr or not rows_ok:
         raise ShapeError(f"matrix must be {nr}x{nc}")

@@ -334,147 +334,82 @@ def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
 
 # -- (co)actions ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ActionData:
-    """A (co)action map together with its acting structure.
+def _action_report(carrier: Space, actor: Structure, f: LinMap, kind: str,
+                   tag: str) -> CheckReport:
+    """The (co)action laws of f, for an actor whose laws already hold, named
+    tag + "unit" and "associativity" (tag + "counit" and "coassociativity"
+    for a comodule).  The actor's strand sits left of the carrier's for
+    the kinds module-l (f: H(x)M -> M) and comodule-l (f: M -> H(x)M), and
+    right of it for module-r and comodule-r; a comodule's laws are a
+    module's diagrams upside down."""
+    co = "co" if kind.startswith("co") else ""
+    left = kind.endswith("-l")
+    im, ih = LinMap.identity((carrier,)), LinMap.identity((actor.space,))
 
-    map shapes by kind:   module-l   H(x)M -> M
-                          module-r   M(x)H -> M
-                          comodule-l M -> H(x)M
-                          comodule-r M -> M(x)H
-    """
+    def row(h, x):
+        return [h, x] if left else [x, h]
 
-    carrier: Space
-    actor: Structure
-    map: LinMap
-
-
-_ACTOR_LAWS = {"module-l": "algebra", "module-r": "algebra",
-               "comodule-l": "coalgebra", "comodule-r": "coalgebra"}
-
-
-def _verify_actor(s: Structure, kind: str) -> None:
-    """The laws an actor needs before its (co)action of `kind` means
-    anything: algebra for a module, coalgebra for a comodule."""
-    if kind not in _ACTOR_LAWS:
-        raise ValueError(f"unknown kind {kind!r}")
-    check_axioms(s, _ACTOR_LAWS[kind]).require(
-        "actor fails {}; validate it first")
-
-
-def check_action(a: ActionData, kind: str) -> CheckReport:
-    """Unit+associativity (counit+coassociativity) of a (co)action; the
-    actor's own laws are verified first."""
-    _verify_actor(a.actor, kind)
-    return _action_report(a, kind)
-
-
-def _action_report(a: ActionData, kind: str) -> CheckReport:
-    """The (co)action laws of a, for an actor whose laws already hold."""
-    M, H = (a.carrier,), (a.actor.space,)
-    im, ih = LinMap.identity(M), LinMap.identity(H)
-    act = a.map
-    s = a.actor
-    if kind == "module-l":
-        if act.dom != H + M or act.cod != M:
-            raise ShapeError("left action must be H(x)M -> M")
-        entries = [
-            compare("action-unit", run_pipeline([[s.eta, im], [act]]), im),
-            compare("action-associativity",
-                    run_pipeline([[s.m, im], [act]]),
-                    run_pipeline([[ih, act], [act]])),
-        ]
-    elif kind == "module-r":
-        if act.dom != M + H or act.cod != M:
-            raise ShapeError("right action must be M(x)H -> M")
-        entries = [
-            compare("action-unit", run_pipeline([[im, s.eta], [act]]), im),
-            compare("action-associativity",
-                    run_pipeline([[im, s.m], [act]]),
-                    run_pipeline([[act, ih], [act]])),
-        ]
-    elif kind == "comodule-l":
-        if act.dom != M or act.cod != H + M:
-            raise ShapeError("left coaction must be M -> H(x)M")
-        entries = [
-            compare("coaction-counit", apply_at(act, s.eps, 0), im),
-            compare("coaction-coassociativity",
-                    apply_at(act, s.delta, 0), apply_at(act, act, 1)),
-        ]
+    hm = tuple(row(actor.space, carrier))
+    if (f.dom, f.cod) != (((carrier,), hm) if co else (hm, (carrier,))):
+        ends = ["(x)".join(row("H", "M")), "M"]
+        raise ShapeError(f"{'left' if left else 'right'} {co}action must be "
+                         + " -> ".join(ends[::-1] if co else ends))
+    if co:
+        unit = [[f], row(actor.eps, im)]
+        lhs, rhs = [[f], row(actor.delta, im)], [[f], row(ih, f)]
     else:
-        if act.dom != M or act.cod != M + H:
-            raise ShapeError("right coaction must be M -> M(x)H")
-        entries = [
-            compare("coaction-counit", apply_at(act, s.eps, 1), im),
-            compare("coaction-coassociativity",
-                    apply_at(act, s.delta, 1), apply_at(act, act, 0)),
-        ]
-    return CheckReport(entries)
+        unit = [row(actor.eta, im), [f]]
+        lhs, rhs = [row(actor.m, im), [f]], [row(ih, f), [f]]
+    return CheckReport([
+        compare(f"{tag}{co}unit", run_pipeline(unit), im),
+        compare(f"{tag}{co}associativity", run_pipeline(lhs),
+                run_pipeline(rhs))])
 
 
 # -- crossed modules --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossedModuleData:
-    """Carrier with an action and a coaction over one host structure.
-
-    side "right": act: M(x)H -> M, coact: M -> M(x)H.
-    side "left":  act: H(x)M -> M, coact: M -> H(x)M.
-    """
-
-    carrier: Space
-    host: Structure
-    act: LinMap
-    coact: LinMap
-    side: str = "right"
-
-
-_CROSSED_KINDS = {"right": ("module-r", "comodule-r"),
-                  "left": ("module-l", "comodule-l")}
-
-
-def _crossed_module_report(cm: CrossedModuleData, bp) -> CheckReport:
+def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
+                           coact: LinMap, side: str, bp) -> CheckReport:
     """The (co)module laws and the compatibility of the action with the
-    coaction, for a host whose laws already hold.  Both sides of the
-    defining identity are evaluated as composites on M(x)H (side "right")
-    resp. H(x)M (side "left")."""
-    M, H = (cm.carrier,), (cm.host.space,)
-    im, ih = LinMap.identity(M), LinMap.identity(H)
-    s = cm.host
-    mod_kind, com_kind = _CROSSED_KINDS[cm.side]
-    mod = _action_report(ActionData(cm.carrier, s, cm.act), mod_kind)
-    com = _action_report(ActionData(cm.carrier, s, cm.coact), com_kind)
+    coaction, for a host whose laws already hold.  side "right": act:
+    M(x)H -> M and coact: M -> M(x)H, and both sides of the defining
+    identity are composites on M(x)H; side "left" is the same diagrams
+    mirrored, on H(x)M, with Psi_{M,H} and Psi_{H,M} trading places."""
+    im, ih = LinMap.identity((carrier,)), LinMap.identity((host.space,))
+    mod = _action_report(carrier, host, act, "module-" + side[0], "action-")
+    com = _action_report(carrier, host, coact, "comodule-" + side[0],
+                         "coaction-")
     for rep in (mod, com):
-        rep.require(f"{cm.carrier.name}: (co)module laws fail first: {{}}")
-    psi_hh = bp.braiding(s.space, s.space)
-    psi_mh = bp.braiding(cm.carrier, s.space)
-    psi_hm = bp.braiding(s.space, cm.carrier)
-    loop = cm.coact * cm.act
-    if cm.side == "right":
-        lhs = [[cm.coact, s.delta], [im, psi_hh, ih], [cm.act, s.m]]
-        rhs = [[im, s.delta], [psi_mh, ih], [ih, loop], [psi_hm, ih],
-               [im, s.m]]
-    else:
-        lhs = [[s.delta, cm.coact], [ih, psi_hh, im], [s.m, cm.act]]
-        rhs = [[s.delta, im], [ih, psi_hm], [loop, ih], [ih, psi_mh],
-               [s.m, im]]
+        rep.require(f"{carrier.name}: (co)module laws fail first: {{}}")
+    psi_hh = bp.braiding(host.space, host.space)
+    psi_mh = bp.braiding(carrier, host.space)
+    psi_hm = bp.braiding(host.space, carrier)
+    if side == "left":
+        psi_mh, psi_hm = psi_hm, psi_mh
+    loop = coact * act
+    lhs = [[coact, host.delta], [im, psi_hh, ih], [act, host.m]]
+    rhs = [[im, host.delta], [psi_mh, ih], [ih, loop], [psi_hm, ih],
+           [im, host.m]]
+    if side == "left":
+        lhs, rhs = ([r[::-1] for r in rows] for rows in (lhs, rhs))
     return CheckReport(mod.entries + com.entries + (compare(
         "crossed-compatibility", run_pipeline(lhs), run_pipeline(rhs)),))
 
 
 def _yd_providers(host: Structure, bp, *groups) -> list:
     """Verify the host once (as a Hopf algebra when it carries an
-    antipode), then build one provider per (cls, side, modules) group,
-    registering each module only after its crossed-module laws pass."""
+    antipode), then build one provider per (cls, modules) group,
+    registering each module only after its crossed-module laws pass on
+    the provider class's side."""
     kind = "hopf" if host.S is not None else "bialgebra"
     check_axioms(host, kind, bp).require("host fails {}")
     provs = []
-    for cls, side, modules in groups:
+    for cls, modules in groups:
         prov = cls(host.space)
         for space, act, coact in modules:
-            _crossed_module_report(
-                CrossedModuleData(space, host, act, coact, side),
-                bp or VectFlip()).require(f"{space.name}: {{}}")
+            _crossed_module_report(space, host, act, coact, cls.side,
+                                   bp or VectFlip()).require(
+                f"{space.name}: {{}}")
             prov.register(space, act, coact)
         provs.append(prov)
     return provs
@@ -489,14 +424,13 @@ def yd_provider(host: Structure, modules, bp=None):
     compatibility over the host before it is registered.  A law that
     fails raises PreconditionError carrying the report.
     """
-    return _yd_providers(host, bp, (YetterDrinfeld, "right", modules))[0]
+    return _yd_providers(host, bp, (YetterDrinfeld, modules))[0]
 
 
 def yd_provider_left(host: Structure, modules, bp=None):
     """Left-sided counterpart of yd_provider: act: H(x)X -> X and
     coact: X -> H(x)X, validated as left crossed modules."""
-    return _yd_providers(host, bp,
-                         (LeftYetterDrinfeld, "left", modules))[0]
+    return _yd_providers(host, bp, (LeftYetterDrinfeld, modules))[0]
 
 
 # -- morphism classification ------------------------------------------------

@@ -395,8 +395,8 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     idh, idb, idc = H.id_map(), B.id_map(), C.id_map()
 
     prov_r, prov_l = _yd_providers(
-        H, bp, (YetterDrinfeld, "right", [(sb, inp.b_act, inp.b_coact)]),
-        (LeftYetterDrinfeld, "left", [(sc, inp.c_act, inp.c_coact)]))
+        H, bp, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
+        (LeftYetterDrinfeld, [(sc, inp.c_act, inp.c_coact)]))
     for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
         check_axioms(st, "bialgebra", prov).require(
             f"{tag} is not a bialgebra in its crossed-module category ({{}})")

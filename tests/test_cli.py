@@ -357,6 +357,19 @@ def test_non_positive_space_dim_is_refused(tmp_path, capsys, dim):
             in err)
 
 
+def test_a_repeated_space_name_is_refused(tmp_path, capsys):
+    # a second entry must not silently replace the first
+    path = build_radford_ws(tmp_path, capsys)
+    obj = json.loads(open(path).read())
+    obj["spaces"].insert(0, {"name": "kC2", "dim": 5})
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: /spaces/3: space 'kC2' is named twice" in err
+
+
 def test_bad_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "nonsense", "--in", "x.json"])
@@ -795,6 +808,38 @@ def mutate_and_run(path, doc, commands, data):
 @given(data=st.data())
 def test_mutated_workspaces_exit_cleanly(radford_doc, data):
     mutate_and_run(*radford_doc, FUZZ_COMMANDS, data)
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def test_list_nodes_must_stay_lists(radford_doc):
+    # each list node (spaces, every dom, cod, matrix and row) replaced by
+    # an object keyed by its items, or by its string items run together:
+    # iterating either yields the items again, which must not pass as the
+    # list
+    path, doc = radford_doc
+    escaped = []
+    nodes = [p for p in json_paths(doc) if isinstance(_at(doc, p), list)]
+    assert len(nodes) == 135
+    for where in nodes:
+        items = _at(doc, where)
+        for value in ({x if isinstance(x, str) else json.dumps(x): None
+                       for x in items},
+                      "".join(x for x in items if isinstance(x, str))):
+            mutant = json.loads(json.dumps(doc))
+            _at(mutant, where[:-1])[where[-1]] = value
+            with open(path, "w") as fh:
+                fh.write(json.dumps(mutant))
+            with redirect_stdout(io.StringIO()), \
+                    redirect_stderr(io.StringIO()):
+                code = main(["check", "hopf", "--in", path])
+            if code != 2:
+                escaped.append(("/".join(map(str, where)), value, code))
+    assert escaped == []
 
 
 @pytest.fixture(scope="module")

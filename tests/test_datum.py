@@ -194,6 +194,38 @@ def test_breaking_the_unit_law_is_reported_with_a_witness():
     assert (w.lhs, w.rhs) == (-ONE, ONE)
 
 
+@pytest.mark.parametrize("slot, key, failed, law, in_index, out_index", [
+    ("act_r", (1, 2),
+     ["act-r-unit", "act-r-associativity", "act-r-counit", "alg-coalg-2",
+      "module-algebra-2", "module-coalgebra-1", "comodule-algebra-2"],
+     "act-r-associativity", (1, 0, 0), (1,)),
+    ("coact_l", (3, 1),
+     ["coact-l-counit", "coact-l-coassociativity", "alg-coalg-1"],
+     "coact-l-coassociativity", (1,), (1, 1, 1)),
+    ("coact_r", (2, 1),
+     ["coact-r-counit", "coact-r-coassociativity", "counit-coact-r",
+      "alg-coalg-2", "comodule-coalgebra-1", "comodule-coalgebra-2",
+      "module-coalgebra-2"],
+     "coact-r-coassociativity", (1,), (1, 0, 0))])
+def test_breaking_a_slot_names_its_laws_with_witnesses(slot, key, failed,
+                                                       law, in_index,
+                                                       out_index):
+    # negating one entry of a (co)action of radford_datum: the slot's
+    # (co)unit law fails first, at the basis vector the entry moves
+    d = radford_datum()
+    f = getattr(d, slot)
+    ent = dict(f.entries)
+    ent[key] = -ent[key]
+    rep = check_hopf_datum(
+        dataclasses.replace(d, **{slot: LinMap(f.dom, f.cod, ent)}))
+    assert rep.failed() == failed
+    w = rep.entry(failed[0]).witness
+    assert (w.out_index, w.in_index, w.lhs, w.rhs) == ((1,), (1,), -ONE, ONE)
+    w = rep.entry(law).witness
+    assert (w.out_index, w.in_index, w.lhs, w.rhs) == (out_index, in_index,
+                                                       -ONE, ONE)
+
+
 def test_induced_structures_refuse_a_broken_datum():
     d = radford_datum()
     ent = dict(d.act_l.entries)

@@ -132,9 +132,6 @@ UNREAD_ALLOWED = {
     ("linmaps.py", "LinMap.from_rows"):
         "the dense constructor; the module docstring names dense row-major "
         "matrices as the external contract",
-    ("structures.py", "check_action"):
-        "the checked entry to the (co)action laws; the package itself runs "
-        "_action_report on actors it has verified",
 }
 
 

@@ -18,11 +18,10 @@ from crossbial.linmaps import (
 )
 from crossbial.scalars import root_of_unity
 from crossbial.structures import (
-    ActionData,
     NotConvolutionInvertibleError,
     PreconditionError,
     Structure,
-    check_action,
+    _action_report,
     check_axioms,
     classify_morphism,
     compare,
@@ -204,7 +203,7 @@ def test_trivial_left_action():
     H = group_hopf(2)
     M = Space("M", 3)
     act = H.eps @ LinMap.identity((M,))
-    rep = check_action(ActionData(M, H, act), "module-l")
+    rep = _action_report(M, H, act, "module-l", "action-")
     assert rep.ok
 
 
@@ -215,7 +214,7 @@ def test_root_of_unity_action_passes():
     act = LinMap((H.space, M), (M,),
                  {(m, l * 3 + m): q ** (-(m * l) % 3)
                   for l in range(3) for m in range(3)})
-    rep = check_action(ActionData(M, H, act), "module-l")
+    rep = _action_report(M, H, act, "module-l", "action-")
     assert rep.ok
 
 
@@ -227,34 +226,32 @@ def test_wrong_order_root_fails_associativity():
     act = LinMap((H.space, M), (M,),
                  {(m, l * 2 + m): Fraction((-1) ** (m * l))
                   for l in range(3) for m in range(2)})
-    rep = check_action(ActionData(M, H, act), "module-l")
+    rep = _action_report(M, H, act, "module-l", "action-")
     assert rep.entry("action-unit").ok
     assert not rep.entry("action-associativity").ok
 
 
-def test_action_precondition():
-    s = group_hopf(2)
-    bad = Structure(s.space, s.m, LinMap(UNIT, (s.space,), {(1, 0): ONE}),
-                    s.delta, s.eps)  # unit sent to g
-    M = Space("M", 1)
-    act = bad.eps @ LinMap.identity((M,))
-    with pytest.raises(PreconditionError) as exc:
-        check_action(ActionData(M, bad, act), "module-l")
-    assert exc.value.report is not None
-
-
 def test_right_coaction_sweedler():
     H, M, _act, coact = sweedler_yd()
-    rep = check_action(ActionData(M, H, coact), "comodule-r")
+    rep = _action_report(M, H, coact, "comodule-r", "coaction-")
     assert rep.ok
 
 
 def test_action_shape_errors():
+    # each kind refuses the map of its mirror kind (a right action for
+    # module-l, and so on) with its own message
     H = group_hopf(2)
     M = Space("M", 2)
-    act = H.eps @ LinMap.identity((M,))  # H(x)M -> M, a *left* action
-    with pytest.raises(ShapeError):
-        check_action(ActionData(M, H, act), "module-r")
+    im = LinMap.identity((M,))
+    for kind, mirror, message in [
+            ("module-l", im @ H.eps, "left action must be H(x)M -> M"),
+            ("module-r", H.eps @ im, "right action must be M(x)H -> M"),
+            ("comodule-l", im @ H.eta, "left coaction must be M -> H(x)M"),
+            ("comodule-r", H.eta @ im,
+             "right coaction must be M -> M(x)H")]:
+        with pytest.raises(ShapeError) as exc:
+            _action_report(M, H, mirror, kind, "action-")
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +313,39 @@ def test_crossed_module_precondition():
         yd_provider(H, [(M, act, broken)])
     assert str(exc.value).startswith("M: (co)module laws fail first: ")
     assert exc.value.report.failed()[0] in str(exc.value)
+
+
+@pytest.mark.parametrize("side, out_index", [("right", (1, 0, 0)),
+                                             ("left", (0, 0, 1))])
+def test_a_failing_coaction_law_is_pinned_on_each_side(side, out_index):
+    # the sign line over kC4 (x <| g = -x) with the coaction x -> x (x) (g +
+    # g^2 - 1), and its mirror on the left: the counit law still holds, the
+    # coassociativity fails at x (x) 1 (x) 1 (1 (x) 1 (x) x)
+    H = group_hopf(4)
+    M = Space("L", 2)
+    sign = {(i, c): (-ONE) ** (i * c) for i in range(2) for c in range(4)}
+    grade = {(0, 0): ONE, (1, 1): ONE, (1, 2): ONE, (1, 0): -ONE}
+    if side == "right":
+        make = yd_provider
+        act = LinMap((M, H.space), (M,),
+                     {(i, i * 4 + c): v for (i, c), v in sign.items()})
+        coact = LinMap((M,), (M, H.space),
+                       {(i * 4 + c, i): v for (i, c), v in grade.items()})
+    else:
+        make = yd_provider_left
+        act = LinMap((H.space, M), (M,),
+                     {(i, c * 2 + i): v for (i, c), v in sign.items()})
+        coact = LinMap((M,), (H.space, M),
+                       {(c * 2 + i, i): v for (i, c), v in grade.items()})
+    with pytest.raises(PreconditionError) as exc:
+        make(H, [(M, act, coact)])
+    assert str(exc.value) == ("L: (co)module laws fail first: "
+                              "coaction-coassociativity")
+    rep = exc.value.report
+    assert rep.failed() == ["coaction-coassociativity"]
+    w = rep.entry("coaction-coassociativity").witness
+    assert (w.out_index, w.in_index, w.lhs, w.rhs) == (out_index, (1,),
+                                                       -ONE, ONE)
 
 
 def test_crossed_module_refuses_a_host_with_a_broken_unit():
