@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .scalars import (Scalar, ZERO, ONE, as_scalar, json_int, scalar_from_json,
-                      scalar_to_json)
+from .scalars import (SCALAR_TYPES, Scalar, ZERO, ONE, as_scalar, json_int,
+                      reciprocal, scalar_from_json, scalar_to_json)
 
 
 class Space(NamedTuple):
@@ -81,6 +81,8 @@ class LinMap:
             for (r, c), v in entries.items():
                 if not (0 <= r < nr and 0 <= c < nc):
                     raise ShapeError(f"entry ({r},{c}) outside {nr}x{nc} matrix")
+                if type(v) not in SCALAR_TYPES:
+                    raise TypeError(f"not an exact scalar: {v!r}")
                 if v:
                     pruned[(r, c)] = v
         self.entries = pruned
@@ -288,7 +290,7 @@ def reduce_rows(rows: Iterable[Dict[int, Scalar]]
         if not row:
             continue
         lead = min(row)
-        inv = ONE / row.pop(lead)
+        inv = reciprocal(row.pop(lead))
         row = {c: inv * v for c, v in row.items()}
         for prow in pivots.values():
             if lead in prow:

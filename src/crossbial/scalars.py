@@ -1,11 +1,16 @@
 """Exact scalar arithmetic: rationals and cyclotomic extensions Q(zeta_n).
 
-Every scalar in a computation is either a `fractions.Fraction` or a `Cyclo`
-with one shared conductor.  Cyclotomics live in the power basis
-1, z, ..., z^{phi(n)-1} reduced modulo the n-th cyclotomic polynomial, as
-int numerators over one positive denominator in lowest terms, so equality
-is field comparison and arithmetic builds no Fraction.  A Cyclo whose value is rational is
-collapsed to a Fraction on construction; mixing two different conductors is
+Every scalar in a computation is a rational or a `Cyclo` with one shared
+conductor.  A rational is made an `int` when it is integral and a
+`fractions.Fraction` only when it is not, so the 0, 1 and -1 that fill
+structure maps multiply at int speed; a Fraction that comes out of
+arithmetic with an integral value stays legal, since equality and hashing
+compare values.  Division goes through `reciprocal`, because `int / int`
+is a float.  Cyclotomics live in the power basis 1, z, ..., z^{phi(n)-1}
+reduced modulo the n-th cyclotomic polynomial, as int numerators over one
+positive denominator in lowest terms, so equality is field comparison and
+arithmetic builds no Fraction.  A Cyclo whose value is rational is
+collapsed to a rational on construction; mixing two different conductors is
 a hard error (rationals embed freely).
 """
 
@@ -17,10 +22,11 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Union
 
-Scalar = Union[Fraction, "Cyclo"]
+Rational = Union[int, Fraction]
+Scalar = Union[int, Fraction, "Cyclo"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class ConductorMixError(ValueError):
@@ -115,11 +121,18 @@ def _mulmod(n: int, a, b) -> list:
     return _reduce(n, len(a), _poly_mul(a, b))
 
 
+def _ratio(num: int, den: int) -> Rational:
+    """num / den for den > 0: an int when it is integral, else a Fraction."""
+    if num % den:
+        return Fraction(num, den)
+    return num // den
+
+
 def _cyclo(n: int, nums, den: int) -> Scalar:
-    """The scalar sum(nums[i] z^i) / den for den > 0: a Fraction when its
+    """The scalar sum(nums[i] z^i) / den for den > 0: a rational when its
     value is rational, else a Cyclo in lowest terms."""
     if not any(nums[1:]):
-        return Fraction(nums[0], den)
+        return _ratio(nums[0], den)
     g = gcd(den, *nums)
     if g != 1:
         nums = [c // g for c in nums]
@@ -162,8 +175,8 @@ class Cyclo:
 
     @property
     def coeffs(self) -> tuple:
-        """The power-basis coefficients as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        """The power-basis coefficients as rationals, ints when integral."""
+        return tuple(_ratio(c, self.den) for c in self.nums)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -280,15 +293,13 @@ class Cyclo:
         return _cyclo(n, [self.den * c for c in prod], r)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (ONE / Fraction(other))
-        if isinstance(other, Cyclo):
-            return self * other.inverse()
+        if isinstance(other, (int, Fraction, Cyclo)):
+            return self * reciprocal(other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Fraction(other) * self.inverse()
+            return other * self.inverse()
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -304,6 +315,11 @@ class Cyclo:
         return result
 
 
+# The exact types of a scalar, for checks by type(v): a bool is an int by
+# isinstance but not a scalar.
+SCALAR_TYPES = frozenset((int, Fraction, Cyclo))
+
+
 def scalar_conductor(s: Scalar):
     """Conductor of a scalar, or None for rationals."""
     return s.n if isinstance(s, Cyclo) else None
@@ -313,16 +329,30 @@ def as_scalar(x) -> Scalar:
     return x if isinstance(x, Cyclo) else _rational(x)
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction: an int (not a bool), a Fraction or a rational
-    string; anything else, a float above all, is refused."""
+def _rational(x) -> Rational:
+    """x as an exact rational, an int when integral: an int (not a bool), a
+    Fraction or a rational string; anything else, a float above all, is
+    refused."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return _ratio(x.numerator, x.denominator)
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def reciprocal(x: Scalar) -> Scalar:
+    """1 / x, exactly: every scalar division goes through here, because
+    `1 / n` on an int n is a float."""
+    if isinstance(x, Cyclo):
+        return x.inverse()
+    num, den = x.numerator, x.denominator
+    if not num:
+        raise ZeroDivisionError("reciprocal of zero")
+    if num < 0:
+        num, den = -num, -den
+    return _ratio(den, num)
 
 
 def root_of_unity(n: int, k: int) -> Scalar:
@@ -366,7 +396,7 @@ def q_binomial(m: int, l: int, p) -> Scalar:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(s: str) -> Fraction:
+def parse_rational(s: str) -> Rational:
     """An optional '-', ASCII digits and optionally '/' and nonzero ASCII
     digits, the form rational_to_json writes; no blanks, '+' or '_'."""
     if not isinstance(s, str):
@@ -380,17 +410,17 @@ def parse_rational(s: str) -> Fraction:
         raise ScalarParseError(f"malformed rational ({err})") from err
     if den == 0:
         raise ScalarParseError(f"malformed rational {s!r}")
-    return Fraction(num, den)
+    return _ratio(num, den)
 
 
-def rational_to_json(f: Fraction) -> str:
+def rational_to_json(f: Rational) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def scalar_to_json(s: Scalar):
     if isinstance(s, Cyclo):
         return {"n": s.n, "coeffs": [rational_to_json(c) for c in s.coeffs]}
-    return rational_to_json(Fraction(s))
+    return rational_to_json(s)
 
 
 def json_int(x) -> int:

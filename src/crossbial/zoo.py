@@ -20,7 +20,7 @@ from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
 from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
                       unflatten)
-from .scalars import ONE, as_scalar, q_binomial, root_of_unity
+from .scalars import ONE, as_scalar, q_binomial, reciprocal, root_of_unity
 from .structures import Structure, fuse, restrict
 
 
@@ -156,7 +156,7 @@ def radford(params: RadfordParams) -> dict:
     """
     n, N, nu = params.n, params.N, params.nu
     r, q, dim = params.r, params.q, params.dim
-    qnu = q ** nu
+    qnu, q_inv = q ** nu, reciprocal(q)
     b1 = taft_factor(r, qnu)
     b2 = group_algebra(N)
     s = Space(f"Rad({n},{params.q_exponent},{N},{nu})", dim)
@@ -170,7 +170,7 @@ def radford(params: RadfordParams) -> dict:
             for c in range(r):
                 if a + c >= r:
                     continue
-                coeff = q ** (-b * c)
+                coeff = q_inv ** (b * c)
                 for d in range(N):
                     ment[(idx(a + c, b + d), idx(a, b) * dim
                           + idx(c, d))] = coeff
@@ -188,7 +188,7 @@ def radford(params: RadfordParams) -> dict:
 
     # antipode: S(g) = g^{-1}, S(x) = -g^nu x, extended anti-multiplicatively
     P = (s,)
-    sx = LinMap(UNIT, P, {(idx(1, nu), 0): -(q ** (-nu))})  # -g^nu x
+    sx = LinMap(UNIT, P, {(idx(1, nu), 0): -(q_inv ** nu)})  # -g^nu x
     sent = {}
     for m in range(r):
         for l in range(N):
@@ -209,7 +209,7 @@ def radford(params: RadfordParams) -> dict:
 
     triv = _trivial_forms(b1, _bare(b2))
     act_l = LinMap((s2, s1), (s1,),
-                   {(m, flatten((l, m), (N, r))): q ** (-m * l)
+                   {(m, flatten((l, m), (N, r))): q_inv ** (m * l)
                     for m in range(r) for l in range(N)})
     coact_l = LinMap((s1,), (s2, s1),
                      {(flatten(((-nu * m) % N, m), (N, r)), m): ONE

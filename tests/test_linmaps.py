@@ -28,8 +28,9 @@ from crossbial.linmaps import (
     run_pipeline,
 )
 from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
-                               root_of_unity, scalar_from_json)
+                               reciprocal, root_of_unity, scalar_from_json)
 from tests.test_datum import pipeline_columns, random_endo
+from tests.test_scalars import scalar_kind
 
 F = Fraction
 
@@ -88,6 +89,21 @@ def test_scalar_action():
     assert 2 * f == f + f
     assert 0 * f == LinMap.zero((X,), (Y,))
     assert -1 * f == -f
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, False, None, "1", 1j])
+def test_constructor_refuses_an_inexact_entry(bad):
+    # an entry whose type is not int, Fraction or Cyclo, a float or a bool
+    # (zero or not) above all, never reaches a product
+    with pytest.raises(TypeError):
+        LinMap((X,), (X,), {(0, 0): ONE, (1, 1): bad})
+
+
+def test_constructor_keeps_every_exact_entry_type():
+    entries = {(0, 0): 3, (0, 1): F(1, 2), (1, 0): F(4),
+               (1, 1): root_of_unity(4, 1)}
+    f = LinMap((X,), (X,), entries)
+    assert [type(v) for v in f.entries.values()] == [int, F, F, Cyclo]
 
 
 # -- permutation ------------------------------------------------------------
@@ -158,7 +174,7 @@ def _dense_rref(rows):
         if piv is None:
             continue
         rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = ONE / rows[lead][col]
+        inv = reciprocal(rows[lead][col])
         rows[lead] = [inv * v for v in rows[lead]]
         for r in range(nr):
             if r != lead and rows[r][col]:
@@ -378,7 +394,7 @@ def _matmul(a, b):
 
 
 def _typed(rows):
-    return [[(type(v), v) for v in row] for row in rows]
+    return [[(scalar_kind(v), v) for v in row] for row in rows]
 
 
 def _eye(n):
@@ -511,6 +527,9 @@ def _assert_same_map(new, old):
     assert list(new.entries.items()) == list(old.entries.items())
     assert [type(v) for v in new.entries.values()] == \
         [type(v) for v in old.entries.values()]
+    # and each is the type the contract gives its value: a loaded integral
+    # rational is an int
+    assert all(type(v) is scalar_kind(v) for v in new.entries.values())
 
 
 def _zoo_workspaces():
@@ -561,7 +580,7 @@ def test_loader_matches_the_old_path_on_odd_zeros_and_mixed_entries():
     new = linmap_from_json(enc, {"W": W})
     _assert_same_map(new, _old_linmap_from_json(enc, {"W": W}))
     assert new.entry(0, 3) == root_of_unity(4, 1)
-    assert type(new.entry(1, 0)) is Fraction and new.entry(1, 0) == 2
+    assert type(new.entry(1, 0)) is int and new.entry(1, 0) == 2
     assert (1, 1) not in new.entries and (0, 0) not in new.entries
     assert type(new.entry(1, 3)) is Cyclo
 
