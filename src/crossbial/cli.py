@@ -520,6 +520,23 @@ def _non_negative(text: str) -> int:
     return _integer(text, signed=False)
 
 
+# The largest `datum order --max-n`, twice the default of 8.  On a datum
+# that is not recursive each step of the order search multiplies denser
+# remainders with longer entries, so an unbounded cap runs as long as the
+# user waits.
+MAX_ORDER_CAP = 16
+
+
+def _order_cap(text: str) -> int:
+    """argparse type of the order search's cap: a count of at most
+    MAX_ORDER_CAP, refused before any workspace is read."""
+    n = _non_negative(text)
+    if n > MAX_ORDER_CAP:
+        raise argparse.ArgumentTypeError(
+            f"{n} is above the largest cap, {MAX_ORDER_CAP}")
+    return n
+
+
 def _common(p: argparse.ArgumentParser, infile=True, out=False, name=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
     if infile:
@@ -567,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = dat.add_subparsers(dest="datum_cmd", required=True)
     _common(dsub.add_parser("check"))
     order = dsub.add_parser("order")
-    order.add_argument("--max-n", dest="max_n", type=_non_negative,
+    order.add_argument("--max-n", dest="max_n", type=_order_cap,
                        default=8)
     _common(order)
     _common(dsub.add_parser("classify"))

@@ -269,7 +269,10 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
 
     `center` occupies the four middle strands of the widest row; passing
     [f] evaluates the operator on f, passing four identities splits the
-    diagram for the superoperator assembly.
+    diagram for the superoperator assembly.  The m1 and m2 that close the
+    left and right spectator strands have a row of their own, so every
+    factor that touches the spectators alone sits below the first row that
+    touches the centre.
     """
     id1, id2 = d.b1.id_map(), d.b2.id_map()
     m1, dl1 = d.b1.m, d.b1.delta
@@ -289,7 +292,8 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
         [id1, cl, al, id1, id2, id1, id2, ar, cr, id2],
         [id1, id2, ps11] + list(center) + [ps22, id1, id2],
         [id1, al, cl, id1, id2, id1, id2, cr, ar, id2],
-        [m1, id2, ps11, id2, id1, ps22, id1, m2],
+        [m1, id2, id1, id1, id2, id1, id2, id2, id1, m2],
+        [id1, id2, ps11, id2, id1, ps22, id1, id2],
         [id1, ar, ps12, ps12, al, id2],
         [id1, m2, ps12, m1, id2],
         [id1, m2, m1, id2],
@@ -337,52 +341,100 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     """Assemble the recursion operator matrix without ever materialising a
     12-strand map, as a meet in the middle of its split diagram.
 
-    The diagram is split at its widest row into a bottom half, from the
-    quad to the 12 strands of the cut, and a top half back to the quad.
-    A vector on the cut has the quad on its middle four strands and a
-    spectator side (a, c) on the outer ones, and each entry of Phi is a
-    sum over sides of a top term times a bottom term.  The bottom half is
+    The diagram is cut after its last row that leaves the centre (the four
+    strands f acts on) untouched, so every factor on the spectator strands
+    alone runs in the bottom half, from the quad to the 10 strands of the
+    cut.  A vector on the cut has the quad on its centre strands and a
+    spectator side on the others, and each entry of Phi is a sum over
+    sides of a top term times a bottom term.  The bottom half is
     materialised by pipeline_as_linmap, a bounded block of the quad's basis
-    columns per push, and each of its entries is a bottom term.  The top
-    half is pushed only from the cut vectors (a, i, c) of the sides the
-    bottom reached, one block of dV columns per side, and each block's
-    terms are joined with the bottom terms on its side.  On the zoo datums
-    the bottom reaches a few percent of the sides, so most of the top half
-    is never evaluated.
+    columns per push, and each of its entries is a bottom term.  Every row
+    of the top half starts and ends with an identity, so the top half is
+    id (x) T (x) id: the outer strands of a side pass straight through to
+    the outer strands of the quad.  T is pushed only from the inner sides
+    (p, q) the bottom reached, one block of dV columns per inner side, and
+    its terms are joined with the bottom terms on that inner side, whatever
+    their outer strands.  Both moves are the interchange law of the
+    monoidal category, so Phi is the same for any braiding.
     """
     dV = dim_of(d.quad)
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
-    bottom, top = layers[:6], layers[6:]
+    k, lo = _cut(layers, ids)
+    bottom, top = layers[:k], layers[k:]
+    # the strands the top half passes through: identities at both ends of
+    # every row, clear of the centre
+    first, last = top[0][0], top[0][-1]
+    assert all(row[0] == first == LinMap.identity(first.dom)
+               and row[-1] == last == LinMap.identity(last.dom)
+               for row in top), "the top half is not id (x) T (x) id"
     cut = tuple(s for f in top[0] for s in f.dom)
-    R = dim_of(cut[8:])
+    start, hi, end = len(first.dom), lo + len(d.quad), len(cut) - len(
+        last.dom)
+    assert start <= lo and hi <= end
+    inner = [row[1:-1] for row in top]
+    P, Q, R = dim_of(cut[start:lo]), dim_of(cut[hi:end]), dim_of(cut[hi:])
+    W = dim_of(tuple(s for f in inner[-1] for s in f.cod))
+    dz = last.ncols
     bots: Dict[tuple, list] = {}
     for (key, v), x in pipeline_as_linmap(bottom).entries.items():
         a, rest = divmod(key, dV * R)
         i, c = divmod(rest, R)
-        bots.setdefault((a, c), []).append((v, i, x))
+        a0, p = divmod(a, P)
+        q, z = divmod(c, dz)
+        bots.setdefault((p, q), []).append((v, i, a0, z, x))
     phi: Dict[int, Dict[int, object]] = {}
-    for (a, c), terms in bots.items():
-        block = LinMap._trusted(d.quad, cut, {
-            ((a * dV + i) * R + c, i): ONE for i in range(dV)}, True)
-        image = run_pipeline([[block]] + top)
-        _join(phi, dV, [(u, i, y) for (u, i), y in image.entries.items()],
-              terms)
+    for (p, q), terms in bots.items():
+        block = LinMap._trusted(d.quad, cut[start:end], {
+            ((p * dV + i) * Q + q, i): ONE for i in range(dV)}, True)
+        image = run_pipeline([[block]] + inner)
+        _join(phi, dV, W, dz,
+              [(w, i, y) for (w, i), y in image.entries.items()], terms)
     return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
 
 
-def _join(out, dV: int, tops, bots) -> None:
-    """Add a*b at row u*dV + v of column i*dV + j of the column-sparse
-    out, for each (u, i, a) of tops and (v, j, b) of bots."""
-    for u, i, a in tops:
-        for v, j, b in bots:
+def _cut(layers: List[List[LinMap]], centre: List[LinMap]) -> Tuple[int, int]:
+    """(k, lo): layers[k] is the first row above the centre factors that
+    acts on a centre strand with anything but an identity, and the centre
+    occupies the strands from lo on below it.  Rows under k leave the
+    centre untouched, so they commute with any map on it."""
+    k, n = next((k, n) for k, row in enumerate(layers)
+                for n, f in enumerate(row) if f is centre[0])
+    lo = sum(len(f.cod) for f in layers[k][:n])
+    width = sum(len(f.cod) for f in centre)
+    for k in range(k + 1, len(layers)):
+        p = q = 0
+        for f in layers[k]:
+            if (lo - len(f.dom) < p < lo + width
+                    and f != LinMap.identity(f.dom)):
+                return k, lo
+            if p <= lo < p + len(f.dom):
+                moved = q + lo - p
+            p, q = p + len(f.dom), q + len(f.cod)
+        lo = moved
+    return len(layers), lo
+
+
+def _join(out, dV: int, W: int, dz: int, tops, bots) -> None:
+    """Add x*y at row u*dV + v of column i*dV + j of the column-sparse out,
+    for each (w, i, x) of tops and (v, j, a0, z, y) of bots.  The top term
+    is T's, with w on T's W-dim output, and the bottom term's outer strands
+    a0 and z pass through: the quad row is u = (a0*W + w)*dz + z.  A
+    factor that is the int 1 takes no product, and a first term no sum:
+    either would return the other operand's value in its own type."""
+    for w, i, x in tops:
+        x_one = type(x) is int and x == 1
+        for v, j, a0, z, y in bots:
             col = out.setdefault(i * dV + j, {})
-            row = u * dV + v
-            cur = col.get(row, ZERO) + a * b
-            if cur:
-                col[row] = cur
+            row = ((a0 * W + w) * dz + z) * dV + v
+            term = y if x_one else x if type(y) is int and y == 1 else x * y
+            cur = col.get(row)
+            if cur is not None:
+                term += cur
+            if term:
+                col[row] = term
             else:
-                col.pop(row, None)
+                del col[row]
 
 
 def _corner_columns(d: HopfDatum) -> Dict[int, Dict[int, object]]:

@@ -403,6 +403,27 @@ def test_malformed_max_n_is_refused_by_the_parser(tmp_path, capsys, max_n):
     assert "argument --max-n" in capsys.readouterr().err
 
 
+def test_a_cap_above_the_bound_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "recursion_order",
+                        lambda d, n: calls.append(n) or {"order": 1})
+    path = build_radford_ws(tmp_path, capsys)
+    too_big = str(cli.MAX_ORDER_CAP + 1)
+    # the missing file shows that the parser refuses before any read
+    for infile in (path, str(tmp_path / "missing.json")):
+        with pytest.raises(SystemExit) as exc:
+            main(["datum", "order", "--in", infile, "--max-n", too_big])
+        assert exc.value.code == 2
+        assert f"argument --max-n: {too_big} is above the largest cap" in (
+            capsys.readouterr().err)
+    assert calls == []
+    # the bound itself is a valid cap
+    code, _, _ = run(capsys, "datum", "order", "--in", path, "--max-n",
+                     str(cli.MAX_ORDER_CAP))
+    assert code == 0 and calls == [cli.MAX_ORDER_CAP]
+
+
 # ---------------------------------------------------------------------------
 # datum and cross commands
 # ---------------------------------------------------------------------------
