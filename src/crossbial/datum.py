@@ -419,15 +419,12 @@ def _join(out, dV: int, W: int, dz: int, tops, bots) -> None:
     """Add x*y at row u*dV + v of column i*dV + j of the column-sparse out,
     for each (w, i, x) of tops and (v, j, a0, z, y) of bots.  The top term
     is T's, with w on T's W-dim output, and the bottom term's outer strands
-    a0 and z pass through: the quad row is u = (a0*W + w)*dz + z.  A
-    factor that is the int 1 takes no product, and a first term no sum:
-    either would return the other operand's value in its own type."""
+    a0 and z pass through: the quad row is u = (a0*W + w)*dz + z."""
     for w, i, x in tops:
-        x_one = type(x) is int and x == 1
         for v, j, a0, z, y in bots:
             col = out.setdefault(i * dV + j, {})
             row = ((a0 * W + w) * dz + z) * dV + v
-            term = y if x_one else x if type(y) is int and y == 1 else x * y
+            term = x * y
             cur = col.get(row)
             if cur is not None:
                 term += cur

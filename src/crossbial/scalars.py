@@ -258,6 +258,8 @@ class Cyclo:
             return _cyclo(self.n, _mulmod(self.n, self.nums, other.nums),
                           self.den * other.den)
         if isinstance(other, (int, Fraction)):
+            if type(other) is int and other == 1:
+                return self
             p = other.numerator
             if not p:
                 return ZERO

@@ -24,6 +24,7 @@ from .linmaps import (
     _dims,
     apply_at,
     dim_of,
+    flip,
     linmap_from_json,
     linmap_to_json,
     reduce_rows,
@@ -457,10 +458,18 @@ def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
 
 
 def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
-    """Solve f * g = eta o eps = g * f for g in Hom(C, A), exactly.
+    """Solve f * g = eta o eps for g in Hom(C, A), exactly.
 
-    The unknown matrix g is found by one sparse Gaussian elimination over
-    the stacked left/right convolution systems, then both identities are
+    With C's coalgebra laws and A's algebra laws checked first, Hom(C, A)
+    under convolution is a finite-dimensional associative algebra with
+    unit eta o eps, where a right inverse is two-sided and unique; so the
+    one-sided system is solved, by one sparse Gaussian elimination.  Its
+    coefficients are the entries of one diagram X: A (x) C -> A (x) C,
+    which flips the unknown's A strand past the first leg of delta and
+    meets f's output at m: X[(u, c2), (a, v)] is the coefficient of
+    g[a, c2] in (f * g)[u, v].  The flip is that of vector spaces, under
+    any braiding: the convolution product has no crossing, and the flip
+    only brings the unknown's strand next to m.  Both identities are
     re-verified on the result before it is returned.  Only eta, delta and
     eps of coalg are read, so it may have no m (see tensor_coalgebra).
     """
@@ -468,34 +477,16 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     check_axioms(alg, "algebra").require("convolution boundary fails {}")
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
-    ida = LinMap.identity((A,))
+    ida, idc = LinMap.identity((A,)), LinMap.identity((C,))
     target = alg.eta * coalg.eps
-    # L[u,(c,a)] and R[u,(a,c)] carry f through the multiplication once.
-    L = run_pipeline([[f, ida], [alg.m]])
-    R = run_pipeline([[ida, f], [alg.m]])
+    X = run_pipeline([[ida, coalg.delta], [flip(A, C), idc], [f, ida, idc],
+                      [alg.m, idc]])
     rhs = da * dc  # the right-hand side rides along as one extra column
-    rows = []
-    for v in range(dc):
-        lrows: Dict[int, Dict[int, Scalar]] = {u: {} for u in range(da)}
-        rrows: Dict[int, Dict[int, Scalar]] = {u: {} for u in range(da)}
-        for pair, w in coalg.delta.column(v).items():
-            c1, c2 = divmod(pair, dc)
-            # f * g: f eats c1 and the unknown g[a, c2] eats c2; g * f:
-            # the unknown g[a, c1] eats c1 and f eats c2
-            for a in range(da):
-                for eqs, col, var in ((lrows, L.column(c1 * da + a),
-                                       a * dc + c2),
-                                      (rrows, R.column(a * dc + c2),
-                                       a * dc + c1)):
-                    for u, x in col.items():
-                        cur = eqs[u].get(var, ZERO) + x * w
-                        if cur:
-                            eqs[u][var] = cur
-                        else:
-                            eqs[u].pop(var, None)
-        for u in range(da):
-            lrows[u][rhs] = rrows[u][rhs] = target.entry(u, v)
-            rows += (lrows[u], rrows[u])
+    rows = [{rhs: target.entry(u, v)} for u in range(da) for v in range(dc)]
+    for (uc2, av), x in X.entries.items():
+        u, c2 = divmod(uc2, dc)
+        a, v = divmod(av, dc)
+        rows[u * dc + v][a * dc + c2] = x
     red = reduce_rows(rows)
     if rhs in red:
         raise NotConvolutionInvertibleError("convolution system inconsistent")

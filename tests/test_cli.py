@@ -22,7 +22,8 @@ from crossbial.structures import check_axioms, yd_provider_left
 from crossbial.twisting import matched_pair_from_pairing
 from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
 from tests.test_acceptance import braided_taft_pairing
-from tests.test_twisting import bicharacter_cocycle, canonical_pairing
+from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
+                                 uninvertible_cocycle)
 
 ONE = Fraction(1)
 
@@ -480,6 +481,24 @@ def test_twist_validate_and_apply(tmp_path, capsys):
     code, out, _ = run(capsys, "twist", "apply", "--in", path, "-o", twisted)
     assert code == 0
     assert "multiplication_changed: false" in out
+
+
+def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(
+        tmp_path, capsys):
+    c = uninvertible_cocycle()
+    path = str(tmp_path / "tw.json")
+    save_workspace(Workspace().add_structure("main", c.host)
+                   .add_map("chi", c.chi), path)
+    code, out, _ = run(capsys, "twist", "validate", "--in", path)
+    assert code == 0 and "ok   2cocycle1" in out
+    twisted = tmp_path / "out.json"
+    code, out, err = run(capsys, "twist", "apply", "--in", path,
+                         "-o", str(twisted))
+    assert code == 1
+    assert out == ""
+    assert ("crossbial: verified failure: convolution system inconsistent"
+            in err.splitlines())
+    assert not twisted.exists()
 
 
 def test_a_host_that_is_no_bialgebra_is_a_verified_failure(tmp_path,

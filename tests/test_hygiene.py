@@ -150,8 +150,8 @@ def test_every_public_name_has_a_reader():
 CHECKERS = {
     "structures.py": ["check_axioms", "_algebra_entries", "_coalgebra_entries",
                       "_action_report", "_crossed_module_report",
-                      "convolution_product", "_cross_mult", "_cross_comult",
-                      "restrict"],
+                      "convolution_product", "convolution_inverse",
+                      "_cross_mult", "_cross_comult", "restrict"],
     "datum.py": ["check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "conv_dot",
                     "matched_pair_from_pairing"],

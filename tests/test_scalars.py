@@ -483,3 +483,18 @@ def test_overlong_coefficient_lists_reduce():
     # zeta_8^7 = -zeta_8^3 once x^4 + 1 = 0 is used
     _assert_agrees(root_of_unity(8, 7), 8, (F(0), F(0), F(0), F(-1)))
     _assert_agrees(Cyclo.make(12, [0] * 12 + [1]), 12, (F(1),) + (F(0),) * 3)
+
+
+def test_a_product_with_the_int_one_rebuilds_nothing(monkeypatch):
+    # c * 1 and 1 * c are c itself: no numerator list, no gcd
+    from crossbial import scalars
+    calls = []
+    real = scalars._cyclo
+    monkeypatch.setattr(scalars, "_cyclo",
+                        lambda *a: calls.append(a) or real(*a))
+    c, twice = Cyclo.make(3, [F(1, 2), -2]), Cyclo.make(3, [1, -4])
+    calls.clear()
+    products = (c * 1, 1 * c)
+    assert calls == []
+    assert all(p is c for p in products)
+    assert c * 2 == 2 * c == twice and len(calls) == 2

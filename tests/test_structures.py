@@ -15,8 +15,10 @@ from crossbial.linmaps import (
     UNIT,
     LeftYetterDrinfeld,
     VectFlip,
+    reduce_rows,
+    run_pipeline,
 )
-from crossbial.scalars import root_of_unity
+from crossbial.scalars import ZERO, root_of_unity
 from crossbial.structures import (
     NotConvolutionInvertibleError,
     PreconditionError,
@@ -29,6 +31,7 @@ from crossbial.structures import (
     convolution_product,
     cross_structure,
     fuse,
+    rebind,
     restrict,
     structure_to_json,
     tensor_coalgebra,
@@ -36,6 +39,11 @@ from crossbial.structures import (
     yd_provider,
     yd_provider_left,
 )
+from crossbial.twisting import unit_bialgebra
+from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
+                           group_algebra, ore_finite, radford)
+from tests.test_acceptance import braided_taft_pairing
+from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
 ONE = Fraction(1)
 
@@ -410,6 +418,53 @@ def test_counit_embedding_classified():
 # convolution algebra
 # ---------------------------------------------------------------------------
 
+def stacked_convolution_inverse(f, coalg, alg):
+    """The reference solver: f * g = eta o eps and g * f = eta o eps as one
+    stacked system, each coefficient a scalar product outside the kernel."""
+    check_axioms(coalg, "coalgebra").require("convolution boundary fails {}")
+    check_axioms(alg, "algebra").require("convolution boundary fails {}")
+    C, A = coalg.space, alg.space
+    dc, da = C.dim, A.dim
+    ida = LinMap.identity((A,))
+    target = alg.eta * coalg.eps
+    # L[u,(c,a)] and R[u,(a,c)] carry f through the multiplication once.
+    L = run_pipeline([[f, ida], [alg.m]])
+    R = run_pipeline([[ida, f], [alg.m]])
+    rhs = da * dc
+    rows = []
+    for v in range(dc):
+        lrows = {u: {} for u in range(da)}
+        rrows = {u: {} for u in range(da)}
+        for pair, w in coalg.delta.column(v).items():
+            c1, c2 = divmod(pair, dc)
+            # f * g: f eats c1 and the unknown g[a, c2] eats c2; g * f:
+            # the unknown g[a, c1] eats c1 and f eats c2
+            for a in range(da):
+                for eqs, col, var in ((lrows, L.column(c1 * da + a),
+                                       a * dc + c2),
+                                      (rrows, R.column(a * dc + c2),
+                                       a * dc + c1)):
+                    for u, x in col.items():
+                        cur = eqs[u].get(var, ZERO) + x * w
+                        if cur:
+                            eqs[u][var] = cur
+                        else:
+                            eqs[u].pop(var, None)
+        for u in range(da):
+            lrows[u][rhs] = rrows[u][rhs] = target.entry(u, v)
+            rows += (lrows[u], rrows[u])
+    red = reduce_rows(rows)
+    if rhs in red:
+        raise NotConvolutionInvertibleError("convolution system inconsistent")
+    g = LinMap((C,), (A,), {divmod(var, dc): row.get(rhs, ZERO)
+                            for var, row in red.items()})
+    if (convolution_product(f, g, coalg, alg) != target
+            or convolution_product(g, f, coalg, alg) != target):
+        raise NotConvolutionInvertibleError(
+            "no two-sided convolution inverse exists")
+    return g
+
+
 def test_convolution_inverse_of_identity_is_antipode():
     s = group_hopf(3)
     g = convolution_inverse(s.id_map(), s, s)
@@ -429,9 +484,14 @@ def test_convolution_inverse_unique():
 
 
 def test_zero_map_not_invertible():
+    # the one-sided solve and the stacked reference fail alike
     s = group_hopf(2)
-    with pytest.raises(NotConvolutionInvertibleError):
-        convolution_inverse(LinMap.zero((s.space,), (s.space,)), s, s)
+    zero = LinMap.zero((s.space,), (s.space,))
+    for solve in (convolution_inverse, stacked_convolution_inverse):
+        with pytest.raises(NotConvolutionInvertibleError) as exc:
+            solve(zero, s, s)
+        assert type(exc.value) is NotConvolutionInvertibleError
+        assert str(exc.value) == "convolution system inconsistent"
 
 
 def test_convolution_precondition():
@@ -460,6 +520,51 @@ def test_canonical_pairing_inverse_via_antipode():
     target = K.eta * C.eps
     assert convolution_product(pairing, inv, C, K) == target
     assert convolution_product(inv, pairing, C, K) == target
+
+
+def _antipode(H):
+    return H.id_map(), H, H
+
+
+def _form(form, co):
+    """A scalar form's inverse as _scalar_inverse solves it: over the
+    tensor coalgebra, into the one-dimensional unit bialgebra."""
+    k = unit_bialgebra()
+    return rebind(form, (co.space,), (k.space,)), co, k
+
+
+def _bicharacter():
+    gg, c = bicharacter_cocycle(3)
+    return _form(c.chi, tensor_coalgebra(gg, gg))
+
+
+def _pairing(p, bp):
+    return _form(p.form, tensor_coalgebra(p.H, p.A, bp))
+
+
+ORACLE_CASES = {
+    "antipode-radford-2121": lambda: _antipode(
+        radford(RadfordParams(2, 1, 2, 1))["H"]),
+    "antipode-radford-3131": lambda: _antipode(
+        radford(RadfordParams(3, 1, 3, 1))["H"]),
+    "antipode-kC4": lambda: _antipode(group_algebra(4)),
+    "antipode-k^C3": lambda: _antipode(dual_group_algebra(3)),
+    "antipode-ore-C2xC2": lambda: _antipode(ore_finite(OreParams(
+        (2, 2), 2, ((1, 0), (0, 1)), ((1, 0), (0, 1))))["H"]),
+    "cocycle-bicharacter-kC3.kC3": _bicharacter,
+    "pairing-kC3.k^C3": lambda: _pairing(canonical_pairing(3), VectFlip()),
+    "pairing-braided-q-lines": lambda: _pairing(*braided_taft_pairing()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_the_one_sided_solve_agrees_with_the_stacked_system(case):
+    f, coalg, alg = ORACLE_CASES[case]()
+    g = convolution_inverse(f, coalg, alg)
+    want = stacked_convolution_inverse(f, coalg, alg)
+    assert g == want
+    assert (sorted((k, repr(v)) for k, v in g.entries.items())
+            == sorted((k, repr(v)) for k, v in want.entries.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from crossbial.linmaps import (LinMap, ShapeError, UNIT, VectFlip,
                                run_pipeline)
 from crossbial.scalars import as_scalar, root_of_unity
 from crossbial.structures import (
+    NotConvolutionInvertibleError,
     PreconditionError,
     check_axioms,
     tensor_coalgebra,
@@ -80,6 +81,15 @@ def coboundary_cocycle(H, seed):
     chi = run_pipeline([[H.delta, H.delta], [H.id_map(), flip, H.id_map()],
                         [gamma, gamma, H.m], [gamma_inv]])
     return TwoCocycle(H, chi)
+
+
+def uninvertible_cocycle():
+    """On kC2: chi(1, .) = chi(., 1) = 1 and chi(g, g) = 0.  The cocycle
+    laws hold, but chi(g, g) = 0 leaves it no convolution inverse."""
+    g2 = group_algebra(2)
+    s = g2.space
+    return TwoCocycle(g2, LinMap((s, s), UNIT,
+                                 {(0, 0): ONE, (0, 1): ONE, (0, 2): ONE}))
 
 
 def canonical_pairing(N):
@@ -156,6 +166,16 @@ def test_twist_requires_a_valid_cocycle():
     ent[(0, 4)] = as_scalar(2)
     with pytest.raises(PreconditionError):
         twist(gg, TwoCocycle(gg, LinMap(c.chi.dom, UNIT, ent)))
+
+
+def test_a_valid_cocycle_without_an_inverse_cannot_twist():
+    c = uninvertible_cocycle()
+    rep = validate_cocycle(c)
+    assert rep.ok, rep.failed()
+    for call in (lambda: cocycle_inverse(c), lambda: twist(c.host, c)):
+        with pytest.raises(NotConvolutionInvertibleError,
+                           match="^convolution system inconsistent$"):
+            call()
 
 
 @pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1)])
