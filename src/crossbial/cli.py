@@ -21,25 +21,21 @@ import time
 from typing import Dict
 
 from . import __version__
-from .crossproduct import (BAT, InvalidSystemError, NotABATError,
-                           NotASplittingError, ProjectionSystem,
-                           build_cross_product, decompose,
-                           verify_trivalent_equivalences)
-from .datum import (ConsistencyError, HopfDatum, build_bialgebra,
-                    check_hopf_datum, recursion_order, trivalence)
-from .linmaps import (ConfigurationError, LinMap, NotInvertibleError,
-                      ShapeError, Space, VectFlip, json_dim, json_int,
+from .crossproduct import (BAT, ProjectionSystem, build_cross_product,
+                           decompose, verify_trivalent_equivalences)
+from .datum import (HopfDatum, build_bialgebra, check_hopf_datum,
+                    recursion_order, trivalence)
+from .linmaps import (FLIP, LinMap, ShapeError, Space, json_dim, json_int,
                       json_name, linmap_from_json, linmap_to_json)
-from .scalars import ConductorMixError, ScalarParseError, scalar_conductor
-from .structures import (CheckReport, NotConvolutionInvertibleError,
-                         PreconditionError, Structure, check_axioms,
+from .scalars import (InputError, ScalarParseError, VerifiedFailure,
+                      scalar_conductor)
+from .structures import (CheckReport, Structure, check_axioms,
                          structure_from_json, structure_to_json,
                          yd_provider, yd_provider_left)
 from .twisting import (DoubleBiproductInput, DualPairing, TwoCocycle,
                        double_biproduct, matched_pair_from_pairing, twist,
                        validate_cocycle, validate_pairing)
-from .zoo import (OreParams, ParameterError, RadfordParams, UnsupportedError,
-                  group_algebra, ore_finite, radford)
+from .zoo import OreParams, RadfordParams, group_algebra, ore_finite, radford
 
 WORKSPACE_SCHEMA = "crossbial-workspace/1"
 # the schema of a workspace with a braiding section; a /1 reader that met
@@ -51,11 +47,11 @@ BRAIDINGS = {"yetter-drinfeld": yd_provider,
 REPORT_SCHEMA = "crossbial-report/1"
 
 
-class UsageError(ValueError):
+class UsageError(InputError, ValueError):
     pass
 
 
-class WorkspaceError(ValueError):
+class WorkspaceError(InputError, ValueError):
     """Workspace file violates the schema; message carries a pointer."""
 
 
@@ -73,12 +69,12 @@ class Workspace:
     flip, or the provider workspace_from_json builds from the section.
     """
 
-    def __init__(self, spaces=None, structures=None, maps=None):
-        self.spaces: Dict[str, Space] = dict(spaces or {})
-        self.structures: Dict[str, Structure] = dict(structures or {})
-        self.maps: Dict[str, LinMap] = dict(maps or {})
+    def __init__(self):
+        self.spaces: Dict[str, Space] = {}
+        self.structures: Dict[str, Structure] = {}
+        self.maps: Dict[str, LinMap] = {}
         self.braiding = None
-        self.provider = VectFlip()
+        self.provider = FLIP
 
     def add_structure(self, name: str, st: Structure) -> "Workspace":
         self.structures[name] = st
@@ -631,17 +627,13 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code = _DISPATCH[args.command](args)
-    except (PreconditionError, ConsistencyError, NotABATError,
-            InvalidSystemError, NotASplittingError,
-            NotConvolutionInvertibleError, NotInvertibleError) as err:
+    except VerifiedFailure as err:
         print(f"crossbial: verified failure: {err}", file=sys.stderr)
-        report = getattr(err, "report", None)
-        if report is not None:
-            print("failing:", ", ".join(report.failed()), file=sys.stderr)
+        if err.report is not None:
+            print("failing:", ", ".join(err.report.failed()),
+                  file=sys.stderr)
         code = 1
-    except (UsageError, WorkspaceError, ScalarParseError, ParameterError,
-            UnsupportedError, ConductorMixError, ShapeError,
-            ConfigurationError) as err:
+    except InputError as err:
         print(f"crossbial: error: {err}", file=sys.stderr)
         code = 2
     except OSError as err:

@@ -11,13 +11,13 @@ recovers the tuple, splitting the idempotents by exact rank factorisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
 from .datum import HopfDatum, _pattern_of, product_braiding
-from .linmaps import (LinMap, ShapeError, Space, UNIT, VectFlip, apply_at,
-                      reduce_rows, run_pipeline)
-from .scalars import ONE
+from .linmaps import (FLIP, LinMap, ShapeError, Space, UNIT, apply_at,
+                      reduce_rows, require_boundaries, run_pipeline)
+from .scalars import ONE, VerifiedFailure
 from .structures import (
     CheckEntry,
     CheckReport,
@@ -30,19 +30,15 @@ from .structures import (
 )
 
 
-class NotABATError(ValueError):
+class NotABATError(VerifiedFailure, ValueError):
     """The candidate tuple does not produce a bialgebra."""
 
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
 
-
-class InvalidSystemError(ValueError):
+class InvalidSystemError(VerifiedFailure, ValueError):
     pass
 
 
-class NotASplittingError(ValueError):
+class NotASplittingError(VerifiedFailure, ValueError):
     pass
 
 
@@ -62,15 +58,13 @@ class BAT:
     b2: Structure
     phi12: LinMap
     phi21: LinMap
-    braiding: object = field(default_factory=VectFlip)
+    braiding: object = FLIP
 
     def __post_init__(self):
         _mult(self.b1), _mult(self.b2)
         s1, s2 = (self.b1.space,), (self.b2.space,)
-        if self.phi12.dom != s1 + s2 or self.phi12.cod != s2 + s1:
-            raise ShapeError("phi12 must map B1(x)B2 -> B2(x)B1")
-        if self.phi21.dom != s2 + s1 or self.phi21.cod != s1 + s2:
-            raise ShapeError("phi21 must map B2(x)B1 -> B1(x)B2")
+        require_boundaries(("phi12", self.phi12, s1 + s2, s2 + s1),
+                           ("phi21", self.phi21, s2 + s1, s1 + s2))
 
 
 def build_cross_product(t: BAT) -> Structure:
@@ -162,7 +156,7 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
 
 
 def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
-              braiding=None) -> DecomposeResult:
+              braiding=FLIP) -> DecomposeResult:
     """Recover an admissible tuple from a splitting of a bialgebra.
 
     Every stated precondition is verified: p_j o i_j = id, the morphism
@@ -179,27 +173,23 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     holds the full classify_morphism dicts of i1, i2, p1 and p2 against
     the factor structures, in that order.
     """
-    braiding = braiding or VectFlip()
     check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
+    P = (A.space,)
     if isinstance(sys, IdempotentSystem):
-        for tag, Pi in (("Pi1", sys.Pi1), ("Pi2", sys.Pi2)):
-            if Pi.dom != (A.space,) or Pi.cod != (A.space,):
-                raise ShapeError(f"{tag} must be an endomorphism of A")
+        require_boundaries(("Pi1", sys.Pi1, P, P), ("Pi2", sys.Pi2, P, P))
         i1, p1, _ = split_idempotent(sys.Pi1, f"{A.space.name}[1]")
         i2, p2, _ = split_idempotent(sys.Pi2, f"{A.space.name}[2]")
         sys = ProjectionSystem(A, i1, i2, p1, p2)
     i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
-    for tag, f, into in (("i1", i1, True), ("i2", i2, True),
-                         ("p1", p1, False), ("p2", p2, False)):
-        boundary = f.cod if into else f.dom
-        if boundary != (A.space,) or len(f.dom) != 1 or len(f.cod) != 1:
-            raise ShapeError(f"{tag} has wrong boundaries")
-    s1, s2 = i1.dom[0], i2.dom[0]
-    if p1.cod != (s1,) or p2.cod != (s2,):
-        raise ShapeError("projections must land in the injection sources")
-    if p1 * i1 != LinMap.identity((s1,)):
+    # each factor is the one space its injection starts from
+    s1, s2 = i1.dom[:1], i2.dom[:1]
+    if not (s1 and s2):
+        raise ShapeError("an injection must start from a space, not k")
+    require_boundaries(("i1", i1, s1, P), ("i2", i2, s2, P),
+                       ("p1", p1, P, s1), ("p2", p2, P, s2))
+    if p1 * i1 != LinMap.identity(s1):
         raise InvalidSystemError("p1 o i1 is not the identity")
-    if p2 * i2 != LinMap.identity((s2,)):
+    if p2 * i2 != LinMap.identity(s2):
         raise InvalidSystemError("p2 o i2 is not the identity")
 
     b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
@@ -216,8 +206,8 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
 
     phi = run_pipeline([[i1, i2], [A.m]])
     phi_inv = run_pipeline([[A.delta], [p1, p2]])
-    if (phi_inv * phi != LinMap.identity((s1, s2))
-            or phi * phi_inv != LinMap.identity((A.space,))):
+    if (phi_inv * phi != LinMap.identity(s1 + s2)
+            or phi * phi_inv != LinMap.identity(P)):
         raise NotASplittingError(
             "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
             "inverse")
@@ -232,7 +222,7 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
 
 
 def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
-                                  braiding=None) -> CheckReport:
+                                  braiding=FLIP) -> CheckReport:
     """Cross-check the three faces of trivalence on one splitting.
 
     Verdicts reported: the induced datum has a trivial interaction map;

@@ -12,21 +12,21 @@ as a nilpotency computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
 from .linmaps import (
+    FLIP,
     LinMap,
-    ShapeError,
     Space,
     UNIT,
-    VectFlip,
     apply_at,
     dim_of,
     pipeline_as_linmap,
+    require_boundaries,
     run_pipeline,
 )
-from .scalars import ONE, ZERO, json_int, scalar_to_json
+from .scalars import ONE, ZERO, VerifiedFailure, json_int, scalar_to_json
 from .structures import (
     CheckEntry,
     CheckReport,
@@ -45,7 +45,7 @@ from .structures import (
 )
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(VerifiedFailure, RuntimeError):
     """An internally produced object failed its own verification."""
 
 
@@ -72,20 +72,15 @@ class HopfDatum:
     coact_l: LinMap
     act_r: LinMap
     coact_r: LinMap
-    braiding: object = field(default_factory=VectFlip)
+    braiding: object = FLIP
 
     def __post_init__(self):
         _mult(self.b1), _mult(self.b2)
         s1, s2 = (self.b1.space,), (self.b2.space,)
-        shapes = [
-            ("act_l", self.act_l, s2 + s1, s1),
-            ("coact_l", self.coact_l, s1, s2 + s1),
-            ("act_r", self.act_r, s2 + s1, s2),
-            ("coact_r", self.coact_r, s2, s2 + s1),
-        ]
-        for name, f, dom, cod in shapes:
-            if f.dom != dom or f.cod != cod:
-                raise ShapeError(f"{name} has wrong boundaries")
+        require_boundaries(("act_l", self.act_l, s2 + s1, s1),
+                           ("coact_l", self.coact_l, s1, s2 + s1),
+                           ("act_r", self.act_r, s2 + s1, s2),
+                           ("coact_r", self.coact_r, s2, s2 + s1))
 
     @property
     def quad(self) -> Tuple[Space, ...]:
@@ -104,12 +99,11 @@ def _trivial_forms(b1: Structure, b2: Structure) -> Dict[str, LinMap]:
     }
 
 
-def trivial_datum(b1: Structure, b2: Structure, braiding=None) -> HopfDatum:
+def trivial_datum(b1: Structure, b2: Structure, braiding=FLIP) -> HopfDatum:
     """The datum whose four interaction maps are the (co)unit tensors."""
     forms = _trivial_forms(b1, b2)
     return HopfDatum(b1, b2, forms["act_l"], forms["coact_l"],
-                     forms["act_r"], forms["coact_r"],
-                     braiding or VectFlip())
+                     forms["act_r"], forms["coact_r"], braiding)
 
 
 def _mixed_maps(d: HopfDatum) -> Tuple[LinMap, LinMap]:
@@ -303,10 +297,7 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
 def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
     """Evaluate the recursion operator on an endomorphism of the 4-fold
     product, by running the layered diagram on each basis vector."""
-    quad = d.quad
-    if f.dom != quad or f.cod != quad:
-        raise ShapeError("phi_apply needs an endomorphism of "
-                         "B1(x)B2(x)B1(x)B2")
+    require_boundaries(("f", f, d.quad, d.quad))
     return pipeline_as_linmap(_phi_layers(d, [f]))
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .scalars import (SCALAR_TYPES, Scalar, ZERO, ONE, as_scalar, json_int,
-                      reciprocal, scalar_from_json, scalar_to_json)
+from .scalars import (SCALAR_TYPES, InputError, Scalar, VerifiedFailure, ZERO,
+                      ONE, as_scalar, json_int, reciprocal, scalar_from_json,
+                      scalar_to_json)
 
 
 class Space(NamedTuple):
@@ -28,18 +29,34 @@ SpaceList = Tuple[Space, ...]
 UNIT: SpaceList = ()  # the tensor unit k
 
 
-class ShapeError(ValueError):
+class ShapeError(InputError, ValueError):
     """Boundary mismatch in a composition or construction."""
 
 
-class NotInvertibleError(ValueError):
+class NotInvertibleError(VerifiedFailure, ValueError):
     def __init__(self, msg, rank=None):
         super().__init__(msg)
         self.rank = rank
 
 
-class ConfigurationError(ValueError):
+class ConfigurationError(InputError, ValueError):
     """A braiding provider was asked about an unregistered space."""
+
+
+def _strands(spaces: SpaceList) -> str:
+    return " (x) ".join(s.name for s in spaces) or "k"
+
+
+def require_boundaries(*slots) -> None:
+    """The one boundary check of every bundle of maps: each slot is
+    (name, f, dom, cod), and f must map the strands dom -> cod.  A slot
+    whose f is None passes; the first that fails raises ShapeError naming
+    the slot, the strands it needs and the strands f has."""
+    for name, f, dom, cod in slots:
+        if f is not None and (f.dom, f.cod) != (dom, cod):
+            raise ShapeError(
+                f"{name} must map {_strands(dom)} -> {_strands(cod)}, "
+                f"not {_strands(f.dom)} -> {_strands(f.cod)}")
 
 
 def dim_of(spaces: SpaceList) -> int:
@@ -357,6 +374,10 @@ class VectFlip:
         return permutation(xs + ys, perm)
 
 
+# the default braiding of every function and bundle that takes one
+FLIP = VectFlip()
+
+
 class YetterDrinfeld:
     """Braiding from right action / right coaction data over a host Hopf
     algebra: Psi(x (x) y) = y_(0) (x) (x <| y_(1)).
@@ -372,10 +393,9 @@ class YetterDrinfeld:
         self._reg: Dict[Space, Tuple[LinMap, LinMap]] = {}
 
     def register(self, space: Space, act_r: LinMap, coact_r: LinMap):
-        if act_r.dom != (space, self.host) or act_r.cod != (space,):
-            raise ShapeError("right action must be X (x) H -> X")
-        if coact_r.dom != (space,) or coact_r.cod != (space, self.host):
-            raise ShapeError("right coaction must be X -> X (x) H")
+        X, XH = (space,), (space, self.host)
+        require_boundaries(("act_r", act_r, XH, X),
+                           ("coact_r", coact_r, X, XH))
         self._reg[space] = (act_r, coact_r)
 
     def _lookup(self, space: Space):
@@ -412,10 +432,9 @@ class LeftYetterDrinfeld(YetterDrinfeld):
     side = "left"
 
     def register(self, space: Space, act_l: LinMap, coact_l: LinMap):
-        if act_l.dom != (self.host, space) or act_l.cod != (space,):
-            raise ShapeError("left action must be H (x) X -> X")
-        if coact_l.dom != (space,) or coact_l.cod != (self.host, space):
-            raise ShapeError("left coaction must be X -> H (x) X")
+        X, HX = (space,), (self.host, space)
+        require_boundaries(("act_l", act_l, HX, X),
+                           ("coact_l", coact_l, X, HX))
         self._reg[space] = (act_l, coact_l)
 
     def braiding(self, x: Space, y: Space) -> LinMap:

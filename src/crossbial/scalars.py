@@ -29,15 +29,30 @@ ZERO = 0
 ONE = 1
 
 
-class ConductorMixError(ValueError):
+class VerifiedFailure(Exception):
+    """A law was checked and failed (CLI exit 1).  Every such exception
+    of the package derives from this class; report, when there is one, is
+    the CheckReport whose first failed law the message names."""
+
+    def __init__(self, msg, report=None):
+        super().__init__(msg)
+        self.report = report
+
+
+class InputError(Exception):
+    """The input or the usage is malformed (CLI exit 2).  Every such
+    exception of the package derives from this class."""
+
+
+class ConductorMixError(InputError, ValueError):
     """Two cyclotomics with different conductors met in one operation."""
 
 
-class PrimitivityError(ValueError):
+class PrimitivityError(InputError, ValueError):
     """root_of_unity(n, k) with gcd(k, n) != 1."""
 
 
-class ScalarParseError(ValueError):
+class ScalarParseError(InputError, ValueError):
     """Malformed scalar in a JSON document."""
 
 

@@ -14,12 +14,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .linmaps import (
     ConfigurationError,
+    FLIP,
     LeftYetterDrinfeld,
     LinMap,
     ShapeError,
     Space,
     UNIT,
-    VectFlip,
     YetterDrinfeld,
     _dims,
     apply_at,
@@ -28,21 +28,18 @@ from .linmaps import (
     linmap_from_json,
     linmap_to_json,
     reduce_rows,
+    require_boundaries,
     run_pipeline,
     unflatten,
 )
-from .scalars import ZERO, Scalar, scalar_to_json
+from .scalars import ZERO, Scalar, VerifiedFailure, scalar_to_json
 
 
-class PreconditionError(ValueError):
+class PreconditionError(VerifiedFailure, ValueError):
     """A checker was called on data whose prerequisites already fail."""
 
-    def __init__(self, msg, report=None):
-        super().__init__(msg)
-        self.report = report
 
-
-class NotConvolutionInvertibleError(ValueError):
+class NotConvolutionInvertibleError(VerifiedFailure, ValueError):
     pass
 
 
@@ -149,13 +146,9 @@ class Structure:
 
     def __post_init__(self):
         B = (self.space,)
-        checks = [("m", self.m, B * 2, B), ("eta", self.eta, UNIT, B),
-                  ("delta", self.delta, B, B * 2), ("eps", self.eps, B, UNIT),
-                  ("S", self.S, B, B)]
-        for name, f, dom, cod in checks:
-            if f is not None and (f.dom != dom or f.cod != cod):
-                raise ShapeError(f"{name} has wrong boundaries for "
-                                 f"{self.space.name}")
+        require_boundaries(("m", self.m, B * 2, B), ("eta", self.eta, UNIT, B),
+                           ("delta", self.delta, B, B * 2),
+                           ("eps", self.eps, B, UNIT), ("S", self.S, B, B))
 
     @property
     def dim(self) -> int:
@@ -236,7 +229,7 @@ def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
                 _cross_comult(b1, b2, phi12), b1.eps @ b2.eps, S)
 
 
-def tensor_structure(a: Structure, b: Structure, bp=None) -> Structure:
+def tensor_structure(a: Structure, b: Structure, bp=FLIP) -> Structure:
     """Tensor product structure on A(x)B with the braiding in the middle.
 
     m = (m_A (x) m_B) o (id (x) Psi_{B,A} (x) id) and dually for delta.
@@ -244,19 +237,17 @@ def tensor_structure(a: Structure, b: Structure, bp=None) -> Structure:
     (valid whenever the braiding between the factors is involutive; callers
     in doubt should re-check the axioms).
     """
-    bp = bp or VectFlip()
     A, B = a.space, b.space
     S = a.S @ b.S if a.S is not None and b.S is not None else None
     return cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
                            f"({A.name}.{B.name})", S)
 
 
-def tensor_coalgebra(a: Structure, b: Structure, bp=None) -> Structure:
+def tensor_coalgebra(a: Structure, b: Structure, bp=FLIP) -> Structure:
     """The tensor coalgebra on A(x)B: tensor_structure's eta, delta and eps
     on the same space, with no multiplication (m is None).  A convolution
     inverse over A(x)B reads nothing else; for two factors of dim 16 the
     multiplication alone would have 65,536 columns."""
-    bp = bp or VectFlip()
     A, B = a.space, b.space
     P = Space(f"({A.name}.{B.name})", A.dim * B.dim)
     return fuse(P, None, a.eta @ b.eta,
@@ -287,7 +278,7 @@ def _coalgebra_entries(s: Structure) -> List[CheckEntry]:
     ]
 
 
-def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
+def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     """Verify the defining laws of an algebra / coalgebra / bialgebra / Hopf
     algebra, each as an exact matrix identity.
 
@@ -309,7 +300,7 @@ def check_axioms(s: Structure, kind: str, bp=None, psi=None) -> CheckReport:
         entries += _algebra_entries(s)
         entries += _coalgebra_entries(s)
         if psi is None:
-            psi = (bp or VectFlip()).braiding(s.space, s.space)
+            psi = bp.braiding(s.space, s.space)
         entries.append(compare(
             "mult-comult",
             s.delta * s.m,
@@ -409,14 +400,13 @@ def _yd_providers(host: Structure, bp, *groups) -> list:
         prov = cls(host.space)
         for space, act, coact in modules:
             _crossed_module_report(space, host, act, coact, cls.side,
-                                   bp or VectFlip()).require(
-                f"{space.name}: {{}}")
+                                   bp).require(f"{space.name}: {{}}")
             prov.register(space, act, coact)
         provs.append(prov)
     return provs
 
 
-def yd_provider(host: Structure, modules, bp=None):
+def yd_provider(host: Structure, modules):
     """Braiding backend from right crossed modules, validated on the way in.
 
     modules: iterable of (space, act, coact) with act: X(x)H -> X and
@@ -425,21 +415,20 @@ def yd_provider(host: Structure, modules, bp=None):
     compatibility over the host before it is registered.  A law that
     fails raises PreconditionError carrying the report.
     """
-    return _yd_providers(host, bp, (YetterDrinfeld, modules))[0]
+    return _yd_providers(host, FLIP, (YetterDrinfeld, modules))[0]
 
 
-def yd_provider_left(host: Structure, modules, bp=None):
+def yd_provider_left(host: Structure, modules):
     """Left-sided counterpart of yd_provider: act: H(x)X -> X and
     coact: X -> H(x)X, validated as left crossed modules."""
-    return _yd_providers(host, bp, (LeftYetterDrinfeld, modules))[0]
+    return _yd_providers(host, FLIP, (LeftYetterDrinfeld, modules))[0]
 
 
 # -- morphism classification ------------------------------------------------
 
 def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
     """Test the four morphism laws of f : src -> dst exactly."""
-    if f.dom != (src.space,) or f.cod != (dst.space,):
-        raise ShapeError("morphism boundaries do not match the structures")
+    require_boundaries(("morphism", f, (src.space,), (dst.space,)))
     alg = ((f * _mult(src) == _mult(dst) * run_pipeline([[f, f]]))
            and (f * src.eta == dst.eta))
     coa = ((run_pipeline([[src.delta], [f, f]]) == dst.delta * f)

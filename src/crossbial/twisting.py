@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import ConsistencyError, HopfDatum, _trivial_forms, check_hopf_datum
-from .linmaps import (LeftYetterDrinfeld, LinMap, NotInvertibleError,
-                      ShapeError, Space, UNIT, VectFlip, YetterDrinfeld,
-                      pipeline_as_linmap, run_pipeline)
+from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, NotInvertibleError,
+                      ShapeError, Space, UNIT, YetterDrinfeld,
+                      pipeline_as_linmap, require_boundaries, run_pipeline)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -61,12 +61,9 @@ class TwoCocycle:
     chi_inv: Optional[LinMap] = None
 
     def __post_init__(self):
-        s = self.host.space
-        for tag, f in (("chi", self.chi), ("chi_inv", self.chi_inv)):
-            if f is None:
-                continue
-            if f.dom != (s, s) or f.cod != UNIT:
-                raise ShapeError(f"{tag} must map B (x) B to scalars")
+        BB = (self.host.space,) * 2
+        require_boundaries(("chi", self.chi, BB, UNIT),
+                           ("chi_inv", self.chi_inv, BB, UNIT))
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,8 @@ class DualPairing:
     form: LinMap
 
     def __post_init__(self):
-        if (self.form.dom != (self.H.space, self.A.space)
-                or self.form.cod != UNIT):
-            raise ShapeError("form must map H (x) A to scalars")
+        require_boundaries(
+            ("form", self.form, (self.H.space, self.A.space), UNIT))
 
 
 @dataclass(frozen=True)
@@ -99,18 +95,11 @@ class DoubleBiproductInput:
 
     def __post_init__(self):
         sh, sb, sc = self.H.space, self.B.space, self.C.space
-        checks = (
-            ("b_act", self.b_act, (sb, sh), (sb,)),
-            ("b_coact", self.b_coact, (sb,), (sb, sh)),
-            ("c_act", self.c_act, (sh, sc), (sc,)),
-            ("c_coact", self.c_coact, (sc,), (sh, sc)),
-        )
-        for tag, f, dom, cod in checks:
-            if f.dom != dom or f.cod != cod:
-                raise ShapeError(f"{tag} has wrong boundaries")
-        if self.rho is not None and (self.rho.dom != (sb, sc)
-                                     or self.rho.cod != UNIT):
-            raise ShapeError("rho must map B (x) C to scalars")
+        require_boundaries(("b_act", self.b_act, (sb, sh), (sb,)),
+                           ("b_coact", self.b_coact, (sb,), (sb, sh)),
+                           ("c_act", self.c_act, (sh, sc), (sc,)),
+                           ("c_coact", self.c_coact, (sc,), (sh, sc)),
+                           ("rho", self.rho, (sb, sc), UNIT))
 
     def with_rho(self, rho: LinMap) -> "DoubleBiproductInput":
         return dataclasses.replace(self, rho=rho)
@@ -126,12 +115,8 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     delta is the comultiplication of the shared domain coalgebra (it is
     not inferable from chi and f alone).
     """
-    if chi.cod != UNIT:
-        raise ShapeError("chi must be scalar valued")
-    if chi.dom != f.dom or delta.dom != f.dom:
-        raise ShapeError("chi, f and delta must share their domain")
-    if delta.cod != delta.dom + delta.dom:
-        raise ShapeError("delta must be a comultiplication")
+    require_boundaries(("chi", chi, f.dom, UNIT),
+                       ("delta", delta, f.dom, f.dom * 2))
     if side == "left":
         return run_pipeline([[delta], [chi, f]])
     if side == "right":
@@ -152,10 +137,9 @@ def _scalar_inverse(f: LinMap, coalg: Structure) -> LinMap:
     return rebind(inv, f.dom, UNIT)
 
 
-def cocycle_inverse(c: TwoCocycle, bp=None) -> LinMap:
+def cocycle_inverse(c: TwoCocycle, bp=FLIP) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
     B (x) B; a stored chi_inv is cross-checked, never trusted."""
-    bp = bp or VectFlip()
     inv = _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host, bp))
     if c.chi_inv is not None and c.chi_inv != inv:
         raise ConsistencyError(
@@ -167,10 +151,9 @@ def cocycle_inverse(c: TwoCocycle, bp=None) -> LinMap:
 # cocycle validation and twisting
 # ---------------------------------------------------------------------------
 
-def validate_cocycle(c: TwoCocycle, bp=None) -> CheckReport:
+def validate_cocycle(c: TwoCocycle, bp=FLIP) -> CheckReport:
     """The associativity-style cocycle law plus both unit laws; the two
     unit halves are also compared against each other directly."""
-    bp = bp or VectFlip()
     check_axioms(c.host, "bialgebra", bp).require("host fails {}")
     return _cocycle_report(c, bp)
 
@@ -194,14 +177,13 @@ def _cocycle_report(c: TwoCocycle, bp) -> CheckReport:
     return CheckReport(entries)
 
 
-def twist(b: Structure, c: TwoCocycle, bp=None) -> Structure:
+def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
     """Twist the multiplication by an invertible 2-cocycle.
 
     m^chi = chi.m.chi^-; Hopf inputs also get S^chi = u.S.u^- with
     u = chi o (id (x) S) o Delta.  Unit, counit and comultiplication are
     untouched.  The output is re-verified against every axiom.
     """
-    bp = bp or VectFlip()
     if c.host.space != b.space:
         raise ShapeError("cocycle host does not match the twisted algebra")
     validate_cocycle(TwoCocycle(b, c.chi, c.chi_inv), bp).require(
@@ -235,7 +217,7 @@ def _twist(b: Structure, c: TwoCocycle, bp) -> Structure:
 # dual pairings and matched pairs
 # ---------------------------------------------------------------------------
 
-def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
+def validate_pairing(p: DualPairing, bp=FLIP) -> CheckReport:
     """The four defining conditions of a bialgebra pairing H (x) A -> k.
 
     The multiplicativity conditions are stated in their planar (nested)
@@ -244,7 +226,6 @@ def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
     makes sense verbatim over a genuinely braided backend; over the flip
     on a cocommutative side it collapses to the textbook conditions.
     """
-    bp = bp or VectFlip()
     for tag, st in (("H", p.H), ("A", p.A)):
         check_axioms(st, "bialgebra", bp).require(f"{tag} fails {{}}")
     H, A, form = p.H, p.A, p.form
@@ -263,14 +244,13 @@ def validate_pairing(p: DualPairing, bp=None) -> CheckReport:
     return CheckReport(entries)
 
 
-def pairing_inverse(p: DualPairing, bp=None) -> LinMap:
+def pairing_inverse(p: DualPairing, bp=FLIP) -> LinMap:
     """Convolution inverse of the form over the tensor coalgebra
     H (x) A."""
-    bp = bp or VectFlip()
     return _scalar_inverse(p.form, tensor_coalgebra(p.H, p.A, bp))
 
 
-def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
+def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     """Mutual actions induced by an invertible pairing.
 
     lhd: H (x) A -> H and rhd: H (x) A -> A are built from the form and
@@ -282,7 +262,6 @@ def matched_pair_from_pairing(p: DualPairing, bp=None) -> dict:
     is simply false for degenerate forms (the counit pairing induces the
     trivial matched pair over any backend).
     """
-    bp = bp or VectFlip()
     validate_pairing(p, bp).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
@@ -375,7 +354,7 @@ def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap,
     return pipeline_as_linmap(layers)
 
 
-def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
+def double_biproduct(inp: DoubleBiproductInput, bp=FLIP) -> dict:
     """Assemble Z = C (x) H (x) B, its pairing cocycle, and the twist.
 
     All preconditions are verified exactly: the crossed-module and braided
@@ -387,7 +366,6 @@ def double_biproduct(inp: DoubleBiproductInput, bp=None) -> dict:
     validated as a 2-cocycle, and the twist is computed twice (by the
     convolution formula and by the direct diagram) and compared.
     """
-    bp = bp or VectFlip()
     if inp.rho is None:
         raise PreconditionError("no pairing rho supplied")
     H, B, C, rho = inp.H, inp.B, inp.C, inp.rho

@@ -20,15 +20,16 @@ from .crossproduct import ProjectionSystem
 from .datum import HopfDatum, _trivial_forms
 from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
                       unflatten)
-from .scalars import ONE, as_scalar, q_binomial, reciprocal, root_of_unity
+from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
+                      root_of_unity)
 from .structures import Structure, fuse, restrict
 
 
-class ParameterError(ValueError):
+class ParameterError(InputError, ValueError):
     pass
 
 
-class UnsupportedError(ValueError):
+class UnsupportedError(InputError, ValueError):
     """The requested object falls outside the finite-dimensional regime."""
 
 

@@ -17,11 +17,12 @@ from crossbial.cli import (
     workspace_to_json,
 )
 from crossbial.linmaps import LinMap, Space, UNIT
-from crossbial.scalars import root_of_unity
+from crossbial.scalars import VerifiedFailure, root_of_unity
 from crossbial.structures import check_axioms, yd_provider_left
 from crossbial.twisting import matched_pair_from_pairing
 from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
 from tests.test_acceptance import braided_taft_pairing
+from tests.test_hygiene import package_exceptions
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
                                  uninvertible_cocycle)
 
@@ -425,6 +426,21 @@ def test_a_cap_above_the_bound_is_refused_before_any_work(
     assert code == 0 and calls == [cli.MAX_ORDER_CAP]
 
 
+@pytest.mark.parametrize("cls", package_exceptions(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_exception_exits_with_its_code(capsys, monkeypatch,
+                                                     cls):
+    def fail(args):
+        raise cls("planted")
+    monkeypatch.setitem(cli._DISPATCH, "zoo", fail)
+    code, out, err = run(capsys, "zoo", "list")
+    verified = issubclass(cls, VerifiedFailure)
+    assert code == (1 if verified else 2)
+    assert out == ""
+    assert ("verified failure: planted" if verified
+            else "error: planted") in err
+
+
 # ---------------------------------------------------------------------------
 # datum and cross commands
 # ---------------------------------------------------------------------------
@@ -581,7 +597,8 @@ def test_workspace_roundtrip_is_byte_identical(tmp_path):
 
 def test_a_failed_save_leaves_the_old_file_as_it_was(tmp_path):
     # sorting int and str space names raises inside workspace_to_json
-    ws = Workspace(spaces={7: Space(7, 1), "x": Space("x", 1)})
+    ws = Workspace()
+    ws.spaces.update({7: Space(7, 1), "x": Space("x", 1)})
     path = tmp_path / "keep.json"
     path.write_bytes(b"old bytes\n")
     with pytest.raises(TypeError):

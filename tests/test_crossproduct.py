@@ -16,7 +16,7 @@ from crossbial.crossproduct import (
     verify_trivalent_equivalences,
 )
 from crossbial.datum import product_braiding, trivalence
-from crossbial.linmaps import LinMap, ShapeError, Space, VectFlip, run_pipeline
+from crossbial.linmaps import LinMap, Space, VectFlip, run_pipeline
 from crossbial.structures import cross_structure, tensor_structure
 from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
 from tests.test_acceptance import braided_taft_pairing
@@ -48,14 +48,6 @@ def test_flip_tuple_gives_the_plain_tensor_product():
     plain = tensor_structure(b1, b2)
     assert prod.m.entries == plain.m.entries
     assert prod.delta.entries == plain.delta.entries
-
-
-def test_tuple_shape_validation():
-    b1, b2 = group_hopf(2), group_hopf(3)
-    bp = VectFlip()
-    good12 = bp.braiding(b1.space, b2.space)
-    with pytest.raises(ShapeError):
-        BAT(b1, b2, good12, good12)   # phi21 has the wrong boundaries
 
 
 def test_broken_connecting_map_is_rejected_with_the_first_axiom():

@@ -5,10 +5,13 @@ structure-map builders evaluate their diagrams with the strand kernel,
 never with identity-padded tensors."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import pytest
+
+from crossbial.scalars import InputError, VerifiedFailure
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
@@ -182,3 +185,24 @@ def test_the_scanner_flags_a_tensor_product():
 def test_checkers_build_no_padded_tensors(module):
     source = (ROOT / "src" / "crossbial" / module).read_text()
     assert tensor_products_in(source, CHECKERS[module]) == []
+
+
+def package_exceptions():
+    """Every exception class the package defines, the two bases excepted,
+    sorted by name."""
+    mods = [importlib.import_module(f"crossbial.{p.stem}") for p in PACKAGE
+            if p.name != "__init__.py"]
+    found = {cls for mod in mods for cls in vars(mod).values()
+             if isinstance(cls, type) and issubclass(cls, BaseException)
+             and cls.__module__ == mod.__name__}
+    return sorted(found - {VerifiedFailure, InputError},
+                  key=lambda cls: cls.__name__)
+
+
+def test_each_exception_has_exactly_one_exit_code_base():
+    # VerifiedFailure means exit 1, InputError exit 2 (see cli.main)
+    classes = package_exceptions()
+    assert classes
+    assert [cls.__name__ for cls in classes
+            if issubclass(cls, VerifiedFailure) == issubclass(
+                cls, InputError)] == []

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from crossbial.crossproduct import BAT, build_cross_product
-from crossbial.datum import (check_hopf_datum, recursion_order, trivalence,
-                             trivial_datum)
+from crossbial.crossproduct import (BAT, IdempotentSystem,
+                                    build_cross_product, decompose)
+from crossbial.datum import (check_hopf_datum, phi_apply, recursion_order,
+                             trivalence, trivial_datum)
 from crossbial.linmaps import (
     ConfigurationError,
     LinMap,
@@ -15,6 +16,7 @@ from crossbial.linmaps import (
     UNIT,
     LeftYetterDrinfeld,
     VectFlip,
+    YetterDrinfeld,
     reduce_rows,
     run_pipeline,
 )
@@ -39,9 +41,11 @@ from crossbial.structures import (
     yd_provider,
     yd_provider_left,
 )
-from crossbial.twisting import unit_bialgebra
+from crossbial.twisting import (DualPairing, TwoCocycle, conv_dot,
+                                unit_bialgebra)
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
-                           group_algebra, ore_finite, radford)
+                           group_algebra, ore_finite, radford,
+                           sweedler_crossed_modules)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
@@ -167,6 +171,67 @@ def test_structure_shape_validation():
     with pytest.raises(ShapeError):
         Structure(s.space, s.m, s.eta, s.delta, s.eps,
                   LinMap(UNIT, (s.space,), {(0, 0): ONE}))
+
+
+def _wrong_slots():
+    """One bundle, provider or checker per row, with one slot's map on the
+    wrong strands: (id, call, slot, the strands it needs, the strands it
+    got)."""
+    g2, g3 = group_hopf(2), group_hopf(3)
+    rad, sw = radford(RadfordParams(2, 1, 2, 1)), sweedler_crossed_modules()
+    H, d, sysm = rad["H"], rad["datum"], rad["system"]
+    R, Q = H.space.name, "Taft2 (x) kC2 (x) Taft2 (x) kC2"
+    flip23 = VectFlip().braiding(g2.space, g3.space)
+    return [
+        ("Structure", lambda: Structure(g2.space, g2.m, g2.eta, g2.delta,
+                                        g2.eps, g2.eps),
+         "S", "kC2 -> kC2", "kC2 -> k"),
+        ("HopfDatum", lambda: dataclasses.replace(d, act_l=d.coact_l),
+         "act_l", "kC2 (x) Taft2 -> Taft2", "Taft2 -> kC2 (x) Taft2"),
+        ("BAT", lambda: BAT(g2, g3, flip23, flip23),
+         "phi21", "kC3 (x) kC2 -> kC2 (x) kC3",
+         "kC2 (x) kC3 -> kC3 (x) kC2"),
+        ("TwoCocycle", lambda: TwoCocycle(g2, g2.eps),
+         "chi", "kC2 (x) kC2 -> k", "kC2 -> k"),
+        ("DualPairing", lambda: DualPairing(g3, dual_group_hopf(3), g3.eps),
+         "form", "kC3 (x) fnC3 -> k", "kC3 -> k"),
+        ("DoubleBiproductInput", lambda: dataclasses.replace(
+            sw, b_act=sw.c_act),
+         "b_act", "SwB (x) kC2 -> SwB", "kC2 (x) SwC -> SwC"),
+        ("DoubleBiproductInput-rho", lambda: sw.with_rho(sw.B.eps),
+         "rho", "SwB (x) SwC -> k", "SwB -> k"),
+        ("YetterDrinfeld", lambda: YetterDrinfeld(sw.H.space).register(
+            sw.B.space, sw.b_act, sw.c_coact),
+         "coact_r", "SwB -> SwB (x) kC2", "SwC -> kC2 (x) SwC"),
+        ("LeftYetterDrinfeld", lambda: LeftYetterDrinfeld(
+            sw.H.space).register(sw.C.space, sw.b_act, sw.c_coact),
+         "act_l", "kC2 (x) SwC -> SwC", "SwB (x) kC2 -> SwB"),
+        ("decompose-Pi", lambda: decompose(H, IdempotentSystem(
+            H, H.id_map(), H.eta)),
+         "Pi2", f"{R} -> {R}", f"k -> {R}"),
+        ("decompose-p", lambda: decompose(H, dataclasses.replace(
+            sysm, p1=sysm.p2)),
+         "p1", f"{R} -> Taft2", f"{R} -> kC2"),
+        ("classify_morphism", lambda: classify_morphism(g2.id_map(), g2, g3),
+         "morphism", "kC2 -> kC3", "kC2 -> kC2"),
+        ("phi_apply", lambda: phi_apply(d, d.b1.id_map()),
+         "f", f"{Q} -> {Q}", "Taft2 -> Taft2"),
+        ("conv_dot", lambda: conv_dot(g2.eps, g2.id_map(), "left", g2.m),
+         "delta", "kC2 -> kC2 (x) kC2", "kC2 (x) kC2 -> kC2"),
+    ]
+
+
+WRONG_SLOTS = _wrong_slots()
+
+
+@pytest.mark.parametrize("call, slot, needs, got",
+                         [row[1:] for row in WRONG_SLOTS],
+                         ids=[row[0] for row in WRONG_SLOTS])
+def test_a_map_on_the_wrong_strands_is_named_with_its_strands(
+        call, slot, needs, got):
+    with pytest.raises(ShapeError) as exc:
+        call()
+    assert str(exc.value) == f"{slot} must map {needs}, not {got}"
 
 
 def test_report_json_roundtrip_shape():

@@ -13,7 +13,7 @@ import pytest
 
 from crossbial import cli, crossproduct, datum, structures, twisting, zoo
 from crossbial.datum import check_hopf_datum
-from crossbial.linmaps import UNIT, LinMap, VectFlip
+from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip
 from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist)
@@ -45,10 +45,10 @@ class AxiomSpy:
         self.passed = []    # (structure, kind, braiding key), kept alive
         self.repeats = []
 
-    def cover(self, s, kind, bp=None, psi=None):
+    def cover(self, s, kind, bp=FLIP, psi=None):
         self.passed.append((s, kind, braiding_key(bp, psi)))
 
-    def __call__(self, s, kind, bp=None, psi=None):
+    def __call__(self, s, kind, bp=FLIP, psi=None):
         self.calls += 1
         key = braiding_key(bp, psi)
         if any(st is s and kind in COVERS[k] and (b is key or b == key)
