@@ -95,6 +95,12 @@ def bat_to_hopf_datum(t: BAT) -> HopfDatum:
     reproduce phi12/phi21 exactly.
     """
     build_cross_product(t)
+    return _read_datum(t)
+
+
+def _read_datum(t: BAT) -> HopfDatum:
+    """The four interaction maps of the tuple, read off its connecting maps
+    as bat_to_hopf_datum describes.  Nothing is verified here."""
     id1, id2 = t.b1.id_map(), t.b2.id_map()
     act_l = apply_at(t.phi21, t.b2.eps, 1)
     act_r = apply_at(t.phi21, t.b1.eps, 0)
@@ -192,7 +198,8 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     if p2 * i2 != LinMap.identity(s2):
         raise InvalidSystemError("p2 o i2 is not the identity")
 
-    b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
+    bat, phi, phi_inv = _transport(A, sys, braiding)
+    b1, b2 = bat.b1, bat.b2
     verdicts = []
     for tag, f, src, dst, want in (
             ("i1", i1, b1, A, "is_algebra_morphism"),
@@ -204,21 +211,30 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
             kind = want.split("_")[1]
             raise InvalidSystemError(f"{tag} is not a {kind} morphism")
 
-    phi = run_pipeline([[i1, i2], [A.m]])
-    phi_inv = run_pipeline([[A.delta], [p1, p2]])
     if (phi_inv * phi != LinMap.identity(s1 + s2)
             or phi * phi_inv != LinMap.identity(P)):
         raise NotASplittingError(
             "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
             "inverse")
+    return DecomposeResult(bat, phi, tuple(verdicts))
 
+
+def _transport(A: Structure, sys: ProjectionSystem, braiding=FLIP
+               ) -> Tuple[BAT, LinMap, LinMap]:
+    """The tuple a splitting carries, with phi = m_A o (i1 (x) i2) and
+    phi_inv = (p1 (x) p2) o delta_A: the factors are restricted through
+    i_j and p_j, and the connecting maps are A's product and coproduct
+    transported through phi and phi_inv.  Nothing is verified here."""
+    i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
+    b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
+    phi = run_pipeline([[i1, i2], [A.m]])
+    phi_inv = run_pipeline([[A.delta], [p1, p2]])
     id1, id2 = b1.id_map(), b2.id_map()
     phi21 = run_pipeline([[b1.eta, id2, id1, b2.eta], [phi, phi], [A.m],
                           [phi_inv]])
     phi12 = run_pipeline([[phi], [A.delta], [phi_inv, phi_inv],
                           [b1.eps, id2, id1, b2.eps]])
-    return DecomposeResult(BAT(b1, b2, phi12, phi21, braiding), phi,
-                           tuple(verdicts))
+    return BAT(b1, b2, phi12, phi21, braiding), phi, phi_inv
 
 
 def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,

@@ -37,6 +37,7 @@ from .structures import (
     _cross_comult,
     _cross_mult,
     _mult,
+    canonical_maps,
     check_axioms,
     classify_morphism,
     compare,
@@ -514,16 +515,11 @@ def trivalence(d: HopfDatum) -> dict:
     pattern = _pattern_of(d)
     trivalent = "0" in pattern
     prod = cross_structure(d.b1, d.b2, *_mixed_maps(d))
-    P = (prod.space,)
-    id1, id2 = d.b1.id_map(), d.b2.id_map()
-    probes = {
-        "inj1": (rebind(id1 @ d.b2.eta, (d.b1.space,), P), d.b1, prod),
-        "inj2": (rebind(d.b1.eta @ id2, (d.b2.space,), P), d.b2, prod),
-        "proj1": (rebind(id1 @ d.b2.eps, P, (d.b1.space,)), prod, d.b1),
-        "proj2": (rebind(d.b1.eps @ id2, P, (d.b2.space,)), prod, d.b2),
-    }
-    witness = {name: classify_morphism(f, src, dst)
-               for name, (f, src, dst) in probes.items()}
+    i1, i2, p1, p2 = canonical_maps(d.b1, d.b2, prod.space)
+    witness = {"inj1": classify_morphism(i1, d.b1, prod),
+               "inj2": classify_morphism(i2, d.b2, prod),
+               "proj1": classify_morphism(p1, prod, d.b1),
+               "proj2": classify_morphism(p2, prod, d.b2)}
     both = [name for name, c in witness.items()
             if c["is_algebra_morphism"] and c["is_coalgebra_morphism"]]
     return {

@@ -87,7 +87,7 @@ def unflatten(flat: int, dims: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "entries", "_cols", "_rows", "_ones")
+    __slots__ = ("dom", "cod", "entries", "_cols", "_ones")
 
     def __init__(self, dom: Iterable[Space], cod: Iterable[Space], entries=None):
         self.dom: SpaceList = tuple(dom)
@@ -104,7 +104,6 @@ class LinMap:
                     pruned[(r, c)] = v
         self.entries = pruned
         self._cols: Optional[Dict[int, Dict[int, Scalar]]] = None
-        self._rows = None
         self._ones: Optional[bool] = None
 
     @classmethod
@@ -114,7 +113,7 @@ class LinMap:
         """A map from entries already in range and nonzero (no checks)."""
         f = object.__new__(cls)
         f.dom, f.cod, f.entries = dom, cod, entries
-        f._cols = f._rows = None
+        f._cols = None
         f._ones = ones
         return f
 
@@ -151,12 +150,10 @@ class LinMap:
         return self._cols
 
     def by_row(self) -> Dict[int, Dict[int, Scalar]]:
-        if self._rows is None:
-            rows: Dict[int, Dict[int, Scalar]] = {}
-            for (r, c), v in self.entries.items():
-                rows.setdefault(r, {})[c] = v
-            self._rows = rows
-        return self._rows
+        rows: Dict[int, Dict[int, Scalar]] = {}
+        for (r, c), v in self.entries.items():
+            rows.setdefault(r, {})[c] = v
+        return rows
 
     def is_ones(self) -> bool:
         """True when every nonzero entry is exactly 1: a 0/1 matrix, such as

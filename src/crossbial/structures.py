@@ -205,6 +205,18 @@ def fuse(space: Space, m: Optional[LinMap], eta: LinMap, delta: LinMap,
                      None if S is None else rebind(S, P, P, "S"))
 
 
+def canonical_maps(b1: Structure, b2: Structure, space: Space
+                   ) -> Tuple[LinMap, LinMap, LinMap, LinMap]:
+    """The canonical injections and projections of a product of b1 and b2
+    fused onto `space`: (i1, i2, p1, p2) = (id (x) eta2, eta1 (x) id,
+    id (x) eps2, eps1 (x) id), each rebound onto the one strand `space`."""
+    s1, s2, P = (b1.space,), (b2.space,), (space,)
+    return (rebind(b1.id_map() @ b2.eta, s1, P, "i1"),
+            rebind(b1.eta @ b2.id_map(), s2, P, "i2"),
+            rebind(b1.id_map() @ b2.eps, P, s1, "p1"),
+            rebind(b1.eps @ b2.id_map(), P, s2, "p2"))
+
+
 def _cross_mult(b1: Structure, b2: Structure, phi21: LinMap) -> LinMap:
     """m = (m1 (x) m2) o (id (x) phi21 (x) id) on B1(x)B2."""
     return run_pipeline([[b1.id_map(), phi21, b2.id_map()],
@@ -333,7 +345,7 @@ def _action_report(carrier: Space, actor: Structure, f: LinMap, kind: str,
     for a comodule).  The actor's strand sits left of the carrier's for
     the kinds module-l (f: H(x)M -> M) and comodule-l (f: M -> H(x)M), and
     right of it for module-r and comodule-r; a comodule's laws are a
-    module's diagrams upside down."""
+    module's diagrams upside down.  The caller has checked f's strands."""
     co = "co" if kind.startswith("co") else ""
     left = kind.endswith("-l")
     im, ih = LinMap.identity((carrier,)), LinMap.identity((actor.space,))
@@ -341,11 +353,6 @@ def _action_report(carrier: Space, actor: Structure, f: LinMap, kind: str,
     def row(h, x):
         return [h, x] if left else [x, h]
 
-    hm = tuple(row(actor.space, carrier))
-    if (f.dom, f.cod) != (((carrier,), hm) if co else (hm, (carrier,))):
-        ends = ["(x)".join(row("H", "M")), "M"]
-        raise ShapeError(f"{'left' if left else 'right'} {co}action must be "
-                         + " -> ".join(ends[::-1] if co else ends))
     if co:
         unit = [[f], row(actor.eps, im)]
         lhs, rhs = [[f], row(actor.delta, im)], [[f], row(ih, f)]
@@ -390,18 +397,19 @@ def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
 
 def _yd_providers(host: Structure, bp, *groups) -> list:
     """Verify the host once (as a Hopf algebra when it carries an
-    antipode), then build one provider per (cls, modules) group,
-    registering each module only after its crossed-module laws pass on
-    the provider class's side."""
+    antipode), then build one provider per (cls, modules) group.  Each
+    module is registered, which checks its maps' strands, and then must
+    pass its crossed-module laws on the provider class's side; a provider
+    is returned only when every module has passed."""
     kind = "hopf" if host.S is not None else "bialgebra"
     check_axioms(host, kind, bp).require("host fails {}")
     provs = []
     for cls, modules in groups:
         prov = cls(host.space)
         for space, act, coact in modules:
+            prov.register(space, act, coact)
             _crossed_module_report(space, host, act, coact, cls.side,
                                    bp).require(f"{space.name}: {{}}")
-            prov.register(space, act, coact)
         provs.append(prov)
     return provs
 

@@ -29,6 +29,7 @@ from .structures import (
     Structure,
     _cross_comult,
     _yd_providers,
+    canonical_maps,
     check_axioms,
     classify_morphism,
     compare,
@@ -370,7 +371,7 @@ def double_biproduct(inp: DoubleBiproductInput, bp=FLIP) -> dict:
         raise PreconditionError("no pairing rho supplied")
     H, B, C, rho = inp.H, inp.B, inp.C, inp.rho
     sh, sb, sc = H.space, B.space, C.space
-    idh, idb, idc = H.id_map(), B.id_map(), C.id_map()
+    idb, idc = B.id_map(), C.id_map()
 
     prov_r, prov_l = _yd_providers(
         H, bp, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
@@ -423,10 +424,8 @@ def double_biproduct(inp: DoubleBiproductInput, bp=FLIP) -> dict:
                                 rebind(H.eta, (sk,), (sh, sk)), bp,
                                 f"({sh.name}><{sb.name})")
     canon = []
-    mono_c = rebind(idc @ idh @ B.eta, (ch.space,), (Z.space,))
-    mono_b = rebind(C.eta @ idh @ idb, (hb.space,), (Z.space,))
-    epi_c = rebind(idc @ idh @ B.eps, (Z.space,), (ch.space,))
-    epi_b = rebind(C.eps @ idh @ idb, (Z.space,), (hb.space,))
+    mono_c, _, epi_c, _ = canonical_maps(ch, B, Z.space)
+    _, mono_b, _, epi_b = canonical_maps(C, hb, Z.space)
     for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
                              ("mono-b-side", mono_b, hb, Z),
                              ("epi-c-side", epi_c, Z, ch),

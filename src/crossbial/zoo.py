@@ -3,10 +3,14 @@
 Group algebras of finite cyclic groups and their function-algebra duals,
 truncated polynomial factors with Gaussian-binomial coproducts, Radford's
 four-parameter Hopf algebras, and finite Ore towers over a finite abelian
-group.  Every generators-and-relations presentation is realised on a fixed
-normal-form basis with an explicit multiplication table; coproducts and
-antipodes are either tabulated in closed form or extended mechanically
-from the generators.  Builders return plain structures, or dicts bundling
+group.  Every tower is written once, and the package's own constructions
+supply its other half.  Radford's algebra is the cross product of its
+hand-written Hopf datum: its product and coproduct come from the datum,
+and its splitting is the canonical one of the product.  An Ore tower's
+multiplication table and splitting are written out on its normal-form
+basis, with the coproduct and antipode extended mechanically from the
+generators, and its datum is read off the splitting by the code that
+decompose verifies.  Builders return plain structures, or dicts bundling
 the algebra with its canonical splitting and interaction maps.
 """
 
@@ -16,13 +20,13 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Tuple
 
-from .crossproduct import ProjectionSystem
-from .datum import HopfDatum, _trivial_forms
+from .crossproduct import ProjectionSystem, _read_datum, _transport
+from .datum import HopfDatum, _mixed_maps, _trivial_forms
 from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
                       unflatten)
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
-from .structures import Structure, fuse, restrict
+from .structures import Structure, canonical_maps, cross_structure, fuse
 
 
 class ParameterError(InputError, ValueError):
@@ -152,40 +156,31 @@ def radford(params: RadfordParams) -> dict:
     together with its canonical splitting and interaction maps.
 
     Returns {"H", "system", "datum"}: the algebra itself, the projection
-    system onto the truncated-polynomial and group factors, and the left
-    action/coaction pair extracted from it (the right pair is trivial).
+    system onto the truncated-polynomial and group factors, and the datum
+    whose cross product H is: the left action/coaction pair of the group
+    on the truncated factor, with a trivial right pair.
     """
     n, N, nu = params.n, params.N, params.nu
-    r, q, dim = params.r, params.q, params.dim
+    r, q = params.r, params.q
     qnu, q_inv = q ** nu, reciprocal(q)
-    b1 = taft_factor(r, qnu)
-    b2 = group_algebra(N)
-    s = Space(f"Rad({n},{params.q_exponent},{N},{nu})", dim)
+    b1, b2 = taft_factor(r, qnu), _bare(group_algebra(N))
+    s1, s2 = b1.space, b2.space
+    triv = _trivial_forms(b1, b2)
+    act_l = LinMap((s2, s1), (s1,),
+                   {(m, flatten((l, m), (N, r))): q_inv ** (m * l)
+                    for m in range(r) for l in range(N)})
+    coact_l = LinMap((s1,), (s2, s1),
+                     {(flatten(((-nu * m) % N, m), (N, r)), m): ONE
+                      for m in range(r)})
+    datum = HopfDatum(b1, b2, act_l, coact_l, triv["act_r"], triv["coact_r"])
+    # H is the datum's cross product: x^m g^l = x^m (x) g^l is its basis
+    # vector idx(m, l)
+    base = cross_structure(b1, b2, *_mixed_maps(datum),
+                           name=f"Rad({n},{params.q_exponent},{N},{nu})")
+    s, mH = base.space, base.m
 
     def idx(m: int, l: int) -> int:
         return m * N + l % N
-
-    ment = {}
-    for a in range(r):
-        for b in range(N):
-            for c in range(r):
-                if a + c >= r:
-                    continue
-                coeff = q_inv ** (b * c)
-                for d in range(N):
-                    ment[(idx(a + c, b + d), idx(a, b) * dim
-                          + idx(c, d))] = coeff
-    dent = {}
-    for m in range(r):
-        for l in range(N):
-            for j in range(m + 1):
-                row = flatten((idx(j, l - nu * (m - j)), idx(m - j, l)),
-                              (dim, dim))
-                dent[(row, idx(m, l))] = q_binomial(m, j, qnu)
-    mH = LinMap((s, s), (s,), ment)
-    etaH = LinMap(UNIT, (s,), {(0, 0): ONE})
-    deltaH = LinMap((s,), (s, s), dent)
-    epsH = LinMap((s,), UNIT, {(0, idx(0, l)): ONE for l in range(N)})
 
     # antipode: S(g) = g^{-1}, S(x) = -g^nu x, extended anti-multiplicatively
     P = (s,)
@@ -198,25 +193,9 @@ def radford(params: RadfordParams) -> dict:
                 acc = mH * (acc @ sx)
             for (row, _), v in acc.entries.items():
                 sent[(row, idx(m, l))] = v
-    H = Structure(s, mH, etaH, deltaH, epsH, LinMap((s,), (s,), sent))
-
-    s1, s2 = b1.space, b2.space
-    i1 = LinMap((s1,), (s,), {(idx(m, 0), m): ONE for m in range(r)})
-    i2 = LinMap((s2,), (s,), {(idx(0, l), l): ONE for l in range(N)})
-    p1 = LinMap((s,), (s1,), {(m, idx(m, l)): ONE
-                              for m in range(r) for l in range(N)})
-    p2 = LinMap((s,), (s2,), {(l, idx(0, l)): ONE for l in range(N)})
-    system = ProjectionSystem(H, i1, i2, p1, p2)
-
-    triv = _trivial_forms(b1, _bare(b2))
-    act_l = LinMap((s2, s1), (s1,),
-                   {(m, flatten((l, m), (N, r))): q_inv ** (m * l)
-                    for m in range(r) for l in range(N)})
-    coact_l = LinMap((s1,), (s2, s1),
-                     {(flatten(((-nu * m) % N, m), (N, r)), m): ONE
-                      for m in range(r)})
-    datum = HopfDatum(b1, _bare(b2), act_l, coact_l,
-                      triv["act_r"], triv["coact_r"])
+    H = Structure(s, mH, base.eta, base.delta, base.eps,
+                  LinMap((s,), (s,), sent))
+    system = ProjectionSystem(H, *canonical_maps(b1, b2, s))
     return {"H": H, "system": system, "datum": datum}
 
 
@@ -272,7 +251,8 @@ def ore_finite(params: OreParams) -> dict:
     Delta(x_j) = x_j (x) g_j + 1 (x) x_j; finite-dimensionality requires
     the diagonal values g*_j(g_j) to equal -1, which forces x_j^2 = 0 and
     the subset normal form c X^alpha.  Returns {"H", "system", "datum"}
-    with the group factor carrying the trivial side of the datum.
+    with the group factor carrying the trivial side of the datum; the
+    datum is the one the splitting carries.
     """
     orders, t = params.group, params.t
     gram = [[_character(orders, params.g_star[l], params.g[r_])
@@ -378,29 +358,10 @@ def ore_finite(params: OreParams) -> dict:
                               for mask in range(nX) for c in range(nC)})
     system = ProjectionSystem(H, i1, i2, p1, p2)
 
-    b1, b2 = restrict(H, i1, p1), restrict(H, i2, p2)
-    triv = _trivial_forms(b1, b2)
-    aent = {}
-    for mask in range(nX):
-        for c in range(nC):
-            coeff = ONE
-            for j in bits(mask):
-                coeff = coeff * _character(orders, params.g_star[j], elts[c])
-            aent[(mask, flatten((mask, c), (nX, nC)))] = coeff
-    act_r = LinMap((sl, sg), (sl,), aent)
-
-    def gprod(mask: int):
-        out = tuple(0 for _ in orders)
-        for j in bits(mask):
-            out = cadd(out, params.g[j])
-        return out
-
-    coact_r = LinMap((sl,), (sl, sg),
-                     {(flatten((mask, flatten(gprod(mask), orders)),
-                               (nX, nC)),
-                       mask): ONE for mask in range(nX)})
-    datum = HopfDatum(b1, b2, triv["act_l"], triv["coact_l"],
-                      act_r, coact_r)
+    # the datum the splitting carries, read off without decompose's and
+    # bat_to_hopf_datum's checks, which cost about nine times the whole
+    # build on a dim-16 C2 x C2 tower
+    datum = _read_datum(_transport(H, system)[0])
     return {"H": H, "system": system, "datum": datum}
 
 

@@ -758,6 +758,21 @@ def test_malformed_braiding_sections_are_pointed_at(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_a_module_on_the_wrong_strands_is_named(tmp_path, capsys,
+                                               qline_path):
+    # module 1 (TaftA) pointed at module 0's action on TaftH
+    obj = json.loads(open(qline_path).read())
+    obj["braiding"]["modules"][1]["act"] = "h_act"
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "crossbial: error: /braiding/modules: act_r must map "
+        "TaftA (x) kC3 -> TaftA, not TaftH (x) kC3 -> TaftH")
+
+
 def test_a_module_that_fails_its_laws_is_a_verified_failure(
         tmp_path, capsys, qline_path):
     obj = json.loads(open(qline_path).read())

@@ -9,6 +9,7 @@ line, so every file is named relative to a fresh working directory.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -139,6 +140,40 @@ GOLDEN = {
 }
 
 
+# Ore towers from `zoo build ore --spec`: Sweedler's algebra over C2 and an
+# anticommuting C2 x C2 family (x1 x2 = -x2 x1).  Their data are read off
+# their splittings, so these rows pin what that reading gives.
+ORE = {
+    "ore C2 t=1": {"orders": [2], "t": 1, "g": [[1]], "g_star": [[1]]},
+    "ore C2xC2 t=2 anticommuting": {"orders": [2, 2], "t": 2,
+                                    "g": [[1, 0], [0, 1]],
+                                    "g_star": [[1, 1], [1, 1]]},
+}
+
+ORE_GOLDEN = {
+    "ore C2 t=1": {
+        "workspace":
+            "15f5cbb436fe2d93d133d83e045f20f00386898aa806a75382d3cf2fd684eec1",
+        "datum check": {
+            "json":
+                "11bb8b48d771be1f1c01611b7d9a337eab270715be91dfa5410267bf572c057a",
+            "text":
+                "a1d26ad52193af935ef9bbec9e7b06b052ba67272c94c349d0f6a7d5710b9ea8",
+        },
+    },
+    "ore C2xC2 t=2 anticommuting": {
+        "workspace":
+            "6af7ccf1010a0701b0d42288f70090fdad708b6473134b33f1b80199fad9ac7a",
+        "datum check": {
+            "json":
+                "11bb8b48d771be1f1c01611b7d9a337eab270715be91dfa5410267bf572c057a",
+            "text":
+                "a1d26ad52193af935ef9bbec9e7b06b052ba67272c94c349d0f6a7d5710b9ea8",
+        },
+    },
+}
+
+
 # `cross trivalent` and `datum classify` report verdicts and the pattern
 # alone, and every Radford tower splits as the same biproduct "1010", so
 # the four towers share one set of digests.
@@ -218,6 +253,25 @@ def test_radford_trivalence_reports_are_byte_identical(capsys, monkeypatch,
     _build_radford(capsys, params)
     assert {cmd: _run(capsys, None, *cmd.split(), "--in", "rad.json")
             for cmd in TRIVALENCE_GOLDEN} == TRIVALENCE_GOLDEN
+
+
+def _ore_digests(capsys, spec):
+    with open("spec.json", "w") as fh:
+        json.dump(spec, fh)
+    assert main(["zoo", "build", "ore", "--spec", "spec.json",
+                 "-o", "ore.json"]) == 0
+    capsys.readouterr()
+    return {
+        "workspace": _file_sha("ore.json"),
+        "datum check": _run(capsys, None, "datum", "check",
+                            "--in", "ore.json"),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(ORE))
+def test_ore_reports_are_byte_identical(capsys, monkeypatch, tmp_path, key):
+    monkeypatch.chdir(tmp_path)
+    assert _ore_digests(capsys, ORE[key]) == ORE_GOLDEN[key]
 
 
 def _twist_digests(capsys):

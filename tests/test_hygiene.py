@@ -158,7 +158,8 @@ CHECKERS = {
     "datum.py": ["check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "conv_dot",
                     "matched_pair_from_pairing"],
-    "crossproduct.py": ["bat_to_hopf_datum", "decompose"],
+    "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "decompose",
+                        "_transport"],
 }
 
 

@@ -310,23 +310,6 @@ def test_right_coaction_sweedler():
     assert rep.ok
 
 
-def test_action_shape_errors():
-    # each kind refuses the map of its mirror kind (a right action for
-    # module-l, and so on) with its own message
-    H = group_hopf(2)
-    M = Space("M", 2)
-    im = LinMap.identity((M,))
-    for kind, mirror, message in [
-            ("module-l", im @ H.eps, "left action must be H(x)M -> M"),
-            ("module-r", H.eps @ im, "right action must be M(x)H -> M"),
-            ("comodule-l", im @ H.eta, "left coaction must be M -> H(x)M"),
-            ("comodule-r", H.eta @ im,
-             "right coaction must be M -> M(x)H")]:
-        with pytest.raises(ShapeError) as exc:
-            _action_report(M, H, mirror, kind, "action-")
-        assert str(exc.value) == message
-
-
 # ---------------------------------------------------------------------------
 # crossed modules
 # ---------------------------------------------------------------------------

@@ -237,8 +237,15 @@ def test_braided_line_input_rejects_odd_periods():
 
 
 def test_zoo_splittings_roundtrip_through_decompose():
-    for out in (radford(RadfordParams(2, 1, 2, 1)),
-                ore_finite(OreParams((2,), 1, ((1,),), ((1,),)))):
+    # Sweedler's algebra both ways, the C4 tower, and one commuting and one
+    # anticommuting C2 x C2 family: each Ore datum is read off its
+    # splitting, so decompose must find it again
+    towers = [radford(RadfordParams(2, 1, 2, 1))] + [
+        ore_finite(OreParams(*p)) for p in (
+            ((2,), 1, ((1,),), ((1,),)), ((4,), 1, ((2,),), ((1,),)),
+            ((2, 2), 2, ((1, 0), (0, 1)), ((1, 0), (0, 1))),
+            ((2, 2), 2, ((1, 0), (0, 1)), ((1, 1), (1, 1))))]
+    for out in towers:
         res = decompose(out["H"], out["system"])
         assert bat_to_hopf_datum(res.bat) == out["datum"]
         A, sysm, b1, b2 = out["H"], out["system"], res.bat.b1, res.bat.b2
