@@ -179,7 +179,10 @@ def _read_braiding(sec, ws: Workspace) -> None:
     try:
         ws.provider = BRAIDINGS[kind](host, modules)
     except ShapeError as err:
-        raise WorkspaceError(f"/braiding/modules: {err}") from err
+        # register names the slot act_r, coact_l, ...; the section's key is
+        # the part before the side
+        raise WorkspaceError(f"/braiding/modules/{err.module}/"
+                             f"{err.slot.split('_')[0]}: {err}") from err
     ws.braiding = {"kind": kind, "host": sec["host"], "modules": names}
 
 

@@ -6,9 +6,11 @@ contract (JSON, to_rows) is a dense row-major matrix.  Basis order of a
 tensor product is lexicographic with the leftmost factor most significant —
 every equality downstream depends on this convention.
 
-Composition is `g * f` (apply f first), tensoring is `f @ g`, the
-one-row diagram `run_pipeline([[f, g]])`; both run on the one strand
-kernel, `apply_at`.
+Composition is `g * f` (apply f first) and runs on the one strand kernel,
+`apply_at`.  Tensoring is `f @ g`, the one-row diagram
+`run_pipeline([[f, g]])`: a first row of several factors is written down
+as their Kronecker product, entry for entry what the kernel would build
+from the identity on their domain strands.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ UNIT: SpaceList = ()  # the tensor unit k
 
 
 class ShapeError(InputError, ValueError):
-    """Boundary mismatch in a composition or construction."""
+    """Boundary mismatch in a composition or construction.  slot names the
+    map a boundary check refused; module, when a provider registers several
+    modules, is the index of the one that failed."""
+
+    slot: Optional[str] = None
+    module: Optional[int] = None
 
 
 class NotInvertibleError(VerifiedFailure, ValueError):
@@ -54,9 +61,11 @@ def require_boundaries(*slots) -> None:
     the slot, the strands it needs and the strands f has."""
     for name, f, dom, cod in slots:
         if f is not None and (f.dom, f.cod) != (dom, cod):
-            raise ShapeError(
+            err = ShapeError(
                 f"{name} must map {_strands(dom)} -> {_strands(cod)}, "
                 f"not {_strands(f.dom)} -> {_strands(f.cod)}")
+            err.slot = name
+            raise err
 
 
 def dim_of(spaces: SpaceList) -> int:
@@ -236,7 +245,7 @@ class LinMap:
                       {k: s * v for k, v in self.entries.items()})
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        """self (x) other: the one-row diagram, run on an identity."""
+        """self (x) other: the one-row diagram."""
         return run_pipeline([[self, other]])
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
@@ -404,8 +413,9 @@ class YetterDrinfeld:
         act_x, _ = self._lookup(x)
         _, coact_y = self._lookup(y)
         # X (x) Y -> X (x) Y (x) H -> Y (x) X (x) H -> Y (x) X
-        m = apply_at(LinMap.identity((x, y)), coact_y, 1)
-        return apply_at(apply_at(m, flip(x, y), 0), act_x, 1)
+        return run_pipeline([[LinMap.identity((x,)), coact_y],
+                             [flip(x, y), LinMap.identity((self.host,))],
+                             [LinMap.identity((y,)), act_x]])
 
     def braiding_inverse(self, x: Space, y: Space) -> LinMap:
         return self.braiding(x, y).invert()
@@ -438,13 +448,20 @@ class LeftYetterDrinfeld(YetterDrinfeld):
         act_y = self._lookup(y)[0]
         coact_x = self._lookup(x)[1]
         # X (x) Y -> H (x) X (x) Y -> H (x) Y (x) X -> Y (x) X
-        m = apply_at(LinMap.identity((x, y)), coact_x, 0)
-        return apply_at(apply_at(m, flip(x, y), 1), act_y, 0)
+        return run_pipeline([[coact_x, LinMap.identity((y,))],
+                             [LinMap.identity((self.host,)), flip(x, y)],
+                             [act_y, LinMap.identity((x,))]])
 
 
 # ---------------------------------------------------------------------------
 # the whiskered strand kernel: string diagrams without identity padding
 # ---------------------------------------------------------------------------
+
+def _is_identity(f: LinMap) -> bool:
+    """f is the identity on its strands, a factor the kernel skips."""
+    return (f.dom == f.cod and len(f.entries) == f.ncols and f.is_ones()
+            and all(r == c for r, c in f.entries))
+
 
 def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     """(id (x) f (x) id) o m for f on m's codomain strands from pos on,
@@ -457,8 +474,7 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     k = len(f.dom)
     if m.cod[pos:pos + k] != f.dom:
         raise ShapeError(f"cannot apply at strand {pos}: strands differ")
-    if (f.dom == f.cod and len(f.entries) == f.ncols and f.is_ones()
-            and all(r == c for r, c in f.entries)):
+    if _is_identity(f):
         return m
     R = dim_of(m.cod[pos + k:])
     DR, CR = f.ncols * R, f.nrows * R
@@ -488,21 +504,57 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
                            True if f_ones and m_ones and not summed else None)
 
 
+def _first_row(factors: List[LinMap]) -> LinMap:
+    """f_1 (x) ... (x) f_n, written down entry by entry as the kernel
+    would push it from the identity on the factors' domain strands.
+
+    The factors are taken right to left.  Entry (row, col) = v of the
+    product so far, of dims C x D, and entry (r, b) = fv of the next
+    factor give entry (r*C + row, b*D + col).  Its value is v when the
+    factor is 0/1, fv when the product so far is 0/1 (read with is_ones,
+    as apply_at reads it) and fv * v otherwise; an identity factor, which
+    the kernel skips, leaves the 0/1 flag as it was.  Columns come in
+    ascending order and each column's rows in the kernel's order, so even
+    the insertion order of the entries is the kernel's."""
+    out = {(0, 0): ONE}             # the product so far, by column
+    D = C = 1                       # its domain and codomain dims
+    ones = True
+    for f in reversed(factors):
+        if _is_identity(f):
+            f_ones = True
+        else:
+            f_ones = f.is_ones()
+            m_ones = ones or all(v == ONE for v in out.values())
+            ones = f_ones and m_ones
+        fcols = sorted(f.by_col().items())
+        if f_ones:
+            out = {(r * C + row, b * D + col): v for b, fcol in fcols
+                   for (row, col), v in out.items() for r in fcol}
+        elif m_ones:
+            out = {(r * C + row, b * D + col): fv for b, fcol in fcols
+                   for row, col in out for r, fv in fcol.items()}
+        else:
+            out = {(r * C + row, b * D + col): fv * v for b, fcol in fcols
+                   for (row, col), v in out.items()
+                   for r, fv in fcol.items()}
+        D, C = D * f.ncols, C * f.nrows
+    return LinMap._trusted(tuple(s for f in factors for s in f.dom),
+                           tuple(s for f in factors for s in f.cod),
+                           out, True if ones else None)
+
+
 def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
     """Evaluate a string diagram given as rows of side-by-side factors,
     bottom row first.
 
     A first row of one factor is the diagram's input as it is; any other
-    first row is pushed through from the identity on its domain strands.
-    Each later row must consume the strands below it exactly.  Its factors
-    are applied right to left, so the strands of those still to come keep
-    their positions.
+    first row is the tensor product of its factors.  Each later row must
+    consume the strands below it exactly.  Its factors are applied right
+    to left, so the strands of those still to come keep their positions.
     """
-    if len(layers[0]) == 1:
-        m, layers = layers[0][0], layers[1:]
-    else:
-        m = LinMap.identity(tuple(s for f in layers[0] for s in f.dom))
-    for layer in layers:
+    first = layers[0]
+    m = first[0] if len(first) == 1 else _first_row(first)
+    for layer in layers[1:]:
         pos = len(m.cod)
         if sum(len(f.dom) for f in layer) != pos:
             raise ShapeError(f"layer does not consume all {pos} strands")

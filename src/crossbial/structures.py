@@ -398,16 +398,21 @@ def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
 def _yd_providers(host: Structure, bp, *groups) -> list:
     """Verify the host once (as a Hopf algebra when it carries an
     antipode), then build one provider per (cls, modules) group.  Each
-    module is registered, which checks its maps' strands, and then must
-    pass its crossed-module laws on the provider class's side; a provider
-    is returned only when every module has passed."""
+    module is registered, which checks its maps' strands (a ShapeError
+    carries the module's index in its group), and then must pass its
+    crossed-module laws on the provider class's side; a provider is
+    returned only when every module has passed."""
     kind = "hopf" if host.S is not None else "bialgebra"
     check_axioms(host, kind, bp).require("host fails {}")
     provs = []
     for cls, modules in groups:
         prov = cls(host.space)
-        for space, act, coact in modules:
-            prov.register(space, act, coact)
+        for i, (space, act, coact) in enumerate(modules):
+            try:
+                prov.register(space, act, coact)
+            except ShapeError as err:
+                err.module = i
+                raise
             _crossed_module_report(space, host, act, coact, cls.side,
                                    bp).require(f"{space.name}: {{}}")
         provs.append(prov)

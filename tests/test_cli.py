@@ -769,8 +769,23 @@ def test_a_module_on_the_wrong_strands_is_named(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
-        "crossbial: error: /braiding/modules: act_r must map "
+        "crossbial: error: /braiding/modules/1/act: act_r must map "
         "TaftA (x) kC3 -> TaftA, not TaftH (x) kC3 -> TaftH")
+
+
+def test_a_coaction_on_the_wrong_strands_is_named(tmp_path, capsys,
+                                                  qline_path):
+    # module 1 (TaftA) with its own action but module 0's coaction
+    obj = json.loads(open(qline_path).read())
+    obj["braiding"]["modules"][1]["coact"] = "h_coact"
+    bad = str(tmp_path / "bad.json")
+    open(bad, "w").write(json.dumps(obj))
+    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "crossbial: error: /braiding/modules/1/coact: coact_r must map "
+        "TaftA -> TaftA (x) kC3, not TaftH -> TaftH (x) kC3")
 
 
 def test_a_module_that_fails_its_laws_is_a_verified_failure(

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in the package and the tests is used,
 every private function of the package is named somewhere in it, every
-public one has a reader outside the tests, and the axiom checkers and
+public one has a reader outside the tests, the axiom checkers and
 structure-map builders evaluate their diagrams with the strand kernel,
-never with identity-padded tensors."""
+never with identity-padded tensors, and no diagram starts from a built
+identity."""
 
 import ast
 import importlib
@@ -147,8 +148,8 @@ def test_every_public_name_has_a_reader():
 
 
 # Functions that evaluate string diagrams, the axiom checkers and the
-# builders of composite structure maps.  `@` is the kernel run on an
-# identity, so inside a composite it would build the identity-padded
+# builders of composite structure maps.  `@` writes down the whole tensor
+# product, so inside a composite it would build the identity-padded
 # tensor the kernel exists to avoid; bare tensors elsewhere keep it.
 CHECKERS = {
     "structures.py": ["check_axioms", "_algebra_entries", "_coalgebra_entries",
@@ -186,6 +187,75 @@ def test_the_scanner_flags_a_tensor_product():
 def test_checkers_build_no_padded_tensors(module):
     source = (ROOT / "src" / "crossbial" / module).read_text()
     assert tensor_products_in(source, CHECKERS[module]) == []
+
+
+def _is_linmap_identity(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "identity"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "LinMap")
+
+
+def identity_seeded_diagrams(source: str):
+    """(function, line) of each diagram started from a built identity: an
+    apply_at call whose input is a LinMap.identity(...) call, and any
+    LinMap.identity in the body of run_pipeline, whose first row is the
+    tensor product of its factors.  A nested function reports its own
+    name."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(fn):
+            if fn.name == "run_pipeline" and _is_linmap_identity(n):
+                found[n.lineno] = fn.name
+            elif (isinstance(n, ast.Call) and n.args
+                  and isinstance(n.args[0], ast.Call)
+                  and _is_linmap_identity(n.args[0].func)
+                  and (getattr(n.func, "id", None) == "apply_at"
+                       or getattr(n.func, "attr", None) == "apply_at")):
+                found[n.lineno] = fn.name
+    return sorted((name, line) for line, name in found.items())
+
+
+# the three identity-seeded diagrams of linmaps.py before first rows were
+# built as tensor products, abridged
+IDENTITY_SEEDED = """\
+class YetterDrinfeld:
+    def braiding(self, x, y):
+        act_x, _ = self._lookup(x)
+        _, coact_y = self._lookup(y)
+        m = apply_at(LinMap.identity((x, y)), coact_y, 1)
+        return apply_at(apply_at(m, flip(x, y), 0), act_x, 1)
+
+class LeftYetterDrinfeld(YetterDrinfeld):
+    def braiding(self, x, y):
+        act_y = self._lookup(y)[0]
+        coact_x = self._lookup(x)[1]
+        m = apply_at(LinMap.identity((x, y)), coact_x, 0)
+        return apply_at(apply_at(m, flip(x, y), 1), act_y, 0)
+
+def run_pipeline(layers):
+    if len(layers[0]) == 1:
+        m, layers = layers[0][0], layers[1:]
+    else:
+        m = LinMap.identity(tuple(s for f in layers[0] for s in f.dom))
+    return m
+"""
+
+
+def test_the_scanner_flags_an_identity_seeded_diagram():
+    assert identity_seeded_diagrams(IDENTITY_SEEDED) == [
+        ("braiding", 5), ("braiding", 12), ("run_pipeline", 19)]
+    src = ("def a(m, f):\n    return apply_at(m, LinMap.identity(f), 0)\n"
+           "def b(f):\n    def c():\n"
+           "        return linmaps.apply_at(LinMap.identity(f), f, 0)\n"
+           "    return LinMap.identity(f)\n")
+    assert identity_seeded_diagrams(src) == [("c", 5)]
+
+
+def test_no_diagram_starts_from_a_built_identity():
+    assert [(p.name, *site) for p in PACKAGE
+            for site in identity_seeded_diagrams(p.read_text())] == []
 
 
 def package_exceptions():

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbial import linmaps, zoo
@@ -29,6 +29,8 @@ from crossbial.linmaps import (
 )
 from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
                                reciprocal, root_of_unity, scalar_from_json)
+from crossbial.structures import yd_provider, yd_provider_left
+from tests.test_acceptance import braided_taft_pairing
 from tests.test_datum import pipeline_columns, random_endo
 from tests.test_scalars import scalar_kind
 
@@ -493,6 +495,109 @@ def test_composites_of_0_1_maps_are_summed_and_pruned():
     assert cancelled.entries == {(0, 0): F(2), (1, 0): F(2)}
     assert not cancelled.is_ones()
     assert (LinMap.identity((X,)) @ flip(X, Y)).is_ones()
+
+
+# -- first rows against the identity-seeded kernel -----------------------------
+
+def _identity_seeded_row(factors):
+    """A first row pushed through the kernel: the identity on the row's
+    domain strands, then each factor at its strands, right to left."""
+    m = LinMap.identity(tuple(s for f in factors for s in f.dom))
+    pos = len(m.cod)
+    for f in reversed(factors):
+        pos -= len(f.dom)
+        m = apply_at(m, f, pos)
+    return m
+
+
+def _assert_same_row(new, old):
+    # the entries in insertion order (it fixes the order of later sums) and
+    # in repr (2 and Fraction(2, 1) are equal, not the same), and the 0/1
+    # flag as the builder left it, before anything reads it lazily
+    assert (new.dom, new.cod, new._ones) == (old.dom, old.cod, old._ones)
+    assert [(k, repr(v)) for k, v in new.entries.items()] == \
+        [(k, repr(v)) for k, v in old.entries.items()]
+
+
+_ROW_POOL = (Space("P", 1), X, Y)
+# Fraction(1) and Fraction(-1) next to the ints: a product of such
+# Fractions is 0/1 only when its values are read
+_ROW_VALUES = {**_KINDS, "signs": [ZERO, ONE, -ONE, F(1), F(-1)]}
+
+
+@st.composite
+def _row_factor(draw):
+    """A factor on 0 to 3 strands: an identity, a strand permutation, or a
+    random map into 0 to 2 strands (so maps out of k and into k come up)
+    over Q, over Q(zeta_4), 0/1, or with entries +-1 as ints or
+    Fractions."""
+    dom = tuple(draw(st.lists(st.sampled_from(_ROW_POOL), max_size=3)))
+    kind = draw(st.sampled_from(["identity", "permutation", *_ROW_VALUES]))
+    if kind == "identity":
+        return LinMap.identity(dom)
+    if kind == "permutation":
+        return permutation(dom, draw(st.permutations(range(len(dom)))))
+    cod = tuple(draw(st.lists(st.sampled_from(_ROW_POOL), max_size=2)))
+    return LinMap.from_rows(dom, cod, [
+        [draw(st.sampled_from(_ROW_VALUES[kind]))
+         for _ in range(dim_of(dom))] for _ in range(dim_of(cod))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_row_factor(), min_size=2, max_size=4))
+def test_a_first_row_is_the_identity_seeded_kernel_row(row):
+    assume(dim_of(tuple(s for f in row for s in f.dom)) <= 324)
+    assume(dim_of(tuple(s for f in row for s in f.cod)) <= 324)
+    _assert_same_row(run_pipeline([row]), _identity_seeded_row(row))
+    _assert_same_row(row[0] @ row[-1], _identity_seeded_row([row[0],
+                                                             row[-1]]))
+
+
+def test_a_first_row_reads_the_0_1_test_off_the_values():
+    # f (x) f has entries Fraction(1) and no 0/1 flag; the kernel's test
+    # reads them as 0/1, so g's ints pass through unmultiplied
+    f = LinMap((X,), (X,), {(0, 1): F(-1), (1, 0): F(-1)})
+    g = LinMap((X,), (X,), {(0, 0): 2, (1, 1): 3})
+    row = run_pipeline([[g, f, f]])
+    _assert_same_row(row, _identity_seeded_row([g, f, f]))
+    assert repr(row.entry(3, 0)) == "2" and repr(row.entry(7, 4)) == "3"
+    assert row._ones is None
+    _assert_same_row(g @ (f @ f), _identity_seeded_row([g, f @ f]))
+
+
+def _identity_seeded_braiding(prov, x, y):
+    """Psi_{X,Y} as three kernel steps on the identity of X (x) Y."""
+    if prov.side == "right":
+        act_x, coact_y = prov._reg[x][0], prov._reg[y][1]
+        m = apply_at(LinMap.identity((x, y)), coact_y, 1)
+        return apply_at(apply_at(m, flip(x, y), 0), act_x, 1)
+    act_y, coact_x = prov._reg[y][0], prov._reg[x][1]
+    m = apply_at(LinMap.identity((x, y)), coact_x, 0)
+    return apply_at(apply_at(m, flip(x, y), 1), act_y, 0)
+
+
+def _braided_qline():
+    return braided_taft_pairing()[1]
+
+
+def _sweedler_right():
+    inp = zoo.sweedler_crossed_modules()
+    return yd_provider(inp.H, [(inp.B.space, inp.b_act, inp.b_coact)])
+
+
+def _sweedler_left():
+    inp = zoo.sweedler_crossed_modules()
+    return yd_provider_left(inp.H, [(inp.C.space, inp.c_act, inp.c_coact)])
+
+
+@pytest.mark.parametrize("build", [_braided_qline, _sweedler_right,
+                                   _sweedler_left])
+def test_yd_braidings_match_the_identity_seeded_kernel_steps(build):
+    prov = build()
+    for x in prov._reg:
+        for y in prov._reg:
+            _assert_same_row(prov.braiding(x, y),
+                             _identity_seeded_braiding(prov, x, y))
 
 
 # -- JSON -------------------------------------------------------------------
