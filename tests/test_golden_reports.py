@@ -4,8 +4,10 @@ Each case runs one command through `cli.main` in `--format json` and in
 `--format text` and pins the SHA-256 of the report each prints and of the
 workspace it writes.  The Radford algebras cover the rational case and the
 conductors 3, 4 and 8, so a change to the scalar layer that moves a single
-byte of a report or a workspace fails here.  Reports echo the command
-line, so every file is named relative to a fresh working directory.
+byte of a report or a workspace fails here.  The double biproducts of the
+Sweedler input and of the braided lines over kC4 pin the products Z, C><H
+and H><B and the twist of Z.  Reports echo the command line, so every file
+is named relative to a fresh working directory.
 """
 
 import hashlib
@@ -14,6 +16,9 @@ import json
 import pytest
 
 from crossbial.cli import Workspace, main, save_workspace
+from crossbial.linmaps import UNIT, LinMap
+from crossbial.scalars import ONE
+from crossbial.zoo import braided_line_input, sweedler_crossed_modules
 from tests.test_twisting import bicharacter_cocycle
 
 RADFORD = [(2, 1, 2, 1), (3, 1, 3, 1), (4, 1, 4, 1), (8, 1, 8, 4)]
@@ -289,3 +294,98 @@ def test_bicharacter_twist_report_is_byte_identical(capsys, monkeypatch,
                                                      tmp_path):
     monkeypatch.chdir(tmp_path)
     assert _twist_digests(capsys) == GOLDEN["twist C2xC2"]
+
+
+# `datum build` assembles the cross product of a Radford tower's datum
+DATUM_BUILD_GOLDEN = {
+    "2-1-2-1": {
+        "json":
+            "c2304e47d4b1440fb6624fb2ffcc0c150db8f80429679a45cad66b4403ecbc7c",
+        "json.ws":
+            "0e9d05f7b8de057674a8182ca952886c64da75bf434f42bfdac05a47740ca014",
+        "text":
+            "c5db07ff4f555b26502828bcb1fda1494c51c73fcc765c2d629ac7be6af496a1",
+        "text.ws":
+            "0e9d05f7b8de057674a8182ca952886c64da75bf434f42bfdac05a47740ca014",
+    },
+    "3-1-3-1": {
+        "json":
+            "5f2147bd9a550b74059caa30abc7651214a91cfdb3c41accd0ec36f74bf395e6",
+        "json.ws":
+            "e1430200bd1f980e0f91cc5017f3bf8b3cb7836c12579e8d94eb0ed5699c8127",
+        "text":
+            "b3e6bc6bd09d1debe555d0dbe13eedc6508d096aed95844cf51739338128ad14",
+        "text.ws":
+            "e1430200bd1f980e0f91cc5017f3bf8b3cb7836c12579e8d94eb0ed5699c8127",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(DATUM_BUILD_GOLDEN))
+def test_datum_build_report_is_byte_identical(capsys, monkeypatch, tmp_path,
+                                              key):
+    monkeypatch.chdir(tmp_path)
+    _build_radford(capsys, tuple(map(int, key.split("-"))))
+    assert _run(capsys, "built", "datum", "build",
+                "--in", "rad.json") == DATUM_BUILD_GOLDEN[key]
+
+
+# double-biproduct inputs, each paired by rho(1 (x) 1) = rho(x (x) x) = 1
+DOUBLE_BIPRODUCT = {
+    "sweedler": sweedler_crossed_modules,
+    "braided line N=4": lambda: braided_line_input(4),
+}
+
+DOUBLE_BIPRODUCT_GOLDEN = {
+    "sweedler": {
+        "workspace":
+            "8a7becf2908da6c09fa194258931cd2d2633bc6dddbc649e6c09fe13b6add3d2",
+        "double-biproduct build": {
+            "json":
+                "8975f9aecbdba0cf0c2900962b27dffd900ee825b575559a98c354a8ce0bf2b8",
+            "json.ws":
+                "1c6a3d3252042dbc831dcf903aee77a562e5e817110ad00075c31b9c828e31ed",
+            "text":
+                "f1bebf3296ceb280e396978d86706c3d672b6528e37b15ce101bcb30346d98c3",
+            "text.ws":
+                "1c6a3d3252042dbc831dcf903aee77a562e5e817110ad00075c31b9c828e31ed",
+        },
+    },
+    "braided line N=4": {
+        "workspace":
+            "69a0bf4f0d10dec180a1fb7078144ec77a88f698a78a24210e9382a49d824f0a",
+        "double-biproduct build": {
+            "json":
+                "127be15046ace815bdceab1d29bfba1cab49ae207a53f2d86e69677458b47284",
+            "json.ws":
+                "f8c92cc9703a48b5b0cf8bdb01dac32e642dbe76d5113ddf92fa713836151a6a",
+            "text":
+                "134d4e13ecd7d1d649160385aa138c3867de334751c40c9a91a19b13e3198153",
+            "text.ws":
+                "f8c92cc9703a48b5b0cf8bdb01dac32e642dbe76d5113ddf92fa713836151a6a",
+        },
+    },
+}
+
+
+def _double_biproduct_digests(capsys, inp):
+    rho = LinMap((inp.B.space, inp.C.space), UNIT,
+                 {(0, 0): ONE, (0, 3): ONE})
+    ws = (Workspace().add_structure("h", inp.H).add_structure("b", inp.B)
+          .add_structure("c", inp.C))
+    for k in ("b_act", "b_coact", "c_act", "c_coact"):
+        ws.add_map(k, getattr(inp, k))
+    save_workspace(ws.add_map("rho", rho), "dbp.json")
+    return {
+        "workspace": _file_sha("dbp.json"),
+        "double-biproduct build": _run(capsys, "dbp_out", "double-biproduct",
+                                       "build", "--in", "dbp.json"),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(DOUBLE_BIPRODUCT))
+def test_double_biproduct_report_is_byte_identical(capsys, monkeypatch,
+                                                   tmp_path, key):
+    monkeypatch.chdir(tmp_path)
+    assert (_double_biproduct_digests(capsys, DOUBLE_BIPRODUCT[key]())
+            == DOUBLE_BIPRODUCT_GOLDEN[key])
