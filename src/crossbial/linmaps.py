@@ -423,13 +423,14 @@ class YetterDrinfeld:
     def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
         # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y}) and
         # Psi_{X, Y (x) Y'} = (id (x) Psi_{X,Y'}) o (Psi_{X,Y} (x) id): the
-        # last x crosses the ys first, each x crossing them left to right
-        xs, ys = tuple(xs), tuple(ys)
-        out = LinMap.identity(xs + ys)
-        for i in reversed(range(len(xs))):
-            for j, y in enumerate(ys):
-                out = apply_at(out, self.braiding(xs[i], y), i + j)
-        return out
+        # last x crosses the ys first, each x crossing them left to right;
+        # x_i meets y_j with x_0..x_(i-1), y_0..y_(j-1) on its left
+        ix = [LinMap.identity((x,)) for x in xs]
+        iy = [LinMap.identity((y,)) for y in ys]
+        return run_pipeline([
+            ix[:i] + iy[:j] + [self.braiding(x, y)] + iy[j + 1:] + ix[i + 1:]
+            for i, x in reversed(list(enumerate(xs)))
+            for j, y in enumerate(ys)])
 
 
 class LeftYetterDrinfeld(YetterDrinfeld):

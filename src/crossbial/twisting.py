@@ -6,18 +6,21 @@ products chi.f = (chi (x) f) o Delta and f.chi = (f (x) chi) o Delta;
 twisting replaces a bialgebra's multiplication by chi.m.chi^- for a
 2-cocycle chi.  Dual pairings between bialgebras induce matched pairs
 exactly when the mixed braiding squares to the identity.  The double
-biproduct assembles C (x) H (x) B from a Hopf algebra H, a right crossed
-module bialgebra B, a left crossed module bialgebra C, and a pairing rho
-between them, and twists it by the induced 2-cocycle rho_hat.
+biproduct assembles Z = (C><H)><B on C (x) H (x) B from a Hopf algebra H,
+a right crossed module bialgebra B, a left crossed module bialgebra C,
+and a pairing rho between them, and twists it by the induced 2-cocycle
+rho_hat; Z and its one-sided products C><H and H><B are cross products
+of Hopf data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
-from .datum import ConsistencyError, HopfDatum, _trivial_forms, check_hopf_datum
+from .datum import (ConsistencyError, HopfDatum, _mixed_maps, _trivial_forms,
+                    check_hopf_datum)
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, NotInvertibleError,
                       ShapeError, Space, UNIT, YetterDrinfeld,
                       pipeline_as_linmap, require_boundaries, run_pipeline)
@@ -34,7 +37,7 @@ from .structures import (
     classify_morphism,
     compare,
     convolution_inverse,
-    fuse,
+    cross_structure,
     rebind,
     tensor_coalgebra,
 )
@@ -304,27 +307,28 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
 # the double biproduct
 # ---------------------------------------------------------------------------
 
-def _assemble_free_product(C: Structure, H: Structure, B: Structure,
-                           b_act, b_coact, c_act, c_coact, bp,
-                           name: str) -> Structure:
-    """The bialgebra C (x) H (x) B with the free-product structure maps."""
-    sc, sh, sb = C.space, H.space, B.space
-    idc, idh, idb = C.id_map(), H.id_map(), B.id_map()
-    psi = bp.braiding
-    m6 = pipeline_as_linmap([
-        [idc, H.delta, psi(sb, sc), H.delta, idb],
-        [idc, idh, psi(sh, sc), psi(sb, sh), idh, idb],
-        [idc, c_act, H.m, b_act, idb],
-        [C.m, idh, B.m],
-    ])
-    d6 = pipeline_as_linmap([
-        [C.delta, idh, B.delta],
-        [idc, c_coact, H.delta, b_coact, idb],
-        [idc, idh, psi(sc, sh), psi(sh, sb), idh, idb],
-        [idc, H.m, psi(sc, sb), H.m, idb],
-    ])
-    return fuse(Space(name, sc.dim * sh.dim * sb.dim), m6,
-                C.eta @ H.eta @ B.eta, d6, C.eps @ H.eps @ B.eps)
+def _products(inp: DoubleBiproductInput, bp
+              ) -> Tuple[Structure, Structure, Structure]:
+    """C><H, H><B and Z = (C><H)><B as cross products of Hopf data whose
+    pairs not given are trivial (see double_biproduct); nothing is
+    verified here."""
+    C, H, B = inp.C, inp.H, inp.B
+
+    def cross(b1, b2, left=None, right=None, name=None):
+        triv = _trivial_forms(b1, b2)
+        act_l, coact_l = left or (triv["act_l"], triv["coact_l"])
+        act_r, coact_r = right or (triv["act_r"], triv["coact_r"])
+        datum = HopfDatum(b1, b2, act_l, coact_l, act_r, coact_r, bp)
+        return cross_structure(b1, b2, *_mixed_maps(datum), name)
+
+    ch = cross(C, H, left=(inp.c_act, inp.c_coact))
+    hb = cross(H, B, right=(inp.b_act, inp.b_coact))
+    _, i_h, _, p_h = canonical_maps(C, H, ch.space)
+    idb = B.id_map()
+    Z = cross(ch, B, right=(run_pipeline([[idb, p_h], [inp.b_act]]),
+                            run_pipeline([[inp.b_coact], [idb, i_h]])),
+              name=f"({C.space.name}><{H.space.name}><{B.space.name})")
+    return ch, hb, Z
 
 
 def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap,
@@ -356,16 +360,21 @@ def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap,
 
 
 def double_biproduct(inp: DoubleBiproductInput, bp=FLIP) -> dict:
-    """Assemble Z = C (x) H (x) B, its pairing cocycle, and the twist.
+    """Assemble Z = (C><H)><B on C (x) H (x) B, its pairing cocycle, and
+    the twist.
 
-    All preconditions are verified exactly: the crossed-module and braided
-    bialgebra laws for B and C, the square of the mixed braidings against
-    the action/coaction loop, and the three compatibility conditions of
-    the pairing with the (co)multiplications.  Z is verified as a
-    bialgebra, the canonical injections/projections from and to the two
-    one-sided products are classified as bialgebra morphisms, rho_hat is
-    validated as a 2-cocycle, and the twist is computed twice (by the
-    convolution formula and by the direct diagram) and compared.
+    Z and the one-sided products are cross products of Hopf data: C's
+    left crossed module over H is the left pair of C><H, B's right one
+    the right pair of H><B and, through C><H's projection onto H and
+    injection of H, of Z.  All preconditions are verified exactly: the
+    crossed-module and braided bialgebra laws for B and C, the square of
+    the mixed braidings against the action/coaction loop, and the three
+    compatibility conditions of the pairing with the (co)multiplications.
+    Z is verified as a bialgebra, the canonical injections/projections
+    from and to the two one-sided products are classified as bialgebra
+    morphisms, rho_hat is validated as a 2-cocycle, and the twist is
+    computed twice (by the convolution formula and by the direct diagram)
+    and compared.
     """
     if inp.rho is None:
         raise PreconditionError("no pairing rho supplied")
@@ -405,24 +414,11 @@ def double_biproduct(inp: DoubleBiproductInput, bp=FLIP) -> dict:
                      + rho2)))
     CheckReport(entries).require("pairing precondition fails: {}")
 
-    Z = _assemble_free_product(
-        C, H, B, inp.b_act, inp.b_coact, inp.c_act, inp.c_coact, bp,
-        f"({sc.name}><{sh.name}><{sb.name})")
+    ch, hb, Z = _products(inp, bp)
     zrep = check_axioms(Z, "bialgebra", bp)
     if not zrep.ok:
         raise ConsistencyError(f"assembled product fails {zrep.failed()[0]}")
 
-    # one-sided products via a trivial third factor
-    k = unit_bialgebra()
-    sk = k.space
-    ch = _assemble_free_product(C, H, k, rebind(H.eps, (sk, sh), (sk,)),
-                                rebind(H.eta, (sk,), (sk, sh)), inp.c_act,
-                                inp.c_coact, bp,
-                                f"({sc.name}><{sh.name})")
-    hb = _assemble_free_product(k, H, B, inp.b_act, inp.b_coact,
-                                rebind(H.eps, (sh, sk), (sk,)),
-                                rebind(H.eta, (sk,), (sh, sk)), bp,
-                                f"({sh.name}><{sb.name})")
     canon = []
     mono_c, _, epi_c, _ = canonical_maps(ch, B, Z.space)
     _, mono_b, _, epi_b = canonical_maps(C, hb, Z.space)

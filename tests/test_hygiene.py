@@ -158,7 +158,7 @@ CHECKERS = {
                       "_cross_mult", "_cross_comult", "restrict"],
     "datum.py": ["check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "conv_dot",
-                    "matched_pair_from_pairing"],
+                    "matched_pair_from_pairing", "_products"],
     "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "decompose",
                         "_transport"],
 }
@@ -195,22 +195,29 @@ def _is_linmap_identity(node) -> bool:
             and node.value.id == "LinMap")
 
 
+def _is_identity_call(node) -> bool:
+    return isinstance(node, ast.Call) and _is_linmap_identity(node.func)
+
+
 def identity_seeded_diagrams(source: str):
     """(function, line) of each diagram started from a built identity: an
-    apply_at call whose input is a LinMap.identity(...) call, and any
-    LinMap.identity in the body of run_pipeline, whose first row is the
-    tensor product of its factors.  A nested function reports its own
-    name."""
+    apply_at call whose input is a LinMap.identity(...) call or a name the
+    function binds to one, and any LinMap.identity in the body of
+    run_pipeline, whose first row is the tensor product of its factors.
+    A nested function reports its own name."""
     found = {}
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        seeds = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                 and _is_identity_call(n.value)
+                 for t in n.targets if isinstance(t, ast.Name)}
         for n in ast.walk(fn):
             if fn.name == "run_pipeline" and _is_linmap_identity(n):
                 found[n.lineno] = fn.name
             elif (isinstance(n, ast.Call) and n.args
-                  and isinstance(n.args[0], ast.Call)
-                  and _is_linmap_identity(n.args[0].func)
+                  and (_is_identity_call(n.args[0])
+                       or getattr(n.args[0], "id", None) in seeds)
                   and (getattr(n.func, "id", None) == "apply_at"
                        or getattr(n.func, "attr", None) == "apply_at")):
                 found[n.lineno] = fn.name
@@ -251,6 +258,18 @@ def test_the_scanner_flags_an_identity_seeded_diagram():
            "        return linmaps.apply_at(LinMap.identity(f), f, 0)\n"
            "    return LinMap.identity(f)\n")
     assert identity_seeded_diagrams(src) == [("c", 5)]
+    # the seed bound to a name first, as YetterDrinfeld.braiding_list had
+    # it before its crossings were rows of one pipeline; an identity that
+    # is a factor, not the input, is no seed
+    src = ("def braiding_list(self, xs, ys):\n"
+           "    out = LinMap.identity(xs + ys)\n"
+           "    for i in reversed(range(len(xs))):\n"
+           "        out = apply_at(out, self.braiding(xs[i], ys[0]), i)\n"
+           "    return out\n"
+           "def pad(m, f):\n"
+           "    i = LinMap.identity(f)\n"
+           "    return apply_at(m, i, 0)\n")
+    assert identity_seeded_diagrams(src) == [("braiding_list", 4)]
 
 
 def test_no_diagram_starts_from_a_built_identity():

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial.datum import ConsistencyError
-from crossbial.linmaps import (LinMap, ShapeError, UNIT, VectFlip,
-                               run_pipeline)
+from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
+                               VectFlip, pipeline_as_linmap, run_pipeline)
 from crossbial.scalars import as_scalar, root_of_unity
 from crossbial.structures import (
     NotConvolutionInvertibleError,
     PreconditionError,
     check_axioms,
+    fuse,
+    rebind,
     tensor_coalgebra,
     tensor_structure,
 )
@@ -286,6 +288,83 @@ def test_braided_line_double_biproduct_twists_nontrivially():
     assert tm != Z.m
     col = {r: v for (r, c), v in tm.entries.items() if c == 24}
     assert col == {9: ONE, 2: ONE, 6: -ONE}
+
+
+def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):
+    """The bialgebra C (x) H (x) B with the free-product structure maps,
+    written as two 6-strand diagrams: the oracle of the cross products
+    that double_biproduct builds."""
+    sc, sh, sb = C.space, H.space, B.space
+    idc, idh, idb = C.id_map(), H.id_map(), B.id_map()
+    psi = bp.braiding
+    m6 = pipeline_as_linmap([
+        [idc, H.delta, psi(sb, sc), H.delta, idb],
+        [idc, idh, psi(sh, sc), psi(sb, sh), idh, idb],
+        [idc, c_act, H.m, b_act, idb],
+        [C.m, idh, B.m],
+    ])
+    d6 = pipeline_as_linmap([
+        [C.delta, idh, B.delta],
+        [idc, c_coact, H.delta, b_coact, idb],
+        [idc, idh, psi(sc, sh), psi(sh, sb), idh, idb],
+        [idc, H.m, psi(sc, sb), H.m, idb],
+    ])
+    return fuse(Space(name, sc.dim * sh.dim * sb.dim), m6,
+                C.eta @ H.eta @ B.eta, d6, C.eps @ H.eps @ B.eps)
+
+
+def free_products(inp, bp=FLIP):
+    """Z, C><H and H><B as free products; each one-sided product takes the
+    one-dimensional bialgebra as its third factor, acted on and coacted
+    by H through its counit and unit."""
+    H, B, C = inp.H, inp.B, inp.C
+    sh, sb, sc = H.space, B.space, C.space
+    k = unit_bialgebra()
+    sk = k.space
+    Z = free_product(C, H, B, inp.b_act, inp.b_coact, inp.c_act,
+                     inp.c_coact, bp, f"({sc.name}><{sh.name}><{sb.name})")
+    ch = free_product(C, H, k, rebind(H.eps, (sk, sh), (sk,)),
+                      rebind(H.eta, (sk,), (sk, sh)), inp.c_act,
+                      inp.c_coact, bp, f"({sc.name}><{sh.name})")
+    hb = free_product(k, H, B, inp.b_act, inp.b_coact,
+                      rebind(H.eps, (sh, sk), (sk,)),
+                      rebind(H.eta, (sk,), (sh, sk)), bp,
+                      f"({sh.name}><{sb.name})")
+    return {"Z": Z, "c_rtimes_h": ch, "h_ltimes_b": hb}
+
+
+def _braided_line_rho(N):
+    inp = braided_line_input(N)
+    return inp.with_rho(LinMap((inp.B.space, inp.C.space), UNIT,
+                               {(0, 0): ONE, (0, 3): ONE}))
+
+
+FREE_PRODUCT_INPUTS = {
+    **{f"sweedler alpha={a}": (lambda a=a: sweedler_rho(a))
+       for a in (0, 1, -1)},
+    **{f"braided line N={n}": (lambda n=n: _braided_line_rho(n))
+       for n in (2, 4, 6)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FREE_PRODUCT_INPUTS))
+def test_products_are_the_free_products(case):
+    # Z, C><H and H><B are cross products of Hopf data; each must be the
+    # free product on C (x) H (x) B entry for entry, in the same order and
+    # with the same scalar types
+    inp = FREE_PRODUCT_INPUTS[case]()
+    out = double_biproduct(inp)
+    for key, want in free_products(inp).items():
+        got = out[key]
+        assert got.space == want.space, key
+        assert got.S is None and want.S is None, key
+        for name in ("m", "eta", "delta", "eps"):
+            f, g = getattr(got, name), getattr(want, name)
+            assert (f.dom, f.cod) == (g.dom, g.cod), (key, name)
+            assert list(f.entries.items()) == list(g.entries.items()), (
+                key, name)
+            assert ([repr(v) for v in f.entries.values()]
+                    == [repr(v) for v in g.entries.values()]), (key, name)
 
 
 def _pairing_sides():

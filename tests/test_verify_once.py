@@ -13,7 +13,7 @@ import pytest
 
 from crossbial import cli, crossproduct, datum, structures, twisting, zoo
 from crossbial.datum import check_hopf_datum
-from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip
+from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist)
@@ -164,9 +164,11 @@ class MultiplicationBuilt(Exception):
 
 
 def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
-    # Every input is built first; then the builder of a cross or tensor
-    # product's multiplication raises, and each solve over a tensor
-    # coalgebra must still return what it returned before.
+    # Every input is built first; then the builder of a tensor product's
+    # multiplication (a cross product's whose phi21 is the flip) raises,
+    # and each solve over a tensor coalgebra must still return what it
+    # returned before.  The double biproduct's Z and its one-sided
+    # products are cross products of Hopf data, which the spy lets through.
     gg, c = bicharacter_cocycle(2)
     pairing = canonical_pairing(3)
     inp = sweedler_crossed_modules()
@@ -183,8 +185,12 @@ def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
 
     want = run()
 
-    def no_multiplication(*args):
-        raise MultiplicationBuilt
+    cross_mult = structures._cross_mult
+
+    def no_multiplication(b1, b2, phi21):
+        if phi21 == flip(b2.space, b1.space):
+            raise MultiplicationBuilt
+        return cross_mult(b1, b2, phi21)
 
     monkeypatch.setattr(structures, "_cross_mult", no_multiplication)
     with pytest.raises(MultiplicationBuilt):
