@@ -21,10 +21,10 @@ import time
 from typing import Dict
 
 from . import __version__
-from .crossproduct import (BAT, ProjectionSystem, build_cross_product,
-                           decompose, verify_trivalent_equivalences)
-from .datum import (HopfDatum, build_bialgebra, check_hopf_datum,
-                    recursion_order, trivalence)
+from .crossproduct import (BAT, ProjectionSystem, build_bialgebra,
+                           build_cross_product, decompose,
+                           verify_trivalent_equivalences)
+from .datum import HopfDatum, check_hopf_datum, recursion_order, trivalence
 from .linmaps import (FLIP, LinMap, ShapeError, Space, json_dim, json_int,
                       json_name, linmap_from_json, linmap_to_json)
 from .scalars import (InputError, ScalarParseError, VerifiedFailure,
@@ -333,6 +333,13 @@ def _save(args, ws: Workspace, extra: dict) -> None:
         extra["output"] = args.out
 
 
+def _finish_built(args, st: Structure) -> int:
+    """Save the built st as the structure "main" and report its dim."""
+    extra = {"dim": st.dim}
+    _save(args, Workspace().add_structure("main", st), extra)
+    return _finish(args, {}, extra, True)
+
+
 def _tower_workspace(out: dict) -> Workspace:
     """A zoo tower's bialgebra, Hopf datum and projection system."""
     ws = Workspace().add_structure("main", out["H"])
@@ -414,11 +421,7 @@ def _cmd_datum(args) -> int:
                  for k in ("pattern", "trivalent", "family", "consistent")}
         return _finish(args, {}, extra, tri["consistent"])
     # build
-    st = build_bialgebra(d)
-    out_ws = Workspace().add_structure("main", st)
-    extra = {"dim": st.dim}
-    _save(args, out_ws, extra)
-    return _finish(args, {}, extra, True)
+    return _finish_built(args, build_bialgebra(d))
 
 
 def _cmd_cross(args) -> int:
@@ -427,11 +430,7 @@ def _cmd_cross(args) -> int:
         t = BAT(ws.structure("b1"), ws.structure("b2"),
                 ws.map("phi12"), ws.map("phi21"), ws.provider)
         _guard_dim(t.b1.dim * t.b2.dim)
-        st = build_cross_product(t)
-        out_ws = Workspace().add_structure("main", st)
-        extra = {"dim": st.dim}
-        _save(args, out_ws, extra)
-        return _finish(args, {}, extra, True)
+        return _finish_built(args, build_cross_product(t))
     A = ws.structure(args.name)
     _guard_dim(A.dim)
     sysm = ProjectionSystem(A, ws.map("i1"), ws.map("i2"),
@@ -482,12 +481,15 @@ def _cmd_pairing(args) -> int:
 
 def _cmd_double_biproduct(args) -> int:
     ws = load_workspace(args.infile)
+    if ws.braiding is not None:
+        raise WorkspaceError("/braiding: the double biproduct is built over "
+                             "the flip; a braided workspace is refused")
     inp = DoubleBiproductInput(
         ws.structure("h"), ws.structure("b"), ws.structure("c"),
         ws.map("b_act"), ws.map("b_coact"),
         ws.map("c_act"), ws.map("c_coact"), ws.map("rho"))
     _guard_dim(inp.H.dim * inp.B.dim * inp.C.dim)
-    res = double_biproduct(inp, ws.provider)
+    res = double_biproduct(inp)
     out_ws = Workspace()
     out_ws.add_structure("main", res["Z"])
     out_ws.add_structure("z_twisted", res["Z_twisted"])

@@ -3,7 +3,8 @@
 A BAT (bialgebra admissible tuple) is two structures plus a pair of
 connecting maps between the tensor products in either order.  The tuple is
 admissible precisely when the product/coproduct it induces on B1(x)B2 pass
-every bialgebra law; build_cross_product performs that verification.  The
+every bialgebra law; build_cross_product performs that verification, and
+build_bialgebra verifies a Hopf datum and builds the tuple it induces.  The
 converse direction starts from a bialgebra given together with either a
 projection/injection system or a pair of idempotents, and decompose
 recovers the tuple, splitting the idempotents by exact rank factorisation.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
-from .datum import HopfDatum, _pattern_of, product_braiding
+from .datum import HopfDatum, _mixed_maps, _pattern_of, check_hopf_datum
 from .linmaps import (FLIP, LinMap, ShapeError, Space, UNIT, apply_at,
                       reduce_rows, require_boundaries, run_pipeline)
 from .scalars import ONE, VerifiedFailure
@@ -26,6 +27,7 @@ from .structures import (
     check_axioms,
     classify_morphism,
     cross_structure,
+    rebind,
     restrict,
 )
 
@@ -74,7 +76,10 @@ def build_cross_product(t: BAT) -> Structure:
         if st.eps * st.eta != LinMap.identity(UNIT):
             raise NotABATError(f"{tag} is not counit-normalised")
     prod = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
-    verdict = check_axioms(prod, "bialgebra", psi=product_braiding(t, prod))
+    # no provider registers the fused space: it braids as B1(x)B2 does
+    s12, P2 = (t.b1.space, t.b2.space), (prod.space, prod.space)
+    psi = rebind(t.braiding.braiding_list(s12, s12), P2, P2, "Psi")
+    verdict = check_axioms(prod, "bialgebra", psi=psi)
     if not verdict.ok:
         bad = verdict.entry(verdict.failed()[0])
         detail = ""
@@ -85,6 +90,16 @@ def build_cross_product(t: BAT) -> Structure:
         raise NotABATError(f"not a BAT: {bad.axiom} fails{detail}",
                            report=verdict)
     return prod
+
+
+def build_bialgebra(d: HopfDatum) -> Structure:
+    """B1(x)B2 with the product and coproduct the datum induces, verified.
+
+    The datum is checked first (refusal on failure); the product is then
+    the cross product of the tuple its interaction maps induce, so a
+    product that fails a bialgebra law raises NotABATError."""
+    check_hopf_datum(d).require("datum fails {}")
+    return build_cross_product(BAT(d.b1, d.b2, *_mixed_maps(d), d.braiding))
 
 
 def bat_to_hopf_datum(t: BAT) -> HopfDatum:

@@ -20,6 +20,7 @@ from .linmaps import (
     LinMap,
     Space,
     UNIT,
+    _is_identity,
     apply_at,
     dim_of,
     pipeline_as_linmap,
@@ -38,11 +39,9 @@ from .structures import (
     _cross_mult,
     _mult,
     canonical_maps,
-    check_axioms,
     classify_morphism,
     compare,
     cross_structure,
-    rebind,
 )
 
 
@@ -229,32 +228,6 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
                        _cross_comult(d.b1, d.b2, phi12))
 
 
-def product_braiding(d, st: Structure) -> LinMap:
-    """The braiding of the product object with itself, rebound to the
-    single product space (d supplies braiding, b1, b2)."""
-    s1, s2 = d.b1.space, d.b2.space
-    psi4 = d.braiding.braiding_list((s1, s2), (s1, s2))
-    P2 = (st.space, st.space)
-    return rebind(psi4, P2, P2, "Psi")
-
-
-def build_bialgebra(d: HopfDatum) -> Structure:
-    """Assemble B1(x)B2 with the induced maps and verify it is a bialgebra.
-
-    The datum is checked first (refusal on failure).  Every bialgebra axiom
-    is then verified exactly on the product space; a failure there means a
-    non-recursive datum slipped through and raises ConsistencyError.
-    """
-    check_hopf_datum(d).require("datum fails {}")
-    st = cross_structure(d.b1, d.b2, *_mixed_maps(d))
-    verdict = check_axioms(st, "bialgebra", psi=product_braiding(d, st))
-    if not verdict.ok:
-        raise ConsistencyError(
-            "induced structure fails " + ", ".join(verdict.failed())
-            + " (datum is not recursive)")
-    return st
-
-
 # ---------------------------------------------------------------------------
 # the recursion operator
 # ---------------------------------------------------------------------------
@@ -357,9 +330,9 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     # the strands the top half passes through: identities at both ends of
     # every row, clear of the centre
     first, last = top[0][0], top[0][-1]
-    assert all(row[0] == first == LinMap.identity(first.dom)
-               and row[-1] == last == LinMap.identity(last.dom)
-               for row in top), "the top half is not id (x) T (x) id"
+    assert (_is_identity(first) and _is_identity(last)
+            and all(row[0] == first and row[-1] == last for row in top)
+            ), "the top half is not id (x) T (x) id"
     cut = tuple(s for f in top[0] for s in f.dom)
     start, hi, end = len(first.dom), lo + len(d.quad), len(cut) - len(
         last.dom)
@@ -398,7 +371,7 @@ def _cut(layers: List[List[LinMap]], centre: List[LinMap]) -> Tuple[int, int]:
         p = q = 0
         for f in layers[k]:
             if (lo - len(f.dom) < p < lo + width
-                    and f != LinMap.identity(f.dom)):
+                    and not _is_identity(f)):
                 return k, lo
             if p <= lo < p + len(f.dom):
                 moved = q + lo - p

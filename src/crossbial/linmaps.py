@@ -370,9 +370,6 @@ class VectFlip:
     def braiding(self, x: Space, y: Space) -> LinMap:
         return flip(x, y)
 
-    def braiding_inverse(self, x: Space, y: Space) -> LinMap:
-        return flip(y, x)
-
     def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
         xs, ys = tuple(xs), tuple(ys)
         k, l = len(xs), len(ys)
@@ -416,9 +413,6 @@ class YetterDrinfeld:
         return run_pipeline([[LinMap.identity((x,)), coact_y],
                              [flip(x, y), LinMap.identity((self.host,))],
                              [LinMap.identity((y,)), act_x]])
-
-    def braiding_inverse(self, x: Space, y: Space) -> LinMap:
-        return self.braiding(x, y).invert()
 
     def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
         # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y}) and

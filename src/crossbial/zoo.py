@@ -27,6 +27,7 @@ from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
 from .structures import Structure, canonical_maps, cross_structure, fuse
+from .twisting import DoubleBiproductInput
 
 
 class ParameterError(InputError, ValueError):
@@ -396,7 +397,6 @@ def braided_line_input(N: int):
 
 def _line_pair(N: int, sb: Space, sc: Space):
     """The braided lines of braided_line_input(N) on the spaces sb, sc."""
-    from .twisting import DoubleBiproductInput
     H = group_algebra(N)
     sh = H.space
     taft = taft_factor(2, -ONE)

@@ -11,11 +11,11 @@ import random
 import time
 from fractions import Fraction
 
-from crossbial.crossproduct import decompose, verify_trivalent_equivalences
+from crossbial.crossproduct import (build_bialgebra, decompose,
+                                    verify_trivalent_equivalences)
 from crossbial.datum import (
     HopfDatum,
     _trivial_forms,
-    build_bialgebra,
     build_phi_superoperator,
     check_hopf_datum,
     classify,

@@ -556,7 +556,8 @@ def test_pairing_commands(tmp_path, capsys):
     assert "braiding_involutive: true" in out
 
 
-def test_double_biproduct_command(tmp_path, capsys):
+def sweedler_dbp_workspace():
+    """The Sweedler double-biproduct input with a pairing, as a workspace."""
     inp = sweedler_crossed_modules()
     sb, sc = inp.B.space, inp.C.space
     rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
@@ -566,8 +567,12 @@ def test_double_biproduct_command(tmp_path, capsys):
                     ("c_act", inp.c_act), ("c_coact", inp.c_coact),
                     ("rho", rho)):
         ws.add_map(name, f)
+    return ws
+
+
+def test_double_biproduct_command(tmp_path, capsys):
     path = str(tmp_path / "dbp.json")
-    save_workspace(ws, path)
+    save_workspace(sweedler_dbp_workspace(), path)
     out_path = str(tmp_path / "z.json")
     code, out, _ = run(capsys, "double-biproduct", "build", "--in", path,
                        "-o", out_path)
@@ -577,6 +582,25 @@ def test_double_biproduct_command(tmp_path, capsys):
     built = load_workspace(out_path)
     assert set(built.structures) == {"main", "z_twisted"}
     assert set(built.maps) == {"rho_hat", "rho_hat_inv"}
+
+
+def test_a_braided_double_biproduct_workspace_is_refused(tmp_path, capsys,
+                                                         monkeypatch):
+    # the double biproduct is built over the flip; B braids through its
+    # crossed module whatever the workspace says
+    def never(*args):
+        raise AssertionError("double_biproduct reached")
+    monkeypatch.setattr(cli, "double_biproduct", never)
+    ws = sweedler_dbp_workspace()
+    ws.braiding = {"kind": "yetter-drinfeld", "host": "h",
+                   "modules": [{"space": "SwB", "act": "b_act",
+                                "coact": "b_coact"}]}
+    path = str(tmp_path / "dbp.json")
+    save_workspace(ws, path)
+    code, out, err = run(capsys, "double-biproduct", "build", "--in", path)
+    assert code == 2
+    assert out == ""
+    assert "crossbial: error: /braiding: " in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,20 @@ from crossbial.crossproduct import (
     NotASplittingError,
     ProjectionSystem,
     bat_to_hopf_datum,
+    build_bialgebra,
     build_cross_product,
     decompose,
     split_idempotent,
     verify_trivalent_equivalences,
 )
-from crossbial.datum import product_braiding, trivalence
+from crossbial.datum import check_hopf_datum, trivalence, trivial_datum
 from crossbial.linmaps import LinMap, Space, VectFlip, run_pipeline
-from crossbial.structures import cross_structure, tensor_structure
-from crossbial.zoo import OreParams, RadfordParams, ore_finite, radford
+from crossbial.structures import (check_axioms, cross_structure, rebind,
+                                  tensor_structure, yd_provider)
+from crossbial.zoo import (OreParams, RadfordParams, group_algebra,
+                           ore_finite, radford)
 from tests.test_acceptance import braided_taft_pairing
-from tests.test_datum import group_hopf
+from tests.test_datum import group_hopf, unit_hopf
 
 ONE = Fraction(1)
 
@@ -79,6 +82,24 @@ def test_braided_q_lines_with_their_braidings_are_not_a_bat():
     assert (wit.out_index, wit.in_index) == ((1, 3), (1, 3))
 
 
+def test_a_braided_datum_builds_a_bialgebra_under_its_braiding():
+    # the q-line T and a point K on which kC3 acts and coacts trivially;
+    # the product braids as T (x) K does, and is no bialgebra over the flip
+    pairing, qline = braided_taft_pairing()
+    T, host, K = pairing.H, group_algebra(3), unit_hopf("K")
+    k = K.id_map()
+    prov = yd_provider(host, [(T.space, *qline._reg[T.space]),
+                              (K.space, k @ host.eps, k @ host.eta)])
+    d = trivial_datum(T, K, prov)
+    rep = check_hopf_datum(d)
+    assert rep.ok and len(rep.entries) == 41
+    prod = build_bialgebra(d)
+    s12, P2 = (T.space, K.space), (prod.space, prod.space)
+    psi = rebind(prov.braiding_list(s12, s12), P2, P2)
+    assert check_axioms(prod, "bialgebra", psi=psi).ok
+    assert check_axioms(prod, "bialgebra").failed() == ["mult-comult"]
+
+
 def test_kernel_mult_comult_matches_the_eager_composite():
     # (m (x) m)(id (x) Psi (x) id)(delta (x) delta) through the strand
     # kernel against the identity-padded tensors it replaced, entry by
@@ -89,10 +110,12 @@ def test_kernel_mult_comult_matches_the_eager_composite():
     t = BAT(T1, T2, prov.braiding(T1.space, T2.space),
             prov.braiding(T2.space, T1.space), prov)
     prod = cross_structure(T1, T2, t.phi12, t.phi21)
+    # the product braids with itself as T1 (x) T2 does with T1 (x) T2
+    s12, P2 = (T1.space, T2.space), (prod.space, prod.space)
     cases = [(H, VectFlip().braiding(H.space, H.space)),
              (T1, prov.braiding(T1.space, T1.space)),
              (T2, prov.braiding(T2.space, T2.space)),
-             (prod, product_braiding(t, prod))]
+             (prod, rebind(prov.braiding_list(s12, s12), P2, P2))]
     for s, psi in cases:
         i = s.id_map()
         eager = (s.m @ s.m) * (i @ psi @ i) * (s.delta @ s.delta)

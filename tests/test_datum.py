@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from crossbial import datum
+from crossbial.crossproduct import build_bialgebra
 from crossbial.datum import (
     _family,
     _phi_layers,
-    build_bialgebra,
     build_phi_superoperator,
     check_hopf_datum,
     classify,

@@ -228,7 +228,6 @@ def test_vectflip_squares_to_identity():
     bp = VectFlip()
     psi = bp.braiding(X, Y)
     assert bp.braiding(Y, X) * psi == LinMap.identity((X, Y))
-    assert bp.braiding_inverse(X, Y) * psi == LinMap.identity((X, Y))
 
 
 def test_vectflip_naturality():
@@ -267,12 +266,6 @@ def test_yd_braiding_sweedler_sign():
     assert psi.entry(3, 3) == F(-1)
     # 1 (x) x -> x (x) 1 (coaction of x hits g, but 1 <| g = 1)
     assert psi.entry(2, 1) == F(1)
-
-
-def test_yd_braiding_inverse():
-    bp, M, _ = _sweedler_yd()
-    psi = bp.braiding(M, M)
-    assert bp.braiding_inverse(M, M) * psi == LinMap.identity((M, M))
 
 
 def test_yd_noninvolutive_over_c3():

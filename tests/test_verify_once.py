@@ -145,6 +145,19 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
     assert (report["pattern"], report["family"]) == ("1010", "biproduct")
 
 
+def test_build_bialgebra_checks_the_datum_once_and_the_product_once(
+        spy, monkeypatch):
+    d = radford(RadfordParams(2, 1, 2, 1))["datum"]
+    datums = _count_calls(monkeypatch, "check_hopf_datum",
+                          datum, crossproduct)
+    before = spy.calls
+    st = crossproduct.build_bialgebra(d)
+    assert len(datums) == 1
+    assert spy.calls == before + 1
+    assert spy.passed[-1][:2] == (st, "bialgebra")
+    assert spy.repeats == []
+
+
 def test_twist_checks_each_input_once(spy, monkeypatch):
     # the twisted antipode's u^- is read off chi^-, not solved for again
     H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
