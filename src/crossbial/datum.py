@@ -13,7 +13,7 @@ as a nilpotency computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .linmaps import (
     FLIP,
@@ -62,20 +62,26 @@ class HopfDatum:
     act_r:   B2(x)B1 -> B2   (right action of B1 on B2)
     coact_r: B2 -> B2(x)B1   (right coaction of B1 on B2)
 
-    Only shapes are enforced here; validity is established by
-    check_hopf_datum.
+    A map left as None is its trivial (co)unit-tensor form, so a
+    biproduct, double cross or bicross product datum names only its
+    nontrivial pairs.  Only shapes are enforced here; validity is
+    established by check_hopf_datum.
     """
 
     b1: Structure
     b2: Structure
-    act_l: LinMap
-    coact_l: LinMap
-    act_r: LinMap
-    coact_r: LinMap
+    act_l: Optional[LinMap] = None
+    coact_l: Optional[LinMap] = None
+    act_r: Optional[LinMap] = None
+    coact_r: Optional[LinMap] = None
     braiding: object = FLIP
 
     def __post_init__(self):
         _mult(self.b1), _mult(self.b2)
+        missing = [slot for slot in _SLOTS if getattr(self, slot) is None]
+        forms = _trivial_forms(self.b1, self.b2) if missing else {}
+        for slot in missing:
+            object.__setattr__(self, slot, forms[slot])
         s1, s2 = (self.b1.space,), (self.b2.space,)
         require_boundaries(("act_l", self.act_l, s2 + s1, s1),
                            ("coact_l", self.coact_l, s1, s2 + s1),
@@ -87,6 +93,11 @@ class HopfDatum:
         """The 4-fold product B1(x)B2(x)B1(x)B2 the recursion acts on."""
         s1, s2 = self.b1.space, self.b2.space
         return (s1, s2, s1, s2)
+
+    def product(self, name: Optional[str] = None) -> Structure:
+        """B1(x)B2 with the product and coproduct the datum induces,
+        unverified like cross_structure (build_bialgebra verifies it)."""
+        return cross_structure(self.b1, self.b2, *_mixed_maps(self), name)
 
 
 def _trivial_forms(b1: Structure, b2: Structure) -> Dict[str, LinMap]:
@@ -101,9 +112,7 @@ def _trivial_forms(b1: Structure, b2: Structure) -> Dict[str, LinMap]:
 
 def trivial_datum(b1: Structure, b2: Structure, braiding=FLIP) -> HopfDatum:
     """The datum whose four interaction maps are the (co)unit tensors."""
-    forms = _trivial_forms(b1, b2)
-    return HopfDatum(b1, b2, forms["act_l"], forms["coact_l"],
-                     forms["act_r"], forms["coact_r"], braiding)
+    return HopfDatum(b1, b2, braiding=braiding)
 
 
 def _mixed_maps(d: HopfDatum) -> Tuple[LinMap, LinMap]:
@@ -487,7 +496,7 @@ def trivalence(d: HopfDatum) -> dict:
     """
     pattern = _pattern_of(d)
     trivalent = "0" in pattern
-    prod = cross_structure(d.b1, d.b2, *_mixed_maps(d))
+    prod = d.product()
     i1, i2, p1, p2 = canonical_maps(d.b1, d.b2, prod.space)
     witness = {"inj1": classify_morphism(i1, d.b1, prod),
                "inj2": classify_morphism(i2, d.b2, prod),

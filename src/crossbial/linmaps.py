@@ -356,7 +356,27 @@ def flip(x: Space, y: Space) -> LinMap:
 # braiding providers
 # ---------------------------------------------------------------------------
 
-class VectFlip:
+class BraidingProvider:
+    """The braiding of two lists of strands, assembled from a provider's
+    braiding(x, y) of one strand past another."""
+
+    def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
+        # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y}) and
+        # Psi_{X, Y (x) Y'} = (id (x) Psi_{X,Y'}) o (Psi_{X,Y} (x) id): the
+        # last x crosses the ys first, each x crossing them left to right;
+        # x_i meets y_j with x_0..x_(i-1), y_0..y_(j-1) on its left; with
+        # no strand on one side nothing crosses
+        if not xs or not ys:
+            return LinMap.identity(tuple(xs) + tuple(ys))
+        ix = [LinMap.identity((x,)) for x in xs]
+        iy = [LinMap.identity((y,)) for y in ys]
+        return run_pipeline([
+            ix[:i] + iy[:j] + [self.braiding(x, y)] + iy[j + 1:] + ix[i + 1:]
+            for i, x in reversed(list(enumerate(xs)))
+            for j, y in enumerate(ys)])
+
+
+class VectFlip(BraidingProvider):
     """The symmetric braiding of plain vector spaces: transposition."""
 
     kind = "VectFlip"
@@ -370,18 +390,12 @@ class VectFlip:
     def braiding(self, x: Space, y: Space) -> LinMap:
         return flip(x, y)
 
-    def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
-        xs, ys = tuple(xs), tuple(ys)
-        k, l = len(xs), len(ys)
-        perm = tuple(range(l, l + k)) + tuple(range(l))
-        return permutation(xs + ys, perm)
-
 
 # the default braiding of every function and bundle that takes one
 FLIP = VectFlip()
 
 
-class YetterDrinfeld:
+class YetterDrinfeld(BraidingProvider):
     """Braiding from right action / right coaction data over a host Hopf
     algebra: Psi(x (x) y) = y_(0) (x) (x <| y_(1)).
 
@@ -413,19 +427,6 @@ class YetterDrinfeld:
         return run_pipeline([[LinMap.identity((x,)), coact_y],
                              [flip(x, y), LinMap.identity((self.host,))],
                              [LinMap.identity((y,)), act_x]])
-
-    def braiding_list(self, xs: SpaceList, ys: SpaceList) -> LinMap:
-        # Psi_{X (x) X', Y} = (Psi_{X,Y} (x) id) o (id (x) Psi_{X',Y}) and
-        # Psi_{X, Y (x) Y'} = (id (x) Psi_{X,Y'}) o (Psi_{X,Y} (x) id): the
-        # last x crosses the ys first, each x crossing them left to right;
-        # x_i meets y_j with x_0..x_(i-1), y_0..y_(j-1) on its left
-        ix = [LinMap.identity((x,)) for x in xs]
-        iy = [LinMap.identity((y,)) for y in ys]
-        return run_pipeline([
-            ix[:i] + iy[:j] + [self.braiding(x, y)] + iy[j + 1:] + ix[i + 1:]
-            for i, x in reversed(list(enumerate(xs)))
-            for j, y in enumerate(ys)])
-
 
 class LeftYetterDrinfeld(YetterDrinfeld):
     """Left-sided variant: Psi(x (x) y) = (x_(-1) |> y) (x) x_(0), from a

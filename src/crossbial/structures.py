@@ -368,21 +368,20 @@ def _action_report(carrier: Space, actor: Structure, f: LinMap, kind: str,
 # -- crossed modules --------------------------------------------------------
 
 def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
-                           coact: LinMap, side: str, bp) -> CheckReport:
+                           coact: LinMap, side: str) -> CheckReport:
     """The (co)module laws and the compatibility of the action with the
     coaction, for a host whose laws already hold.  side "right": act:
     M(x)H -> M and coact: M -> M(x)H, and both sides of the defining
     identity are composites on M(x)H; side "left" is the same diagrams
-    mirrored, on H(x)M, with Psi_{M,H} and Psi_{H,M} trading places."""
+    mirrored, on H(x)M, with the flips M(x)H -> H(x)M and back swapped."""
     im, ih = LinMap.identity((carrier,)), LinMap.identity((host.space,))
     mod = _action_report(carrier, host, act, "module-" + side[0], "action-")
     com = _action_report(carrier, host, coact, "comodule-" + side[0],
                          "coaction-")
     for rep in (mod, com):
         rep.require(f"{carrier.name}: (co)module laws fail first: {{}}")
-    psi_hh = bp.braiding(host.space, host.space)
-    psi_mh = bp.braiding(carrier, host.space)
-    psi_hm = bp.braiding(host.space, carrier)
+    psi_hh = flip(host.space, host.space)
+    psi_mh, psi_hm = flip(carrier, host.space), flip(host.space, carrier)
     if side == "left":
         psi_mh, psi_hm = psi_hm, psi_mh
     loop = coact * act
@@ -395,7 +394,7 @@ def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
         "crossed-compatibility", run_pipeline(lhs), run_pipeline(rhs)),))
 
 
-def _yd_providers(host: Structure, bp, *groups) -> list:
+def _yd_providers(host: Structure, *groups) -> list:
     """Verify the host once (as a Hopf algebra when it carries an
     antipode), then build one provider per (cls, modules) group.  Each
     module is registered, which checks its maps' strands (a ShapeError
@@ -403,7 +402,7 @@ def _yd_providers(host: Structure, bp, *groups) -> list:
     crossed-module laws on the provider class's side; a provider is
     returned only when every module has passed."""
     kind = "hopf" if host.S is not None else "bialgebra"
-    check_axioms(host, kind, bp).require("host fails {}")
+    check_axioms(host, kind).require("host fails {}")
     provs = []
     for cls, modules in groups:
         prov = cls(host.space)
@@ -413,8 +412,8 @@ def _yd_providers(host: Structure, bp, *groups) -> list:
             except ShapeError as err:
                 err.module = i
                 raise
-            _crossed_module_report(space, host, act, coact, cls.side,
-                                   bp).require(f"{space.name}: {{}}")
+            _crossed_module_report(space, host, act, coact,
+                                   cls.side).require(f"{space.name}: {{}}")
         provs.append(prov)
     return provs
 
@@ -428,13 +427,13 @@ def yd_provider(host: Structure, modules):
     compatibility over the host before it is registered.  A law that
     fails raises PreconditionError carrying the report.
     """
-    return _yd_providers(host, FLIP, (YetterDrinfeld, modules))[0]
+    return _yd_providers(host, (YetterDrinfeld, modules))[0]
 
 
 def yd_provider_left(host: Structure, modules):
     """Left-sided counterpart of yd_provider: act: H(x)X -> X and
     coact: X -> H(x)X, validated as left crossed modules."""
-    return _yd_providers(host, FLIP, (LeftYetterDrinfeld, modules))[0]
+    return _yd_providers(host, (LeftYetterDrinfeld, modules))[0]
 
 
 # -- morphism classification ------------------------------------------------

@@ -19,8 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .datum import (ConsistencyError, HopfDatum, _mixed_maps, _trivial_forms,
-                    check_hopf_datum)
+from .datum import ConsistencyError, HopfDatum, check_hopf_datum
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, NotInvertibleError,
                       ShapeError, Space, UNIT, YetterDrinfeld, flip,
                       pipeline_as_linmap, require_boundaries, run_pipeline)
@@ -37,7 +36,6 @@ from .structures import (
     classify_morphism,
     compare,
     convolution_inverse,
-    cross_structure,
     rebind,
     tensor_coalgebra,
 )
@@ -289,8 +287,7 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
                         [idh, bp.braiding_list((sh,), (sa, sa)), ida],
                         [pinv, ida, form]])
-    triv = _trivial_forms(A, H)
-    datum = HopfDatum(A, H, rhd, triv["coact_l"], lhd, triv["coact_r"], bp)
+    datum = HopfDatum(A, H, act_l=rhd, act_r=lhd, braiding=bp)
     drep = check_hopf_datum(datum)
     matched = drep.ok
     invol = (bp.braiding(sh, sa) * bp.braiding(sa, sh)
@@ -313,22 +310,14 @@ def _products(inp: DoubleBiproductInput
     pairs not given are trivial (see double_biproduct); nothing is
     verified here."""
     C, H, B = inp.C, inp.H, inp.B
-
-    def cross(b1, b2, left=None, right=None, name=None):
-        triv = _trivial_forms(b1, b2)
-        act_l, coact_l = left or (triv["act_l"], triv["coact_l"])
-        act_r, coact_r = right or (triv["act_r"], triv["coact_r"])
-        datum = HopfDatum(b1, b2, act_l, coact_l, act_r, coact_r)
-        return cross_structure(b1, b2, *_mixed_maps(datum), name)
-
-    ch = cross(C, H, left=(inp.c_act, inp.c_coact))
-    hb = cross(H, B, right=(inp.b_act, inp.b_coact))
+    ch = HopfDatum(C, H, inp.c_act, inp.c_coact).product()
+    hb = HopfDatum(H, B, act_r=inp.b_act, coact_r=inp.b_coact).product()
     _, i_h, _, p_h = canonical_maps(C, H, ch.space)
     idb = B.id_map()
-    Z = cross(ch, B, right=(run_pipeline([[idb, p_h], [inp.b_act]]),
-                            run_pipeline([[inp.b_coact], [idb, i_h]])),
-              name=f"({C.space.name}><{H.space.name}><{B.space.name})")
-    return ch, hb, Z
+    z = HopfDatum(ch, B, act_r=run_pipeline([[idb, p_h], [inp.b_act]]),
+                  coact_r=run_pipeline([[inp.b_coact], [idb, i_h]]))
+    name = f"({C.space.name}><{H.space.name}><{B.space.name})"
+    return ch, hb, z.product(name)
 
 
 def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap
@@ -386,7 +375,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     idb, idc = B.id_map(), C.id_map()
 
     prov_r, prov_l = _yd_providers(
-        H, FLIP, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
+        H, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
         (LeftYetterDrinfeld, [(sc, inp.c_act, inp.c_coact)]))
     for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
         check_axioms(st, "bialgebra", prov).require(

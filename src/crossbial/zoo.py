@@ -21,12 +21,12 @@ from math import gcd, lcm, prod
 from typing import Tuple
 
 from .crossproduct import ProjectionSystem, _read_datum, _transport
-from .datum import HopfDatum, _mixed_maps, _trivial_forms
+from .datum import HopfDatum
 from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
                       unflatten)
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
-from .structures import Structure, canonical_maps, cross_structure, fuse
+from .structures import Structure, canonical_maps, fuse
 from .twisting import DoubleBiproductInput
 
 
@@ -166,18 +166,16 @@ def radford(params: RadfordParams) -> dict:
     qnu, q_inv = q ** nu, reciprocal(q)
     b1, b2 = taft_factor(r, qnu), _bare(group_algebra(N))
     s1, s2 = b1.space, b2.space
-    triv = _trivial_forms(b1, b2)
     act_l = LinMap((s2, s1), (s1,),
                    {(m, flatten((l, m), (N, r))): q_inv ** (m * l)
                     for m in range(r) for l in range(N)})
     coact_l = LinMap((s1,), (s2, s1),
                      {(flatten(((-nu * m) % N, m), (N, r)), m): ONE
                       for m in range(r)})
-    datum = HopfDatum(b1, b2, act_l, coact_l, triv["act_r"], triv["coact_r"])
+    datum = HopfDatum(b1, b2, act_l, coact_l)
     # H is the datum's cross product: x^m g^l = x^m (x) g^l is its basis
     # vector idx(m, l)
-    base = cross_structure(b1, b2, *_mixed_maps(datum),
-                           name=f"Rad({n},{params.q_exponent},{N},{nu})")
+    base = datum.product(f"Rad({n},{params.q_exponent},{N},{nu})")
     s, mH = base.space, base.m
 
     def idx(m: int, l: int) -> int:

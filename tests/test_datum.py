@@ -8,6 +8,7 @@ import pytest
 from crossbial import datum
 from crossbial.crossproduct import build_bialgebra
 from crossbial.datum import (
+    HopfDatum,
     _family,
     _phi_layers,
     build_phi_superoperator,
@@ -23,17 +24,20 @@ from crossbial.datum import (
 from crossbial.cli import (Workspace, WorkspaceError, _datum_from_workspace,
                           load_workspace, save_workspace, workspace_from_json,
                           workspace_to_json)
-from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, Space, UNIT,
-                               VectFlip, YetterDrinfeld, dim_of, run_pipeline)
+from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, ShapeError, Space,
+                               UNIT, VectFlip, YetterDrinfeld, dim_of,
+                               run_pipeline)
 from crossbial.scalars import scalar_to_json
 from crossbial.structures import (
     PreconditionError,
     Structure,
     check_axioms,
+    cross_structure,
     tensor_structure,
     yd_provider,
     yd_provider_left,
 )
+from crossbial.twisting import DualPairing, matched_pair_from_pairing
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
                            sweedler_crossed_modules)
@@ -258,6 +262,72 @@ def test_product_of_trivial_datum_is_the_plain_tensor_product():
     plain = tensor_structure(b1, b2)
     assert st.m.entries == plain.m.entries
     assert st.delta.entries == plain.delta.entries
+
+
+def kc3_matched_pair_datum():
+    """The action-only datum of k^C3 and kC3 that the evaluation pairing
+    induces, as matched_pair_from_pairing checks it."""
+    H, A = group_algebra(3), dual_group_algebra(3)
+    form = LinMap((H.space, A.space), UNIT,
+                  {(0, a * 3 + a): ONE for a in range(3)})
+    mp = matched_pair_from_pairing(DualPairing(H, A, form))
+    return HopfDatum(A, H, act_l=mp["rhd"], act_r=mp["lhd"])
+
+
+def ore_c2xc2_datum():
+    """The anticommuting C2 x C2 Ore tower's datum (x1 x2 = -x2 x1)."""
+    return ore_finite(OreParams((2, 2), 2, ((1, 0), (0, 1)),
+                                ((1, 1), (1, 1))))["datum"]
+
+
+def same_map(f, g):
+    """Equal strands, and entries equal in value, insertion order and
+    scalar repr."""
+    return ((f.dom, f.cod) == (g.dom, g.cod)
+            and repr(list(f.entries.items())) == repr(list(g.entries.items())))
+
+
+@pytest.mark.parametrize("build, given", [
+    (radford_datum, ("act_l", "coact_l")), (ore_datum, ("act_r", "coact_r")),
+    (kc3_matched_pair_datum, ("act_l", "act_r")), (radford_datum, ())],
+    ids=["left-pair", "right-pair", "actions", "none"])
+def test_an_omitted_pair_is_its_trivial_form(build, given):
+    d = build()
+    forms = datum._trivial_forms(d.b1, d.b2)
+    maps = {k: getattr(d, k) for k in given}
+    short = HopfDatum(d.b1, d.b2, braiding=d.braiding, **maps)
+    full = HopfDatum(d.b1, d.b2, **{**forms, **maps}, braiding=d.braiding)
+    assert short == full and repr(short) == repr(full)
+    for slot in datum._SLOTS:
+        assert same_map(getattr(short, slot), getattr(full, slot))
+        if slot not in given:
+            assert same_map(getattr(short, slot), forms[slot])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: radford(RadfordParams(2, 1, 2, 1))["datum"],
+    lambda: radford(RadfordParams(3, 1, 3, 1))["datum"],
+    ore_c2xc2_datum, kc3_matched_pair_datum],
+    ids=["radford-2121", "radford-3131", "ore-c2xc2", "kc3-matched-pair"])
+def test_a_datum_product_is_the_cross_structure_of_its_mixed_maps(build):
+    d = build()
+    for name in (None, "P"):
+        got = d.product(name)
+        want = cross_structure(d.b1, d.b2, *datum._mixed_maps(d), name)
+        assert got.space == want.space and got.S is want.S is None
+        for f in ("m", "eta", "delta", "eps"):
+            assert same_map(getattr(got, f), getattr(want, f)), f
+
+
+@pytest.mark.parametrize("slot, wrong", [("act_l", "coact_l"),
+                                         ("coact_r", "act_r")])
+def test_a_map_on_the_wrong_strands_next_to_an_omitted_pair_is_named(
+        slot, wrong):
+    d = radford_datum()
+    bad = datum._trivial_forms(d.b1, d.b2)[wrong]
+    with pytest.raises(ShapeError, match=f"^{slot} must map") as exc:
+        HopfDatum(d.b1, d.b2, **{slot: bad})
+    assert exc.value.slot == slot
 
 
 # ---------------------------------------------------------------------------

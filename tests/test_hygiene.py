@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is used,
 every private function of the package is named somewhere in it, every
-public one has a reader outside the tests, the axiom checkers and
+public one has a reader outside the tests, a private name crosses from one
+module of the package to another only where listed, the axiom checkers and
 structure-map builders evaluate their diagrams with the strand kernel,
 never with identity-padded tensors, and no diagram starts from a built
 identity."""
@@ -124,6 +125,64 @@ def test_the_scanner_flags_an_unread_public_name():
                "getattr(a, 'by_string')\n"]
     assert unread_public(package, readers) == [("a.py", "K.gone"),
                                                ("a.py", "dead")]
+
+
+def private_imports(sources):
+    """(file, module, name) of each private name, one leading underscore,
+    that a module of the package imports from another: `from .m import _x`
+    or `from crossbial.m import _x`, the module as written."""
+    found = set()
+    for f, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if not isinstance(n, ast.ImportFrom) or not (
+                    n.level or (n.module or "").startswith("crossbial")):
+                continue
+            mod = "." * n.level + (n.module or "")
+            found.update((f, mod, a.name) for a in n.names
+                         if a.name.startswith("_")
+                         and not a.name.startswith("__"))
+    return sorted(found)
+
+
+def test_the_scanner_lists_private_imports():
+    srcs = {"a.py": "from __future__ import annotations\n"
+                    "from .b import _x, y, __all__\n"
+                    "from crossbial.c import _z as w\nfrom os import _exit\n"
+                    "def f():\n    from .b import _late\n",
+            "b.py": "from . import _p\n"}
+    assert private_imports(srcs) == [
+        ("a.py", ".b", "_late"), ("a.py", ".b", "_x"),
+        ("a.py", "crossbial.c", "_z"), ("b.py", ".", "_p")]
+
+
+# The private names one module of the package reads from another.  Each is
+# a core that the importer runs on data it has already verified, or a
+# shared helper of one layer; a new one is a decision that has leaked out
+# of its module.  How a datum induces its product (_mixed_maps) and its
+# trivial pairs (_trivial_forms) stay inside datum, behind
+# HopfDatum.product and the omitted pairs of HopfDatum.
+PRIVATE_IMPORTS = [
+    ("crossproduct.py", ".datum", "_mixed_maps"),
+    ("crossproduct.py", ".datum", "_pattern_of"),
+    ("crossproduct.py", ".structures", "_mult"),
+    ("datum.py", ".linmaps", "_is_identity"),
+    ("datum.py", ".structures", "_action_report"),
+    ("datum.py", ".structures", "_algebra_entries"),
+    ("datum.py", ".structures", "_coalgebra_entries"),
+    ("datum.py", ".structures", "_cross_comult"),
+    ("datum.py", ".structures", "_cross_mult"),
+    ("datum.py", ".structures", "_mult"),
+    ("structures.py", ".linmaps", "_dims"),
+    ("twisting.py", ".structures", "_cross_comult"),
+    ("twisting.py", ".structures", "_yd_providers"),
+    ("zoo.py", ".crossproduct", "_read_datum"),
+    ("zoo.py", ".crossproduct", "_transport"),
+]
+
+
+def test_private_names_cross_modules_only_where_listed():
+    assert private_imports(
+        {p.name: p.read_text() for p in PACKAGE}) == PRIVATE_IMPORTS
 
 
 def readme_python_tour():

@@ -304,6 +304,17 @@ def test_yd_composite_braiding_hexagon():
     assert inv * lhs == LinMap.identity((M, M, M))
 
 
+@pytest.mark.parametrize("provider", ["flip", "yetter-drinfeld"])
+def test_braiding_an_empty_list_is_the_identity_on_the_other(provider):
+    bp, M, _ = _sweedler_yd()
+    if provider == "flip":
+        bp = VectFlip()
+    for xs, ys in (((), (M, M)), ((M,), ()), ((), ())):
+        psi = bp.braiding_list(xs, ys)
+        assert psi == LinMap.identity(xs + ys)
+        assert (psi.dom, psi.cod) == (xs + ys, xs + ys)
+
+
 # -- pipelines --------------------------------------------------------------
 
 def test_pipeline_matches_direct_composition():
