@@ -20,7 +20,6 @@ from .linmaps import (
     LinMap,
     Space,
     UNIT,
-    _is_identity,
     apply_at,
     dim_of,
     pipeline_as_linmap,
@@ -277,6 +276,17 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
     ]
 
 
+# Phi's diagram splits at row 8 of _phi_layers (rows count from 0, the
+# centre row is 5).  Rows 6 and 7 meet the centre strands with identities
+# only, so f commutes past them into the bottom half; row 8 braids a
+# spectator B1 with the centre, so the cut can be no higher.  Row 7 closes
+# the outer spectators with m1 and m2, and every row from 8 on starts with
+# B1's identity and ends with B2's, so the top half is id1 (x) T (x) id2
+# and the cut can be no lower.  The strands of the cut are
+# B1 B2 B1 [B1 B2 B1 B2] B2 B1 B2, the centre (the quad) at strands 3-6.
+_CUT = 8
+
+
 def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
     """Evaluate the recursion operator on an endomorphism of the 4-fold
     product, by running the layered diagram on each basis vector."""
@@ -315,78 +325,48 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     """Assemble the recursion operator matrix without ever materialising a
     12-strand map, as a meet in the middle of its split diagram.
 
-    The diagram is cut after its last row that leaves the centre (the four
-    strands f acts on) untouched, so every factor on the spectator strands
-    alone runs in the bottom half, from the quad to the 10 strands of the
-    cut.  A vector on the cut has the quad on its centre strands and a
-    spectator side on the others, and each entry of Phi is a sum over
-    sides of a top term times a bottom term.  The bottom half is
-    materialised by pipeline_as_linmap, a bounded block of the quad's basis
-    columns per push, and each of its entries is a bottom term.  Every row
-    of the top half starts and ends with an identity, so the top half is
-    id (x) T (x) id: the outer strands of a side pass straight through to
-    the outer strands of the quad.  T is pushed only from the inner sides
-    (p, q) the bottom reached, one block of dV columns per inner side, and
-    its terms are joined with the bottom terms on that inner side, whatever
-    their outer strands.  Both moves are the interchange law of the
-    monoidal category, so Phi is the same for any braiding.
+    The diagram is cut at a fixed row, _CUT = 8.  The rows between the
+    centre row and the cut meet the centre (the four strands f acts on) with
+    identities only, so f commutes past them and every factor on the
+    spectator strands alone runs in the bottom half, from the quad to the 10
+    strands of the cut.  Every row from it on starts with B1's identity and
+    ends with B2's, so the top half is id1 (x) T (x) id2: the outer strands
+    of a side pass straight through to the outer strands of the quad.  The
+    cut depends only on the diagram, never on the datum, and each index
+    below is a product of d1 and d2.  A vector on the cut has the quad on
+    its centre strands and a spectator side on the others, and each entry of
+    Phi is a sum over sides of a top term times a bottom term.  The bottom
+    half is materialised by pipeline_as_linmap, a bounded block of the
+    quad's basis columns per push, and each of its entries is a bottom term.
+    T is pushed only from the inner sides (p, q) the bottom reached, one
+    block of dV columns per inner side, and its terms are joined with the
+    bottom terms on that inner side, whatever their outer strands.  Both
+    moves are the interchange law of the monoidal category, so Phi is the
+    same for any braiding.
     """
-    dV = dim_of(d.quad)
+    s1, s2 = d.b1.space, d.b2.space
+    n, dz = s1.dim * s2.dim, s2.dim
+    dV = n * n
     ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
     layers = _phi_layers(d, ids)
-    k, lo = _cut(layers, ids)
-    bottom, top = layers[:k], layers[k:]
-    # the strands the top half passes through: identities at both ends of
-    # every row, clear of the centre
-    first, last = top[0][0], top[0][-1]
-    assert (_is_identity(first) and _is_identity(last)
-            and all(row[0] == first and row[-1] == last for row in top)
-            ), "the top half is not id (x) T (x) id"
-    cut = tuple(s for f in top[0] for s in f.dom)
-    start, hi, end = len(first.dom), lo + len(d.quad), len(cut) - len(
-        last.dom)
-    assert start <= lo and hi <= end
-    inner = [row[1:-1] for row in top]
-    P, Q, R = dim_of(cut[start:lo]), dim_of(cut[hi:end]), dim_of(cut[hi:])
-    W = dim_of(tuple(s for f in inner[-1] for s in f.cod))
-    dz = last.ncols
+    bottom, inner = layers[:_CUT], [row[1:-1] for row in layers[_CUT:]]
+    # a side is the strands (a0, p) left of the centre and (q, z) right of
+    # it: the outer a0 in B1 and z in B2, and p, q and T's output in B2 B1
     bots: Dict[tuple, list] = {}
     for (key, v), x in pipeline_as_linmap(bottom).entries.items():
-        a, rest = divmod(key, dV * R)
-        i, c = divmod(rest, R)
-        a0, p = divmod(a, P)
+        a, rest = divmod(key, dV * n * dz)
+        i, c = divmod(rest, n * dz)
+        a0, p = divmod(a, n)
         q, z = divmod(c, dz)
         bots.setdefault((p, q), []).append((v, i, a0, z, x))
     phi: Dict[int, Dict[int, object]] = {}
     for (p, q), terms in bots.items():
-        block = LinMap._trusted(d.quad, cut[start:end], {
-            ((p * dV + i) * Q + q, i): ONE for i in range(dV)}, True)
+        block = LinMap._trusted(d.quad, (s2, s1) + d.quad + (s2, s1), {
+            ((p * dV + i) * n + q, i): ONE for i in range(dV)}, True)
         image = run_pipeline([[block]] + inner)
-        _join(phi, dV, W, dz,
+        _join(phi, dV, n, dz,
               [(w, i, y) for (w, i), y in image.entries.items()], terms)
     return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})
-
-
-def _cut(layers: List[List[LinMap]], centre: List[LinMap]) -> Tuple[int, int]:
-    """(k, lo): layers[k] is the first row above the centre factors that
-    acts on a centre strand with anything but an identity, and the centre
-    occupies the strands from lo on below it.  Rows under k leave the
-    centre untouched, so they commute with any map on it."""
-    k, n = next((k, n) for k, row in enumerate(layers)
-                for n, f in enumerate(row) if f is centre[0])
-    lo = sum(len(f.cod) for f in layers[k][:n])
-    width = sum(len(f.cod) for f in centre)
-    for k in range(k + 1, len(layers)):
-        p = q = 0
-        for f in layers[k]:
-            if (lo - len(f.dom) < p < lo + width
-                    and not _is_identity(f)):
-                return k, lo
-            if p <= lo < p + len(f.dom):
-                moved = q + lo - p
-            p, q = p + len(f.dom), q + len(f.cod)
-        lo = moved
-    return len(layers), lo
 
 
 def _join(out, dV: int, W: int, dz: int, tops, bots) -> None:

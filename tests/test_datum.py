@@ -26,7 +26,7 @@ from crossbial.cli import (Workspace, WorkspaceError, _datum_from_workspace,
                           workspace_to_json)
 from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, ShapeError, Space,
                                UNIT, VectFlip, YetterDrinfeld, dim_of,
-                               run_pipeline)
+                               pipeline_as_linmap, run_pipeline)
 from crossbial.scalars import scalar_to_json
 from crossbial.structures import (
     PreconditionError,
@@ -537,6 +537,51 @@ def two_pullback_phi(d):
     return {c: col for c, col in phi.items() if col}
 
 
+def on_space(f, old, new):
+    """f with each of its strands on the space old moved to new."""
+    def moved(spaces):
+        return tuple(new if s == old else s for s in spaces)
+    return LinMap(moved(f.dom), moved(f.cod), f.entries)
+
+
+def sweedler_copies_datum():
+    """The trivial datum of Sweedler's SwB and a copy of it on SwB2, under
+    the Yetter-Drinfeld braiding over kC2 that registers both."""
+    inp = sweedler_crossed_modules()
+    B = inp.B
+    sb, sc = B.space, Space("SwB2", B.dim)
+    copy = Structure(sc, *(f and on_space(f, sb, sc)
+                           for f in (B.m, B.eta, B.delta, B.eps, B.S)))
+    braiding = yd_provider(inp.H, [
+        (sb, inp.b_act, inp.b_coact),
+        (sc, on_space(inp.b_act, sb, sc), on_space(inp.b_coact, sb, sc))])
+    return trivial_datum(B, copy, braiding)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: radford(RadfordParams(2, 1, 4, 1))["datum"],
+                 id="radford-2141"),
+    pytest.param(ore_datum, id="ore-c2")])
+def test_phi_splits_at_the_stated_cut(build):
+    # the facts build_phi_superoperator relies on at datum._CUT, on a
+    # datum with d1 != d2 and one with nontrivial right (co)actions
+    d = build()
+    s1, s2 = d.b1.space, d.b2.space
+    ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
+    layers = _phi_layers(d, ids)
+    assert len(layers) == 12
+    bottom, top = layers[:datum._CUT], layers[datum._CUT:]
+    assert all(row[0] == d.b1.id_map() and row[-1] == d.b2.id_map()
+               for row in top)
+    cut = tuple(s for f in top[0] for s in f.dom)
+    assert cut == (s1, s2, s1, s1, s2, s1, s2, s2, s1, s2)
+    # f on strands 3-6 of the cut is f at the centre: the rows between
+    # commute with it
+    f = random_endo(d.quad, random.Random(3))
+    at_cut = [LinMap.identity(cut[:3]), f, LinMap.identity(cut[7:])]
+    assert pipeline_as_linmap(bottom + [at_cut] + top) == phi_apply(d, f)
+
+
 def test_superoperator_matches_the_two_pullback_oracle():
     from tests.test_acceptance import zoo_datums
 
@@ -544,11 +589,15 @@ def test_superoperator_matches_the_two_pullback_oracle():
     # are nontrivial.  Besides it: datums whose bottom half reaches every
     # spectator side, a quarter of them and (Radford) a tenth of them, and
     # one with d1 != d2, on which the outer strands of the top half, a B1
-    # and a B2, cannot be mistaken for one another
+    # and a B2, cannot be mistaken for one another.  Then trivial_datum(k,
+    # k), where dV = 1 makes every braiding factor an identity, and a
+    # braided datum, Sweedler's SwB next to a copy of it
     k2, k2_dual = group_algebra(2), dual_group_algebra(2)
     cases = zoo_datums() + [trivial_datum(k2_dual, k2_dual),
                             trivial_datum(k2, k2_dual), radford_datum(),
-                            trivial_datum(dual_group_algebra(4), k2)]
+                            trivial_datum(dual_group_algebra(4), k2),
+                            trivial_datum(unit_hopf(), unit_hopf()),
+                            sweedler_copies_datum()]
     for d in cases:
         phi = build_phi_superoperator(d).phi
         want = two_pullback_phi(d)

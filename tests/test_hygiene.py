@@ -165,7 +165,6 @@ PRIVATE_IMPORTS = [
     ("crossproduct.py", ".datum", "_mixed_maps"),
     ("crossproduct.py", ".datum", "_pattern_of"),
     ("crossproduct.py", ".structures", "_mult"),
-    ("datum.py", ".linmaps", "_is_identity"),
     ("datum.py", ".structures", "_action_report"),
     ("datum.py", ".structures", "_algebra_entries"),
     ("datum.py", ".structures", "_coalgebra_entries"),
