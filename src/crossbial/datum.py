@@ -36,6 +36,7 @@ from .structures import (
     _coalgebra_entries,
     _cross_comult,
     _cross_mult,
+    _generators,
     _mult,
     canonical_maps,
     classify_morphism,
@@ -143,7 +144,8 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
     for tag, st in (("b1", d.b1), ("b2", d.b2)):
         base = [compare("unit-counit", st.eps * st.eta,
                         LinMap.identity(UNIT))]
-        base += _algebra_entries(st) + _coalgebra_entries(st)
+        base += (_algebra_entries(st, _generators(st))
+                 + _coalgebra_entries(st))
         entries += [CheckEntry(f"{tag}-{e.axiom}", e.ok, e.witness)
                     for e in base]
     if not all(e.ok for e in entries):

@@ -295,6 +295,28 @@ def _subtract(row: Dict[int, Scalar], factor: Scalar,
             row.pop(c, None)
 
 
+def _reduce_step(pivots: Dict[int, Dict[int, Scalar]],
+                 row: Dict[int, Scalar]) -> Optional[int]:
+    """One row of reduce_rows: reduce a copy of row against pivots and, when
+    something is left, make it a pivot row, clear its pivot from the other
+    rows and return its pivot column.  None means row is in their span."""
+    row = {c: v for c, v in row.items() if v}
+    # Pivot rows never mention other pivots, so subtracting them only
+    # brings in non-pivot columns and one pass over the row suffices.
+    for col in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(col), pivots[col])
+    if not row:
+        return None
+    lead = min(row)
+    inv = reciprocal(row.pop(lead))
+    row = {c: inv * v for c, v in row.items()}
+    for prow in pivots.values():
+        if lead in prow:
+            _subtract(prow, prow.pop(lead), row)
+    pivots[lead] = row
+    return lead
+
+
 def reduce_rows(rows: Iterable[Dict[int, Scalar]]
                 ) -> Dict[int, Dict[int, Scalar]]:
     """Sparse exact Gauss-Jordan elimination of rows given as {col: Scalar}.
@@ -305,20 +327,7 @@ def reduce_rows(rows: Iterable[Dict[int, Scalar]]
     """
     pivots: Dict[int, Dict[int, Scalar]] = {}
     for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        # Pivot rows never mention other pivots, so subtracting them only
-        # brings in non-pivot columns and one pass over the row suffices.
-        for col in [c for c in row if c in pivots]:
-            _subtract(row, row.pop(col), pivots[col])
-        if not row:
-            continue
-        lead = min(row)
-        inv = reciprocal(row.pop(lead))
-        row = {c: inv * v for c, v in row.items()}
-        for prow in pivots.values():
-            if lead in prow:
-                _subtract(prow, prow.pop(lead), row)
-        pivots[lead] = row
+        _reduce_step(pivots, row)
     return pivots
 
 

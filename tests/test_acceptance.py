@@ -7,10 +7,16 @@ their honestly observed patterns.
 """
 
 import dataclasses
+import io
+import json
+import os
 import random
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+from crossbial.cli import main
 from crossbial.crossproduct import (build_bialgebra, decompose,
                                     verify_trivalent_equivalences)
 from crossbial.datum import (
@@ -358,3 +364,35 @@ def test_convolution_inverse_of_the_standard_pairing():
     assert convolution_inverse(H.id_map(), H, H) == H.S
     g6 = group_algebra(6)
     assert convolution_inverse(g6.id_map(), g6, g6) == g6.S
+
+
+def cli_json(*argv):
+    """Exit code and json report of one command, its stderr dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([*argv, "--format", "json"])
+    return code, json.loads(out.getvalue())
+
+
+def test_dim_64_commands():
+    # Radford(8,1,8,1), of dim 64, through the CLI: build it, then check
+    # its Hopf axioms, split it, cross-check the trivalence verdicts and
+    # check its datum, each exit 0 with a passing report; all within
+    # GATE_64 seconds.
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        rad, parts = (os.path.join(tmp, f) for f in ("rad.json", "parts.json"))
+        for argv in (["zoo", "build", "radford", "--n", "8", "--q-exp", "1",
+                      "--N", "8", "--nu", "1", "-o", rad],
+                     ["check", "hopf", "--in", rad],
+                     ["cross", "decompose", "--in", rad, "-o", parts],
+                     ["cross", "trivalent", "--in", rad],
+                     ["datum", "check", "--in", rad]):
+            code, doc = cli_json(*argv)
+            assert (code, doc["verdict"]) == (0, "pass"), argv
+    assert time.perf_counter() - t0 < GATE_64
+
+
+# seconds; the scenario took 1.9-2.4 s when the gate was set (2-vCPU VM),
+# and about 10 s with associativity and mult-comult as full diagrams
+GATE_64 = 5

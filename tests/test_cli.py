@@ -83,6 +83,20 @@ def test_zoo_build_group_then_check(tmp_path, capsys):
     assert "0.0" not in out or "verdict" in out
 
 
+def test_check_hopf_without_an_antipode_exits_two(tmp_path, capsys):
+    path = build_radford_ws(tmp_path, capsys)
+    doc = json.loads(open(path).read())
+    del doc["structures"]["main"]["S"]
+    stripped = str(tmp_path / "no_s.json")
+    with open(stripped, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, "check", "hopf", "--in", stripped)
+    assert code == 2
+    assert "hopf check needs an antipode" in err
+    assert out == ""
+    assert run(capsys, "check", "bialgebra", "--in", stripped)[0] == 0
+
+
 def test_zoo_build_ore_from_spec(tmp_path, capsys):
     spec = tmp_path / "ore.json"
     spec.write_text(json.dumps({"orders": [2], "t": 1,

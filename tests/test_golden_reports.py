@@ -198,6 +198,46 @@ TRIVALENCE_GOLDEN = {
 }
 
 
+# Radford(8,1,8,1), of dim 64, the largest tower the default
+# CROSSBIAL_MAX_DIM admits.  These digests were taken on the tree that
+# still evaluated associativity and mult-comult as full diagrams, before
+# those laws were checked on algebra generators.
+DIM_64 = (8, 1, 8, 1)
+
+DIM_64_GOLDEN = {
+    "workspace":
+        "b79c96ab53f74270967693ea46e8ce9d18db049999c5c4f775e02136eb10b6ac",
+    "check hopf": {
+        "json":
+            "ecb58796529e707f2ab94e506668eace52228fe7d13fdd454e7738d81714654e",
+        "text":
+            "e23b1e054c994ad9db462c017646f54368e6642e4741b71f030cd96d5270ef7c",
+    },
+    "datum check": {
+        "json":
+            "e7fffd4e349c73d80f6428b36eccc909e6212b56931831772a1acdb6f67f2926",
+        "text":
+            "0d1e3658d60d8373f7279b1623c9580f5e31f31de2cc1f9bd1a8a804635a814e",
+    },
+    "cross decompose": {
+        "json":
+            "f182bbcf04295254ab35cd1f4f67d26925a6cb860dd4e1f546e6210b8d0ba5dc",
+        "json.ws":
+            "650a0639e169b48a468a9ecc75a49d6e5b8d1eb841b3c33974ad0d4fc5142279",
+        "text":
+            "e8b447fc8e6efdc570f768d2a78bdb42bf8763bd5ed00abfc47598b3a5b22ab3",
+        "text.ws":
+            "650a0639e169b48a468a9ecc75a49d6e5b8d1eb841b3c33974ad0d4fc5142279",
+    },
+    "cross trivalent": {
+        "json":
+            "fe9cb14802cc98d1dc22a92e856fb99dec3e711fd129e4d013587d69bc9d27cd",
+        "text":
+            "2c765ddd3c0571e9f4568c7b53814cb12a93136f8072cb0084585a0bf82322a6",
+    },
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -258,6 +298,14 @@ def test_radford_trivalence_reports_are_byte_identical(capsys, monkeypatch,
     _build_radford(capsys, params)
     assert {cmd: _run(capsys, None, *cmd.split(), "--in", "rad.json")
             for cmd in TRIVALENCE_GOLDEN} == TRIVALENCE_GOLDEN
+
+
+def test_dim_64_reports_are_byte_identical(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    got = _radford_digests(capsys, DIM_64)
+    got["cross trivalent"] = _run(capsys, None, "cross", "trivalent",
+                                  "--in", "rad.json")
+    assert got == DIM_64_GOLDEN
 
 
 def _ore_digests(capsys, spec):

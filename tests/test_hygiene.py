@@ -170,8 +170,10 @@ PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_coalgebra_entries"),
     ("datum.py", ".structures", "_cross_comult"),
     ("datum.py", ".structures", "_cross_mult"),
+    ("datum.py", ".structures", "_generators"),
     ("datum.py", ".structures", "_mult"),
     ("structures.py", ".linmaps", "_dims"),
+    ("structures.py", ".linmaps", "_reduce_step"),
     ("twisting.py", ".structures", "_cross_comult"),
     ("twisting.py", ".structures", "_yd_providers"),
     ("zoo.py", ".crossproduct", "_read_datum"),
@@ -210,7 +212,8 @@ def test_every_public_name_has_a_reader():
 # product, so inside a composite it would build the identity-padded
 # tensor the kernel exists to avoid; bare tensors elsewhere keep it.
 CHECKERS = {
-    "structures.py": ["check_axioms", "_algebra_entries", "_coalgebra_entries",
+    "structures.py": ["check_axioms", "_generators", "_law",
+                      "_algebra_entries", "_coalgebra_entries",
                       "_action_report", "_crossed_module_report",
                       "convolution_product", "convolution_inverse",
                       "_cross_mult", "_cross_comult", "restrict"],

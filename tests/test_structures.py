@@ -2,9 +2,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from crossbial.crossproduct import (BAT, IdempotentSystem,
+from crossbial import structures
+from crossbial.crossproduct import (BAT, IdempotentSystem, build_bialgebra,
                                     build_cross_product, decompose)
 from crossbial.datum import (check_hopf_datum, phi_apply, recursion_order,
                              trivalence, trivial_datum)
@@ -22,10 +23,13 @@ from crossbial.linmaps import (
 )
 from crossbial.scalars import ZERO, root_of_unity
 from crossbial.structures import (
+    CheckEntry,
     NotConvolutionInvertibleError,
     PreconditionError,
     Structure,
+    Witness,
     _action_report,
+    _generators,
     check_axioms,
     classify_morphism,
     compare,
@@ -45,7 +49,7 @@ from crossbial.twisting import (DualPairing, TwoCocycle, conv_dot,
                                 unit_bialgebra)
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
-                           sweedler_crossed_modules)
+                           sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
@@ -164,6 +168,24 @@ def test_hopf_kind_needs_antipode():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         check_axioms(group_hopf(2), "ring")
+
+
+@pytest.mark.parametrize("kind, error", [("hopf", ConfigurationError),
+                                         ("ring", ValueError)])
+def test_a_refused_check_evaluates_no_diagram(monkeypatch, kind, error):
+    # a Radford tower of dim 64 without its antipode: the refusal comes
+    # before any law is evaluated, not after all of them
+    H = radford(RadfordParams(8, 1, 8, 1))["H"]
+    stripped = Structure(H.space, H.m, H.eta, H.delta, H.eps)
+    calls = []
+    for name in ("run_pipeline", "compare", "_generators"):
+        def spy(*args, name=name, orig=getattr(structures, name)):
+            calls.append(name)
+            return orig(*args)
+        monkeypatch.setattr(structures, name, spy)
+    with pytest.raises(error):
+        check_axioms(stripped, kind)
+    assert calls == []
 
 
 def test_structure_shape_validation():
@@ -679,3 +701,149 @@ def test_compare_rejects_shape_mismatch():
     s2, s3 = group_hopf(2), group_hopf(3)
     with pytest.raises(ShapeError):
         compare("x", s2.id_map(), s3.id_map())
+
+
+# ---------------------------------------------------------------------------
+# laws checked on generators
+# ---------------------------------------------------------------------------
+
+def full_path_report(s, kind, bp=VectFlip(), psi=None):
+    """check_axioms with the generator search switched off, so that every
+    law is evaluated as its full diagram: the oracle of the reduced path."""
+    search = structures._generators
+    structures._generators = lambda s: None
+    try:
+        return check_axioms(s, kind, bp, psi)
+    finally:
+        structures._generators = search
+
+
+def generators_of(s):
+    g = _generators(s)
+    return None if g is None else sorted(r for r, _ in g.entries)
+
+
+def fused_radford_product():
+    """The fused cross product of Radford(2,1,4,1)'s datum, checked with
+    the explicit Psi = flip that build_cross_product passes."""
+    P = build_bialgebra(radford(RadfordParams(2, 1, 4, 1))["datum"])
+    return P, VectFlip().braiding(P.space, P.space)
+
+
+REDUCED_CASES = {
+    "radford-2-1-4-1": lambda: (radford(RadfordParams(2, 1, 4, 1))["H"],
+                                None),
+    "radford-3-1-3-1": lambda: (radford(RadfordParams(3, 1, 3, 1))["H"],
+                                None),
+    "ore-C2xC2": lambda: (ore_finite(OreParams(
+        (2, 2), 2, ((1, 0), (0, 1)), ((1, 1), (1, 1))))["H"], None),
+    "group-kC6": lambda: (group_hopf(6), None),
+    "dual-group-k^C6": lambda: (dual_group_hopf(6), None),
+    "taft-6": lambda: (taft_factor(6, root_of_unity(6, 1)), None),
+    "fused-cross-product": fused_radford_product,
+}
+
+
+def mutate(f, row, col, by):
+    entries = dict(f.entries)
+    entries[(row, col)] = entries.get((row, col), ZERO) + by
+    return LinMap(f.dom, f.cod, entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(REDUCED_CASES)),
+       st.sampled_from(["none", "m", "delta", "eta"]),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                        Fraction(-2)]))
+def test_laws_on_generators_report_what_the_full_diagrams_report(
+        case, slot, row, col, by):
+    s, psi = REDUCED_CASES[case]()
+    if slot != "none":
+        f = getattr(s, slot)
+        s = dataclasses.replace(s, **{slot: mutate(
+            f, row % f.nrows, col % f.ncols, by)})
+    for kind in ("algebra", "bialgebra"):
+        rep = check_axioms(s, kind, psi=psi)
+        assert rep.entries == full_path_report(s, kind, psi=psi).entries
+
+
+def test_the_search_finds_the_unit_g_and_x_of_a_radford_tower():
+    assert generators_of(radford(RadfordParams(4, 1, 4, 1))["H"]) == [0, 1, 4]
+    assert generators_of(group_hopf(6)) == [0, 1]
+    assert generators_of(fused_radford_product()[0]) == [0, 1, 4]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_a_dual_group_algebra_takes_the_full_path(n):
+    # k^C_n is spanned by orthogonal idempotents, so S is its whole basis
+    H = dual_group_hopf(n)
+    assert generators_of(H) is None
+    assert check_axioms(H, "hopf").ok
+
+
+def test_small_algebras_take_the_full_path():
+    # the reduced path pays only from dim 6 on, and when 2|S| < dim
+    for H in (group_hopf(4), group_hopf(5),
+              radford(RadfordParams(2, 1, 2, 1))["H"],
+              tensor_structure(group_hopf(2), group_hopf(2)),
+              tensor_structure(group_hopf(2), group_hopf(3))):
+        assert generators_of(H) is None
+    assert generators_of(group_hopf(6)) == [0, 1]
+
+
+def law_seeds(monkeypatch):
+    """Record, per law, whether it was checked on generators first."""
+    seeded = {}
+    orig = structures._law
+
+    def spy(axiom, lhs, rhs, seed):
+        seeded[axiom] = seed is not None
+        return orig(axiom, lhs, rhs, seed)
+    monkeypatch.setattr(structures, "_law", spy)
+    return seeded
+
+
+def test_a_yetter_drinfeld_braiding_keeps_the_full_mult_comult(monkeypatch):
+    # the q-line k[x]/(x^6) over kC6 is a bialgebra in the braided category
+    # only: mult-comult holds under its braiding and fails under the flip
+    z = root_of_unity(6, 1)
+    host, T = group_hopf(6), taft_factor(6, z)
+    act = LinMap((T.space, host.space), (T.space,),
+                 {(i, 6 * i + c): z ** (i * c)
+                  for i in range(6) for c in range(6)})
+    coact = LinMap((T.space,), (T.space, host.space),
+                   {(7 * i, i): ONE for i in range(6)})
+    prov = yd_provider(host, [(T.space, act, coact)])
+    seeded = law_seeds(monkeypatch)
+    rep = check_axioms(T, "bialgebra", prov)
+    assert rep.ok
+    assert seeded == {"associativity": True, "mult-comult": False}
+    assert rep.entries == full_path_report(T, "bialgebra", prov).entries
+    flipped = check_axioms(T, "bialgebra")
+    assert seeded == {"associativity": True, "mult-comult": True}
+    assert flipped.failed() == ["mult-comult"]
+    assert flipped.entries == full_path_report(T, "bialgebra").entries
+
+
+def test_a_failed_associativity_keeps_the_full_mult_comult(monkeypatch):
+    s = group_hopf(6)
+    bad = dataclasses.replace(s, m=mutate(s.m, 0, 7, ONE))
+    seeded = law_seeds(monkeypatch)
+    check_axioms(bad, "bialgebra")
+    assert seeded == {"associativity": True, "mult-comult": False}
+
+
+def test_a_witness_off_the_generators_is_the_full_diagrams_witness():
+    # kC6 with g g = g^2 + 1: S is still {1, g}, yet the first differing
+    # entry of associativity sits at the middle strand e_2, off S; and
+    # delta(g) = g (x) g + 1 (x) g first fails mult-comult at e_2 (x) e_5
+    s = group_hopf(6)
+    bad_m = dataclasses.replace(s, m=mutate(s.m, 0, 7, ONE))
+    assert generators_of(bad_m) == [0, 1]
+    assert check_axioms(bad_m, "bialgebra").entry("associativity") == \
+        CheckEntry("associativity", False,
+                   Witness((0,), (1, 2, 5), ZERO, ONE))
+    bad_delta = dataclasses.replace(s, delta=mutate(s.delta, 1, 1, ONE))
+    assert check_axioms(bad_delta, "bialgebra").entry("mult-comult") == \
+        CheckEntry("mult-comult", False, Witness((0, 1), (2, 5), ONE, ZERO))
