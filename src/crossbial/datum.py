@@ -144,7 +144,7 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
     for tag, st in (("b1", d.b1), ("b2", d.b2)):
         base = [compare("unit-counit", st.eps * st.eta,
                         LinMap.identity(UNIT))]
-        base += (_algebra_entries(st, _generators(st))
+        base += (_algebra_entries(st, _generators(st.m, st.space))
                  + _coalgebra_entries(st))
         entries += [CheckEntry(f"{tag}-{e.axiom}", e.ok, e.witness)
                     for e in base]

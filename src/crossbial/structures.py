@@ -271,21 +271,21 @@ def tensor_coalgebra(a: Structure, b: Structure, bp=FLIP) -> Structure:
 # axiom checkers
 # ---------------------------------------------------------------------------
 
-def _generators(s: Structure) -> Optional[LinMap]:
-    """The map k^S -> s onto a set S of basis vectors whose products span
-    s's algebra, or None when checking laws on S would not pay: below dim
-    6, or when 2|S| >= dim (both measured on the zoo's structures of dims
-    2 to 32; below dim 6 the search alone costs a few percent of a full
-    check).
+def _generators(m: LinMap, space: Space) -> Optional[LinMap]:
+    """The map k^S -> space onto a set S of basis vectors whose products
+    under m: space (x) space -> space span the space, or None when checking
+    laws on S would not pay: below dim 6, or when 2|S| >= dim (both
+    measured on the zoo's structures of dims 2 to 32; below dim 6 the
+    search alone costs a few percent of a full check).
 
     The basis is walked in order: e_j joins S when it is not yet in the
     span, and the span is then closed under left multiplication by S, so
     it is spanned by the products s_1 (s_2 (... s_k)) of elements of S.
     """
-    d = s.dim
+    d = space.dim
     if d < 6:
         return None
-    cols = _mult(s).by_col()
+    cols = m.by_col()
     pivots: Dict[int, Dict[int, Scalar]] = {}
     gens: List[int] = []
     done: List[Dict[int, Scalar]] = []     # closed under the current S
@@ -317,32 +317,43 @@ def _generators(s: Structure) -> Optional[LinMap]:
             for g in gens:
                 grow(g, v)
             done.append(v)
-    return LinMap((Space(f"{s.space.name}.gens", len(gens)),), (s.space,),
+    return LinMap((Space(f"{space.name}.gens", len(gens)),), (space,),
                   {(j, k): ONE for k, j in enumerate(gens)})
 
 
 def _law(axiom: str, lhs: List[List[LinMap]], rhs: List[List[LinMap]],
-         seed: Optional[List[LinMap]]) -> CheckEntry:
-    """compare(axiom) of the diagrams lhs and rhs.  A seed is a first row
-    that restricts both to the columns of generators, on which the law
-    implies itself everywhere: when they agree there the law passes, and
-    otherwise the full diagrams are evaluated, so that a failing entry
-    and its witness never depend on the seed."""
-    if seed is not None and (run_pipeline([seed] + lhs).entries
-                             == run_pipeline([seed] + rhs).entries):
+         shortcut: Optional[Tuple[List[List[LinMap]], List[List[LinMap]]]]
+         ) -> CheckEntry:
+    """compare(axiom) of the diagrams lhs and rhs.  A shortcut is a pair of
+    smaller diagrams whose agreement implies the law: when they agree the
+    law passes, and otherwise the full diagrams are evaluated, so that a
+    failing entry and its witness never depend on the shortcut."""
+    if shortcut is not None and (run_pipeline(shortcut[0]).entries
+                                 == run_pipeline(shortcut[1]).entries):
         return CheckEntry(axiom, True)
     return compare(axiom, run_pipeline(lhs), run_pipeline(rhs))
 
 
+def _light_test(m: LinMap, g: Optional[LinMap]):
+    """Light's test of m's associativity, as a shortcut for _law, or None
+    when g is None: (x a) y against x (a y) on the columns x (x) a (x) y
+    with a in the set S that g = _generators(m, ...) picks.  The a that
+    pass for all x, y form a subspace closed under m, so when they hold S
+    they are the whole space."""
+    if g is None:
+        return None
+    i = LinMap.identity(m.cod)
+    seed = [i, g, i]
+    return [seed, [m, i], [m]], [seed, [i, m], [m]]
+
+
 def _algebra_entries(s: Structure, g: Optional[LinMap]) -> List[CheckEntry]:
     """Associativity and the unit laws.  With g from _generators,
-    associativity is checked on the columns x (x) a (x) y with a in S, by
-    Light's test: the a with (x a) y = x (a y) for all x, y are closed
-    under m, so when they hold S they are all of s."""
+    associativity is checked first by Light's test on the generators."""
     i = s.id_map()
     return [
         _law("associativity", [[s.m, i], [s.m]], [[i, s.m], [s.m]],
-             None if g is None else [i, g, i]),
+             _light_test(s.m, g)),
         compare("left-unit", run_pipeline([[s.eta, i], [s.m]]), i),
         compare("right-unit", run_pipeline([[i, s.eta], [s.m]]), i),
     ]
@@ -375,7 +386,7 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
         _mult(s)
         if kind == "hopf" and s.S is None:
             raise ConfigurationError("hopf check needs an antipode")
-        g = _generators(s)
+        g = _generators(s.m, s.space)
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind != "coalgebra":
@@ -385,16 +396,15 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     if kind in ("bialgebra", "hopf"):
         # Once m is associative (entries[1]) and under the flip, the a with
         # delta(a y) = delta(a) delta(y) for all y are closed under m too
-        seed = None
-        if g is not None and entries[1].ok and (
-                bp == FLIP if psi is None
-                else psi == flip(s.space, s.space)):
-            seed = [g, i]
+        seeded = g is not None and entries[1].ok and (
+            bp == FLIP if psi is None else psi == flip(s.space, s.space))
         if psi is None:
             psi = bp.braiding(s.space, s.space)
-        entries.append(_law(
-            "mult-comult", [[s.m], [s.delta]],
-            [[s.delta, s.delta], [i, psi, i], [s.m, s.m]], seed))
+        lhs = [[s.m], [s.delta]]
+        rhs = [[s.delta, s.delta], [i, psi, i], [s.m, s.m]]
+        entries.append(_law("mult-comult", lhs, rhs,
+                            ([[g, i]] + lhs, [[g, i]] + rhs) if seeded
+                            else None))
         entries.append(compare("unit-comult", s.delta * s.eta,
                                apply_at(s.eta, s.eta, 1)))
         entries.append(compare("counit-mult", s.eps * s.m,

@@ -11,11 +11,15 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
+
+from crossbial import datum
 from crossbial.cli import main
 from crossbial.crossproduct import (build_bialgebra, decompose,
                                     verify_trivalent_equivalences)
@@ -67,6 +71,41 @@ from tests.test_datum import group_hopf, random_endo, unit_hopf
 ONE = Fraction(1)
 
 RADFORD_SUITE = ((2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1))
+
+
+def spy_scalar_types(monkeypatch, types):
+    """Until monkeypatch is undone, add to types the type of every entry of
+    every map made, and of every superoperator column dict built or
+    composed.  LinMap.__init__ refuses an inexact entry itself, so it is
+    the unchecked constructor that is spied on."""
+    trusted = LinMap._trusted.__func__
+
+    def spy_trusted(cls, dom, cod, entries, ones=None):
+        types.update(map(type, entries.values()))
+        return trusted(cls, dom, cod, entries, ones)
+
+    def columns(fn):
+        def spy(*args):
+            out = fn(*args)
+            cols = getattr(out, "phi", out)
+            for col in cols.values():
+                types.update(map(type, col.values()))
+            return out
+        return spy
+
+    monkeypatch.setattr(LinMap, "_trusted", classmethod(spy_trusted))
+    for name in ("build_phi_superoperator", "sop_compose"):
+        spied = columns(getattr(datum, name))
+        monkeypatch.setattr(datum, name, spied)
+        monkeypatch.setattr(sys.modules[__name__], name, spied)
+
+
+@pytest.fixture(autouse=True)
+def record_scalar_types(request, monkeypatch, scalar_types):
+    # each scenario runs once, under the spies; tests/test_no_float.py
+    # checks what they saw
+    spy_scalar_types(monkeypatch, scalar_types.setdefault(
+        request.function.__name__, set()))
 
 
 def zoo_datums():

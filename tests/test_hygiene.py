@@ -175,6 +175,9 @@ PRIVATE_IMPORTS = [
     ("structures.py", ".linmaps", "_dims"),
     ("structures.py", ".linmaps", "_reduce_step"),
     ("twisting.py", ".structures", "_cross_comult"),
+    ("twisting.py", ".structures", "_generators"),
+    ("twisting.py", ".structures", "_law"),
+    ("twisting.py", ".structures", "_light_test"),
     ("twisting.py", ".structures", "_yd_providers"),
     ("zoo.py", ".crossproduct", "_read_datum"),
     ("zoo.py", ".crossproduct", "_transport"),
@@ -212,13 +215,13 @@ def test_every_public_name_has_a_reader():
 # product, so inside a composite it would build the identity-padded
 # tensor the kernel exists to avoid; bare tensors elsewhere keep it.
 CHECKERS = {
-    "structures.py": ["check_axioms", "_generators", "_law",
+    "structures.py": ["check_axioms", "_generators", "_law", "_light_test",
                       "_algebra_entries", "_coalgebra_entries",
                       "_action_report", "_crossed_module_report",
                       "convolution_product", "convolution_inverse",
                       "_cross_mult", "_cross_comult", "restrict"],
     "datum.py": ["check_hopf_datum", "_mixed_maps"],
-    "twisting.py": ["_cocycle_report", "conv_dot",
+    "twisting.py": ["_cocycle_report", "_chi_dot_m", "conv_dot",
                     "matched_pair_from_pairing", "_products"],
     "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "decompose",
                         "_transport"],

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tests.test_acceptance as acceptance
-from crossbial import datum, zoo
+from crossbial import zoo
 from crossbial.cli import workspace_from_json, workspace_to_json
 from crossbial.linmaps import (LinMap, NotInvertibleError, Space, reduce_rows)
 from crossbial.scalars import (ONE, ZERO, Cyclo, as_scalar, parse_rational,
@@ -105,32 +105,16 @@ ACCEPTANCE = sorted(name for name in vars(acceptance)
 
 
 @pytest.mark.parametrize("scenario", ACCEPTANCE)
-def test_acceptance_scenarios_make_no_inexact_scalar(scenario, monkeypatch):
-    # LinMap.__init__ refuses an inexact entry itself, so every map the
-    # scenario makes is checked once its unchecked constructor is spied on,
-    # and so is every superoperator column dict it builds or composes
-    types = set()
-    trusted = LinMap._trusted.__func__
-
-    def spy_trusted(cls, dom, cod, entries, ones=None):
-        types.update(map(type, entries.values()))
-        return trusted(cls, dom, cod, entries, ones)
-
-    def columns(fn):
-        def spy(*args):
-            out = fn(*args)
-            cols = getattr(out, "phi", out)
-            for col in cols.values():
-                types.update(map(type, col.values()))
-            return out
-        return spy
-
-    monkeypatch.setattr(LinMap, "_trusted", classmethod(spy_trusted))
-    for name in ("build_phi_superoperator", "sop_compose"):
-        spied = columns(getattr(datum, name))
-        monkeypatch.setattr(datum, name, spied)
-        monkeypatch.setattr(acceptance, name, spied)
-    getattr(acceptance, scenario)()
+def test_acceptance_scenarios_make_no_inexact_scalar(scenario, monkeypatch,
+                                                     scalar_types):
+    # tests/test_acceptance.py records the scalar types of each scenario's
+    # run under acceptance.spy_scalar_types; a scenario that has not run in
+    # this session runs here, under the same spies
+    types = scalar_types.get(scenario)
+    if types is None:
+        types = set()
+        acceptance.spy_scalar_types(monkeypatch, types)
+        getattr(acceptance, scenario)()
     assert int in types
     assert types <= EXACT, types
 

@@ -711,7 +711,7 @@ def full_path_report(s, kind, bp=VectFlip(), psi=None):
     """check_axioms with the generator search switched off, so that every
     law is evaluated as its full diagram: the oracle of the reduced path."""
     search = structures._generators
-    structures._generators = lambda s: None
+    structures._generators = lambda m, space: None
     try:
         return check_axioms(s, kind, bp, psi)
     finally:
@@ -719,7 +719,7 @@ def full_path_report(s, kind, bp=VectFlip(), psi=None):
 
 
 def generators_of(s):
-    g = _generators(s)
+    g = _generators(s.m, s.space)
     return None if g is None else sorted(r for r, _ in g.entries)
 
 
@@ -797,9 +797,9 @@ def law_seeds(monkeypatch):
     seeded = {}
     orig = structures._law
 
-    def spy(axiom, lhs, rhs, seed):
-        seeded[axiom] = seed is not None
-        return orig(axiom, lhs, rhs, seed)
+    def spy(axiom, lhs, rhs, shortcut):
+        seeded[axiom] = shortcut is not None
+        return orig(axiom, lhs, rhs, shortcut)
     monkeypatch.setattr(structures, "_law", spy)
     return seeded
 

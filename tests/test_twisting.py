@@ -1,5 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +10,20 @@ from hypothesis import given, settings, strategies as st
 from crossbial.datum import ConsistencyError
 from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
                                VectFlip, pipeline_as_linmap, run_pipeline)
-from crossbial.scalars import as_scalar, root_of_unity
+from crossbial import twisting
+from crossbial.scalars import ZERO, as_scalar, root_of_unity
 from crossbial.structures import (
+    CheckEntry,
     NotConvolutionInvertibleError,
     PreconditionError,
+    Witness,
+    _generators,
     check_axioms,
     fuse,
     rebind,
     tensor_coalgebra,
     tensor_structure,
+    yd_provider,
 )
 from crossbial.twisting import (
     DualPairing,
@@ -38,6 +46,7 @@ from crossbial.zoo import (
     group_algebra,
     radford,
     sweedler_crossed_modules,
+    taft_factor,
 )
 from tests.test_acceptance import braided_taft_pairing
 
@@ -54,8 +63,9 @@ def trivial_cocycle(b):
     return TwoCocycle(b, LinMap((s, s), UNIT, (b.eps @ b.eps).entries))
 
 
-def bicharacter_cocycle(N, e=1):
-    """chi(g^a h^b (x) g^c h^d) = zeta^(e b c) on kC_N (x) kC_N."""
+def bicharacter_cocycle(N, e=1, shape="bc"):
+    """chi(g^a h^b (x) g^c h^d) = zeta^(e b c), or zeta^(e a d) in the
+    shape "ad", on kC_N (x) kC_N."""
     z = root_of_unity(N, 1)
     gg = tensor_structure(group_algebra(N), group_algebra(N))
     P = gg.space
@@ -65,8 +75,48 @@ def bicharacter_cocycle(N, e=1):
             for c in range(N):
                 for d in range(N):
                     col = (a * N + b) * N * N + (c * N + d)
-                    ent[(0, col)] = z ** (e * b * c)
+                    ent[(0, col)] = z ** (e * (b * c if shape == "bc"
+                                               else a * d))
     return gg, TwoCocycle(gg, LinMap((P, P), UNIT, ent))
+
+
+def perturbed_bicharacter():
+    """The bicharacter of k(C3 x C3) with chi(gh (x) gh) = 2 in place of
+    zeta: its unit laws hold and its cocycle law fails."""
+    gg, c = bicharacter_cocycle(3)
+    ent = dict(c.chi.entries)
+    ent[(0, 4 * 9 + 4)] = as_scalar(2)
+    return TwoCocycle(gg, LinMap(c.chi.dom, UNIT, ent))
+
+
+def light_trap_cocycle():
+    """A 0/1 form on k(C3 x C3) that Light's test on m's generators would
+    pass.  Its Doi product chi.m is k[g, h, u]/(g^2, g u, u^2, h^3) with
+    u = g^2, except that u.u = g: (x a) y = x (a y) holds for every a in
+    {1, h, g}, which generate k(C3 x C3) under m but not under chi.m, and
+    fails at h (x) u (x) u.  chi(g^a h^b (x) g^c h^d) = 1 when b + d <= 2
+    and a = 0, c = 0 or a = c = 2, b = d = 0."""
+    gg = tensor_structure(group_algebra(3), group_algebra(3))
+    P = gg.space
+    ent = {(0, (a * 3 + b) * 9 + c * 3 + d): ONE
+           for a, b, c, d in product(range(3), repeat=4)
+           if b + d <= 2
+           and (a == 0 or c == 0 or (a, b, c, d) == (2, 0, 2, 0))}
+    return TwoCocycle(gg, LinMap((P, P), UNIT, ent))
+
+
+def q_line(n):
+    """The q-line k[x]/(x^n) over kCn (q a primitive n-th root of unity) and
+    the Yetter-Drinfeld braiding under which it is a bialgebra; under the
+    flip its mult-comult law fails."""
+    z = root_of_unity(n, 1)
+    host, T = group_algebra(n), taft_factor(n, z)
+    act = LinMap((T.space, host.space), (T.space,),
+                 {(i, n * i + c): z ** (i * c)
+                  for i in range(n) for c in range(n)})
+    coact = LinMap((T.space,), (T.space, host.space),
+                   {((n + 1) * i, i): ONE for i in range(n)})
+    return T, yd_provider(host, [(T.space, act, coact)])
 
 
 def coboundary_cocycle(H, seed):
@@ -198,6 +248,128 @@ def test_a_coboundary_twist_moves_the_antipode(params):
     assert tw.S == S_chi
     assert repr(sorted(tw.S.entries.items())) == repr(
         sorted(S_chi.entries.items()))
+
+
+# ---------------------------------------------------------------------------
+# the cocycle law by Light's test
+# ---------------------------------------------------------------------------
+
+def _rho_hat(inp):
+    return double_biproduct(inp)["rho_hat"]
+
+
+# Every cocycle these tests build, the bicharacters in both shapes; each
+# case gives the cocycle and its braiding.
+COCYCLES = {
+    **{f"bicharacter N={n} {shape}": (
+        lambda n=n, shape=shape: bicharacter_cocycle(n, 1, shape)[1])
+       for n in (2, 3, 4) for shape in ("bc", "ad")},
+    "bicharacter N=3 e=2": lambda: bicharacter_cocycle(3, 2)[1],
+    "trivial kC3": lambda: trivial_cocycle(group_algebra(3)),
+    "uninvertible kC2": uninvertible_cocycle,
+    "coboundary radford-2-1-2-1": lambda: coboundary_cocycle(
+        radford(RadfordParams(2, 1, 2, 1))["H"], 6),
+    "coboundary radford-3-1-3-1": lambda: coboundary_cocycle(
+        radford(RadfordParams(3, 1, 3, 1))["H"], 8),
+    "rho_hat sweedler": lambda: _rho_hat(sweedler_rho(1)),
+    "rho_hat braided line N=4": lambda: _rho_hat(_braided_line_rho(4)),
+    "perturbed bicharacter": perturbed_bicharacter,
+    "light trap": light_trap_cocycle,
+}
+
+
+@lru_cache(maxsize=None)
+def cocycle_case(name):
+    return COCYCLES[name]()
+
+
+def full_cocycle_report(c, bp=FLIP):
+    """validate_cocycle with the generator search switched off, so that the
+    cocycle law is evaluated as its full diagrams: the oracle of Light's
+    test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twisting, "_generators", lambda m, space: None)
+        return validate_cocycle(c, bp)
+
+
+def cocycle_shortcuts(monkeypatch):
+    """Record, per cocycle law evaluated, whether Light's test ran first."""
+    seen = []
+    orig = twisting._law
+
+    def spy(axiom, lhs, rhs, shortcut):
+        seen.append((axiom, shortcut is not None))
+        return orig(axiom, lhs, rhs, shortcut)
+    monkeypatch.setattr(twisting, "_law", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(COCYCLES))
+def test_the_cocycle_law_on_generators_reports_what_the_full_diagrams_report(
+        case):
+    c = cocycle_case(case)
+    rep = validate_cocycle(c)
+    assert rep.entries == full_cocycle_report(c).entries
+    want = ["2cocycle1"] if case in ("perturbed bicharacter",
+                                     "light trap") else []
+    assert rep.failed() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(COCYCLES)), st.integers(0, 10 ** 6),
+       st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                        Fraction(-2)]))
+def test_a_mutated_cocycle_gets_the_full_diagrams_report(case, col, by):
+    c = cocycle_case(case)
+    col %= c.chi.ncols
+    ent = dict(c.chi.entries)
+    ent[(0, col)] = ent.get((0, col), ZERO) + by
+    bad = dataclasses.replace(c, chi=LinMap(c.chi.dom, UNIT, ent))
+    assert validate_cocycle(bad).entries == full_cocycle_report(bad).entries
+
+
+def test_a_perturbed_bicharacter_fails_on_the_reduced_path(monkeypatch):
+    # dim 9 with S = {1, h, g}: Light's test fails, so the full diagrams
+    # give the entry; its witness was taken before the test existed
+    seen = cocycle_shortcuts(monkeypatch)
+    rep = validate_cocycle(perturbed_bicharacter())
+    assert seen == [("2cocycle1", True)]
+    z = root_of_unity(3, 1)
+    assert rep.failed() == ["2cocycle1"]
+    assert rep.entry("2cocycle1") == CheckEntry(
+        "2cocycle1", False, Witness((), (1, 3, 4), -1 - z, 2 * z))
+
+
+def test_the_generators_are_chi_dot_m_s_not_m_s(monkeypatch):
+    # on the light trap m's generators 1, h, g pass Light's test, but chi.m
+    # needs u = g^2 too, on which the test fails
+    c = light_trap_cocycle()
+    gens = [sorted(r for r, _ in g.entries) for g in (
+        _generators(c.host.m, c.host.space),
+        _generators(twisting._chi_dot_m(c, FLIP)[1], c.host.space))]
+    assert gens == [[0, 1, 3], [0, 1, 3, 6]]
+    seen = cocycle_shortcuts(monkeypatch)
+    assert validate_cocycle(c).entry("2cocycle1") == CheckEntry(
+        "2cocycle1", False, Witness((), (1, 6, 6), ONE, ZERO))
+    assert seen == [("2cocycle1", True)]
+
+
+def test_lights_test_runs_only_under_the_flip_from_dim_6_on(monkeypatch):
+    seen = cocycle_shortcuts(monkeypatch)
+    for n, reduced in ((2, False), (3, True), (4, True)):
+        seen.clear()
+        gg, c = bicharacter_cocycle(n)
+        assert validate_cocycle(c).ok
+        tw = twist(gg, c)
+        assert tw.m == gg.m
+        assert seen == [("2cocycle1", reduced)] * 2
+    # the q-line k[x]/(x^6) is a bialgebra under its Yetter-Drinfeld
+    # braiding only; its product has the generators 1, x, which would pay
+    T, prov = q_line(6)
+    assert _generators(T.m, T.space) is not None
+    seen.clear()
+    assert validate_cocycle(trivial_cocycle(T), prov).ok
+    assert seen == [("2cocycle1", False)]
 
 
 # ---------------------------------------------------------------------------

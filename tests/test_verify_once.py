@@ -172,6 +172,20 @@ def test_twist_checks_each_input_once(spy, monkeypatch):
     assert spy.repeats == []
 
 
+def test_twist_builds_delta_b_b_twice_and_chi_dot_m_once(monkeypatch):
+    # the cocycle report and the twist's body share Delta_{B (x) B} and
+    # chi.m; the other build of Delta_{B (x) B} is the tensor coalgebra
+    # that cocycle_inverse solves over
+    gg, c = bicharacter_cocycle(4)
+    comults = _count_calls(monkeypatch, "_cross_comult", structures,
+                           twisting)
+    dots = _count_calls(monkeypatch, "conv_dot", twisting)
+    twist(gg, c)
+    assert len([a for a in comults if a[0] is gg and a[1] is gg]) == 2
+    assert len([a for a in dots if a[0] is c.chi and a[1] is gg.m
+                and a[2] == "left"]) == 1
+
+
 class MultiplicationBuilt(Exception):
     pass
 
