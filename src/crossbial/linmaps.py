@@ -335,30 +335,12 @@ def reduce_rows(rows: Iterable[Dict[int, Scalar]]
 # wire rerouting
 # ---------------------------------------------------------------------------
 
-def permutation(spaces: Iterable[Space], perm: Iterable[int]) -> LinMap:
-    """Basis-permutation map; strand i of the domain goes to slot perm[i]."""
-    spaces = tuple(spaces)
-    perm = tuple(perm)
-    k = len(spaces)
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"not a bijection on {k} positions: {perm}")
-    cod = [None] * k
-    for i, p in enumerate(perm):
-        cod[p] = spaces[i]
-    cod = tuple(cod)
-    ddims, cdims = _dims(spaces), _dims(cod)
-    entries = {}
-    for flat in range(dim_of(spaces)):
-        idx = unflatten(flat, ddims)
-        out = [0] * k
-        for i, p in enumerate(perm):
-            out[p] = idx[i]
-        entries[(flatten(tuple(out), cdims), flat)] = ONE
-    return LinMap._trusted(spaces, cod, entries, True)
-
-
 def flip(x: Space, y: Space) -> LinMap:
-    return permutation((x, y), (1, 0))
+    """The crossing x (x) y -> y (x) x: e_i (x) e_j goes to e_j (x) e_i."""
+    dx, dy = x.dim, y.dim
+    return LinMap._trusted((x, y), (y, x), {
+        (j * dx + i, i * dy + j): ONE for i in range(dx) for j in range(dy)},
+        True)
 
 
 # ---------------------------------------------------------------------------

@@ -216,14 +216,15 @@ def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
     check_axioms(b, "bialgebra", bp).require("host fails {}")
     dots = _chi_dot_m(c, bp)
     _cocycle_report(c, bp, *dots).require("cocycle fails {}")
-    return _twist(c, bp, *dots)
+    return _twist(c, bp, *dots, cocycle_inverse(c, bp))
 
 
-def _twist(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap) -> Structure:
+def _twist(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap,
+           chi_inv: LinMap) -> Structure:
     """The body of twist, for a cocycle on its host already validated, with
-    delta2 and chi_m from _chi_dot_m."""
+    delta2 and chi_m from _chi_dot_m and chi_inv its verified convolution
+    inverse; nothing is solved here."""
     b = c.host
-    chi_inv = cocycle_inverse(c, bp)
     m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
     S_chi = None
     if b.S is not None:
@@ -390,9 +391,10 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     the pairing with the (co)multiplications.
     Z is verified as a bialgebra, the canonical injections/projections
     from and to the two one-sided products are classified as bialgebra
-    morphisms, rho_hat is validated as a 2-cocycle, and the twist is
-    computed twice (by the convolution formula and by the direct diagram)
-    and compared.
+    morphisms, rho_hat is validated as a 2-cocycle, its inverse (the lift
+    of rho's, solved once over B (x) C) is re-verified by both convolution
+    identities over Z (x) Z, and the twist is computed twice (by the
+    convolution formula and by the direct diagram) and compared.
     """
     if inp.rho is None:
         raise PreconditionError("no pairing rho supplied")
@@ -464,11 +466,18 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     rho_hat = TwoCocycle(Z, chi, chi_inv)
     # Z passed check_axioms above and rho_hat is validated here, so the
     # twist runs its body without either check again
-    dots = _chi_dot_m(rho_hat, FLIP)
-    vrep = _cocycle_report(rho_hat, FLIP, *dots)
+    delta2, chi_m = _chi_dot_m(rho_hat, FLIP)
+    vrep = _cocycle_report(rho_hat, FLIP, delta2, chi_m)
     if not vrep.ok:
         raise ConsistencyError(f"rho_hat fails {vrep.failed()[0]}")
-    z_twisted = _twist(rho_hat, FLIP, *dots)
+    # the lift of rho^- is rho_hat's two-sided inverse in Hom(Z (x) Z, k),
+    # so it is the one inverse there is
+    unit = Z.eps @ Z.eps
+    if any(conv_dot(f, g, "left", delta2) != unit
+           for f, g in ((chi, chi_inv), (chi_inv, chi))):
+        raise ConsistencyError("rho_hat_inv is not the convolution inverse "
+                               "of rho_hat")
+    z_twisted = _twist(rho_hat, FLIP, delta2, chi_m, chi_inv)
 
     direct = _twisted_mult_direct(inp, rho_inv)
     direct = rebind(direct, (Z.space, Z.space), (Z.space,))

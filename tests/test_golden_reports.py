@@ -327,6 +327,56 @@ def test_ore_reports_are_byte_identical(capsys, monkeypatch, tmp_path, key):
     assert _ore_digests(capsys, ORE[key]) == ORE_GOLDEN[key]
 
 
+# The C2 x C2 x C2 Ore tower with t = 3 and g = g* = the unit vectors, of
+# dim 64 = 8 * 2^3.  These digests were taken on the tree that still built
+# each flip as a strand permutation.
+ORE_64 = {"orders": [2, 2, 2], "t": 3,
+          "g": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "g_star": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+ORE_64_GOLDEN = {
+    "workspace":
+        "dbcb8a16d9652c24380a13eb533c93ccb2d38c3a894eb7e85f8048c8808ca957",
+    "datum check": {
+        "json":
+            "11bb8b48d771be1f1c01611b7d9a337eab270715be91dfa5410267bf572c057a",
+        "text":
+            "a1d26ad52193af935ef9bbec9e7b06b052ba67272c94c349d0f6a7d5710b9ea8",
+    },
+    "check hopf": {
+        "json":
+            "51f91e557c7018f7dee99b5ad8eed31921b51e30756b75ddb63a45f5cea100e2",
+        "text":
+            "bd3de844d83ed75460917987627ec0b2e82dce5bef51f9c1eb762f1ef61140cc",
+    },
+    "cross decompose": {
+        "json":
+            "95c4098a3ae193cea848086c9f6b8b399e96e5341bd09de1df0daa73ae37c0e0",
+        "json.ws":
+            "3d4695897c3bcdf2de45dec565a2e103ece1f9a678b0e8a192b267263782540c",
+        "text":
+            "f765a09b70dfe580d336bb32d590c447502c50b763aedbbb070713c47a111813",
+        "text.ws":
+            "3d4695897c3bcdf2de45dec565a2e103ece1f9a678b0e8a192b267263782540c",
+    },
+    "cross trivalent": {
+        "json":
+            "b7f7428196524a390901eb4df9e803af759be1bf40229ce842b81b5980d512c9",
+        "text":
+            "b108e2853360af482d39d0afb61a2155bda8524694a3ffcb331ffdeec317b31f",
+    },
+}
+
+
+def test_ore_dim_64_reports_are_byte_identical(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    got = _ore_digests(capsys, ORE_64)
+    for cmd, out in (("check hopf", None), ("cross decompose", "parts"),
+                     ("cross trivalent", None)):
+        got[cmd] = _run(capsys, out, *cmd.split(), "--in", "ore.json")
+    assert got == ORE_64_GOLDEN
+
+
 def _twist_digests(capsys):
     gg, c = bicharacter_cocycle(2)
     save_workspace(Workspace().add_structure("main", gg)

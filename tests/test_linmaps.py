@@ -19,13 +19,14 @@ from crossbial.linmaps import (
     YetterDrinfeld,
     apply_at,
     dim_of,
+    flatten,
     flip,
     linmap_from_json,
     linmap_to_json,
-    permutation,
     pipeline_as_linmap,
     reduce_rows,
     run_pipeline,
+    unflatten,
 )
 from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
                                reciprocal, root_of_unity, scalar_from_json)
@@ -109,6 +110,38 @@ def test_constructor_keeps_every_exact_entry_type():
 
 
 # -- permutation ------------------------------------------------------------
+
+def permutation(spaces, perm):
+    """Basis-permutation map; strand i of the domain goes to slot perm[i]."""
+    spaces, perm = tuple(spaces), tuple(perm)
+    k = len(spaces)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"not a bijection on {k} positions: {perm}")
+    cod = [None] * k
+    for i, p in enumerate(perm):
+        cod[p] = spaces[i]
+    cod = tuple(cod)
+    ddims = tuple(s.dim for s in spaces)
+    cdims = tuple(s.dim for s in cod)
+    entries = {}
+    for flat in range(dim_of(spaces)):
+        idx = unflatten(flat, ddims)
+        out = [0] * k
+        for i, p in enumerate(perm):
+            out[p] = idx[i]
+        entries[(flatten(tuple(out), cdims), flat)] = ONE
+    return LinMap._trusted(spaces, cod, entries, True)
+
+
+@pytest.mark.parametrize("dx, dy", [(1, 1), (1, 3), (3, 1), (2, 2), (4, 16),
+                                    (16, 16), (8, 64), (256, 1)])
+def test_flip_is_the_swap_permutation_entry_for_entry(dx, dy):
+    x, y = Space("X", dx), Space("Y", dy)
+    got, want = flip(x, y), permutation((x, y), (1, 0))
+    assert (got.dom, got.cod) == (want.dom, want.cod) == ((x, y), (y, x))
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got._ones is want._ones is True
+
 
 def test_permutation_identity():
     assert permutation((X, Y), (0, 1)) == LinMap.identity((X, Y))

@@ -462,6 +462,42 @@ def test_braided_line_double_biproduct_twists_nontrivially():
     assert col == {9: ONE, 2: ONE, 6: -ONE}
 
 
+@pytest.mark.parametrize("case", ["sweedler alpha=0", "sweedler alpha=1",
+                                  "sweedler alpha=-1", "braided line N=4"])
+def test_double_biproduct_is_the_public_twist_of_z_by_rho_hat(case):
+    # double_biproduct lifts rho^- to rho_hat^- and solves nothing over
+    # Z (x) Z; the public twist solves rho_hat^- there and cross-checks
+    # the stored lift against it
+    out = double_biproduct(FREE_PRODUCT_INPUTS[case]())
+    rho_hat = out["rho_hat"]
+    assert cocycle_inverse(rho_hat) == rho_hat.chi_inv
+    got, want = twist(out["Z"], rho_hat), out["Z_twisted"]
+    assert (got.m, got.delta, got.S) == (want.m, want.delta, want.S)
+
+
+def test_a_wrong_lift_of_rho_inverse_is_refused_by_name(monkeypatch):
+    # one entry of rho^- (the form on B (x) C only) is off by 1; without the
+    # two identities over Z (x) Z it would surface only as a failing
+    # twisted structure
+    inp = sweedler_rho(1)
+    bc = (inp.B.space, inp.C.space)
+    solve = twisting._scalar_inverse
+
+    def off_by_one(f, coalg):
+        inv = solve(f, coalg)
+        if f.dom != bc:
+            return inv
+        entries = dict(inv.entries)
+        entries[(0, 0)] = entries.get((0, 0), ZERO) + ONE
+        return LinMap(inv.dom, inv.cod, entries)
+
+    monkeypatch.setattr(twisting, "_scalar_inverse", off_by_one)
+    with pytest.raises(ConsistencyError,
+                       match="^rho_hat_inv is not the convolution inverse "
+                             "of rho_hat$"):
+        double_biproduct(inp)
+
+
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):
     """The bialgebra C (x) H (x) B with the free-product structure maps,
     written as two 6-strand diagrams: the oracle of the cross products

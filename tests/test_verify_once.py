@@ -172,6 +172,19 @@ def test_twist_checks_each_input_once(spy, monkeypatch):
     assert spy.repeats == []
 
 
+def test_double_biproduct_solves_once_over_b_c(monkeypatch):
+    # rho_hat^- is the lift of rho^-, verified over Z (x) Z by its two
+    # identities, not solved for again there
+    inp = sweedler_crossed_modules()
+    sb, sc = inp.B.space, inp.C.space
+    rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
+    solves = _count_calls(monkeypatch, "convolution_inverse",
+                          structures, twisting)
+    assert double_biproduct(inp.with_rho(rho))["report"].ok
+    assert [args[1].space for args in solves] == [
+        structures.tensor_coalgebra(inp.B, inp.C).space]
+
+
 def test_twist_builds_delta_b_b_twice_and_chi_dot_m_once(monkeypatch):
     # the cocycle report and the twist's body share Delta_{B (x) B} and
     # chi.m; the other build of Delta_{B (x) B} is the tensor coalgebra
