@@ -5,15 +5,17 @@ second factor acts on the first from the left (act_l) and coacts on it from
 the left (coact_l), while the first acts/coacts on the second from the right
 (act_r, coact_r).  check_hopf_datum verifies the complete defining system as
 exact matrix identities.  The recursion operator on endomorphisms of
-B1(x)B2(x)B1(x)B2 is a layered pipeline (phi_apply); recursion_order
-assembles it as an exact superoperator matrix and finds the recursion order
-as a nilpotency computation.
+B1(x)B2(x)B1(x)B2 is a layered diagram split at a stated row, _CUT:
+phi_apply evaluates f at the cut on the diagram's bottom half, and
+recursion_order assembles the operator as an exact superoperator matrix
+and finds the recursion order as a nilpotency computation.  A datum's
+check report and that bottom half are computed once per datum object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .linmaps import (
     FLIP,
@@ -66,6 +68,13 @@ class HopfDatum:
     biproduct, double cross or bicross product datum names only its
     nontrivial pairs.  Only shapes are enforced here; validity is
     established by check_hopf_datum.
+
+    A datum and its maps are immutable once built, as LinMap._cols and
+    _ones already assume, so what a datum determines is computed once per
+    datum object and kept in _memo, filled only through _memoized: the
+    check_hopf_datum report and the bottom half of Phi's split diagram.
+    ==, hash and repr ignore _memo, and dataclasses.replace starts with an
+    empty one.
     """
 
     b1: Structure
@@ -75,6 +84,8 @@ class HopfDatum:
     act_r: Optional[LinMap] = None
     coact_r: Optional[LinMap] = None
     braiding: object = FLIP
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         _mult(self.b1), _mult(self.b2)
@@ -98,6 +109,15 @@ class HopfDatum:
         """B1(x)B2 with the product and coproduct the datum induces,
         unverified like cross_structure (build_bialgebra verifies it)."""
         return cross_structure(self.b1, self.b2, *_mixed_maps(self), name)
+
+
+def _memoized(d: HopfDatum, key: str,
+              make: Callable[[HopfDatum], object]):
+    """make(d), computed on d's first request for key and kept in its memo;
+    nothing is kept when make raises."""
+    if key not in d._memo:
+        d._memo[key] = make(d)
+    return d._memo[key]
 
 
 def _trivial_forms(b1: Structure, b2: Structure) -> Dict[str, LinMap]:
@@ -138,8 +158,14 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
     the four (co)module axiom sets, the eight (co)unit interaction
     equations, and the eleven braided compatibilities.  When a factor fails
     its own laws the dependent checks are skipped (their statements would
-    not be meaningful).
+    not be meaningful).  The report is computed once per datum object: a
+    later call returns the same report without checking again.
     """
+    return _memoized(d, "report", _check_hopf_datum)
+
+
+def _check_hopf_datum(d: HopfDatum) -> CheckReport:
+    """The body of check_hopf_datum, run once per datum object."""
     entries: List[CheckEntry] = []
     for tag, st in (("b1", d.b1), ("b2", d.b2)):
         base = [compare("unit-counit", st.eps * st.eta,
@@ -242,15 +268,15 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
 # the recursion operator
 # ---------------------------------------------------------------------------
 
-def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
+def _phi_layers(d: HopfDatum) -> List[List[LinMap]]:
     """The recursion diagram as rows of side-by-side factors.
 
-    `center` occupies the four middle strands of the widest row; passing
-    [f] evaluates the operator on f, passing four identities splits the
-    diagram for the superoperator assembly.  The m1 and m2 that close the
-    left and right spectator strands have a row of their own, so every
-    factor that touches the spectators alone sits below the first row that
-    touches the centre.
+    The four middle strands of the widest row, row 5, are the centre, where
+    the operator's argument f acts; here they carry identities, and f is
+    applied at the cut (see _CUT).  The m1 and m2 that close the left and
+    right spectator strands have a row of their own, so every factor that
+    touches the spectators alone sits below the first row that touches the
+    centre.
     """
     id1, id2 = d.b1.id_map(), d.b2.id_map()
     m1, dl1 = d.b1.m, d.b1.delta
@@ -268,7 +294,7 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
         [id1, cr, ps21, ps21, cl, id2],
         [dl1, id2, ps11, id2, id1, ps22, id1, dl2],
         [id1, cl, al, id1, id2, id1, id2, ar, cr, id2],
-        [id1, id2, ps11] + list(center) + [ps22, id1, id2],
+        [id1, id2, ps11, id1, id2, id1, id2, ps22, id1, id2],
         [id1, al, cl, id1, id2, id1, id2, cr, ar, id2],
         [m1, id2, id1, id1, id2, id1, id2, id2, id1, m2],
         [id1, id2, ps11, id2, id1, ps22, id1, id2],
@@ -289,11 +315,21 @@ def _phi_layers(d: HopfDatum, center: List[LinMap]) -> List[List[LinMap]]:
 _CUT = 8
 
 
+def _bottom_half(d: HopfDatum) -> LinMap:
+    """Rows 0.._CUT-1 of Phi's diagram as a map from the quad to the 10
+    strands of the cut, computed once per datum object."""
+    return _memoized(d, "bottom",
+                     lambda d: pipeline_as_linmap(_phi_layers(d)[:_CUT]))
+
+
 def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
     """Evaluate the recursion operator on an endomorphism of the 4-fold
-    product, by running the layered diagram on each basis vector."""
+    product at the cut: f is applied at the centre strands 3-6 of the
+    bottom half's image, which is computed once per datum object, and the
+    rows from _CUT on are pushed PIPELINE_BLOCK basis columns at a time."""
     require_boundaries(("f", f, d.quad, d.quad))
-    return pipeline_as_linmap(_phi_layers(d, [f]))
+    at_cut = apply_at(_bottom_half(d), f, 3)
+    return pipeline_as_linmap([[at_cut]] + _phi_layers(d)[_CUT:])
 
 
 @dataclass(frozen=True)
@@ -339,7 +375,8 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     its centre strands and a spectator side on the others, and each entry of
     Phi is a sum over sides of a top term times a bottom term.  The bottom
     half is materialised by pipeline_as_linmap, a bounded block of the
-    quad's basis columns per push, and each of its entries is a bottom term.
+    quad's basis columns per push, once per datum object (phi_apply reads
+    the same one), and each of its entries is a bottom term.
     T is pushed only from the inner sides (p, q) the bottom reached, one
     block of dV columns per inner side, and its terms are joined with the
     bottom terms on that inner side, whatever their outer strands.  Both
@@ -349,13 +386,11 @@ def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     s1, s2 = d.b1.space, d.b2.space
     n, dz = s1.dim * s2.dim, s2.dim
     dV = n * n
-    ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
-    layers = _phi_layers(d, ids)
-    bottom, inner = layers[:_CUT], [row[1:-1] for row in layers[_CUT:]]
+    inner = [row[1:-1] for row in _phi_layers(d)[_CUT:]]
     # a side is the strands (a0, p) left of the centre and (q, z) right of
     # it: the outer a0 in B1 and z in B2, and p, q and T's output in B2 B1
     bots: Dict[tuple, list] = {}
-    for (key, v), x in pipeline_as_linmap(bottom).entries.items():
+    for (key, v), x in _bottom_half(d).entries.items():
         a, rest = divmod(key, dV * n * dz)
         i, c = divmod(rest, n * dz)
         a0, p = divmod(a, n)

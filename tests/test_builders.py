@@ -8,13 +8,16 @@ the two must agree entry by entry, scalar type included.
 import pytest
 
 from crossbial.crossproduct import bat_to_hopf_datum, decompose
-from crossbial.datum import _mixed_maps
-from crossbial.linmaps import VectFlip
+from crossbial.datum import ConsistencyError, _mixed_maps
+from crossbial.linmaps import UNIT, LinMap, Space, VectFlip, flip
 from crossbial.scalars import ONE
-from crossbial.structures import cross_structure, restrict
-from crossbial.twisting import matched_pair_from_pairing, pairing_inverse
+from crossbial.structures import (Structure, check_axioms, cross_structure,
+                                  restrict)
+from crossbial.twisting import (DualPairing, matched_pair_from_pairing,
+                                pairing_inverse, validate_pairing)
 from crossbial.zoo import RadfordParams, radford
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
+from tests.test_datum import on_space, transpose
 from tests.test_linmaps import _kron, _matmul, _typed
 
 
@@ -136,3 +139,38 @@ def test_matched_pair_actions(case):
     rhd = chain(kron(pinv, ida, form),
                 kron(idh, bp.braiding_list((sh,), (sa, sa)), ida))
     assert_pinned(mp["rhd"], chain(rhd, _kron(rows(H.delta), d2a)))
+
+
+def evaluation_pairing_of_the_op_cop_dual(H):
+    """H paired with A, the transpose of H^{op,cop}, by the evaluation form
+    <e_i, e_j> = delta_ij: m_A = (tau o Delta_H)^T, Delta_A = (m_H o tau)^T,
+    S_A = S_H^T, the unit and counit swapped."""
+    sh = H.space
+    sa = Space(f"{sh.name}*", H.dim)
+
+    def dual(f):
+        return on_space(transpose(f), sh, sa)
+
+    tau = flip(sh, sh)
+    A = Structure(sa, dual(tau * H.delta), dual(H.eps), dual(H.m * tau),
+                  dual(H.eta), dual(H.S))
+    n = H.dim
+    form = LinMap((sh, sa), UNIT, {(0, i * n + i): ONE for i in range(n)})
+    return DualPairing(H, A, form)
+
+
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="ROADMAP item 18: matched_pair_from_pairing fails "
+                          "on a valid, nondegenerate pairing")
+def test_matched_pair_of_sweedler_and_its_op_cop_dual():
+    # ROADMAP item 18: A is a Hopf algebra and the form a valid pairing,
+    # and the flip is involutive, so the induced actions should form a
+    # matched pair; today the datum they induce fails act-l-associativity
+    # and module-algebra-1, and the verdicts' mismatch raises
+    p = evaluation_pairing_of_the_op_cop_dual(
+        radford(RadfordParams(2, 1, 2, 1))["H"])
+    assert check_axioms(p.A, "hopf").ok
+    assert validate_pairing(p).ok
+    mp = matched_pair_from_pairing(p)
+    assert mp["braiding_involutive"]
+    assert mp["is_matched_pair"], mp["report"].failed()

@@ -111,6 +111,18 @@ def pipeline_columns(layers):
         yield c, run_pipeline([[LinMap(UNIT, dom, {(c, 0): ONE})]] + layers)
 
 
+def phi_diagram(d, f):
+    """Phi's whole 12-row diagram with f on the centre strands of row 5,
+    as phi_apply pushed it before it evaluated f at the cut; kept as the
+    oracle of phi_apply."""
+    layers = _phi_layers(d)
+    row = layers[5]
+    assert row[3:7] == [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(),
+                        d.b2.id_map()]
+    layers[5] = row[:3] + [f] + row[7:]
+    return layers
+
+
 def reprs(cols):
     """A column dict with each entry replaced by the repr of its value in
     the one type the scalar contract gives it: an integral rational, made
@@ -515,8 +527,7 @@ def two_pullback_phi(d):
     half pushed forward and the whole top half pulled back from the quad,
     column by column, then joined over every spectator side."""
     dV = dim_of(d.quad)
-    ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
-    layers = _phi_layers(d, ids)
+    layers = _phi_layers(d)
     bottom, top = layers[:6], layers[6:]
     top_t = [[transpose(f) for f in layer] for layer in reversed(top)]
     R = dim_of(tuple(s for f in top[0] for s in f.dom)[8:])
@@ -567,8 +578,7 @@ def test_phi_splits_at_the_stated_cut(build):
     # datum with d1 != d2 and one with nontrivial right (co)actions
     d = build()
     s1, s2 = d.b1.space, d.b2.space
-    ids = [d.b1.id_map(), d.b2.id_map(), d.b1.id_map(), d.b2.id_map()]
-    layers = _phi_layers(d, ids)
+    layers = _phi_layers(d)
     assert len(layers) == 12
     bottom, top = layers[:datum._CUT], layers[datum._CUT:]
     assert all(row[0] == d.b1.id_map() and row[-1] == d.b2.id_map()
@@ -579,7 +589,65 @@ def test_phi_splits_at_the_stated_cut(build):
     # commute with it
     f = random_endo(d.quad, random.Random(3))
     at_cut = [LinMap.identity(cut[:3]), f, LinMap.identity(cut[7:])]
-    assert pipeline_as_linmap(bottom + [at_cut] + top) == phi_apply(d, f)
+    assert (pipeline_as_linmap(bottom + [at_cut] + top)
+            == pipeline_as_linmap(phi_diagram(d, f)))
+
+
+def phi_apply_cases():
+    """The zoo datums, a braided datum (Sweedler's SwB next to a copy of
+    it) and trivial_datum(k, k), where dV = 1."""
+    from tests.test_acceptance import zoo_datums
+
+    return zoo_datums() + [sweedler_copies_datum(),
+                           trivial_datum(unit_hopf(), unit_hopf())]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_phi_apply_at_the_cut_is_the_whole_diagram(warm):
+    # phi_apply applies f on the bottom half's image at the cut; the whole
+    # 12-row diagram with f at the centre is its oracle, entry for entry
+    # and in scalar repr (an integral rational reads as the int, see
+    # reprs: over Q(zeta_3) the two orders of summation leave some as int
+    # and some as Fraction), before the datum's bottom half was computed
+    # (dataclasses.replace starts with an empty memo) and after
+    # build_phi_superoperator computed it
+    for case, d in enumerate(phi_apply_cases()):
+        d = dataclasses.replace(d)
+        if warm:
+            build_phi_superoperator(d)
+        rng = random.Random(100 + case)
+        endos = [random_endo(d.quad, rng, density) for density in (0.05, 0.3)]
+        for f in endos + [LinMap.identity(d.quad)]:
+            got = phi_apply(d, f)
+            want = pipeline_as_linmap(phi_diagram(d, f))
+            assert (got.dom, got.cod) == (d.quad, d.quad)
+            assert got == want
+            assert reprs({0: got.entries}) == reprs({0: want.entries})
+
+
+def test_the_bottom_half_is_pushed_once_per_datum(monkeypatch):
+    pushes = []
+    push = datum.pipeline_as_linmap
+
+    def spy(layers):
+        pushes.append(layers)
+        return push(layers)
+
+    monkeypatch.setattr(datum, "pipeline_as_linmap", spy)
+    cases = [radford_datum(), ore_datum()]
+    for d in cases:
+        build_phi_superoperator(d)
+        assert recursion_order(d, 4) == {"order": 1}
+        rng = random.Random(5)
+        for _ in range(3):
+            phi_apply(d, random_endo(d.quad, rng))
+    # one bottom half per datum, then each phi_apply pushes the rows from
+    # the cut on, above f's image at the cut
+    top = 1 + 12 - datum._CUT
+    assert [len(layers) for layers in pushes] == [datum._CUT] + [top] * 3 \
+        + [datum._CUT] + [top] * 3
+    assert pushes[0] == _phi_layers(cases[0])[:datum._CUT]
+    assert pushes[4] == _phi_layers(cases[1])[:datum._CUT]
 
 
 def test_superoperator_matches_the_two_pullback_oracle():

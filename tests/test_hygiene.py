@@ -220,7 +220,7 @@ CHECKERS = {
                       "_action_report", "_crossed_module_report",
                       "convolution_product", "convolution_inverse",
                       "_cross_mult", "_cross_comult", "restrict"],
-    "datum.py": ["check_hopf_datum", "_mixed_maps"],
+    "datum.py": ["check_hopf_datum", "_check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "_chi_dot_m", "conv_dot",
                     "matched_pair_from_pairing", "_products"],
     "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "decompose",
@@ -360,3 +360,46 @@ def test_each_exception_has_exactly_one_exit_code_base():
     assert [cls.__name__ for cls in classes
             if issubclass(cls, VerifiedFailure) == issubclass(
                 cls, InputError)] == []
+
+
+def memo_accesses(source: str):
+    """(function, line) of each read or write of a HopfDatum's memo: an
+    attribute `x._memo`, or the string "_memo" anywhere (getattr, vars(x)
+    [...]).  The function is the innermost one around it, "<module>" at
+    module level; the field's declaration in the class body is neither."""
+    tree = ast.parse(source)
+    owner = {}
+    # a nested function is walked after the one around it, so it wins
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                           ast.Lambda)):
+            for n in ast.walk(fn):
+                if n is not fn:
+                    owner[n] = getattr(fn, "name", "<lambda>")
+    return sorted(
+        (owner.get(n, "<module>"), n.lineno) for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "_memo")
+        or (isinstance(n, ast.Constant) and n.value == "_memo"))
+
+
+def test_the_scanner_flags_a_memo_access():
+    src = ("class D:\n    _memo: dict = None\n"
+           "def peek(d):\n    return d._memo\n"
+           "def poke(d):\n    def inner():\n"
+           "        vars(d)['_memo'].clear()\n    return inner\n"
+           "x = getattr(D(), '_memo')\n")
+    assert memo_accesses(src) == [("<module>", 9), ("inner", 7),
+                                  ("peek", 4)]
+
+
+def test_only_the_datum_module_touches_the_memo():
+    # a datum's memo is filled and read by datum._memoized alone; its
+    # contract (the maps are immutable, ==, hash and repr ignore it,
+    # dataclasses.replace starts afresh) is stated on HopfDatum
+    found = {p.name: memo_accesses(p.read_text())
+             for p in PACKAGE + SOURCES + sorted(
+                 (ROOT / "perfbench").glob("*.py")) + sorted(
+                 (ROOT / "tools").glob("*.py"))
+             if p.name != Path(__file__).name}
+    assert {f for f, sites in found.items() if sites} == {"datum.py"}
+    assert {fn for fn, _ in found["datum.py"]} == {"_memoized"}

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbial import linmaps, zoo
-from crossbial.datum import _phi_layers
 from crossbial.linmaps import (
     PIPELINE_BLOCK,
     ConfigurationError,
@@ -32,7 +31,7 @@ from crossbial.scalars import (ONE, ZERO, Cyclo, ScalarParseError,
                                reciprocal, root_of_unity, scalar_from_json)
 from crossbial.structures import yd_provider, yd_provider_left
 from tests.test_acceptance import braided_taft_pairing
-from tests.test_datum import pipeline_columns, random_endo
+from tests.test_datum import phi_diagram, pipeline_columns, random_endo
 from tests.test_scalars import scalar_kind
 
 F = Fraction
@@ -379,11 +378,11 @@ def _three_row_diagram(n):
 
 
 def _phi_diagram_of_radford_3131():
-    """The recursion diagram phi_apply pushes on Radford(3,1,3,1), whose
-    quad has dim 81, around a random endomorphism."""
+    """The whole recursion diagram on Radford(3,1,3,1), whose quad has dim
+    81, around a random endomorphism."""
     import random
     d = zoo.radford(zoo.RadfordParams(3, 1, 3, 1))["datum"]
-    return _phi_layers(d, [random_endo(d.quad, random.Random(3), 0.05)])
+    return phi_diagram(d, random_endo(d.quad, random.Random(3), 0.05))
 
 
 @pytest.mark.parametrize("diagram", [

@@ -6,6 +6,7 @@ already passed on the same object with the same braiding and a kind at least
 as strong (hopf covers bialgebra, which covers algebra and coalgebra).
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -156,6 +157,49 @@ def test_build_bialgebra_checks_the_datum_once_and_the_product_once(
     assert spy.calls == before + 1
     assert spy.passed[-1][:2] == (st, "bialgebra")
     assert spy.repeats == []
+
+
+def test_a_datum_is_checked_once_per_object(monkeypatch):
+    # the report is computed by the first call that asks for it and kept
+    # with the datum; a copy, or an equal datum built again, starts afresh
+    bodies = _count_calls(monkeypatch, "_check_hopf_datum", datum)
+    d = radford(RadfordParams(2, 1, 2, 1))["datum"]
+    datum.induced_structures(d)
+    datum.induced_structures(d)
+    rep = check_hopf_datum(d)
+    assert rep.ok
+    crossproduct.build_bialgebra(d)
+    assert [args[0] for args in bodies] == [d]
+    assert bodies[0][0] is d
+    copy = dataclasses.replace(d)
+    fresh = radford(RadfordParams(2, 1, 2, 1))["datum"]
+    assert copy == d and fresh == d and repr(copy) == repr(d)
+    assert check_hopf_datum(copy) is not rep
+    assert check_hopf_datum(fresh).to_json() == rep.to_json()
+    assert [args[0] for args in bodies[1:]] == [copy, fresh]
+    assert bodies[1][0] is copy and bodies[2][0] is fresh
+
+
+def test_a_failing_datum_is_refused_with_its_one_report(monkeypatch):
+    # g |> x sent from -x to +x breaks alg-coalg-1 alone (tests/test_datum)
+    d = radford(RadfordParams(2, 1, 2, 1))["datum"]
+    ent = dict(d.act_l.entries)
+    ent[(1, 3)] = ONE
+    bad = dataclasses.replace(d, act_l=LinMap(d.act_l.dom, d.act_l.cod, ent))
+    bodies = _count_calls(monkeypatch, "_check_hopf_datum", datum)
+    refusals = []
+    for run in (datum.induced_structures, datum.induced_structures,
+                crossproduct.build_bialgebra):
+        with pytest.raises(structures.PreconditionError) as exc:
+            run(bad)
+        refusals.append(exc.value)
+    assert len(bodies) == 1
+    first = refusals[0]
+    assert str(first) == "datum fails alg-coalg-1"
+    assert first.report.failed() == ["alg-coalg-1"]
+    for later in refusals[1:]:
+        assert type(later) is type(first) and str(later) == str(first)
+        assert later.report is first.report
 
 
 def test_twist_checks_each_input_once(spy, monkeypatch):
