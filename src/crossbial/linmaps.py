@@ -551,26 +551,31 @@ def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
     return m
 
 
-# Basis columns per run of pipeline_as_linmap.  A block shares the kernel's
-# per-call set-up among its columns; a fixed small one bounds the maps in
-# flight (an unbounded block tripled the peak memory of a recursion pass).
+# First-row columns per run of pipeline_as_linmap.  A block shares the
+# kernel's per-call set-up among its columns; a fixed small one bounds the
+# maps in flight (an unbounded block tripled the peak memory of a recursion
+# pass).
 PIPELINE_BLOCK = 32
 
 
 def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
-    """Materialize a pipeline as a LinMap (domain read off the first
-    layer), PIPELINE_BLOCK basis columns at a time: each run starts from
-    the partial identity on one block of the domain, and the image's
-    entries are the result's entries in those columns."""
-    dom = tuple(s for f in layers[0] for s in f.dom)
+    """Materialize a pipeline as a LinMap, PIPELINE_BLOCK columns at a
+    time.  The first row is written down once, as run_pipeline writes it;
+    its nonzero columns, in ascending order, are then pushed through the
+    later rows PIPELINE_BLOCK at a time, and each block's image holds the
+    result's entries in its columns.  The kernel never mixes columns, so
+    a column's entries, their scalar types and their order do not depend
+    on the block it rides in, and a zero column has no image to push."""
+    first = run_pipeline(layers[:1])
     cod = tuple(s for f in layers[-1] for s in f.cod)
-    n = dim_of(dom)
+    cols = sorted(first.by_col().items())
     entries: Dict[Tuple[int, int], Scalar] = {}
-    for lo in range(0, n, PIPELINE_BLOCK):
-        seed = LinMap._trusted(dom, dom, {
-            (c, c): ONE for c in range(lo, min(lo + PIPELINE_BLOCK, n))}, True)
-        entries.update(run_pipeline([[seed]] + layers).entries)
-    return LinMap._trusted(dom, cod, entries)
+    for lo in range(0, len(cols), PIPELINE_BLOCK):
+        block = LinMap._trusted(first.dom, first.cod, {
+            (r, c): v for c, col in cols[lo:lo + PIPELINE_BLOCK]
+            for r, v in col.items()}, True if first._ones else None)
+        entries.update(run_pipeline([[block]] + layers[1:]).entries)
+    return LinMap._trusted(first.dom, cod, entries)
 
 
 # ---------------------------------------------------------------------------

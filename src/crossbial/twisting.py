@@ -29,7 +29,6 @@ from .structures import (
     CheckReport,
     PreconditionError,
     Structure,
-    _cross_comult,
     _generators,
     _law,
     _light_test,
@@ -145,7 +144,13 @@ def _scalar_inverse(f: LinMap, coalg: Structure) -> LinMap:
 def cocycle_inverse(c: TwoCocycle, bp=FLIP) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
     B (x) B; a stored chi_inv is cross-checked, never trusted."""
-    inv = _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host, bp))
+    return _cocycle_inverse(c, tensor_coalgebra(c.host, c.host, bp))
+
+
+def _cocycle_inverse(c: TwoCocycle, bb: Structure) -> LinMap:
+    """The body of cocycle_inverse, over bb = tensor_coalgebra(B, B) as
+    the caller built it."""
+    inv = _scalar_inverse(c.chi, bb)
     if c.chi_inv is not None and c.chi_inv != inv:
         raise ConsistencyError(
             "stored chi_inv disagrees with the computed convolution inverse")
@@ -163,16 +168,18 @@ def validate_cocycle(c: TwoCocycle, bp=FLIP) -> CheckReport:
     associativity test on Doi's product chi.m (see _cocycle_report); a
     failing entry and its witness are always the full diagrams'."""
     check_axioms(c.host, "bialgebra", bp).require("host fails {}")
-    return _cocycle_report(c, bp, *_chi_dot_m(c, bp))
+    bb = tensor_coalgebra(c.host, c.host, bp)
+    return _cocycle_report(c, bp, *_chi_dot_m(c, bb))
 
 
-def _chi_dot_m(c: TwoCocycle, bp) -> Tuple[LinMap, LinMap]:
-    """The comultiplication of the tensor coalgebra B (x) B and Doi's
-    product chi.m = (chi (x) m) o Delta_{B (x) B} on B, which the cocycle
-    report and the twist both read."""
-    b = c.host
-    delta2 = _cross_comult(b, b, bp.braiding(b.space, b.space))
-    return delta2, conv_dot(c.chi, b.m, "left", delta2)
+def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
+    """The comultiplication of the tensor coalgebra bb = B (x) B, rebound
+    onto B (x) B -> B (x) B (x) B (x) B, and Doi's product
+    chi.m = (chi (x) m) o Delta_{B (x) B} on B, which the cocycle report
+    and the twist both read."""
+    BB = (c.host.space,) * 2
+    delta2 = rebind(bb.delta, BB, BB * 2)
+    return delta2, conv_dot(c.chi, c.host.m, "left", delta2)
 
 
 def _cocycle_report(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap
@@ -214,9 +221,12 @@ def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
         raise ShapeError("cocycle host does not match the twisted algebra")
     c = TwoCocycle(b, c.chi, c.chi_inv)
     check_axioms(b, "bialgebra", bp).require("host fails {}")
-    dots = _chi_dot_m(c, bp)
+    # B (x) B is built once: chi.m, the cocycle report and the twist read
+    # its comultiplication, and chi^- is solved over it
+    bb = tensor_coalgebra(b, b, bp)
+    dots = _chi_dot_m(c, bb)
     _cocycle_report(c, bp, *dots).require("cocycle fails {}")
-    return _twist(c, bp, *dots, cocycle_inverse(c, bp))
+    return _twist(c, bp, *dots, _cocycle_inverse(c, bb))
 
 
 def _twist(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap,
@@ -466,7 +476,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     rho_hat = TwoCocycle(Z, chi, chi_inv)
     # Z passed check_axioms above and rho_hat is validated here, so the
     # twist runs its body without either check again
-    delta2, chi_m = _chi_dot_m(rho_hat, FLIP)
+    delta2, chi_m = _chi_dot_m(rho_hat, tensor_coalgebra(Z, Z))
     vrep = _cocycle_report(rho_hat, FLIP, delta2, chi_m)
     if not vrep.ok:
         raise ConsistencyError(f"rho_hat fails {vrep.failed()[0]}")

@@ -162,13 +162,17 @@ def evaluation_pairing_of_the_op_cop_dual(H):
 @pytest.mark.xfail(strict=True, raises=ConsistencyError,
                    reason="ROADMAP item 18: matched_pair_from_pairing fails "
                           "on a valid, nondegenerate pairing")
-def test_matched_pair_of_sweedler_and_its_op_cop_dual():
+@pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1)],
+                         ids=lambda t: "radford" + "".join(map(str, t)))
+def test_matched_pair_of_sweedler_and_its_op_cop_dual(params):
     # ROADMAP item 18: A is a Hopf algebra and the form a valid pairing,
     # and the flip is involutive, so the induced actions should form a
     # matched pair; today the datum they induce fails act-l-associativity
-    # and module-algebra-1, and the verdicts' mismatch raises
+    # and module-algebra-1, and the verdicts' mismatch raises.  Sweedler's
+    # H4 is Radford(2,1,2,1); Taft's T3 and Radford(2,1,4,1) fail the same
+    # way, so a fix must mend all three
     p = evaluation_pairing_of_the_op_cop_dual(
-        radford(RadfordParams(2, 1, 2, 1))["H"])
+        radford(RadfordParams(*params))["H"])
     assert check_axioms(p.A, "hopf").ok
     assert validate_pairing(p).ok
     mp = matched_pair_from_pairing(p)

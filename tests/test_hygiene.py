@@ -174,7 +174,6 @@ PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_mult"),
     ("structures.py", ".linmaps", "_dims"),
     ("structures.py", ".linmaps", "_reduce_step"),
-    ("twisting.py", ".structures", "_cross_comult"),
     ("twisting.py", ".structures", "_generators"),
     ("twisting.py", ".structures", "_law"),
     ("twisting.py", ".structures", "_light_test"),
@@ -263,28 +262,71 @@ def _is_identity_call(node) -> bool:
     return isinstance(node, ast.Call) and _is_linmap_identity(node.func)
 
 
+def _is_partial_identity_call(node) -> bool:
+    """A hand-built partial identity: LinMap._trusted(dom, dom, {(c, c):
+    ...}), the same strands twice and a dict comprehension on the
+    diagonal.  An injection onto other strands, or keyed off the diagonal,
+    is none."""
+    if not (isinstance(node, ast.Call) and len(node.args) >= 3
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_trusted"
+            and getattr(node.func.value, "id", None) == "LinMap"):
+        return False
+    dom, cod, entries = node.args[:3]
+    return (ast.dump(dom) == ast.dump(cod)
+            and isinstance(entries, ast.DictComp)
+            and isinstance(entries.key, ast.Tuple)
+            and len(entries.key.elts) == 2
+            and ast.dump(entries.key.elts[0]) == ast.dump(entries.key.elts[1]))
+
+
+def _first_row_factor(node):
+    """x, when node is the rows [[x]] or [[x]] + rest of a diagram."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        node = node.left
+    if (isinstance(node, ast.List) and node.elts
+            and isinstance(node.elts[0], ast.List)
+            and len(node.elts[0].elts) == 1):
+        return node.elts[0].elts[0]
+    return None
+
+
+def _called(node, name) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name
+        or getattr(node.func, "attr", None) == name)
+
+
 def identity_seeded_diagrams(source: str):
     """(function, line) of each diagram started from a built identity: an
     apply_at call whose input is a LinMap.identity(...) call or a name the
-    function binds to one, and any LinMap.identity in the body of
+    function binds to one; a run_pipeline call whose first row is one
+    hand-built partial identity (LinMap._trusted on the diagonal), written
+    inline or bound to a name first; and any LinMap.identity in the body of
     run_pipeline, whose first row is the tensor product of its factors.
     A nested function reports its own name."""
     found = {}
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        seeds = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
-                 and _is_identity_call(n.value)
-                 for t in n.targets if isinstance(t, ast.Name)}
+        assigns = [(t.id, n.value) for n in ast.walk(fn)
+                   if isinstance(n, ast.Assign)
+                   for t in n.targets if isinstance(t, ast.Name)]
+        seeds = {name for name, v in assigns if _is_identity_call(v)}
+        partial = {name for name, v in assigns
+                   if _is_partial_identity_call(v)}
         for n in ast.walk(fn):
             if fn.name == "run_pipeline" and _is_linmap_identity(n):
                 found[n.lineno] = fn.name
-            elif (isinstance(n, ast.Call) and n.args
+            elif (_called(n, "apply_at") and n.args
                   and (_is_identity_call(n.args[0])
-                       or getattr(n.args[0], "id", None) in seeds)
-                  and (getattr(n.func, "id", None) == "apply_at"
-                       or getattr(n.func, "attr", None) == "apply_at")):
+                       or getattr(n.args[0], "id", None) in seeds)):
                 found[n.lineno] = fn.name
+            elif _called(n, "run_pipeline") and n.args:
+                x = _first_row_factor(n.args[0])
+                if x is not None and (_is_partial_identity_call(x)
+                                      or getattr(x, "id", None) in partial):
+                    found[n.lineno] = fn.name
     return sorted((name, line) for line, name in found.items())
 
 
@@ -334,6 +376,44 @@ def test_the_scanner_flags_an_identity_seeded_diagram():
            "    i = LinMap.identity(f)\n"
            "    return apply_at(m, i, 0)\n")
     assert identity_seeded_diagrams(src) == [("braiding_list", 4)]
+
+
+# pipeline_as_linmap before its first row was written down once, and the
+# per-side block of build_phi_superoperator, abridged: the first pushes a
+# partial identity through the first row's factors; the second is an
+# injection of the quad onto one inner side, which is no identity
+BLOCK_SEEDED = """\
+def pipeline_as_linmap(layers):
+    entries = {}
+    for lo in range(0, n, PIPELINE_BLOCK):
+        seed = LinMap._trusted(dom, dom, {
+            (c, c): ONE for c in range(lo, min(lo + PIPELINE_BLOCK, n))}, True)
+        entries.update(run_pipeline([[seed]] + layers).entries)
+    return LinMap._trusted(dom, cod, entries)
+
+def build_phi_superoperator(d):
+    for (p, q), terms in bots.items():
+        block = LinMap._trusted(d.quad, (s2, s1) + d.quad + (s2, s1), {
+            ((p * dV + i) * n + q, i): ONE for i in range(dV)}, True)
+        image = run_pipeline([[block]] + inner)
+"""
+
+
+def test_the_scanner_flags_a_partial_identity_first_row():
+    assert identity_seeded_diagrams(BLOCK_SEEDED) == [
+        ("pipeline_as_linmap", 6)]
+    # written inline, as the whole diagram or its first row; a diagonal
+    # map between other strands is no identity
+    src = ("def a(dom, layers):\n"
+           "    return linmaps.run_pipeline([[LinMap._trusted(dom, dom, {\n"
+           "        (c, c): ONE for c in range(4)})]])\n"
+           "def b(dom, cod, layers):\n"
+           "    return run_pipeline([[LinMap._trusted(dom, cod, {\n"
+           "        (c, c): ONE for c in range(4)})]] + layers)\n"
+           "def c(dom, f, layers):\n"
+           "    return run_pipeline([[LinMap._trusted(dom, dom, {\n"
+           "        (c, c): ONE for c in range(4)}), f]] + layers)\n")
+    assert identity_seeded_diagrams(src) == [("a", 2)]
 
 
 def test_no_diagram_starts_from_a_built_identity():

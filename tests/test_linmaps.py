@@ -385,20 +385,42 @@ def _phi_diagram_of_radford_3131():
     return phi_diagram(d, random_endo(d.quad, random.Random(3), 0.05))
 
 
+def _zero_column_diagram():
+    """_three_row_diagram(PIPELINE_BLOCK + 2) with columns 1 and
+    PIPELINE_BLOCK of its first factor zeroed: the first row has two zero
+    columns, so its nonzero columns fall into other blocks than the
+    domain's."""
+    layers = _three_row_diagram(PIPELINE_BLOCK + 2)
+    f = layers[0][0]
+    layers[0][0] = LinMap(f.dom, f.cod, {
+        (r, c): v for (r, c), v in f.entries.items()
+        if c not in (1, PIPELINE_BLOCK)})
+    return layers
+
+
+def _one_row_diagram():
+    """A first row and nothing above it."""
+    vec = LinMap(UNIT, (Y,), {(1, 0): F(2), (2, 0): _Z4})
+    return [[_rand_map((X,), (Y, X), 32), vec]]
+
+
 @pytest.mark.parametrize("diagram", [
     lambda: _three_row_diagram(1),
     lambda: _three_row_diagram(PIPELINE_BLOCK - 1),
     lambda: _three_row_diagram(PIPELINE_BLOCK),
     lambda: _three_row_diagram(PIPELINE_BLOCK + 1),
+    _zero_column_diagram,
+    _one_row_diagram,
     _phi_diagram_of_radford_3131,
-], ids=["dim1", "block-1", "block", "block+1", "dim81"])
+], ids=["dim1", "block-1", "block", "block+1", "zero-columns", "one-row",
+        "dim81"])
 def test_blocked_pipeline_matches_the_one_column_oracle(diagram,
                                                         monkeypatch):
     layers = diagram()
-    seeds = []
+    runs = []
 
     def spy(rows):
-        seeds.append(rows[0][0])
+        runs.append(rows)
         return run_pipeline(rows)
 
     monkeypatch.setattr(linmaps, "run_pipeline", spy)
@@ -412,12 +434,23 @@ def test_blocked_pipeline_matches_the_one_column_oracle(diagram,
     assert got.entries == want
     assert {k: repr(v) for k, v in got.entries.items()} == {
         k: repr(v) for k, v in want.items()}
-    # each run starts from a partial identity of at most PIPELINE_BLOCK
-    # columns, and the runs cover the domain once, in order
-    assert all(s.dom == s.cod == dom and all(r == c for r, c in s.entries)
-               and len(s.entries) <= PIPELINE_BLOCK for s in seeds)
-    assert [c for s in seeds for _, c in s.entries] == list(
-        range(dim_of(dom)))
+    # the first row is written down once; then each run pushes one block
+    # of it through the later rows: a slice of the first row's nonzero
+    # columns, PIPELINE_BLOCK of them but the last, ascending, each once
+    first = run_pipeline(layers[:1])
+    assert runs[0] == layers[:1]
+    assert all(len(rows[0]) == 1 and rows[1:] == layers[1:]
+               for rows in runs[1:])
+    blocks = [rows[0][0] for rows in runs[1:]]
+    cols = [sorted({c for _, c in b.entries}) for b in blocks]
+    assert [len(cs) for cs in cols[:-1]] == [PIPELINE_BLOCK] * (
+        len(cols) - 1)
+    assert 0 < len(cols[-1]) <= PIPELINE_BLOCK
+    assert [c for cs in cols for c in cs] == sorted(first.by_col())
+    for b, cs in zip(blocks, cols):
+        assert (b.dom, b.cod) == (first.dom, first.cod)
+        assert b.entries == {(r, c): v for (r, c), v in first.entries.items()
+                             if c in cs}
 
 
 # -- 0/1 fast paths against a dense oracle -----------------------------------

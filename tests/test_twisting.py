@@ -198,9 +198,14 @@ def test_bicharacter_twist_of_a_group_algebra_fixes_the_product():
 
 
 def test_stored_inverse_is_cross_checked():
+    # twist solves over the tensor coalgebra it built itself, through
+    # cocycle_inverse's body, and cross-checks a stored chi_inv the same way
     gg, c = bicharacter_cocycle(4)
-    with pytest.raises(ConsistencyError):
-        cocycle_inverse(TwoCocycle(gg, c.chi, c.chi))
+    wrong = TwoCocycle(gg, c.chi, c.chi)
+    for call in (lambda: cocycle_inverse(wrong), lambda: twist(gg, wrong)):
+        with pytest.raises(ConsistencyError, match="^stored chi_inv disagrees "
+                           "with the computed convolution inverse$"):
+            call()
 
 
 def test_breaking_the_unit_normalisation_fails_validation():
@@ -346,7 +351,8 @@ def test_the_generators_are_chi_dot_m_s_not_m_s(monkeypatch):
     c = light_trap_cocycle()
     gens = [sorted(r for r, _ in g.entries) for g in (
         _generators(c.host.m, c.host.space),
-        _generators(twisting._chi_dot_m(c, FLIP)[1], c.host.space))]
+        _generators(twisting._chi_dot_m(
+            c, tensor_coalgebra(c.host, c.host))[1], c.host.space))]
     assert gens == [[0, 1, 3], [0, 1, 3, 6]]
     seen = cocycle_shortcuts(monkeypatch)
     assert validate_cocycle(c).entry("2cocycle1") == CheckEntry(
