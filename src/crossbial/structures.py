@@ -84,15 +84,15 @@ class CheckReport:
     def failed(self) -> List[str]:
         return [e.axiom for e in self.entries if not e.ok]
 
-    def require(self, template: str) -> None:
-        """Raise PreconditionError carrying this report unless every axiom
-        passes.  The message is template with its last "{}" replaced by the
-        first failed axiom; text before it (a space name, say) is taken
-        literally."""
+    def require(self, template: str, error=PreconditionError) -> None:
+        """Raise error carrying this report unless every axiom passes:
+        PreconditionError for data handed in, datum.ConsistencyError for an
+        object the package built itself.  The message is template with its
+        last "{}" replaced by the first failed axiom; text before it (a
+        space name, say) is taken literally."""
         if not self.ok:
             head, _, tail = template.rpartition("{}")
-            raise PreconditionError(head + self.failed()[0] + tail,
-                                    report=self)
+            raise error(head + self.failed()[0] + tail, report=self)
 
     def to_json(self) -> list:
         out = []

@@ -245,10 +245,8 @@ def _twist(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap,
                          "right", b.delta)
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)
     kind = "hopf" if S_chi is not None else "bialgebra"
-    ver = check_axioms(out, kind, bp)
-    if not ver.ok:
-        raise ConsistencyError(
-            f"twisted structure fails {ver.failed()[0]}")
+    check_axioms(out, kind, bp).require("twisted structure fails {}",
+                                        ConsistencyError)
     return out
 
 
@@ -304,18 +302,14 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     validate_pairing(p, bp).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
-    if sh.dim != sa.dim:
-        raise PreconditionError("matched-pair derivation needs a "
-                                "nondegenerate pairing; the sides have "
-                                "different dimensions")
     gram = LinMap((sa,), (sh,),
                   {divmod(c, sa.dim): v for (_, c), v in form.entries.items()})
     try:
         gram.invert()
-    except NotInvertibleError:
+    except NotInvertibleError as err:
         raise PreconditionError("matched-pair derivation needs a "
                                 "nondegenerate pairing; the Gram matrix "
-                                "is singular") from None
+                                f"is not invertible ({err})") from None
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p, bp)
     lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
@@ -425,7 +419,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
                          [idb, flip(sh, sh), idc],
                          [inp.b_act, inp.c_act]])
     entries.append(compare("double-braiding-trivial",
-                           flip(sc, sb) * flip(sb, sc), loop))
+                           LinMap.identity((sb, sc)), loop))
     # pairing compatibilities
     rho2 = [[idb, rho, idc], [rho]]           # B(x)B(x)C(x)C -> k
     psi_dy = prov_r.braiding(sb, sb)
@@ -445,9 +439,8 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     CheckReport(entries).require("pairing precondition fails: {}")
 
     ch, hb, Z = _products(inp)
-    zrep = check_axioms(Z, "bialgebra")
-    if not zrep.ok:
-        raise ConsistencyError(f"assembled product fails {zrep.failed()[0]}")
+    check_axioms(Z, "bialgebra").require("assembled product fails {}",
+                                         ConsistencyError)
 
     canon = []
     mono_c, _, epi_c, _ = canonical_maps(ch, B, Z.space)
@@ -463,10 +456,8 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
                             epi_c * mono_c == LinMap.identity((ch.space,))))
     canon.append(CheckEntry("retraction-b-side",
                             epi_b * mono_b == LinMap.identity((hb.space,))))
-    crep = CheckReport(canon)
-    if not crep.ok:
-        raise ConsistencyError(
-            f"canonical morphism fails: {crep.failed()[0]}")
+    CheckReport(canon).require("canonical morphism fails: {}",
+                               ConsistencyError)
 
     chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
                  (Z.space, Z.space), UNIT)
@@ -478,8 +469,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     # twist runs its body without either check again
     delta2, chi_m = _chi_dot_m(rho_hat, tensor_coalgebra(Z, Z))
     vrep = _cocycle_report(rho_hat, FLIP, delta2, chi_m)
-    if not vrep.ok:
-        raise ConsistencyError(f"rho_hat fails {vrep.failed()[0]}")
+    vrep.require("rho_hat fails {}", ConsistencyError)
     # the lift of rho^- is rho_hat's two-sided inverse in Hom(Z (x) Z, k),
     # so it is the one inverse there is
     unit = Z.eps @ Z.eps

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossbial import cli
+from crossbial import cli, twisting
 from crossbial.cli import (
     Workspace,
     load_workspace,
@@ -546,6 +546,72 @@ def test_a_host_that_is_no_bialgebra_is_a_verified_failure(tmp_path,
     assert out == ""
     assert "host fails mult-comult" in err
     assert "failing: mult-comult" in err
+
+
+def _kc2_workspace(tmp_path, edit=None):
+    """kC2 as a workspace, its document changed by edit before it is
+    written."""
+    obj = workspace_to_json(Workspace().add_structure("main",
+                                                      group_algebra(2)))
+    if edit is not None:
+        edit(obj)
+    path = tmp_path / "kc2.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _no_chi(tmp_path):
+    return ["twist", "validate", "--in", _kc2_workspace(tmp_path)]
+
+
+def _wrong_conductor(tmp_path):
+    path = _kc2_workspace(tmp_path, lambda obj: obj.update(conductor=3))
+    return ["check", "hopf", "--in", path]
+
+
+def _spec_without_t(tmp_path):
+    spec = tmp_path / "ore.json"
+    spec.write_text(json.dumps({"orders": [2], "g": [[1]],
+                                "g_star": [[1]]}))
+    return ["zoo", "build", "ore", "--spec", str(spec)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_no_chi, "/maps/chi: not present"),
+    (_wrong_conductor, "/conductor: declared 3, computed 1"),
+    (_spec_without_t, "--spec missing field 't'"),
+    (lambda _: ["zoo", "build", "group", "--N", "0"],
+     "N must be a positive integer"),
+], ids=["no-chi", "conductor", "spec-without-t", "group-of-order-0"])
+def test_malformed_input_to_a_command_exits_two(tmp_path, capsys, argv,
+                                                message):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == f"crossbial: error: {message}"
+
+
+def test_a_twist_that_fails_its_own_check_names_the_law(tmp_path, capsys,
+                                                        monkeypatch):
+    # a doubled chi^- doubles the twisted product and its antipode, which
+    # then fail the output check of the twist
+    solve = twisting._cocycle_inverse
+    monkeypatch.setattr(twisting, "_cocycle_inverse",
+                        lambda c, bb: solve(c, bb).scale(2))
+    H = group_algebra(2)
+    path = str(tmp_path / "kc2.json")
+    save_workspace(Workspace().add_structure("main", H)
+                   .add_map("chi", H.eps @ H.eps), path)
+    twisted = tmp_path / "out.json"
+    code, out, err = run(capsys, "twist", "apply", "--in", path,
+                         "-o", str(twisted))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[:2] == [
+        "crossbial: verified failure: twisted structure fails left-unit",
+        "failing: left-unit, right-unit, mult-comult, counit-mult, "
+        "left-antipode, right-antipode"]
+    assert not twisted.exists()
 
 
 def test_a_missing_input_file_is_an_io_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from crossbial.crossproduct import (
     verify_trivalent_equivalences,
 )
 from crossbial.datum import check_hopf_datum, trivalence, trivial_datum
-from crossbial.linmaps import LinMap, Space, VectFlip, run_pipeline
+from crossbial.linmaps import (LinMap, ShapeError, Space, VectFlip,
+                               run_pipeline)
 from crossbial.structures import (check_axioms, cross_structure, rebind,
                                   tensor_structure, yd_provider)
 from crossbial.zoo import (OreParams, RadfordParams, group_algebra,
@@ -64,6 +66,14 @@ def test_broken_connecting_map_is_rejected_with_the_first_axiom():
     assert exc.value.report is not None
     assert exc.value.report.failed() == ["left-unit", "right-unit",
                                          "mult-comult", "counit-mult"]
+
+
+def test_a_factor_whose_counit_does_not_undo_its_unit_is_refused():
+    b1, b2 = group_hopf(2), group_hopf(3)
+    t = flip_tuple(b1, b2)
+    b1 = dataclasses.replace(b1, eta=b1.eta.scale(2))
+    with pytest.raises(NotABATError, match="^B1 is not counit-normalised$"):
+        build_cross_product(BAT(b1, b2, t.phi12, t.phi21))
 
 
 def test_braided_q_lines_with_their_braidings_are_not_a_bat():
@@ -221,6 +231,23 @@ def test_scaled_projection_is_rejected():
     with pytest.raises(InvalidSystemError) as exc:
         decompose(H, bad)
     assert "p1 o i1" in str(exc.value)
+
+
+def test_a_scaled_second_projection_is_rejected():
+    H, system, _ = radford_parts()
+    doubled = system.p2.scale(2)
+    bad = ProjectionSystem(H, system.i1, system.i2, system.p1, doubled)
+    with pytest.raises(InvalidSystemError,
+                       match="^p2 o i2 is not the identity$"):
+        decompose(H, bad)
+
+
+def test_an_injection_from_k_is_refused():
+    H, system, _ = radford_parts()
+    bad = ProjectionSystem(H, H.eta, system.i2, system.p1, system.p2)
+    with pytest.raises(ShapeError, match="^an injection must start from a "
+                       "space, not k$"):
+        decompose(H, bad)
 
 
 def test_split_idempotent_is_an_exact_rank_factorisation():

@@ -9,6 +9,7 @@ from crossbial import linmaps, zoo
 from crossbial.linmaps import (
     PIPELINE_BLOCK,
     ConfigurationError,
+    LeftYetterDrinfeld,
     LinMap,
     NotInvertibleError,
     ShapeError,
@@ -667,6 +668,58 @@ def test_yd_braidings_match_the_identity_seeded_kernel_steps(build):
         for y in prov._reg:
             _assert_same_row(prov.braiding(x, y),
                              _identity_seeded_braiding(prov, x, y))
+
+
+def _hand_written_braiding(prov, x, y):
+    """Psi_{X,Y} as one diagram per side, each written out in full: the
+    oracle of the one braiding both providers share."""
+    idh = LinMap.identity((prov.host,))
+    if prov.side == "right":
+        act_x, coact_y = prov._reg[x][0], prov._reg[y][1]
+        # X (x) Y -> X (x) Y (x) H -> Y (x) X (x) H -> Y (x) X
+        return run_pipeline([[LinMap.identity((x,)), coact_y],
+                             [flip(x, y), idh],
+                             [LinMap.identity((y,)), act_x]])
+    act_y, coact_x = prov._reg[y][0], prov._reg[x][1]
+    # X (x) Y -> H (x) X (x) Y -> H (x) Y (x) X -> Y (x) X
+    return run_pipeline([[coact_x, LinMap.identity((y,))],
+                         [idh, flip(x, y)],
+                         [act_y, LinMap.identity((x,))]])
+
+
+def _line_right():
+    inp = zoo.braided_line_input(4)
+    return yd_provider(inp.H, [(inp.B.space, inp.b_act, inp.b_coact)])
+
+
+def _line_left():
+    inp = zoo.braided_line_input(4)
+    return yd_provider_left(inp.H, [(inp.C.space, inp.c_act, inp.c_coact)])
+
+
+def _two_left_lines():
+    # Sweedler's C and the left line at N = 2, both over kC2, so that two
+    # different spaces cross on the left
+    sw, line = zoo.sweedler_crossed_modules(), zoo.braided_line_input(2)
+    return yd_provider_left(sw.H, [(sw.C.space, sw.c_act, sw.c_coact),
+                                   (line.C.space, line.c_act, line.c_coact)])
+
+
+@pytest.mark.parametrize("build", [_braided_qline, _sweedler_left,
+                                   _line_right, _line_left, _two_left_lines])
+def test_both_sides_braid_as_their_hand_written_diagrams(build):
+    prov = build()
+    assert len(prov._reg) in (1, 2)
+    for x in prov._reg:
+        for y in prov._reg:
+            _assert_same_row(prov.braiding(x, y),
+                             _hand_written_braiding(prov, x, y))
+
+
+def test_the_left_provider_only_names_its_side():
+    assert LeftYetterDrinfeld.side == "left"
+    assert [k for k, v in vars(LeftYetterDrinfeld).items()
+            if callable(v)] == []
 
 
 # -- JSON -------------------------------------------------------------------

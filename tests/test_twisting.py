@@ -14,6 +14,7 @@ from crossbial import twisting
 from crossbial.scalars import ZERO, as_scalar, root_of_unity
 from crossbial.structures import (
     CheckEntry,
+    CheckReport,
     NotConvolutionInvertibleError,
     PreconditionError,
     Witness,
@@ -235,6 +236,12 @@ def test_a_valid_cocycle_without_an_inverse_cannot_twist():
             call()
 
 
+def test_a_cocycle_on_another_host_is_refused():
+    with pytest.raises(ShapeError, match="^cocycle host does not match the "
+                       "twisted algebra$"):
+        twist(group_algebra(2), trivial_cocycle(group_algebra(3)))
+
+
 @pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1)])
 def test_a_coboundary_twist_moves_the_antipode(params):
     # every other twist here is of a group algebra, where S^chi = S
@@ -410,6 +417,21 @@ def test_pairing_validation_notices_a_bad_form():
     assert rep.failed() == ["pairing-mult-h", "pairing-unit-a"]
 
 
+@pytest.mark.parametrize("N, reason", [
+    (3, "matrix is 2x3, not square"), (2, "singular matrix (rank 1 of 2)")])
+def test_a_degenerate_pairing_induces_no_matched_pair(N, reason):
+    # the counit pairing <h, a> = eps(h) eps(a) of kC2 with kC_N is a
+    # pairing, and its Gram matrix, all ones, is invertible for no N
+    H, A = group_algebra(2), group_algebra(N)
+    p = DualPairing(H, A, H.eps @ A.eps)
+    assert validate_pairing(p).ok
+    with pytest.raises(PreconditionError) as exc:
+        matched_pair_from_pairing(p)
+    assert str(exc.value) == (
+        "matched-pair derivation needs a nondegenerate pairing; the Gram "
+        f"matrix is not invertible ({reason})")
+
+
 # ---------------------------------------------------------------------------
 # the double biproduct
 # ---------------------------------------------------------------------------
@@ -502,6 +524,47 @@ def test_a_wrong_lift_of_rho_inverse_is_refused_by_name(monkeypatch):
                        match="^rho_hat_inv is not the convolution inverse "
                              "of rho_hat$"):
         double_biproduct(inp)
+
+
+def _twist_the_trivial_cocycle_on_kc2():
+    g2 = group_algebra(2)
+    return twist(g2, trivial_cocycle(g2))
+
+
+def _sweedler_double_biproduct():
+    return double_biproduct(sweedler_rho(1))
+
+
+def _doubled_z(products):
+    ch, hb, Z = products
+    return ch, hb, dataclasses.replace(Z, m=Z.m.scale(2))
+
+
+def _failed_first_law(rep):
+    return CheckReport((CheckEntry(rep.entries[0].axiom, False),)
+                       + rep.entries[1:])
+
+
+@pytest.mark.parametrize("target, wrong, call, head", [
+    # a doubled chi^- doubles m^chi, and 2m breaks the unit laws
+    ("_cocycle_inverse", lambda inv: inv.scale(2),
+     _twist_the_trivial_cocycle_on_kc2, "twisted structure fails "),
+    ("_products", _doubled_z, _sweedler_double_biproduct,
+     "assembled product fails "),
+    ("classify_morphism", lambda cls: {**cls, "is_algebra_morphism": False},
+     _sweedler_double_biproduct, "canonical morphism fails: "),
+    ("_cocycle_report", _failed_first_law, _sweedler_double_biproduct,
+     "rho_hat fails "),
+], ids=["twist", "product", "canonical", "rho_hat"])
+def test_a_failed_check_of_a_built_object_carries_its_report(
+        monkeypatch, target, wrong, call, head):
+    right = getattr(twisting, target)
+    monkeypatch.setattr(twisting, target, lambda *args: wrong(right(*args)))
+    with pytest.raises(ConsistencyError) as exc:
+        call()
+    rep = exc.value.report
+    assert rep is not None and not rep.ok
+    assert str(exc.value) == head + rep.failed()[0]
 
 
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):
