@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
-from .datum import HopfDatum, _mixed_maps, _pattern_of, check_hopf_datum
+from .datum import HopfDatum, _mixed_maps, check_hopf_datum, classify
 from .linmaps import (FLIP, LinMap, ShapeError, Space, UNIT, apply_at,
                       reduce_rows, require_boundaries, run_pipeline)
 from .scalars import ONE, VerifiedFailure
@@ -262,7 +262,7 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     All three must agree, and the agreement is the final entry.
     """
     res = decompose(A, sys, braiding)
-    v1 = "0" in _pattern_of(bat_to_hopf_datum(res.bat))
+    v1 = "0" in classify(bat_to_hopf_datum(res.bat))["pattern"]
     v3 = any(c["is_algebra_morphism"] and c["is_coalgebra_morphism"]
              for c in res.verdicts)
     v4 = False

@@ -75,10 +75,6 @@ def dim_of(spaces: SpaceList) -> int:
     return d
 
 
-def _dims(spaces: SpaceList) -> Tuple[int, ...]:
-    return tuple(s.dim for s in spaces)
-
-
 def flatten(idx: Tuple[int, ...], dims: Tuple[int, ...]) -> int:
     """Multi-index -> flat index, leftmost factor most significant."""
     flat = 0
@@ -194,10 +190,6 @@ class LinMap:
                                True)
 
     @staticmethod
-    def zero(dom: Iterable[Space], cod: Iterable[Space]) -> "LinMap":
-        return LinMap(dom, cod, {})
-
-    @staticmethod
     def from_rows(dom: Iterable[Space], cod: Iterable[Space], rows) -> "LinMap":
         dom, cod = tuple(dom), tuple(cod)
         nr, nc = dim_of(cod), dim_of(dom)
@@ -232,17 +224,7 @@ class LinMap:
     def __mul__(self, other):
         if isinstance(other, LinMap):
             return self.compose(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, s) -> "LinMap":
-        s = as_scalar(s)
-        if not s:
-            return LinMap.zero(self.dom, self.cod)
-        return LinMap(self.dom, self.cod,
-                      {k: s * v for k, v in self.entries.items()})
+        return NotImplemented
 
     def tensor(self, other: "LinMap") -> "LinMap":
         """self (x) other: the one-row diagram."""
@@ -250,21 +232,6 @@ class LinMap:
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)
-
-    def __add__(self, other: "LinMap") -> "LinMap":
-        if self.dom != other.dom or self.cod != other.cod:
-            raise ShapeError("sum of maps with different boundaries")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return LinMap(self.dom, self.cod, out)
-
-    def __sub__(self, other: "LinMap") -> "LinMap":
-        return self + (-other)
-
-    def __neg__(self) -> "LinMap":
-        return LinMap(self.dom, self.cod, {k: -v for k, v in self.entries.items()})
 
     # -- inversion / solving ----------------------------------------------
 

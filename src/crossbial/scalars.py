@@ -303,11 +303,11 @@ class Cyclo:
                         conj[j] += c * t
             prod = conj if prod is None else _mulmod(n, prod, conj)
         norm = _mulmod(n, nums, prod)
-        assert not any(norm[1:]), "the norm of a cyclotomic is rational"
-        r = norm[0]
-        if r < 0:
-            r, prod = -r, [-c for c in prod]
-        return _cyclo(n, [self.den * c for c in prod], r)
+        # A Cyclo has n >= 3 (n <= 2 is rational), so Q(zeta_n) has no real
+        # embedding: the norm is a product of |sigma(a)|^2, rational and > 0.
+        assert not any(norm[1:]) and norm[0] > 0, \
+            "the norm of a nonzero cyclotomic is a positive rational"
+        return _cyclo(n, [self.den * c for c in prod], norm[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):

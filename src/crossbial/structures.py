@@ -21,7 +21,6 @@ from .linmaps import (
     Space,
     UNIT,
     YetterDrinfeld,
-    _dims,
     _reduce_step,
     apply_at,
     dim_of,
@@ -121,8 +120,8 @@ def compare(axiom: str, lhs: LinMap, rhs: LinMap) -> CheckEntry:
     if lhs.entries == rhs.entries:
         return CheckEntry(axiom, True)
     (row, col), a, b = lhs.first_difference(rhs)
-    wit = Witness(unflatten(row, _dims(lhs.cod)),
-                  unflatten(col, _dims(lhs.dom)), a, b)
+    wit = Witness(unflatten(row, tuple(s.dim for s in lhs.cod)),
+                  unflatten(col, tuple(s.dim for s in lhs.dom)), a, b)
     return CheckEntry(axiom, False, wit)
 
 

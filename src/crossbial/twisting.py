@@ -220,7 +220,9 @@ def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
     if c.host.space != b.space:
         raise ShapeError("cocycle host does not match the twisted algebra")
     c = TwoCocycle(b, c.chi, c.chi_inv)
-    check_axioms(b, "bialgebra", bp).require("host fails {}")
+    # S^chi is built from S, so a host with an antipode is checked as Hopf
+    kind = "hopf" if b.S is not None else "bialgebra"
+    check_axioms(b, kind, bp).require("host fails {}")
     # B (x) B is built once: chi.m, the cocycle report and the twist read
     # its comultiplication, and chi^- is solved over it
     bb = tensor_coalgebra(b, b, bp)

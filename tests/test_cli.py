@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from crossbial import cli, twisting
 from crossbial.cli import (
     Workspace,
+    WorkspaceError,
     load_workspace,
     main,
     save_workspace,
@@ -18,11 +19,12 @@ from crossbial.cli import (
 )
 from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import VerifiedFailure, root_of_unity
-from crossbial.structures import check_axioms, yd_provider_left
+from crossbial.structures import Structure, check_axioms, yd_provider_left
 from crossbial.twisting import matched_pair_from_pairing
 from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_hygiene import package_exceptions
+from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
                                  uninvertible_cocycle)
 
@@ -548,6 +550,24 @@ def test_a_host_that_is_no_bialgebra_is_a_verified_failure(tmp_path,
     assert "failing: mult-comult" in err
 
 
+def test_twisting_a_host_whose_antipode_fails_is_a_verified_failure(
+        tmp_path, capsys):
+    H = group_algebra(3)
+    bad = Structure(H.space, H.m, H.eta, H.delta, H.eps, H.id_map())
+    path = str(tmp_path / "kc3.json")
+    save_workspace(Workspace().add_structure("main", bad)
+                   .add_map("chi", H.eps @ H.eps), path)
+    twisted = tmp_path / "out.json"
+    code, out, err = run(capsys, "twist", "apply", "--in", path,
+                         "-o", str(twisted))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[:2] == [
+        "crossbial: verified failure: host fails left-antipode",
+        "failing: left-antipode, right-antipode"]
+    assert not twisted.exists()
+
+
 def _kc2_workspace(tmp_path, edit=None):
     """kC2 as a workspace, its document changed by edit before it is
     written."""
@@ -576,13 +596,43 @@ def _spec_without_t(tmp_path):
     return ["zoo", "build", "ore", "--spec", str(spec)]
 
 
+def _ore_spec(**fields):
+    """zoo build ore on the C2 spec with t = 1, fields replaced."""
+    def argv(tmp_path):
+        spec = tmp_path / "ore.json"
+        spec.write_text(json.dumps({"orders": [2], "t": 1, "g": [[1]],
+                                    "g_star": [[1]], **fields}))
+        return ["zoo", "build", "ore", "--spec", str(spec)]
+    return argv
+
+
+def _no_delta(tmp_path):
+    path = _kc2_workspace(
+        tmp_path, lambda obj: obj["structures"]["main"].pop("delta"))
+    return ["check", "hopf", "--in", path]
+
+
+ORDERS = "group must be a nonempty list of positive cyclic orders"
+
+
 @pytest.mark.parametrize("argv, message", [
     (_no_chi, "/maps/chi: not present"),
     (_wrong_conductor, "/conductor: declared 3, computed 1"),
     (_spec_without_t, "--spec missing field 't'"),
     (lambda _: ["zoo", "build", "group", "--N", "0"],
      "N must be a positive integer"),
-], ids=["no-chi", "conductor", "spec-without-t", "group-of-order-0"])
+    (lambda _: ["zoo", "build", "radford", "--n", "1", "--q-exp", "1",
+                "--N", "2", "--nu", "1"], "need n >= 2 and N >= 1"),
+    (_ore_spec(orders=[]), ORDERS),
+    (_ore_spec(orders=[0]), ORDERS),
+    (_ore_spec(g=[[1], [1]]),
+     "need exactly t group elements and t characters"),
+    (_ore_spec(g=[[1, 0]]),
+     "element/character tuples must match the number of cyclic factors"),
+    (_no_delta, "/structures/main: bad structure encoding: missing 'delta'"),
+], ids=["no-chi", "conductor", "spec-without-t", "group-of-order-0",
+        "radford-n-1", "ore-no-orders", "ore-order-0", "ore-two-elements",
+        "ore-long-element", "no-delta"])
 def test_malformed_input_to_a_command_exits_two(tmp_path, capsys, argv,
                                                 message):
     code, out, err = run(capsys, *argv(tmp_path))
@@ -597,7 +647,7 @@ def test_a_twist_that_fails_its_own_check_names_the_law(tmp_path, capsys,
     # then fail the output check of the twist
     solve = twisting._cocycle_inverse
     monkeypatch.setattr(twisting, "_cocycle_inverse",
-                        lambda c, bb: solve(c, bb).scale(2))
+                        lambda c, bb: doubled(solve(c, bb)))
     H = group_algebra(2)
     path = str(tmp_path / "kc2.json")
     save_workspace(Workspace().add_structure("main", H)
@@ -697,6 +747,17 @@ def test_workspace_roundtrip_is_byte_identical(tmp_path):
     save_workspace(load_workspace(a), b)
     assert open(a).read() == open(b).read()
     assert workspace_to_json(ws)["conductor"] == 3
+
+
+def test_one_space_name_with_two_dims_is_refused():
+    # kC3's coalgebra on a space that is named kC2
+    s = Space("kC2", 3)
+    k3 = Structure(s, None, LinMap(UNIT, (s,), {(0, 0): 1}),
+                   LinMap((s,), (s, s), {(4 * i, i): 1 for i in range(3)}),
+                   LinMap((s,), UNIT, {(0, i): 1 for i in range(3)}))
+    ws = Workspace().add_structure("a", group_algebra(2))
+    with pytest.raises(WorkspaceError, match="^/spaces/kC2: conflicting dims$"):
+        ws.add_structure("b", k3)
 
 
 def test_a_failed_save_leaves_the_old_file_as_it_was(tmp_path):

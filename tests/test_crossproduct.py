@@ -26,6 +26,7 @@ from crossbial.zoo import (OreParams, RadfordParams, group_algebra,
                            ore_finite, radford)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_datum import group_hopf, unit_hopf
+from tests.test_linmaps import doubled
 
 ONE = Fraction(1)
 
@@ -71,7 +72,7 @@ def test_broken_connecting_map_is_rejected_with_the_first_axiom():
 def test_a_factor_whose_counit_does_not_undo_its_unit_is_refused():
     b1, b2 = group_hopf(2), group_hopf(3)
     t = flip_tuple(b1, b2)
-    b1 = dataclasses.replace(b1, eta=b1.eta.scale(2))
+    b1 = dataclasses.replace(b1, eta=doubled(b1.eta))
     with pytest.raises(NotABATError, match="^B1 is not counit-normalised$"):
         build_cross_product(BAT(b1, b2, t.phi12, t.phi21))
 
@@ -235,8 +236,8 @@ def test_scaled_projection_is_rejected():
 
 def test_a_scaled_second_projection_is_rejected():
     H, system, _ = radford_parts()
-    doubled = system.p2.scale(2)
-    bad = ProjectionSystem(H, system.i1, system.i2, system.p1, doubled)
+    bad = ProjectionSystem(H, system.i1, system.i2, system.p1,
+                           doubled(system.p2))
     with pytest.raises(InvalidSystemError,
                        match="^p2 o i2 is not the identity$"):
         decompose(H, bad)

@@ -132,6 +132,13 @@ def reprs(cols):
             for c, col in cols.items()}
 
 
+def minus(f, g):
+    out = dict(f.entries)
+    for k, v in g.entries.items():
+        out[k] = out.get(k, 0) - v
+    return LinMap(f.dom, f.cod, out)
+
+
 def corner_complement(d):
     """Id - P as a column dict, P the corner conjugation f -> pi o f o pi,
     built in full as an oracle of the order search.
@@ -140,7 +147,7 @@ def corner_complement(d):
     P is the Kronecker product pi (x) pi^T on the vectorised space."""
     pi = (d.b1.unit_counit() @ d.b2.id_map() @ d.b1.id_map()
           @ d.b2.unit_counit())
-    return (LinMap.identity(d.quad * 2) - pi @ transpose(pi)).by_col()
+    return minus(LinMap.identity(d.quad * 2), pi @ transpose(pi)).by_col()
 
 
 def oracle_remainders(phi, d, n_max):
@@ -383,7 +390,7 @@ def test_corner_conjugation_identity():
         f = random_endo(d.quad, rng)
         assert pi * phi_apply(d, f) * pi == pi * f * pi
         assert (sop_compose(corner_complement(d), vec(f))
-                == vec(f - pi * f * pi))
+                == vec(minus(f, pi * f * pi)))
 
 
 def test_recursion_orders_of_small_datums():
@@ -703,6 +710,13 @@ def test_classification_families():
     assert _family("0110") == "bicross"
     assert _family("1111") == "non-trivalent"
     assert _family("0100") == "biproduct"
+
+
+def test_a_nontrivial_act_r_on_radford_makes_the_family_general():
+    d = radford_datum()
+    s1, s2 = d.b1.space, d.b2.space
+    d = dataclasses.replace(d, act_r=LinMap((s2, s1), (s2,), {(0, 0): 1}))
+    assert classify(d) == {"pattern": "1011", "family": "general"}
 
 
 # ---------------------------------------------------------------------------

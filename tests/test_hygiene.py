@@ -163,7 +163,6 @@ def test_the_scanner_lists_private_imports():
 # HopfDatum.product and the omitted pairs of HopfDatum.
 PRIVATE_IMPORTS = [
     ("crossproduct.py", ".datum", "_mixed_maps"),
-    ("crossproduct.py", ".datum", "_pattern_of"),
     ("crossproduct.py", ".structures", "_mult"),
     ("datum.py", ".structures", "_action_report"),
     ("datum.py", ".structures", "_algebra_entries"),
@@ -172,7 +171,6 @@ PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_cross_mult"),
     ("datum.py", ".structures", "_generators"),
     ("datum.py", ".structures", "_mult"),
-    ("structures.py", ".linmaps", "_dims"),
     ("structures.py", ".linmaps", "_reduce_step"),
     ("twisting.py", ".structures", "_generators"),
     ("twisting.py", ".structures", "_law"),

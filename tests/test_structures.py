@@ -556,7 +556,7 @@ def test_convolution_inverse_unique():
 def test_zero_map_not_invertible():
     # the one-sided solve and the stacked reference fail alike
     s = group_hopf(2)
-    zero = LinMap.zero((s.space,), (s.space,))
+    zero = LinMap((s.space,), (s.space,))
     for solve in (convolution_inverse, stacked_convolution_inverse):
         with pytest.raises(NotConvolutionInvertibleError) as exc:
             solve(zero, s, s)

@@ -50,6 +50,7 @@ from crossbial.zoo import (
     taft_factor,
 )
 from tests.test_acceptance import braided_taft_pairing
+from tests.test_linmaps import doubled
 
 ONE = Fraction(1)
 
@@ -240,6 +241,17 @@ def test_a_cocycle_on_another_host_is_refused():
     with pytest.raises(ShapeError, match="^cocycle host does not match the "
                        "twisted algebra$"):
         twist(group_algebra(2), trivial_cocycle(group_algebra(3)))
+
+
+def test_a_host_whose_antipode_fails_is_refused_before_the_twist():
+    # S(g) = g is no antipode on kC3, and S^chi is built from it
+    H = group_algebra(3)
+    H = dataclasses.replace(H, S=H.id_map())
+    with pytest.raises(PreconditionError) as exc:
+        twist(H, trivial_cocycle(H))
+    assert type(exc.value) is PreconditionError
+    assert str(exc.value) == "host fails left-antipode"
+    assert exc.value.report.failed() == ["left-antipode", "right-antipode"]
 
 
 @pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1)])
@@ -537,7 +549,7 @@ def _sweedler_double_biproduct():
 
 def _doubled_z(products):
     ch, hb, Z = products
-    return ch, hb, dataclasses.replace(Z, m=Z.m.scale(2))
+    return ch, hb, dataclasses.replace(Z, m=doubled(Z.m))
 
 
 def _failed_first_law(rep):
@@ -547,7 +559,7 @@ def _failed_first_law(rep):
 
 @pytest.mark.parametrize("target, wrong, call, head", [
     # a doubled chi^- doubles m^chi, and 2m breaks the unit laws
-    ("_cocycle_inverse", lambda inv: inv.scale(2),
+    ("_cocycle_inverse", doubled,
      _twist_the_trivial_cocycle_on_kc2, "twisted structure fails "),
     ("_products", _doubled_z, _sweedler_double_biproduct,
      "assembled product fails "),
@@ -565,6 +577,15 @@ def test_a_failed_check_of_a_built_object_carries_its_report(
     rep = exc.value.report
     assert rep is not None and not rep.ok
     assert str(exc.value) == head + rep.failed()[0]
+
+
+def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
+    direct = twisting._twisted_mult_direct
+    monkeypatch.setattr(twisting, "_twisted_mult_direct",
+                        lambda *args: doubled(direct(*args)))
+    with pytest.raises(ConsistencyError,
+                       match="^direct twisted multiplication disagrees at "):
+        _sweedler_double_biproduct()
 
 
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):
