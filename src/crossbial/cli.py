@@ -433,8 +433,8 @@ def _cmd_cross(args) -> int:
         return _finish_built(args, build_cross_product(t))
     A = ws.structure(args.name)
     _guard_dim(A.dim)
-    sysm = ProjectionSystem(A, ws.map("i1"), ws.map("i2"),
-                            ws.map("p1"), ws.map("p2"))
+    sysm = ProjectionSystem(ws.map("i1"), ws.map("i2"), ws.map("p1"),
+                            ws.map("p2"))
     if args.cross_cmd == "decompose":
         res = decompose(A, sysm, ws.provider)
         out_ws = Workspace()

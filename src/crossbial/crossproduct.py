@@ -110,12 +110,6 @@ def bat_to_hopf_datum(t: BAT) -> HopfDatum:
     reproduce phi12/phi21 exactly.
     """
     build_cross_product(t)
-    return _read_datum(t)
-
-
-def _read_datum(t: BAT) -> HopfDatum:
-    """The four interaction maps of the tuple, read off its connecting maps
-    as bat_to_hopf_datum describes.  Nothing is verified here."""
     id1, id2 = t.b1.id_map(), t.b2.id_map()
     act_l = apply_at(t.phi21, t.b2.eps, 1)
     act_r = apply_at(t.phi21, t.b1.eps, 0)
@@ -130,9 +124,9 @@ def _read_datum(t: BAT) -> HopfDatum:
 
 @dataclass(frozen=True)
 class ProjectionSystem:
-    """Injections i_j into and projections p_j out of an ambient bialgebra."""
+    """Injections i_j into and projections p_j out of an ambient bialgebra,
+    which is passed alongside wherever the system is read."""
 
-    A: Structure
     i1: LinMap
     i2: LinMap
     p1: LinMap
@@ -141,9 +135,9 @@ class ProjectionSystem:
 
 @dataclass(frozen=True)
 class IdempotentSystem:
-    """A pair of idempotent endomorphisms of an ambient bialgebra."""
+    """A pair of idempotent endomorphisms of an ambient bialgebra, which
+    is passed alongside wherever the system is read."""
 
-    A: Structure
     Pi1: LinMap
     Pi2: LinMap
 
@@ -200,7 +194,7 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
         require_boundaries(("Pi1", sys.Pi1, P, P), ("Pi2", sys.Pi2, P, P))
         i1, p1, _ = split_idempotent(sys.Pi1, f"{A.space.name}[1]")
         i2, p2, _ = split_idempotent(sys.Pi2, f"{A.space.name}[2]")
-        sys = ProjectionSystem(A, i1, i2, p1, p2)
+        sys = ProjectionSystem(i1, i2, p1, p2)
     i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
     # each factor is the one space its injection starts from
     s1, s2 = i1.dom[:1], i2.dom[:1]
@@ -213,8 +207,18 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     if p2 * i2 != LinMap.identity(s2):
         raise InvalidSystemError("p2 o i2 is not the identity")
 
-    bat, phi, phi_inv = _transport(A, sys, braiding)
-    b1, b2 = bat.b1, bat.b2
+    # the factors are restricted through i_j and p_j, and the connecting
+    # maps are A's product and coproduct transported through phi and
+    # phi_inv
+    b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
+    phi = run_pipeline([[i1, i2], [A.m]])
+    phi_inv = run_pipeline([[A.delta], [p1, p2]])
+    id1, id2 = b1.id_map(), b2.id_map()
+    phi21 = run_pipeline([[b1.eta, id2, id1, b2.eta], [phi, phi], [A.m],
+                          [phi_inv]])
+    phi12 = run_pipeline([[phi], [A.delta], [phi_inv, phi_inv],
+                          [b1.eps, id2, id1, b2.eps]])
+    bat = BAT(b1, b2, phi12, phi21, braiding)
     verdicts = []
     for tag, f, src, dst, want in (
             ("i1", i1, b1, A, "is_algebra_morphism"),
@@ -232,24 +236,6 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
             "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
             "inverse")
     return DecomposeResult(bat, phi, tuple(verdicts))
-
-
-def _transport(A: Structure, sys: ProjectionSystem, braiding=FLIP
-               ) -> Tuple[BAT, LinMap, LinMap]:
-    """The tuple a splitting carries, with phi = m_A o (i1 (x) i2) and
-    phi_inv = (p1 (x) p2) o delta_A: the factors are restricted through
-    i_j and p_j, and the connecting maps are A's product and coproduct
-    transported through phi and phi_inv.  Nothing is verified here."""
-    i1, i2, p1, p2 = sys.i1, sys.i2, sys.p1, sys.p2
-    b1, b2 = restrict(A, i1, p1), restrict(A, i2, p2)
-    phi = run_pipeline([[i1, i2], [A.m]])
-    phi_inv = run_pipeline([[A.delta], [p1, p2]])
-    id1, id2 = b1.id_map(), b2.id_map()
-    phi21 = run_pipeline([[b1.eta, id2, id1, b2.eta], [phi, phi], [A.m],
-                          [phi_inv]])
-    phi12 = run_pipeline([[phi], [A.delta], [phi_inv, phi_inv],
-                          [b1.eps, id2, id1, b2.eps]])
-    return BAT(b1, b2, phi12, phi21, braiding), phi, phi_inv
 
 
 def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,

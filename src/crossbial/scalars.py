@@ -309,16 +309,6 @@ class Cyclo:
             "the norm of a nonzero cyclotomic is a positive rational"
         return _cyclo(n, [self.den * c for c in prod], norm[0])
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Cyclo)):
-            return self * reciprocal(other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return other * self.inverse()
-        return NotImplemented
-
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)

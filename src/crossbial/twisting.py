@@ -169,7 +169,7 @@ def validate_cocycle(c: TwoCocycle, bp=FLIP) -> CheckReport:
     failing entry and its witness are always the full diagrams'."""
     check_axioms(c.host, "bialgebra", bp).require("host fails {}")
     bb = tensor_coalgebra(c.host, c.host, bp)
-    return _cocycle_report(c, bp, *_chi_dot_m(c, bb))
+    return _cocycle_report(c, bp, _chi_dot_m(c, bb)[1])
 
 
 def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
@@ -182,10 +182,9 @@ def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
     return delta2, conv_dot(c.chi, c.host.m, "left", delta2)
 
 
-def _cocycle_report(c: TwoCocycle, bp, delta2: LinMap, chi_m: LinMap
-                    ) -> CheckReport:
+def _cocycle_report(c: TwoCocycle, bp, chi_m: LinMap) -> CheckReport:
     """The cocycle laws of validate_cocycle, for a host already verified as
-    a bialgebra, with delta2 and chi_m from _chi_dot_m.
+    a bialgebra, with chi_m from _chi_dot_m.
 
     On a bialgebra eps o chi.m = chi, so the two sides of "2cocycle1",
     chi o (id (x) chi.m) and chi o (chi.m (x) id), are eps applied to the
@@ -227,7 +226,7 @@ def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
     # its comultiplication, and chi^- is solved over it
     bb = tensor_coalgebra(b, b, bp)
     dots = _chi_dot_m(c, bb)
-    _cocycle_report(c, bp, *dots).require("cocycle fails {}")
+    _cocycle_report(c, bp, dots[1]).require("cocycle fails {}")
     return _twist(c, bp, *dots, _cocycle_inverse(c, bb))
 
 
@@ -470,7 +469,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     # Z passed check_axioms above and rho_hat is validated here, so the
     # twist runs its body without either check again
     delta2, chi_m = _chi_dot_m(rho_hat, tensor_coalgebra(Z, Z))
-    vrep = _cocycle_report(rho_hat, FLIP, delta2, chi_m)
+    vrep = _cocycle_report(rho_hat, FLIP, chi_m)
     vrep.require("rho_hat fails {}", ConsistencyError)
     # the lift of rho^- is rho_hat's two-sided inverse in Hom(Z (x) Z, k),
     # so it is the one inverse there is

@@ -3,30 +3,28 @@
 Group algebras of finite cyclic groups and their function-algebra duals,
 truncated polynomial factors with Gaussian-binomial coproducts, Radford's
 four-parameter Hopf algebras, and finite Ore towers over a finite abelian
-group.  Every tower is written once, and the package's own constructions
-supply its other half.  Radford's algebra is the cross product of its
-hand-written Hopf datum: its product and coproduct come from the datum,
-and its splitting is the canonical one of the product.  An Ore tower's
-multiplication table and splitting are written out on its normal-form
-basis, with the coproduct and antipode extended mechanically from the
-generators, and its datum is read off the splitting by the code that
-decompose verifies.  Builders return plain structures, or dicts bundling
-the algebra with its canonical splitting and interaction maps.
+group.  Each tower is the cross product of its hand-written Hopf datum:
+its product and coproduct come from the datum, its splitting is the
+canonical one of the product, and its antipode is extended from the
+generators by one shared helper.  Builders return plain structures, or
+dicts bundling the algebra with its canonical splitting and interaction
+maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm, prod
 from typing import Tuple
 
-from .crossproduct import ProjectionSystem, _read_datum, _transport
+from .crossproduct import ProjectionSystem
 from .datum import HopfDatum
-from .linmaps import (LinMap, Space, UNIT, flatten, flip, run_pipeline,
-                      unflatten)
+from .linmaps import LinMap, Space, UNIT, flatten, flip, unflatten
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
-from .structures import Structure, canonical_maps, fuse
+from .structures import (Structure, canonical_maps, fuse, rebind, restrict,
+                         tensor_structure)
 from .twisting import DoubleBiproductInput
 
 
@@ -45,6 +43,19 @@ class UnsupportedError(InputError, ValueError):
 def _bare(st: Structure) -> Structure:
     """The same structure with the antipode forgotten."""
     return Structure(st.space, st.m, st.eta, st.delta, st.eps)
+
+
+def _antipode(m: LinMap, words) -> LinMap:
+    """The antipode sending basis vector k to the product in m, left to
+    right, of the vectors words[k]: S extended from the generators."""
+    P = m.cod
+    sent = {}
+    for col, word in enumerate(words):
+        acc = word[0]
+        for w in word[1:]:
+            acc = m * (acc @ w)
+        sent.update(((row, col), v) for (row, _), v in acc.entries.items())
+    return LinMap(P, P, sent)
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +185,19 @@ def radford(params: RadfordParams) -> dict:
                       for m in range(r)})
     datum = HopfDatum(b1, b2, act_l, coact_l)
     # H is the datum's cross product: x^m g^l = x^m (x) g^l is its basis
-    # vector idx(m, l)
+    # vector m * N + l
     base = datum.product(f"Rad({n},{params.q_exponent},{N},{nu})")
-    s, mH = base.space, base.m
+    s = base.space
 
-    def idx(m: int, l: int) -> int:
-        return m * N + l % N
+    def vec(m: int, l: int, v=ONE) -> LinMap:
+        return LinMap(UNIT, (s,), {(m * N + l % N, 0): v})
 
-    # antipode: S(g) = g^{-1}, S(x) = -g^nu x, extended anti-multiplicatively
-    P = (s,)
-    sx = LinMap(UNIT, P, {(idx(1, nu), 0): -(q_inv ** nu)})  # -g^nu x
-    sent = {}
-    for m in range(r):
-        for l in range(N):
-            acc = LinMap(UNIT, P, {(idx(0, -l), 0): ONE})
-            for _ in range(m):
-                acc = mH * (acc @ sx)
-            for (row, _), v in acc.entries.items():
-                sent[(row, idx(m, l))] = v
-    H = Structure(s, mH, base.eta, base.delta, base.eps,
-                  LinMap((s,), (s,), sent))
-    system = ProjectionSystem(H, *canonical_maps(b1, b2, s))
+    # S(x^m g^l) = g^-l S(x)^m, with S(g) = g^-1 and S(x) = -g^nu x
+    sx = vec(1, nu, -(q_inv ** nu))
+    S = _antipode(base.m, [[vec(0, -l)] + [sx] * m
+                           for m in range(r) for l in range(N)])
+    H = Structure(s, base.m, base.eta, base.delta, base.eps, S)
+    system = ProjectionSystem(*canonical_maps(b1, b2, s))
     return {"H": H, "system": system, "datum": datum}
 
 
@@ -249,9 +252,10 @@ def ore_finite(params: OreParams) -> dict:
     Relations x_j c = g*_j(c) c x_j and coproducts
     Delta(x_j) = x_j (x) g_j + 1 (x) x_j; finite-dimensionality requires
     the diagonal values g*_j(g_j) to equal -1, which forces x_j^2 = 0 and
-    the subset normal form c X^alpha.  Returns {"H", "system", "datum"}
-    with the group factor carrying the trivial side of the datum; the
-    datum is the one the splitting carries.
+    the subset normal form c X^alpha, basis vector alpha * |C| + c.
+    Returns {"H", "system", "datum"}: H is the cross product of its Hopf
+    datum, kC and the exterior factor spanned by the X^alpha, which kC
+    acts on and coacts on from the right, with a trivial left pair.
     """
     orders, t = params.group, params.t
     gram = [[_character(orders, params.g_star[l], params.g[r_])
@@ -269,99 +273,76 @@ def ore_finite(params: OreParams) -> dict:
                     f"characters must satisfy g*_l(g_r) g*_r(g_l) = 1; "
                     f"violated at (l, r) = ({l}, {r_})")
 
-    nC = prod(orders)
     # a group element is an exponent tuple, its basis index that tuple
-    # flattened over orders; elts lists the elements by index
+    # reduced and flattened over orders; elts lists the elements by index
+    nC, nX = prod(orders), 1 << t
     elts = [unflatten(c, orders) for c in range(nC)]
-    gs = [tuple(a % o for a, o in zip(e, orders)) for e in params.g]
 
-    def cadd(x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, orders))
-
-    def cneg(x):
-        return tuple((-a) % o for a, o in zip(x, orders))
-
-    nX, dim = 1 << t, params.dim
-    gname = "x".join(str(o) for o in orders)
-    s = Space(f"Ore(C{gname};t={t})", dim)
+    def index(expo) -> int:
+        return flatten(tuple(a % o for a, o in zip(expo, orders)), orders)
 
     def bits(mask: int):
         return [j for j in range(t) if mask >> j & 1]
 
-    def F(mask: int, c: int) -> int:
-        return mask * nC + c
+    def q(a: int, b: int):
+        """The scalar of X^a X^b = q(a, b) X^(a|b), a and b disjoint."""
+        v = ONE
+        for j in bits(a):
+            for k in bits(b):
+                if j > k:
+                    v = v * gram[j][k]
+        return v
 
-    ment = {}
-    for mask_a in range(nX):
-        for mask_b in range(nX):
-            if mask_a & mask_b:
-                continue
-            sign = ONE
-            for j in bits(mask_a):
-                for k in bits(mask_b):
-                    if j > k:
-                        sign = sign * gram[j][k]
-            for d in range(nC):
-                coeff = sign
-                for j in bits(mask_a):
-                    coeff = coeff * _character(orders, params.g_star[j],
-                                               elts[d])
-                for c in range(nC):
-                    cd = flatten(cadd(elts[c], elts[d]), orders)
-                    ment[(F(mask_a | mask_b, cd),
-                          F(mask_a, c) * dim + F(mask_b, d))] = coeff
-    mH = LinMap((s, s), (s,), ment)
+    def g_of(mask: int) -> int:
+        """The index of g_alpha, the product of the g_j over j in mask."""
+        return index([sum(params.g[j][i] for j in bits(mask))
+                      for i in range(len(orders))])
 
-    # delta(c X^alpha) is delta(c) times each delta(x_j), j in alpha, in
-    # the algebra H (x) H
-    P, P2 = (s,), (s, s)
-    i = LinMap.identity(P)
-    mult2 = [[i, flip(s, s), i], [mH, mH]]
-    dgen = [LinMap(UNIT, P2, {(F(1 << j, 0) * dim
-                               + F(0, flatten(gs[j], orders)), 0): ONE,
-                              (F(1 << j, 0), 0): ONE})
-            for j in range(t)]
-    dent = {}
-    for mask in range(nX):
-        for c in range(nC):
-            acc = LinMap(UNIT, P2, {(F(0, c) * (dim + 1), 0): ONE})
-            for j in bits(mask):
-                acc = run_pipeline([[acc @ dgen[j]]] + mult2)
-            for (row, _), v in acc.entries.items():
-                dent[(row, F(mask, c))] = v
-    deltaH = LinMap((s,), (s, s), dent)
-    etaH = LinMap(UNIT, (s,), {(F(0, 0), 0): ONE})
-    epsH = LinMap((s,), UNIT, {(0, F(0, c)): ONE for c in range(nC)})
+    gname = "x".join(map(str, orders))
+    kc = reduce(tensor_structure, map(group_algebra, orders))
+    sg, sl = Space(f"kC{gname}", nC), Space(f"Lam{t}", nX)
+    b1 = fuse(sg, kc.m, kc.eta, kc.delta, kc.eps)
+    # Delta(X^alpha) sums q(beta, alpha - beta)^-1 X^beta (x) X^(alpha - beta)
+    # over the subsets beta of alpha
+    b2 = Structure(
+        sl, LinMap((sl, sl), (sl,), {(a | b, a * nX + b): q(a, b)
+                                     for a in range(nX) for b in range(nX)
+                                     if not a & b}),
+        LinMap(UNIT, (sl,), {(0, 0): ONE}),
+        LinMap((sl,), (sl, sl), {(b * nX + (a ^ b), a):
+                                 reciprocal(q(b, a ^ b))
+                                 for a in range(nX) for b in range(nX)
+                                 if a & b == b}),
+        LinMap((sl,), UNIT, {(0, 0): ONE}))
+    act_r = LinMap((sl, sg), (sl,), {
+        (a, a * nC + c): prod((_character(orders, params.g_star[j], elts[c])
+                               for j in bits(a)), start=ONE)
+        for a in range(nX) for c in range(nC)})
+    coact_r = LinMap((sl,), (sl, sg), {(a * nC + g_of(a), a): ONE
+                                       for a in range(nX)})
+    datum = HopfDatum(b1, b2, act_r=act_r, coact_r=coact_r)
 
-    sent = {}
-    for mask in range(nX):
-        for c in range(nC):
-            acc = LinMap(UNIT, P, {(F(0, flatten(cneg(elts[c]), orders)),
-                                    0): ONE})
-            for j in bits(mask):
-                # S(x_j) = -x_j g_j^{-1} = g_j^{-1} x_j in normal form
-                sxj = LinMap(UNIT, P, {(F(1 << j, flatten(cneg(gs[j]),
-                                                          orders)), 0): ONE})
-                acc = mH * (sxj @ acc)
-            for (row, _), v in acc.entries.items():
-                sent[(row, F(mask, c))] = v
-    H = Structure(s, mH, etaH, deltaH, epsH, LinMap((s,), (s,), sent))
+    # H is the datum's cross product, its basis c (x) X^alpha reordered
+    # to the normal form's alpha * |C| + c
+    cross = datum.product()
+    s = Space(f"Ore(C{gname};t={t})", params.dim)
+    P, B = (s,), (cross.space,)
+    base = restrict(cross, rebind(flip(sl, sg), P, B),
+                    rebind(flip(sg, sl), B, P))
 
-    sg = Space(f"kC{gname}", nC)
-    sl = Space(f"Lam{t}", nX)
-    i1 = LinMap((sg,), (s,), {(F(0, c), c): ONE for c in range(nC)})
-    p1 = LinMap((s,), (sg,), {(c, F(0, c)): ONE for c in range(nC)})
-    i2 = LinMap((sl,), (s,), {(F(mask, 0), mask): ONE
-                              for mask in range(nX)})
-    p2 = LinMap((s,), (sl,), {(mask, F(mask, c)): ONE
-                              for mask in range(nX) for c in range(nC)})
-    system = ProjectionSystem(H, i1, i2, p1, p2)
+    def vec(mask: int, c: int) -> LinMap:
+        return LinMap(UNIT, P, {(mask * nC + c, 0): ONE})
 
-    # the datum the splitting carries, read off without decompose's and
-    # bat_to_hopf_datum's checks, which cost about nine times the whole
-    # build on a dim-16 C2 x C2 tower
-    datum = _read_datum(_transport(H, system)[0])
-    return {"H": H, "system": system, "datum": datum}
+    # S(c X^alpha) = S(x_jk)...S(x_j1) c^-1 over the bits j1 < ... < jk of
+    # alpha, with S(x_j) = -x_j g_j^-1 = g_j^-1 x_j in normal form
+    sx = [vec(1 << j, index(-a for a in params.g[j])) for j in range(t)]
+    S = _antipode(base.m, [[sx[j] for j in reversed(bits(mask))]
+                           + [vec(0, index(-a for a in elts[c]))]
+                           for mask in range(nX) for c in range(nC)])
+    H = Structure(s, base.m, base.eta, base.delta, base.eps, S)
+    il, ic, pl, pc = canonical_maps(b2, b1, s)
+    return {"H": H, "system": ProjectionSystem(ic, il, pc, pl),
+            "datum": datum}
 
 
 # ---------------------------------------------------------------------------

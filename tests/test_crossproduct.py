@@ -157,7 +157,7 @@ def test_idempotent_route_matches_the_projection_route():
     # Feeding i_j o p_j instead of the split maps must land on the same
     # decomposition up to the naming of the split images.
     H, system, _ = radford_parts()
-    sys2 = IdempotentSystem(H, system.i1 * system.p1, system.i2 * system.p2)
+    sys2 = IdempotentSystem(system.i1 * system.p1, system.i2 * system.p2)
     res = decompose(H, sys2)
     assert (res.bat.b1.dim, res.bat.b2.dim) == (2, 2)
     assert trivalence(bat_to_hopf_datum(res.bat))["pattern"] == "1010"
@@ -206,7 +206,7 @@ def _conjugated(V, name, diag):
 def test_idempotent_systems_on_radford(case):
     H, _, _ = radford_parts()
     first, second, refusal = _IDEMPOTENT_CASES[case]
-    sys = IdempotentSystem(H, _conjugated(H.space, *first),
+    sys = IdempotentSystem(_conjugated(H.space, *first),
                            _conjugated(H.space, *second))
     if refusal is None:
         res = decompose(H, sys)
@@ -221,14 +221,14 @@ def test_rank_one_idempotents_do_not_split_the_product():
     A = tensor_structure(group_hopf(2), group_hopf(3))
     Pi = A.eta * A.eps
     with pytest.raises(NotASplittingError):
-        decompose(A, IdempotentSystem(A, Pi, Pi))
+        decompose(A, IdempotentSystem(Pi, Pi))
 
 
 def test_scaled_projection_is_rejected():
     H, system, _ = radford_parts()
     doubled = LinMap(system.p1.dom, system.p1.cod,
                      {k: 2 * v for k, v in system.p1.entries.items()})
-    bad = ProjectionSystem(H, system.i1, system.i2, doubled, system.p2)
+    bad = ProjectionSystem(system.i1, system.i2, doubled, system.p2)
     with pytest.raises(InvalidSystemError) as exc:
         decompose(H, bad)
     assert "p1 o i1" in str(exc.value)
@@ -236,7 +236,7 @@ def test_scaled_projection_is_rejected():
 
 def test_a_scaled_second_projection_is_rejected():
     H, system, _ = radford_parts()
-    bad = ProjectionSystem(H, system.i1, system.i2, system.p1,
+    bad = ProjectionSystem(system.i1, system.i2, system.p1,
                            doubled(system.p2))
     with pytest.raises(InvalidSystemError,
                        match="^p2 o i2 is not the identity$"):
@@ -245,7 +245,7 @@ def test_a_scaled_second_projection_is_rejected():
 
 def test_an_injection_from_k_is_refused():
     H, system, _ = radford_parts()
-    bad = ProjectionSystem(H, H.eta, system.i2, system.p1, system.p2)
+    bad = ProjectionSystem(H.eta, system.i2, system.p1, system.p2)
     with pytest.raises(ShapeError, match="^an injection must start from a "
                        "space, not k$"):
         decompose(H, bad)
@@ -297,5 +297,5 @@ def test_trivalent_equivalences_agree_on_a_tensor_splitting():
     i2 = LinMap((b2.space,), (A.space,), (b1.eta @ id2).entries)
     p1 = LinMap((A.space,), (b1.space,), (id1 @ b2.eps).entries)
     p2 = LinMap((A.space,), (b2.space,), (b1.eps @ id2).entries)
-    rep = verify_trivalent_equivalences(A, ProjectionSystem(A, i1, i2, p1, p2))
+    rep = verify_trivalent_equivalences(A, ProjectionSystem(i1, i2, p1, p2))
     assert rep.ok, rep.failed()

@@ -129,7 +129,7 @@ def test_constructors_make_an_integral_rational_an_int():
             # z + z^2 = -1 at n = 3: the rational collapse of a sum
             root_of_unity(3, 1) + root_of_unity(3, 2),
             root_of_unity(1, 0), root_of_unity(2, 1), z ** 0, z ** 4,
-            z * z.inverse(), z / z, reciprocal(-1), reciprocal(1),
+            z * z.inverse(), z * reciprocal(z), reciprocal(-1), reciprocal(1),
             reciprocal(Fraction(1, 3)), reciprocal(Fraction(-1, 5)),
             q_binomial(4, 2, 1), q_binomial(3, 1, -1)]
     assert [type(v) for v in made] == [int] * len(made)
@@ -145,9 +145,15 @@ def test_every_reciprocal_is_exact():
     assert reciprocal(2) == Fraction(1, 2) and type(reciprocal(2)) is Fraction
     assert reciprocal(Fraction(-2, 3)) == Fraction(-3, 2)
     assert reciprocal(z) == z.inverse() == -z
-    assert 1 / z == -z and 2 / z == -2 * z
-    assert z / 2 == Cyclo.make(4, [0, Fraction(1, 2)])
-    assert (2 * z) / 2 == z and z / Fraction(1, 2) == 2 * z
+    assert 2 * reciprocal(z) == -2 * z
+    assert z * reciprocal(2) == Cyclo.make(4, [0, Fraction(1, 2)])
+    assert (2 * z) * reciprocal(2) == z
+    assert z * reciprocal(Fraction(1, 2)) == 2 * z
+    # a Cyclo has no `/`: every division goes through reciprocal
+    with pytest.raises(TypeError):
+        z / 2
+    with pytest.raises(TypeError):
+        2 / z
     with pytest.raises(ZeroDivisionError):
         reciprocal(0)
     with pytest.raises(ZeroDivisionError):

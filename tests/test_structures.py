@@ -229,7 +229,7 @@ def _wrong_slots():
             sw.H.space).register(sw.C.space, sw.b_act, sw.c_coact),
          "act_l", "kC2 (x) SwC -> SwC", "SwB (x) kC2 -> SwB"),
         ("decompose-Pi", lambda: decompose(H, IdempotentSystem(
-            H, H.id_map(), H.eta)),
+            H.id_map(), H.eta)),
          "Pi2", f"{R} -> {R}", f"k -> {R}"),
         ("decompose-p", lambda: decompose(H, dataclasses.replace(
             sysm, p1=sysm.p2)),

@@ -1,20 +1,24 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossbial import zoo
-from crossbial.crossproduct import bat_to_hopf_datum, decompose
+from crossbial import scalars, zoo
+from crossbial.crossproduct import (ProjectionSystem, bat_to_hopf_datum,
+                                    decompose)
 from crossbial.datum import check_hopf_datum
-from crossbial.linmaps import LinMap
+from crossbial.linmaps import (LinMap, Space, UNIT, flatten, flip,
+                               run_pipeline, unflatten)
 from crossbial.scalars import q_binomial, root_of_unity
-from crossbial.structures import check_axioms, classify_morphism
+from crossbial.structures import Structure, check_axioms, classify_morphism
 from crossbial.zoo import (
     OreParams,
     ParameterError,
     RadfordParams,
     UnsupportedError,
+    _character,
     braided_line_input,
     dual_group_algebra,
     group_algebra,
@@ -204,6 +208,172 @@ def test_ore_and_radford_are_isomorphic():
         f.invert()                    # raises if singular
 
 
+# Two C4 x C4 towers with t = 2 whose braiding is asymmetric,
+# g*_l(g_r) != g*_r(g_l) for l != r: over them the coefficient of
+# X^beta (x) X^(alpha - beta) in Delta(X^alpha) differs from its inverse
+ORE_ASYMMETRIC = [
+    ((4, 4), 2, ((0, 1), (1, 0)), ((1, 2), (2, 3))),
+    ((4, 4), 2, ((0, 1), (1, 1)), ((1, 2), (1, 1))),
+]
+
+
+@pytest.mark.parametrize("pars", ORE_ASYMMETRIC)
+def test_ore_towers_with_an_asymmetric_braiding_are_hopf(pars):
+    p = OreParams(*pars)
+    gram = [[_character(p.group, p.g_star[l], p.g[r]) for r in range(2)]
+            for l in range(2)]
+    assert gram[0][1] != gram[1][0]
+    out = ore_finite(p)
+    assert out["H"].dim == 64
+    rep = check_axioms(out["H"], "hopf")
+    assert rep.ok, rep.failed()
+    assert check_hopf_datum(out["datum"]).ok
+
+
+def ore_by_hand(params: OreParams) -> dict:
+    """The finite Ore tower as ore_finite built it before it was the cross
+    product of its datum: the product table on the normal form c X^alpha
+    written out, the coproduct extended multiplicatively from
+    Delta(x_j) = x_j (x) g_j + 1 (x) x_j, and the datum read off the
+    splitting through decompose.  The oracle of ore_finite."""
+    ONE = scalars.ONE  # the package's int 1, not this module's Fraction
+    orders, t = params.group, params.t
+    gram = [[_character(orders, params.g_star[l], params.g[r_])
+             for r_ in range(t)] for l in range(t)]
+    for j in range(t):
+        if gram[j][j] != -ONE:
+            raise UnsupportedError(
+                "finite-dimensional only when g*_j(g_j) = -1 for every j "
+                "(this is what truncates each generator to x_j^2 = 0); "
+                f"generator {j} has g*_{j}(g_{j}) = {gram[j][j]}")
+    for l in range(t):
+        for r_ in range(t):
+            if gram[l][r_] * gram[r_][l] != ONE:
+                raise ParameterError(
+                    f"characters must satisfy g*_l(g_r) g*_r(g_l) = 1; "
+                    f"violated at (l, r) = ({l}, {r_})")
+
+    nC = prod(orders)
+    # a group element is an exponent tuple, its basis index that tuple
+    # flattened over orders; elts lists the elements by index
+    elts = [unflatten(c, orders) for c in range(nC)]
+    gs = [tuple(a % o for a, o in zip(e, orders)) for e in params.g]
+
+    def cadd(x, y):
+        return tuple((a + b) % o for a, b, o in zip(x, y, orders))
+
+    def cneg(x):
+        return tuple((-a) % o for a, o in zip(x, orders))
+
+    nX, dim = 1 << t, params.dim
+    gname = "x".join(str(o) for o in orders)
+    s = Space(f"Ore(C{gname};t={t})", dim)
+
+    def bits(mask: int):
+        return [j for j in range(t) if mask >> j & 1]
+
+    def F(mask: int, c: int) -> int:
+        return mask * nC + c
+
+    ment = {}
+    for mask_a in range(nX):
+        for mask_b in range(nX):
+            if mask_a & mask_b:
+                continue
+            sign = ONE
+            for j in bits(mask_a):
+                for k in bits(mask_b):
+                    if j > k:
+                        sign = sign * gram[j][k]
+            for d in range(nC):
+                coeff = sign
+                for j in bits(mask_a):
+                    coeff = coeff * _character(orders, params.g_star[j],
+                                               elts[d])
+                for c in range(nC):
+                    cd = flatten(cadd(elts[c], elts[d]), orders)
+                    ment[(F(mask_a | mask_b, cd),
+                          F(mask_a, c) * dim + F(mask_b, d))] = coeff
+    mH = LinMap((s, s), (s,), ment)
+
+    # delta(c X^alpha) is delta(c) times each delta(x_j), j in alpha, in
+    # the algebra H (x) H
+    P, P2 = (s,), (s, s)
+    i = LinMap.identity(P)
+    mult2 = [[i, flip(s, s), i], [mH, mH]]
+    dgen = [LinMap(UNIT, P2, {(F(1 << j, 0) * dim
+                               + F(0, flatten(gs[j], orders)), 0): ONE,
+                              (F(1 << j, 0), 0): ONE})
+            for j in range(t)]
+    dent = {}
+    for mask in range(nX):
+        for c in range(nC):
+            acc = LinMap(UNIT, P2, {(F(0, c) * (dim + 1), 0): ONE})
+            for j in bits(mask):
+                acc = run_pipeline([[acc @ dgen[j]]] + mult2)
+            for (row, _), v in acc.entries.items():
+                dent[(row, F(mask, c))] = v
+    deltaH = LinMap((s,), (s, s), dent)
+    etaH = LinMap(UNIT, (s,), {(F(0, 0), 0): ONE})
+    epsH = LinMap((s,), UNIT, {(0, F(0, c)): ONE for c in range(nC)})
+
+    sent = {}
+    for mask in range(nX):
+        for c in range(nC):
+            acc = LinMap(UNIT, P, {(F(0, flatten(cneg(elts[c]), orders)),
+                                    0): ONE})
+            for j in bits(mask):
+                # S(x_j) = -x_j g_j^{-1} = g_j^{-1} x_j in normal form
+                sxj = LinMap(UNIT, P, {(F(1 << j, flatten(cneg(gs[j]),
+                                                          orders)), 0): ONE})
+                acc = mH * (sxj @ acc)
+            for (row, _), v in acc.entries.items():
+                sent[(row, F(mask, c))] = v
+    H = Structure(s, mH, etaH, deltaH, epsH, LinMap((s,), (s,), sent))
+
+    sg = Space(f"kC{gname}", nC)
+    sl = Space(f"Lam{t}", nX)
+    i1 = LinMap((sg,), (s,), {(F(0, c), c): ONE for c in range(nC)})
+    p1 = LinMap((s,), (sg,), {(c, F(0, c)): ONE for c in range(nC)})
+    i2 = LinMap((sl,), (s,), {(F(mask, 0), mask): ONE
+                              for mask in range(nX)})
+    p2 = LinMap((s,), (sl,), {(mask, F(mask, c)): ONE
+                              for mask in range(nX) for c in range(nC)})
+    system = ProjectionSystem(i1, i2, p1, p2)
+
+    datum = bat_to_hopf_datum(decompose(H, system).bat)
+    return {"H": H, "system": system, "datum": datum}
+
+
+def _scalars(f: LinMap):
+    """f's strands and its entries with each scalar's type and repr."""
+    return f.dom, f.cod, {k: (type(v), repr(v)) for k, v in f.entries.items()}
+
+
+def _structure_scalars(st: Structure):
+    return st.space, [None if f is None else _scalars(f)
+                      for f in (st.m, st.eta, st.delta, st.eps, st.S)]
+
+
+def _tower_scalars(out: dict):
+    sysm, d = out["system"], out["datum"]
+    return (_structure_scalars(out["H"]),
+            [_scalars(f) for f in (sysm.i1, sysm.i2, sysm.p1, sysm.p2)],
+            _structure_scalars(d.b1), _structure_scalars(d.b2),
+            [_scalars(f) for f in (d.act_l, d.coact_l, d.act_r, d.coact_r)])
+
+
+@pytest.mark.parametrize("pars", [
+    ((2, 2), 2) + fam for fam in ORE_C2XC2_FAMILIES] + [
+    ((2,), 1, ((1,),), ((1,),)), ((4,), 1, ((1,),), ((2,),)),
+    ((4,), 1, ((2,),), ((1,),)), ((6,), 1, ((3,),), ((1,),)),
+    ((2, 2, 2), 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+     ((1, 0, 0), (0, 1, 0), (0, 0, 1)))] + ORE_ASYMMETRIC)
+def test_ore_finite_matches_the_tower_written_by_hand(pars):
+    p = OreParams(*pars)
+    assert _tower_scalars(ore_finite(p)) == _tower_scalars(ore_by_hand(p))
+
+
 # ---------------------------------------------------------------------------
 # double-biproduct inputs
 # ---------------------------------------------------------------------------
@@ -237,14 +407,16 @@ def test_braided_line_input_rejects_odd_periods():
 
 
 def test_zoo_splittings_roundtrip_through_decompose():
-    # Sweedler's algebra both ways, the C4 tower, and one commuting and one
-    # anticommuting C2 x C2 family: each Ore datum is read off its
-    # splitting, so decompose must find it again
+    # Sweedler's algebra both ways, the C4 tower, one commuting and one
+    # anticommuting C2 x C2 family, and both asymmetric C4 x C4 families:
+    # each tower is the cross product of its datum, so decompose must find
+    # that datum again on the canonical splitting
     towers = [radford(RadfordParams(2, 1, 2, 1))] + [
         ore_finite(OreParams(*p)) for p in (
             ((2,), 1, ((1,),), ((1,),)), ((4,), 1, ((2,),), ((1,),)),
             ((2, 2), 2, ((1, 0), (0, 1)), ((1, 0), (0, 1))),
-            ((2, 2), 2, ((1, 0), (0, 1)), ((1, 1), (1, 1))))]
+            ((2, 2), 2, ((1, 0), (0, 1)), ((1, 1), (1, 1))),
+            *ORE_ASYMMETRIC)]
     for out in towers:
         res = decompose(out["H"], out["system"])
         assert bat_to_hopf_datum(res.bat) == out["datum"]
