@@ -541,6 +541,16 @@ def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
     return _mult(alg) * run_pipeline([[coalg.delta], [f, g]])
 
 
+def _inverse_report(f: LinMap, g: LinMap, coalg: Structure,
+                    alg: Structure) -> CheckReport:
+    """f * g = eta o eps ("convolution-right-inverse") and g * f = eta o eps
+    ("convolution-left-inverse") in Hom(C, A); no law of C or A is read."""
+    unit = alg.eta * coalg.eps
+    return CheckReport(compare(f"convolution-{side}-inverse",
+                               convolution_product(a, b, coalg, alg), unit)
+                       for side, a, b in (("right", f, g), ("left", g, f)))
+
+
 def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     """Solve f * g = eta o eps for g in Hom(C, A), exactly.
 
@@ -553,9 +563,9 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     meets f's output at m: X[(u, c2), (a, v)] is the coefficient of
     g[a, c2] in (f * g)[u, v].  The flip is that of vector spaces, under
     any braiding: the convolution product has no crossing, and the flip
-    only brings the unknown's strand next to m.  Both identities are
-    re-verified on the result before it is returned.  Only eta, delta and
-    eps of coalg are read, so it may have no m (see tensor_coalgebra).
+    only brings the unknown's strand next to m.  _inverse_report's two
+    identities are re-verified on the result.  Only eta, delta and eps of
+    coalg are read, so it may have no m (see tensor_coalgebra).
     """
     check_axioms(coalg, "coalgebra").require("convolution boundary fails {}")
     check_axioms(alg, "algebra").require("convolution boundary fails {}")
@@ -577,10 +587,9 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     # free unknowns are zero, so each pivot unknown equals its right side
     g = LinMap((C,), (A,), {divmod(var, dc): row.get(rhs, ZERO)
                             for var, row in red.items()})
-    if (convolution_product(f, g, coalg, alg) != target
-            or convolution_product(g, f, coalg, alg) != target):
-        raise NotConvolutionInvertibleError(
-            "no two-sided convolution inverse exists")
+    _inverse_report(f, g, coalg, alg).require(
+        "no two-sided convolution inverse exists: {} fails",
+        NotConvolutionInvertibleError)
     return g
 
 

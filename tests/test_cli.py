@@ -21,12 +21,13 @@ from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import VerifiedFailure, root_of_unity
 from crossbial.structures import Structure, check_axioms, yd_provider_left
 from crossbial.twisting import matched_pair_from_pairing
-from crossbial.zoo import group_algebra, sweedler_crossed_modules, taft_factor
+from crossbial.zoo import (RadfordParams, group_algebra, radford,
+                           sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
-                                 uninvertible_cocycle)
+                                 coboundary_cocycle, uninvertible_cocycle)
 
 ONE = Fraction(1)
 
@@ -515,6 +516,39 @@ def test_twist_validate_and_apply(tmp_path, capsys):
     assert "multiplication_changed: false" in out
 
 
+def test_twist_apply_certifies_a_stored_inverse(tmp_path, capsys):
+    # a coboundary twist of Radford(2,1,2,1) moves m and S; a correct
+    # chi_inv is certified and read as it is, so the output bytes are the
+    # solve's, and a wrong one is a verified failure with its report
+    H = radford(RadfordParams(2, 1, 2, 1))["H"]
+    c = coboundary_cocycle(H, 5)
+    written = {}
+    for tag, inv in (("solved", None), ("stored", twisting.cocycle_inverse(c)),
+                     ("wrong", c.chi)):
+        ws = Workspace().add_structure("main", H).add_map("chi", c.chi)
+        if inv is not None:
+            ws.add_map("chi_inv", inv)
+        path = str(tmp_path / f"{tag}.json")
+        save_workspace(ws, path)
+        twisted = tmp_path / f"{tag}_out.json"
+        code, out, err = run(capsys, "twist", "apply", "--in", path,
+                             "-o", str(twisted))
+        if tag == "wrong":
+            assert code == 1
+            assert out == ""
+            assert err.splitlines()[:2] == [
+                "crossbial: verified failure: chi_inv fails "
+                "convolution-right-inverse",
+                "failing: convolution-right-inverse, "
+                "convolution-left-inverse"]
+            assert not twisted.exists()
+        else:
+            assert code == 0
+            assert "multiplication_changed: true" in out
+            written[tag] = twisted.read_bytes()
+    assert written["stored"] == written["solved"]
+
+
 def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(
         tmp_path, capsys):
     c = uninvertible_cocycle()
@@ -647,7 +681,7 @@ def test_a_twist_that_fails_its_own_check_names_the_law(tmp_path, capsys,
     # then fail the output check of the twist
     solve = twisting._cocycle_inverse
     monkeypatch.setattr(twisting, "_cocycle_inverse",
-                        lambda c, bb: doubled(solve(c, bb)))
+                        lambda c, bb, error: doubled(solve(c, bb, error)))
     H = group_algebra(2)
     path = str(tmp_path / "kc2.json")
     save_workspace(Workspace().add_structure("main", H)

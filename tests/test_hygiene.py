@@ -246,6 +246,7 @@ PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_mult"),
     ("structures.py", ".linmaps", "_reduce_step"),
     ("twisting.py", ".structures", "_generators"),
+    ("twisting.py", ".structures", "_inverse_report"),
     ("twisting.py", ".structures", "_law"),
     ("twisting.py", ".structures", "_light_test"),
     ("twisting.py", ".structures", "_yd_providers"),
@@ -286,7 +287,8 @@ CHECKERS = {
     "structures.py": ["check_axioms", "_generators", "_law", "_light_test",
                       "_algebra_entries", "_coalgebra_entries",
                       "_action_report", "_crossed_module_report",
-                      "convolution_product", "convolution_inverse",
+                      "convolution_product", "_inverse_report",
+                      "convolution_inverse",
                       "_cross_mult", "_cross_comult", "restrict"],
     "datum.py": ["check_hopf_datum", "_check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "_chi_dot_m", "conv_dot",

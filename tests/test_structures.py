@@ -30,6 +30,7 @@ from crossbial.structures import (
     Witness,
     _action_report,
     _generators,
+    _inverse_report,
     check_axioms,
     classify_morphism,
     compare,
@@ -590,6 +591,35 @@ def test_canonical_pairing_inverse_via_antipode():
     target = K.eta * C.eps
     assert convolution_product(pairing, inv, C, K) == target
     assert convolution_product(inv, pairing, C, K) == target
+    assert _inverse_report(pairing, inv, C, K).ok
+
+
+def test_the_inverse_certificate_has_a_witness_per_identity():
+    s = group_hopf(3)
+    rep = _inverse_report(s.id_map(), s.S, s, s)
+    assert rep.ok
+    assert [e.axiom for e in rep.entries] == ["convolution-right-inverse",
+                                              "convolution-left-inverse"]
+    # id * id on kC3 squares each g, while eta o eps sends it to 1
+    bad = _inverse_report(s.id_map(), s.id_map(), s, s)
+    assert bad.failed() == ["convolution-right-inverse",
+                            "convolution-left-inverse"]
+    for e in bad.entries:
+        assert e.witness == Witness((0,), (1,), ZERO, ONE)
+
+
+def test_a_solve_that_fails_its_postcondition_carries_the_certificate(
+        monkeypatch):
+    # an elimination that leaves every unknown free makes g = 0, which the
+    # postcondition refuses through the certificate's report
+    s = group_hopf(2)
+    monkeypatch.setattr(structures, "reduce_rows", lambda rows: {})
+    with pytest.raises(NotConvolutionInvertibleError) as exc:
+        convolution_inverse(s.id_map(), s, s)
+    assert str(exc.value) == ("no two-sided convolution inverse exists: "
+                              "convolution-right-inverse fails")
+    assert exc.value.report.failed() == ["convolution-right-inverse",
+                                         "convolution-left-inverse"]
 
 
 def _antipode(H):

@@ -200,14 +200,22 @@ def test_bicharacter_twist_of_a_group_algebra_fixes_the_product():
 
 
 def test_stored_inverse_is_cross_checked():
-    # twist solves over the tensor coalgebra it built itself, through
-    # cocycle_inverse's body, and cross-checks a stored chi_inv the same way
+    # a stored chi_inv is certified by both convolution identities over the
+    # B (x) B that cocycle_inverse or twist built, and a wrong one is user
+    # data: PreconditionError, whose report has the witnesses
     gg, c = bicharacter_cocycle(4)
     wrong = TwoCocycle(gg, c.chi, c.chi)
     for call in (lambda: cocycle_inverse(wrong), lambda: twist(gg, wrong)):
-        with pytest.raises(ConsistencyError, match="^stored chi_inv disagrees "
-                           "with the computed convolution inverse$"):
+        with pytest.raises(PreconditionError) as exc:
             call()
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "chi_inv fails convolution-right-inverse"
+        rep = exc.value.report
+        assert rep.failed() == ["convolution-right-inverse",
+                                "convolution-left-inverse"]
+        for e in rep.entries:
+            assert e.witness is not None and e.witness.rhs == 1
+            assert e.witness.lhs != e.witness.rhs
 
 
 def test_breaking_the_unit_normalisation_fails_validation():
@@ -506,19 +514,22 @@ def test_braided_line_double_biproduct_twists_nontrivially():
                                   "sweedler alpha=-1", "braided line N=4"])
 def test_double_biproduct_is_the_public_twist_of_z_by_rho_hat(case):
     # double_biproduct lifts rho^- to rho_hat^- and solves nothing over
-    # Z (x) Z; the public twist solves rho_hat^- there and cross-checks
-    # the stored lift against it
+    # Z (x) Z; the lift must be what a fresh solve there gives, and the
+    # public twist of Z by rho_hat with no stored inverse, which solves,
+    # must give Z_twisted
     out = double_biproduct(FREE_PRODUCT_INPUTS[case]())
-    rho_hat = out["rho_hat"]
-    assert cocycle_inverse(rho_hat) == rho_hat.chi_inv
-    got, want = twist(out["Z"], rho_hat), out["Z_twisted"]
+    Z, rho_hat = out["Z"], out["rho_hat"]
+    assert _scalar_inverse(rho_hat.chi, tensor_coalgebra(Z, Z)) == \
+        rho_hat.chi_inv
+    got, want = twist(Z, TwoCocycle(Z, rho_hat.chi)), out["Z_twisted"]
     assert (got.m, got.delta, got.S) == (want.m, want.delta, want.S)
 
 
 def test_a_wrong_lift_of_rho_inverse_is_refused_by_name(monkeypatch):
     # one entry of rho^- (the form on B (x) C only) is off by 1; without the
-    # two identities over Z (x) Z it would surface only as a failing
-    # twisted structure
+    # certificate of the stored rho_hat^- over Z (x) Z it would surface only
+    # as a failing twisted structure.  The lift is built by the package, so
+    # the refusal is a ConsistencyError carrying the certificate
     inp = sweedler_rho(1)
     bc = (inp.B.space, inp.C.space)
     solve = twisting._scalar_inverse
@@ -532,10 +543,13 @@ def test_a_wrong_lift_of_rho_inverse_is_refused_by_name(monkeypatch):
         return LinMap(inv.dom, inv.cod, entries)
 
     monkeypatch.setattr(twisting, "_scalar_inverse", off_by_one)
-    with pytest.raises(ConsistencyError,
-                       match="^rho_hat_inv is not the convolution inverse "
-                             "of rho_hat$"):
+    with pytest.raises(ConsistencyError) as exc:
         double_biproduct(inp)
+    assert str(exc.value) == "chi_inv fails convolution-right-inverse"
+    rep = exc.value.report
+    assert rep.failed() == ["convolution-right-inverse",
+                            "convolution-left-inverse"]
+    assert all(e.witness is not None for e in rep.entries)
 
 
 def _twist_the_trivial_cocycle_on_kc2():
@@ -566,7 +580,7 @@ def _failed_first_law(rep):
     ("classify_morphism", lambda cls: {**cls, "is_algebra_morphism": False},
      _sweedler_double_biproduct, "canonical morphism fails: "),
     ("_cocycle_report", _failed_first_law, _sweedler_double_biproduct,
-     "rho_hat fails "),
+     "cocycle fails "),
 ], ids=["twist", "product", "canonical", "rho_hat"])
 def test_a_failed_check_of_a_built_object_carries_its_report(
         monkeypatch, target, wrong, call, head):
@@ -583,9 +597,13 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
     direct = twisting._twisted_mult_direct
     monkeypatch.setattr(twisting, "_twisted_mult_direct",
                         lambda *args: doubled(direct(*args)))
-    with pytest.raises(ConsistencyError,
-                       match="^direct twisted multiplication disagrees at "):
+    with pytest.raises(ConsistencyError) as exc:
         _sweedler_double_biproduct()
+    assert str(exc.value) == ("direct twisted multiplication fails "
+                              "twisted-direct-agreement")
+    (entry,) = exc.value.report.entries
+    assert entry.witness is not None
+    assert entry.witness.lhs == 2 * entry.witness.rhs != 0
 
 
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):

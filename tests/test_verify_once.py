@@ -216,9 +216,62 @@ def test_twist_checks_each_input_once(spy, monkeypatch):
     assert spy.repeats == []
 
 
+def test_a_stored_inverse_is_certified_not_solved(monkeypatch):
+    # a correct chi_inv passes its certificate and is the object returned
+    # by cocycle_inverse and read by the twist, which makes no solve and
+    # gives what the solving twist gives
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    for b, c in [bicharacter_cocycle(2), (H4, coboundary_cocycle(H4, 5))]:
+        want = twist(b, c)
+        stored = TwoCocycle(b, c.chi, cocycle_inverse(c))
+        solves = _count_calls(monkeypatch, "convolution_inverse",
+                              structures, twisting)
+        dots = _count_calls(monkeypatch, "conv_dot", twisting)
+        assert cocycle_inverse(stored) is stored.chi_inv
+        got = twist(b, stored)
+        assert solves == []
+        assert [a[0] for a in dots if a[2] == "right"][0] is stored.chi_inv
+        assert (got.m, got.S) == (want.m, want.S)
+        monkeypatch.undo()
+
+
+def test_twist_and_double_biproduct_each_run_the_twist_body_once(
+        monkeypatch):
+    # _twist is entered once per call, and chi.m, the cocycle report and
+    # chi^- are computed inside it only, so double_biproduct runs twist's
+    # body and not a copy of its steps
+    depth, seen = [0], []
+    body = twisting._twist
+
+    def twist_body(*args):
+        seen.append("_twist")
+        depth[0] += 1
+        try:
+            return body(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(twisting, "_twist", twist_body)
+    steps = ["_chi_dot_m", "_cocycle_report", "_cocycle_inverse"]
+    for name in steps:
+        def step(*args, name=name, orig=getattr(twisting, name)):
+            seen.append(name if depth[0] else "outside " + name)
+            return orig(*args)
+        monkeypatch.setattr(twisting, name, step)
+    gg, c = bicharacter_cocycle(2)
+    twist(gg, c)
+    assert seen == ["_twist"] + steps
+    inp = sweedler_crossed_modules()
+    sb, sc = inp.B.space, inp.C.space
+    seen.clear()
+    double_biproduct(inp.with_rho(
+        LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})))
+    assert seen == ["_twist"] + steps
+
+
 def test_double_biproduct_solves_once_over_b_c(monkeypatch):
-    # rho_hat^- is the lift of rho^-, verified over Z (x) Z by its two
-    # identities, not solved for again there
+    # rho_hat^- is the lift of rho^-, certified over Z (x) Z by its two
+    # convolution identities, not solved for again there
     inp = sweedler_crossed_modules()
     sb, sc = inp.B.space, inp.C.space
     rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
