@@ -572,11 +572,11 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
     ida, idc = LinMap.identity((A,)), LinMap.identity((C,))
-    target = alg.eta * coalg.eps
     X = run_pipeline([[ida, coalg.delta], [flip(A, C), idc], [f, ida, idc],
                       [alg.m, idc]])
     rhs = da * dc  # the right-hand side rides along as one extra column
-    rows = [{rhs: target.entry(u, v)} for u in range(da) for v in range(dc)]
+    rows = [{rhs: alg.eta.entry(u, 0) * coalg.eps.entry(0, v)}
+            for u in range(da) for v in range(dc)]
     for (uc2, av), x in X.entries.items():
         u, c2 = divmod(uc2, dc)
         a, v = divmod(av, dc)

@@ -534,8 +534,8 @@ def test_a_wrong_lift_of_rho_inverse_is_refused_by_name(monkeypatch):
     bc = (inp.B.space, inp.C.space)
     solve = twisting._scalar_inverse
 
-    def off_by_one(f, coalg):
-        inv = solve(f, coalg)
+    def off_by_one(f, coalg, *stored):
+        inv = solve(f, coalg, *stored)
         if f.dom != bc:
             return inv
         entries = dict(inv.entries)
