@@ -634,9 +634,7 @@ def main(argv=None) -> int:
         code = _DISPATCH[args.command](args)
     except VerifiedFailure as err:
         print(f"crossbial: verified failure: {err}", file=sys.stderr)
-        if err.report is not None:
-            print("failing:", ", ".join(err.report.failed()),
-                  file=sys.stderr)
+        print("failing:", ", ".join(err.report.failed()), file=sys.stderr)
         code = 1
     except InputError as err:
         print(f"crossbial: error: {err}", file=sys.stderr)

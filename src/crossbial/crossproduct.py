@@ -26,7 +26,9 @@ from .structures import (
     _mult,
     check_axioms,
     classify_morphism,
+    compare,
     cross_structure,
+    morphism_reports,
     rebind,
     restrict,
 )
@@ -72,9 +74,9 @@ class BAT:
 def build_cross_product(t: BAT) -> Structure:
     """Assemble the product/coproduct induced by the tuple and verify every
     bialgebra axiom exactly; raise NotABATError naming the first failure."""
-    for tag, st in (("B1", t.b1), ("B2", t.b2)):
-        if st.eps * st.eta != LinMap.identity(UNIT):
-            raise NotABATError(f"{tag} is not counit-normalised")
+    CheckReport(compare(tag, st.eps * st.eta, LinMap.identity(UNIT))
+                for tag, st in (("B1", t.b1), ("B2", t.b2))).require(
+        "{} is not counit-normalised", NotABATError)
     prod = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
     # no provider registers the fused space: it braids as B1(x)B2 does
     s12, P2 = (t.b1.space, t.b2.space), (prod.space, prod.space)
@@ -155,8 +157,8 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
     coefficient matrix; for an idempotent these compose to the identity on
     the split image automatically.
     """
-    if Pi * Pi != Pi:
-        raise InvalidSystemError(f"{name} is not idempotent")
+    CheckReport([compare(name, Pi * Pi, Pi)]).require(
+        "{} is not idempotent", InvalidSystemError)
     red = reduce_rows(Pi.by_row().values())
     pivots = sorted(red)
     B = Space(name, len(pivots))
@@ -165,8 +167,9 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
                            for u, v in Pi.column(p).items()})
     proj = LinMap(A, (B,), {(k, v): x for k, p in enumerate(pivots)
                             for v, x in {p: ONE, **red[p]}.items()})
-    if proj * inj != LinMap.identity((B,)) or inj * proj != Pi:
-        raise InvalidSystemError(f"{name} does not split exactly")
+    CheckReport([compare("proj o inj", proj * inj, LinMap.identity((B,))),
+                 compare("inj o proj", inj * proj, Pi)]).require(
+        f"{name} does not split exactly: {{}} fails", InvalidSystemError)
     return inj, proj, B
 
 
@@ -202,10 +205,9 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
         raise ShapeError("an injection must start from a space, not k")
     require_boundaries(("i1", i1, s1, P), ("i2", i2, s2, P),
                        ("p1", p1, P, s1), ("p2", p2, P, s2))
-    if p1 * i1 != LinMap.identity(s1):
-        raise InvalidSystemError("p1 o i1 is not the identity")
-    if p2 * i2 != LinMap.identity(s2):
-        raise InvalidSystemError("p2 o i2 is not the identity")
+    CheckReport([compare("p1 o i1", p1 * i1, LinMap.identity(s1)),
+                 compare("p2 o i2", p2 * i2, LinMap.identity(s2))]).require(
+        "{} is not the identity", InvalidSystemError)
 
     # the factors are restricted through i_j and p_j, and the connecting
     # maps are A's product and coproduct transported through phi and
@@ -220,21 +222,22 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
                           [b1.eps, id2, id1, b2.eps]])
     bat = BAT(b1, b2, phi12, phi21, braiding)
     verdicts = []
-    for tag, f, src, dst, want in (
-            ("i1", i1, b1, A, "is_algebra_morphism"),
-            ("i2", i2, b2, A, "is_algebra_morphism"),
-            ("p1", p1, A, b1, "is_coalgebra_morphism"),
-            ("p2", p2, A, b2, "is_coalgebra_morphism")):
-        verdicts.append(classify_morphism(f, src, dst))
-        if not verdicts[-1][want]:
-            kind = want.split("_")[1]
-            raise InvalidSystemError(f"{tag} is not a {kind} morphism")
+    for tag, f, src, dst, kind in (("i1", i1, b1, A, "an algebra"),
+                                   ("i2", i2, b2, A, "an algebra"),
+                                   ("p1", p1, A, b1, "a coalgebra"),
+                                   ("p2", p2, A, b2, "a coalgebra")):
+        alg, coa = morphism_reports(f, src, dst, tag)
+        verdicts.append({"is_algebra_morphism": alg.ok,
+                         "is_coalgebra_morphism": coa.ok})
+        (alg if tag[0] == "i" else coa).require(
+            f"{tag} is not {kind} morphism: {{}} fails", InvalidSystemError)
 
-    if (phi_inv * phi != LinMap.identity(s1 + s2)
-            or phi * phi_inv != LinMap.identity(P)):
-        raise NotASplittingError(
-            "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
-            "inverse")
+    CheckReport([compare("iso-left-inverse", phi_inv * phi,
+                         LinMap.identity(s1 + s2)),
+                 compare("iso-right-inverse", phi * phi_inv,
+                         LinMap.identity(P))]).require(
+        "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not mutually "
+        "inverse: {} fails", NotASplittingError)
     return DecomposeResult(bat, phi, tuple(verdicts))
 
 

@@ -517,8 +517,8 @@ def trivalence(d: HopfDatum) -> dict:
     least one interaction map is trivial, which happens iff at least one of
     those maps is both an algebra and a coalgebra morphism.
     """
-    pattern = _pattern_of(d)
-    trivalent = "0" in pattern
+    cls = classify(d)
+    trivalent = "0" in cls["pattern"]
     prod = d.product()
     i1, i2, p1, p2 = canonical_maps(d.b1, d.b2, prod.space)
     witness = {"inj1": classify_morphism(i1, d.b1, prod),
@@ -528,8 +528,7 @@ def trivalence(d: HopfDatum) -> dict:
     both = [name for name, c in witness.items()
             if c["is_algebra_morphism"] and c["is_coalgebra_morphism"]]
     return {
-        "pattern": pattern,
-        "family": _family(pattern),
+        **cls,
         "trivalent": trivalent,
         "witness": witness,
         "both_morphisms": both,

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .scalars import (SCALAR_TYPES, InputError, Scalar, VerifiedFailure, ZERO,
-                      ONE, as_scalar, json_int, reciprocal, scalar_from_json,
+from .scalars import (SCALAR_TYPES, InputError, Scalar, ZERO, ONE,
+                      as_scalar, json_int, reciprocal, scalar_from_json,
                       scalar_to_json)
 
 
@@ -38,12 +38,6 @@ class ShapeError(InputError, ValueError):
 
     slot: Optional[str] = None
     module: Optional[int] = None
-
-
-class NotInvertibleError(VerifiedFailure, ValueError):
-    def __init__(self, msg, rank=None):
-        super().__init__(msg)
-        self.rank = rank
 
 
 class ConfigurationError(InputError, ValueError):
@@ -232,23 +226,6 @@ class LinMap:
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)
-
-    # -- inversion / solving ----------------------------------------------
-
-    def invert(self) -> "LinMap":
-        """Exact two-sided inverse, read off the reduced form of [A | I]."""
-        n, m = self.nrows, self.ncols
-        if n != m:
-            raise NotInvertibleError(f"matrix is {n}x{m}, not square")
-        rows = self.by_row()
-        red = reduce_rows({**rows.get(i, {}), n + i: ONE} for i in range(n))
-        rank = sum(1 for c in red if c < n)
-        if rank < n:
-            raise NotInvertibleError(f"singular matrix (rank {rank} of {n})",
-                                     rank=rank)
-        return LinMap(self.cod, self.dom, {(i, c - n): v
-                                           for i, row in red.items()
-                                           for c, v in row.items()})
 
 
 def _subtract(row: Dict[int, Scalar], factor: Scalar,

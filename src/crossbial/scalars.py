@@ -31,10 +31,10 @@ ONE = 1
 
 class VerifiedFailure(Exception):
     """A law was checked and failed (CLI exit 1).  Every such exception
-    of the package derives from this class; report, when there is one, is
-    the CheckReport whose first failed law the message names."""
+    of the package derives from this class; report is the CheckReport
+    whose first failed law the message names."""
 
-    def __init__(self, msg, report=None):
+    def __init__(self, msg, report):
         super().__init__(msg)
         self.report = report
 

@@ -521,14 +521,25 @@ def yd_provider_left(host: Structure, modules):
 
 # -- morphism classification ------------------------------------------------
 
+def morphism_reports(f: LinMap, src: Structure, dst: Structure,
+                     tag: str = "morphism") -> Tuple[CheckReport, CheckReport]:
+    """The algebra-morphism laws of f : src -> dst (tag + "-multiplicative",
+    "-unital") and its coalgebra-morphism laws ("-comultiplicative",
+    "-counital"), as two reports; tag also names f's boundary slot."""
+    require_boundaries((tag, f, (src.space,), (dst.space,)))
+    return (CheckReport([
+        compare(f"{tag}-multiplicative", f * _mult(src),
+                _mult(dst) * run_pipeline([[f, f]])),
+        compare(f"{tag}-unital", f * src.eta, dst.eta)]), CheckReport([
+        compare(f"{tag}-comultiplicative",
+                run_pipeline([[src.delta], [f, f]]), dst.delta * f),
+        compare(f"{tag}-counital", dst.eps * f, src.eps)]))
+
+
 def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
     """Test the four morphism laws of f : src -> dst exactly."""
-    require_boundaries(("morphism", f, (src.space,), (dst.space,)))
-    alg = ((f * _mult(src) == _mult(dst) * run_pipeline([[f, f]]))
-           and (f * src.eta == dst.eta))
-    coa = ((run_pipeline([[src.delta], [f, f]]) == dst.delta * f)
-           and (dst.eps * f == src.eps))
-    return {"is_algebra_morphism": alg, "is_coalgebra_morphism": coa}
+    alg, coa = morphism_reports(f, src, dst)
+    return {"is_algebra_morphism": alg.ok, "is_coalgebra_morphism": coa.ok}
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +592,11 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
         u, c2 = divmod(uc2, dc)
         a, v = divmod(av, dc)
         rows[u * dc + v][a * dc + c2] = x
-    red = reduce_rows(rows)
-    if rhs in red:
-        raise NotConvolutionInvertibleError("convolution system inconsistent")
-    # free unknowns are zero, so each pivot unknown equals its right side
+    # free unknowns are zero, so each pivot unknown equals its right side;
+    # a pivot on the right side (0 = 1) leaves g to fail the certificate
     g = LinMap((C,), (A,), {divmod(var, dc): row.get(rhs, ZERO)
-                            for var, row in red.items()})
+                            for var, row in reduce_rows(rows).items()
+                            if var != rhs})
     _inverse_report(f, g, coalg, alg).require(
         "no two-sided convolution inverse exists: {} fails",
         NotConvolutionInvertibleError)

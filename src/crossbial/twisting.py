@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .datum import ConsistencyError, HopfDatum, check_hopf_datum
-from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, NotInvertibleError,
-                      ShapeError, Space, UNIT, YetterDrinfeld, flip,
-                      pipeline_as_linmap, require_boundaries, run_pipeline)
+from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
+                      UNIT, YetterDrinfeld, flip, pipeline_as_linmap,
+                      reduce_rows, require_boundaries, run_pipeline)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -299,23 +299,24 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     lhd: H (x) A -> H and rhd: H (x) A -> A are built from the form and
     its convolution inverse through the double comultiplications.  The
     full matched-pair axiom list is evaluated (as the interaction axioms
-    of the action-only datum with A and H as factors), the square of the
-    mixed braidings is tested for the identity, and the two verdicts are
-    asserted to agree.  The pairing must be nondegenerate: the biconditional
-    is simply false for degenerate forms (the counit pairing induces the
-    trivial matched pair over any backend).
+    of the action-only datum with A and H as factors) and the square of
+    the mixed braidings is compared with the identity; verdicts that
+    disagree raise ConsistencyError carrying the datum report and that
+    "braiding-involutive" entry.  The pairing must be nondegenerate, a
+    square Gram matrix of full rank ("pairing-nondegenerate"): the
+    biconditional is simply false for degenerate forms (the counit pairing
+    induces the trivial matched pair over any backend).
     """
     validate_pairing(p, bp).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
     gram = LinMap((sa,), (sh,),
                   {divmod(c, sa.dim): v for (_, c), v in form.entries.items()})
-    try:
-        gram.invert()
-    except NotInvertibleError as err:
-        raise PreconditionError("matched-pair derivation needs a "
-                                "nondegenerate pairing; the Gram matrix "
-                                f"is not invertible ({err})") from None
+    rank = len(reduce_rows(gram.by_row().values()))
+    CheckReport([CheckEntry("pairing-nondegenerate",
+                            sh.dim == sa.dim == rank)]).require(
+        "matched-pair derivation needs a nondegenerate pairing; the Gram "
+        f"matrix is {sh.dim}x{sa.dim} of rank {rank}: {{}} fails")
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p, bp)
     lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
@@ -327,14 +328,16 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     datum = HopfDatum(A, H, act_l=rhd, act_r=lhd, braiding=bp)
     drep = check_hopf_datum(datum)
     matched = drep.ok
-    invol = (bp.braiding(sh, sa) * bp.braiding(sa, sh)
-             == LinMap.identity((sa, sh)))
-    if matched != invol:
-        raise ConsistencyError(
-            "matched-pair verdict must coincide with involutivity of the "
-            f"mixed braiding (got {matched} vs {invol})")
+    invol = compare("braiding-involutive",
+                    bp.braiding(sh, sa) * bp.braiding(sa, sh),
+                    LinMap.identity((sa, sh)))
+    if matched != invol.ok:
+        CheckReport(drep.entries + (invol,)).require(
+            f"matched-pair verdict {matched} must coincide with involutivity "
+            f"of the mixed braiding ({invol.ok}): {{}} fails",
+            ConsistencyError)
     return {"lhd": lhd, "rhd": rhd, "is_matched_pair": matched,
-            "braiding_involutive": invol, "report": drep}
+            "braiding_involutive": invol.ok, "report": drep}
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +409,9 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     its product is compared with the direct diagram.
     """
     if inp.rho is None:
-        raise PreconditionError("no pairing rho supplied")
+        err = ShapeError("no pairing rho supplied")
+        err.slot = "rho"
+        raise err
     H, B, C, rho = inp.H, inp.B, inp.C, inp.rho
     sh, sb, sc = H.space, B.space, C.space
     idb, idc = B.id_map(), C.id_map()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import time
@@ -17,13 +18,16 @@ from crossbial.cli import (
     save_workspace,
     workspace_to_json,
 )
+from crossbial.crossproduct import decompose
 from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import VerifiedFailure, root_of_unity
-from crossbial.structures import Structure, check_axioms, yd_provider_left
-from crossbial.twisting import matched_pair_from_pairing
+from crossbial.structures import (CheckEntry, CheckReport, Structure,
+                                  check_axioms, yd_provider_left)
+from crossbial.twisting import DualPairing, matched_pair_from_pairing
 from crossbial.zoo import (RadfordParams, group_algebra, radford,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
+from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
@@ -447,14 +451,17 @@ def test_a_cap_above_the_bound_is_refused_before_any_work(
                          ids=lambda cls: cls.__name__)
 def test_every_package_exception_exits_with_its_code(capsys, monkeypatch,
                                                      cls):
+    verified = issubclass(cls, VerifiedFailure)
+
     def fail(args):
+        if verified:
+            raise cls("planted", CheckReport([CheckEntry("planted", False)]))
         raise cls("planted")
     monkeypatch.setitem(cli._DISPATCH, "zoo", fail)
     code, out, err = run(capsys, "zoo", "list")
-    verified = issubclass(cls, VerifiedFailure)
     assert code == (1 if verified else 2)
     assert out == ""
-    assert ("verified failure: planted" if verified
+    assert ("verified failure: planted\nfailing: planted" if verified
             else "error: planted") in err
 
 
@@ -549,6 +556,71 @@ def test_twist_apply_certifies_a_stored_inverse(tmp_path, capsys):
     assert written["stored"] == written["solved"]
 
 
+def _refusal_workspace(case):
+    """The workspace of one case of the exit-1 contract: valid input that a
+    verified law refuses."""
+    if case.startswith("cross"):
+        out = radford(RadfordParams(2, 1, 2, 1))
+        H, system = out["H"], out["system"]
+        if case == "cross-decompose":
+            ws = Workspace().add_structure("main", H)
+            for k in ("i1", "i2", "p1", "p2"):
+                ws.add_map(k, getattr(system, k))
+            return ws.add_map("p1", doubled(system.p1))
+        bat = decompose(H, system).bat
+        b1 = dataclasses.replace(bat.b1, eps=doubled(bat.b1.eps))
+        return (Workspace().add_structure("b1", b1)
+                .add_structure("b2", bat.b2).add_map("phi12", bat.phi12)
+                .add_map("phi21", bat.phi21))
+    if case == "twist-apply":
+        c = uninvertible_cocycle()
+        return Workspace().add_structure("main", c.host).add_map("chi", c.chi)
+    if case == "pairing-degenerate":
+        H = A = group_algebra(2)
+        p = DualPairing(H, A, H.eps @ A.eps)
+    else:
+        p = evaluation_pairing_of_the_op_cop_dual(
+            radford(RadfordParams(2, 1, 2, 1))["H"])
+    return (Workspace().add_structure("h", p.H).add_structure("a", p.A)
+            .add_map("form", p.form))
+
+
+# case -> (command, message, failed checks) of the exit-1 contract
+_REFUSALS = {
+    "cross-decompose": (("cross", "decompose"),
+                        "p1 o i1 is not the identity", "p1 o i1"),
+    "cross-build": (("cross", "build"), "B1 is not counit-normalised", "B1"),
+    "twist-apply": (("twist", "apply"),
+                    "no two-sided convolution inverse exists: "
+                    "convolution-right-inverse fails",
+                    "convolution-right-inverse, convolution-left-inverse"),
+    # the counit pairing of kC2 with itself: a pairing, but degenerate
+    "pairing-degenerate": (("pairing", "matched-pair"),
+                           "matched-pair derivation needs a nondegenerate "
+                           "pairing; the Gram matrix is 2x2 of rank 1: "
+                           "pairing-nondegenerate fails",
+                           "pairing-nondegenerate"),
+    # ROADMAP item 18: Sweedler's H4 and its op-cop dual, whose induced
+    # datum fails two laws while the flip is involutive
+    "pairing-sweedler": (("pairing", "matched-pair"),
+                         "matched-pair verdict False must coincide with "
+                         "involutivity of the mixed braiding (True): "
+                         "act-l-associativity fails",
+                         "act-l-associativity, module-algebra-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_every_exit_1_names_its_failing_checks(tmp_path, capsys, case):
+    command, message, failing = _REFUSALS[case]
+    path = str(tmp_path / "ws.json")
+    save_workspace(_refusal_workspace(case), path)
+    code, out, err = run(capsys, *command, "--in", path)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[:2] == [f"crossbial: verified failure: {message}",
+                                    f"failing: {failing}"]
+
+
 def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(
         tmp_path, capsys):
     c = uninvertible_cocycle()
@@ -562,8 +634,10 @@ def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(
                          "-o", str(twisted))
     assert code == 1
     assert out == ""
-    assert ("crossbial: verified failure: convolution system inconsistent"
-            in err.splitlines())
+    assert err.splitlines()[:2] == [
+        "crossbial: verified failure: no two-sided convolution inverse "
+        "exists: convolution-right-inverse fails",
+        "failing: convolution-right-inverse, convolution-left-inverse"]
     assert not twisted.exists()
 
 

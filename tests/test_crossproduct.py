@@ -26,7 +26,7 @@ from crossbial.zoo import (OreParams, RadfordParams, group_algebra,
                            ore_finite, radford)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_datum import group_hopf, unit_hopf
-from tests.test_linmaps import doubled
+from tests.test_linmaps import doubled, invert
 
 ONE = Fraction(1)
 
@@ -166,9 +166,12 @@ def test_idempotent_route_matches_the_projection_route():
 
 
 # Idempotents S diag(d) S^-1 on Radford(2,1,2,1), S from a seeded search
-# over {-1, 0, 1}^(4x4): one pair per precondition decompose refuses, each
-# named by the first law an idempotent of the pair breaks, and one valid
-# pair.  The refusal's type is the contract; its wording is not.
+# over {-1, 0, 1}^(4x4): one pair per refusal of decompose, each case named
+# by the law of Pi1 that the refusal reads, and one valid pair.  Pi1 breaks
+# that law and holds each one before it (product stability, unit,
+# coproduct stability, counit); in the coproduct-stability and counit cases
+# Pi2 is the valid pair's, split by an algebra morphism, so that the
+# refusal reaches p1's coalgebra laws.
 _S = {
     "a": ((-1, -1, 1, 0), (0, 0, -1, 0), (1, 0, -1, -1), (0, 0, 1, 1)),
     "b": ((1, -1, 0, 0), (1, 0, 0, 0), (0, 0, -1, 0), (0, 0, -1, 1)),
@@ -177,35 +180,42 @@ _S = {
     "e": ((-1, 1, 0, 1), (-1, 1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 1)),
     "f": ((0, -1, -1, 1), (1, 0, 1, 1), (1, 0, 1, 0), (-1, 1, -1, 1)),
     "g": ((0, 1, -1, -1), (1, -1, -1, 1), (1, -1, 0, 1), (-1, 1, -1, 1)),
-    "h": ((-1, -1, -1, -1), (1, -1, 0, 0), (-1, -1, 1, -1), (1, 1, -1, 0)),
     "k": ((1, 1, 0, 0), (1, -1, 0, 1), (-1, 1, 0, 0), (0, 0, 1, 1)),
-    "l": ((1, 1, 1, 1), (1, 1, 0, 0), (1, -1, 0, 1), (0, 1, 1, -1)),
 }
+_ALGEBRA = "i1 is not an algebra morphism: "
+_COALGEBRA = "p1 is not a coalgebra morphism: "
 _IDEMPOTENT_CASES = {
-    "valid": (("a", (1, 1, 0, 0)), ("b", (1, 1, 0, 0)), None),
+    "valid": (("a", (1, 1, 0, 0)), ("b", (1, 1, 0, 0)), None, None),
     "not-idempotent": (("a", (1, 2, 0, 0)), ("b", (1, 1, 0, 0)),
-                       InvalidSystemError),
+                       InvalidSystemError,
+                       "Rad(2,1,2,1)[1] is not idempotent"),
     "product-stability": (("c", (1, 1, 0, 0)), ("d", (1, 1, 0, 0)),
-                          InvalidSystemError),
-    "unit": (("e", (1, 1, 0, 0)), ("f", (1, 1, 0, 0)), InvalidSystemError),
-    "coproduct-stability": (("g", (1, 1, 0, 0)), ("h", (1, 1, 0, 0)),
-                            InvalidSystemError),
-    "counit": (("k", (1, 1, 0, 0)), ("l", (1, 1, 0, 0)), InvalidSystemError),
+                          InvalidSystemError,
+                          _ALGEBRA + "i1-multiplicative fails"),
+    "unit": (("e", (1, 1, 0, 0)), ("f", (1, 1, 0, 0)), InvalidSystemError,
+             _ALGEBRA + "i1-unital fails"),
+    "coproduct-stability": (("g", (1, 1, 0, 0)), ("b", (1, 1, 0, 0)),
+                            InvalidSystemError,
+                            _COALGEBRA + "p1-comultiplicative fails"),
+    "counit": (("k", (1, 1, 0, 0)), ("b", (1, 1, 0, 0)), InvalidSystemError,
+               _COALGEBRA + "p1-counital fails"),
     "splitting": (("a", (1, 1, 0, 0)), ("a", (1, 1, 0, 0)),
-                  NotASplittingError),
+                  NotASplittingError,
+                  "m_A o (i1 (x) i2) and (p1 (x) p2) o delta_A are not "
+                  "mutually inverse: iso-left-inverse fails"),
 }
 
 
 def _conjugated(V, name, diag):
     S = LinMap.from_rows((V,), (V,), _S[name])
     D = LinMap((V,), (V,), {(i, i): ONE * x for i, x in enumerate(diag) if x})
-    return S * D * S.invert()
+    return S * D * invert(S)
 
 
 @pytest.mark.parametrize("case", sorted(_IDEMPOTENT_CASES))
 def test_idempotent_systems_on_radford(case):
     H, _, _ = radford_parts()
-    first, second, refusal = _IDEMPOTENT_CASES[case]
+    first, second, refusal, text = _IDEMPOTENT_CASES[case]
     sys = IdempotentSystem(_conjugated(H.space, *first),
                            _conjugated(H.space, *second))
     if refusal is None:
@@ -213,8 +223,12 @@ def test_idempotent_systems_on_radford(case):
         assert (res.bat.b1.dim, res.bat.b2.dim) == (2, 2)
         build_cross_product(res.bat)
     else:
-        with pytest.raises(refusal):
+        with pytest.raises(refusal) as exc:
             decompose(H, sys)
+        assert str(exc.value) == text
+        first_failed = exc.value.report.entry(exc.value.report.failed()[0])
+        assert first_failed.axiom in text
+        assert first_failed.witness is not None
 
 
 def test_rank_one_idempotents_do_not_split_the_product():

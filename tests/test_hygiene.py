@@ -5,7 +5,8 @@ reader outside the tests, a private name crosses from one module of the
 package to another only where listed, the axiom checkers and
 structure-map builders evaluate their diagrams with the strand kernel,
 never with identity-padded tensors, no diagram starts from a built
-identity, and the package never divides with `/`."""
+identity, the package never divides with `/`, and every verified failure
+it raises carries the report of the check that failed."""
 
 import ast
 import importlib
@@ -510,6 +511,63 @@ def test_each_exception_has_exactly_one_exit_code_base():
     assert [cls.__name__ for cls in classes
             if issubclass(cls, VerifiedFailure) == issubclass(
                 cls, InputError)] == []
+
+
+def reportless_failures(source: str, names):
+    """(line, class) of each call of a class in names, by name or as an
+    attribute, that passes no report= keyword or passes report=None."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            report = [k.value for k in n.keywords if k.arg == "report"]
+            if name in names and (not report or (
+                    isinstance(report[0], ast.Constant)
+                    and report[0].value is None)):
+                found.append((n.lineno, name))
+    return sorted(found)
+
+
+# crossproduct.decompose's refusals when they were bare messages, abridged,
+# then a refusal with its report and one with report=None
+BARE_DECOMPOSE = """\
+def decompose(A, sys, braiding=FLIP):
+    check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
+    if p1 * i1 != LinMap.identity(s1):
+        raise InvalidSystemError("p1 o i1 is not the identity")
+    if p2 * i2 != LinMap.identity(s2):
+        raise InvalidSystemError("p2 o i2 is not the identity")
+    for tag, f, src, dst, want in morphisms:
+        verdicts.append(classify_morphism(f, src, dst))
+        if not verdicts[-1][want]:
+            kind = want.split("_")[1]
+            raise InvalidSystemError(f"{tag} is not a {kind} morphism")
+    if phi_inv * phi != LinMap.identity(s1 + s2):
+        raise crossproduct.NotASplittingError("not mutually inverse")
+    raise NotABATError("not a BAT", report=verdict)
+    raise NotABATError("not a BAT", report=None)
+"""
+
+
+def verified_failure_names():
+    return {"VerifiedFailure"} | {cls.__name__ for cls in package_exceptions()
+                                  if issubclass(cls, VerifiedFailure)}
+
+
+def test_the_scanner_flags_a_verified_failure_without_a_report():
+    assert reportless_failures(BARE_DECOMPOSE, verified_failure_names()) == [
+        (4, "InvalidSystemError"), (6, "InvalidSystemError"),
+        (11, "InvalidSystemError"), (13, "NotASplittingError"),
+        (15, "NotABATError")]
+
+
+def test_every_verified_failure_carries_a_report():
+    # CheckReport.require raises its error class with report=self, so a
+    # refusal through it passes; exit 1 always prints a "failing:" line
+    names = verified_failure_names()
+    assert [(p.name, *site) for p in PACKAGE
+            for site in reportless_failures(p.read_text(), names)] == []
 
 
 def memo_accesses(source: str):

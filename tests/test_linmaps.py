@@ -11,7 +11,6 @@ from crossbial.linmaps import (
     ConfigurationError,
     LeftYetterDrinfeld,
     LinMap,
-    NotInvertibleError,
     ShapeError,
     Space,
     UNIT,
@@ -171,23 +170,38 @@ def test_permutation_rejects_non_bijection():
 
 # -- inversion --------------------------------------------------------------
 
+def invert(f: LinMap) -> LinMap:
+    """The exact two-sided inverse of a square f, read off the reduced form
+    of [A | I]; ValueError naming the rank when there is none.  The package
+    itself inverts no matrix: it needs ranks and solutions, which
+    reduce_rows gives directly."""
+    n = f.nrows
+    rows = f.by_row()
+    red = reduce_rows({**rows.get(i, {}), n + i: ONE} for i in range(n))
+    rank = sum(1 for c in red if c < n)
+    if rank < n:
+        raise ValueError(f"singular matrix (rank {rank} of {n})")
+    return LinMap(f.cod, f.dom, {(i, c - n): v for i, row in red.items()
+                                 for c, v in row.items()})
+
+
 def test_invert_identity_and_flip():
-    assert LinMap.identity((X,)).invert() == LinMap.identity((X,))
-    assert flip(X, Y).invert() == flip(Y, X)
+    assert invert(LinMap.identity((X,))) == LinMap.identity((X,))
+    assert invert(flip(X, Y)) == flip(Y, X)
 
 
 def test_invert_zero_fails_with_rank():
     z = LinMap((X,), (X,))
-    with pytest.raises(NotInvertibleError) as e:
-        z.invert()
-    assert e.value.rank == 0
+    with pytest.raises(ValueError,
+                       match=r"^singular matrix \(rank 0 of 2\)$"):
+        invert(z)
 
 
 def test_invert_singular_rank():
     s = LinMap.from_rows((X,), (X,), [[F(1), F(2)], [F(2), F(4)]])
-    with pytest.raises(NotInvertibleError) as e:
-        s.invert()
-    assert e.value.rank == 1
+    with pytest.raises(ValueError,
+                       match=r"^singular matrix \(rank 1 of 2\)$"):
+        invert(s)
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,8 +209,8 @@ def test_invert_singular_rank():
 def test_invert_roundtrip(seed):
     f = _rand_map((X, Z), (X, Z), seed)
     try:
-        g = f.invert()
-    except NotInvertibleError:
+        g = invert(f)
+    except ValueError:
         return
     assert g * f == LinMap.identity((X, Z))
     assert f * g == LinMap.identity((X, Z))
@@ -339,7 +353,7 @@ def test_yd_composite_braiding_hexagon():
           (bp.braiding(M, M) @ LinMap.identity((M,)))
     assert lhs == rhs
     # and the inverse really inverts
-    inv = bp.braiding_list((M,), (M, M)).invert()
+    inv = invert(bp.braiding_list((M,), (M, M)))
     assert inv * lhs == LinMap.identity((M, M, M))
 
 

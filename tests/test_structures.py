@@ -52,6 +52,7 @@ from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
+from tests.test_linmaps import invert
 from tests.test_twisting import bicharacter_cocycle, canonical_pairing
 
 ONE = Fraction(1)
@@ -279,7 +280,7 @@ def test_axiom_verdicts_survive_conjugation(t):
     s = group_hopf(2)
     B = s.space
     T = LinMap((B,), (B,), {(0, 0): a, (0, 1): b, (1, 0): c, (1, 1): d})
-    Ti = T.invert()
+    Ti = invert(T)
     conj = Structure(
         B,
         T * s.m * (Ti @ Ti),
@@ -524,15 +525,12 @@ def stacked_convolution_inverse(f, coalg, alg):
         for u in range(da):
             lrows[u][rhs] = rrows[u][rhs] = target.entry(u, v)
             rows += (lrows[u], rrows[u])
-    red = reduce_rows(rows)
-    if rhs in red:
-        raise NotConvolutionInvertibleError("convolution system inconsistent")
     g = LinMap((C,), (A,), {divmod(var, dc): row.get(rhs, ZERO)
-                            for var, row in red.items()})
-    if (convolution_product(f, g, coalg, alg) != target
-            or convolution_product(g, f, coalg, alg) != target):
-        raise NotConvolutionInvertibleError(
-            "no two-sided convolution inverse exists")
+                            for var, row in reduce_rows(rows).items()
+                            if var != rhs})
+    _inverse_report(f, g, coalg, alg).require(
+        "no two-sided convolution inverse exists: {} fails",
+        NotConvolutionInvertibleError)
     return g
 
 
@@ -555,14 +553,20 @@ def test_convolution_inverse_unique():
 
 
 def test_zero_map_not_invertible():
-    # the one-sided solve and the stacked reference fail alike
+    # the one-sided solve and the stacked reference fail alike: each system
+    # is inconsistent, and the certificate refuses it with both identities
     s = group_hopf(2)
     zero = LinMap((s.space,), (s.space,))
     for solve in (convolution_inverse, stacked_convolution_inverse):
         with pytest.raises(NotConvolutionInvertibleError) as exc:
             solve(zero, s, s)
         assert type(exc.value) is NotConvolutionInvertibleError
-        assert str(exc.value) == "convolution system inconsistent"
+        assert str(exc.value) == ("no two-sided convolution inverse exists: "
+                                  "convolution-right-inverse fails")
+        assert exc.value.report.failed() == ["convolution-right-inverse",
+                                             "convolution-left-inverse"]
+        for e in exc.value.report.entries:
+            assert e.witness == Witness((0,), (0,), ZERO, ONE)
 
 
 def test_convolution_precondition():

@@ -11,7 +11,8 @@ from crossbial.datum import ConsistencyError
 from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
                                VectFlip, pipeline_as_linmap, run_pipeline)
 from crossbial import twisting
-from crossbial.scalars import ZERO, as_scalar, root_of_unity
+from crossbial.scalars import (ZERO, InputError, VerifiedFailure, as_scalar,
+                               root_of_unity)
 from crossbial.structures import (
     CheckEntry,
     CheckReport,
@@ -50,7 +51,7 @@ from crossbial.zoo import (
     taft_factor,
 )
 from tests.test_acceptance import braided_taft_pairing
-from tests.test_linmaps import doubled
+from tests.test_linmaps import doubled, invert
 
 ONE = Fraction(1)
 
@@ -241,8 +242,11 @@ def test_a_valid_cocycle_without_an_inverse_cannot_twist():
     assert rep.ok, rep.failed()
     for call in (lambda: cocycle_inverse(c), lambda: twist(c.host, c)):
         with pytest.raises(NotConvolutionInvertibleError,
-                           match="^convolution system inconsistent$"):
+                           match="^no two-sided convolution inverse exists: "
+                           "convolution-right-inverse fails$") as exc:
             call()
+        assert exc.value.report.failed() == ["convolution-right-inverse",
+                                             "convolution-left-inverse"]
 
 
 def test_a_cocycle_on_another_host_is_refused():
@@ -415,7 +419,7 @@ def test_group_dual_pairing_and_its_inverse():
     assert rep.ok, rep.failed()
     pinv = pairing_inverse(p)
     assert pinv == p.form * (p.H.S @ p.A.id_map())
-    assert pinv == p.form * (p.H.id_map() @ p.A.S.invert())
+    assert pinv == p.form * (p.H.id_map() @ invert(p.A.S))
 
 
 def test_group_dual_pairing_gives_the_trivial_matched_pair():
@@ -437,8 +441,8 @@ def test_pairing_validation_notices_a_bad_form():
     assert rep.failed() == ["pairing-mult-h", "pairing-unit-a"]
 
 
-@pytest.mark.parametrize("N, reason", [
-    (3, "matrix is 2x3, not square"), (2, "singular matrix (rank 1 of 2)")])
+@pytest.mark.parametrize("N, reason", [(3, "2x3 of rank 1"),
+                                       (2, "2x2 of rank 1")])
 def test_a_degenerate_pairing_induces_no_matched_pair(N, reason):
     # the counit pairing <h, a> = eps(h) eps(a) of kC2 with kC_N is a
     # pairing, and its Gram matrix, all ones, is invertible for no N
@@ -449,7 +453,8 @@ def test_a_degenerate_pairing_induces_no_matched_pair(N, reason):
         matched_pair_from_pairing(p)
     assert str(exc.value) == (
         "matched-pair derivation needs a nondegenerate pairing; the Gram "
-        f"matrix is not invertible ({reason})")
+        f"matrix is {reason}: pairing-nondegenerate fails")
+    assert exc.value.report.failed() == ["pairing-nondegenerate"]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +484,12 @@ def test_sweedler_double_biproduct():
 
 
 def test_double_biproduct_requires_a_pairing():
-    with pytest.raises(PreconditionError):
+    # a missing argument is malformed input (exit 2), not a failed law
+    with pytest.raises(ShapeError, match="^no pairing rho supplied$") as exc:
         double_biproduct(sweedler_crossed_modules())
+    assert exc.value.slot == "rho"
+    assert isinstance(exc.value, InputError)
+    assert not isinstance(exc.value, VerifiedFailure)
 
 
 def test_unbalanced_pairing_is_refused_by_name():
@@ -604,6 +613,24 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
     (entry,) = exc.value.report.entries
     assert entry.witness is not None
     assert entry.witness.lhs == 2 * entry.witness.rhs != 0
+
+
+def test_a_matched_pair_verdict_against_the_braiding_is_refused(
+        monkeypatch):
+    # on the braided q-line pairing both verdicts are False; a datum report
+    # planted as passing makes them disagree, and the refusal then names
+    # the mixed braiding's square, with its witness
+    p, prov = braided_taft_pairing()
+    monkeypatch.setattr(twisting, "check_hopf_datum",
+                        lambda d: CheckReport([CheckEntry("planted", True)]))
+    with pytest.raises(ConsistencyError) as exc:
+        matched_pair_from_pairing(p, prov)
+    assert str(exc.value) == (
+        "matched-pair verdict True must coincide with involutivity of the "
+        "mixed braiding (False): braiding-involutive fails")
+    rep = exc.value.report
+    assert [e.axiom for e in rep.entries] == ["planted", "braiding-involutive"]
+    assert rep.entry("braiding-involutive").witness is not None
 
 
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):

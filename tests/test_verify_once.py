@@ -127,7 +127,7 @@ def _count_calls(monkeypatch, name, *mods):
 def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
                                                    capsys):
     out = radford(RadfordParams(3, 1, 3, 1))
-    morphisms = _count_calls(monkeypatch, "classify_morphism",
+    morphisms = _count_calls(monkeypatch, "morphism_reports",
                              structures, datum, crossproduct)
     rep = crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
     assert rep.ok, rep.failed()
