@@ -18,7 +18,8 @@ import os
 import re
 import sys
 import time
-from typing import Dict
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Dict, List
 
 from . import __version__
 from .crossproduct import (BAT, ProjectionSystem, build_bialgebra,
@@ -234,7 +235,57 @@ def workspace_from_json(obj: dict) -> Workspace:
 
 
 def canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte, for a
+    document of dicts with string keys, lists, strings, ints, bools and
+    None; any other value raises TypeError.  With an indent, json.dumps
+    runs its pure-Python encoder one value at a time.  Here the text is
+    joined from parts, and a list of strings, such as a matrix row, is one
+    join of the C string quoter."""
+    parts: List[str] = []
+    _encode(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(v, nl: str, out: List[str]) -> None:
+    """Append the text of v to out; nl is a newline and the indent of the
+    line v starts on."""
+    t = type(v)
+    if t is str:
+        out.append(_quote(v))
+    elif t is list:
+        inner = nl + "  "
+        if not v:
+            out.append("[]")
+        elif all(type(x) is str for x in v):
+            out.append("[" + inner + ("," + inner).join(map(_quote, v))
+                       + nl + "]")
+        else:
+            head = "[" + inner
+            for x in v:
+                out.append(head)
+                _encode(x, inner, out)
+                head = "," + inner
+            out.append(nl + "]")
+    elif t is dict:
+        inner = nl + "  "
+        head = "{" + inner
+        for k in sorted(v):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(head + _quote(k) + ": ")
+            _encode(v[k], inner, out)
+            head = "," + inner
+        out.append(nl + "}" if v else "{}")
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is bool:
+        out.append("true" if v else "false")
+    elif v is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON "
+                        "serializable")
 
 
 def save_workspace(ws: Workspace, path: str) -> None:

@@ -13,9 +13,10 @@ recovers the tuple, splitting the idempotents by exact rank factorisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
-from .datum import HopfDatum, _mixed_maps, check_hopf_datum, classify
+from .datum import (ConsistencyError, HopfDatum, _mixed_maps,
+                    check_hopf_datum, classify)
 from .linmaps import (FLIP, LinMap, ShapeError, Space, UNIT, apply_at,
                       reduce_rows, require_boundaries, run_pipeline)
 from .scalars import ONE, VerifiedFailure
@@ -71,12 +72,16 @@ class BAT:
                            ("phi21", self.phi21, s2 + s1, s1 + s2))
 
 
+def _counit_report(t: BAT) -> CheckReport:
+    """eps_j o eta_j = id_k for each factor ("B1", "B2")."""
+    return CheckReport(compare(tag, st.eps * st.eta, LinMap.identity(UNIT))
+                       for tag, st in (("B1", t.b1), ("B2", t.b2)))
+
+
 def build_cross_product(t: BAT) -> Structure:
     """Assemble the product/coproduct induced by the tuple and verify every
     bialgebra axiom exactly; raise NotABATError naming the first failure."""
-    CheckReport(compare(tag, st.eps * st.eta, LinMap.identity(UNIT))
-                for tag, st in (("B1", t.b1), ("B2", t.b2))).require(
-        "{} is not counit-normalised", NotABATError)
+    _counit_report(t).require("{} is not counit-normalised", NotABATError)
     prod = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
     # no provider registers the fused space: it braids as B1(x)B2 does
     s12, P2 = (t.b1.space, t.b2.space), (prod.space, prod.space)
@@ -105,13 +110,19 @@ def build_bialgebra(d: HopfDatum) -> Structure:
 
 
 def bat_to_hopf_datum(t: BAT) -> HopfDatum:
-    """Extract the four interaction maps carried by an admissible tuple.
+    """Extract the four interaction maps carried by an admissible tuple,
+    once build_cross_product has verified it."""
+    build_cross_product(t)
+    return _read_datum(t)
+
+
+def _read_datum(t: BAT) -> HopfDatum:
+    """The datum of a tuple whose cross product is a bialgebra.
 
     The actions read off the connecting maps through the counits, the
     coactions through the units; the induced maps of the resulting datum
     reproduce phi12/phi21 exactly.
     """
-    build_cross_product(t)
     id1, id2 = t.b1.id_map(), t.b2.id_map()
     act_l = apply_at(t.phi21, t.b2.eps, 1)
     act_r = apply_at(t.phi21, t.b1.eps, 0)
@@ -155,7 +166,8 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
 
     inj's columns are the pivot columns of Pi, proj is the row-reduced
     coefficient matrix; for an idempotent these compose to the identity on
-    the split image automatically.
+    the split image automatically, so a factorisation that fails either
+    identity is the package's fault and raises ConsistencyError.
     """
     CheckReport([compare(name, Pi * Pi, Pi)]).require(
         "{} is not idempotent", InvalidSystemError)
@@ -169,7 +181,7 @@ def split_idempotent(Pi: LinMap, name: str) -> Tuple[LinMap, LinMap, Space]:
                             for v, x in {p: ONE, **red[p]}.items()})
     CheckReport([compare("proj o inj", proj * inj, LinMap.identity((B,))),
                  compare("inj o proj", inj * proj, Pi)]).require(
-        f"{name} does not split exactly: {{}} fails", InvalidSystemError)
+        f"{name} does not split exactly: {{}} fails", ConsistencyError)
     return inj, proj, B
 
 
@@ -241,6 +253,32 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     return DecomposeResult(bat, phi, tuple(verdicts))
 
 
+def _transported_datum(A: Structure, res: DecomposeResult
+                       ) -> Optional[HopfDatum]:
+    """The datum of res.bat, certified by transport, or None.
+
+    decompose has verified A's bialgebra laws and that phi = m_A o (i1 (x)
+    i2) has a two-sided inverse.  So when phi is an algebra and coalgebra
+    morphism from the cross product X of res.bat onto A, X is A carried
+    along phi and passes every bialgebra law that A passes; with the
+    factors' counit normalisation of build_cross_product, that is all its
+    verification of X asserts.  Under the flip only: under another
+    braiding X's laws are read with the braiding of B1 (x) B2, which phi
+    is not shown to commute with.  None when the braiding is not the flip
+    or an entry fails; the caller then runs bat_to_hopf_datum, whose
+    refusal and report are those of the full check.
+    """
+    t = res.bat
+    if t.braiding != FLIP:
+        return None
+    X = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
+    phi = rebind(res.iso, (X.space,), (A.space,), "phi")
+    reports = (_counit_report(t), *morphism_reports(phi, X, A, "phi"))
+    if not all(rep.ok for rep in reports):
+        return None
+    return _read_datum(t)
+
+
 def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
                                   braiding=FLIP) -> CheckReport:
     """Cross-check the three faces of trivalence on one splitting.
@@ -248,10 +286,14 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     Verdicts reported: the induced datum has a trivial interaction map;
     one of i1, i2, p1, p2 is both an algebra and a coalgebra morphism; one
     of the idempotents i_j o p_j is an algebra or a coalgebra morphism.
-    All three must agree, and the agreement is the final entry.
+    All three must agree, and the agreement is the final entry.  The datum
+    is read off the cross product of decompose's tuple, certified by
+    transport under the flip (_transported_datum) and checked in full by
+    bat_to_hopf_datum otherwise.
     """
     res = decompose(A, sys, braiding)
-    v1 = "0" in classify(bat_to_hopf_datum(res.bat))["pattern"]
+    d = _transported_datum(A, res) or bat_to_hopf_datum(res.bat)
+    v1 = "0" in classify(d)["pattern"]
     v3 = any(c["is_algebra_morphism"] and c["is_coalgebra_morphism"]
              for c in res.verdicts)
     v4 = False

@@ -344,19 +344,18 @@ class PhiSuperoperator:
 
 
 def sop_compose(a, b):
-    """Column-sparse matrix product a o b."""
+    """Column-sparse matrix product a o b.  Each column is summed in full
+    and its cancelled entries are pruned once, at the end."""
     out = {}
     for c, bcol in b.items():
         acc: Dict[int, object] = {}
         for r, w in bcol.items():
             for u, v in a.get(r, {}).items():
-                cur = acc.get(u, ZERO) + v * w
-                if cur:
-                    acc[u] = cur
-                else:
-                    acc.pop(u, None)
-        if acc:
-            out[c] = acc
+                cur = acc.get(u)
+                acc[u] = v * w if cur is None else cur + v * w
+        col = {u: x for u, x in acc.items() if x}
+        if col:
+            out[c] = col
     return out
 
 

@@ -2,7 +2,7 @@
 
 A LinMap carries its domain and codomain as ordered tuples of Space labels;
 the matrix is stored sparsely as {(row, col): Scalar} but the external
-contract (JSON, to_rows) is a dense row-major matrix.  Basis order of a
+contract (JSON, from_rows) is a dense row-major matrix.  Basis order of a
 tensor product is lexicographic with the leftmost factor most significant —
 every equality downstream depends on this convention.
 
@@ -196,13 +196,6 @@ class LinMap:
                 if v:
                     entries[(r, c)] = v
         return LinMap(dom, cod, entries)
-
-    def to_rows(self) -> List[List[Scalar]]:
-        nr, nc = self.nrows, self.ncols
-        rows = [[ZERO] * nc for _ in range(nr)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
 
     # -- algebra -----------------------------------------------------------
 
@@ -541,10 +534,16 @@ def json_name(x) -> str:
 
 
 def linmap_to_json(f: LinMap) -> dict:
+    """The dense row-major encoding; only nonzero entries are encoded one by
+    one, every other cell is the one encoding of zero."""
+    zero = scalar_to_json(ZERO)
+    matrix = [[zero] * f.ncols for _ in range(f.nrows)]
+    for (r, c), v in f.entries.items():
+        matrix[r][c] = scalar_to_json(v)
     return {
         "dom": [s.name for s in f.dom],
         "cod": [s.name for s in f.cod],
-        "matrix": [[scalar_to_json(v) for v in row] for row in f.to_rows()],
+        "matrix": matrix,
     }
 
 
@@ -564,14 +563,16 @@ def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
     # wrong shape even when iterating it yields parsable entries.  Each
     # distinct encoding is parsed once: a cyclotomic is keyed only when its
     # conductor is an int and its coefficients strings, the only kind that
-    # parses, so a malformed encoding never finds a valid one's value.
+    # parses, so a malformed encoding never finds a valid one's value.  A
+    # "0/1" cell of a list row is zero, so it is not visited at all.
     parsed: Dict[object, Scalar] = {}
     entries: Dict[Tuple[int, int], Scalar] = {}
     nr, nc = dim_of(cod), dim_of(dom)
     nrows, rows_ok = 0, type(matrix) is list
     for r, row in enumerate(matrix):
-        c = -1
-        for c, v in enumerate(row):
+        listed = type(row) is list
+        for c, v in ([(c, v) for c, v in enumerate(row) if v != "0/1"]
+                     if listed else enumerate(row)):
             if type(v) is str:
                 key = v
             elif (type(v) is dict and type(v.get("n")) is int
@@ -587,7 +588,7 @@ def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
                     parsed[key] = val
             if val:
                 entries[(r, c)] = val
-        rows_ok = rows_ok and type(row) is list and c + 1 == nc
+        rows_ok = rows_ok and listed and len(row) == nc
         nrows = r + 1
     if nrows != nr or not rows_ok:
         raise ShapeError(f"matrix must be {nr}x{nc}")

@@ -333,29 +333,48 @@ def _law(axiom: str, lhs: List[List[LinMap]], rhs: List[List[LinMap]],
     return compare(axiom, run_pipeline(lhs), run_pipeline(rhs))
 
 
-def _light_test(m: LinMap, g: Optional[LinMap]):
+def _without_unit(g: LinMap, unit: Optional[LinMap]) -> LinMap:
+    """g = _generators(...) with the generator e_u left out when unit is
+    given and unit(1) is the basis vector e_u of S; otherwise g itself.
+    The caller passes unit only once 1 = unit(1) is known to lie in the
+    subspace its argument closes under m, so that S without e_u, together
+    with 1, still generates."""
+    if unit is None or len(unit.entries) != 1:
+        return g
+    ((u, _), x), = unit.entries.items()
+    gens = [j for j, _ in sorted(g.entries, key=lambda e: e[1])]
+    if x != ONE or u not in gens:
+        return g
+    gens.remove(u)
+    return LinMap((Space(g.dom[0].name, len(gens)),), g.cod,
+                  {(j, k): ONE for k, j in enumerate(gens)})
+
+
+def _light_test(m: LinMap, g: Optional[LinMap], unit: Optional[LinMap]):
     """Light's test of m's associativity, as a shortcut for _law, or None
     when g is None: (x a) y against x (a y) on the columns x (x) a (x) y
     with a in the set S that g = _generators(m, ...) picks.  The a that
     pass for all x, y form a subspace closed under m, so when they hold S
-    they are the whole space."""
+    they are the whole space.  unit is the unit of m once x 1 = x = 1 x
+    is verified, else None: then (x 1) y = x (1 y), so 1 lies in that
+    subspace and its generator is left out of S (_without_unit)."""
     if g is None:
         return None
     i = LinMap.identity(m.cod)
-    seed = [i, g, i]
+    seed = [i, _without_unit(g, unit), i]
     return [seed, [m, i], [m]], [seed, [i, m], [m]]
 
 
 def _algebra_entries(s: Structure, g: Optional[LinMap]) -> List[CheckEntry]:
     """Associativity and the unit laws.  With g from _generators,
-    associativity is checked first by Light's test on the generators."""
+    associativity is checked first by Light's test on the generators,
+    after the unit laws, which let it leave the unit out."""
     i = s.id_map()
-    return [
-        _law("associativity", [[s.m, i], [s.m]], [[i, s.m], [s.m]],
-             _light_test(s.m, g)),
-        compare("left-unit", run_pipeline([[s.eta, i], [s.m]]), i),
-        compare("right-unit", run_pipeline([[i, s.eta], [s.m]]), i),
-    ]
+    units = [compare("left-unit", run_pipeline([[s.eta, i], [s.m]]), i),
+             compare("right-unit", run_pipeline([[i, s.eta], [s.m]]), i)]
+    unital = units[0].ok and units[1].ok
+    return [_law("associativity", [[s.m, i], [s.m]], [[i, s.m], [s.m]],
+                 _light_test(s.m, g, s.eta if unital else None))] + units
 
 
 def _coalgebra_entries(s: Structure) -> List[CheckEntry]:
@@ -393,10 +412,16 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     if kind != "algebra":
         entries += _coalgebra_entries(s)
     if kind in ("bialgebra", "hopf"):
+        unit_comult = compare("unit-comult", s.delta * s.eta,
+                              apply_at(s.eta, s.eta, 1))
         # Once m is associative (entries[1]) and under the flip, the a with
-        # delta(a y) = delta(a) delta(y) for all y are closed under m too
+        # delta(a y) = delta(a) delta(y) for all y are closed under m too;
+        # they hold 1 once the unit laws (entries[2:4]) and unit-comult do
         seeded = g is not None and entries[1].ok and (
             bp == FLIP if psi is None else psi == flip(s.space, s.space))
+        if seeded:
+            unital = entries[2].ok and entries[3].ok and unit_comult.ok
+            g = _without_unit(g, s.eta if unital else None)
         if psi is None:
             psi = bp.braiding(s.space, s.space)
         lhs = [[s.m], [s.delta]]
@@ -404,8 +429,7 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
         entries.append(_law("mult-comult", lhs, rhs,
                             ([[g, i]] + lhs, [[g, i]] + rhs) if seeded
                             else None))
-        entries.append(compare("unit-comult", s.delta * s.eta,
-                               apply_at(s.eta, s.eta, 1)))
+        entries.append(unit_comult)
         entries.append(compare("counit-mult", s.eps * s.m,
                                run_pipeline([[s.eps, s.eps]])))
     if kind == "hopf":

@@ -204,14 +204,16 @@ def _cocycle_report(c: TwoCocycle, bp, chi_m: LinMap) -> CheckReport:
     g = _generators(chi_m, b.space) if bp == FLIP else None
     left_unit = run_pipeline([[b.eta, idb], [c.chi]])
     right_unit = run_pipeline([[idb, b.eta], [c.chi]])
-    entries = [
+    units = [compare("2cocycle2-left", left_unit, b.eps),
+             compare("2cocycle2-right", right_unit, b.eps)]
+    # chi(1, y) = eps(y) = chi(y, 1) makes the host's unit chi.m's unit
+    unital = units[0].ok and units[1].ok
+    return CheckReport([
         _law("2cocycle1", [[idb, chi_m], [c.chi]], [[chi_m, idb], [c.chi]],
-             _light_test(chi_m, g)),
-        compare("2cocycle2-left", left_unit, b.eps),
-        compare("2cocycle2-right", right_unit, b.eps),
+             _light_test(chi_m, g, b.eta if unital else None)),
+        *units,
         compare("2cocycle2-agree", left_unit, right_unit),
-    ]
-    return CheckReport(entries)
+    ])
 
 
 def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:

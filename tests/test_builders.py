@@ -18,13 +18,13 @@ from crossbial.twisting import (DualPairing, matched_pair_from_pairing,
 from crossbial.zoo import RadfordParams, radford
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_datum import on_space, transpose
-from tests.test_linmaps import _kron, _matmul, _typed
+from tests.test_linmaps import _kron, _matmul, _typed, to_rows
 
 
 def kron(*maps):
     rows = [[ONE]]
     for f in maps:
-        rows = _kron(rows, f.to_rows())
+        rows = _kron(rows, to_rows(f))
     return rows
 
 
@@ -38,11 +38,11 @@ def chain(*mats):
 
 
 def rows(f):
-    return f.to_rows()
+    return to_rows(f)
 
 
 def assert_pinned(f, oracle):
-    assert _typed(f.to_rows()) == _typed(oracle)
+    assert _typed(to_rows(f)) == _typed(oracle)
 
 
 # Radford (2,1,2,1) is defined over Q, Radford (3,1,3,1) over Q(zeta_3)

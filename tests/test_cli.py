@@ -36,6 +36,61 @@ from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
 ONE = Fraction(1)
 
 
+# a list of strings (a matrix row) is a leaf of its own: the encoder joins it
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.lists(st.text()),
+    lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_TREES)
+def test_canonical_json_writes_what_json_dumps_writes(doc):
+    assert cli.canonical_json(doc) == json.dumps(
+        doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_canonical_json_refuses_what_json_has_no_text_for():
+    for doc in ({"x": 0.5}, {1: "x"}, {"x": (1,)}):
+        with pytest.raises(TypeError):
+            cli.canonical_json(doc)
+
+
+def test_every_golden_report_is_the_text_json_dumps_writes(
+        capsys, monkeypatch, tmp_path):
+    # each golden run of tests/test_golden_reports.py, with every document
+    # the CLI encodes, report or workspace, compared with json.dumps' text
+    import tests.test_golden_reports as golden
+
+    encode, docs = cli.canonical_json, []
+
+    def checked(doc):
+        text = encode(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        docs.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", checked)
+    runs = [(golden.test_bicharacter_twist_report_is_byte_identical,),
+            (golden.test_dim_64_reports_are_byte_identical,),
+            (golden.test_ore_dim_64_reports_are_byte_identical,)]
+    for test, cases in (
+            (golden.test_radford_reports_are_byte_identical, golden.RADFORD),
+            (golden.test_radford_trivalence_reports_are_byte_identical,
+             golden.RADFORD),
+            (golden.test_ore_reports_are_byte_identical, golden.ORE),
+            (golden.test_datum_build_report_is_byte_identical,
+             golden.DATUM_BUILD_GOLDEN),
+            (golden.test_double_biproduct_report_is_byte_identical,
+             golden.DOUBLE_BIPRODUCT)):
+        runs += [(test, case) for case in cases]
+    for i, (test, *case) in enumerate(runs):
+        (tmp_path / str(i)).mkdir()
+        test(capsys, monkeypatch, tmp_path / str(i), *case)
+    assert len(docs) > len(runs)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from crossbial import crossproduct
 from crossbial.crossproduct import (
     BAT,
     IdempotentSystem,
@@ -17,7 +18,8 @@ from crossbial.crossproduct import (
     split_idempotent,
     verify_trivalent_equivalences,
 )
-from crossbial.datum import check_hopf_datum, trivalence, trivial_datum
+from crossbial.datum import (ConsistencyError, check_hopf_datum, trivalence,
+                             trivial_datum)
 from crossbial.linmaps import (LinMap, ShapeError, Space, VectFlip,
                                run_pipeline)
 from crossbial.structures import (check_axioms, cross_structure, rebind,
@@ -274,6 +276,22 @@ def test_split_idempotent_is_an_exact_rank_factorisation():
     assert inj * proj == Pi
     with pytest.raises(InvalidSystemError):
         split_idempotent(LinMap((V,), (V,), {(0, 1): ONE}), "bad")
+
+
+@pytest.mark.parametrize("bad, failed", [
+    ({0: {2: ONE}, 1: {}}, "inj o proj"),
+    ({0: {}, 1: {}, 2: {}}, "proj o inj")])
+def test_a_split_that_fails_is_the_packages_fault(monkeypatch, bad, failed):
+    # the factorisation of an idempotent splits it whatever the idempotent,
+    # so a planted wrong elimination is a ConsistencyError, not bad input
+    V = Space("V", 3)
+    Pi = LinMap((V,), (V,), {(0, 0): ONE, (1, 1): ONE})
+    monkeypatch.setattr(crossproduct, "reduce_rows", lambda rows: bad)
+    with pytest.raises(ConsistencyError, match=f"^img does not split "
+                       f"exactly: {failed} fails$") as exc:
+        split_idempotent(Pi, "img")
+    assert exc.value.report.failed()[0] == failed
+    assert exc.value.report.entry(failed).witness is not None
 
 
 def test_split_idempotent_of_a_non_diagonal_idempotent_is_pinned():

@@ -294,7 +294,8 @@ CHECKERS = {
     "datum.py": ["check_hopf_datum", "_check_hopf_datum", "_mixed_maps"],
     "twisting.py": ["_cocycle_report", "_chi_dot_m", "conv_dot",
                     "matched_pair_from_pairing", "_products"],
-    "crossproduct.py": ["bat_to_hopf_datum", "decompose"],
+    "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "_counit_report",
+                        "_transported_datum", "decompose"],
 }
 
 

@@ -476,6 +476,14 @@ def test_blocked_pipeline_matches_the_one_column_oracle(diagram,
 
 # -- 0/1 fast paths against a dense oracle -----------------------------------
 
+def to_rows(f):
+    """f as a dense row-major matrix of scalars, zeros included."""
+    rows = [[ZERO] * f.ncols for _ in range(f.nrows)]
+    for (r, c), v in f.entries.items():
+        rows[r][c] = v
+    return rows
+
+
 def _kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
@@ -532,23 +540,21 @@ def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
     f = data.draw(_maps(data.draw(_strands())))
     g = data.draw(_maps(f.cod))
     h = data.draw(_maps(data.draw(_strands())))
-    assert _typed((f @ h).to_rows()) == _typed(_kron(f.to_rows(),
-                                                      h.to_rows()))
-    assert _typed((g * f).to_rows()) == _typed(_matmul(g.to_rows(),
-                                                        f.to_rows()))
+    assert _typed(to_rows(f @ h)) == _typed(_kron(to_rows(f), to_rows(h)))
+    assert _typed(to_rows(g * f)) == _typed(_matmul(to_rows(g), to_rows(f)))
     top = data.draw(_maps(f.cod + h.cod, data.draw(_strands())))
-    oracle = _matmul(top.to_rows(), _kron(f.to_rows(), h.to_rows()))
-    assert _typed(pipeline_as_linmap([[f, h], [top]]).to_rows()) == \
+    oracle = _matmul(to_rows(top), _kron(to_rows(f), to_rows(h)))
+    assert _typed(to_rows(pipeline_as_linmap([[f, h], [top]]))) == \
         _typed(oracle)
     # run_pipeline reads its input off the first row: a row of several
     # factors starts from the identity on their domains, a single factor
     # (a map out of k too) is the input itself
-    assert _typed(run_pipeline([[f, h], [top]]).to_rows()) == _typed(oracle)
-    assert _typed(run_pipeline([[f], [g]]).to_rows()) == \
-        _typed(_matmul(g.to_rows(), f.to_rows()))
+    assert _typed(to_rows(run_pipeline([[f, h], [top]]))) == _typed(oracle)
+    assert _typed(to_rows(run_pipeline([[f], [g]]))) == \
+        _typed(_matmul(to_rows(g), to_rows(f)))
     vec = data.draw(_maps(UNIT, f.dom + h.dom))
-    assert _typed(run_pipeline([[vec], [f, h], [top]]).to_rows()) == \
-        _typed(_matmul(oracle, vec.to_rows()))
+    assert _typed(to_rows(run_pipeline([[vec], [f, h], [top]]))) == \
+        _typed(_matmul(oracle, to_rows(vec)))
     # the kernel at every strand position, on f and on a 1-column input,
     # with a factor on none (a map out of k), one or two of the strands
     col = data.draw(_maps(UNIT, f.cod + h.cod[:1]))
@@ -556,10 +562,10 @@ def test_tensor_compose_and_pipeline_match_the_dense_oracle(data):
         for pos in range(len(m.cod) + 1):
             width = data.draw(st.integers(0, min(2, len(m.cod) - pos)))
             k = data.draw(_maps(m.cod[pos:pos + width]))
-            padded = _kron(_kron(_eye(dim_of(m.cod[:pos])), k.to_rows()),
+            padded = _kron(_kron(_eye(dim_of(m.cod[:pos])), to_rows(k)),
                            _eye(dim_of(m.cod[pos + width:])))
-            assert _typed(apply_at(m, k, pos).to_rows()) == \
-                _typed(_matmul(padded, m.to_rows()))
+            assert _typed(to_rows(apply_at(m, k, pos))) == \
+                _typed(_matmul(padded, to_rows(m)))
 
 
 def test_run_pipeline_refuses_rows_that_do_not_fit():

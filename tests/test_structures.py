@@ -53,7 +53,8 @@ from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_linmaps import invert
-from tests.test_twisting import bicharacter_cocycle, canonical_pairing
+from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
+                                 law_generators)
 
 ONE = Fraction(1)
 
@@ -881,3 +882,68 @@ def test_a_witness_off_the_generators_is_the_full_diagrams_witness():
     bad_delta = dataclasses.replace(s, delta=mutate(s.delta, 1, 1, ONE))
     assert check_axioms(bad_delta, "bialgebra").entry("mult-comult") == \
         CheckEntry("mult-comult", False, Witness((0, 1), (2, 5), ONE, ZERO))
+
+
+def rebased(s, T, T_inv):
+    """s in the basis given by the columns of T (T_inv its inverse)."""
+    return Structure(s.space, run_pipeline([[T, T], [s.m], [T_inv]]),
+                     T_inv * s.eta, run_pipeline([[T], [s.delta],
+                                                  [T_inv, T_inv]]),
+                     s.eps * T)
+
+
+def test_the_unit_is_left_out_of_lights_test_once_the_unit_laws_hold(
+        monkeypatch):
+    # (x 1) y = x (1 y) follows from the unit laws, so both shortcuts seed
+    # with S without the unit's basis vector e_0
+    seeds = law_generators(monkeypatch, structures)
+    for s, want in ((group_hopf(6), [1]),
+                    (radford(RadfordParams(4, 1, 4, 1))["H"], [1, 4]),
+                    (fused_radford_product()[0], [1, 4])):
+        rep = check_axioms(s, "bialgebra")
+        assert rep.ok
+        assert seeds == {"associativity": want, "mult-comult": want}
+        assert rep.entries == full_path_report(s, "bialgebra").entries
+
+
+def test_a_unit_that_is_no_basis_vector_of_s_stays(monkeypatch):
+    # kC6 with the unit as its last basis vector (S = {g}, and e_5 is not
+    # in S), and kC6 on the basis 1/2, g, ..., g^5, whose unit 2 e_0 is no
+    # basis vector: both keep S as the search found it
+    V = Space("kC6", 6)
+    shift = LinMap((V,), (V,), {((j + 1) % 6, j): ONE for j in range(6)})
+    back = LinMap((V,), (V,), {(j, (j + 1) % 6): ONE for j in range(6)})
+    half = LinMap((V,), (V,), {(j, j): Fraction(1, 2) if j == 0 else ONE
+                               for j in range(6)})
+    twice = LinMap((V,), (V,), {(j, j): 2 if j == 0 else ONE
+                                for j in range(6)})
+    seeds = law_generators(monkeypatch, structures)
+    for T, T_inv, unit, want in ((shift, back, {(5, 0): ONE}, [0]),
+                                 (half, twice, {(0, 0): 2}, [0, 1])):
+        s = rebased(group_hopf(6), T, T_inv)
+        assert s.eta.entries == unit
+        rep = check_axioms(s, "bialgebra")
+        assert rep.ok
+        assert seeds == {"associativity": want, "mult-comult": want}
+        assert rep.entries == full_path_report(s, "bialgebra").entries
+
+
+def test_a_failed_unit_law_keeps_the_unit_in_lights_test(monkeypatch):
+    # kC6 with eta(1) = g and g.g^5 = g^5: both unit laws fail, so S keeps
+    # e_1 = eta(1); without it S would be {1}, which passes Light's test
+    # although m is not associative
+    s = group_hopf(6)
+    bad = dataclasses.replace(s, eta=LinMap(UNIT, (s.space,), {(1, 0): ONE}),
+                              m=mutate(mutate(s.m, 0, 11, -1), 5, 11, 1))
+    seeds = law_generators(monkeypatch, structures)
+    rep = check_axioms(bad, "bialgebra")
+    assert seeds["associativity"] == [0, 1]
+    assert rep.failed()[:3] == ["associativity", "left-unit", "right-unit"]
+    assert rep.entries == full_path_report(bad, "bialgebra").entries
+    # delta(1) = 1 (x) 1 + g (x) g fails unit-comult alone: associativity
+    # leaves the unit out, mult-comult keeps it
+    bad = dataclasses.replace(s, delta=mutate(s.delta, 7, 0, ONE))
+    rep = check_axioms(bad, "bialgebra")
+    assert seeds == {"associativity": [1], "mult-comult": [0, 1]}
+    assert "unit-comult" in rep.failed()
+    assert rep.entries == full_path_report(bad, "bialgebra").entries

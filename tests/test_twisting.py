@@ -340,6 +340,24 @@ def cocycle_shortcuts(monkeypatch):
     return seen
 
 
+def law_generators(monkeypatch, module=twisting):
+    """Record, per law evaluated through module._law, the sorted basis
+    indices its shortcut seeds with, or None when it has no shortcut."""
+    seeds = {}
+    orig = module._law
+
+    def spy(axiom, lhs, rhs, shortcut):
+        gens = None
+        if shortcut is not None:
+            g = next(f for f in shortcut[0][0]
+                     if f.dom and f.dom[0].name.endswith(".gens"))
+            gens = sorted(r for r, _ in g.entries)
+        seeds[axiom] = gens
+        return orig(axiom, lhs, rhs, shortcut)
+    monkeypatch.setattr(module, "_law", spy)
+    return seeds
+
+
 @pytest.mark.parametrize("case", sorted(COCYCLES))
 def test_the_cocycle_law_on_generators_reports_what_the_full_diagrams_report(
         case):
@@ -389,6 +407,28 @@ def test_the_generators_are_chi_dot_m_s_not_m_s(monkeypatch):
     assert validate_cocycle(c).entry("2cocycle1") == CheckEntry(
         "2cocycle1", False, Witness((), (1, 6, 6), ONE, ZERO))
     assert seen == [("2cocycle1", True)]
+
+
+def test_the_cocycle_law_leaves_the_unit_out_once_chi_is_normalised(
+        monkeypatch):
+    # chi(1, y) = eps(y) = chi(y, 1) makes 1 the unit of chi.m, so Light's
+    # test seeds with chi.m's generators but e_0; a chi that fails either
+    # normalisation keeps it, and every report is the full diagrams'
+    seeds = law_generators(monkeypatch)
+    trap = light_trap_cocycle()
+    cases = [(bicharacter_cocycle(3)[1], [1, 3]),
+             (perturbed_bicharacter(), [1, 3]), (trap, [1, 3, 6])]
+    for col in (1, 9):     # chi(1 (x) h) and chi(h (x) 1)
+        ent = dict(trap.chi.entries)
+        ent[(0, col)] = 2
+        cases.append((dataclasses.replace(
+            trap, chi=LinMap(trap.chi.dom, UNIT, ent)), [0, 1, 3, 6]))
+    for c, want in cases:
+        rep = validate_cocycle(c)
+        assert seeds == {"2cocycle1": want}
+        assert rep.entries == full_cocycle_report(c).entries
+    assert rep.failed() == ["2cocycle1", "2cocycle2-right",
+                            "2cocycle2-agree"]
 
 
 def test_lights_test_runs_only_under_the_flip_from_dim_6_on(monkeypatch):

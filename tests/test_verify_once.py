@@ -20,6 +20,8 @@ from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 pairing_inverse, twist)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
                            radford, sweedler_crossed_modules)
+from tests.test_acceptance import braided_taft_pairing
+from tests.test_datum import unit_hopf
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
                                  coboundary_cocycle)
 
@@ -131,8 +133,10 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
                              structures, datum, crossproduct)
     rep = crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
     assert rep.ok, rep.failed()
-    # decompose's four split maps, then the two idempotents i_j o p_j
-    assert len(morphisms) == 6
+    # decompose's four split maps, the transport certificate's phi, then
+    # the two idempotents i_j o p_j (untagged, through classify_morphism)
+    assert [args[3] if len(args) > 3 else None for args in morphisms] == [
+        "i1", "i2", "p1", "p2", "phi", None, None]
 
     path = str(tmp_path / "rad.json")
     assert cli.main(["zoo", "build", "radford", "--n", "3", "--q-exp", "1",
@@ -144,6 +148,85 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
     assert len(patterns) == 1
     report = json.loads(capsys.readouterr().out)
     assert (report["pattern"], report["family"]) == ("1010", "biproduct")
+
+
+def braided_q_line_splitting():
+    """The q-line T over kC3, split as T (x) K with K a point on which kC3
+    acts and coacts trivially, under the Yetter-Drinfeld braiding of both;
+    returns (T, system, provider)."""
+    pairing, qline = braided_taft_pairing()
+    T, host, K = pairing.H, group_algebra(3), unit_hopf("K")
+    k = K.id_map()
+    prov = structures.yd_provider(host, [(T.space, *qline._reg[T.space]),
+                                         (K.space, k @ host.eps,
+                                          k @ host.eta)])
+    i2 = LinMap((K.space,), (T.space,), T.eta.entries)
+    p2 = LinMap((T.space,), (K.space,), T.eps.entries)
+    return T, crossproduct.ProjectionSystem(T.id_map(), i2, T.id_map(),
+                                            p2), prov
+
+
+def trivalence_cases():
+    out = radford(RadfordParams(3, 1, 3, 1))
+    ore = zoo.ore_finite(zoo.OreParams((2, 2), 2, ((1, 0), (0, 1)),
+                                       ((1, 1), (1, 1))))
+    return [(out["H"], out["system"], FLIP), (ore["H"], ore["system"], FLIP),
+            braided_q_line_splitting()]
+
+
+def test_trivalence_checks_the_cross_product_by_transport_under_the_flip(
+        spy):
+    # under the flip the one check_axioms call is decompose's, on A; the
+    # cross product is A carried along phi.  Under a Yetter-Drinfeld
+    # braiding bat_to_hopf_datum checks the cross product in full.
+    for A, system, bp in trivalence_cases():
+        before = len(spy.passed)
+        rep = crossproduct.verify_trivalent_equivalences(A, system, bp)
+        assert rep.ok, rep.failed()
+        checked = [(s, kind) for s, kind, _ in spy.passed[before:]]
+        assert checked[0] == (A, "bialgebra")
+        assert len(checked) == (1 if bp is FLIP else 2)
+    assert checked[1][0].space.name == "(TaftH><K)"
+    assert spy.repeats == []
+
+
+CERTIFICATE = ["B1", "B2", "phi-multiplicative", "phi-unital",
+               "phi-comultiplicative", "phi-counital"]
+
+
+@pytest.mark.parametrize("axiom", CERTIFICATE)
+def test_a_failed_certificate_entry_falls_back_to_the_full_check(
+        spy, monkeypatch, axiom):
+    # one entry of the transport certificate is planted as failing: the
+    # cross product is then checked by bat_to_hopf_datum, as before the
+    # certificate, and the report is the same
+    out = radford(RadfordParams(3, 1, 3, 1))
+    want = crossproduct.verify_trivalent_equivalences(out["H"],
+                                                      out["system"])
+    seen = []
+
+    def plant(rep):
+        seen.append([e.axiom for e in rep.entries])
+        return structures.CheckReport(
+            structures.CheckEntry(e.axiom, False) if e.axiom == axiom else e
+            for e in rep.entries)
+
+    counit, morphism = (crossproduct._counit_report,
+                        crossproduct.morphism_reports)
+    # the certificate's counit report is the first; the fallback's own
+    # build_cross_product reads the true one
+    monkeypatch.setattr(crossproduct, "_counit_report", lambda t: (
+        plant(counit(t)) if not seen else counit(t)))
+    monkeypatch.setattr(crossproduct, "morphism_reports", lambda *a: (
+        tuple(map(plant, morphism(*a))) if a[3:] == ("phi",)
+        else morphism(*a)))
+    fallbacks = _count_calls(monkeypatch, "bat_to_hopf_datum", crossproduct)
+    before = spy.calls
+    got = crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
+    assert seen == [["B1", "B2"], CERTIFICATE[2:4], CERTIFICATE[4:]]
+    assert len(fallbacks) == 1
+    assert spy.calls == before + 2
+    assert got.to_json() == want.to_json()
 
 
 def test_build_bialgebra_checks_the_datum_once_and_the_product_once(
