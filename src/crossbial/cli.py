@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List
 
@@ -600,68 +601,119 @@ def _common(p: argparse.ArgumentParser, infile=True, out=False, name=False):
         p.add_argument("--name", default="main")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _radford_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--q-exp", dest="q_exp", type=_integer, required=True)
+    p.add_argument("--N", dest="big_n", type=_integer, required=True)
+    p.add_argument("--nu", type=_integer, required=True)
+    _common(p, infile=False, out=True)
+
+
+def _group_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--N", dest="big_n", type=_integer, required=True)
+    _common(p, infile=False, out=True)
+
+
+def _ore_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, metavar="FILE")
+    _common(p, infile=False, out=True)
+
+
+def _check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind",
+                   choices=("algebra", "coalgebra", "bialgebra", "hopf"))
+    _common(p, name=True)
+
+
+def _order_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", dest="max_n", type=_order_cap, default=8)
+    _common(p)
+
+
+# The command tree.  A level is (dest, {name: (help, body)}), where body is
+# the level below or, at a leaf, the function that adds the leaf's
+# arguments; a help of None adds the name to no help listing.
+_COMMANDS = ("command", {
+    "zoo": ("catalogue builders", ("zoo_cmd", {
+        "list": (None, partial(_common, infile=False)),
+        "build": (None, ("builder", {
+            "radford": (None, _radford_args),
+            "group": (None, _group_args),
+            "ore": (None, _ore_args),
+        })),
+    })),
+    "check": ("axiom suites on one structure", _check_args),
+    "datum": ("interaction datum commands", ("datum_cmd", {
+        "check": (None, _common),
+        "order": (None, _order_args),
+        "classify": (None, _common),
+        "build": (None, partial(_common, out=True)),
+    })),
+    "cross": ("cross product (de)composition", ("cross_cmd", {
+        "build": (None, partial(_common, out=True)),
+        "decompose": (None, partial(_common, out=True, name=True)),
+        "trivalent": (None, partial(_common, name=True)),
+    })),
+    "twist": ("2-cocycle validation and twisting", ("twist_cmd", {
+        "validate": (None, partial(_common, name=True)),
+        "apply": (None, partial(_common, out=True, name=True)),
+    })),
+    "pairing": ("dual pairings and matched pairs", ("pairing_cmd", {
+        "check": (None, _common),
+        "matched-pair": (None, _common),
+    })),
+    "double-biproduct": ("assemble and twist C(x)H(x)B", ("dbp_cmd", {
+        "build": (None, partial(_common, out=True)),
+    })),
+})
+
+
+def _leaf_path(argv) -> List[str]:
+    """The leading tokens of argv when each is an exact child name down to
+    a leaf of _COMMANDS; otherwise [] (no args, an option first, a name
+    that is unknown or abbreviated, or a path that stops above a leaf)."""
+    path, level = [], _COMMANDS
+    for token in argv:
+        if token not in level[1]:
+            return []
+        path.append(token)
+        level = level[1][token][1]
+        if callable(level):
+            return path
+    return []
+
+
+def _grow(parser: argparse.ArgumentParser, level, path: List[str]) -> None:
+    """Add level's subcommands to parser: all of them when path is empty,
+    else only path[0], then the rest of path below it.  A narrowed level
+    names all its children in its metavar, so the usage line an error
+    prints is the full tree's; the full tree passes none, since a metavar
+    would also rename the subcommand argument in argparse's errors."""
+    dest, children = level
+    kw = {"metavar": "{" + ",".join(children) + "}"} if path else {}
+    sub = parser.add_subparsers(dest=dest, required=True, **kw)
+    for name in path[:1] or children:
+        help_, body = children[name]
+        child = sub.add_parser(name,
+                               **({} if help_ is None else {"help": help_}))
+        if callable(body):
+            body(child)
+        else:
+            _grow(child, body, path[1:])
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI's parser: for an argv that names a leaf command, only the
+    parsers on its path (a CLI process parses one argv); otherwise, and
+    when argv is None, the full tree.  Either parses argv the same way and
+    prints the same help and usage bytes."""
     ap = argparse.ArgumentParser(
         prog="crossbial",
         description="exact checks and constructions for cross product "
                     "bialgebras")
     ap.add_argument("--version", action="version",
                     version=f"crossbial {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    zoo = sub.add_parser("zoo", help="catalogue builders")
-    zsub = zoo.add_subparsers(dest="zoo_cmd", required=True)
-    _common(zsub.add_parser("list"), infile=False)
-    zb = zsub.add_parser("build")
-    bsub = zb.add_subparsers(dest="builder", required=True)
-    rad = bsub.add_parser("radford")
-    rad.add_argument("--n", type=_integer, required=True)
-    rad.add_argument("--q-exp", dest="q_exp", type=_integer, required=True)
-    rad.add_argument("--N", dest="big_n", type=_integer, required=True)
-    rad.add_argument("--nu", type=_integer, required=True)
-    _common(rad, infile=False, out=True)
-    grp = bsub.add_parser("group")
-    grp.add_argument("--N", dest="big_n", type=_integer, required=True)
-    _common(grp, infile=False, out=True)
-    ore = bsub.add_parser("ore")
-    ore.add_argument("--spec", required=True, metavar="FILE")
-    _common(ore, infile=False, out=True)
-
-    chk = sub.add_parser("check", help="axiom suites on one structure")
-    chk.add_argument("kind",
-                     choices=("algebra", "coalgebra", "bialgebra", "hopf"))
-    _common(chk, name=True)
-
-    dat = sub.add_parser("datum", help="interaction datum commands")
-    dsub = dat.add_subparsers(dest="datum_cmd", required=True)
-    _common(dsub.add_parser("check"))
-    order = dsub.add_parser("order")
-    order.add_argument("--max-n", dest="max_n", type=_order_cap,
-                       default=8)
-    _common(order)
-    _common(dsub.add_parser("classify"))
-    _common(dsub.add_parser("build"), out=True)
-
-    cross = sub.add_parser("cross", help="cross product (de)composition")
-    csub = cross.add_subparsers(dest="cross_cmd", required=True)
-    _common(csub.add_parser("build"), out=True)
-    _common(csub.add_parser("decompose"), out=True, name=True)
-    _common(csub.add_parser("trivalent"), name=True)
-
-    tw = sub.add_parser("twist", help="2-cocycle validation and twisting")
-    tsub = tw.add_subparsers(dest="twist_cmd", required=True)
-    _common(tsub.add_parser("validate"), name=True)
-    _common(tsub.add_parser("apply"), out=True, name=True)
-
-    pr = sub.add_parser("pairing", help="dual pairings and matched pairs")
-    psub = pr.add_subparsers(dest="pairing_cmd", required=True)
-    _common(psub.add_parser("check"))
-    _common(psub.add_parser("matched-pair"))
-
-    dbp = sub.add_parser("double-biproduct",
-                         help="assemble and twist C(x)H(x)B")
-    dbsub = dbp.add_subparsers(dest="dbp_cmd", required=True)
-    _common(dbsub.add_parser("build"), out=True)
+    _grow(ap, _COMMANDS, [] if argv is None else _leaf_path(argv))
     return ap
 
 
@@ -678,7 +730,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args.echo = argv
     t0 = time.perf_counter()
     try:

@@ -299,11 +299,14 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     """Mutual actions induced by an invertible pairing.
 
     lhd: H (x) A -> H and rhd: H (x) A -> A are built from the form and
-    its convolution inverse through the double comultiplications.  The
-    full matched-pair axiom list is evaluated (as the interaction axioms
-    of the action-only datum with A and H as factors) and the square of
-    the mixed braidings is compared with the identity; verdicts that
-    disagree raise ConsistencyError carrying the datum report and that
+    its convolution inverse through the double comultiplications.  They
+    are the actions of the matched pair (A, H^op), where H^op is H with
+    the product m_H o Psi_{H,H}: rhd is the left action of H^op on A and
+    lhd the right action of A on H^op.  The full matched-pair axiom list
+    is evaluated (as the interaction axioms of the action-only datum with
+    A and H^op as factors) and the square of the mixed braidings is
+    compared with the identity; verdicts that disagree raise
+    ConsistencyError carrying the datum report and that
     "braiding-involutive" entry.  The pairing must be nondegenerate, a
     square Gram matrix of full rank ("pairing-nondegenerate"): the
     biconditional is simply false for degenerate forms (the counit pairing
@@ -327,7 +330,8 @@ def matched_pair_from_pairing(p: DualPairing, bp=FLIP) -> dict:
     rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
                         [idh, bp.braiding_list((sh,), (sa, sa)), ida],
                         [pinv, ida, form]])
-    datum = HopfDatum(A, H, act_l=rhd, act_r=lhd, braiding=bp)
+    h_op = Structure(sh, H.m * bp.braiding(sh, sh), H.eta, H.delta, H.eps)
+    datum = HopfDatum(A, h_op, act_l=rhd, act_r=lhd, braiding=bp)
     drep = check_hopf_datum(datum)
     matched = drep.ok
     invol = compare("braiding-involutive",

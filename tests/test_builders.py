@@ -8,7 +8,7 @@ the two must agree entry by entry, scalar type included.
 import pytest
 
 from crossbial.crossproduct import bat_to_hopf_datum, decompose
-from crossbial.datum import ConsistencyError, _mixed_maps
+from crossbial.datum import _mixed_maps
 from crossbial.linmaps import UNIT, LinMap, Space, VectFlip, flip
 from crossbial.scalars import ONE
 from crossbial.structures import (Structure, check_axioms, cross_structure,
@@ -159,18 +159,14 @@ def evaluation_pairing_of_the_op_cop_dual(H):
     return DualPairing(H, A, form)
 
 
-@pytest.mark.xfail(strict=True, raises=ConsistencyError,
-                   reason="ROADMAP item 18: matched_pair_from_pairing fails "
-                          "on a valid, nondegenerate pairing")
 @pytest.mark.parametrize("params", [(2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1)],
                          ids=lambda t: "radford" + "".join(map(str, t)))
 def test_matched_pair_of_sweedler_and_its_op_cop_dual(params):
-    # ROADMAP item 18: A is a Hopf algebra and the form a valid pairing,
-    # and the flip is involutive, so the induced actions should form a
-    # matched pair; today the datum they induce fails act-l-associativity
-    # and module-algebra-1, and the verdicts' mismatch raises.  Sweedler's
-    # H4 is Radford(2,1,2,1); Taft's T3 and Radford(2,1,4,1) fail the same
-    # way, so a fix must mend all three
+    # A is a Hopf algebra and the form a valid pairing, and the flip is
+    # involutive, so the induced actions form a matched pair: of A and
+    # H^op, not of A and H, on which they fail act-l-associativity and
+    # module-algebra-1.  Sweedler's H4 is Radford(2,1,2,1); Taft's T3 and
+    # Radford(2,1,4,1) are not commutative either
     p = evaluation_pairing_of_the_op_cop_dual(
         radford(RadfordParams(*params))["H"])
     assert check_axioms(p.A, "hopf").ok

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -454,6 +455,89 @@ def test_bad_arguments_exit_two(capsys):
     assert exc.value.code == 2
 
 
+def _paths(level, prefix=()):
+    """Each command path of the parser's table, with whether it ends at a
+    leaf."""
+    for name, (_, body) in level[1].items():
+        path = prefix + (name,)
+        yield path, callable(body)
+        if not callable(body):
+            yield from _paths(body, path)
+
+
+_LEAVES = [path for path, leaf in _paths(cli._COMMANDS) if leaf]
+_LEVELS = [path for path, leaf in _paths(cli._COMMANDS) if not leaf]
+_RADFORD = ("--n", "2", "--q-exp", "1", "--N", "2", "--nu", "1")
+# the fewest arguments of each leaf that takes more than --in; "--in"
+# names no file, since the parser reads none
+_LEAF_ARGS = {
+    ("zoo", "list"): (),
+    ("zoo", "build", "radford"): _RADFORD,
+    ("zoo", "build", "group"): ("--N", "2"),
+    ("zoo", "build", "ore"): ("--spec", "s.json"),
+    ("check",): ("hopf", "--in", "x.json"),
+}
+
+
+def test_the_parser_table_names_the_dispatched_commands():
+    assert list(cli._COMMANDS[1]) == list(cli._DISPATCH)
+    assert len(_LEAVES) == 17 and set(_LEAF_ARGS) <= set(_LEAVES)
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
+def test_a_leafs_own_parser_reads_its_argv_as_the_full_tree(path):
+    argv = [*path, *_LEAF_ARGS.get(path, ("--in", "x.json"))]
+    assert (cli.build_parser(argv).parse_args(argv)
+            == cli.build_parser().parse_args(argv))
+
+
+def _exit(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    cap = capsys.readouterr()
+    return exc.value.code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["--version"], ["check", "--version"],
+    *([*path, "-h"] for path in [(), *_LEVELS, *_LEAVES]),
+    *(list(path) for path in _LEVELS),
+    ["chec", "hopf", "--in", "x.json"], ["zoo", "bui", "radford", *_RADFORD],
+    ["--"], ["--", "check", "hopf", "--in", "x.json"],
+    ["check", "--", "hopf", "--in", "x.json"],
+    ["check", "hopf", "--in", "x.json", "--extra"],
+    ["double-biproduct", "build", "--in", "x.json", "--extra"],
+    ["zoo", "build", "radford", *_RADFORD, "--extra", "1"],
+    ["check", "hopf"]], ids=repr)
+def test_help_and_usage_errors_are_the_full_trees_bytes(capsys, argv):
+    assert (_exit(cli.build_parser(argv), argv, capsys)
+            == _exit(cli.build_parser(), argv, capsys))
+
+
+def test_a_leaf_command_builds_only_its_path_of_parsers(
+        tmp_path, capsys, monkeypatch):
+    # the full tree has 25 parsers; a leaf's argv builds the top parser and
+    # one per name on its path
+    path = build_radford_ws(tmp_path, capsys)
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "check", "hopf", "--in", path)[0] == 0
+    assert made == ["crossbial", "crossbial check"]
+    made.clear()
+    out = str(tmp_path / "out.json")
+    assert run(capsys, "zoo", "build", "radford", *_RADFORD, "-o", out)[0] == 0
+    assert made == ["crossbial", "crossbial zoo", "crossbial zoo build",
+                    "crossbial zoo build radford"]
+    made.clear()
+    cli.build_parser()
+    assert len(made) == 25
+
+
 @pytest.mark.parametrize("builder, flag, value", [
     ("radford", "--n", "\u0662"), ("radford", "--q-exp", " 1"),
     ("radford", "--N", "2\n"), ("radford", "--nu", "+1"),
@@ -630,12 +714,11 @@ def _refusal_workspace(case):
     if case == "twist-apply":
         c = uninvertible_cocycle()
         return Workspace().add_structure("main", c.host).add_map("chi", c.chi)
-    if case == "pairing-degenerate":
-        H = A = group_algebra(2)
-        p = DualPairing(H, A, H.eps @ A.eps)
-    else:
-        p = evaluation_pairing_of_the_op_cop_dual(
-            radford(RadfordParams(2, 1, 2, 1))["H"])
+    H = A = group_algebra(2)
+    return _pairing_workspace(DualPairing(H, A, H.eps @ A.eps))
+
+
+def _pairing_workspace(p):
     return (Workspace().add_structure("h", p.H).add_structure("a", p.A)
             .add_map("form", p.form))
 
@@ -655,13 +738,6 @@ _REFUSALS = {
                            "pairing; the Gram matrix is 2x2 of rank 1: "
                            "pairing-nondegenerate fails",
                            "pairing-nondegenerate"),
-    # ROADMAP item 18: Sweedler's H4 and its op-cop dual, whose induced
-    # datum fails two laws while the flip is involutive
-    "pairing-sweedler": (("pairing", "matched-pair"),
-                         "matched-pair verdict False must coincide with "
-                         "involutivity of the mixed braiding (True): "
-                         "act-l-associativity fails",
-                         "act-l-associativity, module-algebra-1"),
 }
 
 
@@ -674,6 +750,20 @@ def test_every_exit_1_names_its_failing_checks(tmp_path, capsys, case):
     assert (code, out) == (1, "")
     assert err.splitlines()[:2] == [f"crossbial: verified failure: {message}",
                                     f"failing: {failing}"]
+
+
+def test_sweedlers_pairing_with_its_op_cop_dual_is_a_matched_pair(
+        tmp_path, capsys):
+    # Sweedler's H4 and the transpose of H4^{op,cop}: the induced actions
+    # form the matched pair (A, H^op), and the flip is involutive
+    path = str(tmp_path / "ws.json")
+    save_workspace(_pairing_workspace(evaluation_pairing_of_the_op_cop_dual(
+        radford(RadfordParams(2, 1, 2, 1))["H"])), path)
+    code, out, _ = run(capsys, "pairing", "matched-pair", "--in", path,
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["is_matched_pair"], doc["braiding_involutive"]) == (True, True)
 
 
 def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(
