@@ -9,7 +9,8 @@ B1(x)B2(x)B1(x)B2 is a layered diagram split at a stated row, _CUT:
 phi_apply evaluates f at the cut on the diagram's bottom half, and
 recursion_order assembles the operator as an exact superoperator matrix
 and finds the recursion order as a nilpotency computation.  A datum's
-check report and that bottom half are computed once per datum object.
+check report, that bottom half and the superoperator are computed once per
+datum object.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class HopfDatum:
     A datum and its maps are immutable once built, as LinMap._cols and
     _ones already assume, so what a datum determines is computed once per
     datum object and kept in _memo, filled only through _memoized: the
-    check_hopf_datum report and the bottom half of Phi's split diagram.
-    ==, hash and repr ignore _memo, and dataclasses.replace starts with an
-    empty one.
+    check_hopf_datum report, the bottom half of Phi's split diagram and
+    Phi's superoperator matrix.  ==, hash and repr ignore _memo, and
+    dataclasses.replace starts with an empty one.
     """
 
     b1: Structure
@@ -360,6 +361,15 @@ def sop_compose(a, b):
 
 
 def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
+    """The recursion operator matrix of d, assembled by
+    _build_phi_superoperator on d's first request and kept with d, so a
+    build and every recursion_order search on one datum object share one
+    Phi.  The returned object and its column dicts are shared: callers
+    must not mutate them."""
+    return _memoized(d, "phi", _build_phi_superoperator)
+
+
+def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     """Assemble the recursion operator matrix without ever materialising a
     12-strand map, as a meet in the middle of its split diagram.
 

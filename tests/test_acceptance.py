@@ -346,13 +346,21 @@ def test_cocycle_twisting_suite():
 
 def test_matched_pair_biconditional():
     # Over the flip the evaluation pairing of a group algebra with its
-    # dual induces a matched pair and the mixed braiding is involutive;
-    # over the Yetter-Drinfeld backend the q-line self-pairing validates
-    # but induces none, and the braiding is not involutive.  The two
-    # verdicts agree on every tested input.
+    # dual induces a matched pair and the mixed braiding is involutive, and
+    # so does the evaluation pairing of a noncommutative Hopf algebra with
+    # the transpose of its op-cop: Sweedler's H4 = Radford(2,1,2,1), Taft's
+    # T3 = Radford(3,1,3,1) and Radford(2,1,4,1).  Over the
+    # Yetter-Drinfeld backend the q-line self-pairing validates but induces
+    # none, and the braiding is not involutive.  The two verdicts agree on
+    # every tested input.
+    from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
+
     seen = []
-    for N in (2, 3, 5):
-        mp = matched_pair_from_pairing(canonical_pairing(N))
+    op_cop = [evaluation_pairing_of_the_op_cop_dual(
+        radford(RadfordParams(*pars))["H"])
+        for pars in ((2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1))]
+    for p in [canonical_pairing(N) for N in (2, 3, 5)] + op_cop:
+        mp = matched_pair_from_pairing(p)
         assert mp["is_matched_pair"] is True
         assert mp["braiding_involutive"] is True
         seen.append(mp)

@@ -119,10 +119,16 @@ def test_decompose_and_bat_to_hopf_datum(pars):
     assert_pinned(d.coact_r, chain(rows(t.phi12), kron(b1.eta, id2)))
 
 
-@pytest.mark.parametrize("case", ["flip", "yetter-drinfeld"])
+@pytest.mark.parametrize("case", ["flip", "sweedler", "yetter-drinfeld"])
 def test_matched_pair_actions(case):
+    # sweedler: H4 = Radford(2,1,2,1), paired with the transpose of its
+    # op-cop, on which the actions form a matched pair of A and H^op
     if case == "flip":
         p, bp = canonical_pairing(2), VectFlip()
+    elif case == "sweedler":
+        p = evaluation_pairing_of_the_op_cop_dual(
+            radford(RadfordParams(2, 1, 2, 1))["H"])
+        bp = VectFlip()
     else:
         p, bp = braided_taft_pairing()
     mp = matched_pair_from_pairing(p, bp)

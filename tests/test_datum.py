@@ -470,9 +470,10 @@ def order_search_cases():
 
 
 def test_order_search_matches_the_id_minus_p_oracle(monkeypatch):
-    inputs = []
+    inputs, phis = [], []
 
     def spy(a, b):
+        phis.append(a)
         inputs.append(b)
         return sop_compose(a, b)
 
@@ -481,14 +482,15 @@ def test_order_search_matches_the_id_minus_p_oracle(monkeypatch):
     capped = []
     for d in order_search_cases() + perturbed:
         sop = build_phi_superoperator(d)
-        # the build is tested on its own; each search here reuses it
-        monkeypatch.setattr(datum, "build_phi_superoperator",
-                            lambda _, sop=sop: sop)
         want = oracle_remainders(sop.phi, d, 4)
         for n_max in (0, 1, 2, 4):
             inputs.clear()
             assert recursion_order(d, n_max) == oracle_order(
                 want, n_max, dim_of(d.quad))
+        # the build is tested on its own; each search multiplies by the
+        # Phi that build kept with the datum
+        assert all(a is sop.phi for a in phis)
+        phis.clear()
         # an order verdict reads only whether a remainder is empty; the
         # search's later products take Phi^n o (Id - P) for n = 1, 2, 3
         got, same = inputs[1:], want[1:len(inputs)]
@@ -499,6 +501,47 @@ def test_order_search_matches_the_id_minus_p_oracle(monkeypatch):
     # only the perturbed datums run to the cap, with nonzero remainders
     assert capped == [False] * (len(capped) - len(perturbed)) + [True] * len(
         perturbed)
+
+
+def test_phi_is_built_once_per_datum_object(monkeypatch):
+    builds = []
+    build = datum._build_phi_superoperator
+
+    def spy(d):
+        builds.append(d)
+        return build(d)
+
+    monkeypatch.setattr(datum, "_build_phi_superoperator", spy)
+    for d in (radford_datum(), ore_datum()):
+        # a build, searches at three caps and a second build share one Phi
+        builds.clear()
+        sop = build_phi_superoperator(d)
+        for n_max in (1, 2, 4):
+            assert recursion_order(d, n_max) == {"order": 1}
+        assert build_phi_superoperator(d) is sop
+        assert len(builds) == 1 and builds[0] is d
+        # the acceptance scenario's order: the search first, then the build
+        fresh = dataclasses.replace(d)
+        assert recursion_order(fresh, 4) == {"order": 1}
+        assert build_phi_superoperator(fresh) is build_phi_superoperator(
+            fresh)
+        assert len(builds) == 2 and builds[1] is fresh
+        # a copy starts with an empty memo and builds its own Phi
+        assert build_phi_superoperator(fresh).phi == sop.phi
+        assert build_phi_superoperator(fresh) is not sop
+
+
+def test_a_search_to_the_cap_leaves_the_kept_phi_unchanged():
+    # the first remainder shares Phi's columns off P's support, so a
+    # search that mutated a remainder in place would change the kept Phi
+    d = perturbed_radford_datum(0)
+    phi = build_phi_superoperator(d).phi
+    before = {c: dict(col) for c, col in phi.items()}
+    res = recursion_order(d, 2)
+    assert res["not_recursive_up_to"] == 2
+    assert build_phi_superoperator(d).phi is phi
+    assert phi == before
+    assert reprs(phi) == reprs(before)
 
 
 def test_order_search_builds_no_identity_on_the_doubled_quad(monkeypatch):
