@@ -67,8 +67,9 @@ class Workspace:
     braiding is None (the flip) or the braiding section
     {"kind": ..., "host": <structure>, "modules": [{"space": <space>,
     "act": <map>, "coact": <map>}, ...]}, which names entries of the
-    workspace.  provider is the braiding every command passes on: the
-    flip, or the provider workspace_from_json builds from the section.
+    workspace.  provider is the braiding every command that takes one
+    passes on: the flip, or the provider workspace_from_json builds from
+    the section.
     """
 
     def __init__(self):
@@ -501,16 +502,26 @@ def _cmd_cross(args) -> int:
     return _finish(args, {"equivalences": rep}, {}, rep.ok)
 
 
+def _load_flip_workspace(path: str, what: str) -> Workspace:
+    """load_workspace for a command that lives over the flip: a workspace
+    with a braiding section exits 2 at /braiding before any work."""
+    ws = load_workspace(path)
+    if ws.braiding is not None:
+        raise WorkspaceError(f"/braiding: {what} over the flip; a braided "
+                             "workspace is refused")
+    return ws
+
+
 def _cmd_twist(args) -> int:
-    ws = load_workspace(args.infile)
+    ws = _load_flip_workspace(args.infile, "twisting is defined")
     st = ws.structure(args.name)
     _guard_dim(st.dim)
     chi_inv = ws.maps.get("chi_inv")
     c = TwoCocycle(st, ws.map("chi"), chi_inv)
     if args.twist_cmd == "validate":
-        rep = validate_cocycle(c, ws.provider)
+        rep = validate_cocycle(c)
         return _finish(args, {"cocycle": rep}, {}, rep.ok)
-    twisted = twist(st, c, ws.provider)
+    twisted = twist(st, c)
     out_ws = Workspace().add_structure("main", twisted)
     extra = {"dim": twisted.dim,
              "multiplication_changed": twisted.m != st.m}
@@ -532,10 +543,7 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_double_biproduct(args) -> int:
-    ws = load_workspace(args.infile)
-    if ws.braiding is not None:
-        raise WorkspaceError("/braiding: the double biproduct is built over "
-                             "the flip; a braided workspace is refused")
+    ws = _load_flip_workspace(args.infile, "the double biproduct is built")
     inp = DoubleBiproductInput(
         ws.structure("h"), ws.structure("b"), ws.structure("c"),
         ws.map("b_act"), ws.map("b_coact"),

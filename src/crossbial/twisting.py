@@ -4,13 +4,15 @@ double biproduct.
 Scalar-valued maps out of a coalgebra act on other maps by the dot
 products chi.f = (chi (x) f) o Delta and f.chi = (f (x) chi) o Delta;
 twisting replaces a bialgebra's multiplication by chi.m.chi^- for a
-2-cocycle chi.  Dual pairings between bialgebras induce matched pairs
-exactly when the mixed braiding squares to the identity.  The double
-biproduct assembles Z = (C><H)><B on C (x) H (x) B from a Hopf algebra H,
-a right crossed module bialgebra B, a left crossed module bialgebra C,
-and a pairing rho between them, and twists it by the induced 2-cocycle
-rho_hat; Z and its one-sided products C><H and H><B are cross products
-of Hopf data.
+2-cocycle chi.  Twisting lives over the flip, where B (x) B is a
+coalgebra, so a certified chi^- is the only convolution inverse of chi;
+only the pairing functions take a braiding.  Dual pairings between
+bialgebras induce matched pairs exactly when the mixed braiding squares
+to the identity.  The double biproduct assembles Z = (C><H)><B on
+C (x) H (x) B from a Hopf algebra H, a right crossed module bialgebra B,
+a left crossed module bialgebra C, and a pairing rho between them, and
+twists it by the induced 2-cocycle rho_hat; Z and its one-sided products
+C><H and H><B are cross products of Hopf data.
 """
 
 from __future__ import annotations
@@ -147,18 +149,19 @@ def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
     return rebind(convolution_inverse(fp, coalg, k), f.dom, UNIT)
 
 
-def cocycle_inverse(c: TwoCocycle, bp=FLIP) -> LinMap:
+def cocycle_inverse(c: TwoCocycle) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
     B (x) B; a stored chi_inv is returned as it is once both convolution
     identities certify it, and only a missing one is solved for."""
-    return _cocycle_inverse(c, tensor_coalgebra(c.host, c.host, bp))
+    return _cocycle_inverse(c, tensor_coalgebra(c.host, c.host))
 
 
 def _cocycle_inverse(c: TwoCocycle, bb: Structure,
                      error=PreconditionError) -> LinMap:
     """The body of cocycle_inverse, over bb = tensor_coalgebra(B, B) as the
     caller built it; a stored chi_inv failing its certificate raises error.
-    Under the flip bb is a coalgebra, so a certified chi_inv is unique."""
+    Twisting lives over the flip, where bb is a coalgebra, so a certified
+    chi_inv is the unique inverse."""
     return _scalar_inverse(c.chi, bb, c.chi_inv, error)
 
 
@@ -166,15 +169,15 @@ def _cocycle_inverse(c: TwoCocycle, bb: Structure,
 # cocycle validation and twisting
 # ---------------------------------------------------------------------------
 
-def validate_cocycle(c: TwoCocycle, bp=FLIP) -> CheckReport:
+def validate_cocycle(c: TwoCocycle) -> CheckReport:
     """The associativity-style cocycle law plus both unit laws; the two
-    unit halves are also compared against each other directly.  Under the
-    flip, from dim 6 on, the cocycle law is tried first by Light's
-    associativity test on Doi's product chi.m (see _cocycle_report); a
-    failing entry and its witness are always the full diagrams'."""
-    check_axioms(c.host, "bialgebra", bp).require("host fails {}")
-    bb = tensor_coalgebra(c.host, c.host, bp)
-    return _cocycle_report(c, bp, _chi_dot_m(c, bb)[1])
+    unit halves are also compared against each other directly.  From dim
+    6 on, the cocycle law is tried first by Light's associativity test on
+    Doi's product chi.m (see _cocycle_report); a failing entry and its
+    witness are always the full diagrams'."""
+    check_axioms(c.host, "bialgebra").require("host fails {}")
+    bb = tensor_coalgebra(c.host, c.host)
+    return _cocycle_report(c, _chi_dot_m(c, bb)[1])
 
 
 def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
@@ -187,21 +190,20 @@ def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
     return delta2, conv_dot(c.chi, c.host.m, "left", delta2)
 
 
-def _cocycle_report(c: TwoCocycle, bp, chi_m: LinMap) -> CheckReport:
+def _cocycle_report(c: TwoCocycle, chi_m: LinMap) -> CheckReport:
     """The cocycle laws of validate_cocycle, for a host already verified as
     a bialgebra, with chi_m from _chi_dot_m.
 
     On a bialgebra eps o chi.m = chi, so the two sides of "2cocycle1",
     chi o (id (x) chi.m) and chi o (chi.m (x) id), are eps applied to the
     two bracketings of chi.m, and the law holds once chi.m is associative
-    (Doi's twisted algebra).  Under the flip that is decided first by
-    Light's test on generators of chi.m's own product (from dim 6 on and
-    when 2|S| < dim, as in check_axioms); a test that fails, or no test,
-    evaluates the full diagrams, so every failing entry and witness is
-    theirs."""
+    (Doi's twisted algebra).  That is decided first by Light's test on
+    generators of chi.m's own product (from dim 6 on and when 2|S| < dim,
+    as in check_axioms); a test that fails, or no test, evaluates the full
+    diagrams, so every failing entry and witness is theirs."""
     b = c.host
     idb = b.id_map()
-    g = _generators(chi_m, b.space) if bp == FLIP else None
+    g = _generators(chi_m, b.space)
     left_unit = run_pipeline([[b.eta, idb], [c.chi]])
     right_unit = run_pipeline([[idb, b.eta], [c.chi]])
     units = [compare("2cocycle2-left", left_unit, b.eps),
@@ -216,7 +218,7 @@ def _cocycle_report(c: TwoCocycle, bp, chi_m: LinMap) -> CheckReport:
     ])
 
 
-def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
+def twist(b: Structure, c: TwoCocycle) -> Structure:
     """Twist the multiplication by an invertible 2-cocycle.
 
     m^chi = chi.m.chi^-; Hopf inputs also get S^chi = u.S.u^- with
@@ -228,19 +230,19 @@ def twist(b: Structure, c: TwoCocycle, bp=FLIP) -> Structure:
         raise ShapeError("cocycle host does not match the twisted algebra")
     # S^chi is built from S, so a host with an antipode is checked as Hopf
     kind = "hopf" if b.S is not None else "bialgebra"
-    check_axioms(b, kind, bp).require("host fails {}")
-    return _twist(TwoCocycle(b, c.chi, c.chi_inv), bp,
-                  tensor_coalgebra(b, b, bp), PreconditionError)[0]
+    check_axioms(b, kind).require("host fails {}")
+    return _twist(TwoCocycle(b, c.chi, c.chi_inv), tensor_coalgebra(b, b),
+                  PreconditionError)[0]
 
 
-def _twist(c: TwoCocycle, bp, bb: Structure, error
+def _twist(c: TwoCocycle, bb: Structure, error
            ) -> Tuple[Structure, CheckReport]:
     """The twist and its cocycle report, for a cocycle on a verified host
     and bb = tensor_coalgebra(B, B) as the caller built it; a failed
     cocycle law or chi_inv raises error, a failed twist ConsistencyError."""
     b = c.host
     delta2, chi_m = _chi_dot_m(c, bb)
-    rep = _cocycle_report(c, bp, chi_m)
+    rep = _cocycle_report(c, chi_m)
     rep.require("cocycle fails {}", error)
     chi_inv = _cocycle_inverse(c, bb, error)
     m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
@@ -253,8 +255,8 @@ def _twist(c: TwoCocycle, bp, bb: Structure, error
                          "right", b.delta)
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)
     kind = "hopf" if S_chi is not None else "bialgebra"
-    check_axioms(out, kind, bp).require("twisted structure fails {}",
-                                        ConsistencyError)
+    check_axioms(out, kind).require("twisted structure fails {}",
+                                    ConsistencyError)
     return out, rep
 
 
@@ -480,7 +482,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)
     # Z passed check_axioms above, so the twist runs its body only
-    z_twisted, vrep = _twist(rho_hat, FLIP, tensor_coalgebra(Z, Z),
+    z_twisted, vrep = _twist(rho_hat, tensor_coalgebra(Z, Z),
                              ConsistencyError)
     direct = _twisted_mult_direct(inp, rho_inv)
     direct = rebind(direct, (Z.space, Z.space), (Z.space,))

@@ -119,19 +119,9 @@ def test_decompose_and_bat_to_hopf_datum(pars):
     assert_pinned(d.coact_r, chain(rows(t.phi12), kron(b1.eta, id2)))
 
 
-@pytest.mark.parametrize("case", ["flip", "sweedler", "yetter-drinfeld"])
-def test_matched_pair_actions(case):
-    # sweedler: H4 = Radford(2,1,2,1), paired with the transpose of its
-    # op-cop, on which the actions form a matched pair of A and H^op
-    if case == "flip":
-        p, bp = canonical_pairing(2), VectFlip()
-    elif case == "sweedler":
-        p = evaluation_pairing_of_the_op_cop_dual(
-            radford(RadfordParams(2, 1, 2, 1))["H"])
-        bp = VectFlip()
-    else:
-        p, bp = braided_taft_pairing()
-    mp = matched_pair_from_pairing(p, bp)
+def braided_oracle(p, bp):
+    """lhd and rhd as the diagrams matched_pair_from_pairing states, one
+    Kronecker row each: the middle row is (dim H)^3 (dim A)^2 wide."""
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
     idh, ida = H.id_map(), A.id_map()
@@ -141,10 +131,57 @@ def test_matched_pair_actions(case):
     # the outer product first: the braided middle row is the widest matrix
     lhd = chain(kron(pinv, idh, form),
                 kron(idh, bp.braiding_list((sh, sh), (sa,)), ida))
-    assert_pinned(mp["lhd"], chain(lhd, _kron(d2h, rows(A.delta))))
     rhd = chain(kron(pinv, ida, form),
                 kron(idh, bp.braiding_list((sh,), (sa, sa)), ida))
-    assert_pinned(mp["rhd"], chain(rhd, _kron(rows(H.delta), d2a)))
+    return (chain(lhd, _kron(d2h, rows(A.delta))),
+            chain(rhd, _kron(rows(H.delta), d2a)))
+
+
+def flip_oracle(p):
+    """lhd and rhd over the flip, no row wider than (dim H)^2 dim A.  By
+    coassociativity lhd(h, a) = F(E(h, a1), a2) with
+    E(h, a) = <h1, a>^- h2 and F(h, a) = h1 <h2, a>, and
+    rhd(h, a) = F'(h2, E'(h1, a)) with E'(h, a) = <h, a1>^- a2 and
+    F'(h, a) = a1 <h, a2>."""
+    H, A, form = p.H, p.A, p.form
+    idh, ida = H.id_map(), A.id_map()
+    pinv = pairing_inverse(p)
+    cop_h = chain(rows(flip(H.space, H.space)), rows(H.delta))
+    cop_a = chain(rows(flip(A.space, A.space)), rows(A.delta))
+    e = chain(kron(idh, pinv), _kron(cop_h, rows(ida)))
+    f = chain(kron(idh, form), kron(H.delta, ida))
+    e2 = chain(kron(pinv, ida), kron(idh, A.delta))
+    f2 = chain(kron(form, ida), _kron(rows(idh), cop_a))
+    return (chain(f, _kron(e, rows(ida)), kron(idh, A.delta)),
+            chain(f2, _kron(rows(idh), e2), _kron(cop_h, rows(ida))))
+
+
+OP_COP_PAIRINGS = {"sweedler": (2, 1, 2, 1), "taft": (3, 1, 3, 1)}
+
+
+@pytest.mark.parametrize("case", ["flip", "sweedler", "taft",
+                                  "yetter-drinfeld"])
+def test_matched_pair_actions(case):
+    # sweedler: H4 = Radford(2,1,2,1), and taft: T3 = Radford(3,1,3,1) over
+    # Q(zeta_3), each paired with the transpose of its op-cop, on which the
+    # actions form a matched pair of A and H^op.  T3's braided oracle would
+    # hold 9^10 scalars, so the flip oracle alone pins it; on the smaller
+    # flip cases the two oracles pin the same maps
+    if case == "flip":
+        p, bp = canonical_pairing(2), VectFlip()
+    elif case in OP_COP_PAIRINGS:
+        p = evaluation_pairing_of_the_op_cop_dual(
+            radford(RadfordParams(*OP_COP_PAIRINGS[case]))["H"])
+        bp = VectFlip()
+    else:
+        p, bp = braided_taft_pairing()
+    mp = matched_pair_from_pairing(p, bp)
+    oracles = [] if case == "taft" else [braided_oracle(p, bp)]
+    if case != "yetter-drinfeld":
+        oracles.append(flip_oracle(p))
+    for lhd, rhd in oracles:
+        assert_pinned(mp["lhd"], lhd)
+        assert_pinned(mp["rhd"], rhd)
 
 
 def evaluation_pairing_of_the_op_cop_dual(H):

@@ -20,6 +20,7 @@ from crossbial.cli import (
     workspace_to_json,
 )
 from crossbial.crossproduct import decompose
+from crossbial.datum import trivial_datum
 from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import VerifiedFailure, root_of_unity
 from crossbial.structures import (CheckEntry, CheckReport, Structure,
@@ -29,6 +30,7 @@ from crossbial.zoo import (RadfordParams, group_algebra, radford,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
 from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
+from tests.test_datum import unit_hopf
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
@@ -967,23 +969,34 @@ def test_double_biproduct_command(tmp_path, capsys):
     assert set(built.maps) == {"rho_hat", "rho_hat_inv"}
 
 
-def test_a_braided_double_biproduct_workspace_is_refused(tmp_path, capsys,
-                                                         monkeypatch):
-    # the double biproduct is built over the flip; B braids through its
-    # crossed module whatever the workspace says
+@pytest.mark.parametrize("argv, call", [
+    (("twist", "validate", "--name", "b"), "validate_cocycle"),
+    (("twist", "apply", "--name", "b"), "twist"),
+    (("double-biproduct", "build"), "double_biproduct"),
+], ids=["twist-validate", "twist-apply", "double-biproduct-build"])
+def test_a_braided_workspace_is_refused_by_the_flip_only_commands(
+        tmp_path, capsys, monkeypatch, argv, call):
+    # twisting and the double biproduct live over the flip: the Sweedler
+    # input with the trivial cocycle on B and a section that registers SwB
+    # over h is refused before the library call
     def never(*args):
-        raise AssertionError("double_biproduct reached")
-    monkeypatch.setattr(cli, "double_biproduct", never)
+        raise AssertionError(f"{call} reached")
+    monkeypatch.setattr(cli, call, never)
     ws = sweedler_dbp_workspace()
+    b = ws.structure("b")
+    ws.add_map("chi", b.eps @ b.eps)
     ws.braiding = {"kind": "yetter-drinfeld", "host": "h",
                    "modules": [{"space": "SwB", "act": "b_act",
                                 "coact": "b_coact"}]}
-    path = str(tmp_path / "dbp.json")
+    path = str(tmp_path / "in.json")
     save_workspace(ws, path)
-    code, out, err = run(capsys, "double-biproduct", "build", "--in", path)
+    written = tmp_path / "out.json"
+    out_opt = [] if argv[1] == "validate" else ["-o", str(written)]
+    code, out, err = run(capsys, *argv, "--in", path, *out_opt)
     assert code == 2
     assert out == ""
     assert "crossbial: error: /braiding: " in err
+    assert not written.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1230,14 +1243,36 @@ def test_a_braided_host_is_guarded_before_it_is_checked(capsys, qline_path,
     assert "total dimension 9 exceeds CROSSBIAL_MAX_DIM=8" in err
 
 
+def braided_qline_point_workspace():
+    """The trivial datum of the q-line T and a point K over kC3, on which
+    kC3 acts and coacts trivially, with the Yetter-Drinfeld braiding
+    section that registers both: a bialgebra under that braiding only."""
+    pairing, qline = braided_taft_pairing()
+    T, host, K = pairing.H, group_algebra(3), unit_hopf("K")
+    k = K.id_map()
+    modules = [(T.space, *qline._reg[T.space]),
+               (K.space, k @ host.eps, k @ host.eta)]
+    d = trivial_datum(T, K)
+    ws = (Workspace().add_structure("b1", T).add_structure("b2", K)
+          .add_structure("host", host))
+    for name in ("act_l", "coact_l", "act_r", "coact_r"):
+        ws.add_map(name, getattr(d, name))
+    section = []
+    for tag, (s, act, coact) in zip(("t", "k"), modules):
+        ws.add_map(f"{tag}_act", act).add_map(f"{tag}_coact", coact)
+        section.append({"space": s.name, "act": f"{tag}_act",
+                        "coact": f"{tag}_coact"})
+    ws.braiding = {"kind": "yetter-drinfeld", "host": "host",
+                   "modules": section}
+    return ws
+
+
 def test_output_workspaces_carry_no_braiding(tmp_path, capsys):
-    # the trivial cocycle eps (x) eps on the braided q-line copy h
-    ws, _ = braided_qline_workspace()
-    h = ws.structure("h")
-    path, out = str(tmp_path / "q.json"), str(tmp_path / "out.json")
-    save_workspace(ws.add_map("chi", h.eps @ h.eps), path)
-    code, _, _ = run(capsys, "twist", "apply", "--in", path, "--name", "h",
-                     "-o", out)
+    # the cross product of the braided q-line and a point, built under its
+    # braiding and written over the flip
+    path, out = str(tmp_path / "tk.json"), str(tmp_path / "out.json")
+    save_workspace(braided_qline_point_workspace(), path)
+    code, _, _ = run(capsys, "datum", "build", "--in", path, "-o", out)
     assert code == 0
     obj = json.loads(open(out).read())
     assert obj["schema"] == "crossbial-workspace/1"
