@@ -347,6 +347,12 @@ def _document(args, checks: Dict[str, CheckReport], extra: dict,
     }
 
 
+def _witness_text(w: dict) -> str:
+    """A to_json witness as report lines and exit 1's stderr print it."""
+    return (f"out={w['out_index']} in={w['in_index']}: "
+            f"{w['lhs']} != {w['rhs']}")
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(canonical_json(doc))
@@ -363,9 +369,7 @@ def _emit(doc: dict, fmt: str) -> None:
             mark = "ok  " if e["ok"] else "FAIL"
             line = f"  {mark} {e['axiom']}"
             if "witness" in e:
-                w = e["witness"]
-                line += (f"  out={w['out_index']} in={w['in_index']}: "
-                         f"{w['lhs']} != {w['rhs']}")
+                line += f"  {_witness_text(e['witness'])}"
             print(line)
     print(f"verdict: {doc['verdict']}")
 
@@ -746,6 +750,10 @@ def main(argv=None) -> int:
     except VerifiedFailure as err:
         print(f"crossbial: verified failure: {err}", file=sys.stderr)
         print("failing:", ", ".join(err.report.failed()), file=sys.stderr)
+        bad = next(e for e in err.report.to_json() if not e["ok"])
+        if "witness" in bad:
+            print(f"witness: {bad['axiom']} {_witness_text(bad['witness'])}",
+                  file=sys.stderr)
         code = 1
     except InputError as err:
         print(f"crossbial: error: {err}", file=sys.stderr)

@@ -86,16 +86,8 @@ def build_cross_product(t: BAT) -> Structure:
     # no provider registers the fused space: it braids as B1(x)B2 does
     s12, P2 = (t.b1.space, t.b2.space), (prod.space, prod.space)
     psi = rebind(t.braiding.braiding_list(s12, s12), P2, P2, "Psi")
-    verdict = check_axioms(prod, "bialgebra", psi=psi)
-    if not verdict.ok:
-        bad = verdict.entry(verdict.failed()[0])
-        detail = ""
-        if bad.witness is not None:
-            detail = (f" at out={bad.witness.out_index} "
-                      f"in={bad.witness.in_index} "
-                      f"({bad.witness.lhs} != {bad.witness.rhs})")
-        raise NotABATError(f"not a BAT: {bad.axiom} fails{detail}",
-                           report=verdict)
+    check_axioms(prod, "bialgebra", psi=psi).require("not a BAT: {} fails",
+                                                     NotABATError)
     return prod
 
 

@@ -241,25 +241,23 @@ def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
                 _cross_comult(b1, b2, phi12), b1.eps @ b2.eps, S)
 
 
-def tensor_structure(a: Structure, b: Structure, bp=FLIP) -> Structure:
-    """Tensor product structure on A(x)B with the braiding in the middle.
+def tensor_structure(a: Structure, b: Structure) -> Structure:
+    """Tensor product structure on A(x)B with the flip in the middle.
 
-    m = (m_A (x) m_B) o (id (x) Psi_{B,A} (x) id) and dually for delta.
-    The antipode slot is filled with S_A (x) S_B when both factors carry one
-    (valid whenever the braiding between the factors is involutive; callers
-    in doubt should re-check the axioms).
+    m = (m_A (x) m_B) o (id (x) flip_{B,A} (x) id) and dually for delta.
+    The antipode slot is filled with S_A (x) S_B when both factors carry one.
     """
     A, B = a.space, b.space
     S = a.S @ b.S if a.S is not None and b.S is not None else None
-    return cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
+    return cross_structure(a, b, flip(A, B), flip(B, A),
                            f"({A.name}.{B.name})", S)
 
 
 def tensor_coalgebra(a: Structure, b: Structure, bp=FLIP) -> Structure:
-    """The tensor coalgebra on A(x)B: tensor_structure's eta, delta and eps
-    on the same space, with no multiplication (m is None).  A convolution
-    inverse over A(x)B reads nothing else; for two factors of dim 16 the
-    multiplication alone would have 65,536 columns."""
+    """The tensor coalgebra on A(x)B with bp in the middle (over the flip,
+    tensor_structure's eta, delta and eps), with no multiplication (m is
+    None).  A convolution inverse over A(x)B reads nothing else; for two
+    factors of dim 16 the multiplication alone would have 65,536 columns."""
     A, B = a.space, b.space
     P = Space(f"({A.name}.{B.name})", A.dim * B.dim)
     return fuse(P, None, a.eta @ b.eta,

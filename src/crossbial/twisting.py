@@ -38,9 +38,9 @@ from .structures import (
     _yd_providers,
     canonical_maps,
     check_axioms,
-    classify_morphism,
     compare,
     convolution_inverse,
+    morphism_reports,
     rebind,
     tensor_coalgebra,
 )
@@ -411,7 +411,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     the action/coaction loop, and the three compatibility conditions of
     the pairing with the (co)multiplications.
     Z is verified as a bialgebra, the canonical injections/projections
-    from and to the two one-sided products are classified as bialgebra
+    from and to the two one-sided products are checked as bialgebra
     morphisms, and twist's body runs on Z and rho_hat, whose stored inverse
     (the lift of rho's, solved once over B (x) C) it certifies over Z (x) Z;
     its product is compared with the direct diagram.
@@ -467,9 +467,9 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
                              ("mono-b-side", mono_b, hb, Z),
                              ("epi-c-side", epi_c, Z, ch),
                              ("epi-b-side", epi_b, Z, hb)):
-        cls = classify_morphism(f, src, dst)
-        canon.append(CheckEntry(tag, cls["is_algebra_morphism"]
-                                and cls["is_coalgebra_morphism"]))
+        bad = [e for rep in morphism_reports(f, src, dst, tag)
+               for e in rep.entries if not e.ok]
+        canon.append(CheckEntry(tag, not bad, bad[0].witness if bad else None))
     canon.append(compare("retraction-c-side", epi_c * mono_c, ch.id_map()))
     canon.append(compare("retraction-b-side", epi_b * mono_b, hb.id_map()))
     CheckReport(canon).require("canonical morphism fails: {}",

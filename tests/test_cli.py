@@ -700,6 +700,13 @@ def test_twist_apply_certifies_a_stored_inverse(tmp_path, capsys):
 def _refusal_workspace(case):
     """The workspace of one case of the exit-1 contract: valid input that a
     verified law refuses."""
+    if case == "cross-build-braided":
+        # the q-lines with their Yetter-Drinfeld braidings as phi12/phi21
+        ws, prov = braided_qline_workspace()
+        T1, T2 = ws.structure("h"), ws.structure("a")
+        return (ws.add_structure("b1", T1).add_structure("b2", T2)
+                .add_map("phi12", prov.braiding(T1.space, T2.space))
+                .add_map("phi21", prov.braiding(T2.space, T1.space)))
     if case.startswith("cross"):
         out = radford(RadfordParams(2, 1, 2, 1))
         H, system = out["H"], out["system"]
@@ -725,33 +732,46 @@ def _pairing_workspace(p):
             .add_map("form", p.form))
 
 
-# case -> (command, message, failed checks) of the exit-1 contract
+# case -> (command, message, failed checks, witness line or None) of the
+# exit-1 contract
 _REFUSALS = {
     "cross-decompose": (("cross", "decompose"),
-                        "p1 o i1 is not the identity", "p1 o i1"),
-    "cross-build": (("cross", "build"), "B1 is not counit-normalised", "B1"),
+                        "p1 o i1 is not the identity", "p1 o i1",
+                        "witness: p1 o i1 out=[0] in=[0]: 2/1 != 1/1"),
+    "cross-build": (("cross", "build"), "B1 is not counit-normalised", "B1",
+                    "witness: B1 out=[] in=[]: 2/1 != 1/1"),
+    # test_braided_q_lines_with_their_braidings_are_not_a_bat at the CLI
+    "cross-build-braided": (("cross", "build"),
+                            "not a BAT: mult-comult fails", "mult-comult",
+                            "witness: mult-comult out=[1, 3] in=[1, 3]: "
+                            "{'n': 3, 'coeffs': ['-1/1', '-1/1']} != 1/1"),
     "twist-apply": (("twist", "apply"),
                     "no two-sided convolution inverse exists: "
                     "convolution-right-inverse fails",
-                    "convolution-right-inverse, convolution-left-inverse"),
+                    "convolution-right-inverse, convolution-left-inverse",
+                    "witness: convolution-right-inverse out=[0] in=[0]: "
+                    "0/1 != 1/1"),
     # the counit pairing of kC2 with itself: a pairing, but degenerate
     "pairing-degenerate": (("pairing", "matched-pair"),
                            "matched-pair derivation needs a nondegenerate "
                            "pairing; the Gram matrix is 2x2 of rank 1: "
                            "pairing-nondegenerate fails",
-                           "pairing-nondegenerate"),
+                           "pairing-nondegenerate", None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
 def test_every_exit_1_names_its_failing_checks(tmp_path, capsys, case):
-    command, message, failing = _REFUSALS[case]
+    command, message, failing, witness = _REFUSALS[case]
     path = str(tmp_path / "ws.json")
     save_workspace(_refusal_workspace(case), path)
     code, out, err = run(capsys, *command, "--in", path)
     assert (code, out) == (1, "")
-    assert err.splitlines()[:2] == [f"crossbial: verified failure: {message}",
-                                    f"failing: {failing}"]
+    # a witness line follows exactly when the named entry has a witness;
+    # the timing line comes last
+    assert err.splitlines()[:-1] == [
+        f"crossbial: verified failure: {message}", f"failing: {failing}",
+        *([witness] if witness else [])]
 
 
 def test_sweedlers_pairing_with_its_op_cop_dual_is_a_matched_pair(

@@ -6,7 +6,8 @@ package to another only where listed, the axiom checkers and
 structure-map builders evaluate their diagrams with the strand kernel,
 never with identity-padded tensors, no diagram starts from a built
 identity, the package never divides with `/`, and every verified failure
-it raises carries the report of the check that failed."""
+it raises is built by CheckReport.require, so carries the report of the
+check that failed."""
 
 import ast
 import importlib
@@ -514,24 +515,22 @@ def test_each_exception_has_exactly_one_exit_code_base():
                 cls, InputError)] == []
 
 
-def reportless_failures(source: str, names):
+def named_failures(source: str, names):
     """(line, class) of each call of a class in names, by name or as an
-    attribute, that passes no report= keyword or passes report=None."""
+    attribute, whatever its arguments."""
     found = []
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, ast.Call):
             f = n.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-            report = [k.value for k in n.keywords if k.arg == "report"]
-            if name in names and (not report or (
-                    isinstance(report[0], ast.Constant)
-                    and report[0].value is None)):
+            if name in names:
                 found.append((n.lineno, name))
     return sorted(found)
 
 
 # crossproduct.decompose's refusals when they were bare messages, abridged,
-# then a refusal with its report and one with report=None
+# then build_cross_product's hand-built refusal with its report and one
+# with report=None
 BARE_DECOMPOSE = """\
 def decompose(A, sys, braiding=FLIP):
     check_axioms(A, "bialgebra", braiding).require("ambient fails {}")
@@ -557,18 +556,21 @@ def verified_failure_names():
 
 
 def test_the_scanner_flags_a_verified_failure_without_a_report():
-    assert reportless_failures(BARE_DECOMPOSE, verified_failure_names()) == [
+    # a refusal built by name is flagged with a report or without one
+    assert named_failures(BARE_DECOMPOSE, verified_failure_names()) == [
         (4, "InvalidSystemError"), (6, "InvalidSystemError"),
         (11, "InvalidSystemError"), (13, "NotASplittingError"),
-        (15, "NotABATError")]
+        (14, "NotABATError"), (15, "NotABATError")]
 
 
 def test_every_verified_failure_carries_a_report():
-    # CheckReport.require raises its error class with report=self, so a
-    # refusal through it passes; exit 1 always prints a "failing:" line
+    # the package builds a verified failure only in CheckReport.require,
+    # which raises its error argument (no class name) with report=self;
+    # exit 1 always prints a "failing:" line, and a "witness:" line when
+    # the entry its message names has a witness
     names = verified_failure_names()
     assert [(p.name, *site) for p in PACKAGE
-            for site in reportless_failures(p.read_text(), names)] == []
+            for site in named_failures(p.read_text(), names)] == []
 
 
 def memo_accesses(source: str):

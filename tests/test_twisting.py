@@ -21,6 +21,7 @@ from crossbial.structures import (
     Witness,
     _generators,
     check_axioms,
+    cross_structure,
     fuse,
     rebind,
     tensor_coalgebra,
@@ -603,7 +604,9 @@ def _failed_first_law(rep):
      _twist_the_trivial_cocycle_on_kc2, "twisted structure fails "),
     ("_products", _doubled_z, _sweedler_double_biproduct,
      "assembled product fails "),
-    ("classify_morphism", lambda cls: {**cls, "is_algebra_morphism": False},
+    # a doubled C><H -> Z is neither multiplicative nor a section of its
+    # projection
+    ("canonical_maps", lambda maps: (doubled(maps[0]),) + maps[1:],
      _sweedler_double_biproduct, "canonical morphism fails: "),
     ("_cocycle_report", _failed_first_law, _sweedler_double_biproduct,
      "cocycle fails "),
@@ -617,6 +620,9 @@ def test_a_failed_check_of_a_built_object_carries_its_report(
     rep = exc.value.report
     assert rep is not None and not rep.ok
     assert str(exc.value) == head + rep.failed()[0]
+    if target == "canonical_maps":
+        assert rep.failed()[0] == "mono-c-side"
+        assert rep.entry("mono-c-side").witness is not None
 
 
 def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
@@ -754,9 +760,13 @@ TENSOR_FACTORS = {
 @pytest.mark.parametrize("case", sorted(TENSOR_FACTORS))
 def test_tensor_coalgebra_is_the_tensor_structure_without_m(case):
     # the convolution inverses solve over tensor_coalgebra, so its eta,
-    # delta and eps must be tensor_structure's, entry for entry
+    # delta and eps must be those of the tensor structure with the braiding
+    # in the middle (tensor_structure's over the flip), entry for entry
     a, b, bp = TENSOR_FACTORS[case]()
-    co, full = tensor_coalgebra(a, b, bp), tensor_structure(a, b, bp)
+    A, B = a.space, b.space
+    co = tensor_coalgebra(a, b, bp)
+    full = cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
+                           f"({A.name}.{B.name})")
     assert co.m is None and co.S is None
     assert repr(co.space) == repr(full.space)
     for name in ("eta", "delta", "eps"):
