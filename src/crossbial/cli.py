@@ -8,6 +8,10 @@ workspaces, verification commands read them and emit deterministic
 machine-readable reports.  Exit codes: 0 for a passing verdict, 1 for a
 verified failure, 2 for usage or input errors.  Timing is written to
 stderr only, so reports are byte-identical across repeated runs.
+
+This module is the one workspace codec: spaces, structures, maps (dense
+row-major matrices of scalar encodings), the conductor and the braiding
+section.
 """
 
 from __future__ import annotations
@@ -20,19 +24,18 @@ import sys
 import time
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import __version__
 from .crossproduct import (BAT, ProjectionSystem, build_bialgebra,
                            build_cross_product, decompose,
                            verify_trivalent_equivalences)
 from .datum import HopfDatum, check_hopf_datum, recursion_order, trivalence
-from .linmaps import (FLIP, LinMap, ShapeError, Space, json_dim, json_int,
-                      json_name, linmap_from_json, linmap_to_json)
-from .scalars import (InputError, ScalarParseError, VerifiedFailure,
-                      scalar_conductor)
-from .structures import (CheckReport, Structure, check_axioms,
-                         structure_from_json, structure_to_json,
+from .linmaps import FLIP, LinMap, ShapeError, Space, dim_of
+from .scalars import (ZERO, InputError, Scalar, ScalarParseError,
+                      VerifiedFailure, json_int, scalar_conductor,
+                      scalar_from_json, scalar_to_json)
+from .structures import (CheckReport, Structure, _mult, check_axioms,
                          yd_provider, yd_provider_left)
 from .twisting import (DoubleBiproductInput, DualPairing, TwoCocycle,
                        double_biproduct, matched_pair_from_pairing, twist,
@@ -82,9 +85,8 @@ class Workspace:
     def add_structure(self, name: str, st: Structure) -> "Workspace":
         self.structures[name] = st
         self._note_spaces((st.space,))
-        for f in (st.m, st.eta, st.delta, st.eps, st.S):
-            if f is not None:
-                self._note_spaces(f.dom + f.cod)
+        for f in _filled_maps(st):
+            self._note_spaces(f.dom + f.cod)
         return self
 
     def add_map(self, name: str, f: LinMap) -> "Workspace":
@@ -122,10 +124,105 @@ class Workspace:
 
     def _all_maps(self):
         for st in self.structures.values():
-            for f in (st.m, st.eta, st.delta, st.eps, st.S):
-                if f is not None:
-                    yield f
+            yield from _filled_maps(st)
         yield from self.maps.values()
+
+
+# The map slots of a Structure, in field order.  A workspace structure
+# fills every one of them but S, which it may leave out.
+STRUCTURE_MAPS = ("m", "eta", "delta", "eps", "S")
+
+
+def _filled_maps(st: Structure) -> List[LinMap]:
+    """The maps in st's slots, in STRUCTURE_MAPS order, skipping empty
+    ones."""
+    return [f for f in (getattr(st, k) for k in STRUCTURE_MAPS)
+            if f is not None]
+
+
+def linmap_to_json(f: LinMap) -> dict:
+    """The dense row-major encoding; only nonzero entries are encoded one by
+    one, every other cell is the one encoding of zero."""
+    zero = scalar_to_json(ZERO)
+    matrix = [[zero] * f.ncols for _ in range(f.nrows)]
+    for (r, c), v in f.entries.items():
+        matrix[r][c] = scalar_to_json(v)
+    return {
+        "dom": [s.name for s in f.dom],
+        "cod": [s.name for s in f.cod],
+        "matrix": matrix,
+    }
+
+
+def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
+    try:
+        strands = obj["dom"], obj["cod"]
+        matrix = obj["matrix"]
+        for key, names in zip(("dom", "cod"), strands):
+            if type(names) is not list or any(type(n) is not str
+                                              for n in names):
+                raise ShapeError(f"{key} must be a list of space names")
+        dom, cod = (tuple(spaces[n] for n in names) for names in strands)
+    except KeyError as e:
+        raise ShapeError(f"bad LinMap encoding: missing {e}") from e
+    # Every entry is parsed before the shape is checked, so a bad scalar
+    # is reported first; a matrix or row that is not a JSON list has the
+    # wrong shape even when iterating it yields parsable entries.  Each
+    # distinct encoding is parsed once: a cyclotomic is keyed only when its
+    # conductor is an int and its coefficients strings, the only kind that
+    # parses, so a malformed encoding never finds a valid one's value.  A
+    # "0/1" cell of a list row is zero, so it is not visited at all.
+    parsed: Dict[object, Scalar] = {}
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    nr, nc = dim_of(cod), dim_of(dom)
+    nrows, rows_ok = 0, type(matrix) is list
+    for r, row in enumerate(matrix):
+        listed = type(row) is list
+        for c, v in ([(c, v) for c, v in enumerate(row) if v != "0/1"]
+                     if listed else enumerate(row)):
+            if type(v) is str:
+                key = v
+            elif (type(v) is dict and type(v.get("n")) is int
+                  and type(v.get("coeffs")) is list
+                  and all(type(x) is str for x in v["coeffs"])):
+                key = (v["n"], *v["coeffs"])
+            else:
+                key = None
+            val = parsed.get(key)
+            if val is None:
+                val = scalar_from_json(v)
+                if key is not None:
+                    parsed[key] = val
+            if val:
+                entries[(r, c)] = val
+        rows_ok = rows_ok and listed and len(row) == nc
+        nrows = r + 1
+    if nrows != nr or not rows_ok:
+        raise ShapeError(f"matrix must be {nr}x{nc}")
+    return LinMap._trusted(dom, cod, entries)
+
+
+def structure_to_json(s: Structure) -> dict:
+    """The space's name and the encoding of each slot; S is left out when
+    empty, and a structure without m is refused through _mult."""
+    _mult(s)
+    out = {"space": s.space.name}
+    for k in STRUCTURE_MAPS:
+        if k != "S" or s.S is not None:
+            out[k] = linmap_to_json(getattr(s, k))
+    return out
+
+
+def structure_from_json(obj: dict, spaces: Dict[str, Space]) -> Structure:
+    try:
+        space = spaces[obj["space"]]
+        maps = {k: linmap_from_json(obj[k], spaces)
+                for k in STRUCTURE_MAPS if k != "S"}
+    except KeyError as e:
+        raise ShapeError(f"bad structure encoding: missing {e}") from e
+    if "S" in obj:
+        maps["S"] = linmap_from_json(obj["S"], spaces)
+    return Structure(space, **maps)
 
 
 def workspace_to_json(ws: Workspace) -> dict:
@@ -205,10 +302,18 @@ def workspace_from_json(obj: dict) -> Workspace:
         if not isinstance(obj.get(section, kind()), kind):
             raise WorkspaceError(f"/{section}: expected {what}")
     for i, e in enumerate(obj.get("spaces", [])):
+        # a JSON string names a space, and a JSON integer of at least 1 is
+        # its dim
         try:
-            space = Space(json_name(e["name"]), json_dim(e["dim"]))
+            name = e["name"]
+            if not isinstance(name, str):
+                raise ValueError(f"{name!r} is not a string")
+            dim = e["dim"]
+            if json_int(dim) < 1:
+                raise ValueError(f"{dim!r} is not a positive integer")
         except (KeyError, TypeError, ValueError) as err:
             raise WorkspaceError(f"/spaces/{i}: {err}") from err
+        space = Space(name, dim)
         if space.name in ws.spaces:
             raise WorkspaceError(f"/spaces/{i}: space {space.name!r} is "
                                  "named twice")
@@ -348,9 +453,11 @@ def _document(args, checks: Dict[str, CheckReport], extra: dict,
 
 
 def _witness_text(w: dict) -> str:
-    """A to_json witness as report lines and exit 1's stderr print it."""
-    return (f"out={w['out_index']} in={w['in_index']}: "
-            f"{w['lhs']} != {w['rhs']}")
+    """A to_json witness as report lines and exit 1's stderr print it: a
+    rational side as its p/q encoding, a cyclotomic one as the scalar."""
+    lhs, rhs = (v if isinstance(v, str) else str(scalar_from_json(v))
+                for v in (w["lhs"], w["rhs"]))
+    return f"out={w['out_index']} in={w['in_index']}: {lhs} != {rhs}"
 
 
 def _emit(doc: dict, fmt: str) -> None:

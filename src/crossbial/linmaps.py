@@ -2,9 +2,10 @@
 
 A LinMap carries its domain and codomain as ordered tuples of Space labels;
 the matrix is stored sparsely as {(row, col): Scalar} but the external
-contract (JSON, from_rows) is a dense row-major matrix.  Basis order of a
-tensor product is lexicographic with the leftmost factor most significant —
-every equality downstream depends on this convention.
+contract (from_rows, and the workspace codec in cli) is a dense row-major
+matrix.  Basis order of a tensor product is lexicographic with the leftmost
+factor most significant — every equality downstream depends on this
+convention.
 
 Composition is `g * f` (apply f first) and runs on the one strand kernel,
 `apply_at`.  Tensoring is `f @ g`, the one-row diagram
@@ -18,8 +19,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .scalars import (SCALAR_TYPES, InputError, Scalar, ZERO, ONE,
-                      as_scalar, json_int, reciprocal, scalar_from_json,
-                      scalar_to_json)
+                      as_scalar, reciprocal)
 
 
 class Space(NamedTuple):
@@ -512,84 +512,3 @@ def pipeline_as_linmap(layers: List[List[LinMap]]) -> LinMap:
         entries.update(run_pipeline([[block]] + layers[1:]).entries)
     return LinMap._trusted(first.dom, cod, entries)
 
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
-
-def json_dim(x) -> int:
-    """x itself if it is a JSON integer of at least 1, the only valid
-    space dim; anything else is refused with ValueError."""
-    if json_int(x) < 1:
-        raise ValueError(f"{x!r} is not a positive integer")
-    return x
-
-
-def json_name(x) -> str:
-    """x itself if it is a JSON string, the only valid space name; anything
-    else is refused with ValueError."""
-    if not isinstance(x, str):
-        raise ValueError(f"{x!r} is not a string")
-    return x
-
-
-def linmap_to_json(f: LinMap) -> dict:
-    """The dense row-major encoding; only nonzero entries are encoded one by
-    one, every other cell is the one encoding of zero."""
-    zero = scalar_to_json(ZERO)
-    matrix = [[zero] * f.ncols for _ in range(f.nrows)]
-    for (r, c), v in f.entries.items():
-        matrix[r][c] = scalar_to_json(v)
-    return {
-        "dom": [s.name for s in f.dom],
-        "cod": [s.name for s in f.cod],
-        "matrix": matrix,
-    }
-
-
-def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
-    try:
-        strands = obj["dom"], obj["cod"]
-        matrix = obj["matrix"]
-        for key, names in zip(("dom", "cod"), strands):
-            if type(names) is not list or any(type(n) is not str
-                                              for n in names):
-                raise ShapeError(f"{key} must be a list of space names")
-        dom, cod = (tuple(spaces[n] for n in names) for names in strands)
-    except KeyError as e:
-        raise ShapeError(f"bad LinMap encoding: missing {e}") from e
-    # Every entry is parsed before the shape is checked, so a bad scalar
-    # is reported first; a matrix or row that is not a JSON list has the
-    # wrong shape even when iterating it yields parsable entries.  Each
-    # distinct encoding is parsed once: a cyclotomic is keyed only when its
-    # conductor is an int and its coefficients strings, the only kind that
-    # parses, so a malformed encoding never finds a valid one's value.  A
-    # "0/1" cell of a list row is zero, so it is not visited at all.
-    parsed: Dict[object, Scalar] = {}
-    entries: Dict[Tuple[int, int], Scalar] = {}
-    nr, nc = dim_of(cod), dim_of(dom)
-    nrows, rows_ok = 0, type(matrix) is list
-    for r, row in enumerate(matrix):
-        listed = type(row) is list
-        for c, v in ([(c, v) for c, v in enumerate(row) if v != "0/1"]
-                     if listed else enumerate(row)):
-            if type(v) is str:
-                key = v
-            elif (type(v) is dict and type(v.get("n")) is int
-                  and type(v.get("coeffs")) is list
-                  and all(type(x) is str for x in v["coeffs"])):
-                key = (v["n"], *v["coeffs"])
-            else:
-                key = None
-            val = parsed.get(key)
-            if val is None:
-                val = scalar_from_json(v)
-                if key is not None:
-                    parsed[key] = val
-            if val:
-                entries[(r, c)] = val
-        rows_ok = rows_ok and listed and len(row) == nc
-        nrows = r + 1
-    if nrows != nr or not rows_ok:
-        raise ShapeError(f"matrix must be {nr}x{nc}")
-    return LinMap._trusted(dom, cod, entries)

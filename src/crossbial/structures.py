@@ -4,7 +4,9 @@ A Structure packs the five (six with antipode) tensors of a finite
 dimensional algebra-and-coalgebra on one space.  Nothing beyond shape and
 the unit/counit normalisation is assumed at construction time; every law is
 *checked*, as a full matrix identity, and the first differing entry is
-reported so that failures reproduce bit for bit.
+reported so that failures reproduce bit for bit.  The one file format
+here is a report's entries, CheckReport.to_json; a structure's workspace
+encoding is cli's.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from .linmaps import (
     apply_at,
     dim_of,
     flip,
-    linmap_from_json,
-    linmap_to_json,
     reduce_rows,
     require_boundaries,
     run_pipeline,
@@ -624,31 +624,3 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
         NotConvolutionInvertibleError)
     return g
 
-
-# ---------------------------------------------------------------------------
-# JSON bundles
-# ---------------------------------------------------------------------------
-
-def structure_to_json(s: Structure) -> dict:
-    out = {
-        "space": s.space.name,
-        "m": linmap_to_json(_mult(s)),
-        "eta": linmap_to_json(s.eta),
-        "delta": linmap_to_json(s.delta),
-        "eps": linmap_to_json(s.eps),
-    }
-    if s.S is not None:
-        out["S"] = linmap_to_json(s.S)
-    return out
-
-
-def structure_from_json(obj: dict, spaces: Dict[str, Space]) -> Structure:
-    try:
-        space = spaces[obj["space"]]
-        maps = {k: linmap_from_json(obj[k], spaces)
-                for k in ("m", "eta", "delta", "eps")}
-    except KeyError as e:
-        raise ShapeError(f"bad structure encoding: missing {e}") from e
-    S = linmap_from_json(obj["S"], spaces) if "S" in obj else None
-    return Structure(space, maps["m"], maps["eta"], maps["delta"],
-                     maps["eps"], S)

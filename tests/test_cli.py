@@ -744,7 +744,7 @@ _REFUSALS = {
     "cross-build-braided": (("cross", "build"),
                             "not a BAT: mult-comult fails", "mult-comult",
                             "witness: mult-comult out=[1, 3] in=[1, 3]: "
-                            "{'n': 3, 'coeffs': ['-1/1', '-1/1']} != 1/1"),
+                            "(-1 + -1*z | z = zeta_3) != 1/1"),
     "twist-apply": (("twist", "apply"),
                     "no two-sided convolution inverse exists: "
                     "convolution-right-inverse fails",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
@@ -22,8 +23,8 @@ from crossbial.datum import (
     trivial_datum,
 )
 from crossbial.cli import (Workspace, WorkspaceError, _datum_from_workspace,
-                          load_workspace, save_workspace, workspace_from_json,
-                          workspace_to_json)
+                          load_workspace, main, save_workspace,
+                          workspace_from_json, workspace_to_json)
 from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, ShapeError, Space,
                                UNIT, VectFlip, YetterDrinfeld, dim_of,
                                pipeline_as_linmap, run_pipeline)
@@ -251,6 +252,51 @@ def test_breaking_a_slot_names_its_laws_with_witnesses(slot, key, failed,
     w = rep.entry(law).witness
     assert (w.out_index, w.in_index, w.lhs, w.rhs) == (out_index, in_index,
                                                        -ONE, ONE)
+
+
+def doubled_unit_datum():
+    """radford_datum with b1's unit doubled: b1 fails its own unit laws."""
+    d = radford_datum()
+    eta = d.b1.eta
+    eta2 = LinMap(eta.dom, eta.cod, {k: 2 * v for k, v in eta.entries.items()})
+    return dataclasses.replace(d, b1=dataclasses.replace(d.b1, eta=eta2))
+
+
+FACTOR_LAWS = [f"{tag}-{law}" for tag in ("b1", "b2") for law in (
+    "unit-counit", "associativity", "left-unit", "right-unit",
+    "coassociativity", "left-counit", "right-counit")]
+DOUBLED_UNIT_FAILS = ["b1-unit-counit", "b1-left-unit", "b1-right-unit"]
+
+
+def test_a_factor_failing_its_own_laws_skips_the_dependent_checks(
+        monkeypatch):
+    # the full report of the datum has 41 entries; with a broken factor
+    # only the 14 factor laws are checked, and no (co)action law is
+    def never(*args, **kwargs):
+        raise AssertionError("a (co)action law was checked")
+    monkeypatch.setattr(datum, "_action_report", never)
+    rep = check_hopf_datum(doubled_unit_datum())
+    assert [e.axiom for e in rep.entries] == FACTOR_LAWS
+    assert rep.failed() == DOUBLED_UNIT_FAILS
+    w = rep.entry("b1-unit-counit").witness
+    assert (w.out_index, w.in_index, w.lhs, w.rhs) == ((), (), 2, ONE)
+    monkeypatch.undo()
+    assert len(check_hopf_datum(radford_datum()).entries) == 41
+
+
+def test_datum_check_on_a_broken_factor_exits_1_with_the_factor_laws(
+        tmp_path, capsys):
+    d = doubled_unit_datum()
+    ws = Workspace().add_structure("b1", d.b1).add_structure("b2", d.b2)
+    for k in ("act_l", "coact_l", "act_r", "coact_r"):
+        ws.add_map(k, getattr(d, k))
+    path = str(tmp_path / "bad.json")
+    save_workspace(ws, path)
+    code = main(["datum", "check", "--in", path, "--format", "json"])
+    report = json.loads(capsys.readouterr().out)["checks"]["datum"]
+    assert code == 1
+    assert [e["axiom"] for e in report] == FACTOR_LAWS
+    assert [e["axiom"] for e in report if not e["ok"]] == DOUBLED_UNIT_FAILS
 
 
 def test_induced_structures_refuse_a_broken_datum():

@@ -237,6 +237,7 @@ def test_the_scanner_lists_private_imports():
 # trivial pairs (_trivial_forms) stay inside datum, behind
 # HopfDatum.product and the omitted pairs of HopfDatum.
 PRIVATE_IMPORTS = [
+    ("cli.py", ".structures", "_mult"),
     ("crossproduct.py", ".datum", "_mixed_maps"),
     ("crossproduct.py", ".structures", "_mult"),
     ("datum.py", ".structures", "_action_report"),
@@ -258,6 +259,57 @@ PRIVATE_IMPORTS = [
 def test_private_names_cross_modules_only_where_listed():
     assert private_imports(
         {p.name: p.read_text() for p in PACKAGE}) == PRIVATE_IMPORTS
+
+
+# The workspace format is one module's decision: every function or method
+# whose name holds "json" is defined in cli.py, or in scalars.py, whose
+# scalar encoding the workspace codec and the reports share.  The one
+# exception is the report format that perfbench/run.py reads.
+JSON_HOMES = ("cli.py", "scalars.py")
+JSON_ALLOWED = [("structures.py", "CheckReport.to_json")]
+
+
+def json_definitions(package):
+    """(file, qualified name) of each function or method, nested ones too,
+    whose name contains "json", in package ({file: text})."""
+    found = []
+
+    def visit(f, node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                if not isinstance(sub, ast.ClassDef) and "json" in sub.name:
+                    found.append((f, prefix + sub.name))
+                visit(f, sub, prefix + sub.name + ".")
+            else:
+                visit(f, sub, prefix)
+
+    for f, text in package.items():
+        visit(f, ast.parse(text), "")
+    return sorted(found)
+
+
+def misplaced_codecs(package):
+    return [d for d in json_definitions(package)
+            if d[0] not in JSON_HOMES and d not in JSON_ALLOWED]
+
+
+def test_the_scanner_flags_a_codec_outside_its_home():
+    package = {"a.py": "def map_to_json(): pass\n"
+                       "class K:\n    def from_json(self):\n"
+                       "        def _json_part(): pass\n"
+                       "if True:\n    def guarded_json(): pass\n"
+                       "class JsonBox: pass\n",
+               "cli.py": "def load_json(): pass\n",
+               "structures.py": "class CheckReport:\n"
+                                "    def to_json(self): pass\n"}
+    assert misplaced_codecs(package) == [
+        ("a.py", "K.from_json"), ("a.py", "K.from_json._json_part"),
+        ("a.py", "guarded_json"), ("a.py", "map_to_json")]
+
+
+def test_the_workspace_format_lives_in_cli():
+    assert misplaced_codecs({p.name: p.read_text() for p in PACKAGE}) == []
 
 
 def readme_python_tour():

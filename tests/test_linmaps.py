@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbial import linmaps, zoo
+from crossbial.cli import linmap_from_json, linmap_to_json
 from crossbial.linmaps import (
     PIPELINE_BLOCK,
     ConfigurationError,
@@ -20,8 +21,6 @@ from crossbial.linmaps import (
     dim_of,
     flatten,
     flip,
-    linmap_from_json,
-    linmap_to_json,
     pipeline_as_linmap,
     reduce_rows,
     run_pipeline,

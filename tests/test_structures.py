@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial import structures
+from crossbial.cli import structure_to_json
 from crossbial.crossproduct import (BAT, IdempotentSystem, build_bialgebra,
                                     build_cross_product, decompose)
 from crossbial.datum import (check_hopf_datum, phi_apply, recursion_order,
@@ -40,7 +41,6 @@ from crossbial.structures import (
     fuse,
     rebind,
     restrict,
-    structure_to_json,
     tensor_coalgebra,
     tensor_structure,
     yd_provider,
