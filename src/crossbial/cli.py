@@ -641,13 +641,13 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
-    ws = load_workspace(args.infile)
+    ws = _load_flip_workspace(args.infile, "pairings are defined")
     p = DualPairing(ws.structure("h"), ws.structure("a"), ws.map("form"))
     _guard_dim(p.H.dim * p.A.dim)
     if args.pairing_cmd == "check":
-        rep = validate_pairing(p, ws.provider)
+        rep = validate_pairing(p)
         return _finish(args, {"pairing": rep}, {}, rep.ok)
-    res = matched_pair_from_pairing(p, ws.provider)
+    res = matched_pair_from_pairing(p)
     extra = {"is_matched_pair": res["is_matched_pair"],
              "braiding_involutive": res["braiding_involutive"]}
     return _finish(args, {"interaction": res["report"]}, extra, True)

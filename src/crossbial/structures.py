@@ -253,15 +253,15 @@ def tensor_structure(a: Structure, b: Structure) -> Structure:
                            f"({A.name}.{B.name})", S)
 
 
-def tensor_coalgebra(a: Structure, b: Structure, bp=FLIP) -> Structure:
-    """The tensor coalgebra on A(x)B with bp in the middle (over the flip,
-    tensor_structure's eta, delta and eps), with no multiplication (m is
+def tensor_coalgebra(a: Structure, b: Structure) -> Structure:
+    """The tensor coalgebra on A(x)B with the flip in the middle
+    (tensor_structure's eta, delta and eps), with no multiplication (m is
     None).  A convolution inverse over A(x)B reads nothing else; for two
     factors of dim 16 the multiplication alone would have 65,536 columns."""
     A, B = a.space, b.space
     P = Space(f"({A.name}.{B.name})", A.dim * B.dim)
     return fuse(P, None, a.eta @ b.eta,
-                _cross_comult(a, b, bp.braiding(A, B)), a.eps @ b.eps)
+                _cross_comult(a, b, flip(A, B)), a.eps @ b.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from crossbial.crossproduct import bat_to_hopf_datum, decompose
 from crossbial.datum import _mixed_maps
-from crossbial.linmaps import UNIT, LinMap, Space, VectFlip, flip
+from crossbial.linmaps import FLIP, UNIT, LinMap, Space, VectFlip, flip
 from crossbial.scalars import ONE
 from crossbial.structures import (Structure, check_axioms, cross_structure,
                                   restrict)
@@ -119,20 +119,20 @@ def test_decompose_and_bat_to_hopf_datum(pars):
     assert_pinned(d.coact_r, chain(rows(t.phi12), kron(b1.eta, id2)))
 
 
-def braided_oracle(p, bp):
+def diagram_oracle(p):
     """lhd and rhd as the diagrams matched_pair_from_pairing states, one
     Kronecker row each: the middle row is (dim H)^3 (dim A)^2 wide."""
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
     idh, ida = H.id_map(), A.id_map()
-    pinv = pairing_inverse(p, bp)
+    pinv = pairing_inverse(p)
     d2h = chain(kron(H.delta, idh), rows(H.delta))
     d2a = chain(kron(A.delta, ida), rows(A.delta))
-    # the outer product first: the braided middle row is the widest matrix
+    # the outer product first: the crossing's middle row is the widest
     lhd = chain(kron(pinv, idh, form),
-                kron(idh, bp.braiding_list((sh, sh), (sa,)), ida))
+                kron(idh, FLIP.braiding_list((sh, sh), (sa,)), ida))
     rhd = chain(kron(pinv, ida, form),
-                kron(idh, bp.braiding_list((sh,), (sa, sa)), ida))
+                kron(idh, FLIP.braiding_list((sh,), (sa, sa)), ida))
     return (chain(lhd, _kron(d2h, rows(A.delta))),
             chain(rhd, _kron(rows(H.delta), d2a)))
 
@@ -159,26 +159,21 @@ def flip_oracle(p):
 OP_COP_PAIRINGS = {"sweedler": (2, 1, 2, 1), "taft": (3, 1, 3, 1)}
 
 
-@pytest.mark.parametrize("case", ["flip", "sweedler", "taft",
-                                  "yetter-drinfeld"])
+@pytest.mark.parametrize("case", ["flip", "sweedler", "taft"])
 def test_matched_pair_actions(case):
     # sweedler: H4 = Radford(2,1,2,1), and taft: T3 = Radford(3,1,3,1) over
     # Q(zeta_3), each paired with the transpose of its op-cop, on which the
-    # actions form a matched pair of A and H^op.  T3's braided oracle would
-    # hold 9^10 scalars, so the flip oracle alone pins it; on the smaller
-    # flip cases the two oracles pin the same maps
+    # actions form a matched pair of A and H^op.  T3's diagram oracle would
+    # hold 9^10 scalars, so the factored oracle alone pins it; on the
+    # smaller cases the two oracles pin the same maps
     if case == "flip":
-        p, bp = canonical_pairing(2), VectFlip()
-    elif case in OP_COP_PAIRINGS:
+        p = canonical_pairing(2)
+    else:
         p = evaluation_pairing_of_the_op_cop_dual(
             radford(RadfordParams(*OP_COP_PAIRINGS[case]))["H"])
-        bp = VectFlip()
-    else:
-        p, bp = braided_taft_pairing()
-    mp = matched_pair_from_pairing(p, bp)
-    oracles = [] if case == "taft" else [braided_oracle(p, bp)]
-    if case != "yetter-drinfeld":
-        oracles.append(flip_oracle(p))
+    mp = matched_pair_from_pairing(p)
+    oracles = [] if case == "taft" else [diagram_oracle(p)]
+    oracles.append(flip_oracle(p))
     for lhd, rhd in oracles:
         assert_pinned(mp["lhd"], lhd)
         assert_pinned(mp["rhd"], rhd)

@@ -25,7 +25,7 @@ from crossbial.linmaps import LinMap, Space, UNIT
 from crossbial.scalars import VerifiedFailure, root_of_unity
 from crossbial.structures import (CheckEntry, CheckReport, Structure,
                                   check_axioms, yd_provider_left)
-from crossbial.twisting import DualPairing, matched_pair_from_pairing
+from crossbial.twisting import DualPairing
 from crossbial.zoo import (RadfordParams, group_algebra, radford,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing
@@ -989,29 +989,40 @@ def test_double_biproduct_command(tmp_path, capsys):
     assert set(built.maps) == {"rho_hat", "rho_hat_inv"}
 
 
-@pytest.mark.parametrize("argv, call", [
-    (("twist", "validate", "--name", "b"), "validate_cocycle"),
-    (("twist", "apply", "--name", "b"), "twist"),
-    (("double-biproduct", "build"), "double_biproduct"),
-], ids=["twist-validate", "twist-apply", "double-biproduct-build"])
-def test_a_braided_workspace_is_refused_by_the_flip_only_commands(
-        tmp_path, capsys, monkeypatch, argv, call):
-    # twisting and the double biproduct live over the flip: the Sweedler
-    # input with the trivial cocycle on B and a section that registers SwB
-    # over h is refused before the library call
-    def never(*args):
-        raise AssertionError(f"{call} reached")
-    monkeypatch.setattr(cli, call, never)
+def braided_sweedler_workspace():
+    """The Sweedler input with the trivial cocycle on B and a section that
+    registers SwB over h."""
     ws = sweedler_dbp_workspace()
     b = ws.structure("b")
     ws.add_map("chi", b.eps @ b.eps)
     ws.braiding = {"kind": "yetter-drinfeld", "host": "h",
                    "modules": [{"space": "SwB", "act": "b_act",
                                 "coact": "b_coact"}]}
+    return ws
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("twist", "validate", "--name", "b"), "validate_cocycle"),
+    (("twist", "apply", "--name", "b"), "twist"),
+    (("double-biproduct", "build"), "double_biproduct"),
+    (("pairing", "check"), "validate_pairing"),
+    (("pairing", "matched-pair"), "matched_pair_from_pairing"),
+], ids=["twist-validate", "twist-apply", "double-biproduct-build",
+        "pairing-check", "pairing-matched-pair"])
+def test_a_braided_workspace_is_refused_by_the_flip_only_commands(
+        tmp_path, capsys, monkeypatch, argv, call):
+    # twisting, the double biproduct and pairings live over the flip: the
+    # braided Sweedler input, or for a pairing the braided q-line pairing,
+    # is refused before the library call
+    def never(*args):
+        raise AssertionError(f"{call} reached")
+    monkeypatch.setattr(cli, call, never)
+    ws = (braided_qline_workspace()[0] if argv[0] == "pairing"
+          else braided_sweedler_workspace())
     path = str(tmp_path / "in.json")
     save_workspace(ws, path)
     written = tmp_path / "out.json"
-    out_opt = [] if argv[1] == "validate" else ["-o", str(written)]
+    out_opt = ["-o", str(written)] if argv[1] in ("apply", "build") else []
     code, out, err = run(capsys, *argv, "--in", path, *out_opt)
     assert code == 2
     assert out == ""
@@ -1133,24 +1144,13 @@ def test_braided_workspaces_roundtrip_byte_identical(tmp_path, build):
 
 def test_braided_verdicts_match_the_python_calls(tmp_path, capsys,
                                                  qline_path):
-    # the q-line copy is a bialgebra only under its braiding, and the
-    # pairing induces no matched pair, as test_matched_pair_biconditional
-    # finds in Python
+    # the q-line copy is a bialgebra only under its braiding
     p, prov = braided_taft_pairing()
     assert check_axioms(p.H, "bialgebra", prov).ok
     assert check_axioms(p.H, "bialgebra").failed() == ["mult-comult"]
-    mp = matched_pair_from_pairing(p, prov)
     code, _, _ = run(capsys, "check", "bialgebra", "--name", "h",
                      "--in", qline_path)
     assert code == 0
-    code, out, _ = run(capsys, "pairing", "matched-pair", "--in", qline_path,
-                       "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["is_matched_pair"] is mp["is_matched_pair"] is False
-    assert doc["braiding_involutive"] is mp["braiding_involutive"] is False
-    assert doc["checks"]["interaction"] == json.loads(
-        json.dumps(mp["report"].to_json()))
 
     obj = json.loads(open(qline_path).read())
     del obj["braiding"]
@@ -1202,7 +1202,8 @@ def test_malformed_braiding_sections_are_pointed_at(tmp_path, capsys,
     edit(obj)
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
+                         "--in", bad)
     assert code == 2
     assert out == ""
     assert f"crossbial: error: {pointer}" in err
@@ -1216,7 +1217,8 @@ def test_a_module_on_the_wrong_strands_is_named(tmp_path, capsys,
     obj["braiding"]["modules"][1]["act"] = "h_act"
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
+                         "--in", bad)
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
@@ -1231,7 +1233,8 @@ def test_a_coaction_on_the_wrong_strands_is_named(tmp_path, capsys,
     obj["braiding"]["modules"][1]["coact"] = "h_coact"
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
+                         "--in", bad)
     assert code == 2
     assert out == ""
     assert err.splitlines()[0] == (
@@ -1246,7 +1249,8 @@ def test_a_module_that_fails_its_laws_is_a_verified_failure(
     obj["maps"]["h_act"]["matrix"] = [["0/1"] * len(row) for row in act]
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "pairing", "check", "--in", bad)
+    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
+                         "--in", bad)
     assert code == 1
     assert out == ""
     assert ("crossbial: verified failure: TaftH: (co)module laws fail "
@@ -1258,7 +1262,8 @@ def test_a_braided_host_is_guarded_before_it_is_checked(capsys, qline_path,
                                                        monkeypatch):
     # the host kC3 times a dim-3 module is 9
     monkeypatch.setenv("CROSSBIAL_MAX_DIM", "8")
-    code, out, err = run(capsys, "pairing", "check", "--in", qline_path)
+    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
+                         "--in", qline_path)
     assert code == 2
     assert "total dimension 9 exceeds CROSSBIAL_MAX_DIM=8" in err
 
@@ -1409,10 +1414,11 @@ def qline_doc(tmp_path_factory):
     return path, json.loads(open(path).read())
 
 
-# the braided section's own commands: a copy's bialgebra laws under the
-# braiding, and the pairing laws
+# the braided section's own commands: each copy's bialgebra laws under
+# the braiding
 BRAIDED_FUZZ_COMMANDS = FUZZ_COMMANDS + (
-    ["check", "bialgebra", "--name", "h"], ["pairing", "check"])
+    ["check", "bialgebra", "--name", "h"],
+    ["check", "bialgebra", "--name", "a"])
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,9 +5,9 @@ reader outside the tests, a private name crosses from one module of the
 package to another only where listed, the axiom checkers and
 structure-map builders evaluate their diagrams with the strand kernel,
 never with identity-padded tensors, no diagram starts from a built
-identity, the package never divides with `/`, and every verified failure
+identity, the package never divides with `/`, every verified failure
 it raises is built by CheckReport.require, so carries the report of the
-check that failed."""
+check that failed, and a braiding is taken only where listed."""
 
 import ast
 import importlib
@@ -666,3 +666,71 @@ def test_only_the_datum_module_touches_the_memo():
              if p.name != Path(__file__).name}
     assert {f for f, sites in found.items() if sites} == {"datum.py"}
     assert {fn for fn, _ in found["datum.py"]} == {"_memoized"}
+
+
+BRAIDING_NAMES = ("bp", "braiding", "psi")
+
+
+def braiding_slots(source: str):
+    """(owner, name) of each function parameter and annotated class
+    attribute (a dataclass field) named bp, braiding or psi; a method's
+    owner is Class.method, a lambda's <lambda>.  A method named braiding
+    is no slot."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                found.extend(
+                    (child.name, st.target.id) for st in child.body
+                    if isinstance(st, ast.AnnAssign)
+                    and isinstance(st.target, ast.Name)
+                    and st.target.id in BRAIDING_NAMES)
+                visit(child, child.name + ".")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                a = child.args
+                owner = prefix + getattr(child, "name", "<lambda>")
+                found.extend((owner, p.arg) for p in
+                             a.posonlyargs + a.args + a.kwonlyargs
+                             if p.arg in BRAIDING_NAMES)
+                visit(child, "")
+                continue
+            visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_the_scanner_lists_braiding_slots():
+    src = ("@dataclass\nclass D:\n    braiding: object = None\n"
+           "    psi = None\n"
+           "    def braiding(self, x, y):\n        bp = x\n        return bp\n"
+           "    def m(self, *, psi=None):\n"
+           "        return lambda bp: bp\n"
+           "def f(s, kind, bp=FLIP):\n    def inner(braiding):\n"
+           "        return braiding\n    return inner\n")
+    assert braiding_slots(src) == [
+        ("<lambda>", "bp"), ("D", "braiding"), ("D.m", "psi"),
+        ("f", "bp"), ("inner", "braiding")]
+
+
+# The package's readers of a braiding: the axiom checker, which takes it
+# or a fused crossing psi, the Hopf datum and the BAT, which carry theirs,
+# and the splitting of a BAT.  Twisting, dual pairings, tensor coalgebras
+# and the double biproduct live over the flip and take none.
+BRAIDING_SLOTS = [
+    ("crossproduct.py", "BAT", "braiding"),
+    ("crossproduct.py", "decompose", "braiding"),
+    ("crossproduct.py", "verify_trivalent_equivalences", "braiding"),
+    ("datum.py", "HopfDatum", "braiding"),
+    ("datum.py", "trivial_datum", "braiding"),
+    ("structures.py", "check_axioms", "bp"),
+    ("structures.py", "check_axioms", "psi"),
+]
+
+
+def test_a_braiding_is_taken_only_where_listed():
+    assert [(p.name, *slot) for p in PACKAGE
+            for slot in braiding_slots(p.read_text())] == BRAIDING_SLOTS

@@ -51,7 +51,6 @@ from crossbial.twisting import (DualPairing, TwoCocycle, conv_dot,
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
                            sweedler_crossed_modules, taft_factor)
-from tests.test_acceptance import braided_taft_pairing
 from tests.test_linmaps import invert
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
                                  law_generators)
@@ -643,8 +642,8 @@ def _bicharacter():
     return _form(c.chi, tensor_coalgebra(gg, gg))
 
 
-def _pairing(p, bp):
-    return _form(p.form, tensor_coalgebra(p.H, p.A, bp))
+def _pairing(p):
+    return _form(p.form, tensor_coalgebra(p.H, p.A))
 
 
 ORACLE_CASES = {
@@ -657,8 +656,7 @@ ORACLE_CASES = {
     "antipode-ore-C2xC2": lambda: _antipode(ore_finite(OreParams(
         (2, 2), 2, ((1, 0), (0, 1)), ((1, 0), (0, 1))))["H"]),
     "cocycle-bicharacter-kC3.kC3": _bicharacter,
-    "pairing-kC3.k^C3": lambda: _pairing(canonical_pairing(3), VectFlip()),
-    "pairing-braided-q-lines": lambda: _pairing(*braided_taft_pairing()),
+    "pairing-kC3.k^C3": lambda: _pairing(canonical_pairing(3)),
 }
 
 

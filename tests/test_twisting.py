@@ -21,7 +21,6 @@ from crossbial.structures import (
     Witness,
     _generators,
     check_axioms,
-    cross_structure,
     fuse,
     rebind,
     tensor_coalgebra,
@@ -640,20 +639,19 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
 
 def test_a_matched_pair_verdict_against_the_braiding_is_refused(
         monkeypatch):
-    # on the braided q-line pairing both verdicts are False; a datum report
-    # planted as passing makes them disagree, and the refusal then names
-    # the mixed braiding's square, with its witness
-    p, prov = braided_taft_pairing()
+    # over the flip the mixed braiding squares to the identity, so the
+    # evaluation pairing of kC3 and its dual must induce a matched pair; a
+    # datum report planted as failing contradicts that, and the refusal
+    # carries the datum's entries
     monkeypatch.setattr(twisting, "check_hopf_datum",
-                        lambda d: CheckReport([CheckEntry("planted", True)]))
+                        lambda d: CheckReport([CheckEntry("planted", False),
+                                               CheckEntry("kept", True)]))
     with pytest.raises(ConsistencyError) as exc:
-        matched_pair_from_pairing(p, prov)
+        matched_pair_from_pairing(canonical_pairing(3))
     assert str(exc.value) == (
-        "matched-pair verdict True must coincide with involutivity of the "
-        "mixed braiding (False): braiding-involutive fails")
-    rep = exc.value.report
-    assert [e.axiom for e in rep.entries] == ["planted", "braiding-involutive"]
-    assert rep.entry("braiding-involutive").witness is not None
+        "matched-pair verdict False must coincide with involutivity of the "
+        "mixed braiding (True): planted fails")
+    assert [e.axiom for e in exc.value.report.entries] == ["planted", "kept"]
 
 
 def free_product(C, H, B, b_act, b_coact, c_act, c_coact, bp, name):
@@ -735,38 +733,34 @@ def test_products_are_the_free_products(case):
 
 def _pairing_sides():
     p = canonical_pairing(3)
-    return p.H, p.A, VectFlip()
+    return p.H, p.A
 
 
 def _sweedler_sides():
     inp = sweedler_crossed_modules()
-    return inp.B, inp.C, VectFlip()
+    return inp.B, inp.C
 
 
-def _q_line_sides(braided):
-    p, prov = braided_taft_pairing()
-    return p.H, p.A, prov if braided else VectFlip()
+def _q_line_sides():
+    p, _ = braided_taft_pairing()
+    return p.H, p.A
 
 
 TENSOR_FACTORS = {
-    "kC2.kC3": lambda: (group_algebra(2), group_algebra(3), VectFlip()),
+    "kC2.kC3": lambda: (group_algebra(2), group_algebra(3)),
     "pairing-H.A": _pairing_sides,
     "sweedler-B.C": _sweedler_sides,
-    "q-lines-flip": lambda: _q_line_sides(False),
-    "q-lines-yetter-drinfeld": lambda: _q_line_sides(True),
+    "q-lines-flip": _q_line_sides,
 }
 
 
 @pytest.mark.parametrize("case", sorted(TENSOR_FACTORS))
 def test_tensor_coalgebra_is_the_tensor_structure_without_m(case):
     # the convolution inverses solve over tensor_coalgebra, so its eta,
-    # delta and eps must be those of the tensor structure with the braiding
-    # in the middle (tensor_structure's over the flip), entry for entry
-    a, b, bp = TENSOR_FACTORS[case]()
-    A, B = a.space, b.space
-    co = tensor_coalgebra(a, b, bp)
-    full = cross_structure(a, b, bp.braiding(A, B), bp.braiding(B, A),
-                           f"({A.name}.{B.name})")
+    # delta and eps must be tensor_structure's, entry for entry
+    a, b = TENSOR_FACTORS[case]()
+    co = tensor_coalgebra(a, b)
+    full = tensor_structure(a, b)
     assert co.m is None and co.S is None
     assert repr(co.space) == repr(full.space)
     for name in ("eta", "delta", "eps"):
@@ -774,7 +768,7 @@ def test_tensor_coalgebra_is_the_tensor_structure_without_m(case):
         assert (f.dom, f.cod) == (g.dom, g.cod), name
         assert list(f.entries.items()) == list(g.entries.items()), name
         assert repr(f) == repr(g), name
-    assert check_axioms(co, "coalgebra", bp).ok
+    assert check_axioms(co, "coalgebra").ok
 
 
 def test_unit_bialgebra_is_a_hopf_one():

@@ -419,19 +419,15 @@ def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
 
 def test_braided_matched_pair_run_checks_each_structure_once(
         monkeypatch, tmp_path, capsys):
-    # the host at load, then H and A in validate_pairing; the mixed datum
-    # verifies its factors in its own report, and the pairing's inverse is
-    # solved from the tensor coalgebra H (x) A into k, whose coalgebra and
-    # algebra laws convolution_inverse checks
+    # pairings live over the flip: the loader checks the braiding's host,
+    # and the braided workspace is then refused before any pairing work
     from tests.test_cli import braided_qline_workspace
 
     path = str(tmp_path / "qline.json")
     cli.save_workspace(braided_qline_workspace()[0], path)
     checks = _count_calls(monkeypatch, "check_axioms", structures, datum,
                           twisting, crossproduct, cli, zoo)
-    assert cli.main(["pairing", "matched-pair", "--in", path]) == 0
-    capsys.readouterr()
-    seen = [(s.space.name, kind) for s, kind, *_ in checks]
-    assert seen[:3] == [("kC3", "hopf"), ("TaftH", "bialgebra"),
-                        ("TaftA", "bialgebra")]
-    assert len(set(seen)) == len(seen), seen
+    assert cli.main(["pairing", "matched-pair", "--in", path]) == 2
+    assert "/braiding: " in capsys.readouterr().err
+    assert [(s.space.name, kind) for s, kind, *_ in checks] == [
+        ("kC3", "hopf")]
