@@ -6,14 +6,13 @@ products chi.f = (chi (x) f) o Delta and f.chi = (f (x) chi) o Delta;
 twisting replaces a bialgebra's multiplication by chi.m.chi^- for a
 2-cocycle chi.  Twisting and dual pairings live over the flip, where
 B (x) B and H (x) A are coalgebras, so a certified chi^- is the only
-convolution inverse of chi, and nothing here takes a braiding.  Dual
-pairings between bialgebras induce matched pairs exactly when the mixed
-braiding squares to the identity, which the flip always does.  The
-double biproduct assembles Z = (C><H)><B on
-C (x) H (x) B from a Hopf algebra H, a right crossed module bialgebra B,
-a left crossed module bialgebra C, and a pairing rho between them, and
-twists it by the induced 2-cocycle rho_hat; Z and its one-sided products
-C><H and H><B are cross products of Hopf data.
+convolution inverse of chi, and nothing here takes a braiding.  A dual
+pairing between bialgebras whose form has a convolution inverse induces a
+matched pair, degenerate or not.  The double biproduct assembles
+Z = (C><H)><B on C (x) H (x) B from a Hopf algebra H, a right crossed
+module bialgebra B, a left crossed module bialgebra C, and a pairing rho
+between them, and twists it by the induced 2-cocycle rho_hat; Z and its
+one-sided products C><H and H><B are cross products of Hopf data.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Optional, Tuple
 from .datum import ConsistencyError, HopfDatum, check_hopf_datum
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
                       UNIT, YetterDrinfeld, flip, pipeline_as_linmap,
-                      reduce_rows, require_boundaries, run_pipeline)
+                      require_boundaries, run_pipeline)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -299,32 +298,23 @@ def pairing_inverse(p: DualPairing) -> LinMap:
 
 
 def matched_pair_from_pairing(p: DualPairing) -> dict:
-    """Mutual actions induced by an invertible pairing.
+    """Mutual actions induced by a pairing with a convolution inverse.
 
     lhd: H (x) A -> H and rhd: H (x) A -> A are built from the form and
     its convolution inverse through the double comultiplications.  They
     are the actions of the matched pair (A, H^op), where H^op is H with
     the product m_H o flip: rhd is the left action of H^op on A and lhd
-    the right action of A on H^op.  The full matched-pair axiom list is
-    evaluated (as the interaction axioms of the action-only datum with A
-    and H^op as factors).  The mixed braiding is the flip, which squares
-    to the identity, so the actions must form a matched pair; a datum that
-    fails raises ConsistencyError carrying the datum report.  The pairing
-    must be nondegenerate, a square Gram matrix of full rank
-    ("pairing-nondegenerate"): the biconditional is simply false for
-    degenerate forms (the counit pairing induces the trivial matched
-    pair).
+    the right action of A on H^op.  The construction needs no
+    nondegeneracy (the counit pairing induces the trivial matched pair);
+    a form with no convolution inverse is refused by pairing_inverse's
+    certificate.  The full matched-pair axiom list is evaluated (as the
+    interaction axioms of the action-only datum with A and H^op as
+    factors) and is the postcondition: a datum that fails raises
+    ConsistencyError carrying the datum report.
     """
     validate_pairing(p).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
-    gram = LinMap((sa,), (sh,),
-                  {divmod(c, sa.dim): v for (_, c), v in form.entries.items()})
-    rank = len(reduce_rows(gram.by_row().values()))
-    CheckReport([CheckEntry("pairing-nondegenerate",
-                            sh.dim == sa.dim == rank)]).require(
-        "matched-pair derivation needs a nondegenerate pairing; the Gram "
-        f"matrix is {sh.dim}x{sa.dim} of rank {rank}: {{}} fails")
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p)
     lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
@@ -335,8 +325,7 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
                         [pinv, ida, form]])
     h_op = Structure(sh, H.m * flip(sh, sh), H.eta, H.delta, H.eps)
     drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, act_r=lhd))
-    drep.require("matched-pair verdict False must coincide with "
-                 "involutivity of the mixed braiding (True): {} fails",
+    drep.require("the induced actions are no matched pair: {} fails",
                  ConsistencyError)
     return {"lhd": lhd, "rhd": rhd, "is_matched_pair": True,
             "braiding_involutive": True, "report": drep}

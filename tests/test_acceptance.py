@@ -345,20 +345,23 @@ def test_cocycle_twisting_suite():
     assert time.perf_counter() - t0 < 5
 
 
-def test_matched_pair_biconditional():
-    # Over the flip the evaluation pairing of a group algebra with its
-    # dual induces a matched pair and the mixed braiding is involutive, and
-    # so does the evaluation pairing of a noncommutative Hopf algebra with
-    # the transpose of its op-cop: Sweedler's H4 = Radford(2,1,2,1), Taft's
-    # T3 = Radford(3,1,3,1) and Radford(2,1,4,1).  The two verdicts agree
-    # on every tested input.  Pairings live over the flip, where the q-line
-    # is no bialgebra, so its self-pairing is refused before any verdict.
+def test_pairings_induce_matched_pairs():
+    # Over the flip a pairing whose form has a convolution inverse induces a
+    # matched pair, degenerate or not: the evaluation pairing of a group
+    # algebra with its dual, that of a noncommutative Hopf algebra with the
+    # transpose of its op-cop (Sweedler's H4 = Radford(2,1,2,1), Taft's
+    # T3 = Radford(3,1,3,1) and Radford(2,1,4,1)), and the counit pairing
+    # of kC2 with kC3, of rank 1.  Pairings live over the flip, where the
+    # q-line is no bialgebra, so its self-pairing is refused before any
+    # verdict.
     from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 
     op_cop = [evaluation_pairing_of_the_op_cop_dual(
         radford(RadfordParams(*pars))["H"])
         for pars in ((2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1))]
-    for p in [canonical_pairing(N) for N in (2, 3, 5)] + op_cop:
+    H, A = group_algebra(2), group_algebra(3)
+    counit = DualPairing(H, A, H.eps @ A.eps)
+    for p in [canonical_pairing(N) for N in (2, 3, 5)] + op_cop + [counit]:
         mp = matched_pair_from_pairing(p)
         assert mp["is_matched_pair"] is True
         assert mp["braiding_involutive"] is True

@@ -34,7 +34,8 @@ from tests.test_datum import unit_hopf
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
-                                 coboundary_cocycle, uninvertible_cocycle)
+                                 coboundary_cocycle, counit_pairing,
+                                 uninvertible_cocycle)
 
 ONE = Fraction(1)
 
@@ -697,6 +698,21 @@ def test_twist_apply_certifies_a_stored_inverse(tmp_path, capsys):
     assert written["stored"] == written["solved"]
 
 
+def idempotent_monoid_pairing():
+    """The monoid bialgebra k{1, z}, z^2 = z and z group-like, paired with
+    itself by <z, z> = 0 and 1 elsewhere.  Its Gram matrix has full rank,
+    yet the form vanishes on the group-like z (x) z, so it has no
+    convolution inverse."""
+    s = Space("k1z", 2)
+    M = Structure(s, LinMap((s, s), (s,), {(0, 0): ONE, (1, 1): ONE,
+                                           (1, 2): ONE, (1, 3): ONE}),
+                  LinMap(UNIT, (s,), {(0, 0): ONE}),
+                  LinMap((s,), (s, s), {(0, 0): ONE, (3, 1): ONE}),
+                  LinMap((s,), UNIT, {(0, 0): ONE, (0, 1): ONE}))
+    return DualPairing(M, M, LinMap((s, s), UNIT, {(0, 0): ONE, (0, 1): ONE,
+                                                   (0, 2): ONE}))
+
+
 def _refusal_workspace(case):
     """The workspace of one case of the exit-1 contract: valid input that a
     verified law refuses."""
@@ -723,8 +739,7 @@ def _refusal_workspace(case):
     if case == "twist-apply":
         c = uninvertible_cocycle()
         return Workspace().add_structure("main", c.host).add_map("chi", c.chi)
-    H = A = group_algebra(2)
-    return _pairing_workspace(DualPairing(H, A, H.eps @ A.eps))
+    return _pairing_workspace(idempotent_monoid_pairing())
 
 
 def _pairing_workspace(p):
@@ -751,12 +766,15 @@ _REFUSALS = {
                     "convolution-right-inverse, convolution-left-inverse",
                     "witness: convolution-right-inverse out=[0] in=[0]: "
                     "0/1 != 1/1"),
-    # the counit pairing of kC2 with itself: a pairing, but degenerate
-    "pairing-degenerate": (("pairing", "matched-pair"),
-                           "matched-pair derivation needs a nondegenerate "
-                           "pairing; the Gram matrix is 2x2 of rank 1: "
-                           "pairing-nondegenerate fails",
-                           "pairing-nondegenerate", None),
+    # the k{1, z} self-pairing: a pairing whose form, zero on z (x) z, has
+    # no convolution inverse
+    "pairing-uninvertible": (("pairing", "matched-pair"),
+                             "no two-sided convolution inverse exists: "
+                             "convolution-right-inverse fails",
+                             "convolution-right-inverse, "
+                             "convolution-left-inverse",
+                             "witness: convolution-right-inverse out=[0] "
+                             "in=[0]: 0/1 != 1/1"),
 }
 
 
@@ -786,6 +804,17 @@ def test_sweedlers_pairing_with_its_op_cop_dual_is_a_matched_pair(
     doc = json.loads(out)
     assert code == 0
     assert (doc["is_matched_pair"], doc["braiding_involutive"]) == (True, True)
+
+
+def test_a_degenerate_pairing_is_a_matched_pair_at_the_cli(tmp_path, capsys):
+    # the counit pairing of kC2 with itself, of rank 1: its convolution
+    # inverse induces the trivial matched pair
+    path = str(tmp_path / "ws.json")
+    save_workspace(_pairing_workspace(counit_pairing(2, 2)), path)
+    code, out, _ = run(capsys, "pairing", "matched-pair", "--in", path)
+    assert code == 0
+    assert "is_matched_pair: true" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: pass"
 
 
 def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(

@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossbial.datum import ConsistencyError
+from crossbial.datum import ConsistencyError, HopfDatum
 from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
-                               VectFlip, pipeline_as_linmap, run_pipeline)
+                               VectFlip, flip, pipeline_as_linmap,
+                               run_pipeline)
 from crossbial import twisting
 from crossbial.scalars import (ZERO, InputError, VerifiedFailure, as_scalar,
                                root_of_unity)
@@ -18,6 +19,7 @@ from crossbial.structures import (
     CheckReport,
     NotConvolutionInvertibleError,
     PreconditionError,
+    Structure,
     Witness,
     _generators,
     check_axioms,
@@ -49,6 +51,7 @@ from crossbial.zoo import (
     sweedler_crossed_modules,
 )
 from tests.test_acceptance import braided_taft_pairing
+from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 from tests.test_linmaps import doubled, invert
 
 ONE = Fraction(1)
@@ -137,6 +140,25 @@ def canonical_pairing(N):
     form = LinMap((H.space, A.space), UNIT,
                   {(0, a * N + a): ONE for a in range(N)})
     return DualPairing(H, A, form)
+
+
+def counit_pairing(M, N):
+    """kC_M paired with kC_N by <h, a> = eps(h) eps(a): a pairing whose
+    Gram matrix, all ones, has rank 1."""
+    H, A = group_algebra(M), group_algebra(N)
+    return DualPairing(H, A, H.eps @ A.eps)
+
+
+def sweedler_op_cop_pairing(projected=False):
+    """Sweedler's H4 = Radford(2,1,2,1) paired with the transpose of
+    H4^{op,cop} by evaluation, or, projected, through the Hopf projection
+    i2 o p2 of H4 onto kC2, <h, a> = <i2 p2 h, a>, of rank 2."""
+    out = radford(RadfordParams(2, 1, 2, 1))
+    p = evaluation_pairing_of_the_op_cop_dual(out["H"])
+    if not projected:
+        return p
+    pi = out["system"].i2 * out["system"].p2
+    return dataclasses.replace(p, form=p.form * (pi @ p.A.id_map()))
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +480,51 @@ def test_pairing_validation_notices_a_bad_form():
     assert rep.failed() == ["pairing-mult-h", "pairing-unit-a"]
 
 
-@pytest.mark.parametrize("N, reason", [(3, "2x3 of rank 1"),
-                                       (2, "2x2 of rank 1")])
-def test_a_degenerate_pairing_induces_no_matched_pair(N, reason):
-    # the counit pairing <h, a> = eps(h) eps(a) of kC2 with kC_N is a
-    # pairing, and its Gram matrix, all ones, is invertible for no N
-    H, A = group_algebra(2), group_algebra(N)
-    p = DualPairing(H, A, H.eps @ A.eps)
+PAIRINGS = {
+    "sweedler": sweedler_op_cop_pairing,
+    "sweedler-through-i2p2": lambda: sweedler_op_cop_pairing(projected=True),
+    "counit-kC2-kC2": lambda: counit_pairing(2, 2),
+    "counit-kC2-kC3": lambda: counit_pairing(2, 3),
+    "counit-kC3-kC3": lambda: counit_pairing(3, 3),
+}
+
+
+@pytest.mark.parametrize("case", ["counit-kC2-kC2", "counit-kC2-kC3",
+                                  "sweedler-through-i2p2"])
+def test_a_degenerate_pairing_induces_a_matched_pair(case):
+    # the construction needs only the form's convolution inverse: each form
+    # here is degenerate, and its actions pass all 41 entries of the datum
+    # (A, H^op).  The counit pairing induces the trivial matched pair
+    p = PAIRINGS[case]()
     assert validate_pairing(p).ok
-    with pytest.raises(PreconditionError) as exc:
-        matched_pair_from_pairing(p)
-    assert str(exc.value) == (
-        "matched-pair derivation needs a nondegenerate pairing; the Gram "
-        f"matrix is {reason}: pairing-nondegenerate fails")
-    assert exc.value.report.failed() == ["pairing-nondegenerate"]
+    mp = matched_pair_from_pairing(p)
+    assert mp["is_matched_pair"] is True
+    assert mp["report"].ok, mp["report"].failed()
+    assert len(mp["report"].entries) == 41
+    if case.startswith("counit"):
+        assert mp["lhd"] == p.H.id_map() @ p.A.eps
+        assert mp["rhd"] == p.H.eps @ p.A.id_map()
+
+
+@pytest.mark.parametrize("case", ["sweedler", "sweedler-through-i2p2",
+                                  "counit-kC2-kC3", "counit-kC3-kC3"])
+def test_the_double_cross_product_is_a_twist_of_the_tensor_product(case):
+    # the paper's closing remark, two routes to one product on A (x) H^op:
+    # the cross product of the matched pair the pairing induces, and the
+    # Doi-Takeuchi twist of the tensor product by
+    # chi = eps_A (x) sigma^- (x) eps_{H^op}.  Degenerate forms agree too
+    p = PAIRINGS[case]()
+    H, A = p.H, p.A
+    mp = matched_pair_from_pairing(p)
+    h_op = Structure(H.space, H.m * flip(H.space, H.space), H.eta, H.delta,
+                     H.eps)
+    double = HopfDatum(A, h_op, act_l=mp["rhd"], act_r=mp["lhd"]).product()
+    T = tensor_structure(A, h_op)
+    chi = rebind(A.eps @ pairing_inverse(p) @ H.eps, (T.space, T.space),
+                 UNIT)
+    twisted = twist(T, TwoCocycle(T, chi))
+    D = double.space
+    assert rebind(twisted.m, (D, D), (D,)) == double.m
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +690,18 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
     assert entry.witness.lhs == 2 * entry.witness.rhs != 0
 
 
-def test_a_matched_pair_verdict_against_the_braiding_is_refused(
-        monkeypatch):
-    # over the flip the mixed braiding squares to the identity, so the
-    # evaluation pairing of kC3 and its dual must induce a matched pair; a
-    # datum report planted as failing contradicts that, and the refusal
-    # carries the datum's entries
+def test_a_failing_induced_datum_is_refused(monkeypatch):
+    # the actions a pairing with a convolution inverse induces form a
+    # matched pair, so a datum report planted as failing on the evaluation
+    # pairing of kC3 and its dual is the package's own results
+    # disagreeing, and the refusal carries the datum's entries
     monkeypatch.setattr(twisting, "check_hopf_datum",
                         lambda d: CheckReport([CheckEntry("planted", False),
                                                CheckEntry("kept", True)]))
     with pytest.raises(ConsistencyError) as exc:
         matched_pair_from_pairing(canonical_pairing(3))
     assert str(exc.value) == (
-        "matched-pair verdict False must coincide with involutivity of the "
-        "mixed braiding (True): planted fails")
+        "the induced actions are no matched pair: planted fails")
     assert [e.axiom for e in exc.value.report.entries] == ["planted", "kept"]
 
 
