@@ -116,6 +116,7 @@ def zoo_datums():
 
 
 def canonical_pairing(N):
+    """kC_N paired with its function algebra by evaluation."""
     H, A = group_algebra(N), dual_group_algebra(N)
     form = LinMap((H.space, A.space), UNIT,
                   {(0, a * N + a): ONE for a in range(N)})

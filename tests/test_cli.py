@@ -28,14 +28,13 @@ from crossbial.structures import (CheckEntry, CheckReport, Structure,
 from crossbial.twisting import DualPairing
 from crossbial.zoo import (RadfordParams, group_algebra, radford,
                            sweedler_crossed_modules, taft_factor)
-from tests.test_acceptance import braided_taft_pairing
+from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 from tests.test_datum import unit_hopf
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
-from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
-                                 coboundary_cocycle, counit_pairing,
-                                 uninvertible_cocycle)
+from tests.test_twisting import (bicharacter_cocycle, coboundary_cocycle,
+                                 counit_pairing, uninvertible_cocycle)
 
 ONE = Fraction(1)
 

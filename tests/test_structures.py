@@ -51,9 +51,9 @@ from crossbial.twisting import (DualPairing, TwoCocycle, conv_dot,
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
                            sweedler_crossed_modules, taft_factor)
+from tests.test_acceptance import canonical_pairing
 from tests.test_linmaps import invert
-from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
-                                 law_generators)
+from tests.test_twisting import bicharacter_cocycle, law_generators
 
 ONE = Fraction(1)
 

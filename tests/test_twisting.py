@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crossbial.datum import ConsistencyError, HopfDatum
 from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
-                               VectFlip, flip, pipeline_as_linmap,
+                               VectFlip, pipeline_as_linmap,
                                run_pipeline)
 from crossbial import twisting
 from crossbial.scalars import (ZERO, InputError, VerifiedFailure, as_scalar,
@@ -19,7 +19,6 @@ from crossbial.structures import (
     CheckReport,
     NotConvolutionInvertibleError,
     PreconditionError,
-    Structure,
     Witness,
     _generators,
     check_axioms,
@@ -50,7 +49,7 @@ from crossbial.zoo import (
     radford,
     sweedler_crossed_modules,
 )
-from tests.test_acceptance import braided_taft_pairing
+from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 from tests.test_linmaps import doubled, invert
 
@@ -132,14 +131,6 @@ def uninvertible_cocycle():
     s = g2.space
     return TwoCocycle(g2, LinMap((s, s), UNIT,
                                  {(0, 0): ONE, (0, 1): ONE, (0, 2): ONE}))
-
-
-def canonical_pairing(N):
-    """kC_N paired with its function algebra by evaluation."""
-    H, A = group_algebra(N), dual_group_algebra(N)
-    form = LinMap((H.space, A.space), UNIT,
-                  {(0, a * N + a): ONE for a in range(N)})
-    return DualPairing(H, A, form)
 
 
 def counit_pairing(M, N):
@@ -516,8 +507,7 @@ def test_the_double_cross_product_is_a_twist_of_the_tensor_product(case):
     p = PAIRINGS[case]()
     H, A = p.H, p.A
     mp = matched_pair_from_pairing(p)
-    h_op = Structure(H.space, H.m * flip(H.space, H.space), H.eta, H.delta,
-                     H.eps)
+    h_op = mp["h_op"]
     double = HopfDatum(A, h_op, act_l=mp["rhd"], act_r=mp["lhd"]).product()
     T = tensor_structure(A, h_op)
     chi = rebind(A.eps @ pairing_inverse(p) @ H.eps, (T.space, T.space),

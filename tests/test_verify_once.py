@@ -13,17 +13,18 @@ from fractions import Fraction
 import pytest
 
 from crossbial import cli, crossproduct, datum, structures, twisting, zoo
-from crossbial.datum import check_hopf_datum
+from crossbial.datum import ConsistencyError, check_hopf_datum
 from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
                            radford, sweedler_crossed_modules)
-from tests.test_acceptance import braided_taft_pairing
+from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_datum import unit_hopf
-from tests.test_twisting import (bicharacter_cocycle, canonical_pairing,
-                                 coboundary_cocycle)
+from tests.test_linmaps import doubled
+from tests.test_twisting import (bicharacter_cocycle, coboundary_cocycle,
+                                 sweedler_rho)
 
 ONE = Fraction(1)
 
@@ -45,6 +46,7 @@ class AxiomSpy:
     def __init__(self, orig):
         self.orig = orig
         self.calls = 0
+        self.checked = []   # (structure, kind) of every call, kept alive
         self.passed = []    # (structure, kind, braiding key), kept alive
         self.repeats = []
 
@@ -53,6 +55,7 @@ class AxiomSpy:
 
     def __call__(self, s, kind, bp=FLIP, psi=None):
         self.calls += 1
+        self.checked.append((s, kind))
         key = braiding_key(bp, psi)
         if any(st is s and kind in COVERS[k] and (b is key or b == key)
                for st, k, b in self.passed):
@@ -297,6 +300,61 @@ def test_twist_checks_each_input_once(spy, monkeypatch):
         assert len(solves) == 1
     assert spy.calls > 0
     assert spy.repeats == []
+
+
+def unchanged_twists():
+    """(host, cocycle) pairs whose twist moves neither m nor S."""
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    return {"bicharacter-2": bicharacter_cocycle(2),
+            "bicharacter-4": bicharacter_cocycle(4),
+            "eps-eps-on-H4": (H4, TwoCocycle(H4, H4.eps @ H4.eps))}
+
+
+@pytest.mark.parametrize("case", sorted(unchanged_twists()))
+def test_an_unchanged_twist_is_certified_by_its_hosts_check(spy, case):
+    # m^chi = m and S^chi = S: the twisted structure has the host's maps,
+    # so the host's check at the same kind is its check
+    b, c = unchanged_twists()[case]
+    before = len(spy.checked)
+    tw = twist(b, c)
+    assert (tw.m, tw.S) == (b.m, b.S)
+    checked = spy.checked[before:]
+    assert checked[0] == (b, "hopf")
+    assert not any(st is tw for st, _ in checked)
+
+
+def test_an_unchanged_double_biproduct_twist_is_certified_by_zs_check(spy):
+    out = double_biproduct(sweedler_rho(1))
+    Z, z_twisted = out["Z"], out["Z_twisted"]
+    assert z_twisted.m == Z.m and z_twisted.S is Z.S is None
+    assert any(st is Z and kind == "bialgebra" for st, kind in spy.checked)
+    assert not any(st is z_twisted for st, _ in spy.checked)
+
+
+def test_a_twist_that_moves_m_and_s_is_checked_once(spy):
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    c = coboundary_cocycle(H4, 5)
+    tw = twist(H4, c)
+    assert tw.m != H4.m and tw.S != H4.S
+    assert [kind for st, kind in spy.checked if st is tw] == ["hopf"]
+
+
+def test_a_moved_antipode_alone_is_checked(monkeypatch):
+    # S^chi is doubled while m^chi = m stays: the twisted structure is
+    # checked, and 2S fails the antipode laws
+    gg, c = bicharacter_cocycle(2)
+    dot = twisting.conv_dot
+
+    def doubled_s_chi(chi, f, side, delta):
+        out = dot(chi, f, side, delta)
+        # the final dot of S^chi is the one right dot over Delta_B
+        return doubled(out) if side == "right" and delta is gg.delta else out
+
+    monkeypatch.setattr(twisting, "conv_dot", doubled_s_chi)
+    with pytest.raises(ConsistencyError) as exc:
+        twist(gg, c)
+    assert str(exc.value) == "twisted structure fails left-antipode"
+    assert exc.value.report.failed() == ["left-antipode", "right-antipode"]
 
 
 def test_a_stored_inverse_is_certified_not_solved(monkeypatch):
