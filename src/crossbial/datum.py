@@ -524,7 +524,9 @@ def trivalence(d: HopfDatum) -> dict:
     Each of the four canonical unit/counit tensor maps between a factor and
     the induced structure is classified; the datum is trivalent iff at
     least one interaction map is trivial, which happens iff at least one of
-    those maps is both an algebra and a coalgebra morphism.
+    those maps is both an algebra and a coalgebra morphism.  That holds for
+    valid data only: when the two sides disagree, a datum that fails its
+    own check is refused (PreconditionError carrying the datum report).
     """
     cls = classify(d)
     trivalent = "0" in cls["pattern"]
@@ -536,6 +538,8 @@ def trivalence(d: HopfDatum) -> dict:
                "proj2": classify_morphism(p2, prod, d.b2)}
     both = [name for name, c in witness.items()
             if c["is_algebra_morphism"] and c["is_coalgebra_morphism"]]
+    if trivalent != bool(both):
+        check_hopf_datum(d).require("datum fails {}")
     return {
         **cls,
         "trivalent": trivalent,

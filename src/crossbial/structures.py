@@ -264,6 +264,23 @@ def tensor_coalgebra(a: Structure, b: Structure) -> Structure:
                 _cross_comult(a, b, flip(A, B)), a.eps @ b.eps)
 
 
+def dual(h: Structure) -> Structure:
+    """The transpose of h^{op,cop} on the space "<name>*", in the dual
+    basis: m = (tau o delta_h)^T, delta = (m_h o tau)^T, eta = eps_h^T,
+    eps = eta_h^T and S = S_h^T (None when h has no S).  The evaluation
+    form <e_i, e_j> = delta_ij pairs h with it, and the pairing induces
+    the matched pair of the Drinfeld double.  Nothing is verified here."""
+    B = h.space
+    P = Space(f"{B.name}*", B.dim)
+    tau = flip(B, B)
+
+    def t(f):
+        return LinMap((P,) * len(f.cod), (P,) * len(f.dom),
+                      {(c, r): v for (r, c), v in f.entries.items()})
+    return Structure(P, t(tau * h.delta), t(h.eps), t(_mult(h) * tau),
+                     t(h.eta), None if h.S is None else t(h.S))
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers
 # ---------------------------------------------------------------------------

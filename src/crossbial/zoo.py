@@ -23,8 +23,8 @@ from .datum import HopfDatum
 from .linmaps import LinMap, Space, UNIT, flatten, flip, unflatten
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
-from .structures import (Structure, canonical_maps, fuse, rebind, restrict,
-                         tensor_structure)
+from .structures import (Structure, canonical_maps, dual, fuse, rebind,
+                         restrict, tensor_structure)
 from .twisting import DoubleBiproductInput
 
 
@@ -79,17 +79,7 @@ def group_algebra(N: int) -> Structure:
 def dual_group_algebra(N: int) -> Structure:
     """Functions on the cyclic group of order N, with pointwise product
     and convolution coproduct; dual basis e_0..e_{N-1}."""
-    if N < 1:
-        raise ParameterError("N must be a positive integer")
-    s = Space(f"kC{N}*", N)
-    m = LinMap((s, s), (s,), {(a, a * N + a): ONE for a in range(N)})
-    eta = LinMap(UNIT, (s,), {(a, 0): ONE for a in range(N)})
-    delta = LinMap((s,), (s, s),
-                   {(b * N + (a - b) % N, a): ONE
-                    for a in range(N) for b in range(N)})
-    eps = LinMap((s,), UNIT, {(0, 0): ONE})
-    S = LinMap((s,), (s,), {((-a) % N, a): ONE for a in range(N)})
-    return Structure(s, m, eta, delta, eps, S)
+    return dual(group_algebra(N))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,13 @@ import pytest
 
 from crossbial.crossproduct import bat_to_hopf_datum, decompose
 from crossbial.datum import _mixed_maps
-from crossbial.linmaps import FLIP, UNIT, LinMap, Space, VectFlip, flip
+from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.scalars import ONE
-from crossbial.structures import (Structure, check_axioms, cross_structure,
-                                  restrict)
+from crossbial.structures import check_axioms, cross_structure, dual, restrict
 from crossbial.twisting import (DualPairing, matched_pair_from_pairing,
                                 pairing_inverse, validate_pairing)
 from crossbial.zoo import RadfordParams, radford
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
-from tests.test_datum import on_space, transpose
 from tests.test_linmaps import _kron, _matmul, _typed, to_rows
 
 
@@ -180,20 +178,11 @@ def test_matched_pair_actions(case):
 
 
 def evaluation_pairing_of_the_op_cop_dual(H):
-    """H paired with A, the transpose of H^{op,cop}, by the evaluation form
-    <e_i, e_j> = delta_ij: m_A = (tau o Delta_H)^T, Delta_A = (m_H o tau)^T,
-    S_A = S_H^T, the unit and counit swapped."""
-    sh = H.space
-    sa = Space(f"{sh.name}*", H.dim)
-
-    def dual(f):
-        return on_space(transpose(f), sh, sa)
-
-    tau = flip(sh, sh)
-    A = Structure(sa, dual(tau * H.delta), dual(H.eps), dual(H.m * tau),
-                  dual(H.eta), dual(H.S))
-    n = H.dim
-    form = LinMap((sh, sa), UNIT, {(0, i * n + i): ONE for i in range(n)})
+    """H paired with A = dual(H), the transpose of H^{op,cop}, by the
+    evaluation form <e_i, e_j> = delta_ij."""
+    A, n = dual(H), H.dim
+    form = LinMap((H.space, A.space), UNIT,
+                  {(0, i * n + i): ONE for i in range(n)})
     return DualPairing(H, A, form)
 
 

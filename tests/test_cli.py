@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -34,7 +35,8 @@ from tests.test_datum import unit_hopf
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, coboundary_cocycle,
-                                 counit_pairing, uninvertible_cocycle)
+                                 counit_pairing, sweedler_rho,
+                                 uninvertible_cocycle)
 
 ONE = Fraction(1)
 
@@ -227,10 +229,13 @@ def test_corrupted_workspace_fails_the_check(tmp_path, capsys):
     obj["structures"]["main"]["m"]["matrix"][0][0] = "2"
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, _ = run(capsys, "check", "hopf", "--in", bad)
+    code, out, err = run(capsys, "check", "hopf", "--in", bad)
+    # the report form of exit 1: the report with its failed entries goes
+    # to stdout, and stderr holds only the timing line
     assert code == 1
-    assert "verdict: fail" in out
+    assert out.splitlines()[-1] == "verdict: fail"
     assert "FAIL" in out
+    assert re.fullmatch(r"crossbial: \d+\.\d{3}s\n", err)
 
 
 def test_scalar_parse_error_reports_a_pointer(tmp_path, capsys):
@@ -735,6 +740,17 @@ def _refusal_workspace(case):
         return (Workspace().add_structure("b1", b1)
                 .add_structure("b2", bat.b2).add_map("phi12", bat.phi12)
                 .add_map("phi21", bat.phi21))
+    if case == "datum-classify":
+        # Radford(2,1,2,1) with every 1 of act_l made 2: its pattern says
+        # trivalent, no canonical map is a bialgebra morphism, and the
+        # datum fails its own check
+        d = radford(RadfordParams(2, 1, 2, 1))["datum"]
+        f = d.act_l
+        ws = Workspace().add_structure("b1", d.b1).add_structure("b2", d.b2)
+        for k in ("coact_l", "act_r", "coact_r"):
+            ws.add_map(k, getattr(d, k))
+        return ws.add_map("act_l", LinMap(f.dom, f.cod, {
+            k: 2 if v == 1 else v for k, v in f.entries.items()}))
     if case == "twist-apply":
         c = uninvertible_cocycle()
         return Workspace().add_structure("main", c.host).add_map("chi", c.chi)
@@ -759,6 +775,12 @@ _REFUSALS = {
                             "not a BAT: mult-comult fails", "mult-comult",
                             "witness: mult-comult out=[1, 3] in=[1, 3]: "
                             "(-1 + -1*z | z = zeta_3) != 1/1"),
+    "datum-classify": (("datum", "classify"), "datum fails act-l-unit",
+                       "act-l-unit, act-l-associativity, act-l-counit, "
+                       "unit-act-l, alg-coalg-1, module-algebra-1, "
+                       "module-algebra-2, module-coalgebra-2, "
+                       "comodule-algebra-1",
+                       "witness: act-l-unit out=[0] in=[0]: 2/1 != 1/1"),
     "twist-apply": (("twist", "apply"),
                     "no two-sided convolution inverse exists: "
                     "convolution-right-inverse fails",
@@ -991,14 +1013,12 @@ def test_pairing_commands(tmp_path, capsys):
 
 def sweedler_dbp_workspace():
     """The Sweedler double-biproduct input with a pairing, as a workspace."""
-    inp = sweedler_crossed_modules()
-    sb, sc = inp.B.space, inp.C.space
-    rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
+    inp = sweedler_rho(1)
     ws = (Workspace().add_structure("h", inp.H).add_structure("b", inp.B)
           .add_structure("c", inp.C))
     for name, f in (("b_act", inp.b_act), ("b_coact", inp.b_coact),
                     ("c_act", inp.c_act), ("c_coact", inp.c_coact),
-                    ("rho", rho)):
+                    ("rho", inp.rho)):
         ws.add_map(name, f)
     return ws
 

@@ -38,6 +38,7 @@ from crossbial.structures import (
     convolution_inverse,
     convolution_product,
     cross_structure,
+    dual,
     fuse,
     rebind,
     restrict,
@@ -685,6 +686,32 @@ def test_tensor_structure_mixed_factors():
     assert check_axioms(t, "hopf").ok
 
 
+# structures with an antipode over Q and Q(zeta_3), and one without
+DUALS = {
+    "radford2121": lambda: radford(RadfordParams(2, 1, 2, 1))["H"],
+    "radford3131": lambda: radford(RadfordParams(3, 1, 3, 1))["H"],
+    "ore-C2": lambda: ore_finite(OreParams((2,), 1, ((1,),), ((1,),)))["H"],
+    "kC4": lambda: group_algebra(4),
+    "taft2": lambda: taft_factor(2, -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUALS))
+def test_the_dual_of_the_dual_is_the_structure(case):
+    # each map is transposed twice and the flip composed in twice; S
+    # stays None on the Taft factor
+    h = DUALS[case]()
+    dd = dual(dual(h))
+    assert dd.space == Space(h.space.name + "**", h.dim)
+    assert fuse(h.space, dd.m, dd.eta, dd.delta, dd.eps, dd.S) == h
+
+
+@pytest.mark.parametrize("case", ["ore-C2", "radford2121", "radford3131"])
+def test_the_dual_of_a_tower_is_hopf(case):
+    rep = check_axioms(dual(DUALS[case]()), "hopf")
+    assert rep.ok, rep.failed()
+
+
 @pytest.mark.parametrize("build", ["tensor_coalgebra", "bare"])
 def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
     a, b = group_hopf(2), group_hopf(3)
@@ -707,6 +734,8 @@ def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
         convolution_product(s.id_map(), s.id_map(), s, s)
     with pytest.raises(ShapeError):
         restrict(s, s.id_map(), s.id_map())
+    with pytest.raises(ShapeError, match="has no multiplication"):
+        dual(s)
     flip = VectFlip().braiding
     phi12, phi21 = flip(s.space, a.space), flip(a.space, s.space)
     with pytest.raises(ShapeError):

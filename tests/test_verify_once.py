@@ -19,7 +19,7 @@ from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
-                           radford, sweedler_crossed_modules)
+                           radford)
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_datum import unit_hopf
 from tests.test_linmaps import doubled
@@ -85,10 +85,7 @@ def test_the_spy_flags_a_weaker_recheck_under_the_same_braiding(spy):
 
 
 def test_double_biproduct_checks_each_input_once(spy):
-    inp = sweedler_crossed_modules()
-    sb, sc = inp.B.space, inp.C.space
-    rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
-    assert double_biproduct(inp.with_rho(rho))["report"].ok
+    assert double_biproduct(sweedler_rho(1))["report"].ok
     assert spy.calls > 0
     assert spy.repeats == []
 
@@ -402,23 +399,18 @@ def test_twist_and_double_biproduct_each_run_the_twist_body_once(
     gg, c = bicharacter_cocycle(2)
     twist(gg, c)
     assert seen == ["_twist"] + steps
-    inp = sweedler_crossed_modules()
-    sb, sc = inp.B.space, inp.C.space
     seen.clear()
-    double_biproduct(inp.with_rho(
-        LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})))
+    double_biproduct(sweedler_rho(1))
     assert seen == ["_twist"] + steps
 
 
 def test_double_biproduct_solves_once_over_b_c(monkeypatch):
     # rho_hat^- is the lift of rho^-, certified over Z (x) Z by its two
     # convolution identities, not solved for again there
-    inp = sweedler_crossed_modules()
-    sb, sc = inp.B.space, inp.C.space
-    rho = LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE})
+    inp = sweedler_rho(1)
     solves = _count_calls(monkeypatch, "convolution_inverse",
                           structures, twisting)
-    assert double_biproduct(inp.with_rho(rho))["report"].ok
+    assert double_biproduct(inp)["report"].ok
     assert [args[1].space for args in solves] == [
         structures.tensor_coalgebra(inp.B, inp.C).space]
 
@@ -448,9 +440,7 @@ def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
     # products are cross products of Hopf data, which the spy lets through.
     gg, c = bicharacter_cocycle(2)
     pairing = canonical_pairing(3)
-    inp = sweedler_crossed_modules()
-    sb, sc = inp.B.space, inp.C.space
-    dinp = inp.with_rho(LinMap((sb, sc), UNIT, {(0, 0): ONE, (0, 3): ONE}))
+    dinp = sweedler_rho(1)
 
     def run():
         inv = cocycle_inverse(c)

@@ -50,12 +50,22 @@ def test_group_algebra_closed_form(n):
 
 
 def test_dual_group_algebra_closed_form():
-    n = 4
-    H = dual_group_algebra(n)
-    assert H.m.entries == {(a, a * n + a): ONE for a in range(n)}
-    assert H.delta.entries == {(a * n + (c - a) % n, c): ONE
-                               for c in range(n) for a in range(n)}
-    rep = check_axioms(H, "hopf")
+    # functions on C_N: pointwise product, convolution coproduct, the
+    # constant function as unit and evaluation at 0 as counit
+    for n in range(1, 9):
+        s = Space(f"kC{n}*", n)
+        H = dual_group_algebra(n)
+        assert H.space == s
+        assert H.m == LinMap((s, s), (s,),
+                             {(a, a * n + a): ONE for a in range(n)})
+        assert H.eta == LinMap(UNIT, (s,), {(a, 0): ONE for a in range(n)})
+        assert H.delta == LinMap((s,), (s, s),
+                                 {(b * n + (a - b) % n, a): ONE
+                                  for a in range(n) for b in range(n)})
+        assert H.eps == LinMap((s,), UNIT, {(0, 0): ONE})
+        assert H.S == LinMap((s,), (s,),
+                             {((-a) % n, a): ONE for a in range(n)})
+    rep = check_axioms(dual_group_algebra(4), "hopf")
     assert rep.ok, rep.failed()
 
 
