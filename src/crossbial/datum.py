@@ -6,11 +6,13 @@ the left (coact_l), while the first acts/coacts on the second from the right
 (act_r, coact_r).  check_hopf_datum verifies the complete defining system as
 exact matrix identities.  The recursion operator on endomorphisms of
 B1(x)B2(x)B1(x)B2 is a layered diagram split at a stated row, _CUT:
-phi_apply evaluates f at the cut on the diagram's bottom half, and
 recursion_order assembles the operator as an exact superoperator matrix
-and finds the recursion order as a nilpotency computation.  A datum's
-check report, that bottom half and the superoperator are computed once per
-datum object.
+and finds the recursion order as a nilpotency computation.  phi_apply
+evaluates the operator on one f: as one sparse mat-vec when the datum
+keeps that matrix, otherwise by applying f at the cut on the diagram's
+bottom half; it never builds the matrix itself.  A datum's check report,
+that bottom half and the superoperator are computed once per datum
+object.
 """
 
 from __future__ import annotations
@@ -113,9 +115,13 @@ class HopfDatum:
 
 
 def _memoized(d: HopfDatum, key: str,
-              make: Callable[[HopfDatum], object]):
+              make: Optional[Callable[[HopfDatum], object]] = None):
     """make(d), computed on d's first request for key and kept in its memo;
-    nothing is kept when make raises."""
+    nothing is kept when make raises.  Without make it only reads: the
+    value kept for key, or None when d keeps none, and nothing is
+    computed."""
+    if make is None:
+        return d._memo.get(key)
     if key not in d._memo:
         d._memo[key] = make(d)
     return d._memo[key]
@@ -325,11 +331,22 @@ def _bottom_half(d: HopfDatum) -> LinMap:
 
 def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
     """Evaluate the recursion operator on an endomorphism of the 4-fold
-    product at the cut: f is applied at the centre strands 3-6 of the
+    product.  When d keeps Phi (build_phi_superoperator or recursion_order
+    has built it), the value is one sparse mat-vec, Phi times f vectorised
+    row-major, read back by the convention of _capped.  Otherwise it is
+    evaluated at the cut: f is applied at the centre strands 3-6 of the
     bottom half's image, which is computed once per datum object, and that
     image's columns are pushed through the rows from _CUT on,
-    PIPELINE_BLOCK at a time."""
+    PIPELINE_BLOCK at a time.  phi_apply never builds Phi itself: at dim 64
+    a build costs far more time and memory than a push."""
     require_boundaries(("f", f, d.quad, d.quad))
+    sop = _memoized(d, "phi")
+    if sop is not None:
+        dV = f.ncols
+        col = sop_compose(sop.phi, {0: {i * dV + j: x for (i, j), x
+                                        in f.entries.items()}}).get(0, {})
+        return LinMap._trusted(d.quad, d.quad,
+                               {divmod(r, dV): x for r, x in col.items()})
     at_cut = apply_at(_bottom_half(d), f, 3)
     return pipeline_as_linmap([[at_cut]] + _phi_layers(d)[_CUT:])
 

@@ -722,28 +722,40 @@ def test_phi_apply_at_the_cut_is_the_whole_diagram(warm):
 
 
 def test_the_bottom_half_is_pushed_once_per_datum(monkeypatch):
-    pushes = []
-    push = datum.pipeline_as_linmap
+    pushes, builds = [], []
+    push, build = datum.pipeline_as_linmap, datum._build_phi_superoperator
 
-    def spy(layers):
+    def push_spy(layers):
         pushes.append(layers)
         return push(layers)
 
-    monkeypatch.setattr(datum, "pipeline_as_linmap", spy)
-    cases = [radford_datum(), ore_datum()]
-    for d in cases:
-        build_phi_superoperator(d)
-        assert recursion_order(d, 4) == {"order": 1}
-        rng = random.Random(5)
-        for _ in range(3):
-            phi_apply(d, random_endo(d.quad, rng))
-    # one bottom half per datum, then each phi_apply pushes the rows from
-    # the cut on, above f's image at the cut
+    def build_spy(d):
+        builds.append(d)
+        return build(d)
+
+    monkeypatch.setattr(datum, "pipeline_as_linmap", push_spy)
+    monkeypatch.setattr(datum, "_build_phi_superoperator", build_spy)
     top = 1 + 12 - datum._CUT
-    assert [len(layers) for layers in pushes] == [datum._CUT] + [top] * 3 \
-        + [datum._CUT] + [top] * 3
-    assert pushes[0] == _phi_layers(cases[0])[:datum._CUT]
-    assert pushes[4] == _phi_layers(cases[1])[:datum._CUT]
+    for d, warm_up in ((radford_datum(), build_phi_superoperator),
+                       (ore_datum(), lambda d: recursion_order(d, 4))):
+        rng = random.Random(5)
+        endos = [random_endo(d.quad, rng) for _ in range(3)]
+        # cold: one bottom half per datum, then each phi_apply pushes the
+        # rows from the cut on, above f's image at the cut; it neither
+        # builds Phi nor keeps one
+        pushes.clear()
+        builds.clear()
+        cold = [phi_apply(d, f) for f in endos]
+        assert [len(layers) for layers in pushes] == [datum._CUT] + [top] * 3
+        assert pushes[0] == _phi_layers(d)[:datum._CUT]
+        assert builds == [] and datum._memoized(d, "phi") is None
+        # warm: once Phi is kept, by a build or an order search, each
+        # phi_apply is one mat-vec with it and pushes nothing
+        warm_up(d)
+        assert builds == [d]
+        pushes.clear()
+        assert [phi_apply(d, f) for f in endos] == cold
+        assert pushes == [] and builds == [d]
 
 
 def test_superoperator_matches_the_two_pullback_oracle():

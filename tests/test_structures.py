@@ -8,8 +8,9 @@ from crossbial import structures
 from crossbial.cli import structure_to_json
 from crossbial.crossproduct import (BAT, IdempotentSystem, build_bialgebra,
                                     build_cross_product, decompose)
-from crossbial.datum import (check_hopf_datum, phi_apply, recursion_order,
-                             trivalence, trivial_datum)
+from crossbial.datum import (build_phi_superoperator, check_hopf_datum,
+                             phi_apply, recursion_order, trivalence,
+                             trivial_datum)
 from crossbial.linmaps import (
     ConfigurationError,
     LinMap,
@@ -75,18 +76,6 @@ def group_hopf(n, name=None):
     return Structure(B, m, eta, delta, eps, S)
 
 
-def dual_group_hopf(n):
-    """Functions on the cyclic group: pointwise product, convolution coproduct."""
-    B = Space(f"fnC{n}", n)
-    m = LinMap((B, B), (B,), {(a, a * n + a): ONE for a in range(n)})
-    eta = LinMap(UNIT, (B,), {(a, 0): ONE for a in range(n)})
-    delta = LinMap((B,), (B, B), {(a * n + (c - a) % n, c): ONE
-                                  for c in range(n) for a in range(n)})
-    eps = LinMap((B,), UNIT, {(0, 0): ONE})
-    S = LinMap((B,), (B,), {((-a) % n, a): ONE for a in range(n)})
-    return Structure(B, m, eta, delta, eps, S)
-
-
 def unit_structure():
     K = Space("unit", 1)
     one = {(0, 0): ONE}
@@ -137,7 +126,7 @@ def test_group_algebra_is_hopf():
 
 
 def test_dual_group_algebra_is_hopf():
-    rep = check_axioms(dual_group_hopf(4), "hopf")
+    rep = check_axioms(dual(group_hopf(4)), "hopf")
     assert rep.ok, rep.failed()
 
 
@@ -198,6 +187,13 @@ def test_structure_shape_validation():
                   LinMap(UNIT, (s.space,), {(0, 0): ONE}))
 
 
+def with_phi(d):
+    """A copy of the datum d that has built and keeps its Phi."""
+    d = dataclasses.replace(d)
+    build_phi_superoperator(d)
+    return d
+
+
 def _wrong_slots():
     """One bundle, provider or checker per row, with one slot's map on the
     wrong strands: (id, call, slot, the strands it needs, the strands it
@@ -218,8 +214,8 @@ def _wrong_slots():
          "kC2 (x) kC3 -> kC3 (x) kC2"),
         ("TwoCocycle", lambda: TwoCocycle(g2, g2.eps),
          "chi", "kC2 (x) kC2 -> k", "kC2 -> k"),
-        ("DualPairing", lambda: DualPairing(g3, dual_group_hopf(3), g3.eps),
-         "form", "kC3 (x) fnC3 -> k", "kC3 -> k"),
+        ("DualPairing", lambda: DualPairing(g3, dual(group_hopf(3)), g3.eps),
+         "form", "kC3 (x) kC3* -> k", "kC3 -> k"),
         ("DoubleBiproductInput", lambda: dataclasses.replace(
             sw, b_act=sw.c_act),
          "b_act", "SwB (x) kC2 -> SwB", "kC2 (x) SwC -> SwC"),
@@ -240,6 +236,9 @@ def _wrong_slots():
         ("classify_morphism", lambda: classify_morphism(g2.id_map(), g2, g3),
          "morphism", "kC2 -> kC3", "kC2 -> kC2"),
         ("phi_apply", lambda: phi_apply(d, d.b1.id_map()),
+         "f", f"{Q} -> {Q}", "Taft2 -> Taft2"),
+        # on a copy that keeps Phi, f is checked before Phi is read
+        ("phi_apply-warm", lambda: phi_apply(with_phi(d), d.b1.id_map()),
          "f", f"{Q} -> {Q}", "Taft2 -> Taft2"),
         ("conv_dot", lambda: conv_dot(g2.eps, g2.id_map(), "left", g2.m),
          "delta", "kC2 -> kC2 (x) kC2", "kC2 (x) kC2 -> kC2"),
@@ -580,7 +579,7 @@ def test_convolution_precondition():
 
 def test_canonical_pairing_inverse_via_antipode():
     n = 3
-    H, A = group_hopf(n), dual_group_hopf(n)
+    H, A = group_hopf(n), dual(group_hopf(n))
     C = tensor_structure(H, A)
     K = unit_structure()
     pairing = LinMap((C.space,), (K.space,),
@@ -682,7 +681,7 @@ def test_tensor_structure_is_hopf():
 
 
 def test_tensor_structure_mixed_factors():
-    t = tensor_structure(group_hopf(2), dual_group_hopf(2))
+    t = tensor_structure(group_hopf(2), dual(group_hopf(2)))
     assert check_axioms(t, "hopf").ok
 
 
@@ -800,7 +799,7 @@ REDUCED_CASES = {
     "ore-C2xC2": lambda: (ore_finite(OreParams(
         (2, 2), 2, ((1, 0), (0, 1)), ((1, 1), (1, 1))))["H"], None),
     "group-kC6": lambda: (group_hopf(6), None),
-    "dual-group-k^C6": lambda: (dual_group_hopf(6), None),
+    "dual-group-k^C6": lambda: (dual(group_hopf(6)), None),
     "taft-6": lambda: (taft_factor(6, root_of_unity(6, 1)), None),
     "fused-cross-product": fused_radford_product,
 }
@@ -839,7 +838,7 @@ def test_the_search_finds_the_unit_g_and_x_of_a_radford_tower():
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_a_dual_group_algebra_takes_the_full_path(n):
     # k^C_n is spanned by orthogonal idempotents, so S is its whole basis
-    H = dual_group_hopf(n)
+    H = dual(group_hopf(n))
     assert generators_of(H) is None
     assert check_axioms(H, "hopf").ok
 
