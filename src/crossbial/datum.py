@@ -17,7 +17,7 @@ object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .linmaps import (
@@ -47,6 +47,7 @@ from .structures import (
     classify_morphism,
     compare,
     cross_structure,
+    rebind,
 )
 
 
@@ -108,10 +109,32 @@ class HopfDatum:
         s1, s2 = self.b1.space, self.b2.space
         return (s1, s2, s1, s2)
 
-    def product(self, name: Optional[str] = None) -> Structure:
-        """B1(x)B2 with the product and coproduct the datum induces,
-        unverified like cross_structure (build_bialgebra verifies it)."""
-        return cross_structure(self.b1, self.b2, *_mixed_maps(self), name)
+    def product(self, name: Optional[str] = None,
+                antipodes: Optional[Tuple[LinMap, LinMap]] = None
+                ) -> Structure:
+        """X = B1(x)B2 with the product and coproduct the datum induces,
+        unverified like cross_structure (build_bialgebra verifies it).
+
+        antipodes = (S1, S2), the factors' braided antipodes, fills X's S,
+        unverified too.  With X's canonical injections i1, i2 and tau the
+        braiding of B1 past B2 rebound onto X,
+          sigma_j = m_X o (i2 S2 (x) i1 S1) o coact_j  (j = l on B1, r on B2),
+          S_X = m_X o (sigma_r (x) sigma_l) o tau.
+        With a left coaction alone this is Radford's antipode of a biproduct
+        (Radford, "The structure of Hopf algebras with a projection", 1985),
+        with trivial coactions Majid's of a double cross product (Majid,
+        "Foundations of Quantum Group Theory", 1995)."""
+        X = cross_structure(self.b1, self.b2, *_mixed_maps(self), name)
+        if antipodes is None:
+            return X
+        S1, S2 = antipodes
+        s1, s2 = self.b1.space, self.b2.space
+        require_boundaries(("S1", S1, (s1,), (s1,)), ("S2", S2, (s2,), (s2,)))
+        i1, i2, _, _ = canonical_maps(self.b1, self.b2, X.space)
+        sigma_l, sigma_r = (run_pipeline([[c], [i2 * S2, i1 * S1], [X.m]])
+                            for c in (self.coact_l, self.coact_r))
+        tau = rebind(self.braiding.braiding(s1, s2), (X.space,), (s2, s1))
+        return replace(X, S=run_pipeline([[tau], [sigma_r, sigma_l], [X.m]]))
 
 
 def _memoized(d: HopfDatum, key: str,

@@ -4,16 +4,16 @@ Group algebras of finite cyclic groups and their function-algebra duals,
 truncated polynomial factors with Gaussian-binomial coproducts, Radford's
 four-parameter Hopf algebras, and finite Ore towers over a finite abelian
 group.  Each tower is the cross product of its hand-written Hopf datum:
-its product and coproduct come from the datum, its splitting is the
-canonical one of the product, and its antipode is extended from the
-generators by one shared helper.  Builders return plain structures, or
-dicts bundling the algebra with its canonical splitting and interaction
-maps.
+its product, coproduct and antipode come from HopfDatum.product, the
+antipode from the closed-form braided antipodes of the two factors, and
+its splitting is the canonical one of the product.  Builders return plain
+structures, or dicts bundling the algebra with its canonical splitting
+and interaction maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd, lcm, prod
 from typing import Tuple
@@ -34,28 +34,6 @@ class ParameterError(InputError, ValueError):
 
 class UnsupportedError(InputError, ValueError):
     """The requested object falls outside the finite-dimensional regime."""
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def _bare(st: Structure) -> Structure:
-    """The same structure with the antipode forgotten."""
-    return Structure(st.space, st.m, st.eta, st.delta, st.eps)
-
-
-def _antipode(m: LinMap, words) -> LinMap:
-    """The antipode sending basis vector k to the product in m, left to
-    right, of the vectors words[k]: S extended from the generators."""
-    P = m.cod
-    sent = {}
-    for col, word in enumerate(words):
-        acc = word[0]
-        for w in word[1:]:
-            acc = m * (acc @ w)
-        sent.update(((row, col), v) for (row, _), v in acc.entries.items())
-    return LinMap(P, P, sent)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +143,8 @@ def radford(params: RadfordParams) -> dict:
     n, N, nu = params.n, params.N, params.nu
     r, q = params.r, params.q
     qnu, q_inv = q ** nu, reciprocal(q)
-    b1, b2 = taft_factor(r, qnu), _bare(group_algebra(N))
+    g = group_algebra(N)
+    b1, b2 = taft_factor(r, qnu), replace(g, S=None)
     s1, s2 = b1.space, b2.space
     act_l = LinMap((s2, s1), (s1,),
                    {(m, flatten((l, m), (N, r))): q_inv ** (m * l)
@@ -175,19 +154,12 @@ def radford(params: RadfordParams) -> dict:
                       for m in range(r)})
     datum = HopfDatum(b1, b2, act_l, coact_l)
     # H is the datum's cross product: x^m g^l = x^m (x) g^l is its basis
-    # vector m * N + l
-    base = datum.product(f"Rad({n},{params.q_exponent},{N},{nu})")
-    s = base.space
-
-    def vec(m: int, l: int, v=ONE) -> LinMap:
-        return LinMap(UNIT, (s,), {(m * N + l % N, 0): v})
-
-    # S(x^m g^l) = g^-l S(x)^m, with S(g) = g^-1 and S(x) = -g^nu x
-    sx = vec(1, nu, -(q_inv ** nu))
-    S = _antipode(base.m, [[vec(0, -l)] + [sx] * m
-                           for m in range(r) for l in range(N)])
-    H = Structure(s, base.m, base.eta, base.delta, base.eps, S)
-    system = ProjectionSystem(*canonical_maps(b1, b2, s))
+    # vector m * N + l.  Its S comes from g's and the Taft factor's braided
+    # antipode, S1(x^m) = (-1)^m (q^nu)^(m(m-1)/2) x^m
+    S1 = LinMap((s1,), (s1,), {(m, m): (-ONE) ** m * qnu ** (m * (m - 1) // 2)
+                               for m in range(r)})
+    H = datum.product(f"Rad({n},{params.q_exponent},{N},{nu})", (S1, g.S))
+    system = ProjectionSystem(*canonical_maps(b1, b2, H.space))
     return {"H": H, "system": system, "datum": datum}
 
 
@@ -313,23 +285,15 @@ def ore_finite(params: OreParams) -> dict:
     datum = HopfDatum(b1, b2, act_r=act_r, coact_r=coact_r)
 
     # H is the datum's cross product, its basis c (x) X^alpha reordered
-    # to the normal form's alpha * |C| + c
-    cross = datum.product()
+    # to the normal form's alpha * |C| + c.  Its S comes from kC's and the
+    # exterior factor's braided antipode, S2(X^alpha) = (-1)^|alpha| X^alpha
+    S2 = LinMap((sl,), (sl,), {(a, a): (-ONE) ** len(bits(a))
+                               for a in range(nX)})
+    cross = datum.product(antipodes=(rebind(kc.S, (sg,), (sg,)), S2))
     s = Space(f"Ore(C{gname};t={t})", params.dim)
     P, B = (s,), (cross.space,)
-    base = restrict(cross, rebind(flip(sl, sg), P, B),
-                    rebind(flip(sg, sl), B, P))
-
-    def vec(mask: int, c: int) -> LinMap:
-        return LinMap(UNIT, P, {(mask * nC + c, 0): ONE})
-
-    # S(c X^alpha) = S(x_jk)...S(x_j1) c^-1 over the bits j1 < ... < jk of
-    # alpha, with S(x_j) = -x_j g_j^-1 = g_j^-1 x_j in normal form
-    sx = [vec(1 << j, index(-a for a in params.g[j])) for j in range(t)]
-    S = _antipode(base.m, [[sx[j] for j in reversed(bits(mask))]
-                           + [vec(0, index(-a for a in elts[c]))]
-                           for mask in range(nX) for c in range(nC)])
-    H = Structure(s, base.m, base.eta, base.delta, base.eps, S)
+    i, p = rebind(flip(sl, sg), P, B), rebind(flip(sg, sl), B, P)
+    H = replace(restrict(cross, i, p), S=p * cross.S * i)
     il, ic, pl, pc = canonical_maps(b2, b1, s)
     return {"H": H, "system": ProjectionSystem(ic, il, pc, pl),
             "datum": datum}

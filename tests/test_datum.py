@@ -33,6 +33,7 @@ from crossbial.structures import (
     PreconditionError,
     Structure,
     check_axioms,
+    convolution_inverse,
     cross_structure,
     tensor_structure,
     yd_provider,
@@ -382,6 +383,38 @@ def test_a_datum_product_is_the_cross_structure_of_its_mixed_maps(build):
         assert got.space == want.space and got.S is want.S is None
         for f in ("m", "eta", "delta", "eps"):
             assert same_map(getattr(got, f), getattr(want, f)), f
+
+
+@pytest.mark.parametrize("H, pattern", [
+    (lambda: radford(RadfordParams(2, 1, 2, 1))["H"], "0011"),
+    (lambda: group_algebra(4), "0000")], ids=["radford-2121", "kC4"])
+def test_the_product_antipode_of_a_drinfeld_double(H, pattern):
+    # A = dual(H) and H^op with the actions the evaluation pairing
+    # induces: a double cross product, outside the biproduct family, whose
+    # factors' antipodes are S_A and the inverse of S_H
+    from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
+    from tests.test_linmaps import invert
+    H = H()
+    p = evaluation_pairing_of_the_op_cop_dual(H)
+    mp = matched_pair_from_pairing(p)
+    d = HopfDatum(p.A, mp["h_op"], act_l=mp["rhd"], act_r=mp["lhd"])
+    assert classify(d)["pattern"] == pattern
+    X = d.product(antipodes=(p.A.S, invert(H.S)))
+    assert X.dim == 16
+    rep = check_axioms(X, "hopf")
+    assert rep.ok, rep.failed()
+    assert X.S == convolution_inverse(X.id_map(), X, X)
+
+
+def test_product_antipodes_on_the_wrong_strands_are_refused():
+    d = radford_datum()
+    S2 = group_algebra(2).S
+    with pytest.raises(ShapeError, match="^S1 must map Taft2 -> Taft2") as exc:
+        d.product(antipodes=(S2, S2))
+    assert exc.value.slot == "S1"
+    # without antipodes the product has no S, though B1 = k^C3 carries one
+    d = kc3_matched_pair_datum()
+    assert d.b1.S is not None and d.product().S is None
 
 
 @pytest.mark.parametrize("slot, wrong", [("act_l", "coact_l"),

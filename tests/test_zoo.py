@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from crossbial import scalars, zoo
 from crossbial.crossproduct import (ProjectionSystem, bat_to_hopf_datum,
                                     decompose)
-from crossbial.datum import check_hopf_datum
+from crossbial.datum import HopfDatum, check_hopf_datum
 from crossbial.linmaps import (LinMap, Space, UNIT, flatten, flip,
                                run_pipeline, unflatten)
 from crossbial.scalars import q_binomial, root_of_unity
-from crossbial.structures import Structure, check_axioms, classify_morphism
+from crossbial.structures import (Structure, check_axioms, classify_morphism,
+                                  convolution_inverse)
 from crossbial.zoo import (
     OreParams,
     ParameterError,
@@ -374,15 +375,58 @@ def _tower_scalars(out: dict):
             [_scalars(f) for f in (d.act_l, d.coact_l, d.act_r, d.coact_r)])
 
 
-@pytest.mark.parametrize("pars", [
-    ((2, 2), 2) + fam for fam in ORE_C2XC2_FAMILIES] + [
+ORE_TOWERS = [((2, 2), 2) + fam for fam in ORE_C2XC2_FAMILIES] + [
     ((2,), 1, ((1,),), ((1,),)), ((4,), 1, ((1,),), ((2,),)),
     ((4,), 1, ((2,),), ((1,),)), ((6,), 1, ((3,),), ((1,),)),
     ((2, 2, 2), 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-     ((1, 0, 0), (0, 1, 0), (0, 0, 1)))] + ORE_ASYMMETRIC)
+     ((1, 0, 0), (0, 1, 0), (0, 0, 1)))] + ORE_ASYMMETRIC
+
+
+@pytest.mark.parametrize("pars", ORE_TOWERS)
 def test_ore_finite_matches_the_tower_written_by_hand(pars):
     p = OreParams(*pars)
     assert _tower_scalars(ore_finite(p)) == _tower_scalars(ore_by_hand(p))
+
+
+def factor_antipodes(monkeypatch, build, params):
+    """The datum a tower builder hands HopfDatum.product and the factors'
+    antipodes it hands along with it."""
+    seen, product = [], HopfDatum.product
+
+    def spy(d, name=None, antipodes=None):
+        seen.append((d, antipodes))
+        return product(d, name, antipodes)
+
+    monkeypatch.setattr(HopfDatum, "product", spy)
+    build(params)
+    [(d, antipodes)] = seen
+    return d, antipodes
+
+
+def assert_braided_antipodes(d, antipodes):
+    # each closed form is the convolution inverse of its factor's identity,
+    # the factor's braided antipode
+    for b, S in zip((d.b1, d.b2), antipodes):
+        assert S == convolution_inverse(b.id_map(), b, b), b.space.name
+
+
+# the Taft factor x^r = 0 at r = 2, 3, 4 and 8, with p = q^nu of
+# conductor 1 (p = -1), 3, 4 and 8
+@pytest.mark.parametrize("pars", [(2, 1, 2, 1), (3, 1, 3, 1), (4, 1, 4, 1),
+                                  (8, 1, 8, 1)])
+def test_radford_hands_the_product_its_factors_braided_antipodes(
+        monkeypatch, pars):
+    d, antipodes = factor_antipodes(monkeypatch, radford, RadfordParams(*pars))
+    assert d.b1.space.dim == pars[0]
+    assert_braided_antipodes(d, antipodes)
+
+
+# the exterior factor's coproduct carries the tower's braiding
+@pytest.mark.parametrize("pars", ORE_TOWERS)
+def test_ore_finite_hands_the_product_its_factors_braided_antipodes(
+        monkeypatch, pars):
+    assert_braided_antipodes(
+        *factor_antipodes(monkeypatch, ore_finite, OreParams(*pars)))
 
 
 # ---------------------------------------------------------------------------
