@@ -13,7 +13,7 @@ recovers the tuple, splitting the idempotents by exact rank factorisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .datum import (ConsistencyError, HopfDatum, _mixed_maps,
                     check_hopf_datum, classify)
@@ -83,12 +83,15 @@ def build_cross_product(t: BAT) -> Structure:
     bialgebra axiom exactly; raise NotABATError naming the first failure."""
     _counit_report(t).require("{} is not counit-normalised", NotABATError)
     prod = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
-    # no provider registers the fused space: it braids as B1(x)B2 does
-    s12, P2 = (t.b1.space, t.b2.space), (prod.space, prod.space)
-    psi = rebind(t.braiding.braiding_list(s12, s12), P2, P2, "Psi")
-    check_axioms(prod, "bialgebra", psi=psi).require("not a BAT: {} fails",
-                                                     NotABATError)
+    check_axioms(prod, "bialgebra", psi=_product_braiding(t, prod)).require(
+        "not a BAT: {} fails", NotABATError)
     return prod
+
+
+def _product_braiding(t: BAT, X: Structure) -> LinMap:
+    """Psi of B1(x)B2 on X's fused space, which no provider registers."""
+    s12, P2 = (t.b1.space, t.b2.space), (X.space, X.space)
+    return rebind(t.braiding.braiding_list(s12, s12), P2, P2, "Psi")
 
 
 def build_bialgebra(d: HopfDatum) -> Structure:
@@ -245,29 +248,30 @@ def decompose(A: Structure, sys: Union[ProjectionSystem, IdempotentSystem],
     return DecomposeResult(bat, phi, tuple(verdicts))
 
 
-def _transported_datum(A: Structure, res: DecomposeResult
-                       ) -> Optional[HopfDatum]:
-    """The datum of res.bat, certified by transport, or None.
+def _transported_datum(A: Structure, res: DecomposeResult) -> HopfDatum:
+    """The datum of res.bat, certified by transport.
 
-    decompose has verified A's bialgebra laws and that phi = m_A o (i1 (x)
-    i2) has a two-sided inverse.  So when phi is an algebra and coalgebra
-    morphism from the cross product X of res.bat onto A, X is A carried
-    along phi and passes every bialgebra law that A passes; with the
-    factors' counit normalisation of build_cross_product, that is all its
-    verification of X asserts.  Under the flip only: under another
-    braiding X's laws are read with the braiding of B1 (x) B2, which phi
-    is not shown to commute with.  None when the braiding is not the flip
-    or an entry fails; the caller then runs bat_to_hopf_datum, whose
-    refusal and report are those of the full check.
+    decompose's verified laws (A's, i_j algebra maps, p_j coalgebra maps,
+    phi = m_A o (i1 (x) i2) invertible) imply the factors' counit
+    normalisation and phi's morphism laws from the cross product X onto A:
+    X is A carried along phi, and a failure of those six entries is the
+    package's fault (ConsistencyError).  Off the flip, where not every map
+    commutes with the braiding, phi must (phi-braiding), else the splitting
+    is not one of the braided category (InvalidSystemError).
     """
     t = res.bat
-    if t.braiding != FLIP:
-        return None
     X = cross_structure(t.b1, t.b2, t.phi12, t.phi21)
     phi = rebind(res.iso, (X.space,), (A.space,), "phi")
     reports = (_counit_report(t), *morphism_reports(phi, X, A, "phi"))
-    if not all(rep.ok for rep in reports):
-        return None
+    cert = CheckReport(e for rep in reports for e in rep.entries)
+    cert.require("the transport certificate fails {}", ConsistencyError)
+    if t.braiding != FLIP:
+        psi_a = t.braiding.braiding(A.space, A.space)
+        lhs = run_pipeline([[_product_braiding(t, X)], [phi, phi]])
+        rhs = run_pipeline([[phi, phi], [psi_a]])
+        cert = CheckReport(cert.entries + (compare("phi-braiding", lhs, rhs),))
+        cert.require("phi does not commute with the braiding: {} fails",
+                     InvalidSystemError)
     return _read_datum(t)
 
 
@@ -280,23 +284,19 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     of the idempotents i_j o p_j is an algebra or a coalgebra morphism.
     All three must agree, and the agreement is the final entry.  The datum
     is read off the cross product of decompose's tuple, certified by
-    transport under the flip (_transported_datum) and checked in full by
-    bat_to_hopf_datum otherwise.
+    transport (_transported_datum).
     """
     res = decompose(A, sys, braiding)
-    d = _transported_datum(A, res) or bat_to_hopf_datum(res.bat)
-    v1 = "0" in classify(d)["pattern"]
+    v1 = "0" in classify(_transported_datum(A, res))["pattern"]
     v3 = any(c["is_algebra_morphism"] and c["is_coalgebra_morphism"]
              for c in res.verdicts)
-    v4 = False
-    for i, p in ((sys.i1, sys.p1), (sys.i2, sys.p2)):
-        c = classify_morphism(i * p, A, A)
-        if c["is_algebra_morphism"] or c["is_coalgebra_morphism"]:
-            v4 = True
-    entries = [
+    idempotents = [classify_morphism(i * p, A, A)
+                   for i, p in ((sys.i1, sys.p1), (sys.i2, sys.p2))]
+    v4 = any(c["is_algebra_morphism"] or c["is_coalgebra_morphism"]
+             for c in idempotents)
+    return CheckReport([
         CheckEntry("datum-trivalent", v1),
         CheckEntry("split-map-both-morphism", v3),
         CheckEntry("idempotent-morphism", v4),
         CheckEntry("verdicts-agree", v1 == v3 and v3 == v4),
-    ]
-    return CheckReport(entries)
+    ])

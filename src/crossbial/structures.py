@@ -11,7 +11,7 @@ encoding is cli's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .linmaps import (
@@ -230,15 +230,14 @@ def _cross_comult(b1: Structure, b2: Structure, phi12: LinMap) -> LinMap:
 
 
 def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
-                    phi21: LinMap, name: Optional[str] = None,
-                    S: Optional[LinMap] = None) -> Structure:
+                    phi21: LinMap, name: Optional[str] = None) -> Structure:
     """The product/coproduct induced on B1(x)B2 by the connecting maps
     phi12: B1(x)B2 -> B2(x)B1 and phi21: B2(x)B1 -> B1(x)B2, fused onto one
     product space (default name "(B1><B2)").  Nothing is verified here."""
     s1, s2 = b1.space, b2.space
     P = Space(name or f"({s1.name}><{s2.name})", s1.dim * s2.dim)
     return fuse(P, _cross_mult(b1, b2, phi21), b1.eta @ b2.eta,
-                _cross_comult(b1, b2, phi12), b1.eps @ b2.eps, S)
+                _cross_comult(b1, b2, phi12), b1.eps @ b2.eps)
 
 
 def tensor_structure(a: Structure, b: Structure) -> Structure:
@@ -248,9 +247,9 @@ def tensor_structure(a: Structure, b: Structure) -> Structure:
     The antipode slot is filled with S_A (x) S_B when both factors carry one.
     """
     A, B = a.space, b.space
-    S = a.S @ b.S if a.S is not None and b.S is not None else None
-    return cross_structure(a, b, flip(A, B), flip(B, A),
-                           f"({A.name}.{B.name})", S)
+    X = cross_structure(a, b, flip(A, B), flip(B, A), f"({A.name}.{B.name})")
+    return X if a.S is None or b.S is None else replace(
+        X, S=rebind(a.S @ b.S, (X.space,), (X.space,), "S"))
 
 
 def tensor_coalgebra(a: Structure, b: Structure) -> Structure:

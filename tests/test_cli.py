@@ -31,12 +31,12 @@ from crossbial.zoo import (RadfordParams, group_algebra, radford,
                            sweedler_crossed_modules, taft_factor)
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
-from tests.test_datum import unit_hopf
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
 from tests.test_twisting import (bicharacter_cocycle, coboundary_cocycle,
                                  counit_pairing, sweedler_rho,
                                  uninvertible_cocycle)
+from tests.test_verify_once import qline_and_point
 
 ONE = Fraction(1)
 
@@ -1316,20 +1316,21 @@ def test_a_braided_host_is_guarded_before_it_is_checked(capsys, qline_path,
     assert "total dimension 9 exceeds CROSSBIAL_MAX_DIM=8" in err
 
 
-def braided_qline_point_workspace():
-    """The trivial datum of the q-line T and a point K over kC3, on which
-    kC3 acts and coacts trivially, with the Yetter-Drinfeld braiding
-    section that registers both: a bialgebra under that braiding only."""
-    pairing, qline = braided_taft_pairing()
-    T, host, K = pairing.H, group_algebra(3), unit_hopf("K")
-    k = K.id_map()
-    modules = [(T.space, *qline._reg[T.space]),
-               (K.space, k @ host.eps, k @ host.eta)]
+def braided_qline_point_workspace(degree=0):
+    """The trivial datum of the q-line T and a point K of degree g^degree
+    over kC3, which acts on K trivially, with the Yetter-Drinfeld braiding
+    section that registers both, and T as "main" split as T (x) K.  At
+    degree 0 the datum's product is a bialgebra under that braiding only,
+    and the splitting is one of its category."""
+    T, host, K, modules = qline_and_point(degree)
     d = trivial_datum(T, K)
     ws = (Workspace().add_structure("b1", T).add_structure("b2", K)
-          .add_structure("host", host))
+          .add_structure("host", host).add_structure("main", T))
     for name in ("act_l", "coact_l", "act_r", "coact_r"):
         ws.add_map(name, getattr(d, name))
+    ws.add_map("i1", T.id_map()).add_map("p1", T.id_map())
+    ws.add_map("i2", LinMap((K.space,), (T.space,), T.eta.entries))
+    ws.add_map("p2", LinMap((T.space,), (K.space,), T.eps.entries))
     section = []
     for tag, (s, act, coact) in zip(("t", "k"), modules):
         ws.add_map(f"{tag}_act", act).add_map(f"{tag}_coact", coact)
@@ -1338,6 +1339,20 @@ def braided_qline_point_workspace():
     ws.braiding = {"kind": "yetter-drinfeld", "host": "host",
                    "modules": section}
     return ws
+
+
+def test_trivalence_of_a_braided_splitting(tmp_path, capsys):
+    # the trivial point splits T in the braided category; a point of
+    # degree g makes phi miss the braiding, a verified failure
+    path = str(tmp_path / "tk.json")
+    save_workspace(braided_qline_point_workspace(), path)
+    code, _, _ = run(capsys, "cross", "trivalent", "--in", path)
+    assert code == 0
+    save_workspace(braided_qline_point_workspace(degree=1), path)
+    code, _, err = run(capsys, "cross", "trivalent", "--in", path)
+    assert code == 1
+    assert "failing: phi-braiding\n" in err
+    assert "witness: phi-braiding " in err
 
 
 def test_output_workspaces_carry_no_braiding(tmp_path, capsys):

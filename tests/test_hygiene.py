@@ -348,7 +348,8 @@ CHECKERS = {
     "twisting.py": ["_cocycle_report", "_chi_dot_m", "conv_dot",
                     "matched_pair_from_pairing", "_products"],
     "crossproduct.py": ["bat_to_hopf_datum", "_read_datum", "_counit_report",
-                        "_transported_datum", "decompose"],
+                        "_product_braiding", "_transported_datum",
+                        "decompose"],
 }
 
 

@@ -15,6 +15,7 @@ import pytest
 from crossbial import cli, crossproduct, datum, structures, twisting, zoo
 from crossbial.datum import ConsistencyError, check_hopf_datum
 from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
+from crossbial.scalars import root_of_unity
 from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist)
@@ -150,16 +151,26 @@ def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
     assert (report["pattern"], report["family"]) == ("1010", "biproduct")
 
 
-def braided_q_line_splitting():
-    """The q-line T over kC3, split as T (x) K with K a point on which kC3
-    acts and coacts trivially, under the Yetter-Drinfeld braiding of both;
-    returns (T, system, provider)."""
+def qline_and_point(a=0, b=0):
+    """The q-line T over kC3 and a point K, with the Yetter-Drinfeld
+    module data of both: K has degree g^a and kC3 acts on it by the
+    character g^c -> zeta_3^(bc), trivially when a = b = 0.  Returns (T,
+    host, K, modules), modules as yd_provider takes them."""
     pairing, qline = braided_taft_pairing()
     T, host, K = pairing.H, group_algebra(3), unit_hopf("K")
-    k = K.id_map()
-    prov = structures.yd_provider(host, [(T.space, *qline._reg[T.space]),
-                                         (K.space, k @ host.eps,
-                                          k @ host.eta)])
+    z = root_of_unity(3, 1)
+    act = LinMap((K.space, host.space), (K.space,),
+                 {(0, c): z ** (b * c) for c in range(3)})
+    coact = LinMap((K.space,), (K.space, host.space), {(a, 0): ONE})
+    return T, host, K, [(T.space, *qline._reg[T.space]),
+                        (K.space, act, coact)]
+
+
+def braided_q_line_splitting(a=0, b=0):
+    """T split as T (x) K under the Yetter-Drinfeld braiding of both, for
+    the point K of qline_and_point(a, b); returns (T, system, provider)."""
+    T, host, K, modules = qline_and_point(a, b)
+    prov = structures.yd_provider(host, modules)
     i2 = LinMap((K.space,), (T.space,), T.eta.entries)
     p2 = LinMap((T.space,), (K.space,), T.eps.entries)
     return T, crossproduct.ProjectionSystem(T.id_map(), i2, T.id_map(),
@@ -174,19 +185,17 @@ def trivalence_cases():
             braided_q_line_splitting()]
 
 
-def test_trivalence_checks_the_cross_product_by_transport_under_the_flip(
+def test_trivalence_checks_the_cross_product_by_transport_under_every_braiding(
         spy):
-    # under the flip the one check_axioms call is decompose's, on A; the
-    # cross product is A carried along phi.  Under a Yetter-Drinfeld
-    # braiding bat_to_hopf_datum checks the cross product in full.
+    # under every braiding, the flip and a Yetter-Drinfeld one, the one
+    # check_axioms call is decompose's, on A; the cross product is A
+    # carried along phi
     for A, system, bp in trivalence_cases():
         before = len(spy.passed)
         rep = crossproduct.verify_trivalent_equivalences(A, system, bp)
         assert rep.ok, rep.failed()
         checked = [(s, kind) for s, kind, _ in spy.passed[before:]]
-        assert checked[0] == (A, "bialgebra")
-        assert len(checked) == (1 if bp is FLIP else 2)
-    assert checked[1][0].space.name == "(TaftH><K)"
+        assert checked == [(A, "bialgebra")]
     assert spy.repeats == []
 
 
@@ -197,12 +206,10 @@ CERTIFICATE = ["B1", "B2", "phi-multiplicative", "phi-unital",
 @pytest.mark.parametrize("axiom", CERTIFICATE)
 def test_a_failed_certificate_entry_falls_back_to_the_full_check(
         spy, monkeypatch, axiom):
-    # one entry of the transport certificate is planted as failing: the
-    # cross product is then checked by bat_to_hopf_datum, as before the
-    # certificate, and the report is the same
+    # decompose's laws imply every entry of the transport certificate, so
+    # there is no full check to fall back to: an entry planted as failing
+    # is the package's fault, and the error carries the certificate
     out = radford(RadfordParams(3, 1, 3, 1))
-    want = crossproduct.verify_trivalent_equivalences(out["H"],
-                                                      out["system"])
     seen = []
 
     def plant(rep):
@@ -213,20 +220,48 @@ def test_a_failed_certificate_entry_falls_back_to_the_full_check(
 
     counit, morphism = (crossproduct._counit_report,
                         crossproduct.morphism_reports)
-    # the certificate's counit report is the first; the fallback's own
-    # build_cross_product reads the true one
-    monkeypatch.setattr(crossproduct, "_counit_report", lambda t: (
-        plant(counit(t)) if not seen else counit(t)))
+    monkeypatch.setattr(crossproduct, "_counit_report",
+                        lambda t: plant(counit(t)))
     monkeypatch.setattr(crossproduct, "morphism_reports", lambda *a: (
         tuple(map(plant, morphism(*a))) if a[3:] == ("phi",)
         else morphism(*a)))
-    fallbacks = _count_calls(monkeypatch, "bat_to_hopf_datum", crossproduct)
+    full_checks = _count_calls(monkeypatch, "bat_to_hopf_datum",
+                               crossproduct)
     before = spy.calls
-    got = crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
+    with pytest.raises(ConsistencyError, match=axiom) as err:
+        crossproduct.verify_trivalent_equivalences(out["H"], out["system"])
     assert seen == [["B1", "B2"], CERTIFICATE[2:4], CERTIFICATE[4:]]
-    assert len(fallbacks) == 1
-    assert spy.calls == before + 2
-    assert got.to_json() == want.to_json()
+    assert [e.axiom for e in err.value.report.entries] == CERTIFICATE
+    assert err.value.report.failed() == [axiom]
+    assert full_checks == []
+    assert spy.calls == before + 1
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3)
+                                  for b in range(3)])
+def test_a_splitting_outside_the_braided_category_fails_phi_braiding(a, b):
+    # the point K of degree g^a and character zeta_3^(bc): only the
+    # trivial one makes phi commute with the braiding.  The full check of
+    # the cross product is the oracle, and the two verdicts agree
+    A, system, prov = braided_q_line_splitting(a, b)
+    res = crossproduct.decompose(A, system, prov)
+    try:
+        crossproduct.bat_to_hopf_datum(res.bat)
+        full = True
+    except crossproduct.NotABATError:
+        full = False
+    assert full == ((a, b) == (0, 0))
+    if full:
+        assert crossproduct.verify_trivalent_equivalences(A, system,
+                                                          prov).ok
+        return
+    with pytest.raises(crossproduct.InvalidSystemError,
+                       match="phi-braiding") as err:
+        crossproduct.verify_trivalent_equivalences(A, system, prov)
+    rep = err.value.report
+    assert [e.axiom for e in rep.entries] == CERTIFICATE + ["phi-braiding"]
+    assert rep.failed() == ["phi-braiding"]
+    assert rep.entry("phi-braiding").witness is not None
 
 
 def test_build_bialgebra_checks_the_datum_once_and_the_product_once(
