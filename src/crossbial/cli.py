@@ -83,10 +83,10 @@ class Workspace:
         self.provider = FLIP
 
     def add_structure(self, name: str, st: Structure) -> "Workspace":
+        # Structure.__post_init__ holds every map of st to st.space and k,
+        # so st.space is the one space they name
         self.structures[name] = st
         self._note_spaces((st.space,))
-        for f in _filled_maps(st):
-            self._note_spaces(f.dom + f.cod)
         return self
 
     def add_map(self, name: str, f: LinMap) -> "Workspace":
@@ -123,21 +123,17 @@ class Workspace:
         return seen.pop() if seen else 1
 
     def _all_maps(self):
+        """The maps in every structure's filled slots, in STRUCTURE_MAPS
+        order, then the named maps."""
         for st in self.structures.values():
-            yield from _filled_maps(st)
+            yield from (f for f in (getattr(st, k) for k in STRUCTURE_MAPS)
+                        if f is not None)
         yield from self.maps.values()
 
 
 # The map slots of a Structure, in field order.  A workspace structure
 # fills every one of them but S, which it may leave out.
 STRUCTURE_MAPS = ("m", "eta", "delta", "eps", "S")
-
-
-def _filled_maps(st: Structure) -> List[LinMap]:
-    """The maps in st's slots, in STRUCTURE_MAPS order, skipping empty
-    ones."""
-    return [f for f in (getattr(st, k) for k in STRUCTURE_MAPS)
-            if f is not None]
 
 
 def linmap_to_json(f: LinMap) -> dict:

@@ -11,14 +11,15 @@ and finds the recursion order as a nilpotency computation.  phi_apply
 evaluates the operator on one f: as one sparse mat-vec when the datum
 keeps that matrix, otherwise by applying f at the cut on the diagram's
 bottom half; it never builds the matrix itself.  A datum's check report,
-that bottom half and the superoperator are computed once per datum
-object.
+that bottom half and the superoperator are cached properties of the
+datum, computed once per datum object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .linmaps import (
     FLIP,
@@ -74,11 +75,13 @@ class HopfDatum:
     established by check_hopf_datum.
 
     A datum and its maps are immutable once built, as LinMap._cols and
-    _ones already assume, so what a datum determines is computed once per
-    datum object and kept in _memo, filled only through _memoized: the
-    check_hopf_datum report, the bottom half of Phi's split diagram and
-    Phi's superoperator matrix.  ==, hash and repr ignore _memo, and
-    dataclasses.replace starts with an empty one.
+    _ones already assume, so what a datum determines is a cached property,
+    computed on the first request and kept in the datum object's __dict__:
+    _report (the check_hopf_datum report), _bottom (the bottom half of
+    Phi's split diagram) and _phi (Phi's superoperator matrix).  Nothing
+    is kept when a body raises, and only this module reads them.  ==, hash
+    and repr see the fields alone, and dataclasses.replace starts with
+    none of them kept.
     """
 
     b1: Structure
@@ -88,8 +91,6 @@ class HopfDatum:
     act_r: Optional[LinMap] = None
     coact_r: Optional[LinMap] = None
     braiding: object = FLIP
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def __post_init__(self):
         _mult(self.b1), _mult(self.b2)
@@ -136,18 +137,19 @@ class HopfDatum:
         tau = rebind(self.braiding.braiding(s1, s2), (X.space,), (s2, s1))
         return replace(X, S=run_pipeline([[tau], [sigma_r, sigma_l], [X.m]]))
 
+    @cached_property
+    def _report(self) -> CheckReport:
+        return _check_hopf_datum(self)
 
-def _memoized(d: HopfDatum, key: str,
-              make: Optional[Callable[[HopfDatum], object]] = None):
-    """make(d), computed on d's first request for key and kept in its memo;
-    nothing is kept when make raises.  Without make it only reads: the
-    value kept for key, or None when d keeps none, and nothing is
-    computed."""
-    if make is None:
-        return d._memo.get(key)
-    if key not in d._memo:
-        d._memo[key] = make(d)
-    return d._memo[key]
+    @cached_property
+    def _bottom(self) -> LinMap:
+        """Rows 0.._CUT-1 of Phi's diagram as a map from the quad to the 10
+        strands of the cut."""
+        return pipeline_as_linmap(_phi_layers(self)[:_CUT])
+
+    @cached_property
+    def _phi(self) -> PhiSuperoperator:
+        return _build_phi_superoperator(self)
 
 
 def _trivial_forms(b1: Structure, b2: Structure) -> Dict[str, LinMap]:
@@ -188,10 +190,11 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
     the four (co)module axiom sets, the eight (co)unit interaction
     equations, and the eleven braided compatibilities.  When a factor fails
     its own laws the dependent checks are skipped (their statements would
-    not be meaningful).  The report is computed once per datum object: a
-    later call returns the same report without checking again.
+    not be meaningful).  The report is the datum's cached _report, computed
+    once per datum object: a later call returns the same report without
+    checking again.
     """
-    return _memoized(d, "report", _check_hopf_datum)
+    return d._report
 
 
 def _check_hopf_datum(d: HopfDatum) -> CheckReport:
@@ -345,32 +348,25 @@ def _phi_layers(d: HopfDatum) -> List[List[LinMap]]:
 _CUT = 8
 
 
-def _bottom_half(d: HopfDatum) -> LinMap:
-    """Rows 0.._CUT-1 of Phi's diagram as a map from the quad to the 10
-    strands of the cut, computed once per datum object."""
-    return _memoized(d, "bottom",
-                     lambda d: pipeline_as_linmap(_phi_layers(d)[:_CUT]))
-
-
 def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
     """Evaluate the recursion operator on an endomorphism of the 4-fold
-    product.  When d keeps Phi (build_phi_superoperator or recursion_order
-    has built it), the value is one sparse mat-vec, Phi times f vectorised
-    row-major, read back by the convention of _capped.  Otherwise it is
-    evaluated at the cut: f is applied at the centre strands 3-6 of the
-    bottom half's image, which is computed once per datum object, and that
+    product.  When d keeps Phi (its _phi, which build_phi_superoperator or
+    recursion_order has filled), the value is one sparse mat-vec, Phi
+    times f vectorised row-major, read back by the convention of _capped.
+    Otherwise it is evaluated at the cut: f is applied at the centre
+    strands 3-6 of the image of d._bottom, the bottom half, and that
     image's columns are pushed through the rows from _CUT on,
     PIPELINE_BLOCK at a time.  phi_apply never builds Phi itself: at dim 64
     a build costs far more time and memory than a push."""
     require_boundaries(("f", f, d.quad, d.quad))
-    sop = _memoized(d, "phi")
+    sop = vars(d).get("_phi")
     if sop is not None:
         dV = f.ncols
         col = sop_compose(sop.phi, {0: {i * dV + j: x for (i, j), x
                                         in f.entries.items()}}).get(0, {})
         return LinMap._trusted(d.quad, d.quad,
                                {divmod(r, dV): x for r, x in col.items()})
-    at_cut = apply_at(_bottom_half(d), f, 3)
+    at_cut = apply_at(d._bottom, f, 3)
     return pipeline_as_linmap([[at_cut]] + _phi_layers(d)[_CUT:])
 
 
@@ -401,12 +397,12 @@ def sop_compose(a, b):
 
 
 def build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
-    """The recursion operator matrix of d, assembled by
+    """The recursion operator matrix of d, its cached _phi, assembled by
     _build_phi_superoperator on d's first request and kept with d, so a
     build and every recursion_order search on one datum object share one
     Phi.  The returned object and its column dicts are shared: callers
     must not mutate them."""
-    return _memoized(d, "phi", _build_phi_superoperator)
+    return d._phi
 
 
 def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
@@ -424,9 +420,9 @@ def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     below is a product of d1 and d2.  A vector on the cut has the quad on
     its centre strands and a spectator side on the others, and each entry of
     Phi is a sum over sides of a top term times a bottom term.  The bottom
-    half is materialised by pipeline_as_linmap, a bounded block of its
-    first row's columns per push, once per datum object (phi_apply reads
-    the same one), and each of its entries is a bottom term.
+    half, d._bottom, is materialised by pipeline_as_linmap, a bounded block
+    of its first row's columns per push, once per datum object (phi_apply
+    reads the same one), and each of its entries is a bottom term.
     T is pushed only from the inner sides (p, q) the bottom reached, one
     block of dV columns per inner side, and its terms are joined with the
     bottom terms on that inner side, whatever their outer strands.  Both
@@ -440,7 +436,7 @@ def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     # a side is the strands (a0, p) left of the centre and (q, z) right of
     # it: the outer a0 in B1 and z in B2, and p, q and T's output in B2 B1
     bots: Dict[tuple, list] = {}
-    for (key, v), x in _bottom_half(d).entries.items():
+    for (key, v), x in d._bottom.entries.items():
         a, rest = divmod(key, dV * n * dz)
         i, c = divmod(rest, n * dz)
         a0, p = divmod(a, n)

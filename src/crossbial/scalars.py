@@ -167,7 +167,7 @@ class Cyclo:
     numerators `nums` over one positive denominator `den`, with
     gcd(den, *nums) = 1, so equal values have equal fields."""
 
-    __slots__ = ("n", "nums", "den", "_hash")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, nums: tuple, den: int):
         # internal constructor: assumes nums already length phi(n), in
@@ -176,7 +176,6 @@ class Cyclo:
         self.n = n
         self.nums = nums
         self.den = den
-        self._hash = None
 
     @staticmethod
     def make(n: int, coeffs) -> Scalar:
@@ -216,9 +215,7 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.coeffs))
-        return self._hash
+        return hash((self.n, self.coeffs))
 
     def __bool__(self):
         return any(self.nums)

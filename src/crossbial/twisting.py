@@ -151,18 +151,12 @@ def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
 
 def cocycle_inverse(c: TwoCocycle) -> LinMap:
     """Convolution inverse of the cocycle over the tensor coalgebra
-    B (x) B; a stored chi_inv is returned as it is once both convolution
-    identities certify it, and only a missing one is solved for."""
-    return _cocycle_inverse(c, tensor_coalgebra(c.host, c.host))
-
-
-def _cocycle_inverse(c: TwoCocycle, bb: Structure,
-                     error=PreconditionError) -> LinMap:
-    """The body of cocycle_inverse, over bb = tensor_coalgebra(B, B) as the
-    caller built it; a stored chi_inv failing its certificate raises error.
-    Twisting lives over the flip, where bb is a coalgebra, so a certified
-    chi_inv is the unique inverse."""
-    return _scalar_inverse(c.chi, bb, c.chi_inv, error)
+    B (x) B, by _scalar_inverse; a stored chi_inv is returned as it is once
+    both convolution identities certify it, and only a missing one is
+    solved for.  Twisting lives over the flip, where B (x) B is a
+    coalgebra, so a certified chi_inv is the unique inverse."""
+    return _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host),
+                           c.chi_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,8 @@ def twist(b: Structure, c: TwoCocycle) -> Structure:
 
     m^chi = chi.m.chi^-; Hopf inputs also get S^chi = u.S.u^- with
     u = chi o (id (x) S) o Delta.  Unit, counit and comultiplication are
-    untouched.  chi^- is found as cocycle_inverse finds it.  The output is
+    untouched.  chi^- is found as cocycle_inverse finds it, over the
+    B (x) B that _twist builds.  The output is
     re-verified against every axiom unless m^chi = m and S^chi = S (as on
     every cocommutative host), when the host's own check, made here at the
     same kind, certifies it.
@@ -233,25 +228,25 @@ def twist(b: Structure, c: TwoCocycle) -> Structure:
     # S^chi is built from S, so a host with an antipode is checked as Hopf
     kind = "hopf" if b.S is not None else "bialgebra"
     check_axioms(b, kind).require("host fails {}")
-    return _twist(TwoCocycle(b, c.chi, c.chi_inv), tensor_coalgebra(b, b),
-                  PreconditionError)[0]
+    return _twist(TwoCocycle(b, c.chi, c.chi_inv), PreconditionError)[0]
 
 
-def _twist(c: TwoCocycle, bb: Structure, error
-           ) -> Tuple[Structure, CheckReport]:
+def _twist(c: TwoCocycle, error) -> Tuple[Structure, CheckReport]:
     """The twist and its cocycle report, for a cocycle on a host verified
-    over the flip as "hopf" if it has an antipode, else as "bialgebra",
-    and bb = tensor_coalgebra(B, B) as the caller built it; a failed
-    cocycle law or chi_inv raises error, a failed twist ConsistencyError.
+    over the flip as "hopf" if it has an antipode, else as "bialgebra"; a
+    failed cocycle law or chi_inv raises error, a failed twist
+    ConsistencyError.  The one tensor coalgebra B (x) B built here gives
+    Delta_{B (x) B}, chi.m and the space chi^- is solved or certified over.
 
     The twisted structure is checked at the host's kind only when m^chi
     or S^chi differs from the host's map: otherwise it has the host's six
     maps, and that check would be the host's, which has passed."""
     b = c.host
+    bb = tensor_coalgebra(b, b)
     delta2, chi_m = _chi_dot_m(c, bb)
     rep = _cocycle_report(c, chi_m)
     rep.require("cocycle fails {}", error)
-    chi_inv = _cocycle_inverse(c, bb, error)
+    chi_inv = _scalar_inverse(c.chi, bb, c.chi_inv, error)
     m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
     S_chi = None
     if b.S is not None:
@@ -476,8 +471,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)
     # Z passed check_axioms above, so the twist runs its body only
-    z_twisted, vrep = _twist(rho_hat, tensor_coalgebra(Z, Z),
-                             ConsistencyError)
+    z_twisted, vrep = _twist(rho_hat, ConsistencyError)
     direct = _twisted_mult_direct(inp, rho_inv)
     direct = rebind(direct, (Z.space, Z.space), (Z.space,))
     agree = CheckReport([compare("twisted-direct-agreement", direct,

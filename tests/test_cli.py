@@ -970,9 +970,9 @@ def test_a_twist_that_fails_its_own_check_names_the_law(tmp_path, capsys,
                                                         monkeypatch):
     # a doubled chi^- doubles the twisted product and its antipode, which
     # then fail the output check of the twist
-    solve = twisting._cocycle_inverse
-    monkeypatch.setattr(twisting, "_cocycle_inverse",
-                        lambda c, bb, error: doubled(solve(c, bb, error)))
+    solve = twisting._scalar_inverse
+    monkeypatch.setattr(twisting, "_scalar_inverse",
+                        lambda *args: doubled(solve(*args)))
     H = group_algebra(2)
     path = str(tmp_path / "kc2.json")
     save_workspace(Workspace().add_structure("main", H)

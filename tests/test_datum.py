@@ -781,7 +781,8 @@ def test_the_bottom_half_is_pushed_once_per_datum(monkeypatch):
         cold = [phi_apply(d, f) for f in endos]
         assert [len(layers) for layers in pushes] == [datum._CUT] + [top] * 3
         assert pushes[0] == _phi_layers(d)[:datum._CUT]
-        assert builds == [] and datum._memoized(d, "phi") is None
+        assert builds == [] and not any(
+            isinstance(v, datum.PhiSuperoperator) for v in vars(d).values())
         # warm: once Phi is kept, by a build or an order search, each
         # phi_apply is one mat-vec with it and pushes nothing
         warm_up(d)

@@ -10,12 +10,14 @@ it raises is built by CheckReport.require, so carries the report of the
 check that failed, and a braiding is taken only where listed."""
 
 import ast
+import functools
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from crossbial.datum import HopfDatum
 from crossbial.scalars import InputError, VerifiedFailure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -626,11 +628,16 @@ def test_every_verified_failure_carries_a_report():
             for site in named_failures(p.read_text(), names)] == []
 
 
+# the cached properties of a HopfDatum, kept in its __dict__
+KEPT = ("_report", "_bottom", "_phi")
+
+
 def memo_accesses(source: str):
-    """(function, line) of each read or write of a HopfDatum's memo: an
-    attribute `x._memo`, or the string "_memo" anywhere (getattr, vars(x)
-    [...]).  The function is the innermost one around it, "<module>" at
-    module level; the field's declaration in the class body is neither."""
+    """(function, line) of each read or write of what a HopfDatum keeps:
+    an attribute `x._report`, `x._bottom` or `x._phi`, or one of those
+    names as a string anywhere (getattr, vars(x)[...]).  The function is
+    the innermost one around it, "<module>" at module level; a property's
+    definition in a class body is neither."""
     tree = ast.parse(source)
     owner = {}
     # a nested function is walked after the one around it, so it wins
@@ -642,31 +649,37 @@ def memo_accesses(source: str):
                     owner[n] = getattr(fn, "name", "<lambda>")
     return sorted(
         (owner.get(n, "<module>"), n.lineno) for n in ast.walk(tree)
-        if (isinstance(n, ast.Attribute) and n.attr == "_memo")
-        or (isinstance(n, ast.Constant) and n.value == "_memo"))
+        if (isinstance(n, ast.Attribute) and n.attr in KEPT)
+        or (isinstance(n, ast.Constant) and n.value in KEPT))
 
 
 def test_the_scanner_flags_a_memo_access():
-    src = ("class D:\n    _memo: dict = None\n"
-           "def peek(d):\n    return d._memo\n"
+    src = ("class D:\n    @cached_property\n    def _phi(self):\n"
+           "        return 1\n"
+           "def peek(d):\n    return d._report\n"
            "def poke(d):\n    def inner():\n"
-           "        vars(d)['_memo'].clear()\n    return inner\n"
-           "x = getattr(D(), '_memo')\n")
-    assert memo_accesses(src) == [("<module>", 9), ("inner", 7),
-                                  ("peek", 4)]
+           "        vars(d)['_phi'].clear()\n    return inner\n"
+           "x = getattr(D(), '_bottom')\n")
+    assert memo_accesses(src) == [("<module>", 11), ("inner", 9),
+                                  ("peek", 6)]
 
 
 def test_only_the_datum_module_touches_the_memo():
-    # a datum's memo is filled and read by datum._memoized alone; its
-    # contract (the maps are immutable, ==, hash and repr ignore it,
-    # dataclasses.replace starts afresh) is stated on HopfDatum
+    # what a datum keeps is its cached properties, read by four functions
+    # of its own module alone; their contract (the maps are immutable, ==,
+    # hash and repr ignore them, dataclasses.replace starts afresh) is
+    # stated on HopfDatum
+    assert all(isinstance(vars(HopfDatum)[k], functools.cached_property)
+               for k in KEPT)
     found = {p.name: memo_accesses(p.read_text())
              for p in PACKAGE + SOURCES + sorted(
                  (ROOT / "perfbench").glob("*.py")) + sorted(
                  (ROOT / "tools").glob("*.py"))
              if p.name != Path(__file__).name}
     assert {f for f, sites in found.items() if sites} == {"datum.py"}
-    assert {fn for fn, _ in found["datum.py"]} == {"_memoized"}
+    assert {fn for fn, _ in found["datum.py"]} == {
+        "check_hopf_datum", "phi_apply", "build_phi_superoperator",
+        "_build_phi_superoperator"}
 
 
 BRAIDING_NAMES = ("bp", "braiding", "psi")

@@ -106,6 +106,14 @@ def test_constructor_refuses_an_inexact_entry(bad):
         LinMap((X,), (X,), {(0, 0): ONE, (1, 1): bad})
 
 
+@pytest.mark.parametrize("key", [(3, 0), (0, 2), (-1, 0), (0, -1)])
+def test_constructor_refuses_an_entry_outside_its_matrix(key):
+    # X -> Y is a 3x2 matrix
+    with pytest.raises(ShapeError) as exc:
+        LinMap((X,), (Y,), {(0, 0): ONE, key: ONE})
+    assert str(exc.value) == f"entry ({key[0]},{key[1]}) outside 3x2 matrix"
+
+
 def test_constructor_keeps_every_exact_entry_type():
     entries = {(0, 0): 3, (0, 1): F(1, 2), (1, 0): F(4),
                (1, 1): root_of_unity(4, 1)}

@@ -289,6 +289,18 @@ def test_cyclo_make_takes_ints_fractions_and_rational_strings():
         Cyclo.make(3, ["1.5"])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cyclotomic_polynomial(0), "conductor must be positive"),
+    # no coefficient to reduce, so the refusal is make's own and not
+    # cyclotomic_polynomial's
+    (lambda: Cyclo.make(0, []), "conductor must be positive"),
+    (lambda: root_of_unity(0, 1), "n must be positive"),
+], ids=["cyclotomic-polynomial", "cyclo-make", "root-of-unity"])
+def test_a_conductor_below_one_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_cyclo_json_roundtrip():
     z = root_of_unity(12, 7)
     enc = scalar_to_json(z)

@@ -258,6 +258,13 @@ def test_a_map_on_the_wrong_strands_is_named_with_its_strands(
     assert str(exc.value) == f"{slot} must map {needs}, not {got}"
 
 
+def test_a_report_has_no_entry_for_an_absent_axiom():
+    rep = check_axioms(group_hopf(2), "bialgebra")
+    assert rep.entry("unit-counit").ok
+    with pytest.raises(KeyError, match="^'left-antipode'$"):
+        rep.entry("left-antipode")
+
+
 def test_report_json_roundtrip_shape():
     rep = check_axioms(group_hopf(2), "bialgebra")
     doc = rep.to_json()

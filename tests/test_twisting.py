@@ -175,6 +175,8 @@ def test_conv_dot_unit_laws():
         assert conv_dot(g3.eps, f, "right", g3.delta) == f
     with pytest.raises(ShapeError):
         conv_dot(g3.id_map(), g3.id_map(), "left", g3.delta)
+    with pytest.raises(ValueError, match="^unknown side 'middle'$"):
+        conv_dot(g3.eps, g3.id_map(), "middle", g3.delta)
 
 
 @given(st.integers(min_value=0, max_value=2))
@@ -642,7 +644,7 @@ def _failed_first_law(rep):
 
 @pytest.mark.parametrize("target, wrong, call, head", [
     # a doubled chi^- doubles m^chi, and 2m breaks the unit laws
-    ("_cocycle_inverse", doubled,
+    ("_scalar_inverse", doubled,
      _twist_the_trivial_cocycle_on_kc2, "twisted structure fails "),
     ("_products", _doubled_z, _sweedler_double_biproduct,
      "assembled product fails "),

@@ -412,7 +412,8 @@ def test_twist_and_double_biproduct_each_run_the_twist_body_once(
         monkeypatch):
     # _twist is entered once per call, and chi.m, the cocycle report and
     # chi^- are computed inside it only, so double_biproduct runs twist's
-    # body and not a copy of its steps
+    # body and not a copy of its steps; its one solve outside _twist is
+    # rho^-, over B (x) C
     depth, seen = [0], []
     body = twisting._twist
 
@@ -425,7 +426,7 @@ def test_twist_and_double_biproduct_each_run_the_twist_body_once(
             depth[0] -= 1
 
     monkeypatch.setattr(twisting, "_twist", twist_body)
-    steps = ["_chi_dot_m", "_cocycle_report", "_cocycle_inverse"]
+    steps = ["_chi_dot_m", "_cocycle_report", "_scalar_inverse"]
     for name in steps:
         def step(*args, name=name, orig=getattr(twisting, name)):
             seen.append(name if depth[0] else "outside " + name)
@@ -436,7 +437,7 @@ def test_twist_and_double_biproduct_each_run_the_twist_body_once(
     assert seen == ["_twist"] + steps
     seen.clear()
     double_biproduct(sweedler_rho(1))
-    assert seen == ["_twist"] + steps
+    assert seen == ["outside _scalar_inverse", "_twist"] + steps
 
 
 def test_double_biproduct_solves_once_over_b_c(monkeypatch):

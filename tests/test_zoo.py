@@ -85,6 +85,8 @@ def test_taft_factor_carries_the_q_binomial_coproduct():
 
 
 def test_taft_factor_requires_exact_order():
+    with pytest.raises(ParameterError, match="^r must be a positive integer$"):
+        taft_factor(0, 1)
     with pytest.raises(ParameterError):
         taft_factor(2, ONE)
     with pytest.raises(ParameterError):
