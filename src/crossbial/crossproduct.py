@@ -290,7 +290,9 @@ def verify_trivalent_equivalences(A: Structure, sys: ProjectionSystem,
     v1 = "0" in classify(_transported_datum(A, res))["pattern"]
     v3 = any(c["is_algebra_morphism"] and c["is_coalgebra_morphism"]
              for c in res.verdicts)
-    idempotents = [classify_morphism(i * p, A, A)
+    # morphism_reports both reads i o p and composes it further: a
+    # pipeline evaluates it once
+    idempotents = [classify_morphism(run_pipeline([[p], [i]]), A, A)
                    for i, p in ((sys.i1, sys.p1), (sys.i2, sys.p2))]
     v4 = any(c["is_algebra_morphism"] or c["is_coalgebra_morphism"]
              for c in idempotents)

@@ -7,11 +7,24 @@ matrix.  Basis order of a tensor product is lexicographic with the leftmost
 factor most significant — every equality downstream depends on this
 convention.
 
-Composition is `g * f` (apply f first) and runs on the one strand kernel,
-`apply_at`.  Tensoring is `f @ g`, the one-row diagram
-`run_pipeline([[f, g]])`: a first row of several factors is written down
-as their Kronecker product, entry for entry what the kernel would build
-from the identity on their domain strands.
+Composition is `g * f` (apply f first) and tensoring is `f @ g`; both
+build string diagrams, and run_pipeline is the one evaluator.  `f @ g`
+is a pending one-row diagram, and `g * f` of two evaluated maps is one
+call of the strand kernel, `apply_at`; with a pending operand it is a
+pending diagram made of both operands' rows.  A pending map is evaluated
+by run_pipeline the first time its entries are read, and the result is
+kept, so it is evaluated once.  In a later row a pending tensor is
+applied factor by factor and never built; as the first row of a
+composite it stays one factor, evaluated and kept on its own object.  A
+first row of several factors is written down as their Kronecker
+product, entry for entry what the kernel would build from the identity
+on their domain strands.
+
+A boundary mismatch raises ShapeError at the operator; a scalar error,
+such as ConductorMixError, raises at the first read.  A pending
+composite lends its rows to an enclosing composite, so a composite that
+is both read on its own and composed further would be evaluated twice:
+src/ writes such a reused composite as a run_pipeline call.
 """
 
 from __future__ import annotations
@@ -201,12 +214,16 @@ class LinMap:
 
     def compose(self, f: "LinMap") -> "LinMap":
         """self after f: the strand kernel with self on all of f's
-        codomain."""
+        codomain when both are evaluated, else a pending diagram of f's
+        rows below self's."""
         if f.cod != self.dom:
             raise ShapeError(
                 f"cannot compose: inner boundaries differ "
                 f"({[s.name for s in f.cod]} vs {[s.name for s in self.dom]})")
-        return apply_at(f, self, 0)
+        if _pending_rows(f) is None and _pending_rows(self) is None:
+            return apply_at(f, self, 0)
+        return _Pending._diagram(f.dom, self.cod,
+                                 _lent_rows(f) + _lent_rows(self))
 
     def __mul__(self, other):
         if isinstance(other, LinMap):
@@ -214,11 +231,60 @@ class LinMap:
         return NotImplemented
 
     def tensor(self, other: "LinMap") -> "LinMap":
-        """self (x) other: the one-row diagram."""
-        return run_pipeline([[self, other]])
+        """self (x) other: the pending one-row diagram, a pending tensor
+        operand giving its factors."""
+        return _Pending._diagram(self.dom + other.dom, self.cod + other.cod,
+                                 [_row_factors(self) + _row_factors(other)])
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         return self.tensor(other)
+
+
+class _Pending(LinMap):
+    """A diagram built by `*` or `@` and not yet evaluated: its rows,
+    bottom first, as run_pipeline takes them.  Its entries slot stays
+    unset until the first read, which evaluates the rows with
+    run_pipeline and keeps the result; the rows are then dropped."""
+
+    __slots__ = ("_rows",)
+
+    @classmethod
+    def _diagram(cls, dom: SpaceList, cod: SpaceList,
+                 rows: List[List[LinMap]]) -> "_Pending":
+        f = object.__new__(cls)
+        f.dom, f.cod, f._rows = dom, cod, rows
+        f._cols = f._ones = None
+        return f
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset, and entries is the one
+        # slot a pending map leaves unset
+        if name != "entries":
+            raise AttributeError(name)
+        m = run_pipeline(self._rows)
+        self.entries = m.entries
+        self._cols, self._ones, self._rows = m._cols, m._ones, None
+        return self.entries
+
+
+def _pending_rows(f: LinMap) -> Optional[List[List[LinMap]]]:
+    """The rows of f while f is pending, else None."""
+    return f._rows if f.__class__ is _Pending else None
+
+
+def _lent_rows(f: LinMap) -> List[List[LinMap]]:
+    """The rows f gives an enclosing composite: a pending composite's own
+    rows, else f as one factor (a pending tensor too, so that as a first
+    row it is evaluated and kept on its own object)."""
+    rows = _pending_rows(f)
+    return rows if rows is not None and len(rows) > 1 else [[f]]
+
+
+def _row_factors(f: LinMap) -> List[LinMap]:
+    """The factors f stands for in a row: a pending tensor's own factors,
+    else f itself."""
+    rows = _pending_rows(f)
+    return rows[0] if rows is not None and len(rows) == 1 else [f]
 
 
 def _subtract(row: Dict[int, Scalar], factor: Scalar,
@@ -471,7 +537,8 @@ def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
     A first row of one factor is the diagram's input as it is; any other
     first row is the tensor product of its factors.  Each later row must
     consume the strands below it exactly.  Its factors are applied right
-    to left, so the strands of those still to come keep their positions.
+    to left, so the strands of those still to come keep their positions,
+    and a pending tensor among them is applied factor by factor.
     """
     first = layers[0]
     m = first[0] if len(first) == 1 else _first_row(first)
@@ -480,8 +547,10 @@ def run_pipeline(layers: List[List[LinMap]]) -> LinMap:
         if sum(len(f.dom) for f in layer) != pos:
             raise ShapeError(f"layer does not consume all {pos} strands")
         for f in reversed(layer):
-            pos -= len(f.dom)
-            m = apply_at(m, f, pos)
+            for g in (reversed(_row_factors(f)) if f.__class__ is _Pending
+                      else (f,)):
+                pos -= len(g.dom)
+                m = apply_at(m, g, pos)
     return m
 
 

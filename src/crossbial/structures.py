@@ -174,8 +174,9 @@ def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
     projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
     is verified here."""
     m = run_pipeline([[i, i], [_mult(A)], [p]])
-    return Structure(i.dom[0], m, p * A.eta,
-                     run_pipeline([[i], [A.delta], [p, p]]), A.eps * i)
+    return Structure(i.dom[0], m, run_pipeline([[A.eta], [p]]),
+                     run_pipeline([[i], [A.delta], [p, p]]),
+                     run_pipeline([[i], [A.eps]]))
 
 
 def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:

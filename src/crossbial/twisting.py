@@ -326,7 +326,8 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
                         [idh, FLIP.braiding_list((sh,), (sa, sa)), ida],
                         [pinv, ida, form]])
-    h_op = Structure(sh, H.m * flip(sh, sh), H.eta, H.delta, H.eps)
+    h_op = Structure(sh, run_pipeline([[flip(sh, sh)], [H.m]]), H.eta,
+                     H.delta, H.eps)
     drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, act_r=lhd))
     drep.require("the induced actions are no matched pair: {} fails",
                  ConsistencyError)

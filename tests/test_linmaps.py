@@ -616,10 +616,11 @@ def _identity_seeded_row(factors):
 def _assert_same_row(new, old):
     # the entries in insertion order (it fixes the order of later sums) and
     # in repr (2 and Fraction(2, 1) are equal, not the same), and the 0/1
-    # flag as the builder left it, before anything reads it lazily
-    assert (new.dom, new.cod, new._ones) == (old.dom, old.cod, old._ones)
+    # flag as the builder left it, before anything reads it lazily; the
+    # entries come first, as a pending new map is evaluated by that read
     assert [(k, repr(v)) for k, v in new.entries.items()] == \
         [(k, repr(v)) for k, v in old.entries.items()]
+    assert (new.dom, new.cod, new._ones) == (old.dom, old.cod, old._ones)
 
 
 _ROW_POOL = (Space("P", 1), X, Y)
@@ -629,12 +630,13 @@ _ROW_VALUES = {**_KINDS, "signs": [ZERO, ONE, -ONE, F(1), F(-1)]}
 
 
 @st.composite
-def _row_factor(draw):
-    """A factor on 0 to 3 strands: an identity, a strand permutation, or a
-    random map into 0 to 2 strands (so maps out of k and into k come up)
-    over Q, over Q(zeta_4), 0/1, or with entries +-1 as ints or
-    Fractions."""
-    dom = tuple(draw(st.lists(st.sampled_from(_ROW_POOL), max_size=3)))
+def _row_factor(draw, dom=None):
+    """A factor on 0 to 3 strands (or on dom): an identity, a strand
+    permutation, or a random map into 0 to 2 strands (so maps out of k and
+    into k come up) over Q, over Q(zeta_4), 0/1, or with entries +-1 as
+    ints or Fractions."""
+    if dom is None:
+        dom = tuple(draw(st.lists(st.sampled_from(_ROW_POOL), max_size=3)))
     kind = draw(st.sampled_from(["identity", "permutation", *_ROW_VALUES]))
     if kind == "identity":
         return LinMap.identity(dom)
@@ -666,6 +668,167 @@ def test_a_first_row_reads_the_0_1_test_off_the_values():
     assert repr(row.entry(3, 0)) == "2" and repr(row.entry(7, 4)) == "3"
     assert row._ones is None
     _assert_same_row(g @ (f @ f), _identity_seeded_row([g, f @ f]))
+
+
+# -- operator expressions as pending diagrams ---------------------------------
+
+_TREE_DIM = 216
+
+
+@st.composite
+def _operator_tree(draw, depth, dom=None):
+    """(built, eager, nodes): a random tree of `*` and `@` over _row_factor
+    on dom (any strands when None), built with the operators, the same
+    tree evaluated eagerly (compose is apply_at(f, g, 0) and tensor is
+    run_pipeline([[f, g]]), each on evaluated operands), and every map
+    the operators built.  A "reuse" node reads one composite twice, as the
+    later side of another composite and as a factor beside it."""
+    kinds = ["leaf", "leaf", "tensor", "compose"]
+    if dom is None:
+        kinds.append("reuse")
+    elif len(dom) > 3:
+        kinds.remove("leaf")
+        kinds.remove("leaf")
+    kind = draw(st.sampled_from(kinds)) if depth else (
+        "leaf" if dom is None or len(dom) <= 3 else "tensor")
+    if kind == "leaf":
+        f = draw(_row_factor(dom))
+        return f, f, []
+    if kind == "tensor":
+        if dom is None:
+            a = draw(_operator_tree(max(depth - 1, 0)))
+            b = draw(_operator_tree(max(depth - 1, 0)))
+        else:
+            lo = 1 if len(dom) > 3 else 0
+            k = draw(st.integers(lo, len(dom) - lo))
+            a = draw(_operator_tree(max(depth - 1, 0), dom[:k]))
+            b = draw(_operator_tree(max(depth - 1, 0), dom[k:]))
+        assume(dim_of(a[0].cod + b[0].cod) <= _TREE_DIM)
+        built = a[0] @ b[0]
+        return (built, run_pipeline([[a[1], b[1]]]),
+                a[2] + b[2] + [built])
+    f = draw(_operator_tree(depth - 1, dom))
+    assume(dim_of(f[0].cod) <= _TREE_DIM)
+    g = draw(_operator_tree(depth - 1, f[0].cod))
+    built, eager = g[0] * f[0], apply_at(f[1], g[1], 0)
+    nodes = f[2] + g[2] + [built]
+    if kind == "compose":
+        return built, eager, nodes
+    assume(dim_of(eager.cod) * dim_of(built.cod) <= _TREE_DIM)
+    h = draw(_operator_tree(0, built.cod))
+    top = (h[0] * built) @ built
+    return (top, run_pipeline([[apply_at(eager, h[1], 0), eager]]),
+            nodes + [top])
+
+
+def _spy_run_pipeline(mp, calls):
+    real = linmaps.run_pipeline
+
+    def spy(layers):
+        calls.append(layers)        # kept alive, so no id is reused
+        return real(layers)
+    mp.setattr(linmaps, "run_pipeline", spy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operator_tree(3))
+def test_operator_expressions_match_the_eager_evaluator(tree):
+    built, eager, nodes = tree
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_run_pipeline(mp, calls)
+        assert built == eager
+        for node in nodes:
+            node.entries
+        evaluated = len(calls)
+        # each pending map's rows are evaluated once, whatever read it
+        assert len({id(rows) for rows in calls}) == evaluated
+        for node in nodes:
+            node.entries
+            node.by_col()
+            assert node == node
+        assert len(calls) == evaluated
+    for node in nodes:
+        values = list(node.entries.values())
+        if node._ones:
+            assert all(v == ONE for v in values)
+        assert node.is_ones() == all(v == ONE for v in values)
+
+
+def test_a_pending_map_is_evaluated_once_and_kept(monkeypatch):
+    f = _rand_map((X,), (Y,), 40)
+    g = _rand_map((Z,), (Z,), 41)
+    h = _rand_map((Y, Z), (X,), 42)
+    t = f @ g
+    c = h * t
+    assert (t.dom, t.cod, c.dom, c.cod) == ((X, Z), (Y, Z), (X, Z), (X,))
+    calls = []
+    _spy_run_pipeline(monkeypatch, calls)
+    want = apply_at(run_pipeline([[f, g]]), h, 0)
+    calls.clear()
+    assert c.entries == want.entries
+    # c's rows once, and t, the first row of c, once on its own
+    assert calls == [[[t], [h]], [[f, g]]]
+    assert t.entries == run_pipeline([[f, g]]).entries
+    calls.clear()
+    for _ in range(2):
+        assert c == want and c.entry(0, 0) == want.entry(0, 0)
+        assert c.by_col() == want.by_col() and t.column(0) is not None
+    assert calls == []
+
+
+def _doubled_product_parts():
+    from crossbial import datum
+    d = zoo.radford(zoo.RadfordParams(3, 1, 3, 1))["datum"]
+    ind = datum.induced_structures(d)
+    s1, s2 = d.b1.space, d.b2.space
+    psi4 = d.braiding.braiding_list((s1, s2), (s1, s2))
+    return d, ind.m_B, ind.delta_B, psi4
+
+
+def test_the_doubled_product_map_never_builds_the_padded_permutation(
+        monkeypatch):
+    d, m_B, delta_B, psi4 = _doubled_product_parts()
+    id12 = d.b1.id_map() @ d.b2.id_map()
+    first_rows = []
+    real = linmaps._first_row
+
+    def spy(factors):
+        out = real(factors)
+        first_rows.append((out.ncols, out.nrows, len(out.entries)))
+        return out
+
+    monkeypatch.setattr(linmaps, "_first_row", spy)
+    got = ((m_B @ m_B) * (id12 @ psi4 @ id12) * (delta_B @ delta_B))
+    got.entries
+    monkeypatch.undo()
+    id12 = LinMap.identity((d.b1.space, d.b2.space))
+    want = run_pipeline([[delta_B, delta_B], [id12, psi4, id12],
+                         [m_B, m_B]])
+    assert (got.dom, got.cod) == (want.dom, want.cod)
+    assert {k: repr(v) for k, v in got.entries.items()} == {
+        k: repr(v) for k, v in want.entries.items()}
+    # one first row, Delta_B (x) Delta_B, of 81 columns; the padded
+    # permutation on B (x) B (x) B (x) B would have 6561
+    dd = run_pipeline([[delta_B, delta_B]])
+    assert first_rows == [(dd.ncols, dd.nrows, len(dd.entries))]
+    assert dd.ncols == 81 and psi4.ncols * 81 == 6561
+
+
+def test_a_strand_mismatch_raises_at_the_operator(monkeypatch):
+    d, m_B, delta_B, _ = _doubled_product_parts()
+    id12 = d.b1.id_map() @ d.b2.id_map()
+    reads = []
+    monkeypatch.setattr(linmaps, "run_pipeline",
+                        lambda layers: reads.append(layers))
+    monkeypatch.setattr(linmaps, "_first_row",
+                        lambda factors: reads.append(factors))
+    top, below = m_B @ m_B, delta_B @ id12
+    with pytest.raises(ShapeError, match="inner boundaries differ"):
+        top * below
+    with pytest.raises(ShapeError, match="inner boundaries differ"):
+        top * (id12 * below)
+    assert reads == []
 
 
 def _identity_seeded_braiding(prov, x, y):
