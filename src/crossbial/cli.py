@@ -35,8 +35,8 @@ from .linmaps import FLIP, LinMap, ShapeError, Space, dim_of
 from .scalars import (ZERO, InputError, Scalar, ScalarParseError,
                       VerifiedFailure, json_int, scalar_conductor,
                       scalar_from_json, scalar_to_json)
-from .structures import (CheckReport, Structure, _mult, check_axioms,
-                         yd_provider, yd_provider_left)
+from .structures import (CheckReport, Structure, check_axioms, yd_provider,
+                         yd_provider_left)
 from .twisting import (DoubleBiproductInput, DualPairing, TwoCocycle,
                        double_biproduct, matched_pair_from_pairing, twist,
                        validate_cocycle, validate_pairing)
@@ -200,8 +200,7 @@ def linmap_from_json(obj: dict, spaces: Dict[str, Space]) -> LinMap:
 
 def structure_to_json(s: Structure) -> dict:
     """The space's name and the encoding of each slot; S is left out when
-    empty, and a structure without m is refused through _mult."""
-    _mult(s)
+    empty."""
     out = {"space": s.space.name}
     for k in STRUCTURE_MAPS:
         if k != "S" or s.S is not None:

@@ -15,22 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple, Union
 
-from .datum import (ConsistencyError, HopfDatum, _mixed_maps,
-                    check_hopf_datum, classify)
+from .datum import ConsistencyError, HopfDatum, check_hopf_datum, classify
 from .linmaps import (FLIP, LinMap, ShapeError, Space, UNIT, apply_at,
-                      reduce_rows, require_boundaries, run_pipeline)
+                      rebind, reduce_rows, require_boundaries, run_pipeline)
 from .scalars import ONE, VerifiedFailure
 from .structures import (
     CheckEntry,
     CheckReport,
     Structure,
-    _mult,
     check_axioms,
     classify_morphism,
     compare,
     cross_structure,
     morphism_reports,
-    rebind,
     restrict,
 )
 
@@ -66,7 +63,6 @@ class BAT:
     braiding: object = FLIP
 
     def __post_init__(self):
-        _mult(self.b1), _mult(self.b2)
         s1, s2 = (self.b1.space,), (self.b2.space,)
         require_boundaries(("phi12", self.phi12, s1 + s2, s2 + s1),
                            ("phi21", self.phi21, s2 + s1, s1 + s2))
@@ -88,7 +84,7 @@ def build_cross_product(t: BAT) -> Structure:
     return prod
 
 
-def _product_braiding(t: BAT, X: Structure) -> LinMap:
+def _product_braiding(t: Union[BAT, HopfDatum], X: Structure) -> LinMap:
     """Psi of B1(x)B2 on X's fused space, which no provider registers."""
     s12, P2 = (t.b1.space, t.b2.space), (X.space, X.space)
     return rebind(t.braiding.braiding_list(s12, s12), P2, P2, "Psi")
@@ -97,11 +93,16 @@ def _product_braiding(t: BAT, X: Structure) -> LinMap:
 def build_bialgebra(d: HopfDatum) -> Structure:
     """B1(x)B2 with the product and coproduct the datum induces, verified.
 
-    The datum is checked first (refusal on failure); the product is then
-    the cross product of the tuple its interaction maps induce, so a
-    product that fails a bialgebra law raises NotABATError."""
+    The datum is checked first (refusal on failure), its factors' counit
+    normalisation included; the product is then the datum's own cross
+    product, d.product(), verified as build_cross_product verifies the
+    tuple the datum induces, so a product that fails a bialgebra law
+    raises NotABATError."""
     check_hopf_datum(d).require("datum fails {}")
-    return build_cross_product(BAT(d.b1, d.b2, *_mixed_maps(d), d.braiding))
+    X = d.product()
+    check_axioms(X, "bialgebra", psi=_product_braiding(d, X)).require(
+        "not a BAT: {} fails", NotABATError)
+    return X
 
 
 def bat_to_hopf_datum(t: BAT) -> HopfDatum:

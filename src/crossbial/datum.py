@@ -29,6 +29,7 @@ from .linmaps import (
     apply_at,
     dim_of,
     pipeline_as_linmap,
+    rebind,
     require_boundaries,
     run_pipeline,
 )
@@ -40,15 +41,11 @@ from .structures import (
     _action_report,
     _algebra_entries,
     _coalgebra_entries,
-    _cross_comult,
-    _cross_mult,
     _generators,
-    _mult,
     canonical_maps,
     classify_morphism,
     compare,
     cross_structure,
-    rebind,
 )
 
 
@@ -93,7 +90,6 @@ class HopfDatum:
     braiding: object = FLIP
 
     def __post_init__(self):
-        _mult(self.b1), _mult(self.b2)
         missing = [slot for slot in _SLOTS if getattr(self, slot) is None]
         forms = _trivial_forms(self.b1, self.b2) if missing else {}
         for slot in missing:
@@ -285,7 +281,8 @@ class InducedMaps(NamedTuple):
 
 
 def induced_structures(d: HopfDatum) -> InducedMaps:
-    """The connecting maps and the induced product/coproduct on B1(x)B2.
+    """The connecting maps and the induced product/coproduct on B1(x)B2:
+    cross_structure's m and delta, rebound onto the two strands.
 
     Refuses (PreconditionError carrying the report) when the datum check
     fails; for a valid datum the returned m_B with eta_1(x)eta_2 is an
@@ -293,8 +290,14 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
     """
     check_hopf_datum(d).require("datum fails {}")
     phi12, phi21 = _mixed_maps(d)
-    return InducedMaps(phi12, phi21, _cross_mult(d.b1, d.b2, phi21),
-                       _cross_comult(d.b1, d.b2, phi12))
+    X = cross_structure(d.b1, d.b2, phi12, phi21)
+    # m is read here, so m_B shares evaluated entries: a caller's composite
+    # of evaluated maps is one kernel call, where a pending m_B would be a
+    # row of a diagram that evaluates it (delta is built evaluated)
+    X.m.entries
+    s12 = (d.b1.space, d.b2.space)
+    return InducedMaps(phi12, phi21, rebind(X.m, s12 * 2, s12, "m"),
+                       rebind(X.delta, s12, s12 * 2, "delta"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ applied factor by factor and never built; as the first row of a
 composite it stays one factor, evaluated and kept on its own object.  A
 first row of several factors is written down as their Kronecker
 product, entry for entry what the kernel would build from the identity
-on their domain strands.
+on their domain strands.  rebind relabels a map's strands; a relabelled
+pending map stays pending, one opaque factor wherever it goes.
 
 A boundary mismatch raises ShapeError at the operator; a scalar error,
 such as ConductorMixError, raises at the first read.  A pending
@@ -241,8 +242,8 @@ class LinMap:
 
 
 class _Pending(LinMap):
-    """A diagram built by `*` or `@` and not yet evaluated: its rows,
-    bottom first, as run_pipeline takes them.  Its entries slot stays
+    """A diagram built by `*`, `@` or rebind and not yet evaluated: its
+    rows, bottom first, as run_pipeline takes them.  Its entries slot stays
     unset until the first read, which evaluates the rows with
     run_pipeline and keeps the result; the rows are then dropped."""
 
@@ -282,9 +283,31 @@ def _lent_rows(f: LinMap) -> List[List[LinMap]]:
 
 def _row_factors(f: LinMap) -> List[LinMap]:
     """The factors f stands for in a row: a pending tensor's own factors,
-    else f itself."""
+    else f itself.  A relabel is one row of one factor on other strands."""
     rows = _pending_rows(f)
-    return rows[0] if rows is not None and len(rows) == 1 else [f]
+    return (rows[0] if rows is not None and len(rows) == 1
+            and len(rows[0]) > 1 else [f])
+
+
+def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
+    """The map f regrouped onto the strands dom -> cod.
+
+    The lexicographic flat indices are unchanged by the regrouping, so the
+    entries carry over as they are, shared with f; the strands must
+    multiply out to f's size.  A pending f stays pending: the relabel is a
+    pending map whose one row holds f alone, and it never lends that row
+    or unwraps it, because f's strands keep their old names and apply_at
+    checks strand names.  Its first read evaluates f and shares f's
+    entries.
+    """
+    dom, cod = tuple(dom), tuple(cod)
+    if f.ncols != dim_of(dom) or f.nrows != dim_of(cod):
+        names = " (x) ".join(s.name for s in dom + cod)
+        raise ShapeError(f"{tag} is {f.nrows}x{f.ncols}, cannot be rebound "
+                         f"onto {dim_of(cod)}x{dim_of(dom)} over {names}")
+    if _pending_rows(f) is not None:
+        return _Pending._diagram(dom, cod, [[f]])
+    return LinMap._trusted(dom, cod, f.entries, f._ones)
 
 
 def _subtract(row: Dict[int, Scalar], factor: Scalar,

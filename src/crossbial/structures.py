@@ -25,8 +25,8 @@ from .linmaps import (
     YetterDrinfeld,
     _reduce_step,
     apply_at,
-    dim_of,
     flip,
+    rebind,
     reduce_rows,
     require_boundaries,
     run_pipeline,
@@ -133,18 +133,21 @@ def compare(axiom: str, lhs: LinMap, rhs: LinMap) -> CheckEntry:
 class Structure:
     """m: B(x)B->B, eta: k->B, delta: B->B(x)B, eps: B->k, optional S: B->B.
 
-    m may be None too: such a structure is a coalgebra (with a unit) only,
-    and every reader of m refuses it with ShapeError (through _mult).
+    Every structure has its multiplication: m=None is refused with
+    ShapeError.  A map built with `*` or `@` may stay pending until it is
+    read, so a multiplication that nothing reads costs nothing.
     """
 
     space: Space
-    m: Optional[LinMap]
+    m: LinMap
     eta: LinMap
     delta: LinMap
     eps: LinMap
     S: Optional[LinMap] = None
 
     def __post_init__(self):
+        if not isinstance(self.m, LinMap):
+            raise ShapeError(f"{self.space.name} has no multiplication")
         B = (self.space,)
         require_boundaries(("m", self.m, B * 2, B), ("eta", self.eta, UNIT, B),
                            ("delta", self.delta, B, B * 2),
@@ -162,44 +165,23 @@ class Structure:
         return self.eta * self.eps
 
 
-def _mult(s: Structure) -> LinMap:
-    """The multiplication of s; ShapeError if s is a coalgebra only."""
-    if s.m is None:
-        raise ShapeError(f"{s.space.name} has no multiplication")
-    return s.m
-
-
 def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
     """The structure A induces on the source of the injection i through the
     projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
     is verified here."""
-    m = run_pipeline([[i, i], [_mult(A)], [p]])
+    m = run_pipeline([[i, i], [A.m], [p]])
     return Structure(i.dom[0], m, run_pipeline([[A.eta], [p]]),
                      run_pipeline([[i], [A.delta], [p, p]]),
                      run_pipeline([[i], [A.eps]]))
 
 
-def rebind(f: LinMap, dom, cod, tag: str = "map") -> LinMap:
-    """The map f regrouped onto the strands dom -> cod.
-
-    The lexicographic flat indices are unchanged by the regrouping, so the
-    entries carry over as they are; the strands must multiply out to f's
-    size.
-    """
-    if f.ncols != dim_of(dom) or f.nrows != dim_of(cod):
-        names = " (x) ".join(s.name for s in dom + cod)
-        raise ShapeError(f"{tag} is {f.nrows}x{f.ncols}, cannot be rebound "
-                         f"onto {dim_of(cod)}x{dim_of(dom)} over {names}")
-    return LinMap(dom, cod, f.entries)
-
-
-def fuse(space: Space, m: Optional[LinMap], eta: LinMap, delta: LinMap,
+def fuse(space: Space, m: LinMap, eta: LinMap, delta: LinMap,
          eps: LinMap, S: Optional[LinMap] = None) -> Structure:
     """Rebind multi-strand structure maps onto the single space `space`;
     each map's strands must multiply out to the matching power of
-    space.dim."""
+    space.dim.  A pending map stays pending (see linmaps.rebind)."""
     P = (space,)
-    return Structure(space, None if m is None else rebind(m, P * 2, P, "m"),
+    return Structure(space, rebind(m, P * 2, P, "m"),
                      rebind(eta, UNIT, P, "eta"),
                      rebind(delta, P, P * 2, "delta"),
                      rebind(eps, P, UNIT, "eps"),
@@ -219,9 +201,9 @@ def canonical_maps(b1: Structure, b2: Structure, space: Space
 
 
 def _cross_mult(b1: Structure, b2: Structure, phi21: LinMap) -> LinMap:
-    """m = (m1 (x) m2) o (id (x) phi21 (x) id) on B1(x)B2."""
-    return run_pipeline([[b1.id_map(), phi21, b2.id_map()],
-                         [_mult(b1), _mult(b2)]])
+    """m = (m1 (x) m2) o (id (x) phi21 (x) id) on B1(x)B2, pending until
+    it is read."""
+    return (b1.m @ b2.m) * (b1.id_map() @ phi21 @ b2.id_map())
 
 
 def _cross_comult(b1: Structure, b2: Structure, phi12: LinMap) -> LinMap:
@@ -246,22 +228,14 @@ def tensor_structure(a: Structure, b: Structure) -> Structure:
 
     m = (m_A (x) m_B) o (id (x) flip_{B,A} (x) id) and dually for delta.
     The antipode slot is filled with S_A (x) S_B when both factors carry one.
+    m and S stay pending until they are read, so a convolution solve over
+    A(x)B, which reads eta, delta and eps only, never builds them; for two
+    factors of dim 16 the multiplication alone would have 65,536 columns.
     """
     A, B = a.space, b.space
     X = cross_structure(a, b, flip(A, B), flip(B, A), f"({A.name}.{B.name})")
     return X if a.S is None or b.S is None else replace(
         X, S=rebind(a.S @ b.S, (X.space,), (X.space,), "S"))
-
-
-def tensor_coalgebra(a: Structure, b: Structure) -> Structure:
-    """The tensor coalgebra on A(x)B with the flip in the middle
-    (tensor_structure's eta, delta and eps), with no multiplication (m is
-    None).  A convolution inverse over A(x)B reads nothing else; for two
-    factors of dim 16 the multiplication alone would have 65,536 columns."""
-    A, B = a.space, b.space
-    P = Space(f"({A.name}.{B.name})", A.dim * B.dim)
-    return fuse(P, None, a.eta @ b.eta,
-                _cross_comult(a, b, flip(A, B)), a.eps @ b.eps)
 
 
 def dual(h: Structure) -> Structure:
@@ -277,7 +251,7 @@ def dual(h: Structure) -> Structure:
     def t(f):
         return LinMap((P,) * len(f.cod), (P,) * len(f.dom),
                       {(c, r): v for (r, c), v in f.entries.items()})
-    return Structure(P, t(tau * h.delta), t(h.eps), t(_mult(h) * tau),
+    return Structure(P, t(tau * h.delta), t(h.eps), t(h.m * tau),
                      t(h.eta), None if h.S is None else t(h.S))
 
 
@@ -414,12 +388,9 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     """
     if kind not in ("algebra", "coalgebra", "bialgebra", "hopf"):
         raise ValueError(f"unknown kind {kind!r}")
-    g = None
-    if kind != "coalgebra":
-        _mult(s)
-        if kind == "hopf" and s.S is None:
-            raise ConfigurationError("hopf check needs an antipode")
-        g = _generators(s.m, s.space)
+    if kind == "hopf" and s.S is None:
+        raise ConfigurationError("hopf check needs an antipode")
+    g = None if kind == "coalgebra" else _generators(s.m, s.space)
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind != "coalgebra":
@@ -567,8 +538,8 @@ def morphism_reports(f: LinMap, src: Structure, dst: Structure,
     "-counital"), as two reports; tag also names f's boundary slot."""
     require_boundaries((tag, f, (src.space,), (dst.space,)))
     return (CheckReport([
-        compare(f"{tag}-multiplicative", f * _mult(src),
-                _mult(dst) * run_pipeline([[f, f]])),
+        compare(f"{tag}-multiplicative", f * src.m,
+                dst.m * run_pipeline([[f, f]])),
         compare(f"{tag}-unital", f * src.eta, dst.eta)]), CheckReport([
         compare(f"{tag}-comultiplicative",
                 run_pipeline([[src.delta], [f, f]]), dst.delta * f),
@@ -588,7 +559,7 @@ def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
 def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
                         alg: Structure) -> LinMap:
     """f * g = m o (f (x) g) o delta in Hom(C, A)."""
-    return _mult(alg) * run_pipeline([[coalg.delta], [f, g]])
+    return alg.m * run_pipeline([[coalg.delta], [f, g]])
 
 
 def _inverse_report(f: LinMap, g: LinMap, coalg: Structure,
@@ -615,7 +586,8 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     any braiding: the convolution product has no crossing, and the flip
     only brings the unknown's strand next to m.  _inverse_report's two
     identities are re-verified on the result.  Only eta, delta and eps of
-    coalg are read, so it may have no m (see tensor_coalgebra).
+    coalg are read, so a pending m of coalg (tensor_structure's) is never
+    evaluated here.
     """
     check_axioms(coalg, "coalgebra").require("convolution boundary fails {}")
     check_axioms(alg, "algebra").require("convolution boundary fails {}")

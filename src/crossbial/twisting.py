@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 from .datum import ConsistencyError, HopfDatum, check_hopf_datum
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
-                      UNIT, YetterDrinfeld, flip, pipeline_as_linmap,
+                      UNIT, YetterDrinfeld, flip, pipeline_as_linmap, rebind,
                       require_boundaries, run_pipeline)
 from .scalars import ONE
 from .structures import (
@@ -41,8 +41,7 @@ from .structures import (
     compare,
     convolution_inverse,
     morphism_reports,
-    rebind,
-    tensor_coalgebra,
+    tensor_structure,
 )
 
 
@@ -150,12 +149,12 @@ def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
 
 
 def cocycle_inverse(c: TwoCocycle) -> LinMap:
-    """Convolution inverse of the cocycle over the tensor coalgebra
-    B (x) B, by _scalar_inverse; a stored chi_inv is returned as it is once
-    both convolution identities certify it, and only a missing one is
-    solved for.  Twisting lives over the flip, where B (x) B is a
+    """Convolution inverse of the cocycle over the coalgebra of
+    tensor_structure(B, B), by _scalar_inverse; a stored chi_inv is
+    returned as it is once both convolution identities certify it, and
+    only a missing one is solved for.  Twisting lives over the flip, where B (x) B is a
     coalgebra, so a certified chi_inv is the unique inverse."""
-    return _scalar_inverse(c.chi, tensor_coalgebra(c.host, c.host),
+    return _scalar_inverse(c.chi, tensor_structure(c.host, c.host),
                            c.chi_inv)
 
 
@@ -170,12 +169,12 @@ def validate_cocycle(c: TwoCocycle) -> CheckReport:
     Doi's product chi.m (see _cocycle_report); a failing entry and its
     witness are always the full diagrams'."""
     check_axioms(c.host, "bialgebra").require("host fails {}")
-    bb = tensor_coalgebra(c.host, c.host)
+    bb = tensor_structure(c.host, c.host)
     return _cocycle_report(c, _chi_dot_m(c, bb)[1])
 
 
 def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
-    """The comultiplication of the tensor coalgebra bb = B (x) B, rebound
+    """The comultiplication of bb = tensor_structure(B, B), rebound
     onto B (x) B -> B (x) B (x) B (x) B, and Doi's product
     chi.m = (chi (x) m) o Delta_{B (x) B} on B, which the cocycle report
     and the twist both read."""
@@ -235,14 +234,15 @@ def _twist(c: TwoCocycle, error) -> Tuple[Structure, CheckReport]:
     """The twist and its cocycle report, for a cocycle on a host verified
     over the flip as "hopf" if it has an antipode, else as "bialgebra"; a
     failed cocycle law or chi_inv raises error, a failed twist
-    ConsistencyError.  The one tensor coalgebra B (x) B built here gives
-    Delta_{B (x) B}, chi.m and the space chi^- is solved or certified over.
+    ConsistencyError.  The one B (x) B built here, by tensor_structure,
+    gives Delta_{B (x) B}, chi.m and the space chi^- is solved or certified
+    over; its multiplication is never read, so never evaluated.
 
     The twisted structure is checked at the host's kind only when m^chi
     or S^chi differs from the host's map: otherwise it has the host's six
     maps, and that check would be the host's, which has passed."""
     b = c.host
-    bb = tensor_coalgebra(b, b)
+    bb = tensor_structure(b, b)
     delta2, chi_m = _chi_dot_m(c, bb)
     rep = _cocycle_report(c, chi_m)
     rep.require("cocycle fails {}", error)
@@ -295,9 +295,9 @@ def validate_pairing(p: DualPairing) -> CheckReport:
 
 
 def pairing_inverse(p: DualPairing) -> LinMap:
-    """Convolution inverse of the form over the tensor coalgebra
-    H (x) A."""
-    return _scalar_inverse(p.form, tensor_coalgebra(p.H, p.A))
+    """Convolution inverse of the form over the coalgebra of
+    tensor_structure(H, A)."""
+    return _scalar_inverse(p.form, tensor_structure(p.H, p.A))
 
 
 def matched_pair_from_pairing(p: DualPairing) -> dict:
@@ -467,7 +467,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
 
     chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
                  (Z.space, Z.space), UNIT)
-    rho_inv = _scalar_inverse(rho, tensor_coalgebra(B, C))
+    rho_inv = _scalar_inverse(rho, tensor_structure(B, C))
     chi_inv = rebind(C.eps @ H.eps @ rho_inv @ H.eps @ B.eps,
                      (Z.space, Z.space), UNIT)
     rho_hat = TwoCocycle(Z, chi, chi_inv)

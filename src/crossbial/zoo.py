@@ -20,11 +20,11 @@ from typing import Tuple
 
 from .crossproduct import ProjectionSystem
 from .datum import HopfDatum
-from .linmaps import LinMap, Space, UNIT, flatten, flip, unflatten
+from .linmaps import LinMap, Space, UNIT, flatten, flip, rebind, unflatten
 from .scalars import (ONE, InputError, as_scalar, q_binomial, reciprocal,
                       root_of_unity)
-from .structures import (Structure, canonical_maps, dual, fuse, rebind,
-                         restrict, tensor_structure)
+from .structures import (Structure, canonical_maps, dual, fuse, restrict,
+                         tensor_structure)
 from .twisting import DoubleBiproductInput
 
 

@@ -1095,9 +1095,12 @@ def test_workspace_roundtrip_is_byte_identical(tmp_path):
 
 
 def test_one_space_name_with_two_dims_is_refused():
-    # kC3's coalgebra on a space that is named kC2
+    # kC3 on a space that is named kC2
     s = Space("kC2", 3)
-    k3 = Structure(s, None, LinMap(UNIT, (s,), {(0, 0): 1}),
+    k3 = Structure(s, LinMap((s, s), (s,), {
+                       ((i + j) % 3, 3 * i + j): 1
+                       for i in range(3) for j in range(3)}),
+                   LinMap(UNIT, (s,), {(0, 0): 1}),
                    LinMap((s,), (s, s), {(4 * i, i): 1 for i in range(3)}),
                    LinMap((s,), UNIT, {(0, i): 1 for i in range(3)}))
     ws = Workspace().add_structure("a", group_algebra(2))

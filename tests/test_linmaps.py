@@ -22,6 +22,7 @@ from crossbial.linmaps import (
     flatten,
     flip,
     pipeline_as_linmap,
+    rebind,
     reduce_rows,
     run_pipeline,
     unflatten,
@@ -38,6 +39,7 @@ F = Fraction
 X = Space("X", 2)
 Y = Space("Y", 3)
 Z = Space("Z", 2)
+P4 = Space("P4", 4)   # X (x) Z on one strand
 
 
 def _rand_map(dom, cod, seed):
@@ -775,6 +777,36 @@ def test_a_pending_map_is_evaluated_once_and_kept(monkeypatch):
         assert c == want and c.entry(0, 0) == want.entry(0, 0)
         assert c.by_col() == want.by_col() and t.column(0) is not None
     assert calls == []
+
+
+def test_a_relabelled_pending_map_stays_pending_and_opaque(monkeypatch):
+    # rebind keeps a pending composite pending, as one factor in a later
+    # row and in a tensor: its own rows run on X (x) Z, and apply_at checks
+    # strand names, so it never lends or unwraps them
+    f = _rand_map((X,), (Y,), 40)
+    g = _rand_map((Z,), (Z,), 41)
+    h = _rand_map((Y, Z), (X,), 42)
+    e = _rand_map((P4,), (P4,), 43)
+    u = _rand_map((Z,), (Z,), 44)
+    c = h * (f @ g)
+    r = rebind(c, (P4,), (X,))
+    later, beside = r * e, (r @ g) * (e @ u)
+    c_rows, r_rows = linmaps._pending_rows(c), linmaps._pending_rows(r)
+    assert r_rows == [[c]] and (r.dom, r.cod) == ((P4,), (X,))
+    flat = rebind(run_pipeline([[f, g], [h]]), (P4,), (X,))
+    want_later = apply_at(e, flat, 0)
+    want_beside = run_pipeline([[e, u], [flat, g]])
+    calls = []
+    _spy_run_pipeline(monkeypatch, calls)
+    assert list(later.entries.items()) == list(want_later.entries.items())
+    assert list(beside.entries.items()) == list(want_beside.entries.items())
+    # r was evaluated once, on its first read, and kept what c gave it
+    assert [rows is r_rows for rows in calls].count(True) == 1
+    assert [rows is c_rows for rows in calls].count(True) == 1
+    assert r.entries is c.entries
+    assert [(k, repr(v)) for k, v in r.entries.items()] == [
+        (k, repr(v)) for k, v in flat.entries.items()]
+    assert repr(r) == repr(flat)
 
 
 def _doubled_product_parts():

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crossbial import structures
-from crossbial.cli import structure_to_json
 from crossbial.crossproduct import (BAT, IdempotentSystem, build_bialgebra,
-                                    build_cross_product, decompose)
-from crossbial.datum import (build_phi_superoperator, check_hopf_datum,
-                             phi_apply, recursion_order, trivalence,
-                             trivial_datum)
+                                    decompose)
+from crossbial.datum import build_phi_superoperator, phi_apply
 from crossbial.linmaps import (
     ConfigurationError,
     LinMap,
@@ -38,12 +35,9 @@ from crossbial.structures import (
     compare,
     convolution_inverse,
     convolution_product,
-    cross_structure,
     dual,
     fuse,
     rebind,
-    restrict,
-    tensor_coalgebra,
     tensor_structure,
     yd_provider,
     yd_provider_left,
@@ -639,18 +633,18 @@ def _antipode(H):
 
 def _form(form, co):
     """A scalar form's inverse as _scalar_inverse solves it: over the
-    tensor coalgebra, into the one-dimensional unit bialgebra."""
+    tensor structure, into the one-dimensional unit bialgebra."""
     k = unit_bialgebra()
     return rebind(form, (co.space,), (k.space,)), co, k
 
 
 def _bicharacter():
     gg, c = bicharacter_cocycle(3)
-    return _form(c.chi, tensor_coalgebra(gg, gg))
+    return _form(c.chi, tensor_structure(gg, gg))
 
 
 def _pairing(p):
-    return _form(p.form, tensor_coalgebra(p.H, p.A))
+    return _form(p.form, tensor_structure(p.H, p.A))
 
 
 ORACLE_CASES = {
@@ -718,39 +712,14 @@ def test_the_dual_of_a_tower_is_hopf(case):
     assert rep.ok, rep.failed()
 
 
-@pytest.mark.parametrize("build", ["tensor_coalgebra", "bare"])
-def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
-    a, b = group_hopf(2), group_hopf(3)
-    if build == "tensor_coalgebra":
-        s = tensor_coalgebra(a, b)
-    else:
-        s = Structure(a.space, None, a.eta, a.delta, a.eps, a.S)
-    assert s.m is None
-    rep = check_axioms(s, "coalgebra")
-    assert rep.ok, rep.failed()
-    for kind in ("algebra", "bialgebra", "hopf"):
-        with pytest.raises(ShapeError):
-            check_axioms(s, kind)
-    with pytest.raises(ShapeError):
-        structure_to_json(s)
-    # every other reader of m refuses it the same way
-    with pytest.raises(ShapeError):
-        classify_morphism(s.id_map(), s, s)
-    with pytest.raises(ShapeError):
-        convolution_product(s.id_map(), s.id_map(), s, s)
-    with pytest.raises(ShapeError):
-        restrict(s, s.id_map(), s.id_map())
-    with pytest.raises(ShapeError, match="has no multiplication"):
-        dual(s)
-    flip = VectFlip().braiding
-    phi12, phi21 = flip(s.space, a.space), flip(a.space, s.space)
-    with pytest.raises(ShapeError):
-        cross_structure(s, a, phi12, phi21)
-    for reader in (check_hopf_datum, recursion_order, trivalence):
-        with pytest.raises(ShapeError):
-            reader(trivial_datum(s, a))
-    with pytest.raises(ShapeError):
-        build_cross_product(BAT(s, a, phi12, phi21))
+def test_a_structure_without_m_is_refused_at_construction():
+    # every structure has its multiplication, so no reader of m needs a
+    # refusal of its own; dataclasses.replace constructs anew
+    a = group_hopf(2)
+    with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
+        Structure(a.space, None, a.eta, a.delta, a.eps, a.S)
+    with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
+        dataclasses.replace(a, m=None)
 
 
 def test_fuse_refuses_a_space_of_the_wrong_dimension():

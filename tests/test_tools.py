@@ -25,3 +25,14 @@ def test_evidence_digests_refuses_a_second_run(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "is held by another run" in err
+
+
+def test_every_mutant_edits_text_that_occurs_once():
+    # a refactor that moves code must move its mutants with it; the gate
+    # itself, which runs each mutant's tests, is a CI step of its own
+    tool = load_tool("mutants")
+    assert tool.misplaced() == []
+    for m in tool.MUTANTS:
+        assert m.new != m.old and m.tests, m
+        assert all(t.startswith("tests/test_") and "::" in t
+                   for t in m.tests), m

@@ -7,12 +7,17 @@ as strong (hopf covers bialgebra, which covers algebra and coalgebra).
 """
 
 import dataclasses
+import importlib.util
 import json
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from crossbial import cli, crossproduct, datum, structures, twisting, zoo
+from crossbial import (cli, crossproduct, datum, linmaps, structures,
+                       twisting, zoo)
 from crossbial.datum import ConsistencyError, check_hopf_datum
 from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.scalars import root_of_unity
@@ -448,11 +453,11 @@ def test_double_biproduct_solves_once_over_b_c(monkeypatch):
                           structures, twisting)
     assert double_biproduct(inp)["report"].ok
     assert [args[1].space for args in solves] == [
-        structures.tensor_coalgebra(inp.B, inp.C).space]
+        structures.tensor_structure(inp.B, inp.C).space]
 
 
 def test_twist_builds_delta_b_b_once_and_chi_dot_m_once(monkeypatch):
-    # B (x) B is one tensor coalgebra per twist: the cocycle report and the
+    # B (x) B is one tensor structure per twist: the cocycle report and the
     # twist's body read its Delta and share chi.m, and chi^- is solved
     # over it
     gg, c = bicharacter_cocycle(4)
@@ -468,15 +473,26 @@ class MultiplicationBuilt(Exception):
     pass
 
 
-def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
-    # Every input is built first; then the builder of a tensor product's
-    # multiplication (a cross product's whose phi21 is the flip) raises,
-    # and each solve over a tensor coalgebra must still return what it
-    # returned before.  The double biproduct's Z and its one-sided
-    # products are cross products of Hopf data, which the spy lets through.
+def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch,
+                                                            tmp_path):
+    # Every input is built first; then a flip multiplication (a cross
+    # product's m whose phi21 is the flip) that is built raises when it is
+    # evaluated.  Each solve over a tensor_structure reads only its eta,
+    # delta and eps, so it must still return what it returned before, and
+    # a whole pass of the twist workload must pass.  The double biproduct's
+    # Z and its one-sided products are cross products of Hopf data, which
+    # the spy lets through.
     gg, c = bicharacter_cocycle(2)
     pairing = canonical_pairing(3)
     dinp = sweedler_rho(1)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.setup_twist(random.Random(1), str(tmp_path), "full").jobs
 
     def run():
         inv = cocycle_inverse(c)
@@ -487,18 +503,32 @@ def test_convolution_inverses_build_no_tensor_multiplication(monkeypatch):
                 out["rho_hat"], out["Z_twisted"], out["report"].to_json())
 
     want = run()
+    flips = []
+    cross_mult, evaluate = structures._cross_mult, linmaps._Pending.__getattr__
 
-    cross_mult = structures._cross_mult
-
-    def no_multiplication(b1, b2, phi21):
+    def watched(b1, b2, phi21):
+        m = cross_mult(b1, b2, phi21)
         if phi21 == flip(b2.space, b1.space):
-            raise MultiplicationBuilt
-        return cross_mult(b1, b2, phi21)
+            flips.append(m)
+        return m
 
-    monkeypatch.setattr(structures, "_cross_mult", no_multiplication)
+    def no_multiplication(self, name):
+        if any(self is m for m in flips):
+            raise MultiplicationBuilt
+        return evaluate(self, name)
+
+    monkeypatch.setattr(structures, "_cross_mult", watched)
+    monkeypatch.setattr(linmaps._Pending, "__getattr__", no_multiplication)
     with pytest.raises(MultiplicationBuilt):
-        structures.tensor_structure(gg, gg)
+        structures.tensor_structure(gg, gg).m.entries
+    flips.clear()
     assert run() == want
+    state = {}
+    for job in jobs:
+        ok, why, _ = job.run(state)
+        assert ok, (job.name, why)
+    # the solves built flip multiplications, and evaluated none of them
+    assert flips and all(linmaps._pending_rows(m) for m in flips)
 
 
 def test_braided_matched_pair_run_checks_each_structure_once(
