@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossbial import structures
+from crossbial import linmaps, structures
 from crossbial.crossproduct import (BAT, IdempotentSystem, build_bialgebra,
                                     decompose)
 from crossbial.datum import build_phi_superoperator, phi_apply
@@ -712,14 +712,25 @@ def test_the_dual_of_a_tower_is_hopf(case):
     assert rep.ok, rep.failed()
 
 
-def test_a_structure_without_m_is_refused_at_construction():
-    # every structure has its multiplication, so no reader of m needs a
-    # refusal of its own; dataclasses.replace constructs anew
-    a = group_hopf(2)
-    with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
-        Structure(a.space, None, a.eta, a.delta, a.eps, a.S)
-    with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
-        dataclasses.replace(a, m=None)
+@pytest.mark.parametrize("build", ["tensor_coalgebra", "bare"])
+def test_a_structure_without_m_is_a_coalgebra_and_nothing_more(build):
+    # every structure has its multiplication: a bare one without m is
+    # refused at construction (dataclasses.replace constructs anew), and
+    # the tensor coalgebra is tensor_structure, whose m stays pending
+    # through a coalgebra check, which reads eta, delta and eps only
+    a, b = group_hopf(2), group_hopf(3)
+    if build == "tensor_coalgebra":
+        s = tensor_structure(a, b)
+        rep = check_axioms(s, "coalgebra")
+        assert rep.ok, rep.failed()
+        assert linmaps._pending_rows(s.m) is not None
+        with pytest.raises(ShapeError, match=r"has no multiplication$"):
+            dataclasses.replace(s, m=None)
+    else:
+        with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
+            Structure(a.space, None, a.eta, a.delta, a.eps, a.S)
+        with pytest.raises(ShapeError, match=r"^kC2 has no multiplication$"):
+            dataclasses.replace(a, m=None)
 
 
 def test_fuse_refuses_a_space_of_the_wrong_dimension():

@@ -60,7 +60,7 @@ MUTANTS = [
            "            raise ShapeError(f\"{self.space.name} has no "
            "multiplication\")\n", "",
            ("tests/test_structures.py::"
-            "test_a_structure_without_m_is_refused_at_construction",)),
+            "test_a_structure_without_m_is_a_coalgebra_and_nothing_more",)),
     # a cross product's m is built at once
     Mutant("structures.py",
            "    return (b1.m @ b2.m) * (b1.id_map() @ phi21 @ b2.id_map())\n",
