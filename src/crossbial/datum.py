@@ -11,8 +11,8 @@ and finds the recursion order as a nilpotency computation.  phi_apply
 evaluates the operator on one f: as one sparse mat-vec when the datum
 keeps that matrix, otherwise by applying f at the cut on the diagram's
 bottom half; it never builds the matrix itself.  A datum's check report,
-that bottom half and the superoperator are cached properties of the
-datum, computed once per datum object.
+its induced maps, that bottom half and the superoperator are cached
+properties of the datum, computed once per datum object.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .linmaps import (
     LinMap,
     Space,
     UNIT,
-    apply_at,
     dim_of,
     pipeline_as_linmap,
     rebind,
@@ -74,8 +73,9 @@ class HopfDatum:
     A datum and its maps are immutable once built, as LinMap._cols and
     _ones already assume, so what a datum determines is a cached property,
     computed on the first request and kept in the datum object's __dict__:
-    _report (the check_hopf_datum report), _bottom (the bottom half of
-    Phi's split diagram) and _phi (Phi's superoperator matrix).  Nothing
+    _report (the check_hopf_datum report), _induced (induced_structures'
+    maps), _bottom (the bottom half of Phi's split diagram) and _phi
+    (Phi's superoperator matrix).  Nothing
     is kept when a body raises, and only this module reads them.  ==, hash
     and repr see the fields alone, and dataclasses.replace starts with
     none of them kept.
@@ -128,14 +128,27 @@ class HopfDatum:
         s1, s2 = self.b1.space, self.b2.space
         require_boundaries(("S1", S1, (s1,), (s1,)), ("S2", S2, (s2,), (s2,)))
         i1, i2, _, _ = canonical_maps(self.b1, self.b2, X.space)
-        sigma_l, sigma_r = (run_pipeline([[c], [i2 * S2, i1 * S1], [X.m]])
+        sigma_l, sigma_r = (X.m * ((i2 * S2) @ (i1 * S1)) * c
                             for c in (self.coact_l, self.coact_r))
         tau = rebind(self.braiding.braiding(s1, s2), (X.space,), (s2, s1))
-        return replace(X, S=run_pipeline([[tau], [sigma_r, sigma_l], [X.m]]))
+        return replace(X, S=X.m * (sigma_r @ sigma_l) * tau)
 
     @cached_property
     def _report(self) -> CheckReport:
         return _check_hopf_datum(self)
+
+    @cached_property
+    def _induced(self) -> InducedMaps:
+        """The mixed maps and cross_structure's m and delta, rebound onto
+        the two strands B1, B2.  m and delta are read here, so a caller's
+        composite of them finds them evaluated."""
+        phi12, phi21 = _mixed_maps(self)
+        X = cross_structure(self.b1, self.b2, phi12, phi21)
+        X.m.entries
+        X.delta.entries
+        s12 = (self.b1.space, self.b2.space)
+        return InducedMaps(phi12, phi21, rebind(X.m, s12 * 2, s12, "m"),
+                           rebind(X.delta, s12, s12 * 2, "delta"))
 
     @cached_property
     def _bottom(self) -> LinMap:
@@ -168,10 +181,10 @@ def _mixed_maps(d: HopfDatum) -> Tuple[LinMap, LinMap]:
     s1, s2 = d.b1.space, d.b2.space
     id1, id2 = d.b1.id_map(), d.b2.id_map()
     ps12, ps21 = d.braiding.braiding(s1, s2), d.braiding.braiding(s2, s1)
-    phi12 = run_pipeline([[d.coact_l, d.coact_r], [id2, ps12, id1],
-                          [d.b2.m, d.b1.m]])
-    phi21 = run_pipeline([[d.b2.delta, d.b1.delta], [id2, ps21, id1],
-                          [d.act_l, d.act_r]])
+    phi12 = ((d.b2.m @ d.b1.m) * (id2 @ ps12 @ id1)
+             * (d.coact_l @ d.coact_r))
+    phi21 = ((d.act_l @ d.act_r) * (id2 @ ps21 @ id1)
+             * (d.b2.delta @ d.b1.delta))
     return phi12, phi21
 
 
@@ -226,45 +239,45 @@ def _check_hopf_datum(d: HopfDatum) -> CheckReport:
     phi12, phi21 = _mixed_maps(d)
 
     e2ep1, e1ep2 = e2 * ep1, e1 * ep2
-    ep2ep1, e2e1 = run_pipeline([[ep2, ep1]]), apply_at(e2, e1, 1)
+    ep2ep1, e2e1 = ep2 @ ep1, (id2 @ e1) * e2
     laws = [
         # how the units and counits pass through the four interaction maps
-        ("unit-act-r", run_pipeline([[e2, id1], [ar]]), e2ep1),
-        ("counit-coact-l", apply_at(cl, ep1, 1), e2ep1),
+        ("unit-act-r", ar * (e2 @ id1), e2ep1),
+        ("counit-coact-l", (id2 @ ep1) * cl, e2ep1),
         ("act-r-counit", ep2 * ar, ep2ep1),
         ("act-l-counit", ep1 * al, ep2ep1),
-        ("unit-act-l", run_pipeline([[id2, e1], [al]]), e1ep2),
-        ("counit-coact-r", apply_at(cr, ep2, 0), e1ep2),
+        ("unit-act-l", al * (id2 @ e1), e1ep2),
+        ("counit-coact-r", (ep2 @ id1) * cr, e1ep2),
         ("coact-r-unit", cr * e2, e2e1),
         ("coact-l-unit", cl * e1, e2e1),
         # multiplicatively perturbed coproducts on each factor
-        ("alg-coalg-1", dl1 * m1, run_pipeline(
-            [[dl1, dl1], [id1, cl, id1, id1], [id1, id2, ps11, id1],
-             [id1, al, id1, id1], [m1, m1]])),
-        ("alg-coalg-2", dl2 * m2, run_pipeline(
-            [[dl2, dl2], [id2, id2, cr, id2], [id2, ps22, id1, id2],
-             [id2, id2, ar, id2], [m2, m2]])),
-        ("module-comodule", run_pipeline(
-            [[dl2, dl1], [id2, ps21, id1], [al, ar], [cl, cr],
-             [id2, ps12, id1], [m2, m1]]), run_pipeline(
-            [[dl2, dl1], [cr, ps21, cl], [id2, ps11, ps22, id1],
-             [ar, ps12, al], [m2, m1]])),
-        ("module-algebra-1", run_pipeline([[m2, id1], [ar]]),
-         run_pipeline([[id2, phi21], [ar, id2], [m2]])),
-        ("module-algebra-2", run_pipeline([[id2, m1], [al]]),
-         run_pipeline([[phi21, id1], [id1, al], [m1]])),
-        ("comodule-coalgebra-1", apply_at(cr, dl2, 0),
-         run_pipeline([[dl2], [cr, id2], [id2, phi12]])),
-        ("comodule-coalgebra-2", apply_at(cl, dl1, 1),
-         run_pipeline([[dl1], [id1, cl], [phi12, id1]])),
-        ("module-coalgebra-1", dl2 * ar, run_pipeline(
-            [[dl2, dl1], [id2, ps21, cl], [ar, ps22, id1], [m2, ar]])),
-        ("module-coalgebra-2", dl1 * al, run_pipeline(
-            [[dl2, dl1], [cr, ps21, id1], [id2, ps11, al], [al, m1]])),
-        ("comodule-algebra-1", cr * m2, run_pipeline(
-            [[dl2, cr], [cr, ps22, id1], [id2, ps12, al], [m2, m1]])),
-        ("comodule-algebra-2", cl * m1, run_pipeline(
-            [[cl, dl1], [id2, ps11, cl], [ar, ps12, id1], [m2, m1]])),
+        ("alg-coalg-1", dl1 * m1,
+         (m1 @ m1) * (id1 @ al @ id1 @ id1) * (id1 @ id2 @ ps11 @ id1)
+         * (id1 @ cl @ id1 @ id1) * (dl1 @ dl1)),
+        ("alg-coalg-2", dl2 * m2,
+         (m2 @ m2) * (id2 @ id2 @ ar @ id2) * (id2 @ ps22 @ id1 @ id2)
+         * (id2 @ id2 @ cr @ id2) * (dl2 @ dl2)),
+        ("module-comodule",
+         (m2 @ m1) * (id2 @ ps12 @ id1) * (cl @ cr) * (al @ ar)
+         * (id2 @ ps21 @ id1) * (dl2 @ dl1),
+         (m2 @ m1) * (ar @ ps12 @ al) * (id2 @ ps11 @ ps22 @ id1)
+         * (cr @ ps21 @ cl) * (dl2 @ dl1)),
+        ("module-algebra-1", ar * (m2 @ id1),
+         m2 * (ar @ id2) * (id2 @ phi21)),
+        ("module-algebra-2", al * (id2 @ m1),
+         m1 * (id1 @ al) * (phi21 @ id1)),
+        ("comodule-coalgebra-1", (dl2 @ id1) * cr,
+         (id2 @ phi12) * (cr @ id2) * dl2),
+        ("comodule-coalgebra-2", (id2 @ dl1) * cl,
+         (phi12 @ id1) * (id1 @ cl) * dl1),
+        ("module-coalgebra-1", dl2 * ar,
+         (m2 @ ar) * (ar @ ps22 @ id1) * (id2 @ ps21 @ cl) * (dl2 @ dl1)),
+        ("module-coalgebra-2", dl1 * al,
+         (al @ m1) * (id2 @ ps11 @ al) * (cr @ ps21 @ id1) * (dl2 @ dl1)),
+        ("comodule-algebra-1", cr * m2,
+         (m2 @ m1) * (id2 @ ps12 @ al) * (cr @ ps22 @ id1) * (dl2 @ cr)),
+        ("comodule-algebra-2", cl * m1,
+         (m2 @ m1) * (ar @ ps12 @ id1) * (id2 @ ps11 @ cl) * (cl @ dl1)),
     ]
     return CheckReport(entries + [compare(*law) for law in laws])
 
@@ -286,18 +299,11 @@ def induced_structures(d: HopfDatum) -> InducedMaps:
 
     Refuses (PreconditionError carrying the report) when the datum check
     fails; for a valid datum the returned m_B with eta_1(x)eta_2 is an
-    algebra and delta_B with eps_1(x)eps_2 a coalgebra.
+    algebra and delta_B with eps_1(x)eps_2 a coalgebra.  The maps are the
+    datum's cached _induced, built once per datum object.
     """
     check_hopf_datum(d).require("datum fails {}")
-    phi12, phi21 = _mixed_maps(d)
-    X = cross_structure(d.b1, d.b2, phi12, phi21)
-    # m is read here, so m_B shares evaluated entries: a caller's composite
-    # of evaluated maps is one kernel call, where a pending m_B would be a
-    # row of a diagram that evaluates it (delta is built evaluated)
-    X.m.entries
-    s12 = (d.b1.space, d.b2.space)
-    return InducedMaps(phi12, phi21, rebind(X.m, s12 * 2, s12, "m"),
-                       rebind(X.delta, s12, s12 * 2, "delta"))
+    return d._induced
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +375,9 @@ def phi_apply(d: HopfDatum, f: LinMap) -> LinMap:
                                         in f.entries.items()}}).get(0, {})
         return LinMap._trusted(d.quad, d.quad,
                                {divmod(r, dV): x for r, x in col.items()})
-    at_cut = apply_at(d._bottom, f, 3)
+    cut = d._bottom.cod
+    at_cut = (LinMap.identity(cut[:3]) @ f @ LinMap.identity(cut[7:])
+              ) * d._bottom
     return pipeline_as_linmap([[at_cut]] + _phi_layers(d)[_CUT:])
 
 

@@ -8,24 +8,26 @@ factor most significant — every equality downstream depends on this
 convention.
 
 Composition is `g * f` (apply f first) and tensoring is `f @ g`; both
-build string diagrams, and run_pipeline is the one evaluator.  `f @ g`
-is a pending one-row diagram, and `g * f` of two evaluated maps is one
-call of the strand kernel, `apply_at`; with a pending operand it is a
-pending diagram made of both operands' rows.  A pending map is evaluated
+build string diagrams, and run_pipeline, this module's evaluator, is the
+one that evaluates them.  `f @ g` is a pending one-row diagram, and
+`g * f` is the pending diagram whose first row is f alone, below g's
+rows: only the later operand lends its rows.  So `c * b * a` is the rows
+[[a], [b], [c]], a seed s pushed through `lhs * s` pushes its own columns
+only, and a composite that is also another's input is one factor there,
+evaluated once and kept on its own object.  A pending map is evaluated
 by run_pipeline the first time its entries are read, and the result is
-kept, so it is evaluated once.  In a later row a pending tensor is
-applied factor by factor and never built; as the first row of a
-composite it stays one factor, evaluated and kept on its own object.  A
-first row of several factors is written down as their Kronecker
-product, entry for entry what the kernel would build from the identity
-on their domain strands.  rebind relabels a map's strands; a relabelled
-pending map stays pending, one opaque factor wherever it goes.
+kept.  In a later row a pending tensor is applied factor by factor and
+never built; as the first row of a composite it stays one factor.  A
+first row of several factors is written down as their Kronecker product,
+entry for entry what the kernel would build from the identity on their
+domain strands.  rebind relabels a map's strands; a relabelled pending
+map stays pending, one opaque factor wherever it goes.
 
 A boundary mismatch raises ShapeError at the operator; a scalar error,
-such as ConductorMixError, raises at the first read.  A pending
-composite lends its rows to an enclosing composite, so a composite that
-is both read on its own and composed further would be evaluated twice:
-src/ writes such a reused composite as a run_pipeline call.
+such as ConductorMixError, raises at the first read.  The rows of Phi's
+split diagram (datum._phi_layers) are the one diagram kept as a row
+list, because it is cut at a stated row and pushed in blocks
+(pipeline_as_linmap).
 """
 
 from __future__ import annotations
@@ -214,17 +216,13 @@ class LinMap:
     # -- algebra -----------------------------------------------------------
 
     def compose(self, f: "LinMap") -> "LinMap":
-        """self after f: the strand kernel with self on all of f's
-        codomain when both are evaluated, else a pending diagram of f's
-        rows below self's."""
+        """self after f: the pending diagram whose input is f, one factor,
+        below self's rows."""
         if f.cod != self.dom:
             raise ShapeError(
                 f"cannot compose: inner boundaries differ "
                 f"({[s.name for s in f.cod]} vs {[s.name for s in self.dom]})")
-        if _pending_rows(f) is None and _pending_rows(self) is None:
-            return apply_at(f, self, 0)
-        return _Pending._diagram(f.dom, self.cod,
-                                 _lent_rows(f) + _lent_rows(self))
+        return _Pending._diagram(f.dom, self.cod, [[f]] + _lent_rows(self))
 
     def __mul__(self, other):
         if isinstance(other, LinMap):
@@ -274,9 +272,8 @@ def _pending_rows(f: LinMap) -> Optional[List[List[LinMap]]]:
 
 
 def _lent_rows(f: LinMap) -> List[List[LinMap]]:
-    """The rows f gives an enclosing composite: a pending composite's own
-    rows, else f as one factor (a pending tensor too, so that as a first
-    row it is evaluated and kept on its own object)."""
+    """The rows f gives a composite whose later operand it is: a pending
+    composite's own rows, else f as one factor."""
     rows = _pending_rows(f)
     return rows if rows is not None and len(rows) > 1 else [[f]]
 

@@ -12,6 +12,8 @@ encoding is cli's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import matmul
 from typing import Dict, List, Optional, Tuple
 
 from .linmaps import (
@@ -24,12 +26,10 @@ from .linmaps import (
     UNIT,
     YetterDrinfeld,
     _reduce_step,
-    apply_at,
     flip,
     rebind,
     reduce_rows,
     require_boundaries,
-    run_pipeline,
     unflatten,
 )
 from .scalars import ONE, ZERO, Scalar, VerifiedFailure, scalar_to_json
@@ -169,10 +169,8 @@ def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
     """The structure A induces on the source of the injection i through the
     projection p: (p m (i (x) i), p eta, (p (x) p) delta i, eps i).  Nothing
     is verified here."""
-    m = run_pipeline([[i, i], [A.m], [p]])
-    return Structure(i.dom[0], m, run_pipeline([[A.eta], [p]]),
-                     run_pipeline([[i], [A.delta], [p, p]]),
-                     run_pipeline([[i], [A.eps]]))
+    return Structure(i.dom[0], p * A.m * (i @ i), p * A.eta,
+                     (p @ p) * A.delta * i, A.eps * i)
 
 
 def fuse(space: Space, m: LinMap, eta: LinMap, delta: LinMap,
@@ -208,8 +206,7 @@ def _cross_mult(b1: Structure, b2: Structure, phi21: LinMap) -> LinMap:
 
 def _cross_comult(b1: Structure, b2: Structure, phi12: LinMap) -> LinMap:
     """delta = (id (x) phi12 (x) id) o (delta1 (x) delta2) on B1(x)B2."""
-    return run_pipeline([[b1.delta, b2.delta],
-                         [b1.id_map(), phi12, b2.id_map()]])
+    return (b1.id_map() @ phi12 @ b2.id_map()) * (b1.delta @ b2.delta)
 
 
 def cross_structure(b1: Structure, b2: Structure, phi12: LinMap,
@@ -309,17 +306,18 @@ def _generators(m: LinMap, space: Space) -> Optional[LinMap]:
                   {(j, k): ONE for k, j in enumerate(gens)})
 
 
-def _law(axiom: str, lhs: List[List[LinMap]], rhs: List[List[LinMap]],
-         shortcut: Optional[Tuple[List[List[LinMap]], List[List[LinMap]]]]
-         ) -> CheckEntry:
-    """compare(axiom) of the diagrams lhs and rhs.  A shortcut is a pair of
-    smaller diagrams whose agreement implies the law: when they agree the
-    law passes, and otherwise the full diagrams are evaluated, so that a
-    failing entry and its witness never depend on the shortcut."""
-    if shortcut is not None and (run_pipeline(shortcut[0]).entries
-                                 == run_pipeline(shortcut[1]).entries):
+def _law(axiom: str, lhs: LinMap, rhs: LinMap,
+         shortcut: Optional[Tuple[LinMap, LinMap]]) -> CheckEntry:
+    """compare(axiom) of the pending diagrams lhs and rhs.  A shortcut is
+    a pair of smaller pending diagrams whose agreement implies the law,
+    such as lhs * seed and rhs * seed for a seed onto generators: when they
+    agree the law passes and lhs and rhs are never read, and otherwise
+    they are, so that a failing entry and its witness never depend on the
+    shortcut."""
+    if shortcut is not None and (shortcut[0].entries
+                                 == shortcut[1].entries):
         return CheckEntry(axiom, True)
-    return compare(axiom, run_pipeline(lhs), run_pipeline(rhs))
+    return compare(axiom, lhs, rhs)
 
 
 def _without_unit(g: LinMap, unit: Optional[LinMap]) -> LinMap:
@@ -350,8 +348,8 @@ def _light_test(m: LinMap, g: Optional[LinMap], unit: Optional[LinMap]):
     if g is None:
         return None
     i = LinMap.identity(m.cod)
-    seed = [i, _without_unit(g, unit), i]
-    return [seed, [m, i], [m]], [seed, [i, m], [m]]
+    seed = i @ _without_unit(g, unit) @ i
+    return m * (m @ i) * seed, m * (i @ m) * seed
 
 
 def _algebra_entries(s: Structure, g: Optional[LinMap]) -> List[CheckEntry]:
@@ -359,20 +357,20 @@ def _algebra_entries(s: Structure, g: Optional[LinMap]) -> List[CheckEntry]:
     associativity is checked first by Light's test on the generators,
     after the unit laws, which let it leave the unit out."""
     i = s.id_map()
-    units = [compare("left-unit", run_pipeline([[s.eta, i], [s.m]]), i),
-             compare("right-unit", run_pipeline([[i, s.eta], [s.m]]), i)]
+    units = [compare("left-unit", s.m * (s.eta @ i), i),
+             compare("right-unit", s.m * (i @ s.eta), i)]
     unital = units[0].ok and units[1].ok
-    return [_law("associativity", [[s.m, i], [s.m]], [[i, s.m], [s.m]],
+    return [_law("associativity", s.m * (s.m @ i), s.m * (i @ s.m),
                  _light_test(s.m, g, s.eta if unital else None))] + units
 
 
 def _coalgebra_entries(s: Structure) -> List[CheckEntry]:
     i = s.id_map()
     return [
-        compare("coassociativity", apply_at(s.delta, s.delta, 0),
-                apply_at(s.delta, s.delta, 1)),
-        compare("left-counit", apply_at(s.delta, s.eps, 0), i),
-        compare("right-counit", apply_at(s.delta, s.eps, 1), i),
+        compare("coassociativity", (s.delta @ i) * s.delta,
+                (i @ s.delta) * s.delta),
+        compare("left-counit", (s.eps @ i) * s.delta, i),
+        compare("right-counit", (i @ s.eps) * s.delta, i),
     ]
 
 
@@ -399,7 +397,7 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
         entries += _coalgebra_entries(s)
     if kind in ("bialgebra", "hopf"):
         unit_comult = compare("unit-comult", s.delta * s.eta,
-                              apply_at(s.eta, s.eta, 1))
+                              (i @ s.eta) * s.eta)
         # Once m is associative (entries[1]) and under the flip, the a with
         # delta(a y) = delta(a) delta(y) for all y are closed under m too;
         # they hold 1 once the unit laws (entries[2:4]) and unit-comult do
@@ -410,22 +408,19 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
             g = _without_unit(g, s.eta if unital else None)
         if psi is None:
             psi = bp.braiding(s.space, s.space)
-        lhs = [[s.m], [s.delta]]
-        rhs = [[s.delta, s.delta], [i, psi, i], [s.m, s.m]]
+        lhs = s.delta * s.m
+        rhs = (s.m @ s.m) * (i @ psi @ i) * (s.delta @ s.delta)
         entries.append(_law("mult-comult", lhs, rhs,
-                            ([[g, i]] + lhs, [[g, i]] + rhs) if seeded
+                            (lhs * (g @ i), rhs * (g @ i)) if seeded
                             else None))
         entries.append(unit_comult)
-        entries.append(compare("counit-mult", s.eps * s.m,
-                               run_pipeline([[s.eps, s.eps]])))
+        entries.append(compare("counit-mult", s.eps * s.m, s.eps @ s.eps))
     if kind == "hopf":
         ue = s.unit_counit()
-        entries.append(compare(
-            "left-antipode",
-            run_pipeline([[s.delta], [s.S, i], [s.m]]), ue))
-        entries.append(compare(
-            "right-antipode",
-            run_pipeline([[s.delta], [i, s.S], [s.m]]), ue))
+        entries.append(compare("left-antipode", s.m * (s.S @ i) * s.delta,
+                               ue))
+        entries.append(compare("right-antipode", s.m * (i @ s.S) * s.delta,
+                               ue))
     return CheckReport(entries)
 
 
@@ -444,18 +439,17 @@ def _action_report(carrier: Space, actor: Structure, f: LinMap, kind: str,
     im, ih = LinMap.identity((carrier,)), LinMap.identity((actor.space,))
 
     def row(h, x):
-        return [h, x] if left else [x, h]
+        return h @ x if left else x @ h
 
     if co:
-        unit = [[f], row(actor.eps, im)]
-        lhs, rhs = [[f], row(actor.delta, im)], [[f], row(ih, f)]
+        unit = row(actor.eps, im) * f
+        lhs, rhs = row(actor.delta, im) * f, row(ih, f) * f
     else:
-        unit = [row(actor.eta, im), [f]]
-        lhs, rhs = [row(actor.m, im), [f]], [row(ih, f), [f]]
+        unit = f * row(actor.eta, im)
+        lhs, rhs = f * row(actor.m, im), f * row(ih, f)
     return CheckReport([
-        compare(f"{tag}{co}unit", run_pipeline(unit), im),
-        compare(f"{tag}{co}associativity", run_pipeline(lhs),
-                run_pipeline(rhs))])
+        compare(f"{tag}{co}unit", unit, im),
+        compare(f"{tag}{co}associativity", lhs, rhs)])
 
 
 # -- crossed modules --------------------------------------------------------
@@ -478,13 +472,15 @@ def _crossed_module_report(carrier: Space, host: Structure, act: LinMap,
     if side == "left":
         psi_mh, psi_hm = psi_hm, psi_mh
     loop = coact * act
-    lhs = [[coact, host.delta], [im, psi_hh, ih], [act, host.m]]
-    rhs = [[im, host.delta], [psi_mh, ih], [ih, loop], [psi_hm, ih],
-           [im, host.m]]
-    if side == "left":
-        lhs, rhs = ([r[::-1] for r in rows] for rows in (lhs, rhs))
+
+    def row(*fs):
+        return reduce(matmul, fs if side == "right" else fs[::-1])
+
+    lhs = row(act, host.m) * row(im, psi_hh, ih) * row(coact, host.delta)
+    rhs = (row(im, host.m) * row(psi_hm, ih) * row(ih, loop)
+           * row(psi_mh, ih) * row(im, host.delta))
     return CheckReport(mod.entries + com.entries + (compare(
-        "crossed-compatibility", run_pipeline(lhs), run_pipeline(rhs)),))
+        "crossed-compatibility", lhs, rhs),))
 
 
 def _yd_providers(host: Structure, *groups) -> list:
@@ -538,11 +534,10 @@ def morphism_reports(f: LinMap, src: Structure, dst: Structure,
     "-counital"), as two reports; tag also names f's boundary slot."""
     require_boundaries((tag, f, (src.space,), (dst.space,)))
     return (CheckReport([
-        compare(f"{tag}-multiplicative", f * src.m,
-                dst.m * run_pipeline([[f, f]])),
+        compare(f"{tag}-multiplicative", f * src.m, dst.m * (f @ f)),
         compare(f"{tag}-unital", f * src.eta, dst.eta)]), CheckReport([
-        compare(f"{tag}-comultiplicative",
-                run_pipeline([[src.delta], [f, f]]), dst.delta * f),
+        compare(f"{tag}-comultiplicative", (f @ f) * src.delta,
+                dst.delta * f),
         compare(f"{tag}-counital", dst.eps * f, src.eps)]))
 
 
@@ -559,7 +554,7 @@ def classify_morphism(f: LinMap, src: Structure, dst: Structure) -> dict:
 def convolution_product(f: LinMap, g: LinMap, coalg: Structure,
                         alg: Structure) -> LinMap:
     """f * g = m o (f (x) g) o delta in Hom(C, A)."""
-    return alg.m * run_pipeline([[coalg.delta], [f, g]])
+    return alg.m * (f @ g) * coalg.delta
 
 
 def _inverse_report(f: LinMap, g: LinMap, coalg: Structure,
@@ -594,8 +589,8 @@ def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
     ida, idc = LinMap.identity((A,)), LinMap.identity((C,))
-    X = run_pipeline([[ida, coalg.delta], [flip(A, C), idc], [f, ida, idc],
-                      [alg.m, idc]])
+    X = ((alg.m @ idc) * (f @ ida @ idc) * (flip(A, C) @ idc)
+         * (ida @ coalg.delta))
     rhs = da * dc  # the right-hand side rides along as one extra column
     rows = [{rhs: alg.eta.entry(u, 0) * coalg.eps.entry(0, v)}
             for u in range(da) for v in range(dc)]

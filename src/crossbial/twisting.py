@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 from .datum import ConsistencyError, HopfDatum, check_hopf_datum
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
                       UNIT, YetterDrinfeld, flip, pipeline_as_linmap, rebind,
-                      require_boundaries, run_pipeline)
+                      require_boundaries)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -124,9 +124,9 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     require_boundaries(("chi", chi, f.dom, UNIT),
                        ("delta", delta, f.dom, f.dom * 2))
     if side == "left":
-        return run_pipeline([[delta], [chi, f]])
+        return (chi @ f) * delta
     if side == "right":
-        return run_pipeline([[delta], [f, chi]])
+        return (f @ chi) * delta
     raise ValueError(f"unknown side {side!r}")
 
 
@@ -197,14 +197,14 @@ def _cocycle_report(c: TwoCocycle, chi_m: LinMap) -> CheckReport:
     b = c.host
     idb = b.id_map()
     g = _generators(chi_m, b.space)
-    left_unit = run_pipeline([[b.eta, idb], [c.chi]])
-    right_unit = run_pipeline([[idb, b.eta], [c.chi]])
+    left_unit = c.chi * (b.eta @ idb)
+    right_unit = c.chi * (idb @ b.eta)
     units = [compare("2cocycle2-left", left_unit, b.eps),
              compare("2cocycle2-right", right_unit, b.eps)]
     # chi(1, y) = eps(y) = chi(y, 1) makes the host's unit chi.m's unit
     unital = units[0].ok and units[1].ok
     return CheckReport([
-        _law("2cocycle1", [[idb, chi_m], [c.chi]], [[chi_m, idb], [c.chi]],
+        _law("2cocycle1", c.chi * (idb @ chi_m), c.chi * (chi_m @ idb),
              _light_test(chi_m, g, b.eta if unital else None)),
         *units,
         compare("2cocycle2-agree", left_unit, right_unit),
@@ -250,9 +250,9 @@ def _twist(c: TwoCocycle, error) -> Tuple[Structure, CheckReport]:
     m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
     S_chi = None
     if b.S is not None:
-        u = run_pipeline([[b.delta], [b.id_map(), b.S], [c.chi]])
+        u = c.chi * (b.id_map() @ b.S) * b.delta
         # Doi's identity: u^- = chi^- o (S (x) id) o Delta
-        u_inv = run_pipeline([[b.delta], [b.S, b.id_map()], [chi_inv]])
+        u_inv = chi_inv * (b.S @ b.id_map()) * b.delta
         S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
                          "right", b.delta)
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)
@@ -280,16 +280,14 @@ def validate_pairing(p: DualPairing) -> CheckReport:
         check_axioms(st, "bialgebra").require(f"{tag} fails {{}}")
     H, A, form = p.H, p.A, p.form
     idh, ida = H.id_map(), A.id_map()
-    hook = [[idh, form, ida], [form]]         # H(x)H(x)A(x)A -> k
+    hook = form * (idh @ form @ ida)          # H(x)H(x)A(x)A -> k
     entries = [
-        compare("pairing-mult-h", run_pipeline([[H.m, ida], [form]]),
-                run_pipeline([[idh, idh, A.delta]] + hook)),
-        compare("pairing-mult-a", run_pipeline([[idh, A.m], [form]]),
-                run_pipeline([[H.delta, ida, ida]] + hook)),
-        compare("pairing-unit-h", run_pipeline([[H.eta, ida], [form]]),
-                A.eps),
-        compare("pairing-unit-a", run_pipeline([[idh, A.eta], [form]]),
-                H.eps),
+        compare("pairing-mult-h", form * (H.m @ ida),
+                hook * (idh @ idh @ A.delta)),
+        compare("pairing-mult-a", form * (idh @ A.m),
+                hook * (H.delta @ ida @ ida)),
+        compare("pairing-unit-h", form * (H.eta @ ida), A.eps),
+        compare("pairing-unit-a", form * (idh @ A.eta), H.eps),
     ]
     return CheckReport(entries)
 
@@ -320,14 +318,13 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     sh, sa = H.space, A.space
     idh, ida = H.id_map(), A.id_map()
     pinv = pairing_inverse(p)
-    lhd = run_pipeline([[H.delta, A.delta], [H.delta, idh, ida, ida],
-                        [idh, FLIP.braiding_list((sh, sh), (sa,)), ida],
-                        [pinv, idh, form]])
-    rhd = run_pipeline([[H.delta, A.delta], [idh, idh, A.delta, ida],
-                        [idh, FLIP.braiding_list((sh,), (sa, sa)), ida],
-                        [pinv, ida, form]])
-    h_op = Structure(sh, run_pipeline([[flip(sh, sh)], [H.m]]), H.eta,
-                     H.delta, H.eps)
+    lhd = ((pinv @ idh @ form)
+           * (idh @ FLIP.braiding_list((sh, sh), (sa,)) @ ida)
+           * (H.delta @ idh @ ida @ ida) * (H.delta @ A.delta))
+    rhd = ((pinv @ ida @ form)
+           * (idh @ FLIP.braiding_list((sh,), (sa, sa)) @ ida)
+           * (idh @ idh @ A.delta @ ida) * (H.delta @ A.delta))
+    h_op = Structure(sh, H.m * flip(sh, sh), H.eta, H.delta, H.eps)
     drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, act_r=lhd))
     drep.require("the induced actions are no matched pair: {} fails",
                  ConsistencyError)
@@ -349,8 +346,8 @@ def _products(inp: DoubleBiproductInput
     hb = HopfDatum(H, B, act_r=inp.b_act, coact_r=inp.b_coact).product()
     _, i_h, _, p_h = canonical_maps(C, H, ch.space)
     idb = B.id_map()
-    z = HopfDatum(ch, B, act_r=run_pipeline([[idb, p_h], [inp.b_act]]),
-                  coact_r=run_pipeline([[inp.b_coact], [idb, i_h]]))
+    z = HopfDatum(ch, B, act_r=inp.b_act * (idb @ p_h),
+                  coact_r=(idb @ i_h) * inp.b_coact)
     name = f"({C.space.name}><{H.space.name}><{B.space.name})"
     return ch, hb, z.product(name)
 
@@ -423,27 +420,21 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
 
     entries = []
     # square of the mixed braidings against the action/coaction loop
-    loop = run_pipeline([[inp.b_coact, inp.c_coact],
-                         [idb, flip(sh, sh), idc],
-                         [inp.b_act, inp.c_act]])
+    loop = ((inp.b_act @ inp.c_act) * (idb @ flip(sh, sh) @ idc)
+            * (inp.b_coact @ inp.c_coact))
     entries.append(compare("double-braiding-trivial",
                            LinMap.identity((sb, sc)), loop))
     # pairing compatibilities
-    rho2 = [[idb, rho, idc], [rho]]           # B(x)B(x)C(x)C -> k
+    rho2 = rho * (idb @ rho @ idc)            # B(x)B(x)C(x)C -> k
     psi_dy = prov_r.braiding(sb, sb)
-    entries.append(compare("pairing-balance",
-                           run_pipeline([[inp.b_act, idc], [rho]]),
-                           run_pipeline([[idb, inp.c_act], [rho]])))
+    entries.append(compare("pairing-balance", rho * (inp.b_act @ idc),
+                           rho * (idb @ inp.c_act)))
     entries.append(compare(
-        "pairing-comult-c",
-        run_pipeline([[idb, C.m], [rho]]),
-        run_pipeline([[flip(sb, sb) * B.delta, idc, idc]]
-                     + rho2)))
+        "pairing-comult-c", rho * (idb @ C.m),
+        rho2 * ((flip(sb, sb) * B.delta) @ idc @ idc)))
     entries.append(compare(
-        "pairing-mult-b",
-        run_pipeline([[B.m, idc], [rho]]),
-        run_pipeline([[psi_dy, flip(sc, sc) * C.delta]]
-                     + rho2)))
+        "pairing-mult-b", rho * (B.m @ idc),
+        rho2 * (psi_dy @ (flip(sc, sc) * C.delta))))
     CheckReport(entries).require("pairing precondition fails: {}")
 
     ch, hb, Z = _products(inp)

@@ -779,6 +779,53 @@ def test_a_pending_map_is_evaluated_once_and_kept(monkeypatch):
     assert calls == []
 
 
+def _spy_apply_at(mp, calls):
+    """Record (m, f) of each kernel call, f the factor applied to m."""
+    real = linmaps.apply_at
+
+    def spy(m, f, pos):
+        calls.append((m, f))
+        return real(m, f, pos)
+    mp.setattr(linmaps, "apply_at", spy)
+
+
+def test_a_composite_read_and_used_as_an_input_is_evaluated_once(
+        monkeypatch):
+    # c is read on its own and is the input of h * c: it is one factor
+    # there, not its rows, so its top factor g runs once
+    f = _rand_map((X,), (Y,), 50)
+    u = _rand_map((Z,), (Z,), 51)
+    g = _rand_map((Y, Z), (X,), 52)
+    h = _rand_map((X,), (Y,), 53)
+    calls = []
+    _spy_apply_at(monkeypatch, calls)
+    c = g * (f @ u)
+    later = h * c
+    assert linmaps._pending_rows(later) == [[c], [h]]
+    want = apply_at(run_pipeline([[f, u]]), g, 0)
+    calls.clear()
+    assert c.entries == want.entries
+    assert later.entries == apply_at(want, h, 0).entries
+    assert [fac for _, fac in calls].count(g) == 1
+
+
+def test_a_chain_of_evaluated_maps_is_its_rows(monkeypatch):
+    # a * b * c stays pending as the rows [[c], [b], [a]]: its first
+    # kernel call takes c as input, and a o b is never built
+    c = _rand_map((X,), (Y,), 54)
+    b = _rand_map((Y,), (Z,), 55)
+    a = _rand_map((Z,), (X,), 56)
+    calls = []
+    _spy_apply_at(monkeypatch, calls)
+    chain = a * b * c
+    assert calls == []
+    assert linmaps._pending_rows(chain) == [[c], [b], [a]]
+    want = apply_at(apply_at(c, b, 0), a, 0)
+    calls.clear()
+    assert chain.entries == want.entries
+    assert [(m is c, fac) for m, fac in calls] == [(True, b), (False, a)]
+
+
 def test_a_relabelled_pending_map_stays_pending_and_opaque(monkeypatch):
     # rebind keeps a pending composite pending, as one factor in a later
     # row and in a tensor: its own rows run on X (x) Z, and apply_at checks

@@ -164,11 +164,12 @@ def test_a_refused_check_evaluates_no_diagram(monkeypatch, kind, error):
     H = radford(RadfordParams(8, 1, 8, 1))["H"]
     stripped = Structure(H.space, H.m, H.eta, H.delta, H.eps)
     calls = []
-    for name in ("run_pipeline", "compare", "_generators"):
-        def spy(*args, name=name, orig=getattr(structures, name)):
+    for mod, name in ((linmaps, "run_pipeline"), (structures, "compare"),
+                      (structures, "_generators")):
+        def spy(*args, name=name, orig=getattr(mod, name)):
             calls.append(name)
             return orig(*args)
-        monkeypatch.setattr(structures, name, spy)
+        monkeypatch.setattr(mod, name, spy)
     with pytest.raises(error):
         check_axioms(stripped, kind)
     assert calls == []
@@ -872,6 +873,28 @@ def test_a_yetter_drinfeld_braiding_keeps_the_full_mult_comult(monkeypatch):
     assert seeded == {"associativity": True, "mult-comult": True}
     assert flipped.failed() == ["mult-comult"]
     assert flipped.entries == full_path_report(T, "bialgebra").entries
+
+
+def test_passing_shortcuts_never_read_the_full_sides(monkeypatch):
+    # kC6 passes the seeded mult-comult shortcut and Light's test, so
+    # both laws pass with their full sides never evaluated; they stay
+    # pending diagrams, and only the shortcuts are read
+    laws = {}
+    orig = structures._law
+
+    def spy(axiom, lhs, rhs, shortcut):
+        laws[axiom] = (lhs, rhs, shortcut)
+        return orig(axiom, lhs, rhs, shortcut)
+    monkeypatch.setattr(structures, "_law", spy)
+    s = group_hopf(6)
+    assert check_axioms(s, "bialgebra").ok
+    assert sorted(laws) == ["associativity", "mult-comult"]
+    for lhs, rhs, shortcut in laws.values():
+        assert [linmaps._pending_rows(f) is None for f in shortcut] == [
+            True, True]
+        assert [linmaps._pending_rows(f) is None for f in (lhs, rhs)] == [
+            False, False]
+        assert lhs == rhs
 
 
 def test_a_failed_associativity_keeps_the_full_mult_comult(monkeypatch):

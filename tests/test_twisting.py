@@ -348,7 +348,9 @@ def law_generators(monkeypatch, module=twisting):
     def spy(axiom, lhs, rhs, shortcut):
         gens = None
         if shortcut is not None:
-            g = next(f for f in shortcut[0][0]
+            # the seed is the first row of the pending shortcut
+            seed = linmaps._pending_rows(shortcut[0])[0][0]
+            g = next(f for f in linmaps._pending_rows(seed)[0]
                      if f.dom and f.dom[0].name.endswith(".gens"))
             gens = sorted(r for r, _ in g.entries)
         seeds[axiom] = gens

@@ -34,6 +34,7 @@ class Mutant(NamedTuple):
 
 
 LM = "tests/test_linmaps.py::"
+ST = "tests/test_structures.py::"
 VO = "tests/test_verify_once.py::"
 
 MUTANTS = [
@@ -64,8 +65,9 @@ MUTANTS = [
     # a cross product's m is built at once
     Mutant("structures.py",
            "    return (b1.m @ b2.m) * (b1.id_map() @ phi21 @ b2.id_map())\n",
-           "    return run_pipeline([[b1.id_map(), phi21, b2.id_map()],\n"
-           "                         [b1.m, b2.m]])\n",
+           "    m = (b1.m @ b2.m) * (b1.id_map() @ phi21 @ b2.id_map())\n"
+           "    m.entries\n"
+           "    return m\n",
            (VO + "test_convolution_inverses_build_no_tensor_multiplication",
             "tests/test_twisting.py::test_tensor_coalgebra_is_the_tensor_"
             "structure_without_m")),
@@ -75,7 +77,7 @@ MUTANTS = [
            "    C, A = coalg.space, alg.space\n    coalg.m.by_col()\n",
            (VO + "test_convolution_inverses_build_no_tensor_multiplication",)),
     # induced_structures returns a pending m_B
-    Mutant("datum.py", "    X.m.entries\n", "",
+    Mutant("datum.py", "        X.m.entries\n", "",
            (LM + "test_the_doubled_product_map_never_builds_the_padded_"
             "permutation",)),
     # a pending map is evaluated on every read, not kept
@@ -107,12 +109,61 @@ MUTANTS = [
            "    return rows[:-1] if rows is not None and len(rows) > 1 "
            "else [[f]]\n",
            (LM + "test_operator_expressions_match_the_eager_evaluator",)),
-    # a pending tensor lends its row to a composite, so it is not kept
+    # a pending map of one row lends it to a composite: a relabel lends
+    # its factor, whose strands keep their old names
     Mutant("linmaps.py",
            "    return rows if rows is not None and len(rows) > 1 "
            "else [[f]]\n",
            "    return rows if rows is not None else [[f]]\n",
-           (LM + "test_a_pending_map_is_evaluated_once_and_kept",)),
+           (LM + "test_a_relabelled_pending_map_stays_pending_and_opaque",)),
+    # compose lends its right operand's rows, so a composite that is also
+    # another's input is evaluated twice
+    Mutant("linmaps.py",
+           "        return _Pending._diagram(f.dom, self.cod, [[f]] + "
+           "_lent_rows(self))\n",
+           "        return _Pending._diagram(f.dom, self.cod, _lent_rows(f) + "
+           "_lent_rows(self))\n",
+           (LM + "test_a_composite_read_and_used_as_an_input_is_evaluated_"
+            "once",)),
+    # compose evaluates two evaluated maps at once
+    Mutant("linmaps.py",
+           "        return _Pending._diagram(f.dom, self.cod, [[f]] + "
+           "_lent_rows(self))\n",
+           "        if _pending_rows(f) is None and _pending_rows(self) is "
+           "None:\n"
+           "            return apply_at(f, self, 0)\n"
+           "        return _Pending._diagram(f.dom, self.cod, [[f]] + "
+           "_lent_rows(self))\n",
+           (LM + "test_a_chain_of_evaluated_maps_is_its_rows",)),
+    # the generator shortcuts of check_axioms (PR 30): mult-comult seeded
+    # under a braiding other than the flip
+    Mutant("structures.py",
+           "            bp == FLIP if psi is None else psi == flip(s.space, "
+           "s.space))\n",
+           "            True)\n",
+           (ST + "test_a_yetter_drinfeld_braiding_keeps_the_full_mult_comult",
+            )),
+    # mult-comult seeded when m is not associative
+    Mutant("structures.py",
+           "        seeded = g is not None and entries[1].ok and (\n",
+           "        seeded = g is not None and (\n",
+           (ST + "test_a_failed_associativity_keeps_the_full_mult_comult",)),
+    # the unit's generator dropped although the unit laws fail
+    Mutant("structures.py",
+           "            g = _without_unit(g, s.eta if unital else None)\n",
+           "            g = _without_unit(g, s.eta)\n",
+           (ST + "test_a_failed_unit_law_keeps_the_unit_in_lights_test",)),
+    # a failed shortcut gives the entry, with the shortcut's witness
+    Mutant("structures.py", "    return compare(axiom, lhs, rhs)\n",
+           "    return compare(axiom, *(shortcut or (lhs, rhs)))\n",
+           (ST + "test_a_witness_off_the_generators_is_the_full_diagrams_"
+            "witness",)),
+    # the span is not closed under the generators, so S is no generating
+    # set of the search's kind
+    Mutant("structures.py", "        while todo and len(pivots) < d:\n",
+           "        while False:\n",
+           (ST + "test_the_search_finds_the_unit_g_and_x_of_a_radford_"
+            "tower",)),
     # `*` checks no strands, so a mismatch raises only at the first read
     Mutant("linmaps.py",
            "        if f.cod != self.dom:\n"
