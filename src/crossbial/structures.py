@@ -568,24 +568,33 @@ def _inverse_report(f: LinMap, g: LinMap, coalg: Structure,
 
 
 def convolution_inverse(f: LinMap, coalg: Structure, alg: Structure) -> LinMap:
-    """Solve f * g = eta o eps for g in Hom(C, A), exactly.
-
-    With C's coalgebra laws and A's algebra laws checked first, Hom(C, A)
-    under convolution is a finite-dimensional associative algebra with
-    unit eta o eps, where a right inverse is two-sided and unique; so the
-    one-sided system is solved, by one sparse Gaussian elimination.  Its
-    coefficients are the entries of one diagram X: A (x) C -> A (x) C,
-    which flips the unknown's A strand past the first leg of delta and
-    meets f's output at m: X[(u, c2), (a, v)] is the coefficient of
-    g[a, c2] in (f * g)[u, v].  The flip is that of vector spaces, under
-    any braiding: the convolution product has no crossing, and the flip
-    only brings the unknown's strand next to m.  _inverse_report's two
-    identities are re-verified on the result.  Only eta, delta and eps of
-    coalg are read, so a pending m of coalg (tensor_structure's) is never
-    evaluated here.
-    """
+    """Solve f * g = eta o eps for g in Hom(C, A), exactly, once C's
+    coalgebra laws and A's algebra laws are checked here; the solve is
+    _convolution_inverse's."""
     check_axioms(coalg, "coalgebra").require("convolution boundary fails {}")
     check_axioms(alg, "algebra").require("convolution boundary fails {}")
+    return _convolution_inverse(f, coalg, alg)
+
+
+def _convolution_inverse(f: LinMap, coalg: Structure,
+                         alg: Structure) -> LinMap:
+    """convolution_inverse's solve, for a coalgebra C and an algebra A that
+    the caller has verified (a tensor_structure of verified factors, say,
+    which over the flip is a coalgebra); no law of either is checked here.
+
+    Hom(C, A) under convolution is a finite-dimensional associative
+    algebra with unit eta o eps, where a right inverse is two-sided and
+    unique; so the one-sided system is solved, by one sparse Gaussian
+    elimination.  Its coefficients are the entries of one diagram
+    X: A (x) C -> A (x) C, which flips the unknown's A strand past the
+    first leg of delta and meets f's output at m: X[(u, c2), (a, v)] is
+    the coefficient of g[a, c2] in (f * g)[u, v].  The flip is that of
+    vector spaces, under any braiding: the convolution product has no
+    crossing, and the flip only brings the unknown's strand next to m.
+    _inverse_report's two identities are re-verified on the result.  Only
+    eta, delta and eps of coalg are read, so a pending m of coalg
+    (tensor_structure's) is never evaluated here.
+    """
     C, A = coalg.space, alg.space
     dc, da = C.dim, A.dim
     ida, idc = LinMap.identity((A,)), LinMap.identity((C,))

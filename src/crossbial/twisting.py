@@ -31,6 +31,7 @@ from .structures import (
     CheckReport,
     PreconditionError,
     Structure,
+    _convolution_inverse,
     _generators,
     _inverse_report,
     _law,
@@ -39,7 +40,6 @@ from .structures import (
     canonical_maps,
     check_axioms,
     compare,
-    convolution_inverse,
     morphism_reports,
     tensor_structure,
 )
@@ -132,7 +132,13 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
 
 def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
                     error=PreconditionError) -> LinMap:
-    """Convolution inverse of a scalar-valued form on a coalgebra.
+    """Convolution inverse of a scalar-valued form on a coalgebra whose
+    laws the caller has verified: a tensor_structure of factors it has
+    checked (B (x) B by cocycle_inverse, or by twist and double_biproduct
+    before _twist; H (x) A by pairing_inverse or validate_pairing; B (x) C
+    by double_biproduct).
+    Over the flip the factors' coalgebra laws give the tensor's, and k is
+    an algebra, so neither is checked again here.
 
     The form's multi-strand domain is rolled up into the single space of
     `coalg`.  A stored inverse (a cocycle's chi_inv) is certified, a
@@ -145,15 +151,17 @@ def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
     if gp:
         _inverse_report(fp, *gp, coalg, k).require("chi_inv fails {}", error)
         return stored
-    return rebind(convolution_inverse(fp, coalg, k), f.dom, UNIT)
+    return rebind(_convolution_inverse(fp, coalg, k), f.dom, UNIT)
 
 
 def cocycle_inverse(c: TwoCocycle) -> LinMap:
     """Convolution inverse of the cocycle over the coalgebra of
-    tensor_structure(B, B), by _scalar_inverse; a stored chi_inv is
-    returned as it is once both convolution identities certify it, and
-    only a missing one is solved for.  Twisting lives over the flip, where B (x) B is a
-    coalgebra, so a certified chi_inv is the unique inverse."""
+    tensor_structure(B, B), by _scalar_inverse, once B's coalgebra laws are
+    checked here; a stored chi_inv is returned as it is once both
+    convolution identities certify it, and only a missing one is solved
+    for.  Twisting lives over the flip, where B (x) B is then a coalgebra,
+    so a certified chi_inv is the unique inverse."""
+    check_axioms(c.host, "coalgebra").require("host fails {}")
     return _scalar_inverse(c.chi, tensor_structure(c.host, c.host),
                            c.chi_inv)
 
@@ -294,7 +302,10 @@ def validate_pairing(p: DualPairing) -> CheckReport:
 
 def pairing_inverse(p: DualPairing) -> LinMap:
     """Convolution inverse of the form over the coalgebra of
-    tensor_structure(H, A)."""
+    tensor_structure(H, A), once H's and A's coalgebra laws are checked
+    here."""
+    for tag, st in (("H", p.H), ("A", p.A)):
+        check_axioms(st, "coalgebra").require(f"{tag} fails {{}}")
     return _scalar_inverse(p.form, tensor_structure(p.H, p.A))
 
 
@@ -307,8 +318,11 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     the product m_H o flip, returned under "h_op": rhd is the left action
     of H^op on A and lhd the right action of A on H^op.  The construction
     needs no nondegeneracy (the counit pairing induces the trivial matched
-    pair); a form with no convolution inverse is refused by
-    pairing_inverse's certificate.  The full matched-pair axiom list is evaluated (as the
+    pair); a form with no convolution inverse is refused by the
+    certificate of its inverse, solved over tensor_structure(H, A) once
+    validate_pairing has checked both factors.  lhd and rhd are read before
+    the datum check, so each of its laws applies them as one evaluated
+    factor.  The full matched-pair axiom list is evaluated (as the
     interaction axioms of the action-only datum with A and H^op as
     factors) and is the postcondition: a datum that fails raises
     ConsistencyError carrying the datum report.
@@ -317,13 +331,15 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     H, A, form = p.H, p.A, p.form
     sh, sa = H.space, A.space
     idh, ida = H.id_map(), A.id_map()
-    pinv = pairing_inverse(p)
+    pinv = _scalar_inverse(form, tensor_structure(H, A))
     lhd = ((pinv @ idh @ form)
            * (idh @ FLIP.braiding_list((sh, sh), (sa,)) @ ida)
            * (H.delta @ idh @ ida @ ida) * (H.delta @ A.delta))
     rhd = ((pinv @ ida @ form)
            * (idh @ FLIP.braiding_list((sh,), (sa, sa)) @ ida)
            * (idh @ idh @ A.delta @ ida) * (H.delta @ A.delta))
+    lhd.entries
+    rhd.entries
     h_op = Structure(sh, H.m * flip(sh, sh), H.eta, H.delta, H.eps)
     drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, act_r=lhd))
     drep.require("the induced actions are no matched pair: {} fails",

@@ -35,7 +35,7 @@ from crossbial.datum import (
     sop_compose,
     trivial_datum,
 )
-from crossbial.linmaps import LinMap, Space, UNIT, flatten
+from crossbial.linmaps import LinMap, Space, UNIT, flatten, rebind
 from crossbial.scalars import root_of_unity
 from crossbial.structures import (
     PreconditionError,
@@ -441,3 +441,37 @@ def test_dim_64_commands():
 # seconds; the scenario took 1.9-2.4 s when the gate was set (2-vCPU VM),
 # and about 10 s with associativity and mult-comult as full diagrams
 GATE_64 = 5
+
+
+def test_the_dim_64_drinfeld_double_two_ways():
+    # D(H) for H = Radford(2,1,4,1), of dim 64, by the paper's closing
+    # remark: the double cross product of the matched pair (A, H^op) that
+    # the evaluation pairing of H with A = dual(H) induces, and the
+    # Doi-Takeuchi twist of A (x) H^op by chi = eps_A (x) sigma^- (x)
+    # eps_{H^op}, whose inverse is solved over T (x) T, of dim 4096.  The
+    # two agree entry for entry, within GATE_DOUBLE seconds
+    from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
+
+    t0 = time.perf_counter()
+    p = evaluation_pairing_of_the_op_cop_dual(
+        radford(RadfordParams(2, 1, 4, 1))["H"])
+    H, A = p.H, p.A
+    mp = matched_pair_from_pairing(p)
+    double = HopfDatum(A, mp["h_op"], act_l=mp["rhd"],
+                       act_r=mp["lhd"]).product()
+    T = tensor_structure(A, mp["h_op"])
+    chi = rebind(A.eps @ pairing_inverse(p) @ H.eps, (T.space, T.space),
+                 UNIT)
+    twisted = twist(T, TwoCocycle(T, chi))
+    D = double.space
+    assert D.dim == 64
+    assert rebind(twisted.m, (D, D), (D,)) == double.m
+    assert rebind(twisted.eta, UNIT, (D,)) == double.eta
+    assert rebind(twisted.delta, (D,), (D, D)) == double.delta
+    assert rebind(twisted.eps, (D,), UNIT) == double.eps
+    assert time.perf_counter() - t0 < GATE_DOUBLE
+
+
+# seconds; the scenario took 2.6 s when the gate was set (2-vCPU VM), and
+# about a minute at 5 GB while each solve re-checked T (x) T as a coalgebra
+GATE_DOUBLE = 10

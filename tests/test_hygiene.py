@@ -243,6 +243,7 @@ PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_coalgebra_entries"),
     ("datum.py", ".structures", "_generators"),
     ("structures.py", ".linmaps", "_reduce_step"),
+    ("twisting.py", ".structures", "_convolution_inverse"),
     ("twisting.py", ".structures", "_generators"),
     ("twisting.py", ".structures", "_inverse_report"),
     ("twisting.py", ".structures", "_law"),

@@ -572,11 +572,21 @@ def test_zero_map_not_invertible():
 
 
 def test_convolution_precondition():
+    # the public solve checks its coalgebra and its algebra itself, and a
+    # refusal names the first failed law of the one that fails
     s = group_hopf(2)
-    bad = dataclasses.replace(s, delta=LinMap(
+    no_coalgebra = dataclasses.replace(s, delta=LinMap(
         (s.space,), (s.space, s.space), {(0, 0): ONE, (2, 1): ONE}))
-    with pytest.raises(PreconditionError):
-        convolution_inverse(s.id_map(), bad, s)
+    # twice kC2's product is associative, but 1 is no unit for it
+    no_algebra = dataclasses.replace(s, m=LinMap(
+        s.m.dom, s.m.cod, {k: 2 * x for k, x in s.m.entries.items()}))
+    for coalg, alg, law in ((no_coalgebra, s, "left-counit"),
+                            (s, no_algebra, "left-unit")):
+        with pytest.raises(PreconditionError) as exc:
+            convolution_inverse(s.id_map(), coalg, alg)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == f"convolution boundary fails {law}"
+        assert exc.value.report.failed()[0] == law
 
 
 def test_canonical_pairing_inverse_via_antipode():

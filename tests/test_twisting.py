@@ -218,6 +218,47 @@ def test_stored_inverse_is_cross_checked():
             assert e.witness.lhs != e.witness.rhs
 
 
+def non_coassociative_h4():
+    """Sweedler's H4 = Radford(2,1,2,1) with e_a (x) e_a added to
+    Delta(e_a), for the first basis vector e_a with eps(e_a) = 0: of its
+    coalgebra laws only coassociativity fails."""
+    H = radford(RadfordParams(2, 1, 2, 1))["H"]
+    d = H.dim
+    a = next(i for i in range(d) if H.eps.entry(0, i) == 0)
+    ent = dict(H.delta.entries)
+    ent[(a * d + a, a)] = ent.get((a * d + a, a), ZERO) + ONE
+    return dataclasses.replace(H, delta=LinMap(H.delta.dom, H.delta.cod,
+                                               ent))
+
+
+def test_a_cocycle_inverse_refuses_a_host_that_is_no_coalgebra():
+    # cocycle_inverse receives the host and checks its coalgebra laws, on
+    # which the uniqueness of a certified inverse rests: a stored
+    # chi_inv = eps (x) eps passes both convolution identities on this
+    # host, and is refused all the same, as is a solve
+    B = non_coassociative_h4()
+    assert check_axioms(B, "coalgebra").failed() == ["coassociativity"]
+    eps2 = B.eps @ B.eps
+    for c in (TwoCocycle(B, eps2, eps2), TwoCocycle(B, eps2)):
+        with pytest.raises(PreconditionError) as exc:
+            cocycle_inverse(c)
+        assert type(exc.value) is PreconditionError
+        assert str(exc.value) == "host fails coassociativity"
+        assert exc.value.report.failed() == ["coassociativity"]
+
+
+def test_a_pairing_inverse_names_the_factor_that_is_no_coalgebra():
+    # pairing_inverse checks H and A, each at its own dim, and names the
+    # one that fails
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    bad = non_coassociative_h4()
+    for tag, H, A in (("H", bad, H4), ("A", H4, bad)):
+        with pytest.raises(PreconditionError) as exc:
+            pairing_inverse(DualPairing(H, A, H.eps @ A.eps))
+        assert str(exc.value) == f"{tag} fails coassociativity"
+        assert exc.value.report.failed() == ["coassociativity"]
+
+
 def test_breaking_the_unit_normalisation_fails_validation():
     gg, c = bicharacter_cocycle(4)
     ent = dict(c.chi.entries)
@@ -499,6 +540,24 @@ def test_a_degenerate_pairing_induces_a_matched_pair(case):
     if case.startswith("counit"):
         assert mp["lhd"] == p.H.id_map() @ p.A.eps
         assert mp["rhd"] == p.H.eps @ p.A.id_map()
+
+
+def test_the_induced_actions_are_evaluated_before_the_datum_check(
+        monkeypatch):
+    # lhd and rhd are read before the datum check, so each of its laws
+    # applies them as one evaluated factor and does not re-push their
+    # rows; the maps returned are those evaluated maps
+    seen, check = [], twisting.check_hopf_datum
+
+    def spy(d):
+        seen.append([linmaps._pending_rows(f) for f in (d.act_r, d.act_l)])
+        return check(d)
+
+    monkeypatch.setattr(twisting, "check_hopf_datum", spy)
+    mp = matched_pair_from_pairing(canonical_pairing(3))
+    assert seen == [[None, None]]
+    assert [linmaps._pending_rows(mp[k]) for k in ("lhd", "rhd")] == [
+        None, None]
 
 
 @pytest.mark.parametrize("case", ["sweedler", "sweedler-through-i2p2",

@@ -23,7 +23,7 @@ from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.scalars import root_of_unity
 from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
-                                pairing_inverse, twist)
+                                pairing_inverse, twist, validate_cocycle)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
                            radford)
 from tests.test_acceptance import braided_taft_pairing, canonical_pairing
@@ -329,7 +329,7 @@ def test_twist_checks_each_input_once(spy, monkeypatch):
     # the twisted antipode's u^- is read off chi^-, not solved for again
     H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
     cases = [bicharacter_cocycle(2), (H4, coboundary_cocycle(H4, 5))]
-    solves = _count_calls(monkeypatch, "convolution_inverse",
+    solves = _count_calls(monkeypatch, "_convolution_inverse",
                           structures, twisting)
     for b, c in cases:
         solves.clear()
@@ -402,7 +402,7 @@ def test_a_stored_inverse_is_certified_not_solved(monkeypatch):
     for b, c in [bicharacter_cocycle(2), (H4, coboundary_cocycle(H4, 5))]:
         want = twist(b, c)
         stored = TwoCocycle(b, c.chi, cocycle_inverse(c))
-        solves = _count_calls(monkeypatch, "convolution_inverse",
+        solves = _count_calls(monkeypatch, "_convolution_inverse",
                               structures, twisting)
         dots = _count_calls(monkeypatch, "conv_dot", twisting)
         assert cocycle_inverse(stored) is stored.chi_inv
@@ -449,11 +449,49 @@ def test_double_biproduct_solves_once_over_b_c(monkeypatch):
     # rho_hat^- is the lift of rho^-, certified over Z (x) Z by its two
     # convolution identities, not solved for again there
     inp = sweedler_rho(1)
-    solves = _count_calls(monkeypatch, "convolution_inverse",
+    solves = _count_calls(monkeypatch, "_convolution_inverse",
                           structures, twisting)
     assert double_biproduct(inp)["report"].ok
     assert [args[1].space for args in solves] == [
         structures.tensor_structure(inp.B, inp.C).space]
+
+
+def solving_calls():
+    """Each public call whose inputs a convolution solve reads, on one
+    input, with the number of solves it makes."""
+    gg, c = bicharacter_cocycle(2)
+    H4 = radford(RadfordParams(2, 1, 2, 1))["H"]
+    c5 = coboundary_cocycle(H4, 5)
+    p = canonical_pairing(3)
+    return {"twist": (lambda: twist(gg, c), 1),
+            "twist-hopf": (lambda: twist(H4, c5), 1),
+            "validate_cocycle": (lambda: validate_cocycle(c), 0),
+            "cocycle_inverse": (lambda: cocycle_inverse(c), 1),
+            "pairing_inverse": (lambda: pairing_inverse(p), 1),
+            "matched_pair_from_pairing": (
+                lambda: matched_pair_from_pairing(p), 1),
+            "double_biproduct": (lambda: double_biproduct(sweedler_rho(1)),
+                                 1)}
+
+
+@pytest.mark.parametrize("case", [
+    "cocycle_inverse", "double_biproduct", "matched_pair_from_pairing",
+    "pairing_inverse", "twist", "twist-hopf", "validate_cocycle"])
+def test_no_solve_rechecks_what_its_caller_verified(spy, monkeypatch, case):
+    # every solve runs over a tensor_structure of factors that the public
+    # call has checked, at their own dim, into the one-dimensional k: the
+    # body checks neither, and no caller checks the tensor or k instead
+    run, count = solving_calls()[case]
+    solves = _count_calls(monkeypatch, "_convolution_inverse",
+                          structures, twisting)
+    before = len(spy.checked)
+    run()
+    assert len(solves) == count
+    assert spy.calls > 0
+    solved = [st for args in solves for st in args[1:]]
+    assert not any(st is x for st, _ in spy.checked[before:]
+                   for x in solved)
+    assert spy.repeats == []
 
 
 def test_twist_builds_delta_b_b_once_and_chi_dot_m_once(monkeypatch):

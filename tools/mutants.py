@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 LM = "tests/test_linmaps.py::"
 ST = "tests/test_structures.py::"
+TW = "tests/test_twisting.py::"
 VO = "tests/test_verify_once.py::"
 
 MUTANTS = [
@@ -173,6 +174,40 @@ MUTANTS = [
            "            raise ShapeError(\n"
            "                f\"cannot compose: inner boundaries differ \"\n",
            (LM + "test_a_strand_mismatch_raises_at_the_operator",)),
+    # verify once down to the solve: _scalar_inverse re-checks the tensor
+    # coalgebra its caller has verified, through the checked entry
+    Mutant("twisting.py",
+           "    return rebind(_convolution_inverse(fp, coalg, k), f.dom, "
+           "UNIT)\n",
+           "    from .structures import convolution_inverse\n"
+           "    return rebind(convolution_inverse(fp, coalg, k), f.dom, "
+           "UNIT)\n",
+           (VO + "test_no_solve_rechecks_what_its_caller_verified",)),
+    # cocycle_inverse returns a certified chi_inv of a host that is no
+    # coalgebra
+    Mutant("twisting.py",
+           "    check_axioms(c.host, \"coalgebra\").require(\"host fails "
+           "{}\")\n", "",
+           (TW + "test_a_cocycle_inverse_refuses_a_host_that_is_no_"
+            "coalgebra",)),
+    # pairing_inverse solves over factors it has not checked
+    Mutant("twisting.py",
+           "        check_axioms(st, \"coalgebra\").require(f\"{tag} fails "
+           "{{}}\")\n",
+           "        pass\n",
+           (TW + "test_a_pairing_inverse_names_the_factor_that_is_no_"
+            "coalgebra",)),
+    # the public convolution_inverse solves over a coalgebra it has not
+    # checked
+    Mutant("structures.py",
+           "    check_axioms(coalg, \"coalgebra\").require(\"convolution "
+           "boundary fails {}\")\n", "",
+           (ST + "test_convolution_precondition",)),
+    # the induced actions stay pending, so every datum law re-pushes
+    # their rows
+    Mutant("twisting.py", "    lhd.entries\n    rhd.entries\n", "",
+           (TW + "test_the_induced_actions_are_evaluated_before_the_datum_"
+            "check",)),
 ]
 
 
