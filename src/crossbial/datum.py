@@ -18,19 +18,18 @@ properties of the datum, computed once per datum object.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import matmul, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .linmaps import (
     FLIP,
     LinMap,
     Space,
-    UNIT,
     dim_of,
     pipeline_as_linmap,
     rebind,
     require_boundaries,
-    run_pipeline,
 )
 from .scalars import ONE, ZERO, VerifiedFailure, json_int, scalar_to_json
 from .structures import (
@@ -38,10 +37,8 @@ from .structures import (
     CheckReport,
     Structure,
     _action_report,
-    _algebra_entries,
-    _coalgebra_entries,
-    _generators,
     canonical_maps,
+    check_axioms,
     classify_morphism,
     compare,
     cross_structure,
@@ -207,18 +204,23 @@ def check_hopf_datum(d: HopfDatum) -> CheckReport:
 
 
 def _check_hopf_datum(d: HopfDatum) -> CheckReport:
-    """The body of check_hopf_datum, run once per datum object."""
-    entries: List[CheckEntry] = []
-    for tag, st in (("b1", d.b1), ("b2", d.b2)):
-        base = [compare("unit-counit", st.eps * st.eta,
-                        LinMap.identity(UNIT))]
-        base += (_algebra_entries(st, _generators(st.m, st.space))
-                 + _coalgebra_entries(st))
-        entries += [CheckEntry(f"{tag}-{e.axiom}", e.ok, e.witness)
-                    for e in base]
+    """The body of check_hopf_datum, run once per datum object: each
+    factor's algebra and coalgebra laws, as check_axioms states them, then
+    _datum_laws once those hold."""
+    entries = [CheckEntry(f"{tag}-{e.axiom}", e.ok, e.witness)
+               for tag, st in (("b1", d.b1), ("b2", d.b2))
+               for e in (check_axioms(st, "algebra").entries
+                         + check_axioms(st, "coalgebra").entries[1:])]
     if not all(e.ok for e in entries):
         return CheckReport(entries)
+    return CheckReport(entries + _datum_laws(d))
 
+
+def _datum_laws(d: HopfDatum) -> List[CheckEntry]:
+    """The datum's laws past its factors', for factors whose algebra and
+    coalgebra laws hold: the four (co)module axiom sets, the eight (co)unit
+    interaction equations and the eleven braided compatibilities."""
+    entries: List[CheckEntry] = []
     bp = d.braiding
     for tag, carrier, actor, f, kind in (
             ("act-l-", d.b1.space, d.b2, d.act_l, "module-l"),
@@ -279,7 +281,7 @@ def _check_hopf_datum(d: HopfDatum) -> CheckReport:
         ("comodule-algebra-2", cl * m1,
          (m2 @ m1) * (ar @ ps12 @ id1) * (id2 @ ps11 @ cl) * (cl @ dl1)),
     ]
-    return CheckReport(entries + [compare(*law) for law in laws])
+    return entries + [compare(*law) for law in laws]
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +445,11 @@ def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
     s1, s2 = d.b1.space, d.b2.space
     n, dz = s1.dim * s2.dim, s2.dim
     dV = n * n
-    inner = [row[1:-1] for row in _phi_layers(d)[_CUT:]]
+    # T is the `*` expression of the rows from the cut on, one pending
+    # tensor per row; it lends them to the push from each inner side and
+    # is never evaluated at its full width
+    inner = [reduce(matmul, row[1:-1]) for row in _phi_layers(d)[_CUT:]]
+    top = reduce(mul, reversed(inner))
     # a side is the strands (a0, p) left of the centre and (q, z) right of
     # it: the outer a0 in B1 and z in B2, and p, q and T's output in B2 B1
     bots: Dict[tuple, list] = {}
@@ -462,7 +468,7 @@ def _build_phi_superoperator(d: HopfDatum) -> PhiSuperoperator:
         # Radford(3,1,3,1), (2,1,4,1) and (2,1,2,1)
         block = LinMap._trusted(d.quad, (s2, s1) + d.quad + (s2, s1), {
             ((p * dV + i) * n + q, i): ONE for i in range(dV)}, True)
-        image = run_pipeline([[block]] + inner)
+        image = top * block
         _join(phi, dV, n, dz,
               [(w, i, y) for (w, i), y in image.entries.items()], terms)
     return PhiSuperoperator({c: rows for c, rows in phi.items() if rows})

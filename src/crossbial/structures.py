@@ -352,28 +352,6 @@ def _light_test(m: LinMap, g: Optional[LinMap], unit: Optional[LinMap]):
     return m * (m @ i) * seed, m * (i @ m) * seed
 
 
-def _algebra_entries(s: Structure, g: Optional[LinMap]) -> List[CheckEntry]:
-    """Associativity and the unit laws.  With g from _generators,
-    associativity is checked first by Light's test on the generators,
-    after the unit laws, which let it leave the unit out."""
-    i = s.id_map()
-    units = [compare("left-unit", s.m * (s.eta @ i), i),
-             compare("right-unit", s.m * (i @ s.eta), i)]
-    unital = units[0].ok and units[1].ok
-    return [_law("associativity", s.m * (s.m @ i), s.m * (i @ s.m),
-                 _light_test(s.m, g, s.eta if unital else None))] + units
-
-
-def _coalgebra_entries(s: Structure) -> List[CheckEntry]:
-    i = s.id_map()
-    return [
-        compare("coassociativity", (s.delta @ i) * s.delta,
-                (i @ s.delta) * s.delta),
-        compare("left-counit", (s.eps @ i) * s.delta, i),
-        compare("right-counit", (i @ s.eps) * s.delta, i),
-    ]
-
-
 def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     """Verify the defining laws of an algebra / coalgebra / bialgebra / Hopf
     algebra, each as an exact matrix identity.
@@ -392,9 +370,19 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     i = s.id_map()
     entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
     if kind != "coalgebra":
-        entries += _algebra_entries(s, g)
+        # associativity is listed first, but decided after the unit laws,
+        # which let Light's test on the generators g leave the unit out
+        units = [compare("left-unit", s.m * (s.eta @ i), i),
+                 compare("right-unit", s.m * (i @ s.eta), i)]
+        unital = units[0].ok and units[1].ok
+        entries += [_law("associativity", s.m * (s.m @ i), s.m * (i @ s.m),
+                         _light_test(s.m, g, s.eta if unital else None)),
+                    *units]
     if kind != "algebra":
-        entries += _coalgebra_entries(s)
+        entries += [compare("coassociativity", (s.delta @ i) * s.delta,
+                            (i @ s.delta) * s.delta),
+                    compare("left-counit", (s.eps @ i) * s.delta, i),
+                    compare("right-counit", (i @ s.eps) * s.delta, i)]
     if kind in ("bialgebra", "hopf"):
         unit_comult = compare("unit-comult", s.delta * s.eta,
                               (i @ s.eta) * s.eta)

@@ -21,7 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .datum import ConsistencyError, HopfDatum, check_hopf_datum
+from .datum import ConsistencyError, HopfDatum, _datum_laws
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
                       UNIT, YetterDrinfeld, flip, pipeline_as_linmap, rebind,
                       require_boundaries)
@@ -321,11 +321,12 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     pair); a form with no convolution inverse is refused by the
     certificate of its inverse, solved over tensor_structure(H, A) once
     validate_pairing has checked both factors.  lhd and rhd are read before
-    the datum check, so each of its laws applies them as one evaluated
-    factor.  The full matched-pair axiom list is evaluated (as the
-    interaction axioms of the action-only datum with A and H^op as
-    factors) and is the postcondition: a datum that fails raises
-    ConsistencyError carrying the datum report.
+    the datum's laws, so each applies them as one evaluated factor.  The
+    matched-pair axioms are the laws of the action-only datum with A and
+    H^op as factors past the factors' own (_datum_laws): validate_pairing
+    has checked A's, and H^op's are H's with the product reversed.  They
+    are the postcondition: a datum that fails raises ConsistencyError
+    carrying their report.
     """
     validate_pairing(p).require("pairing fails {}")
     H, A, form = p.H, p.A, p.form
@@ -341,7 +342,7 @@ def matched_pair_from_pairing(p: DualPairing) -> dict:
     lhd.entries
     rhd.entries
     h_op = Structure(sh, H.m * flip(sh, sh), H.eta, H.delta, H.eps)
-    drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, act_r=lhd))
+    drep = CheckReport(_datum_laws(HopfDatum(A, h_op, act_l=rhd, act_r=lhd)))
     drep.require("the induced actions are no matched pair: {} fails",
                  ConsistencyError)
     return {"lhd": lhd, "rhd": rhd, "h_op": h_op, "is_matched_pair": True,

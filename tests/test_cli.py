@@ -834,8 +834,13 @@ def test_a_degenerate_pairing_is_a_matched_pair_at_the_cli(tmp_path, capsys):
     save_workspace(_pairing_workspace(counit_pairing(2, 2)), path)
     code, out, _ = run(capsys, "pairing", "matched-pair", "--in", path)
     assert code == 0
-    assert "is_matched_pair: true" in out.splitlines()
-    assert out.splitlines()[-1] == "verdict: pass"
+    lines = out.splitlines()
+    assert "is_matched_pair: true" in lines
+    assert lines[-1] == "verdict: pass"
+    # the factors' own laws are validate_pairing's: the text report lists
+    # the 27 laws of the datum past them, and no b1-* or b2-* line
+    assert len([line for line in lines if line.startswith("  ok ")]) == 27
+    assert not any(" b1-" in line or " b2-" in line for line in lines)
 
 
 def test_a_cocycle_without_an_inverse_validates_but_cannot_twist(

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from crossbial import datum
+from crossbial import datum, linmaps
 from crossbial.crossproduct import build_bialgebra
 from crossbial.datum import (
     HopfDatum,
@@ -813,6 +814,71 @@ def test_superoperator_matches_the_two_pullback_oracle():
         want = two_pullback_phi(d)
         assert phi == want
         assert reprs(phi) == reprs(want)
+
+
+def row_list_phi(d):
+    """Phi as the split build made it while it pushed the top half from
+    each inner side as one row list, run_pipeline([[block]] + inner); kept
+    as the oracle of the `top * block` push."""
+    s1, s2 = d.b1.space, d.b2.space
+    n, dz = s1.dim * s2.dim, s2.dim
+    dV = n * n
+    layers = _phi_layers(d)
+    inner = [row[1:-1] for row in layers[datum._CUT:]]
+    bots = {}
+    bottom = pipeline_as_linmap(layers[:datum._CUT])
+    for (key, v), x in bottom.entries.items():
+        a, rest = divmod(key, dV * n * dz)
+        i, c = divmod(rest, n * dz)
+        a0, p = divmod(a, n)
+        q, z = divmod(c, dz)
+        bots.setdefault((p, q), []).append((v, i, a0, z, x))
+    phi = {}
+    for (p, q), terms in bots.items():
+        block = LinMap(d.quad, (s2, s1) + d.quad + (s2, s1), {
+            ((p * dV + i) * n + q, i): ONE for i in range(dV)})
+        image = run_pipeline([[block]] + inner)
+        datum._join(phi, dV, n, dz,
+                    [(w, i, y) for (w, i), y in image.entries.items()], terms)
+    return {c: rows for c, rows in phi.items() if rows}
+
+
+@pytest.mark.parametrize("build", [radford_datum, ore_datum],
+                         ids=["radford-2121", "ore-c2"])
+def test_the_top_half_is_lent_to_each_push_and_never_evaluated(
+        build, monkeypatch):
+    # T, the top half past its outer identities, is the `*` expression of
+    # the rows from the cut on.  Phi is the row-list push's, entry for
+    # entry, and T stays pending, one tensor per row: no push starts from
+    # T's strands, as one that evaluated T at its full width would
+    d = build()
+    want = row_list_phi(d)
+    tops, firsts = [], []
+    fold, push = datum.reduce, linmaps.run_pipeline
+
+    def kept(fn, items):
+        out = fold(fn, items)
+        if fn is operator.mul:
+            tops.append(out)
+        return out
+
+    def pushed(layers):
+        firsts.append(tuple(s for f in layers[0] for s in f.dom))
+        return push(layers)
+
+    monkeypatch.setattr(datum, "reduce", kept)
+    monkeypatch.setattr(linmaps, "run_pipeline", pushed)
+    phi = build_phi_superoperator(d).phi
+    assert phi == want
+    assert reprs(phi) == reprs(want)
+    inner = [row[1:-1] for row in _phi_layers(d)[datum._CUT:]]
+    assert tuple(s for f in inner[0] for s in f.dom) not in firsts
+    (top,) = tops
+    rows = linmaps._pending_rows(top)
+    assert rows is not None and [len(row) for row in rows] == [1] * 4
+    assert all(linmaps._pending_rows(f) is not None for f, in rows)
+    assert [f.cod for f, in rows] == [tuple(s for g in row for s in g.cod)
+                                      for row in inner]
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,8 @@ def test_the_scanner_lists_private_imports():
 # HopfDatum.product and the omitted pairs of HopfDatum.
 PRIVATE_IMPORTS = [
     ("datum.py", ".structures", "_action_report"),
-    ("datum.py", ".structures", "_algebra_entries"),
-    ("datum.py", ".structures", "_coalgebra_entries"),
-    ("datum.py", ".structures", "_generators"),
     ("structures.py", ".linmaps", "_reduce_step"),
+    ("twisting.py", ".datum", "_datum_laws"),
     ("twisting.py", ".structures", "_convolution_inverse"),
     ("twisting.py", ".structures", "_generators"),
     ("twisting.py", ".structures", "_inverse_report"),
@@ -331,15 +329,13 @@ def test_every_public_name_has_a_reader():
 
 # Only linmaps evaluates a diagram's rows: every other module of the
 # package writes its diagrams with `*` and `@`, and linmaps' run_pipeline
-# evaluates them.  The one listed site keeps a row list: Phi's top half
-# is pushed from each inner side by one run_pipeline call, whose first
-# row is the hand-built injection onto that side (see "Measured and
-# rejected" in ROADMAP.md for the blocked push).  A pending tensor in a
-# later row is applied factor by factor, and
+# evaluates them; Phi's top half, too, is a `*` expression lent to the
+# push from each inner side.  A pending tensor in a later row is applied
+# factor by factor, and
 # tests/test_linmaps.py::test_the_doubled_product_map_never_builds_the_padded_permutation
 # guards that cost of `@`.
 ROW_EVALUATORS = ("run_pipeline", "apply_at")
-ROW_EVALUATIONS = [("datum.py", "_build_phi_superoperator", "run_pipeline")]
+ROW_EVALUATIONS = []
 
 
 def row_evaluations(source: str):

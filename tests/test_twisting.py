@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossbial.datum import ConsistencyError, HopfDatum
+from crossbial.datum import ConsistencyError, HopfDatum, check_hopf_datum
 from crossbial.linmaps import (FLIP, LinMap, ShapeError, Space, UNIT,
                                VectFlip, flip, pipeline_as_linmap,
                                run_pipeline)
@@ -529,31 +529,45 @@ PAIRINGS = {
                                   "sweedler-through-i2p2"])
 def test_a_degenerate_pairing_induces_a_matched_pair(case):
     # the construction needs only the form's convolution inverse: each form
-    # here is degenerate, and its actions pass all 41 entries of the datum
-    # (A, H^op).  The counit pairing induces the trivial matched pair
+    # here is degenerate, and its actions pass all 27 entries of the datum
+    # (A, H^op) past its factors' own laws.  The counit pairing induces the
+    # trivial matched pair
     p = PAIRINGS[case]()
     assert validate_pairing(p).ok
     mp = matched_pair_from_pairing(p)
     assert mp["is_matched_pair"] is True
     assert mp["report"].ok, mp["report"].failed()
-    assert len(mp["report"].entries) == 41
+    assert len(mp["report"].entries) == 27
     if case.startswith("counit"):
         assert mp["lhd"] == p.H.id_map() @ p.A.eps
         assert mp["rhd"] == p.H.eps @ p.A.id_map()
 
 
+@pytest.mark.parametrize("case", sorted(PAIRINGS))
+def test_the_matched_pair_reports_the_datum_laws_past_its_factors(case):
+    # validate_pairing has checked A and H, and H^op's laws are H's, so
+    # the matched pair's report is the full datum report without its 14
+    # b1-*/b2-* entries, entry for entry, witnesses included
+    p = PAIRINGS[case]()
+    mp = matched_pair_from_pairing(p)
+    full = check_hopf_datum(HopfDatum(p.A, mp["h_op"], act_l=mp["rhd"],
+                                      act_r=mp["lhd"])).entries
+    assert [e.axiom[:3] for e in full[:14]] == ["b1-"] * 7 + ["b2-"] * 7
+    assert mp["report"].entries == full[14:]
+
+
 def test_the_induced_actions_are_evaluated_before_the_datum_check(
         monkeypatch):
-    # lhd and rhd are read before the datum check, so each of its laws
-    # applies them as one evaluated factor and does not re-push their
-    # rows; the maps returned are those evaluated maps
-    seen, check = [], twisting.check_hopf_datum
+    # lhd and rhd are read before the datum's laws, so each law applies
+    # them as one evaluated factor and does not re-push their rows; the
+    # maps returned are those evaluated maps
+    seen, laws = [], twisting._datum_laws
 
     def spy(d):
         seen.append([linmaps._pending_rows(f) for f in (d.act_r, d.act_l)])
-        return check(d)
+        return laws(d)
 
-    monkeypatch.setattr(twisting, "check_hopf_datum", spy)
+    monkeypatch.setattr(twisting, "_datum_laws", spy)
     mp = matched_pair_from_pairing(canonical_pairing(3))
     assert seen == [[None, None]]
     assert [linmaps._pending_rows(mp[k]) for k in ("lhd", "rhd")] == [
@@ -745,12 +759,12 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
 
 def test_a_failing_induced_datum_is_refused(monkeypatch):
     # the actions a pairing with a convolution inverse induces form a
-    # matched pair, so a datum report planted as failing on the evaluation
-    # pairing of kC3 and its dual is the package's own results
+    # matched pair, so datum laws planted as failing on the evaluation
+    # pairing of kC3 and its dual are the package's own results
     # disagreeing, and the refusal carries the datum's entries
-    monkeypatch.setattr(twisting, "check_hopf_datum",
-                        lambda d: CheckReport([CheckEntry("planted", False),
-                                               CheckEntry("kept", True)]))
+    monkeypatch.setattr(twisting, "_datum_laws",
+                        lambda d: [CheckEntry("planted", False),
+                                   CheckEntry("kept", True)])
     with pytest.raises(ConsistencyError) as exc:
         matched_pair_from_pairing(canonical_pairing(3))
     assert str(exc.value) == (

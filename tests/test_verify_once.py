@@ -97,12 +97,16 @@ def test_double_biproduct_checks_each_input_once(spy):
 
 
 def test_hopf_datum_check_does_not_recheck_its_factors(spy):
+    # the report's b1-*/b2-* entries are check_axioms' reports on the
+    # factors, one algebra and one coalgebra check each, and nothing past
+    # them checks a factor again
     d = radford(RadfordParams(3, 1, 3, 1))["datum"]
-    # the report's own b1-*/b2-* entries verify these laws first
-    for b in (d.b1, d.b2):
-        for kind in ("algebra", "coalgebra"):
-            spy.cover(b, kind, d.braiding)
+    before = len(spy.checked)
     assert check_hopf_datum(d).ok
+    checked = spy.checked[before:]
+    assert [kind for _, kind in checked] == ["algebra", "coalgebra"] * 2
+    assert all(s is b for (s, _), b in zip(checked,
+                                           (d.b1, d.b1, d.b2, d.b2)))
     assert spy.repeats == []
 
 
@@ -111,9 +115,14 @@ def test_matched_pair_checks_each_factor_once(spy):
     H, A = group_algebra(N), dual_group_algebra(N)
     form = LinMap((H.space, A.space), UNIT,
                   {(0, a * N + a): ONE for a in range(N)})
+    before = len(spy.checked)
     assert matched_pair_from_pairing(DualPairing(H, A, form))[
         "is_matched_pair"]
-    assert spy.calls > 0
+    # validate_pairing's two checks are the only ones: the datum (A, H^op)
+    # is checked past its factors' laws alone
+    checked = spy.checked[before:]
+    assert [kind for _, kind in checked] == ["bialgebra"] * 2
+    assert checked[0][0] is H and checked[1][0] is A
     assert spy.repeats == []
 
 
@@ -277,7 +286,8 @@ def test_build_bialgebra_checks_the_datum_once_and_the_product_once(
     before = spy.calls
     st = crossproduct.build_bialgebra(d)
     assert len(datums) == 1
-    assert spy.calls == before + 1
+    # each factor's algebra and coalgebra laws, then the product's
+    assert spy.calls == before + 5
     assert spy.passed[-1][:2] == (st, "bialgebra")
     assert spy.repeats == []
 

@@ -208,6 +208,45 @@ MUTANTS = [
     Mutant("twisting.py", "    lhd.entries\n    rhd.entries\n", "",
            (TW + "test_the_induced_actions_are_evaluated_before_the_datum_"
             "check",)),
+    # the matched pair checks the datum in full again, A's and H^op's
+    # laws included, after validate_pairing has checked A and H
+    Mutant("twisting.py",
+           "    drep = CheckReport(_datum_laws(HopfDatum(A, h_op, "
+           "act_l=rhd, act_r=lhd)))\n",
+           "    from .datum import check_hopf_datum\n"
+           "    drep = check_hopf_datum(HopfDatum(A, h_op, act_l=rhd, "
+           "act_r=lhd))\n",
+           (VO + "test_matched_pair_checks_each_factor_once",)),
+    # the datum's factor laws written out by hand, a second copy of
+    # check_axioms that no spy of it sees
+    Mutant("datum.py",
+           "               for e in (check_axioms(st, \"algebra\").entries\n"
+           "                         + check_axioms(st, \"coalgebra\")"
+           ".entries[1:])]\n",
+           "               for i in [st.id_map()] for e in (\n"
+           "                   compare(\"unit-counit\", st.eps * st.eta,\n"
+           "                           LinMap.identity(())),\n"
+           "                   compare(\"associativity\", st.m * (st.m @ i),"
+           "\n"
+           "                           st.m * (i @ st.m)),\n"
+           "                   compare(\"left-unit\", st.m * (st.eta @ i), "
+           "i),\n"
+           "                   compare(\"right-unit\", st.m * (i @ st.eta), "
+           "i),\n"
+           "                   compare(\"coassociativity\", "
+           "(st.delta @ i) * st.delta,\n"
+           "                           (i @ st.delta) * st.delta),\n"
+           "                   compare(\"left-counit\", "
+           "(st.eps @ i) * st.delta, i),\n"
+           "                   compare(\"right-counit\", "
+           "(i @ st.eps) * st.delta, i))]\n",
+           (VO + "test_hopf_datum_check_does_not_recheck_its_factors",)),
+    # Phi's top half associated as row * acc: each partial composite is
+    # one factor of the next, so T is evaluated at its full width
+    Mutant("datum.py", "    top = reduce(mul, reversed(inner))\n",
+           "    top = reduce(lambda acc, row: row * acc, inner)\n",
+           ("tests/test_datum.py::test_the_top_half_is_lent_to_each_push_"
+            "and_never_evaluated",)),
 ]
 
 
