@@ -394,18 +394,45 @@ class PhiSuperoperator:
 
 
 def sop_compose(a, b):
-    """Column-sparse matrix product a o b.  Each column is summed in full
-    and its cancelled entries are pruned once, at the end."""
+    """Column-sparse matrix product a o b, for a and b whose columns hold
+    no zero entry (every caller's columns are pruned).  A multiplier that
+    is the int 1 adds a's column as it is, and the first such column of an
+    empty sum is copied in whole; either way the values, their types and
+    their order are those of the products.  A product of nonzero scalars
+    is nonzero, so only a column in which a sum happened can hold a
+    cancelled entry, and such a column is pruned once, at the end."""
     out = {}
     for c, bcol in b.items():
         acc: Dict[int, object] = {}
+        get = acc.get
+        summed = False
         for r, w in bcol.items():
-            for u, v in a.get(r, {}).items():
-                cur = acc.get(u)
-                acc[u] = v * w if cur is None else cur + v * w
-        col = {u: x for u, x in acc.items() if x}
-        if col:
-            out[c] = col
+            acol = a.get(r)
+            if not acol:
+                continue
+            if type(w) is int and w == 1:
+                if not acc:
+                    acc.update(acol)
+                    continue
+                for u, v in acol.items():
+                    cur = get(u)
+                    if cur is None:
+                        acc[u] = v
+                    else:
+                        acc[u] = cur + v
+                        summed = True
+            else:
+                for u, v in acol.items():
+                    cur = get(u)
+                    if cur is None:
+                        acc[u] = v * w
+                    else:
+                        acc[u] = cur + v * w
+                        summed = True
+        if summed:
+            acc = {u: x for u, x in acc.items() if x}
+        if acc:
+            out[c] = acc
     return out
 
 
@@ -478,11 +505,16 @@ def _join(out, dV: int, W: int, dz: int, tops, bots) -> None:
     """Add x*y at row u*dV + v of column i*dV + j of the column-sparse out,
     for each (w, i, x) of tops and (v, j, a0, z, y) of bots.  The top term
     is T's, with w on T's W-dim output, and the bottom term's outer strands
-    a0 and z pass through: the quad row is u = (a0*W + w)*dz + z."""
+    a0 and z pass through: the quad row is u = (a0*W + w)*dz + z.  So the
+    row is w*dz*dV plus the bottom term's offset (a0*W*dz + z)*dV + v and
+    the column i*dV plus j; each is computed once per term, not per pair."""
+    step = dz * dV
+    bots = [(j, (a0 * W * dz + z) * dV + v, y) for v, j, a0, z, y in bots]
     for w, i, x in tops:
-        for v, j, a0, z, y in bots:
-            col = out.setdefault(i * dV + j, {})
-            row = ((a0 * W + w) * dz + z) * dV + v
+        iv, wv = i * dV, w * step
+        for j, off, y in bots:
+            col = out.setdefault(iv + j, {})
+            row = wv + off
             term = x * y
             cur = col.get(row)
             if cur is not None:

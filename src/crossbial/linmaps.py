@@ -102,7 +102,7 @@ def unflatten(flat: int, dims: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "entries", "_cols", "_ones")
+    __slots__ = ("dom", "cod", "entries", "_cols", "_ones", "_id")
 
     def __init__(self, dom: Iterable[Space], cod: Iterable[Space], entries=None):
         self.dom: SpaceList = tuple(dom)
@@ -120,6 +120,7 @@ class LinMap:
         self.entries = pruned
         self._cols: Optional[Dict[int, Dict[int, Scalar]]] = None
         self._ones: Optional[bool] = None
+        self._id: Optional[bool] = None
 
     @classmethod
     def _trusted(cls, dom: SpaceList, cod: SpaceList,
@@ -128,7 +129,7 @@ class LinMap:
         """A map from entries already in range and nonzero (no checks)."""
         f = object.__new__(cls)
         f.dom, f.cod, f.entries = dom, cod, entries
-        f._cols = None
+        f._cols = f._id = None
         f._ones = ones
         return f
 
@@ -196,8 +197,10 @@ class LinMap:
     def identity(spaces: Iterable[Space]) -> "LinMap":
         spaces = tuple(spaces)
         n = dim_of(spaces)
-        return LinMap._trusted(spaces, spaces, {(i, i): ONE for i in range(n)},
-                               True)
+        f = LinMap._trusted(spaces, spaces, {(i, i): ONE for i in range(n)},
+                            True)
+        f._id = True
+        return f
 
     @staticmethod
     def from_rows(dom: Iterable[Space], cod: Iterable[Space], rows) -> "LinMap":
@@ -252,7 +255,7 @@ class _Pending(LinMap):
                  rows: List[List[LinMap]]) -> "_Pending":
         f = object.__new__(cls)
         f.dom, f.cod, f._rows = dom, cod, rows
-        f._cols = f._ones = None
+        f._cols = f._ones = f._id = None
         return f
 
     def __getattr__(self, name):
@@ -263,6 +266,10 @@ class _Pending(LinMap):
         m = run_pipeline(self._rows)
         self.entries = m.entries
         self._cols, self._ones, self._rows = m._cols, m._ones, None
+        # a relabel's one factor is on other strands, and an identity
+        # there need not be one here
+        if (m.dom, m.cod) == (self.dom, self.cod):
+            self._id = m._id
         return self.entries
 
 
@@ -465,9 +472,13 @@ class LeftYetterDrinfeld(YetterDrinfeld):
 # ---------------------------------------------------------------------------
 
 def _is_identity(f: LinMap) -> bool:
-    """f is the identity on its strands, a factor the kernel skips."""
-    return (f.dom == f.cod and len(f.entries) == f.ncols and f.is_ones()
-            and all(r == c for r, c in f.entries))
+    """f is the identity on its strands, a factor the kernel skips.  The
+    answer is kept on f (LinMap.identity sets it when it builds one), so
+    each map's entries are scanned for it at most once."""
+    if f._id is None:
+        f._id = (f.dom == f.cod and len(f.entries) == f.ncols
+                 and f.is_ones() and all(r == c for r, c in f.entries))
+    return f._id
 
 
 def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
@@ -477,38 +488,59 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     of m goes to (a*C + r)*R + c for each entry r of f's column b.  An
     identity f returns m, and a 0/1 factor takes no scalar product.
     Products of nonzero scalars are nonzero, so only a sum can leave a
-    zero to prune, and a sum-free image of 0/1 maps is 0/1 again."""
+    zero to prune.  When f and m are both 0/1 every term is 1 and every
+    sum is at least 2, so nothing is pruned, and the image is 0/1 exactly
+    when no sum happened: its flag is set either way, never left to a
+    scan.  R = 1, f on the last strands, has a loop of its own."""
     k = len(f.dom)
     if m.cod[pos:pos + k] != f.dom:
         raise ShapeError(f"cannot apply at strand {pos}: strands differ")
     if _is_identity(f):
         return m
     R = dim_of(m.cod[pos + k:])
-    DR, CR = f.ncols * R, f.nrows * R
+    D, C = f.ncols, f.nrows
+    DR, CR = D * R, C * R
     fcols = f.by_col()
     f_ones, m_ones = f.is_ones(), m.is_ones()
     out: Dict[Tuple[int, int], Scalar] = {}
+    get = out.get
     summed = False
-    for (row, col), v in m.entries.items():
-        a, rest = divmod(row, DR)
-        b, c = divmod(rest, R)
-        fcol = fcols.get(b)
-        if not fcol:
-            continue
-        base = a * CR + c
-        for r, fv in fcol.items():
-            key = (base + r * R, col)
-            term = v if f_ones else fv if m_ones else fv * v
-            cur = out.get(key)
-            if cur is None:
-                out[key] = term
-            else:
-                out[key] = cur + term
-                summed = True
-    if summed:
+    if R == 1:
+        for (row, col), v in m.entries.items():
+            fcol = fcols.get(row % D)
+            if not fcol:
+                continue
+            base = row // D * C
+            for r, fv in fcol.items():
+                key = (base + r, col)
+                term = v if f_ones else fv if m_ones else fv * v
+                cur = get(key)
+                if cur is None:
+                    out[key] = term
+                else:
+                    out[key] = cur + term
+                    summed = True
+    else:
+        for (row, col), v in m.entries.items():
+            rest = row % DR
+            fcol = fcols.get(rest // R)
+            if not fcol:
+                continue
+            base = row // DR * CR + rest % R
+            for r, fv in fcol.items():
+                key = (base + r * R, col)
+                term = v if f_ones else fv if m_ones else fv * v
+                cur = get(key)
+                if cur is None:
+                    out[key] = term
+                else:
+                    out[key] = cur + term
+                    summed = True
+    ones = f_ones and m_ones
+    if summed and not ones:
         out = {key: v for key, v in out.items() if v}
     return LinMap._trusted(m.dom, m.cod[:pos] + f.cod + m.cod[pos + k:], out,
-                           True if f_ones and m_ones and not summed else None)
+                           not summed if ones else None)
 
 
 def _first_row(factors: List[LinMap]) -> LinMap:
@@ -520,30 +552,33 @@ def _first_row(factors: List[LinMap]) -> LinMap:
     factor give entry (r*C + row, b*D + col).  Its value is v when the
     factor is 0/1, fv when the product so far is 0/1 (read with is_ones,
     as apply_at reads it) and fv * v otherwise; an identity factor, which
-    the kernel skips, leaves the 0/1 flag as it was.  Columns come in
-    ascending order and each column's rows in the kernel's order, so even
-    the insertion order of the entries is the kernel's."""
+    the kernel skips, leaves the 0/1 flag as it was, and its entries
+    (b, b) for b in range(f.ncols) are written without reading its
+    columns.  Columns come in ascending order and each column's rows in
+    the kernel's order, so even the insertion order of the entries is the
+    kernel's."""
     out = {(0, 0): ONE}             # the product so far, by column
     D = C = 1                       # its domain and codomain dims
     ones = True
     for f in reversed(factors):
         if _is_identity(f):
-            f_ones = True
+            out = {(b * C + row, b * D + col): v for b in range(f.ncols)
+                   for (row, col), v in out.items()}
         else:
             f_ones = f.is_ones()
             m_ones = ones or all(v == ONE for v in out.values())
             ones = f_ones and m_ones
-        fcols = sorted(f.by_col().items())
-        if f_ones:
-            out = {(r * C + row, b * D + col): v for b, fcol in fcols
-                   for (row, col), v in out.items() for r in fcol}
-        elif m_ones:
-            out = {(r * C + row, b * D + col): fv for b, fcol in fcols
-                   for row, col in out for r, fv in fcol.items()}
-        else:
-            out = {(r * C + row, b * D + col): fv * v for b, fcol in fcols
-                   for (row, col), v in out.items()
-                   for r, fv in fcol.items()}
+            fcols = sorted(f.by_col().items())
+            if f_ones:
+                out = {(r * C + row, b * D + col): v for b, fcol in fcols
+                       for (row, col), v in out.items() for r in fcol}
+            elif m_ones:
+                out = {(r * C + row, b * D + col): fv for b, fcol in fcols
+                       for row, col in out for r, fv in fcol.items()}
+            else:
+                out = {(r * C + row, b * D + col): fv * v
+                       for b, fcol in fcols for (row, col), v in out.items()
+                       for r, fv in fcol.items()}
         D, C = D * f.ncols, C * f.nrows
     return LinMap._trusted(tuple(s for f in factors for s in f.dom),
                            tuple(s for f in factors for s in f.cod),

@@ -29,7 +29,7 @@ from crossbial.cli import (Workspace, WorkspaceError, _datum_from_workspace,
 from crossbial.linmaps import (LeftYetterDrinfeld, LinMap, ShapeError, Space,
                                UNIT, VectFlip, YetterDrinfeld, dim_of,
                                pipeline_as_linmap, run_pipeline)
-from crossbial.scalars import scalar_to_json
+from crossbial.scalars import root_of_unity, scalar_to_json
 from crossbial.structures import (
     PreconditionError,
     Structure,
@@ -486,6 +486,80 @@ def test_recursion_operator_stabilises_at_the_order():
     for d in (radford_datum(), ore_datum()):
         sop = build_phi_superoperator(d)
         assert sop_compose(sop.phi, sop.phi) == sop.phi
+
+
+def plain_sop_compose(a, b):
+    """The column product with every product taken and every column
+    pruned, kept as the oracle of sop_compose's shortcuts."""
+    out = {}
+    for c, bcol in b.items():
+        acc = {}
+        for r, w in bcol.items():
+            for u, v in a.get(r, {}).items():
+                cur = acc.get(u)
+                acc[u] = v * w if cur is None else cur + v * w
+        col = {u: x for u, x in acc.items() if x}
+        if col:
+            out[c] = col
+    return out
+
+
+def typed_columns(cols):
+    """A column dict as its columns in order, each its (row, type, repr)
+    entries in insertion order."""
+    return [(c, [(u, type(x), repr(x)) for u, x in col.items()])
+            for c, col in cols.items()]
+
+
+def random_columns(rng, n, values, density=0.4):
+    cols = {}
+    for c in rng.sample(range(n), n // 2 + 1):
+        col = {u: rng.choice(values) for u in rng.sample(range(n), n)
+               if rng.random() < density}
+        if col:
+            cols[c] = col
+    return cols
+
+
+def test_sop_compose_is_the_plain_product_in_values_types_and_order():
+    z = root_of_unity(4, 1)
+    a = {0: {0: 1, 1: Fraction(1, 2), 2: z}, 1: {0: -1, 3: 2},
+         2: {1: Fraction(-1, 2), 3: -2, 2: -z}, 3: {4: 3, 0: Fraction(1)}}
+    b = {
+        0: {0: 1},                         # one int-1 column, copied
+        1: {0: 1, 1: 1},                   # int-1 sums, row 0 cancels
+        2: {0: 1, 2: 1},                   # rows 1 and 2 cancel
+        3: {1: 2, 0: 1, 3: Fraction(1)},   # int 1 after a product; F(1)
+        4: {3: Fraction(1), 1: 1},         # Fraction(1) is multiplied
+        5: {0: z, 2: z},                   # Cyclo multipliers, the same
+        6: {5: 1, 0: -1},                  # a row a has no column for
+        7: {0: 1, 2: 1, 3: -1, 1: 1},
+    }
+    got, want = sop_compose(a, b), plain_sop_compose(a, b)
+    assert typed_columns(got) == typed_columns(want)
+    assert got[1] == {1: Fraction(1, 2), 2: z, 3: 2}
+    assert got[2] == {0: 1, 3: -2} and got[5] == {0: z, 3: -2 * z}
+    assert type(got[4][4]) is Fraction and type(got[0][0]) is int
+    # a column whose entries all cancel is dropped
+    assert sop_compose(a, {9: {1: 1, 3: -1, 0: 1}}) == plain_sop_compose(
+        a, {9: {1: 1, 3: -1, 0: 1}})
+    assert sop_compose({0: {0: 1}, 1: {0: -1}}, {9: {0: 1, 1: 1}}) == {}
+    rng = random.Random(59)
+    values = [1, 1, 1, -1, 2, Fraction(1), Fraction(-1, 3), z, -z, z + 1]
+    for _ in range(60):
+        a = random_columns(rng, 6, values)
+        b = random_columns(rng, 6, values)
+        assert typed_columns(sop_compose(a, b)) == \
+            typed_columns(plain_sop_compose(a, b))
+
+
+def test_sop_compose_is_the_plain_product_on_phi():
+    for d in (radford_datum(), ore_datum()):
+        phi = build_phi_superoperator(d).phi
+        comp = datum._corner_columns(d)
+        for a, b in ((phi, comp), (phi, phi)):
+            assert typed_columns(sop_compose(a, b)) == \
+                typed_columns(plain_sop_compose(a, b))
 
 
 def test_order_search_reports_the_cap():

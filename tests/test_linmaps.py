@@ -602,6 +602,107 @@ def test_composites_of_0_1_maps_are_summed_and_pruned():
     assert (LinMap.identity((X,)) @ flip(X, Y)).is_ones()
 
 
+def test_a_0_1_push_sets_its_flag_from_its_sums():
+    # f and m both 0/1: a push that summed is flagged not 0/1 (exactly
+    # False, not left for a scan), one that did not is flagged 0/1; on the
+    # last strands (R = 1) and left of others, with int and Fraction ones
+    ones = LinMap.from_rows((X,), (X,), [[1, 1], [1, 1]])
+    frac = LinMap((X,), (X,), {(0, 0): F(1), (0, 1): F(1), (1, 0): F(1)})
+    swap = LinMap.from_rows((X,), (X,), [[0, 1], [1, 0]])
+    idy = LinMap.identity((Y,))
+    for m, f, pos, summed in [
+            (ones, ones, 0, True), (frac, ones, 0, True),
+            (ones, frac, 0, True), (ones, swap, 0, False),
+            (ones @ idy, ones, 0, True), (flip(Y, X), ones, 0, False),
+            (idy @ ones, ones, 1, True), (flip(X, Y), swap, 1, False)]:
+        assert m.is_ones() and f.is_ones()
+        out = apply_at(m, f, pos)
+        assert out._ones is (not summed)
+        assert out._ones is all(v == ONE for v in out.entries.values())
+        assert all(out.entries.values())
+
+
+# -- the identity flag ---------------------------------------------------------
+
+def _scanned_identity(f):
+    """f is the identity on its strands, by definition."""
+    return f.dom == f.cod and f.entries == {
+        (i, i): ONE for i in range(f.ncols)}
+
+
+def _zoo_factors():
+    """Every map of a few zoo towers, as built: H's and its splitting's,
+    the datum's factors and slots, and each factor of its Phi rows."""
+    from crossbial.datum import _phi_layers
+    towers = ([zoo.radford(zoo.RadfordParams(*p))
+               for p in [(2, 1, 2, 1), (3, 1, 3, 1), (2, 1, 4, 1)]]
+              + [zoo.ore_finite(zoo.OreParams(*p))
+                 for p in [((2,), 1, ((1,),), ((1,),)),
+                           ((4,), 1, ((2,),), ((1,),))]])
+    for tower in towers:
+        H, system, d = tower["H"], tower["system"], tower["datum"]
+        yield from (H.m, H.eta, H.delta, H.eps, H.S)
+        yield from (system.i1, system.i2, system.p1, system.p2)
+        for st in (d.b1, d.b2):
+            yield from (st.m, st.eta, st.delta, st.eps, st.S)
+        yield from (d.act_l, d.coact_l, d.act_r, d.coact_r)
+        for row in _phi_layers(d):
+            yield from row
+
+
+def test_the_kept_identity_flag_is_the_scan_on_every_zoo_factor():
+    identities = others = 0
+    for f in _zoo_factors():
+        if f is None:
+            continue
+        before = f._id            # read before anything evaluates f
+        want = _scanned_identity(f)
+        assert before is None or before is want, f
+        assert linmaps._is_identity(f) is want and f._id is want, f
+        identities += want
+        others += not want
+    assert identities > 100 and others > 100
+
+
+def test_an_identity_carries_its_flag_before_any_read():
+    for spaces in [UNIT, (X,), (X, Y)]:
+        f = LinMap.identity(spaces)
+        assert f._id is True and f._ones is True and f._cols is None
+    # an identity built from rows is found by a scan, once, and kept
+    g = LinMap.from_rows((X,), (X,), [[1, 0], [0, 1]])
+    assert g._id is None
+    assert linmaps._is_identity(g) and g._id is True
+    h = LinMap.from_rows((X,), (X,), [[1, 0], [0, 2]])
+    assert not linmaps._is_identity(h) and h._id is False
+
+
+def test_a_relabelled_identity_is_one_only_on_equal_strands():
+    # a pending relabel of an identity on X, onto A -> B, is evaluated to
+    # the identity's entries but is no identity: the kernel must move its
+    # strands from A to B
+    A, B = Space("A", 2), Space("B", 2)
+    q = rebind(LinMap.identity((X,)) * LinMap.identity((X,)), (A,), (B,))
+    r = rebind(LinMap.identity((X,)) * LinMap.identity((X,)), (A,), (A,))
+    assert q.entries == r.entries == LinMap.identity((X,)).entries
+    assert not linmaps._is_identity(q) and linmaps._is_identity(r)
+    g = LinMap.from_rows((Y,), (A,), [[1, 2, 3], [4, 5, 6]])
+    h = LinMap.from_rows((B,), (B,), [[1, 1], [0, 1]])
+    assert run_pipeline([[g], [q], [h]]) == LinMap.from_rows(
+        (Y,), (B,), [[5, 7, 9], [4, 5, 6]])
+
+
+def test_an_identity_in_a_first_row_is_written_without_its_columns():
+    # the identity's entries (b, b) are written over range(ncols); next to
+    # a factor whose domain and codomain dims differ, as the kernel would
+    ident = LinMap.identity((X,))
+    g = _rand_map((Y,), (Z, X), 60)
+    h = _rand_map((Z,), (Y,), 61)
+    for row in ([ident, g], [g, ident], [h, ident, g], [ident, ident, h],
+                [g, ident, LinMap.identity((Y,)), h]):
+        _assert_same_row(run_pipeline([row]), _identity_seeded_row(row))
+    assert ident._cols is None
+
+
 # -- first rows against the identity-seeded kernel -----------------------------
 
 def _identity_seeded_row(factors):

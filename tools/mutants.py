@@ -87,6 +87,11 @@ MUTANTS = [
            "        self.entries = m.entries\n"
            "        self._cols, self._ones, self._rows = m._cols, m._ones, "
            "None\n"
+           "        # a relabel's one factor is on other strands, and an "
+           "identity\n"
+           "        # there need not be one here\n"
+           "        if (m.dom, m.cod) == (self.dom, self.cod):\n"
+           "            self._id = m._id\n"
            "        return self.entries\n",
            "        return run_pipeline(self._rows).entries\n",
            (LM + "test_a_pending_map_is_evaluated_once_and_kept",)),
@@ -136,6 +141,36 @@ MUTANTS = [
            "        return _Pending._diagram(f.dom, self.cod, [[f]] + "
            "_lent_rows(self))\n",
            (LM + "test_a_chain_of_evaluated_maps_is_its_rows",)),
+    # LinMap.identity leaves its identity flag to a scan
+    Mutant("linmaps.py", "        f._id = True\n", "",
+           (LM + "test_an_identity_carries_its_flag_before_any_read",)),
+    # every map built from trusted entries is flagged an identity
+    Mutant("linmaps.py",
+           "        f._cols = f._id = None\n        f._ones = ones\n",
+           "        f._cols = None\n        f._id = True\n"
+           "        f._ones = ones\n",
+           (LM + "test_the_kept_identity_flag_is_the_scan_on_every_zoo_"
+            "factor",)),
+    # an evaluated relabel keeps the identity flag of its factor, which is
+    # on other strands
+    Mutant("linmaps.py",
+           "        if (m.dom, m.cod) == (self.dom, self.cod):\n"
+           "            self._id = m._id\n",
+           "        self._id = m._id\n",
+           (LM + "test_a_relabelled_identity_is_one_only_on_equal_strands",)),
+    # a 0/1 push that summed is flagged 0/1
+    Mutant("linmaps.py", "                           not summed if ones else "
+           "None)\n",
+           "                           True if ones else None)\n",
+           (LM + "test_a_0_1_push_sets_its_flag_from_its_sums",)),
+    # C and D swapped where a first row writes an identity factor down
+    Mutant("linmaps.py",
+           "            out = {(b * C + row, b * D + col): v for b in "
+           "range(f.ncols)\n",
+           "            out = {(b * D + row, b * C + col): v for b in "
+           "range(f.ncols)\n",
+           (LM + "test_an_identity_in_a_first_row_is_written_without_its_"
+            "columns",)),
     # the generator shortcuts of check_axioms (PR 30): mult-comult seeded
     # under a braiding other than the flip
     Mutant("structures.py",
@@ -247,6 +282,12 @@ MUTANTS = [
            "    top = reduce(lambda acc, row: row * acc, inner)\n",
            ("tests/test_datum.py::test_the_top_half_is_lent_to_each_push_"
             "and_never_evaluated",)),
+    # sop_compose keeps the zeros its sums leave
+    Mutant("datum.py",
+           "        if summed:\n"
+           "            acc = {u: x for u, x in acc.items() if x}\n", "",
+           ("tests/test_datum.py::test_sop_compose_is_the_plain_product_in_"
+            "values_types_and_order",)),
 ]
 
 
