@@ -395,12 +395,12 @@ class PhiSuperoperator:
 
 def sop_compose(a, b):
     """Column-sparse matrix product a o b, for a and b whose columns hold
-    no zero entry (every caller's columns are pruned).  A multiplier that
-    is the int 1 adds a's column as it is, and the first such column of an
-    empty sum is copied in whole; either way the values, their types and
-    their order are those of the products.  A product of nonzero scalars
-    is nonzero, so only a column in which a sum happened can hold a
-    cancelled entry, and such a column is pruned once, at the end."""
+    no zero entry (every caller's columns are pruned).  A column of a that
+    starts an empty sum with the int 1 as its multiplier is copied in
+    whole; its values, their types and their order are those of the
+    products.  A product of nonzero scalars is nonzero, so only a column
+    in which a sum happened can hold a cancelled entry, and such a column
+    is pruned once, at the end."""
     out = {}
     for c, bcol in b.items():
         acc: Dict[int, object] = {}
@@ -410,25 +410,16 @@ def sop_compose(a, b):
             acol = a.get(r)
             if not acol:
                 continue
-            if type(w) is int and w == 1:
-                if not acc:
-                    acc.update(acol)
-                    continue
-                for u, v in acol.items():
-                    cur = get(u)
-                    if cur is None:
-                        acc[u] = v
-                    else:
-                        acc[u] = cur + v
-                        summed = True
-            else:
-                for u, v in acol.items():
-                    cur = get(u)
-                    if cur is None:
-                        acc[u] = v * w
-                    else:
-                        acc[u] = cur + v * w
-                        summed = True
+            if not acc and type(w) is int and w == 1:
+                acc.update(acol)
+                continue
+            for u, v in acol.items():
+                cur = get(u)
+                if cur is None:
+                    acc[u] = v * w
+                else:
+                    acc[u] = cur + v * w
+                    summed = True
         if summed:
             acc = {u: x for u, x in acc.items() if x}
         if acc:

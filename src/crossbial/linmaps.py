@@ -266,10 +266,6 @@ class _Pending(LinMap):
         m = run_pipeline(self._rows)
         self.entries = m.entries
         self._cols, self._ones, self._rows = m._cols, m._ones, None
-        # a relabel's one factor is on other strands, and an identity
-        # there need not be one here
-        if (m.dom, m.cod) == (self.dom, self.cod):
-            self._id = m._id
         return self.entries
 
 
@@ -491,7 +487,7 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     zero to prune.  When f and m are both 0/1 every term is 1 and every
     sum is at least 2, so nothing is pruned, and the image is 0/1 exactly
     when no sum happened: its flag is set either way, never left to a
-    scan.  R = 1, f on the last strands, has a loop of its own."""
+    scan."""
     k = len(f.dom)
     if m.cod[pos:pos + k] != f.dom:
         raise ShapeError(f"cannot apply at strand {pos}: strands differ")
@@ -505,37 +501,21 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     out: Dict[Tuple[int, int], Scalar] = {}
     get = out.get
     summed = False
-    if R == 1:
-        for (row, col), v in m.entries.items():
-            fcol = fcols.get(row % D)
-            if not fcol:
-                continue
-            base = row // D * C
-            for r, fv in fcol.items():
-                key = (base + r, col)
-                term = v if f_ones else fv if m_ones else fv * v
-                cur = get(key)
-                if cur is None:
-                    out[key] = term
-                else:
-                    out[key] = cur + term
-                    summed = True
-    else:
-        for (row, col), v in m.entries.items():
-            rest = row % DR
-            fcol = fcols.get(rest // R)
-            if not fcol:
-                continue
-            base = row // DR * CR + rest % R
-            for r, fv in fcol.items():
-                key = (base + r * R, col)
-                term = v if f_ones else fv if m_ones else fv * v
-                cur = get(key)
-                if cur is None:
-                    out[key] = term
-                else:
-                    out[key] = cur + term
-                    summed = True
+    for (row, col), v in m.entries.items():
+        rest = row % DR
+        fcol = fcols.get(rest // R)
+        if not fcol:
+            continue
+        base = row // DR * CR + rest % R
+        for r, fv in fcol.items():
+            key = (base + r * R, col)
+            term = v if f_ones else fv if m_ones else fv * v
+            cur = get(key)
+            if cur is None:
+                out[key] = term
+            else:
+                out[key] = cur + term
+                summed = True
     ones = f_ones and m_ones
     if summed and not ones:
         out = {key: v for key, v in out.items() if v}

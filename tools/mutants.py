@@ -87,11 +87,6 @@ MUTANTS = [
            "        self.entries = m.entries\n"
            "        self._cols, self._ones, self._rows = m._cols, m._ones, "
            "None\n"
-           "        # a relabel's one factor is on other strands, and an "
-           "identity\n"
-           "        # there need not be one here\n"
-           "        if (m.dom, m.cod) == (self.dom, self.cod):\n"
-           "            self._id = m._id\n"
            "        return self.entries\n",
            "        return run_pipeline(self._rows).entries\n",
            (LM + "test_a_pending_map_is_evaluated_once_and_kept",)),
@@ -151,13 +146,6 @@ MUTANTS = [
            "        f._ones = ones\n",
            (LM + "test_the_kept_identity_flag_is_the_scan_on_every_zoo_"
             "factor",)),
-    # an evaluated relabel keeps the identity flag of its factor, which is
-    # on other strands
-    Mutant("linmaps.py",
-           "        if (m.dom, m.cod) == (self.dom, self.cod):\n"
-           "            self._id = m._id\n",
-           "        self._id = m._id\n",
-           (LM + "test_a_relabelled_identity_is_one_only_on_equal_strands",)),
     # a 0/1 push that summed is flagged 0/1
     Mutant("linmaps.py", "                           not summed if ones else "
            "None)\n",
