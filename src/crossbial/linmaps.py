@@ -102,7 +102,7 @@ def unflatten(flat: int, dims: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 class LinMap:
-    __slots__ = ("dom", "cod", "entries", "_cols", "_ones", "_id")
+    __slots__ = ("dom", "cod", "entries", "_cols", "_ones", "_fn")
 
     def __init__(self, dom: Iterable[Space], cod: Iterable[Space], entries=None):
         self.dom: SpaceList = tuple(dom)
@@ -120,7 +120,7 @@ class LinMap:
         self.entries = pruned
         self._cols: Optional[Dict[int, Dict[int, Scalar]]] = None
         self._ones: Optional[bool] = None
-        self._id: Optional[bool] = None
+        self._fn = None
 
     @classmethod
     def _trusted(cls, dom: SpaceList, cod: SpaceList,
@@ -129,7 +129,7 @@ class LinMap:
         """A map from entries already in range and nonzero (no checks)."""
         f = object.__new__(cls)
         f.dom, f.cod, f.entries = dom, cod, entries
-        f._cols = f._id = None
+        f._cols = f._fn = None
         f._ones = ones
         return f
 
@@ -199,7 +199,7 @@ class LinMap:
         n = dim_of(spaces)
         f = LinMap._trusted(spaces, spaces, {(i, i): ONE for i in range(n)},
                             True)
-        f._id = True
+        f._fn = (range(n), True, True)
         return f
 
     @staticmethod
@@ -255,7 +255,7 @@ class _Pending(LinMap):
                  rows: List[List[LinMap]]) -> "_Pending":
         f = object.__new__(cls)
         f.dom, f.cod, f._rows = dom, cod, rows
-        f._cols = f._ones = f._id = None
+        f._cols = f._ones = f._fn = None
         return f
 
     def __getattr__(self, name):
@@ -362,11 +362,17 @@ def reduce_rows(rows: Iterable[Dict[int, Scalar]]
 # ---------------------------------------------------------------------------
 
 def flip(x: Space, y: Space) -> LinMap:
-    """The crossing x (x) y -> y (x) x: e_i (x) e_j goes to e_j (x) e_i."""
+    """The crossing x (x) y -> y (x) x: e_i (x) e_j goes to e_j (x) e_i.
+    Its kernel shape is set here: column b = i*dy + j goes to row
+    j*dx + i, and only the crossing of a strand of dim 1 with itself is
+    an identity."""
     dx, dy = x.dim, y.dim
-    return LinMap._trusted((x, y), (y, x), {
+    f = LinMap._trusted((x, y), (y, x), {
         (j * dx + i, i * dy + j): ONE for i in range(dx) for j in range(dy)},
         True)
+    f._fn = ([b % dy * dx + b // dy for b in range(dx * dy)], True,
+             x == y and dx == 1)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -467,34 +473,72 @@ class LeftYetterDrinfeld(YetterDrinfeld):
 # the whiskered strand kernel: string diagrams without identity padding
 # ---------------------------------------------------------------------------
 
+def _function_rows(f: LinMap):
+    """f's shape in the kernel, kept on f: False unless f is 0/1 with
+    exactly one entry in every column, else (rows, injective, identity)
+    with rows[b] the row of column b's one entry.  identity needs equal
+    strands as well as rows[b] == b, so a relabelled identity onto other
+    strands is none.  It is read off f's entries once, with no by_col;
+    LinMap.identity and flip set it when they build the map."""
+    if f._fn is None:
+        n = f.ncols
+        fn = False
+        if len(f.entries) == n and f.is_ones():
+            rows = [-1] * n
+            for r, c in f.entries:
+                rows[c] = r
+            if -1 not in rows:
+                fn = (rows, len(set(rows)) == n,
+                      f.dom == f.cod and rows == list(range(n)))
+        f._fn = fn
+    return f._fn
+
+
 def _is_identity(f: LinMap) -> bool:
-    """f is the identity on its strands, a factor the kernel skips.  The
-    answer is kept on f (LinMap.identity sets it when it builds one), so
-    each map's entries are scanned for it at most once."""
-    if f._id is None:
-        f._id = (f.dom == f.cod and len(f.entries) == f.ncols
-                 and f.is_ones() and all(r == c for r, c in f.entries))
-    return f._id
+    """f is the identity on its strands, a factor the kernel skips: the
+    identity flag of its kept shape (_function_rows)."""
+    fn = _function_rows(f)
+    return fn is not False and fn[2]
 
 
 def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     """(id (x) f (x) id) o m for f on m's codomain strands from pos on,
     without building the padded tensor: with D, C the dims of f's domain
     and codomain and R that of the strands right of f, row (a*D + b)*R + c
-    of m goes to (a*C + r)*R + c for each entry r of f's column b.  An
-    identity f returns m, and a 0/1 factor takes no scalar product.
-    Products of nonzero scalars are nonzero, so only a sum can leave a
-    zero to prune.  When f and m are both 0/1 every term is 1 and every
-    sum is at least 2, so nothing is pruned, and the image is 0/1 exactly
-    when no sum happened: its flag is set either way, never left to a
-    scan."""
+    of m goes to (a*C + r)*R + c for each entry r of f's column b.
+
+    An identity f returns m.  An injective 0/1 f with one entry in each
+    column (a crossing under the flip, a unit insertion) sends each entry
+    of m to one entry and no two to the same: the push is a relabelling
+    of m's rows, one dict comprehension with no sum and no prune, and its
+    image is 0/1 exactly when m is.  Any other f runs the general loop,
+    where a 0/1 factor takes no scalar product.  Products of nonzero
+    scalars are nonzero, so only a sum can leave a zero to prune.  When f
+    and m are both 0/1 every term is 1 and every sum is at least 2, so
+    nothing is pruned, and the image is 0/1 exactly when no sum happened:
+    its flag is set either way, never left to a scan.  Both paths give
+    the same entries in the same order."""
     k = len(f.dom)
     if m.cod[pos:pos + k] != f.dom:
         raise ShapeError(f"cannot apply at strand {pos}: strands differ")
-    if _is_identity(f):
+    fn = _function_rows(f)
+    if fn is not False and fn[2]:
         return m
+    cod = m.cod[:pos] + f.cod + m.cod[pos + k:]
     R = dim_of(m.cod[pos + k:])
     D, C = f.ncols, f.nrows
+    if fn is not False and fn[1]:
+        rows = fn[0]
+        if R == 1:
+            out = {(row // D * C + rows[row % D], col): v
+                   for (row, col), v in m.entries.items()}
+        else:
+            DR, CR = D * R, C * R
+            rr = [r * R for r in rows]
+            out = {(row // DR * CR + rr[row % DR // R] + row % R, col): v
+                   for (row, col), v in m.entries.items()}
+        return LinMap._trusted(m.dom, cod, out,
+                               True if m.is_ones() else None)
     DR, CR = D * R, C * R
     fcols = f.by_col()
     f_ones, m_ones = f.is_ones(), m.is_ones()
@@ -519,7 +563,7 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     ones = f_ones and m_ones
     if summed and not ones:
         out = {key: v for key, v in out.items() if v}
-    return LinMap._trusted(m.dom, m.cod[:pos] + f.cod + m.cod[pos + k:], out,
+    return LinMap._trusted(m.dom, cod, out,
                            not summed if ones else None)
 
 

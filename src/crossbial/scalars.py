@@ -145,18 +145,25 @@ def _ratio(num: int, den: int) -> Rational:
 
 def _cyclo(n: int, nums, den: int) -> Scalar:
     """The scalar sum(nums[i] z^i) / den for den > 0: a rational when its
-    value is rational, else a Cyclo in lowest terms."""
+    value is rational, else a Cyclo in lowest terms.  Over den = 1 the
+    numerators are in lowest terms already, so no gcd is taken."""
     if not any(nums[1:]):
         return _ratio(nums[0], den)
-    g = gcd(den, *nums)
-    if g != 1:
-        nums = [c // g for c in nums]
-        den //= g
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
     return Cyclo(n, tuple(nums), den)
 
 
 def _sum(n: int, a, da: int, b, db: int) -> Scalar:
-    """The scalar a/da + b/db for numerator lists a and b."""
+    """The scalar a/da + b/db for numerator lists a and b.  Two operands
+    over 1, the sums that Phi's column algebra cancels, add numerators
+    and collapse a rational value to its int, with no gcd."""
+    if da == db == 1:
+        nums = [x + y for x, y in zip(a, b)]
+        return Cyclo(n, tuple(nums), 1) if any(nums[1:]) else nums[0]
     if da == db:
         return _cyclo(n, [x + y for x, y in zip(a, b)], da)
     return _cyclo(n, [x * db + y * da for x, y in zip(a, b)], da * db)
@@ -240,6 +247,17 @@ class Cyclo:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        # the common operands first: a Cyclo of this conductor, or an int,
+        # which moves only the constant numerator by other * den and so
+        # keeps the sum in lowest terms and irrational
+        if type(other) is Cyclo:
+            if other.n != self.n:
+                raise ConductorMixError(
+                    f"cannot mix conductors {self.n} and {other.n}")
+            return _sum(self.n, self.nums, self.den, other.nums, other.den)
+        if type(other) is int:
+            return Cyclo(self.n, (self.nums[0] + other * self.den,)
+                         + self.nums[1:], self.den)
         o = self._operand(other)
         if o is None:
             return NotImplemented
@@ -263,6 +281,13 @@ class Cyclo:
         return _sum(self.n, [-x for x in self.nums], self.den, *o)
 
     def __mul__(self, other):
+        # a product by 1 is self, and by -1 the negated numerators, which
+        # are in lowest terms already
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other == -1:
+                return Cyclo(self.n, tuple(-c for c in self.nums), self.den)
         if isinstance(other, Cyclo):
             if other.n != self.n:
                 raise ConductorMixError(
@@ -270,8 +295,6 @@ class Cyclo:
             return _cyclo(self.n, _mulmod(self.n, self.nums, other.nums),
                           self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if type(other) is int and other == 1:
-                return self
             p = other.numerator
             if not p:
                 return ZERO

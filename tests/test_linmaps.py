@@ -622,7 +622,7 @@ def test_a_0_1_push_sets_its_flag_from_its_sums():
         assert all(out.entries.values())
 
 
-# -- the identity flag ---------------------------------------------------------
+# -- the kernel shape: 0/1 functions, injections and identities ---------------
 
 def _scanned_identity(f):
     """f is the identity on its strands, by definition."""
@@ -650,30 +650,90 @@ def _zoo_factors():
             yield from row
 
 
+def _scanned_shape(f):
+    """f's kernel shape by definition: False unless each of f's columns
+    holds exactly one entry and that entry is 1, else the row of each
+    column's entry, whether no two columns share a row, and whether f is
+    the identity on its strands."""
+    cols = {}
+    for (r, c), v in f.entries.items():
+        cols.setdefault(c, []).append((r, v))
+    if len(cols) != f.ncols or any(len(e) != 1 or e[0][1] != ONE
+                                   for e in cols.values()):
+        return False
+    rows = [cols[b][0][0] for b in range(f.ncols)]
+    return rows, len(set(rows)) == len(rows), _scanned_identity(f)
+
+
+def _kept(fn):
+    """A kept shape with its rows as a list, for comparison."""
+    return fn if fn in (None, False) else (list(fn[0]), fn[1], fn[2])
+
+
 def test_the_kept_identity_flag_is_the_scan_on_every_zoo_factor():
-    identities = others = 0
+    identities = injections = others = 0
     for f in _zoo_factors():
         if f is None:
             continue
-        before = f._id            # read before anything evaluates f
-        want = _scanned_identity(f)
-        assert before is None or before is want, f
-        assert linmaps._is_identity(f) is want and f._id is want, f
-        identities += want
-        others += not want
-    assert identities > 100 and others > 100
+        before = f._fn            # read before anything evaluates f
+        want = _scanned_shape(f)
+        assert before is None or _kept(before) == want, f
+        assert linmaps._is_identity(f) is _scanned_identity(f), f
+        assert _kept(f._fn) == want, f
+        identities += _scanned_identity(f)
+        injections += want is not False and want[1] and not want[2]
+        others += not _scanned_identity(f)
+    assert identities > 100 and others > 100 and injections > 50
 
 
 def test_an_identity_carries_its_flag_before_any_read():
     for spaces in [UNIT, (X,), (X, Y)]:
         f = LinMap.identity(spaces)
-        assert f._id is True and f._ones is True and f._cols is None
+        assert _kept(f._fn) == (list(range(f.ncols)), True, True)
+        assert f._ones is True and f._cols is None
     # an identity built from rows is found by a scan, once, and kept
     g = LinMap.from_rows((X,), (X,), [[1, 0], [0, 1]])
-    assert g._id is None
-    assert linmaps._is_identity(g) and g._id is True
+    assert g._fn is None
+    assert linmaps._is_identity(g) and _kept(g._fn) == ([0, 1], True, True)
     h = LinMap.from_rows((X,), (X,), [[1, 0], [0, 2]])
-    assert not linmaps._is_identity(h) and h._id is False
+    assert not linmaps._is_identity(h) and h._fn is False
+
+
+@pytest.mark.parametrize("dx", range(1, 6))
+@pytest.mark.parametrize("dy", range(1, 6))
+def test_flip_presets_the_shape_its_entries_give(dx, dy):
+    # both orders come up as (dx, dy) and (dy, dx); a strand crossing
+    # itself is an identity only at dim 1
+    for x, y in [(Space("A", dx), Space("B", dy)),
+                 (Space("A", dx), Space("A", dx))]:
+        f = flip(x, y)
+        preset = _kept(f._fn)
+        g = LinMap._trusted(f.dom, f.cod, dict(f.entries))
+        assert preset == _kept(linmaps._function_rows(g)) \
+            == _scanned_shape(f)
+        assert preset[1] and preset[2] is (x == y and dx == 1)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE},   # 2 per column
+    {(0, 0): ONE, (1, 0): ONE},                # as many entries as columns
+    {(0, 0): ONE},                                          # a zero column
+    {(0, 0): ONE, (1, 1): F(2)},                                # not 0/1
+    {(0, 1): ONE, (1, 0): _Z4}])
+def test_a_map_that_is_no_0_1_function_has_no_shape(entries):
+    f = LinMap((X,), (X,), entries)
+    assert linmaps._function_rows(f) is False and f._fn is False
+    assert _scanned_shape(f) is False and not linmaps._is_identity(f)
+
+
+def test_a_0_1_function_keeps_its_rows_and_whether_it_is_injective():
+    # a unit, a counit-like projection onto one row, and Fraction ones
+    eta = LinMap(UNIT, (Y,), {(2, 0): ONE})
+    proj = LinMap((X, Y), (X,), {(0, c): ONE for c in range(6)})
+    frac = LinMap((X,), (X,), {(0, 0): F(1), (1, 1): F(1)})
+    assert linmaps._function_rows(eta) == ([2], True, False)
+    assert linmaps._function_rows(proj) == ([0] * 6, False, False)
+    assert linmaps._function_rows(frac) == ([0, 1], True, True)
 
 
 def test_a_relabelled_identity_is_one_only_on_equal_strands():
@@ -771,6 +831,125 @@ def test_a_first_row_reads_the_0_1_test_off_the_values():
     assert repr(row.entry(3, 0)) == "2" and repr(row.entry(7, 4)) == "3"
     assert row._ones is None
     _assert_same_row(g @ (f @ f), _identity_seeded_row([g, f @ f]))
+
+
+# -- injective 0/1 factors against the general kernel loop --------------------
+
+def _general_apply_at(m, f, pos):
+    """The strand kernel as one general loop, as it was before injective
+    0/1 factors became a relabelling: the oracle for apply_at's entries,
+    scalar types, insertion order and 0/1 flag."""
+    k = len(f.dom)
+    assert m.cod[pos:pos + k] == f.dom
+    if _scanned_identity(f):
+        return m
+    R = dim_of(m.cod[pos + k:])
+    D, C = f.ncols, f.nrows
+    DR, CR = D * R, C * R
+    fcols = f.by_col()
+    f_ones, m_ones = f.is_ones(), m.is_ones()
+    out = {}
+    summed = False
+    for (row, col), v in m.entries.items():
+        rest = row % DR
+        fcol = fcols.get(rest // R)
+        if not fcol:
+            continue
+        base = row // DR * CR + rest % R
+        for r, fv in fcol.items():
+            key = (base + r * R, col)
+            term = v if f_ones else fv if m_ones else fv * v
+            cur = out.get(key)
+            if cur is None:
+                out[key] = term
+            else:
+                out[key] = cur + term
+                summed = True
+    ones = f_ones and m_ones
+    if summed and not ones:
+        out = {key: v for key, v in out.items() if v}
+    return LinMap._trusted(m.dom, m.cod[:pos] + f.cod + m.cod[pos + k:],
+                           out, not summed if ones else None)
+
+
+def _function(dom, cod, rows):
+    return LinMap(dom, cod, {(r, b): ONE for b, r in enumerate(rows)})
+
+
+_Z3 = root_of_unity(3, 1)
+_KERNEL_VALUES = {**_ROW_VALUES,
+                  "zeta3": [ZERO, ONE, -ONE, _Z3, -_Z3, 2 * _Z3 - 1,
+                            _Z3 * F(1, 2)]}
+
+
+_FACTOR_KINDS = ["injection", "permutation", "flip", "function", "identity",
+                 "random"]
+
+
+@st.composite
+def _kernel_factor(draw, dom, kind):
+    """A factor out of dom of the given kind: a 0/1 injection, a strand
+    permutation, the crossing flip(...) of two strands, a 0/1 function
+    that is not injective, an identity, or a random map."""
+    D = dim_of(dom)
+    if kind == "flip" and len(dom) == 2:
+        return flip(*dom)
+    if kind in ("permutation", "flip"):
+        return permutation(dom, draw(st.permutations(range(len(dom)))))
+    if kind == "identity":
+        return LinMap.identity(dom)
+    cod = tuple(draw(st.lists(st.sampled_from(_ROW_POOL), max_size=2)))
+    C = dim_of(cod)
+    if kind == "injection" and C >= D:
+        return _function(dom, cod, draw(st.permutations(range(C)))[:D])
+    if kind in ("injection", "function"):
+        return _function(dom, cod, [draw(st.integers(0, C - 1))
+                                    for _ in range(D)])
+    return LinMap.from_rows(dom, cod, [
+        [draw(st.sampled_from(_ROW_VALUES["rational"])) for _ in range(D)]
+        for _ in range(C)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_kernel_matches_the_general_loop(data):
+    # m on 1 to 3 strands with int, Fraction or Cyclo entries (or 0/1, or
+    # +-1 as ints and Fractions), f at every position, R = 1 and R > 1
+    cod = tuple(data.draw(st.lists(st.sampled_from(_ROW_POOL), min_size=1,
+                                   max_size=3)))
+    dom = tuple(data.draw(st.lists(st.sampled_from(_ROW_POOL), max_size=2)))
+    values = _KERNEL_VALUES[data.draw(st.sampled_from(sorted(_KERNEL_VALUES)))]
+    m = LinMap.from_rows(dom, cod, [
+        [data.draw(st.sampled_from(values))
+         for _ in range(dim_of(dom))] for _ in range(dim_of(cod))])
+    kind = data.draw(st.sampled_from(_FACTOR_KINDS))
+    if kind == "flip" and len(cod) > 1:      # flip's shape is preset
+        pos, k = data.draw(st.integers(0, len(cod) - 2)), 2
+    else:
+        pos = data.draw(st.integers(0, len(cod)))
+        k = data.draw(st.integers(0, len(cod) - pos))
+    f = data.draw(_kernel_factor(cod[pos:pos + k], kind))
+    _assert_same_row(apply_at(m, f, pos), _general_apply_at(m, f, pos))
+
+
+def test_the_kernel_matches_the_general_loop_on_fixed_factors():
+    # each factor at each position of a dense m over Q and over Q(zeta_3),
+    # with sums in every column for the projection
+    V = Space("V", 3)
+    for values in ([F(1, 2), -2, 3], [_Z3, -ONE, 1 - _Z3]):
+        m = LinMap.from_rows((X,), (X, Y, V), [
+            [values[(r + c) % 3] for c in range(2)] for r in range(18)])
+        for pos in range(3):
+            s = m.cod[pos]
+            sides = [flip(s, m.cod[pos + 1])] if pos < 2 else []
+            for f in sides + [
+                    _function((s,), (s,), list(reversed(range(s.dim)))),
+                    _function((s,), (s, Z), [2 * r + 1 for r in range(s.dim)]),
+                    _function((s,), (Space("P", 1),), [0] * s.dim),
+                    _function(UNIT, (Z,), [1])]:
+                at = pos + (len(f.dom) == 0)
+                want = _general_apply_at(m, f, at)
+                _assert_same_row(apply_at(m, f, at), want)
 
 
 # -- operator expressions as pending diagrams ---------------------------------

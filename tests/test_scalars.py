@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crossbial.scalars import (
@@ -19,6 +19,7 @@ from crossbial.scalars import (
     root_of_unity,
     scalar_from_json,
     scalar_to_json,
+    _mulmod,
     _power_table,
 )
 
@@ -510,3 +511,92 @@ def test_a_product_with_the_int_one_rebuilds_nothing(monkeypatch):
     assert calls == []
     assert all(p is c for p in products)
     assert c * 2 == 2 * c == twice and len(calls) == 2
+
+
+# -- fast paths against the generic path -------------------------------------
+# The generic path is how every sum and product was normalised before the
+# fast paths for denominator 1 and for the ints 1 and -1: numerators over
+# the product of the denominators, a rational value collapsed, then a
+# division by the gcd.
+
+def _generic(n, nums, den):
+    if not any(nums[1:]):
+        return F(nums[0], den) if nums[0] % den else nums[0] // den
+    g = gcd(den, *nums)
+    return Cyclo(n, tuple(c // g for c in nums), den // g)
+
+
+def _parts(n, x):
+    """x as (numerators, denominator) in the power basis mod Phi_n."""
+    if type(x) is Cyclo:
+        return list(x.nums), x.den
+    return [x.numerator] + [0] * (euler_phi(n) - 1), x.denominator
+
+
+def _generic_sum(n, x, y):
+    (a, da), (b, db) = _parts(n, x), _parts(n, y)
+    return _generic(n, [p * db + q * da for p, q in zip(a, b)], da * db)
+
+
+def _generic_product(n, x, y):
+    (a, da), (b, db) = _parts(n, x), _parts(n, y)
+    if type(y) is not Cyclo:
+        return _generic(n, [p * b[0] for p in a], da * db) if b[0] else 0
+    return _generic(n, _mulmod(n, a, b), da * db)
+
+
+def _fields(x):
+    """The type and the stored fields of a scalar."""
+    if type(x) is Cyclo:
+        assert type(x.nums) is tuple
+        assert all(type(c) is int for c in x.nums) and type(x.den) is int
+        return Cyclo, x.n, x.nums, x.den
+    return type(x), x
+
+
+@st.composite
+def _fast_operands(draw):
+    """x a Cyclo and y a scalar of conductor n, each over 1 most of the
+    time, y cancelling x off the constant term in half the draws; k an
+    int."""
+    n = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    d = euler_phi(n)
+    a = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    b = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        b = [b[0]] + [-c for c in a[1:]]
+    da, db = (draw(st.sampled_from([1, 1, 1, 2, 6])) for _ in "ab")
+    x = Cyclo.make(n, [F(c, da) for c in a])
+    y = Cyclo.make(n, [F(c, db) for c in b])
+    return n, x, y, draw(st.sampled_from([0, 1, -1, 2, -3, 6]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fast_operands())
+def test_the_fast_paths_are_the_generic_path(args):
+    n, x, y, k = args
+    assume(type(x) is Cyclo)
+    for got, want in ((x + y, _generic_sum(n, x, y)),
+                      (y + x, _generic_sum(n, x, y)),
+                      (x - y, _generic_sum(n, x, -y)),
+                      (x + k, _generic_sum(n, x, k)),
+                      (k + x, _generic_sum(n, x, k)),
+                      (x * k, _generic_product(n, x, k)),
+                      (k * x, _generic_product(n, x, k)),
+                      (x * y, _generic_product(n, x, y)),
+                      (y * x, _generic_product(n, x, y))):
+        assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
+def test_sums_and_products_over_one_collapse_to_ints(n):
+    z = root_of_unity(n, 1)
+    assert _fields(z + (1 - z)) == (int, 1)
+    assert _fields((z - 2) + (3 - z)) == (int, 1)
+    assert _fields(z * 2 - z - z) == (int, 0)
+    assert _fields(z * -1 + z) == (int, 0)
+    assert _fields(z * -1) == _fields(-z) == (Cyclo, n, tuple(
+        -c for c in z.nums), 1)
+    assert _fields(z * 0) == _fields(0 * z) == (int, 0)
+    assert _fields(z * -3) == _fields(-3 * z) == _fields(_generic(
+        n, [-3 * c for c in z.nums], 1))

@@ -6,12 +6,15 @@ Each row of MUTANTS names a file under src/crossbial/, an exact old text,
 the new text that replaces it and the tests that must fail on the result.
 For each row the tool copies src/ to a temporary directory, makes the edit
 there and runs only the row's tests against the copy, one pytest process
-at a time, from the root of the checkout.  It prints one line per row and
-the total time, and exits 1 when a row's old text does not occur exactly
-once in its file, when a mutant survives (its tests pass), or when pytest
-cannot run the tests (a test id that no longer exists, say).  A refactor
-that moves code moves its mutants with it: tests/test_tools.py checks on
-every run that each old text still occurs once.
+at a time, from the root of the checkout.  pytest's plugin autoloading is
+off and hypothesis's plugin is loaded by name, so other plugins installed
+beside pytest neither slow a row nor change what it runs.  The tool prints
+one line per row and the total time, and exits 1 when a row's old text
+does not occur exactly once in its file, when a mutant survives (its
+tests pass), or when pytest cannot run the tests (a test id that no
+longer exists, say).  A refactor that moves code moves its mutants with
+it: tests/test_tools.py checks on every run that each old text still
+occurs once.
 """
 
 import os
@@ -136,16 +139,40 @@ MUTANTS = [
            "        return _Pending._diagram(f.dom, self.cod, [[f]] + "
            "_lent_rows(self))\n",
            (LM + "test_a_chain_of_evaluated_maps_is_its_rows",)),
-    # LinMap.identity leaves its identity flag to a scan
-    Mutant("linmaps.py", "        f._id = True\n", "",
+    # LinMap.identity leaves its kernel shape to a scan
+    Mutant("linmaps.py", "        f._fn = (range(n), True, True)\n", "",
            (LM + "test_an_identity_carries_its_flag_before_any_read",)),
     # every map built from trusted entries is flagged an identity
     Mutant("linmaps.py",
-           "        f._cols = f._id = None\n        f._ones = ones\n",
-           "        f._cols = None\n        f._id = True\n"
+           "        f._cols = f._fn = None\n        f._ones = ones\n",
+           "        f._cols = None\n"
+           "        f._fn = (range(dim_of(dom)), True, True)\n"
            "        f._ones = ones\n",
            (LM + "test_the_kept_identity_flag_is_the_scan_on_every_zoo_"
             "factor",)),
+    # a 0/1 function that sends two columns to one row is called
+    # injective, so the kernel relabels where it must sum
+    Mutant("linmaps.py", "                fn = (rows, len(set(rows)) == n,\n",
+           "                fn = (rows, True,\n",
+           (LM + "test_a_0_1_function_keeps_its_rows_and_whether_it_is_"
+            "injective",
+            LM + "test_the_kernel_matches_the_general_loop_on_fixed_"
+            "factors")),
+    # flip's preset rows are transposed
+    Mutant("linmaps.py",
+           "    f._fn = ([b % dy * dx + b // dy for b in range(dx * dy)], "
+           "True,\n",
+           "    f._fn = ([b % dx * dy + b // dx for b in range(dx * dy)], "
+           "True,\n",
+           (LM + "test_flip_presets_the_shape_its_entries_give",
+            LM + "test_the_kernel_matches_the_general_loop_on_fixed_"
+            "factors")),
+    # the relabelling push right of other strands (R > 1) reads column
+    # b's row unscaled by R
+    Mutant("linmaps.py", "rr[row % DR // R]", "rows[row % DR // R]",
+           (LM + "test_the_kernel_matches_the_general_loop_on_fixed_"
+            "factors",
+            LM + "test_the_kernel_matches_the_general_loop")),
     # a 0/1 push that summed is flagged 0/1
     Mutant("linmaps.py", "                           not summed if ones else "
            "None)\n",
@@ -270,6 +297,26 @@ MUTANTS = [
            "    top = reduce(lambda acc, row: row * acc, inner)\n",
            ("tests/test_datum.py::test_the_top_half_is_lent_to_each_push_"
             "and_never_evaluated",)),
+    # Cyclo * -1 is the Cyclo itself
+    Mutant("scalars.py",
+           "            if other == -1:\n"
+           "                return Cyclo(self.n, tuple(-c for c in self.nums), "
+           "self.den)\n",
+           "            if other == -1:\n"
+           "                return self\n",
+           ("tests/test_scalars.py::test_sums_and_products_over_one_collapse_"
+            "to_ints",
+            "tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
+            "path")),
+    # a sum over denominator 1 with a rational value stays a Cyclo
+    Mutant("scalars.py",
+           "        return Cyclo(n, tuple(nums), 1) if any(nums[1:]) else "
+           "nums[0]\n",
+           "        return Cyclo(n, tuple(nums), 1)\n",
+           ("tests/test_scalars.py::test_sums_and_products_over_one_collapse_"
+            "to_ints",
+            "tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
+            "path")),
     # sop_compose keeps the zeros its sums leave
     Mutant("datum.py",
            "        if summed:\n"
@@ -303,10 +350,12 @@ def run_row(m: Mutant) -> int:
             text = fh.read()
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text.replace(m.old, m.new))
-        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+                   PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", *m.tests], cwd=ROOT, env=env,
+             "no:cacheprovider", "-p", "_hypothesis_pytestplugin", *m.tests],
+            cwd=ROOT, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
