@@ -362,17 +362,11 @@ def reduce_rows(rows: Iterable[Dict[int, Scalar]]
 # ---------------------------------------------------------------------------
 
 def flip(x: Space, y: Space) -> LinMap:
-    """The crossing x (x) y -> y (x) x: e_i (x) e_j goes to e_j (x) e_i.
-    Its kernel shape is set here: column b = i*dy + j goes to row
-    j*dx + i, and only the crossing of a strand of dim 1 with itself is
-    an identity."""
+    """The crossing x (x) y -> y (x) x: e_i (x) e_j goes to e_j (x) e_i."""
     dx, dy = x.dim, y.dim
-    f = LinMap._trusted((x, y), (y, x), {
+    return LinMap._trusted((x, y), (y, x), {
         (j * dx + i, i * dy + j): ONE for i in range(dx) for j in range(dy)},
         True)
-    f._fn = ([b % dy * dx + b // dy for b in range(dx * dy)], True,
-             x == y and dx == 1)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +473,7 @@ def _function_rows(f: LinMap):
     with rows[b] the row of column b's one entry.  identity needs equal
     strands as well as rows[b] == b, so a relabelled identity onto other
     strands is none.  It is read off f's entries once, with no by_col;
-    LinMap.identity and flip set it when they build the map."""
+    LinMap.identity sets it when it builds the map."""
     if f._fn is None:
         n = f.ncols
         fn = False
@@ -527,19 +521,13 @@ def apply_at(m: LinMap, f: LinMap, pos: int) -> LinMap:
     cod = m.cod[:pos] + f.cod + m.cod[pos + k:]
     R = dim_of(m.cod[pos + k:])
     D, C = f.ncols, f.nrows
+    DR, CR = D * R, C * R
     if fn is not False and fn[1]:
-        rows = fn[0]
-        if R == 1:
-            out = {(row // D * C + rows[row % D], col): v
-                   for (row, col), v in m.entries.items()}
-        else:
-            DR, CR = D * R, C * R
-            rr = [r * R for r in rows]
-            out = {(row // DR * CR + rr[row % DR // R] + row % R, col): v
-                   for (row, col), v in m.entries.items()}
+        rr = [r * R for r in fn[0]]
+        out = {(row // DR * CR + rr[row % DR // R] + row % R, col): v
+               for (row, col), v in m.entries.items()}
         return LinMap._trusted(m.dom, cod, out,
                                True if m.is_ones() else None)
-    DR, CR = D * R, C * R
     fcols = f.by_col()
     f_ones, m_ones = f.is_ones(), m.is_ones()
     out: Dict[Tuple[int, int], Scalar] = {}

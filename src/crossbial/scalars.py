@@ -159,11 +159,8 @@ def _cyclo(n: int, nums, den: int) -> Scalar:
 
 def _sum(n: int, a, da: int, b, db: int) -> Scalar:
     """The scalar a/da + b/db for numerator lists a and b.  Two operands
-    over 1, the sums that Phi's column algebra cancels, add numerators
-    and collapse a rational value to its int, with no gcd."""
-    if da == db == 1:
-        nums = [x + y for x, y in zip(a, b)]
-        return Cyclo(n, tuple(nums), 1) if any(nums[1:]) else nums[0]
+    over one denominator add numerators; over 1, the sums that Phi's
+    column algebra cancels, _cyclo takes no gcd."""
     if da == db:
         return _cyclo(n, [x + y for x, y in zip(a, b)], da)
     return _cyclo(n, [x * db + y * da for x, y in zip(a, b)], da * db)
@@ -247,14 +244,8 @@ class Cyclo:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        # the common operands first: a Cyclo of this conductor, or an int,
-        # which moves only the constant numerator by other * den and so
-        # keeps the sum in lowest terms and irrational
-        if type(other) is Cyclo:
-            if other.n != self.n:
-                raise ConductorMixError(
-                    f"cannot mix conductors {self.n} and {other.n}")
-            return _sum(self.n, self.nums, self.den, other.nums, other.den)
+        # an int moves only the constant numerator, by other * den, so the
+        # sum stays in lowest terms and irrational
         if type(other) is int:
             return Cyclo(self.n, (self.nums[0] + other * self.den,)
                          + self.nums[1:], self.den)
@@ -281,13 +272,12 @@ class Cyclo:
         return _sum(self.n, [-x for x in self.nums], self.den, *o)
 
     def __mul__(self, other):
-        # a product by 1 is self, and by -1 the negated numerators, which
-        # are in lowest terms already
+        # a product by 1 is self, and by -1 its negation
         if type(other) is int:
             if other == 1:
                 return self
             if other == -1:
-                return Cyclo(self.n, tuple(-c for c in self.nums), self.den)
+                return -self
         if isinstance(other, Cyclo):
             if other.n != self.n:
                 raise ConductorMixError(

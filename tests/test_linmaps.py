@@ -699,21 +699,6 @@ def test_an_identity_carries_its_flag_before_any_read():
     assert not linmaps._is_identity(h) and h._fn is False
 
 
-@pytest.mark.parametrize("dx", range(1, 6))
-@pytest.mark.parametrize("dy", range(1, 6))
-def test_flip_presets_the_shape_its_entries_give(dx, dy):
-    # both orders come up as (dx, dy) and (dy, dx); a strand crossing
-    # itself is an identity only at dim 1
-    for x, y in [(Space("A", dx), Space("B", dy)),
-                 (Space("A", dx), Space("A", dx))]:
-        f = flip(x, y)
-        preset = _kept(f._fn)
-        g = LinMap._trusted(f.dom, f.cod, dict(f.entries))
-        assert preset == _kept(linmaps._function_rows(g)) \
-            == _scanned_shape(f)
-        assert preset[1] and preset[2] is (x == y and dx == 1)
-
-
 @pytest.mark.parametrize("entries", [
     {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (1, 1): ONE},   # 2 per column
     {(0, 0): ONE, (1, 0): ONE},                # as many entries as columns
@@ -923,7 +908,7 @@ def test_the_kernel_matches_the_general_loop(data):
         [data.draw(st.sampled_from(values))
          for _ in range(dim_of(dom))] for _ in range(dim_of(cod))])
     kind = data.draw(st.sampled_from(_FACTOR_KINDS))
-    if kind == "flip" and len(cod) > 1:      # flip's shape is preset
+    if kind == "flip" and len(cod) > 1:      # a crossing of two strands
         pos, k = data.draw(st.integers(0, len(cod) - 2)), 2
     else:
         pos = data.draw(st.integers(0, len(cod)))

@@ -158,15 +158,6 @@ MUTANTS = [
             "injective",
             LM + "test_the_kernel_matches_the_general_loop_on_fixed_"
             "factors")),
-    # flip's preset rows are transposed
-    Mutant("linmaps.py",
-           "    f._fn = ([b % dy * dx + b // dy for b in range(dx * dy)], "
-           "True,\n",
-           "    f._fn = ([b % dx * dy + b // dx for b in range(dx * dy)], "
-           "True,\n",
-           (LM + "test_flip_presets_the_shape_its_entries_give",
-            LM + "test_the_kernel_matches_the_general_loop_on_fixed_"
-            "factors")),
     # the relabelling push right of other strands (R > 1) reads column
     # b's row unscaled by R
     Mutant("linmaps.py", "rr[row % DR // R]", "rows[row % DR // R]",
@@ -300,23 +291,23 @@ MUTANTS = [
     # Cyclo * -1 is the Cyclo itself
     Mutant("scalars.py",
            "            if other == -1:\n"
-           "                return Cyclo(self.n, tuple(-c for c in self.nums), "
-           "self.den)\n",
+           "                return -self\n",
            "            if other == -1:\n"
            "                return self\n",
            ("tests/test_scalars.py::test_sums_and_products_over_one_collapse_"
             "to_ints",
             "tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
             "path")),
-    # a sum over denominator 1 with a rational value stays a Cyclo
-    Mutant("scalars.py",
-           "        return Cyclo(n, tuple(nums), 1) if any(nums[1:]) else "
-           "nums[0]\n",
-           "        return Cyclo(n, tuple(nums), 1)\n",
-           ("tests/test_scalars.py::test_sums_and_products_over_one_collapse_"
-            "to_ints",
-            "tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
-            "path")),
+    # _cyclo takes its gcd only over 1, and so leaves every other value
+    # out of lowest terms
+    Mutant("scalars.py", "    if den != 1:\n", "    if den == 1:\n",
+           ("tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
+            "path",)),
+    # Cyclo + int moves the constant numerator by the int, not int * den
+    Mutant("scalars.py", "self.nums[0] + other * self.den,",
+           "self.nums[0] + other,",
+           ("tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
+            "path",)),
     # sop_compose keeps the zeros its sums leave
     Mutant("datum.py",
            "        if summed:\n"
