@@ -396,13 +396,13 @@ class BraidingProvider:
 class VectFlip(BraidingProvider):
     """The symmetric braiding of plain vector spaces: transposition."""
 
-    kind = "VectFlip"
-
     def __eq__(self, other):
         return type(other) is VectFlip
 
+    # never called, but BAT and HopfDatum take FLIP as a field default, and
+    # a dataclass refuses an unhashable default
     def __hash__(self):
-        return hash(self.kind)
+        return hash(VectFlip)
 
     def braiding(self, x: Space, y: Space) -> LinMap:
         return flip(x, y)

@@ -2,10 +2,14 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +37,9 @@ from tests.test_acceptance import braided_taft_pairing, canonical_pairing
 from tests.test_builders import evaluation_pairing_of_the_op_cop_dual
 from tests.test_hygiene import package_exceptions
 from tests.test_linmaps import doubled
-from tests.test_twisting import (bicharacter_cocycle, coboundary_cocycle,
-                                 counit_pairing, sweedler_rho,
+from tests.test_twisting import (_braided_line_rho, bicharacter_cocycle,
+                                 coboundary_cocycle, counit_pairing,
+                                 perturbed_bicharacter, sweedler_rho,
                                  uninvertible_cocycle)
 from tests.test_verify_once import qline_and_point
 
@@ -121,6 +126,36 @@ def test_version_flag(capsys):
     assert "crossbial" in capsys.readouterr().out
 
 
+def test_a_process_exits_with_mains_code(tmp_path):
+    # `python -m crossbial.cli` runs sys.exit(main()), the call the console
+    # script makes, on the package this suite imported
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+
+    def process(*argv):
+        done = subprocess.run([sys.executable, "-m", "crossbial.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, _ = process("zoo", "list", "--format", "json")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+    code, _, err = process("check", "hopf")
+    assert code == 2 and err.startswith("usage: crossbial check")
+    assert process("zoo", "build", "radford", *_RADFORD,
+                   "-o", "rad.json")[0] == 0
+    # rad.json has order 1, so a cap of 0 is a verified failure whose
+    # report names the first nonzero entry of Id - P
+    code, out, err = process("datum", "order", "--in", "rad.json",
+                             "--max-n", "0")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "not_recursive_up_to: 0",
+        'witness: {"i": 0, "j": 0, "u": 0, "v": 1, "value": "-1/1"}',
+        "verdict: fail"]
+    assert re.fullmatch(r"crossbial: \d+\.\d{3}s\n", err)
+
+
 def test_zoo_list(capsys):
     code, out, _ = run(capsys, "zoo", "list")
     assert code == 0
@@ -136,6 +171,10 @@ def test_zoo_build_radford_writes_a_workspace(tmp_path, capsys):
     assert set(obj["structures"]) == {"main", "b1", "b2"}
     assert set(obj["maps"]) == {"act_l", "coact_l", "act_r", "coact_r",
                                 "i1", "i2", "p1", "p2"}
+    # the workspace codec writes back the bytes it read
+    again = tmp_path / "again.json"
+    save_workspace(load_workspace(path), str(again))
+    assert again.read_bytes() == open(path, "rb").read()
 
 
 def test_zoo_build_group_then_check(tmp_path, capsys):
@@ -176,6 +215,28 @@ def test_zoo_build_ore_from_spec(tmp_path, capsys):
     assert code == 0
     assert '"0101"' in out
     assert "biproduct" in out
+    # an anticommuting C2 x C2 tower (x1 x2 = -x2 x1), whose datum is read
+    # off its splitting, and a C4 x C4 tower of dim 64 whose braiding is
+    # asymmetric, g*_1(g_2) != g*_2(g_1), so that its coproduct carries the
+    # inverse signs: each command exits 0
+    anti = {"orders": [2, 2], "t": 2, "g": [[1, 0], [0, 1]],
+            "g_star": [[1, 1], [1, 1]]}
+    asym = {"orders": [4, 4], "t": 2, "g": [[0, 1], [1, 0]],
+            "g_star": [[1, 2], [2, 3]]}
+    built = str(tmp_path / "built.json")
+    for fields, commands in (
+            (anti, [["check", "hopf"], ["cross", "decompose"],
+                    ["cross", "trivalent"], ["datum", "check"],
+                    ["datum", "classify"], ["datum", "order", "--max-n", "4"],
+                    ["datum", "build", "-o", built]]),
+            (asym, [["check", "hopf"], ["datum", "check"],
+                    ["cross", "trivalent"]])):
+        spec.write_text(json.dumps(fields))
+        assert run(capsys, "zoo", "build", "ore", "--spec", str(spec),
+                   "-o", path)[0] == 0
+        for argv in commands:
+            assert run(capsys, *argv, "--in", path)[0] == 0, argv
+    assert run(capsys, "check", "bialgebra", "--in", built)[0] == 0
 
 
 @pytest.mark.parametrize("t, g, message", [
@@ -229,13 +290,31 @@ def test_corrupted_workspace_fails_the_check(tmp_path, capsys):
     obj["structures"]["main"]["m"]["matrix"][0][0] = "2"
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "check", "hopf", "--in", bad)
-    # the report form of exit 1: the report with its failed entries goes
-    # to stdout, and stderr holds only the timing line
-    assert code == 1
-    assert out.splitlines()[-1] == "verdict: fail"
-    assert "FAIL" in out
-    assert re.fullmatch(r"crossbial: \d+\.\d{3}s\n", err)
+    # also kC3 with S(g) = g, which is no antipode, and the bicharacter of
+    # k(C3 x C3) with chi(gh (x) gh) = 2, whose cocycle law fails Light's
+    # test on generators and then the full diagrams
+    H = group_algebra(3)
+    kc3 = str(tmp_path / "kc3.json")
+    save_workspace(Workspace().add_structure("main", Structure(
+        H.space, H.m, H.eta, H.delta, H.eps, H.id_map())), kc3)
+    c = perturbed_bicharacter()
+    bic = str(tmp_path / "bic.json")
+    save_workspace(Workspace().add_structure("main", c.host)
+                   .add_map("chi", c.chi), bic)
+    for argv in (("check", "hopf", "--in", bad), ("check", "hopf", "--in", kc3),
+                 ("twist", "validate", "--in", bic)):
+        code, out, err = run(capsys, *argv)
+        # the report form of exit 1: the report with its failed entries
+        # goes to stdout, and stderr holds only the timing line
+        assert code == 1, argv
+        assert out.splitlines()[-1] == "verdict: fail"
+        assert "FAIL" in out
+        assert re.fullmatch(r"crossbial: \d+\.\d{3}s\n", err)
+    code, out, _ = run(capsys, "twist", "validate", "--in", bic,
+                       "--format", "json")
+    entry, = [e for e in json.loads(out)["checks"]["cocycle"]
+              if e["axiom"] == "2cocycle1"]
+    assert code == 1 and entry["ok"] is False and "witness" in entry
 
 
 def test_scalar_parse_error_reports_a_pointer(tmp_path, capsys):
@@ -342,7 +421,10 @@ def _rad_spaces_and(name):
     ("spaces", _rad_spaces_and(7)), ("spaces", _rad_spaces_and(None)),
     ("spaces", _rad_spaces_and(2.5)), ("spaces", _rad_spaces_and(True)),
     # more digits than int() converts from a string
-    ("maps", _scalar_map("1" + "0" * 5000 + "/1"))])
+    ("maps", _scalar_map("1" + "0" * 5000 + "/1")),
+    # a matrix is a JSON list of rows: iterating the string "1" in place of
+    # [["1/1"]] would yield the one row and its one entry
+    ("maps", {"f": {"dom": [], "cod": [], "matrix": "1"}})])
 def test_malformed_workspace_sections_are_pointed_at(tmp_path, capsys,
                                                      section, value):
     path = build_radford_ws(tmp_path, capsys)
@@ -517,8 +599,11 @@ def _exit(parser, argv, capsys):
     ["zoo", "build", "radford", *_RADFORD, "--extra", "1"],
     ["check", "hopf"]], ids=repr)
 def test_help_and_usage_errors_are_the_full_trees_bytes(capsys, argv):
-    assert (_exit(cli.build_parser(argv), argv, capsys)
-            == _exit(cli.build_parser(), argv, capsys))
+    got = _exit(cli.build_parser(argv), argv, capsys)
+    assert got == _exit(cli.build_parser(), argv, capsys)
+    # help and the version exit 0, every usage error 2
+    assert got[0] == (0 if {"-h", "--help"} & set(argv)
+                      or argv == ["--version"] else 2)
 
 
 def test_a_leaf_command_builds_only_its_path_of_parsers(
@@ -619,8 +704,9 @@ def test_datum_pipeline(tmp_path, capsys):
     path = build_radford_ws(tmp_path, capsys)
     code, out, _ = run(capsys, "datum", "check", "--in", path)
     assert code == 0 and "verdict: pass" in out
-    code, out, _ = run(capsys, "datum", "order", "--in", path)
-    assert code == 0 and '"order": 1' in out.replace("order: 1", '"order": 1')
+    for cap in ((), ("--max-n", "4")):
+        code, out, _ = run(capsys, "datum", "order", "--in", path, *cap)
+        assert code == 0 and "order: 1" in out.splitlines()
     # a cap below the order is a verified failure with a witness entry
     code, out, _ = run(capsys, "datum", "order", "--in", path, "--max-n", "0",
                        "--format", "json")
@@ -633,6 +719,13 @@ def test_datum_pipeline(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "check", "bialgebra", "--in", prod)
     assert code == 0
+    # Radford(8,1,8,4): a dim-16 datum, whose superoperator acts on a
+    # 65536-dim space
+    rad8 = str(tmp_path / "rad8.json")
+    assert run(capsys, "zoo", "build", "radford", "--n", "8", "--q-exp", "1",
+               "--N", "8", "--nu", "4", "-o", rad8)[0] == 0
+    code, out, _ = run(capsys, "datum", "order", "--in", rad8, "--max-n", "4")
+    assert code == 0 and "order: 1" in out.splitlines()
 
 
 def test_cross_decompose_and_rebuild(tmp_path, capsys):
@@ -657,16 +750,24 @@ def test_cross_decompose_and_rebuild(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 def test_twist_validate_and_apply(tmp_path, capsys):
-    gg, c = bicharacter_cocycle(3)
-    ws = Workspace().add_structure("main", gg).add_map("chi", c.chi)
-    path = str(tmp_path / "tw.json")
-    save_workspace(ws, path)
-    code, out, _ = run(capsys, "twist", "validate", "--in", path)
-    assert code == 0 and "ok   2cocycle1" in out
-    twisted = str(tmp_path / "twisted.json")
-    code, out, _ = run(capsys, "twist", "apply", "--in", path, "-o", twisted)
-    assert code == 0
-    assert "multiplication_changed: false" in out
+    # the bicharacters of k(C3 x C3) and of k(C4 x C4), whose cocycle
+    # inverse is solved over the 256-dim B (x) B, and eps (x) eps on
+    # Radford(2,1,2,1), which the host's own check certifies: none moves
+    # the multiplication
+    H = radford(RadfordParams(2, 1, 2, 1))["H"]
+    bicharacters = [bicharacter_cocycle(N) for N in (3, 4)]
+    for gg, chi in [(gg, c.chi) for gg, c in bicharacters] + [
+            (H, H.eps @ H.eps)]:
+        ws = Workspace().add_structure("main", gg).add_map("chi", chi)
+        path = str(tmp_path / "tw.json")
+        save_workspace(ws, path)
+        code, out, _ = run(capsys, "twist", "validate", "--in", path)
+        assert code == 0 and "ok   2cocycle1" in out
+        twisted = str(tmp_path / "twisted.json")
+        code, out, _ = run(capsys, "twist", "apply", "--in", path,
+                           "-o", twisted)
+        assert code == 0
+        assert "multiplication_changed: false" in out
 
 
 def test_twist_apply_certifies_a_stored_inverse(tmp_path, capsys):
@@ -873,11 +974,12 @@ def test_a_host_that_is_no_bialgebra_is_a_verified_failure(tmp_path,
     path = str(tmp_path / "taft.json")
     save_workspace(Workspace().add_structure("main", T).add_map("chi", chi),
                    path)
-    code, out, err = run(capsys, "twist", "validate", "--in", path)
-    assert code == 1
-    assert out == ""
-    assert "host fails mult-comult" in err
-    assert "failing: mult-comult" in err
+    for cmd in ("validate", "apply"):
+        code, out, err = run(capsys, "twist", cmd, "--in", path)
+        assert code == 1
+        assert out == ""
+        assert "host fails mult-comult" in err
+        assert "failing: mult-comult" in err
 
 
 def test_twisting_a_host_whose_antipode_fails_is_a_verified_failure(
@@ -942,6 +1044,17 @@ def _no_delta(tmp_path):
     return ["check", "hopf", "--in", path]
 
 
+def _act_l_on_coact_l_strands(tmp_path):
+    path = tmp_path / "rad.json"
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["zoo", "build", "radford", *_RADFORD,
+                     "-o", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["maps"]["act_l"] = obj["maps"]["coact_l"]
+    path.write_text(json.dumps(obj))
+    return ["datum", "check", "--in", str(path)]
+
+
 ORDERS = "group must be a nonempty list of positive cyclic orders"
 
 
@@ -960,9 +1073,12 @@ ORDERS = "group must be a nonempty list of positive cyclic orders"
     (_ore_spec(g=[[1, 0]]),
      "element/character tuples must match the number of cyclic factors"),
     (_no_delta, "/structures/main: bad structure encoding: missing 'delta'"),
+    # the datum's slot, the strands it needs and those it got
+    (_act_l_on_coact_l_strands, "act_l must map kC2 (x) Taft2 -> Taft2, "
+                                "not Taft2 -> kC2 (x) Taft2"),
 ], ids=["no-chi", "conductor", "spec-without-t", "group-of-order-0",
         "radford-n-1", "ore-no-orders", "ore-order-0", "ore-two-elements",
-        "ore-long-element", "no-delta"])
+        "ore-long-element", "no-delta", "act-l-on-coact-l-strands"])
 def test_malformed_input_to_a_command_exits_two(tmp_path, capsys, argv,
                                                 message):
     code, out, err = run(capsys, *argv(tmp_path))
@@ -1016,9 +1132,8 @@ def test_pairing_commands(tmp_path, capsys):
     assert "braiding_involutive: true" in out
 
 
-def sweedler_dbp_workspace():
-    """The Sweedler double-biproduct input with a pairing, as a workspace."""
-    inp = sweedler_rho(1)
+def dbp_workspace(inp):
+    """A double-biproduct input with a pairing, as a workspace."""
     ws = (Workspace().add_structure("h", inp.H).add_structure("b", inp.B)
           .add_structure("c", inp.C))
     for name, f in (("b_act", inp.b_act), ("b_coact", inp.b_coact),
@@ -1029,49 +1144,85 @@ def sweedler_dbp_workspace():
 
 
 def test_double_biproduct_command(tmp_path, capsys):
-    path = str(tmp_path / "dbp.json")
-    save_workspace(sweedler_dbp_workspace(), path)
-    out_path = str(tmp_path / "z.json")
-    code, out, _ = run(capsys, "double-biproduct", "build", "--in", path,
-                       "-o", out_path)
-    assert code == 0
-    assert "dim: 8" in out
-    assert "twist_changed_multiplication: false" in out
-    built = load_workspace(out_path)
-    assert set(built.structures) == {"main", "z_twisted"}
-    assert set(built.maps) == {"rho_hat", "rho_hat_inv"}
+    # the Sweedler input and the braided lines over kC4, each paired by
+    # rho(1 (x) 1) = rho(x (x) x) = 1
+    path, out_path = str(tmp_path / "dbp.json"), str(tmp_path / "z.json")
+    twisted = str(tmp_path / "twisted.json")
+    for inp, dim, changed in ((sweedler_rho(1), 8, "false"),
+                              (_braided_line_rho(4), 16, "true")):
+        save_workspace(dbp_workspace(inp), path)
+        code, out, _ = run(capsys, "double-biproduct", "build", "--in", path,
+                           "-o", out_path)
+        assert code == 0
+        assert f"dim: {dim}" in out
+        assert f"twist_changed_multiplication: {changed}" in out
+        built = load_workspace(out_path)
+        assert set(built.structures) == {"main", "z_twisted"}
+        assert set(built.maps) == {"rho_hat", "rho_hat_inv"}
+        # the output is the twist of its Z by rho_hat: twisting main by
+        # rho_hat gives z_twisted, both with rho_hat_inv stored as chi_inv
+        # (certified by its two convolution identities over Z (x) Z) and
+        # without it (solved there)
+        doc = json.loads(open(out_path).read())
+        maps = doc["maps"]
+        maps["chi"], maps["chi_inv"] = (maps.pop("rho_hat"),
+                                        maps.pop("rho_hat_inv"))
+        for stored in (True, False):
+            if not stored:
+                del maps["chi_inv"]
+            open(path, "w").write(json.dumps(doc))
+            code, _, _ = run(capsys, "twist", "apply", "--in", path,
+                             "-o", twisted)
+            assert code == 0
+            assert (json.loads(open(twisted).read())["structures"]["main"]
+                    == doc["structures"]["z_twisted"])
+
+
+def _with_trivial_cocycle(ws, name):
+    """ws with chi = eps (x) eps on its structure name."""
+    st = ws.structure(name)
+    return ws.add_map("chi", st.eps @ st.eps)
 
 
 def braided_sweedler_workspace():
     """The Sweedler input with the trivial cocycle on B and a section that
     registers SwB over h."""
-    ws = sweedler_dbp_workspace()
-    b = ws.structure("b")
-    ws.add_map("chi", b.eps @ b.eps)
+    ws = _with_trivial_cocycle(dbp_workspace(sweedler_rho(1)), "b")
     ws.braiding = {"kind": "yetter-drinfeld", "host": "h",
                    "modules": [{"space": "SwB", "act": "b_act",
                                 "coact": "b_coact"}]}
     return ws
 
 
-@pytest.mark.parametrize("argv, call", [
-    (("twist", "validate", "--name", "b"), "validate_cocycle"),
-    (("twist", "apply", "--name", "b"), "twist"),
-    (("double-biproduct", "build"), "double_biproduct"),
-    (("pairing", "check"), "validate_pairing"),
-    (("pairing", "matched-pair"), "matched_pair_from_pairing"),
+@pytest.mark.parametrize("argv, call, build", [
+    (("twist", "validate", "--name", "b"), "validate_cocycle",
+     braided_sweedler_workspace),
+    (("twist", "apply", "--name", "b"), "twist", braided_sweedler_workspace),
+    (("double-biproduct", "build"), "double_biproduct",
+     braided_sweedler_workspace),
+    (("pairing", "check"), "validate_pairing",
+     lambda: braided_qline_workspace()[0]),
+    (("pairing", "matched-pair"), "matched_pair_from_pairing",
+     lambda: braided_qline_workspace()[0]),
+    # Sweedler's C under its left Yetter-Drinfeld section, and the q-line
+    # copy h under the right one
+    (("twist", "apply", "--name", "c"), "twist",
+     lambda: _with_trivial_cocycle(sweedler_left_workspace()[0], "c")),
+    (("twist", "validate", "--name", "h"), "validate_cocycle",
+     lambda: _with_trivial_cocycle(braided_qline_workspace()[0], "h")),
+    (("twist", "apply", "--name", "h"), "twist",
+     lambda: _with_trivial_cocycle(braided_qline_workspace()[0], "h")),
 ], ids=["twist-validate", "twist-apply", "double-biproduct-build",
-        "pairing-check", "pairing-matched-pair"])
+        "pairing-check", "pairing-matched-pair", "twist-apply-left",
+        "twist-validate-qline", "twist-apply-qline"])
 def test_a_braided_workspace_is_refused_by_the_flip_only_commands(
-        tmp_path, capsys, monkeypatch, argv, call):
-    # twisting, the double biproduct and pairings live over the flip: the
-    # braided Sweedler input, or for a pairing the braided q-line pairing,
-    # is refused before the library call
+        tmp_path, capsys, monkeypatch, argv, call, build):
+    # twisting, the double biproduct and pairings live over the flip: a
+    # braided input is refused before the library call
     def never(*args):
         raise AssertionError(f"{call} reached")
     monkeypatch.setattr(cli, call, never)
-    ws = (braided_qline_workspace()[0] if argv[0] == "pairing"
-          else braided_sweedler_workspace())
+    ws = build()
     path = str(tmp_path / "in.json")
     save_workspace(ws, path)
     written = tmp_path / "out.json"
@@ -1204,19 +1355,26 @@ def test_braided_verdicts_match_the_python_calls(tmp_path, capsys,
     p, prov = braided_taft_pairing()
     assert check_axioms(p.H, "bialgebra", prov).ok
     assert check_axioms(p.H, "bialgebra").failed() == ["mult-comult"]
-    code, _, _ = run(capsys, "check", "bialgebra", "--name", "h",
-                     "--in", qline_path)
-    assert code == 0
-
-    obj = json.loads(open(qline_path).read())
-    del obj["braiding"]
-    obj["schema"] = "crossbial-workspace/1"
+    # so is Sweedler's C under its left Yetter-Drinfeld section, and over
+    # the flip its report names the witness
+    swleft = str(tmp_path / "swleft.json")
+    save_workspace(sweedler_left_workspace()[0], swleft)
     flip = str(tmp_path / "flip.json")
-    open(flip, "w").write(json.dumps(obj))
-    code, out, _ = run(capsys, "check", "bialgebra", "--name", "h",
-                       "--in", flip)
-    assert code == 1
-    assert "FAIL mult-comult" in out
+    for path, name, fail in (
+            (qline_path, "h", "FAIL mult-comult"),
+            (swleft, "c", "FAIL mult-comult  out=[1, 1] in=[1, 1]: "
+                          "0/1 != 2/1")):
+        code, _, _ = run(capsys, "check", "bialgebra", "--name", name,
+                         "--in", path)
+        assert code == 0
+        obj = json.loads(open(path).read())
+        del obj["braiding"]
+        obj["schema"] = "crossbial-workspace/1"
+        open(flip, "w").write(json.dumps(obj))
+        code, out, _ = run(capsys, "check", "bialgebra", "--name", name,
+                           "--in", flip)
+        assert code == 1
+        assert fail in out
 
 
 def _set(path, value):
@@ -1273,13 +1431,13 @@ def test_a_module_on_the_wrong_strands_is_named(tmp_path, capsys,
     obj["braiding"]["modules"][1]["act"] = "h_act"
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write(json.dumps(obj))
-    code, out, err = run(capsys, "check", "bialgebra", "--name", "h",
-                         "--in", bad)
-    assert code == 2
-    assert out == ""
-    assert err.splitlines()[0] == (
-        "crossbial: error: /braiding/modules/1/act: act_r must map "
-        "TaftA (x) kC3 -> TaftA, not TaftH (x) kC3 -> TaftH")
+    for argv in (("check", "bialgebra", "--name", "h"), ("pairing", "check")):
+        code, out, err = run(capsys, *argv, "--in", bad)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[0] == (
+            "crossbial: error: /braiding/modules/1/act: act_r must map "
+            "TaftA (x) kC3 -> TaftA, not TaftH (x) kC3 -> TaftH")
 
 
 def test_a_coaction_on_the_wrong_strands_is_named(tmp_path, capsys,
@@ -1359,8 +1517,9 @@ def test_trivalence_of_a_braided_splitting(tmp_path, capsys):
     save_workspace(braided_qline_point_workspace(degree=1), path)
     code, _, err = run(capsys, "cross", "trivalent", "--in", path)
     assert code == 1
-    assert "failing: phi-braiding\n" in err
-    assert "witness: phi-braiding " in err
+    assert "failing: phi-braiding" in err.splitlines()
+    assert any(line.startswith("witness: phi-braiding out=")
+               for line in err.splitlines())
 
 
 def test_output_workspaces_carry_no_braiding(tmp_path, capsys):

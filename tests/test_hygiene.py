@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import crossbial
 from crossbial.datum import HopfDatum
 from crossbial.scalars import InputError, VerifiedFailure
 
@@ -23,6 +24,17 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
     (ROOT / "tests").glob("*.py"))
+
+
+def test_the_imported_package_is_this_tree():
+    # the suite also runs against an installed copy of the package, which
+    # must be this tree's src/crossbial, not a stale install
+    def files(directory):
+        return sorted(p.name for p in directory.iterdir() if p.is_file())
+    imported = Path(crossbial.__file__).resolve().parent
+    assert files(imported) == files(ROOT / "src" / "crossbial")
+    for p in PACKAGE:
+        assert (imported / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 def unused_imports(source: str):
