@@ -12,7 +12,7 @@ encoding is cli's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from operator import matmul
 from typing import Dict, List, Optional, Tuple
 
@@ -136,6 +136,13 @@ class Structure:
     Every structure has its multiplication: m=None is refused with
     ShapeError.  A map built with `*` or `@` may stay pending until it is
     read, so a multiplication that nothing reads costs nothing.
+
+    A structure and its maps are immutable once built, so what its maps
+    determine is a cached property, computed on the first request and kept
+    in the structure object's __dict__: _verdicts (check_axioms' entries,
+    by law) and _gens (_generators of m).  Only this module reads them.
+    == and repr see the fields alone, and dataclasses.replace starts with
+    none of them kept.
     """
 
     space: Space
@@ -163,6 +170,16 @@ class Structure:
     def unit_counit(self) -> LinMap:
         """eta o eps, the convolution unit of End(B)."""
         return self.eta * self.eps
+
+    @cached_property
+    def _verdicts(self) -> Dict[str, CheckEntry]:
+        """check_axioms' entries decided on this structure, by law name;
+        filled by check_axioms."""
+        return {}
+
+    @cached_property
+    def _gens(self) -> Optional[LinMap]:
+        return _generators(self.m, self.space)
 
 
 def restrict(A: Structure, i: LinMap, p: LinMap) -> Structure:
@@ -361,31 +378,57 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
     Psi is the provider's braiding of s.space with itself unless given
     explicitly, as it must be for a fused product space that no provider
     has registered.
+
+    Each law is decided once per structure object: its entry is kept in
+    s._verdicts under the law's name, and a later check of s, at any kind,
+    reads it there.  mult-comult, the one law that reads Psi, is kept only
+    when bp is the flip and no psi is given: under another provider, or an
+    explicit psi, it is decided on every call.  A check that raises keeps
+    nothing.
     """
     if kind not in ("algebra", "coalgebra", "bialgebra", "hopf"):
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "hopf" and s.S is None:
         raise ConfigurationError("hopf check needs an antipode")
-    g = None if kind == "coalgebra" else _generators(s.m, s.space)
     i = s.id_map()
-    entries = [compare("unit-counit", s.eps * s.eta, LinMap.identity(UNIT))]
+    seen = dict(s._verdicts)
+
+    def law(axiom, diagrams, shortcut=None):
+        # the kept entry, else the verdict on the pending diagrams (lhs,
+        # rhs), tried first on the shortcut's when one is given
+        if axiom not in seen:
+            seen[axiom] = (compare(axiom, *diagrams()) if shortcut is None
+                           else _law(axiom, *diagrams(), shortcut()))
+        return seen[axiom]
+
+    entries = [law("unit-counit",
+                   lambda: (s.eps * s.eta, LinMap.identity(UNIT)))]
     if kind != "coalgebra":
         # associativity is listed first, but decided after the unit laws,
-        # which let Light's test on the generators g leave the unit out
-        units = [compare("left-unit", s.m * (s.eta @ i), i),
-                 compare("right-unit", s.m * (i @ s.eta), i)]
+        # which let Light's test on the generators s._gens leave the unit out
+        units = [law("left-unit", lambda: (s.m * (s.eta @ i), i)),
+                 law("right-unit", lambda: (s.m * (i @ s.eta), i))]
         unital = units[0].ok and units[1].ok
-        entries += [_law("associativity", s.m * (s.m @ i), s.m * (i @ s.m),
-                         _light_test(s.m, g, s.eta if unital else None)),
+        entries += [law("associativity",
+                        lambda: (s.m * (s.m @ i), s.m * (i @ s.m)),
+                        lambda: _light_test(s.m, s._gens,
+                                            s.eta if unital else None)),
                     *units]
     if kind != "algebra":
-        entries += [compare("coassociativity", (s.delta @ i) * s.delta,
-                            (i @ s.delta) * s.delta),
-                    compare("left-counit", (s.eps @ i) * s.delta, i),
-                    compare("right-counit", (i @ s.eps) * s.delta, i)]
-    if kind in ("bialgebra", "hopf"):
-        unit_comult = compare("unit-comult", s.delta * s.eta,
-                              (i @ s.eta) * s.eta)
+        entries += [law("coassociativity", lambda: ((s.delta @ i) * s.delta,
+                                                    (i @ s.delta) * s.delta)),
+                    law("left-counit", lambda: ((s.eps @ i) * s.delta, i)),
+                    law("right-counit", lambda: ((i @ s.eps) * s.delta, i))]
+    bialgebra = kind in ("bialgebra", "hopf")
+    if bialgebra:
+        unit_comult = law("unit-comult", lambda: (s.delta * s.eta,
+                                                  (i @ s.eta) * s.eta))
+    # mult-comult reads Psi, so it is kept under the flip alone: a provider
+    # may register a space again, and a psi is built per call.  Under any
+    # other its key is None, which is dropped before the verdicts are kept
+    key = "mult-comult" if psi is None and bp == FLIP else None
+    if bialgebra and key not in seen:
+        g = s._gens
         # Once m is associative (entries[1]) and under the flip, the a with
         # delta(a y) = delta(a) delta(y) for all y are closed under m too;
         # they hold 1 once the unit laws (entries[2:4]) and unit-comult do
@@ -398,17 +441,19 @@ def check_axioms(s: Structure, kind: str, bp=FLIP, psi=None) -> CheckReport:
             psi = bp.braiding(s.space, s.space)
         lhs = s.delta * s.m
         rhs = (s.m @ s.m) * (i @ psi @ i) * (s.delta @ s.delta)
-        entries.append(_law("mult-comult", lhs, rhs,
-                            (lhs * (g @ i), rhs * (g @ i)) if seeded
-                            else None))
-        entries.append(unit_comult)
-        entries.append(compare("counit-mult", s.eps * s.m, s.eps @ s.eps))
+        seen[key] = _law("mult-comult", lhs, rhs,
+                         (lhs * (g @ i), rhs * (g @ i)) if seeded else None)
+    if bialgebra:
+        entries += [seen[key], unit_comult,
+                    law("counit-mult", lambda: (s.eps * s.m, s.eps @ s.eps))]
     if kind == "hopf":
         ue = s.unit_counit()
-        entries.append(compare("left-antipode", s.m * (s.S @ i) * s.delta,
-                               ue))
-        entries.append(compare("right-antipode", s.m * (i @ s.S) * s.delta,
-                               ue))
+        entries += [law("left-antipode", lambda: (s.m * (s.S @ i) * s.delta,
+                                                  ue)),
+                    law("right-antipode", lambda: (s.m * (i @ s.S) * s.delta,
+                                                   ue))]
+    seen.pop(None, None)
+    s._verdicts.update(seen)
     return CheckReport(entries)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .datum import ConsistencyError, HopfDatum, _datum_laws
@@ -60,7 +61,19 @@ def unit_bialgebra() -> Structure:
 
 @dataclass(frozen=True)
 class TwoCocycle:
-    """A scalar form on B(x)B; a stored inverse is certified, not solved."""
+    """A scalar form on B(x)B; a stored inverse is certified, not solved.
+
+    A cocycle, its host and its maps are immutable once built, so what
+    they determine is a cached property, computed on the first request and
+    kept in the cocycle object's __dict__: _doi (B (x) B, its Delta and
+    Doi's product chi.m, from _chi_dot_m), _cocycle_laws (the cocycle
+    report) and _chi_inverse (chi_inv once certified, else the solved
+    inverse).  Their readers check the host first, as a bialgebra for the
+    report and a coalgebra for chi^-.  Nothing is kept when a body raises,
+    so a chi_inv that fails its certificate is refused on every request,
+    and only this module reads them.  == and repr see the fields alone,
+    and dataclasses.replace starts with none of them kept.
+    """
 
     host: Structure
     chi: LinMap
@@ -70,6 +83,19 @@ class TwoCocycle:
         BB = (self.host.space,) * 2
         require_boundaries(("chi", self.chi, BB, UNIT),
                            ("chi_inv", self.chi_inv, BB, UNIT))
+
+    @cached_property
+    def _doi(self) -> Tuple[Structure, LinMap, LinMap]:
+        bb = tensor_structure(self.host, self.host)
+        return (bb, *_chi_dot_m(self, bb))
+
+    @cached_property
+    def _cocycle_laws(self) -> CheckReport:
+        return _cocycle_report(self, self._doi[2])
+
+    @cached_property
+    def _chi_inverse(self) -> LinMap:
+        return _scalar_inverse(self.chi, self._doi[0], self.chi_inv)
 
 
 @dataclass(frozen=True)
@@ -130,26 +156,26 @@ def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
     raise ValueError(f"unknown side {side!r}")
 
 
-def _scalar_inverse(f: LinMap, coalg: Structure, stored: LinMap = None,
-                    error=PreconditionError) -> LinMap:
+def _scalar_inverse(f: LinMap, coalg: Structure,
+                    stored: LinMap = None) -> LinMap:
     """Convolution inverse of a scalar-valued form on a coalgebra whose
     laws the caller has verified: a tensor_structure of factors it has
-    checked (B (x) B by cocycle_inverse, or by twist and double_biproduct
-    before _twist; H (x) A by pairing_inverse or validate_pairing; B (x) C
-    by double_biproduct).
+    checked (B (x) B by a cocycle's _chi_inverse, read by cocycle_inverse
+    and _twist once they have checked the host; H (x) A by pairing_inverse
+    or validate_pairing; B (x) C by double_biproduct).
     Over the flip the factors' coalgebra laws give the tensor's, and k is
     an algebra, so neither is checked again here.
 
     The form's multi-strand domain is rolled up into the single space of
     `coalg`.  A stored inverse (a cocycle's chi_inv) is certified, a
-    failure raising error, and returned as it is; otherwise the inverse is
-    computed exactly and unrolled back to the original strands.
+    failure raising PreconditionError, and returned as it is; otherwise the
+    inverse is computed exactly and unrolled back to the original strands.
     """
     k = unit_bialgebra()
     fp, *gp = (rebind(x, (coalg.space,), (k.space,))
                for x in (f, stored) if x is not None)
     if gp:
-        _inverse_report(fp, *gp, coalg, k).require("chi_inv fails {}", error)
+        _inverse_report(fp, *gp, coalg, k).require("chi_inv fails {}")
         return stored
     return rebind(_convolution_inverse(fp, coalg, k), f.dom, UNIT)
 
@@ -160,10 +186,10 @@ def cocycle_inverse(c: TwoCocycle) -> LinMap:
     checked here; a stored chi_inv is returned as it is once both
     convolution identities certify it, and only a missing one is solved
     for.  Twisting lives over the flip, where B (x) B is then a coalgebra,
-    so a certified chi_inv is the unique inverse."""
+    so a certified chi_inv is the unique inverse.  The inverse is the
+    cocycle's kept _chi_inverse, found once per cocycle object."""
     check_axioms(c.host, "coalgebra").require("host fails {}")
-    return _scalar_inverse(c.chi, tensor_structure(c.host, c.host),
-                           c.chi_inv)
+    return c._chi_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +201,17 @@ def validate_cocycle(c: TwoCocycle) -> CheckReport:
     unit halves are also compared against each other directly.  From dim
     6 on, the cocycle law is tried first by Light's associativity test on
     Doi's product chi.m (see _cocycle_report); a failing entry and its
-    witness are always the full diagrams'."""
+    witness are always the full diagrams'.  The report is the cocycle's
+    kept _cocycle_laws, decided once per cocycle object."""
     check_axioms(c.host, "bialgebra").require("host fails {}")
-    bb = tensor_structure(c.host, c.host)
-    return _cocycle_report(c, _chi_dot_m(c, bb)[1])
+    return c._cocycle_laws
 
 
 def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
     """The comultiplication of bb = tensor_structure(B, B), rebound
     onto B (x) B -> B (x) B (x) B (x) B, and Doi's product
     chi.m = (chi (x) m) o Delta_{B (x) B} on B, which the cocycle report
-    and the twist both read."""
+    and the twist both read; kept with bb as the cocycle's _doi."""
     BB = (c.host.space,) * 2
     delta2 = rebind(bb.delta, BB, BB * 2)
     return delta2, conv_dot(c.chi, c.host.m, "left", delta2)
@@ -224,37 +250,44 @@ def twist(b: Structure, c: TwoCocycle) -> Structure:
 
     m^chi = chi.m.chi^-; Hopf inputs also get S^chi = u.S.u^- with
     u = chi o (id (x) S) o Delta.  Unit, counit and comultiplication are
-    untouched.  chi^- is found as cocycle_inverse finds it, over the
-    B (x) B that _twist builds.  The output is
+    untouched.  chi^- is found as cocycle_inverse finds it.  The output is
     re-verified against every axiom unless m^chi = m and S^chi = S (as on
     every cocommutative host), when the host's own check, made here at the
     same kind, certifies it.
+
+    When b is c's host, the twist reads what c keeps (chi.m, the cocycle
+    report, chi^-), so repeated twists and checks of one cocycle decide
+    each of them once; any other b on the same space gets a fresh cocycle.
     """
     if c.host.space != b.space:
         raise ShapeError("cocycle host does not match the twisted algebra")
     # S^chi is built from S, so a host with an antipode is checked as Hopf
     kind = "hopf" if b.S is not None else "bialgebra"
     check_axioms(b, kind).require("host fails {}")
-    return _twist(TwoCocycle(b, c.chi, c.chi_inv), PreconditionError)[0]
+    on_b = c if c.host is b else TwoCocycle(b, c.chi, c.chi_inv)
+    return _twist(on_b, PreconditionError)[0]
 
 
 def _twist(c: TwoCocycle, error) -> Tuple[Structure, CheckReport]:
     """The twist and its cocycle report, for a cocycle on a host verified
     over the flip as "hopf" if it has an antipode, else as "bialgebra"; a
     failed cocycle law or chi_inv raises error, a failed twist
-    ConsistencyError.  The one B (x) B built here, by tensor_structure,
-    gives Delta_{B (x) B}, chi.m and the space chi^- is solved or certified
-    over; its multiplication is never read, so never evaluated.
+    ConsistencyError.  Delta_{B (x) B}, chi.m, the cocycle report and chi^-
+    are the ones c keeps; chi^- is solved or certified over c's one
+    B (x) B, whose multiplication is never read, so never evaluated.
 
     The twisted structure is checked at the host's kind only when m^chi
     or S^chi differs from the host's map: otherwise it has the host's six
     maps, and that check would be the host's, which has passed."""
     b = c.host
-    bb = tensor_structure(b, b)
-    delta2, chi_m = _chi_dot_m(c, bb)
-    rep = _cocycle_report(c, chi_m)
+    _, delta2, chi_m = c._doi
+    rep = c._cocycle_laws
     rep.require("cocycle fails {}", error)
-    chi_inv = _scalar_inverse(c.chi, bb, c.chi_inv, error)
+    try:
+        chi_inv = c._chi_inverse
+    except PreconditionError as err:
+        # a stored chi_inv failed its certificate: refused with error
+        err.report.require("chi_inv fails {}", error)
     m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
     S_chi = None
     if b.S is not None:

@@ -19,6 +19,8 @@ import pytest
 import crossbial
 from crossbial.datum import HopfDatum
 from crossbial.scalars import InputError, VerifiedFailure
+from crossbial.structures import Structure
+from crossbial.twisting import TwoCocycle
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
@@ -664,29 +666,35 @@ def test_every_verified_failure_carries_a_report():
             for site in named_failures(p.read_text(), names)] == []
 
 
-# the cached properties of a HopfDatum, kept in its __dict__
-KEPT = ("_report", "_induced", "_bottom", "_phi")
+# the cached properties each class keeps in its objects' __dict__, by the
+# one module that may read them: a HopfDatum's, a Structure's and a
+# TwoCocycle's.  The scanner matches names as strings, so a name two
+# classes shared would be found outside one of their modules
+KEPT = {"datum.py": (HopfDatum, ("_report", "_induced", "_bottom", "_phi")),
+        "structures.py": (Structure, ("_verdicts", "_gens")),
+        "twisting.py": (TwoCocycle, ("_doi", "_cocycle_laws",
+                                     "_chi_inverse"))}
 
 
-def memo_accesses(source: str):
-    """(function, line) of each read or write of what a HopfDatum keeps:
-    an attribute `x._report`, `x._induced`, `x._bottom` or `x._phi`, or
-    one of those names as a string anywhere (getattr, vars(x)[...]).  The
-    function is the innermost one around it, "<module>" at module level;
-    a property's definition in a class body is neither."""
+def memo_accesses(source: str, names):
+    """(function, line) of each read or write of a kept value named in
+    names: an attribute `x.<name>`, or the name as a string anywhere
+    (getattr, vars(x)[...]).  The function is the innermost named one
+    around it, "<module>" at module level; a lambda is part of the
+    function it is written in, and a property's definition in a class body
+    is no access."""
     tree = ast.parse(source)
     owner = {}
     # a nested function is walked after the one around it, so it wins
     for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.Lambda)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for n in ast.walk(fn):
                 if n is not fn:
-                    owner[n] = getattr(fn, "name", "<lambda>")
+                    owner[n] = fn.name
     return sorted(
         (owner.get(n, "<module>"), n.lineno) for n in ast.walk(tree)
-        if (isinstance(n, ast.Attribute) and n.attr in KEPT)
-        or (isinstance(n, ast.Constant) and n.value in KEPT))
+        if (isinstance(n, ast.Attribute) and n.attr in names)
+        or (isinstance(n, ast.Constant) and n.value in names))
 
 
 def test_the_scanner_flags_a_memo_access():
@@ -695,27 +703,38 @@ def test_the_scanner_flags_a_memo_access():
            "def peek(d):\n    return d._report\n"
            "def poke(d):\n    def inner():\n"
            "        vars(d)['_phi'].clear()\n    return inner\n"
-           "x = getattr(D(), '_bottom')\n")
-    assert memo_accesses(src) == [("<module>", 11), ("inner", 9),
-                                  ("peek", 6)]
+           "x = getattr(D(), '_bottom')\n"
+           "def lazy(s):\n    return lambda: s._gens\n")
+    assert memo_accesses(src, KEPT["datum.py"][1]) == [
+        ("<module>", 11), ("inner", 9), ("peek", 6)]
+    assert memo_accesses(src, KEPT["structures.py"][1]) == [("lazy", 13)]
+
+
+# the functions of each module that read what its class keeps
+KEPT_READERS = {
+    "datum.py": {"check_hopf_datum", "induced_structures", "phi_apply",
+                 "build_phi_superoperator", "_build_phi_superoperator"},
+    "structures.py": {"check_axioms"},
+    "twisting.py": {"_cocycle_laws", "_chi_inverse", "cocycle_inverse",
+                    "validate_cocycle", "_twist"},
+}
 
 
 def test_only_the_datum_module_touches_the_memo():
-    # what a datum keeps is its cached properties, read by five functions
-    # of its own module alone; their contract (the maps are immutable, ==,
-    # hash and repr ignore them, dataclasses.replace starts afresh) is
-    # stated on HopfDatum
-    assert all(isinstance(vars(HopfDatum)[k], functools.cached_property)
-               for k in KEPT)
-    found = {p.name: memo_accesses(p.read_text())
-             for p in PACKAGE + SOURCES + sorted(
-                 (ROOT / "perfbench").glob("*.py")) + sorted(
-                 (ROOT / "tools").glob("*.py"))
-             if p.name != Path(__file__).name}
-    assert {f for f, sites in found.items() if sites} == {"datum.py"}
-    assert {fn for fn, _ in found["datum.py"]} == {
-        "check_hopf_datum", "induced_structures", "phi_apply",
-        "build_phi_superoperator", "_build_phi_superoperator"}
+    # what a datum, a structure or a cocycle keeps is its cached
+    # properties, read by a few functions of its own module alone (the
+    # datum's memo first, then the structure's and the cocycle's); their
+    # contract (the maps are immutable, == and repr ignore them,
+    # dataclasses.replace starts afresh) is stated on each class
+    paths = PACKAGE + SOURCES + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "tools").glob("*.py"))
+    for module, (cls, names) in KEPT.items():
+        assert all(isinstance(vars(cls)[k], functools.cached_property)
+                   for k in names)
+        found = {p.name: memo_accesses(p.read_text(), names)
+                 for p in paths if p.name != Path(__file__).name}
+        assert {f for f, sites in found.items() if sites} == {module}
+        assert {fn for fn, _ in found[module]} == KEPT_READERS[module]
 
 
 BRAIDING_NAMES = ("bp", "braiding", "psi")

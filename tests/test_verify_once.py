@@ -593,3 +593,132 @@ def test_braided_matched_pair_run_checks_each_structure_once(
     assert "/braiding: " in capsys.readouterr().err
     assert [(s.space.name, kind) for s, kind, *_ in checks] == [
         ("kC3", "hopf")]
+
+
+# ---------------------------------------------------------------------------
+# a structure keeps its verdicts, a cocycle its chi.m, report and chi^-
+# ---------------------------------------------------------------------------
+
+def test_one_structure_is_checked_over_the_flip_and_under_its_braiding(
+        monkeypatch):
+    # Sweedler's C is a bialgebra under its left Yetter-Drinfeld braiding
+    # and not over the flip.  Checked over the flip first, it fails
+    # mult-comult there; under its provider only mult-comult, the law that
+    # reads Psi, is decided again, and it passes.  Only the flip's
+    # mult-comult is kept.  Below dim 6 no law has a shortcut, so every
+    # law decided goes through compare
+    inp = zoo.sweedler_crossed_modules()
+    C = inp.C
+    prov = structures.yd_provider_left(
+        inp.H, [(C.space, inp.c_act, inp.c_coact)])
+    laws = _count_calls(monkeypatch, "compare", structures)
+    flipped = structures.check_axioms(C, "bialgebra")
+    assert flipped.failed() == ["mult-comult"]
+    assert sorted(args[0] for args in laws) == sorted(
+        e.axiom for e in flipped.entries)
+    laws.clear()
+    braided = structures.check_axioms(C, "bialgebra", prov)
+    assert braided.ok
+    assert [args[0] for args in laws] == ["mult-comult"]
+    assert [e for e in braided.entries if e.axiom != "mult-comult"] == [
+        e for e in flipped.entries if e.axiom != "mult-comult"]
+    laws.clear()
+    assert structures.check_axioms(C, "bialgebra").entries == flipped.entries
+    assert laws == []
+    assert structures.check_axioms(C, "bialgebra", prov).entries == \
+        braided.entries
+    assert [args[0] for args in laws] == ["mult-comult"]
+    # a copy keeps nothing, and decides every law again to the same report
+    copy = dataclasses.replace(C)
+    laws.clear()
+    assert structures.check_axioms(copy, "bialgebra", prov).entries == \
+        braided.entries
+    assert len(laws) == len(braided.entries)
+
+
+def test_twist_decides_the_cocycle_laws_on_the_host_it_twists(monkeypatch):
+    # c keeps its passing report over gg.  A twist of any other structure
+    # on gg's space decides the cocycle laws again, on that structure: on
+    # a copy of gg they pass, and on k^(C2 x C2), carried onto gg's space,
+    # chi fails its unit laws
+    gg, c = bicharacter_cocycle(2)
+    assert validate_cocycle(c).ok
+    reports = _count_calls(monkeypatch, "_cocycle_report", twisting)
+    copy = dataclasses.replace(gg)
+    assert twist(copy, c).m == gg.m
+    d = structures.dual(gg)
+    functions = structures.fuse(gg.space, d.m, d.eta, d.delta, d.eps, d.S)
+    with pytest.raises(structures.PreconditionError) as err:
+        twist(functions, c)
+    assert str(err.value) == "cocycle fails 2cocycle2-left"
+    hosts = [args[0].host for args in reports]
+    assert len(hosts) == 2
+    assert hosts[0] is copy and hosts[1] is functions
+    # the twist of c's own host reads c's report
+    assert twist(gg, c).m == gg.m
+    assert len(reports) == 2
+
+
+def test_a_wrong_stored_inverse_is_refused_on_every_call(monkeypatch):
+    # a chi_inv that fails its certificate is never kept: every call
+    # certifies it again and refuses it again, twist and cocycle_inverse
+    # with PreconditionError, double_biproduct (whose rho_hat^- is the lift
+    # of rho^-, here solved and then doubled) with ConsistencyError
+    gg, c = bicharacter_cocycle(2)
+    wrong = TwoCocycle(gg, c.chi, doubled(cocycle_inverse(c)))
+    certificates = _count_calls(monkeypatch, "_inverse_report", twisting)
+    for n in (1, 2):
+        for run in (lambda: twist(gg, wrong), lambda: cocycle_inverse(wrong)):
+            with pytest.raises(structures.PreconditionError) as err:
+                run()
+            assert type(err.value) is structures.PreconditionError
+            assert str(err.value) == "chi_inv fails convolution-right-inverse"
+        assert len(certificates) == 2 * n
+
+    solve = twisting._scalar_inverse
+
+    def doubled_rho_inverse(f, coalg, stored=None):
+        g = solve(f, coalg, stored)
+        return doubled(g) if stored is None else g
+
+    monkeypatch.setattr(twisting, "_scalar_inverse", doubled_rho_inverse)
+    bodies = _count_calls(monkeypatch, "_twist", twisting)
+    certificates.clear()
+    for n in (1, 2):
+        with pytest.raises(ConsistencyError) as err:
+            double_biproduct(sweedler_rho(1))
+        assert str(err.value) == "chi_inv fails convolution-right-inverse"
+        assert err.value.report.failed() == [
+            "convolution-right-inverse", "convolution-left-inverse"]
+        assert len(certificates) == n
+    rho_hat = bodies[0][0]
+    with pytest.raises(structures.PreconditionError):
+        cocycle_inverse(rho_hat)
+    assert len(certificates) == 3
+
+
+def test_a_replaced_structure_or_cocycle_starts_with_nothing_kept(
+        monkeypatch):
+    # what a structure or a cocycle keeps lives in its __dict__ beside its
+    # fields; ==, repr and dataclasses.replace see the fields alone
+    gg, c = bicharacter_cocycle(2)
+    twist(gg, c)
+    for x in (gg, c):
+        fields = {f.name for f in dataclasses.fields(x)}
+        copy = dataclasses.replace(x)
+        assert set(vars(x)) > fields
+        assert set(vars(copy)) == fields
+        assert copy == x and repr(copy) == repr(x)
+    laws = _count_calls(monkeypatch, "compare", structures)
+    reports = _count_calls(monkeypatch, "_cocycle_report", twisting)
+    solves = _count_calls(monkeypatch, "_convolution_inverse", twisting)
+    twist(gg, c)
+    assert (laws, reports, solves) == ([], [], [])
+    host = dataclasses.replace(gg)
+    twist(host, dataclasses.replace(c, host=host))
+    hopf = [e.axiom for e in structures.check_axioms(gg, "hopf").entries]
+    assert [args[0] for args in laws if args[0] in hopf] == [
+        "unit-counit", "left-unit", "right-unit", "associativity",
+        "coassociativity", "left-counit", "right-counit", "unit-comult",
+        "mult-comult", "counit-mult", "left-antipode", "right-antipode"]
+    assert len(reports) == 1 and len(solves) == 1

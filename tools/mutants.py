@@ -308,6 +308,30 @@ MUTANTS = [
            "self.nums[0] + other,",
            ("tests/test_scalars.py::test_the_fast_paths_are_the_generic_"
             "path",)),
+    # a structure keeps mult-comult under any braiding, so a verdict over
+    # the flip is read back under a Yetter-Drinfeld provider
+    Mutant("structures.py",
+           "    key = \"mult-comult\" if psi is None and bp == FLIP else "
+           "None\n",
+           "    key = \"mult-comult\" if psi is None else None\n",
+           (VO + "test_one_structure_is_checked_over_the_flip_and_under_its_"
+            "braiding",)),
+    # twist reads what c keeps over c's host whatever structure it twists
+    Mutant("twisting.py",
+           "    on_b = c if c.host is b else TwoCocycle(b, c.chi, "
+           "c.chi_inv)\n",
+           "    on_b = c\n",
+           (VO + "test_twist_decides_the_cocycle_laws_on_the_host_it_"
+            "twists",)),
+    # a stored chi_inv is kept before its certificate, so it stays kept
+    # when the certificate fails
+    Mutant("twisting.py",
+           "        return _scalar_inverse(self.chi, self._doi[0], "
+           "self.chi_inv)\n",
+           "        vars(self)[\"_chi_inverse\"] = self.chi_inv\n"
+           "        return _scalar_inverse(self.chi, self._doi[0], "
+           "self.chi_inv)\n",
+           (VO + "test_a_wrong_stored_inverse_is_refused_on_every_call",)),
     # sop_compose keeps the zeros its sums leave
     Mutant("datum.py",
            "        if summed:\n"
