@@ -114,7 +114,14 @@ class DualPairing:
 @dataclass(frozen=True)
 class DoubleBiproductInput:
     """A Hopf algebra H, a right H-crossed-module bialgebra B, a left
-    H-crossed-module bialgebra C, and optionally a pairing B (x) C -> k."""
+    H-crossed-module bialgebra C, and optionally a pairing B (x) C -> k.
+
+    What double_biproduct decides without reading rho is kept per input,
+    as for a cocycle: _rho_free, a cached property built on the first
+    request, holds the verified crossed modules and the checked Z (see
+    _RhoFreePart).  with_rho shares it with the copy it makes; == and
+    repr see the fields alone, and dataclasses.replace starts afresh.
+    """
 
     H: Structure
     B: Structure
@@ -134,7 +141,17 @@ class DoubleBiproductInput:
                            ("rho", self.rho, (sb, sc), UNIT))
 
     def with_rho(self, rho: LinMap) -> "DoubleBiproductInput":
-        return dataclasses.replace(self, rho=rho)
+        """This input with the pairing rho.  Only rho differs and nothing
+        in _rho_free reads it, so the copy shares this input's: the
+        crossed modules and Z of every pairing made from one input are
+        verified once."""
+        out = dataclasses.replace(self, rho=rho)
+        vars(out)["_rho_free"] = self._rho_free
+        return out
+
+    @cached_property
+    def _rho_free(self) -> "_RhoFreePart":
+        return _RhoFreePart(self)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +419,70 @@ def _products(inp: DoubleBiproductInput
     return ch, hb, z.product(name)
 
 
+class _RhoFreePart:
+    """The part of double_biproduct that reads no rho, for one input's H,
+    B, C and crossed modules, in two stages kept as cached properties.
+    _preconditions verifies both crossed modules and B's and C's braided
+    bialgebra laws under providers built here and never handed out (so
+    nothing registers another space on them), and decides the
+    double-braiding-trivial entry; _assembly builds C><H, H><B and Z,
+    checks Z as a bialgebra and the canonical maps.  A stage whose check
+    raises keeps nothing, so it is refused again on every request.  The
+    holder's input is the given one with rho dropped."""
+
+    def __init__(self, inp: DoubleBiproductInput):
+        self.inp = dataclasses.replace(inp, rho=None)
+
+    @cached_property
+    def _preconditions(self) -> Tuple[LinMap, CheckEntry]:
+        """Psi_{B,B} of B's provider, which the pairing entries read, and
+        the double-braiding-trivial entry, passed or not."""
+        inp = self.inp
+        H, B, C = inp.H, inp.B, inp.C
+        sh, sb, sc = H.space, B.space, C.space
+        prov_r, prov_l = _yd_providers(
+            H, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
+            (LeftYetterDrinfeld, [(sc, inp.c_act, inp.c_coact)]))
+        for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
+            check_axioms(st, "bialgebra", prov).require(
+                f"{tag} is not a bialgebra in its crossed-module category "
+                "({})")
+        # square of the mixed braidings against the action/coaction loop
+        loop = ((inp.b_act @ inp.c_act)
+                * (B.id_map() @ flip(sh, sh) @ C.id_map())
+                * (inp.b_coact @ inp.c_coact))
+        return prov_r.braiding(sb, sb), compare(
+            "double-braiding-trivial", LinMap.identity((sb, sc)), loop)
+
+    @cached_property
+    def _assembly(self) -> Tuple[Structure, Structure, Structure,
+                                 CheckReport]:
+        """C><H, H><B, Z, and the report of the canonical injections and
+        projections as bialgebra morphisms and of their retractions."""
+        inp = self.inp
+        ch, hb, Z = _products(inp)
+        check_axioms(Z, "bialgebra").require("assembled product fails {}",
+                                             ConsistencyError)
+        canon = []
+        mono_c, _, epi_c, _ = canonical_maps(ch, inp.B, Z.space)
+        _, mono_b, _, epi_b = canonical_maps(inp.C, hb, Z.space)
+        for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
+                                 ("mono-b-side", mono_b, hb, Z),
+                                 ("epi-c-side", epi_c, Z, ch),
+                                 ("epi-b-side", epi_b, Z, hb)):
+            bad = [e for rep in morphism_reports(f, src, dst, tag)
+                   for e in rep.entries if not e.ok]
+            canon.append(CheckEntry(tag, not bad,
+                                    bad[0].witness if bad else None))
+        canon.append(compare("retraction-c-side", epi_c * mono_c,
+                             ch.id_map()))
+        canon.append(compare("retraction-b-side", epi_b * mono_b,
+                             hb.id_map()))
+        rep = CheckReport(canon)
+        rep.require("canonical morphism fails: {}", ConsistencyError)
+        return ch, hb, Z, rep
+
+
 def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap
                          ) -> LinMap:
     """The closed-form twisted multiplication on C(x)H(x)B, evaluated as
@@ -452,31 +533,28 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     the twisted Z is checked as a bialgebra when its product moved, and is
     certified by Z's own check when it did not (as for the Sweedler
     crossed modules).
+
+    The part that reads no rho (the crossed modules, B's and C's braided
+    laws, the loop, Z and its canonical maps) is the input's kept
+    _rho_free, shared by every input with_rho makes from it, so it is
+    decided once per input and read back on later calls.  Each call still
+    runs the steps in the order above, so a failure raises the same error
+    with the same report on every call, and only the pairing's entries,
+    rho_hat, the twist and the direct product are computed again.
     """
     if inp.rho is None:
         err = ShapeError("no pairing rho supplied")
         err.slot = "rho"
         raise err
     H, B, C, rho = inp.H, inp.B, inp.C, inp.rho
-    sh, sb, sc = H.space, B.space, C.space
+    sb, sc = B.space, C.space
     idb, idc = B.id_map(), C.id_map()
 
-    prov_r, prov_l = _yd_providers(
-        H, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
-        (LeftYetterDrinfeld, [(sc, inp.c_act, inp.c_coact)]))
-    for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
-        check_axioms(st, "bialgebra", prov).require(
-            f"{tag} is not a bialgebra in its crossed-module category ({{}})")
-
-    entries = []
-    # square of the mixed braidings against the action/coaction loop
-    loop = ((inp.b_act @ inp.c_act) * (idb @ flip(sh, sh) @ idc)
-            * (inp.b_coact @ inp.c_coact))
-    entries.append(compare("double-braiding-trivial",
-                           LinMap.identity((sb, sc)), loop))
+    rho_free = inp._rho_free
+    psi_dy, loop = rho_free._preconditions
+    entries = [loop]
     # pairing compatibilities
     rho2 = rho * (idb @ rho @ idc)            # B(x)B(x)C(x)C -> k
-    psi_dy = prov_r.braiding(sb, sb)
     entries.append(compare("pairing-balance", rho * (inp.b_act @ idc),
                            rho * (idb @ inp.c_act)))
     entries.append(compare(
@@ -486,25 +564,7 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
         "pairing-mult-b", rho * (B.m @ idc),
         rho2 * (psi_dy @ (flip(sc, sc) * C.delta))))
     CheckReport(entries).require("pairing precondition fails: {}")
-
-    ch, hb, Z = _products(inp)
-    check_axioms(Z, "bialgebra").require("assembled product fails {}",
-                                         ConsistencyError)
-
-    canon = []
-    mono_c, _, epi_c, _ = canonical_maps(ch, B, Z.space)
-    _, mono_b, _, epi_b = canonical_maps(C, hb, Z.space)
-    for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
-                             ("mono-b-side", mono_b, hb, Z),
-                             ("epi-c-side", epi_c, Z, ch),
-                             ("epi-b-side", epi_b, Z, hb)):
-        bad = [e for rep in morphism_reports(f, src, dst, tag)
-               for e in rep.entries if not e.ok]
-        canon.append(CheckEntry(tag, not bad, bad[0].witness if bad else None))
-    canon.append(compare("retraction-c-side", epi_c * mono_c, ch.id_map()))
-    canon.append(compare("retraction-b-side", epi_b * mono_b, hb.id_map()))
-    CheckReport(canon).require("canonical morphism fails: {}",
-                               ConsistencyError)
+    ch, hb, Z, canon = rho_free._assembly
 
     chi = rebind(C.eps @ H.eps @ rho @ H.eps @ B.eps,
                  (Z.space, Z.space), UNIT)
@@ -522,5 +582,6 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
 
     return {"Z": Z, "rho_hat": rho_hat, "Z_twisted": z_twisted,
             "c_rtimes_h": ch, "h_ltimes_b": hb,
-            "report": CheckReport(entries + canon + list(vrep.entries)
+            "report": CheckReport(entries + list(canon.entries)
+                                  + list(vrep.entries)
                                   + list(agree.entries))}

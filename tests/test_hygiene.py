@@ -20,7 +20,8 @@ import crossbial
 from crossbial.datum import HopfDatum
 from crossbial.scalars import InputError, VerifiedFailure
 from crossbial.structures import Structure
-from crossbial.twisting import TwoCocycle
+from crossbial.twisting import (DoubleBiproductInput, TwoCocycle,
+                                _RhoFreePart)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
@@ -667,13 +668,21 @@ def test_every_verified_failure_carries_a_report():
 
 
 # the cached properties each class keeps in its objects' __dict__, by the
-# one module that may read them: a HopfDatum's, a Structure's and a
-# TwoCocycle's.  The scanner matches names as strings, so a name two
-# classes shared would be found outside one of their modules
-KEPT = {"datum.py": (HopfDatum, ("_report", "_induced", "_bottom", "_phi")),
-        "structures.py": (Structure, ("_verdicts", "_gens")),
-        "twisting.py": (TwoCocycle, ("_doi", "_cocycle_laws",
-                                     "_chi_inverse"))}
+# one module that may read them: a HopfDatum's, a Structure's, and in
+# twisting.py a TwoCocycle's, a DoubleBiproductInput's and the rho-free
+# holder's that the input keeps.  The scanner matches names as strings, so
+# a name two classes shared would be found outside one of their modules
+KEPT = {"datum.py": ((HopfDatum, ("_report", "_induced", "_bottom",
+                                  "_phi")),),
+        "structures.py": ((Structure, ("_verdicts", "_gens")),),
+        "twisting.py": ((TwoCocycle, ("_doi", "_cocycle_laws",
+                                      "_chi_inverse")),
+                        (DoubleBiproductInput, ("_rho_free",)),
+                        (_RhoFreePart, ("_preconditions", "_assembly")))}
+
+
+def kept_names(module):
+    return tuple(name for _, names in KEPT[module] for name in names)
 
 
 def memo_accesses(source: str, names):
@@ -705,9 +714,9 @@ def test_the_scanner_flags_a_memo_access():
            "        vars(d)['_phi'].clear()\n    return inner\n"
            "x = getattr(D(), '_bottom')\n"
            "def lazy(s):\n    return lambda: s._gens\n")
-    assert memo_accesses(src, KEPT["datum.py"][1]) == [
+    assert memo_accesses(src, kept_names("datum.py")) == [
         ("<module>", 11), ("inner", 9), ("peek", 6)]
-    assert memo_accesses(src, KEPT["structures.py"][1]) == [("lazy", 13)]
+    assert memo_accesses(src, kept_names("structures.py")) == [("lazy", 13)]
 
 
 # the functions of each module that read what its class keeps
@@ -716,7 +725,8 @@ KEPT_READERS = {
                  "build_phi_superoperator", "_build_phi_superoperator"},
     "structures.py": {"check_axioms"},
     "twisting.py": {"_cocycle_laws", "_chi_inverse", "cocycle_inverse",
-                    "validate_cocycle", "_twist"},
+                    "validate_cocycle", "_twist", "with_rho",
+                    "double_biproduct"},
 }
 
 
@@ -728,10 +738,10 @@ def test_only_the_datum_module_touches_the_memo():
     # dataclasses.replace starts afresh) is stated on each class
     paths = PACKAGE + SOURCES + sorted((ROOT / "perfbench").glob("*.py")) \
         + sorted((ROOT / "tools").glob("*.py"))
-    for module, (cls, names) in KEPT.items():
+    for module, classes in KEPT.items():
         assert all(isinstance(vars(cls)[k], functools.cached_property)
-                   for k in names)
-        found = {p.name: memo_accesses(p.read_text(), names)
+                   for cls, names in classes for k in names)
+        found = {p.name: memo_accesses(p.read_text(), kept_names(module))
                  for p in paths if p.name != Path(__file__).name}
         assert {f for f, sites in found.items() if sites} == {module}
         assert {fn for fn, _ in found[module]} == KEPT_READERS[module]

@@ -722,3 +722,96 @@ def test_a_replaced_structure_or_cocycle_starts_with_nothing_kept(
         "coassociativity", "left-counit", "right-counit", "unit-comult",
         "mult-comult", "counit-mult", "left-antipode", "right-antipode"]
     assert len(reports) == 1 and len(solves) == 1
+
+
+# ---------------------------------------------------------------------------
+# a double-biproduct input keeps what reads no rho, shared by with_rho
+# ---------------------------------------------------------------------------
+
+def kept_holder(inp):
+    """What an input keeps beside its fields: its one rho-free holder."""
+    fields = {f.name for f in dataclasses.fields(inp)}
+    (holder,) = [v for k, v in vars(inp).items() if k not in fields]
+    return holder
+
+
+PAIRINGS = (ONE, Fraction(1, 2), -ONE)
+
+
+def test_pairings_made_from_one_input_verify_its_crossed_modules_once(
+        monkeypatch):
+    # three pairings on one input: both crossed modules are verified once,
+    # one per side, and Z is built and checked as a bialgebra once; each
+    # report is the one a fresh input gives
+    base = zoo.sweedler_crossed_modules()
+    modules = _count_calls(monkeypatch, "_crossed_module_report", structures)
+    products = _count_calls(monkeypatch, "_products", twisting)
+    checks = _count_calls(monkeypatch, "check_axioms", twisting)
+    inputs = [base.with_rho(sweedler_rho(alpha).rho) for alpha in PAIRINGS]
+    outs = [double_biproduct(inp) for inp in inputs]
+    assert [args[4] for args in modules] == ["right", "left"]
+    assert len(products) == 1
+    Z = outs[0]["Z"]
+    assert [(args[0], args[1]) for args in checks] == [
+        (base.B, "bialgebra"), (base.C, "bialgebra"), (Z, "bialgebra")]
+    assert all(out["Z"] is Z for out in outs)
+    assert all(kept_holder(inp) is kept_holder(base) for inp in inputs)
+    # a copy with another field, and a fresh input, each decide again
+    copy = dataclasses.replace(inputs[0], B=dataclasses.replace(base.B))
+    fresh = sweedler_rho(PAIRINGS[0])
+    for n, inp in enumerate((copy, fresh), 2):
+        assert double_biproduct(inp)["report"].ok
+        assert len(modules) == 2 * n and len(products) == n
+    assert kept_holder(copy) is not kept_holder(base)
+    monkeypatch.undo()
+    for alpha, out in zip(PAIRINGS, outs):
+        assert out["report"].ok
+        want = double_biproduct(sweedler_rho(alpha))
+        assert out["report"].to_json() == want["report"].to_json()
+        assert (out["Z"], out["Z_twisted"], out["rho_hat"]) == (
+            want["Z"], want["Z_twisted"], want["rho_hat"])
+
+
+def failing_crossed_module(right):
+    # C's crossed-compatibility planted as failing
+    def plant(*args):
+        rep = right(*args)
+        if args[4] == "right":
+            return rep
+        return structures.CheckReport(
+            rep.entries[:-1] + (structures.CheckEntry(
+                rep.entries[-1].axiom, False),))
+    return plant
+
+
+def doubled_z(right):
+    def plant(inp):
+        ch, hb, Z = right(inp)
+        return ch, hb, dataclasses.replace(Z, m=doubled(Z.m))
+    return plant
+
+
+@pytest.mark.parametrize("module, target, wrong, error, text, kept", [
+    (structures, "_crossed_module_report", failing_crossed_module,
+     structures.PreconditionError, "SwC: crossed-compatibility", 0),
+    (twisting, "_products", doubled_z, ConsistencyError,
+     "assembled product fails left-unit", 1),
+], ids=["crossed-module", "product"])
+def test_a_failed_rho_free_stage_is_refused_on_every_call(
+        monkeypatch, module, target, wrong, error, text, kept):
+    # a stage whose check raises keeps nothing: every call made from the
+    # input decides it again and raises the same error and text; a stage
+    # before it that passed stays kept
+    monkeypatch.setattr(module, target, wrong(getattr(module, target)))
+    modules = _count_calls(monkeypatch, "_crossed_module_report", structures)
+    products = _count_calls(monkeypatch, "_products", twisting)
+    base = zoo.sweedler_crossed_modules()
+    inputs = [base.with_rho(sweedler_rho(alpha).rho) for alpha in PAIRINGS]
+    for n, inp in enumerate(inputs + inputs, 1):
+        with pytest.raises(error) as err:
+            double_biproduct(inp)
+        assert type(err.value) is error and str(err.value) == text
+        assert err.value.report.failed()[0] == text.split()[-1]
+        assert len(modules) == 2 * (n if not kept else 1)
+        assert len(products) == (n if kept else 0)
+        assert len(vars(kept_holder(base))) == 1 + kept
