@@ -24,8 +24,7 @@ from typing import Optional, Tuple
 
 from .datum import ConsistencyError, HopfDatum, _datum_laws
 from .linmaps import (FLIP, LeftYetterDrinfeld, LinMap, ShapeError, Space,
-                      UNIT, YetterDrinfeld, flip, pipeline_as_linmap, rebind,
-                      require_boundaries)
+                      UNIT, YetterDrinfeld, flip, rebind, require_boundaries)
 from .scalars import ONE
 from .structures import (
     CheckEntry,
@@ -116,11 +115,13 @@ class DoubleBiproductInput:
     """A Hopf algebra H, a right H-crossed-module bialgebra B, a left
     H-crossed-module bialgebra C, and optionally a pairing B (x) C -> k.
 
-    What double_biproduct decides without reading rho is kept per input,
-    as for a cocycle: _rho_free, a cached property built on the first
-    request, holds the verified crossed modules and the checked Z (see
-    _RhoFreePart).  with_rho shares it with the copy it makes; == and
-    repr see the fields alone, and dataclasses.replace starts afresh.
+    What double_biproduct decides without reading rho is kept as for a
+    cocycle, in two cached properties: _preconditions (the verified
+    crossed modules) and then _assembly (the checked Z).  It reads them on
+    _rho_free, this input's copy with rho dropped, which with_rho shares
+    with the input it makes.  A stage whose check raises keeps nothing, so
+    it is refused again on every call; == and repr see the fields alone,
+    and dataclasses.replace starts afresh.
     """
 
     H: Structure
@@ -142,7 +143,7 @@ class DoubleBiproductInput:
 
     def with_rho(self, rho: LinMap) -> "DoubleBiproductInput":
         """This input with the pairing rho.  Only rho differs and nothing
-        in _rho_free reads it, so the copy shares this input's: the
+        on _rho_free reads it, so the copy shares this input's: the
         crossed modules and Z of every pairing made from one input are
         verified once."""
         out = dataclasses.replace(self, rho=rho)
@@ -150,28 +151,66 @@ class DoubleBiproductInput:
         return out
 
     @cached_property
-    def _rho_free(self) -> "_RhoFreePart":
-        return _RhoFreePart(self)
+    def _rho_free(self) -> "DoubleBiproductInput":
+        """This input with rho dropped, always a copy, so no input refers
+        to itself; its stages are the ones double_biproduct reads."""
+        return dataclasses.replace(self, rho=None)
+
+    @cached_property
+    def _preconditions(self) -> Tuple[LinMap, CheckEntry]:
+        """Psi_{B,B} of B's provider, which the pairing entries read, and
+        the double-braiding-trivial entry, passed or not.  Both crossed
+        modules and B's and C's braided bialgebra laws are verified first,
+        under providers built here and never handed out, so nothing
+        registers another space on them."""
+        H, B, C = self.H, self.B, self.C
+        sh, sb, sc = H.space, B.space, C.space
+        prov_r, prov_l = _yd_providers(
+            H, (YetterDrinfeld, [(sb, self.b_act, self.b_coact)]),
+            (LeftYetterDrinfeld, [(sc, self.c_act, self.c_coact)]))
+        for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
+            check_axioms(st, "bialgebra", prov).require(
+                f"{tag} is not a bialgebra in its crossed-module category "
+                "({})")
+        # square of the mixed braidings against the action/coaction loop
+        loop = ((self.b_act @ self.c_act)
+                * (B.id_map() @ flip(sh, sh) @ C.id_map())
+                * (self.b_coact @ self.c_coact))
+        return prov_r.braiding(sb, sb), compare(
+            "double-braiding-trivial", LinMap.identity((sb, sc)), loop)
+
+    @cached_property
+    def _assembly(self) -> Tuple[Structure, Structure, Structure,
+                                 CheckReport]:
+        """C><H, H><B, Z, and the report of the canonical injections and
+        projections as bialgebra morphisms and of their retractions, once
+        Z is checked as a bialgebra."""
+        ch, hb, Z = _products(self)
+        check_axioms(Z, "bialgebra").require("assembled product fails {}",
+                                             ConsistencyError)
+        canon = []
+        mono_c, _, epi_c, _ = canonical_maps(ch, self.B, Z.space)
+        _, mono_b, _, epi_b = canonical_maps(self.C, hb, Z.space)
+        for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
+                                 ("mono-b-side", mono_b, hb, Z),
+                                 ("epi-c-side", epi_c, Z, ch),
+                                 ("epi-b-side", epi_b, Z, hb)):
+            bad = [e for rep in morphism_reports(f, src, dst, tag)
+                   for e in rep.entries if not e.ok]
+            canon.append(CheckEntry(tag, not bad,
+                                    bad[0].witness if bad else None))
+        canon.append(compare("retraction-c-side", epi_c * mono_c,
+                             ch.id_map()))
+        canon.append(compare("retraction-b-side", epi_b * mono_b,
+                             hb.id_map()))
+        rep = CheckReport(canon)
+        rep.require("canonical morphism fails: {}", ConsistencyError)
+        return ch, hb, Z, rep
 
 
 # ---------------------------------------------------------------------------
-# convolution dot products
+# convolution inverses
 # ---------------------------------------------------------------------------
-
-def conv_dot(chi: LinMap, f: LinMap, side: str, delta: LinMap) -> LinMap:
-    """chi.f = (chi (x) f) o delta or f.chi = (f (x) chi) o delta.
-
-    delta is the comultiplication of the shared domain coalgebra (it is
-    not inferable from chi and f alone).
-    """
-    require_boundaries(("chi", chi, f.dom, UNIT),
-                       ("delta", delta, f.dom, f.dom * 2))
-    if side == "left":
-        return (chi @ f) * delta
-    if side == "right":
-        return (f @ chi) * delta
-    raise ValueError(f"unknown side {side!r}")
-
 
 def _scalar_inverse(f: LinMap, coalg: Structure,
                     stored: LinMap = None) -> LinMap:
@@ -231,7 +270,7 @@ def _chi_dot_m(c: TwoCocycle, bb: Structure) -> Tuple[LinMap, LinMap]:
     and the twist both read; kept with bb as the cocycle's _doi."""
     BB = (c.host.space,) * 2
     delta2 = rebind(bb.delta, BB, BB * 2)
-    return delta2, conv_dot(c.chi, c.host.m, "left", delta2)
+    return delta2, (c.chi @ c.host.m) * delta2
 
 
 def _cocycle_report(c: TwoCocycle, chi_m: LinMap) -> CheckReport:
@@ -305,14 +344,13 @@ def _twist(c: TwoCocycle, error) -> Tuple[Structure, CheckReport]:
     except PreconditionError as err:
         # a stored chi_inv failed its certificate: refused with error
         err.report.require("chi_inv fails {}", error)
-    m_chi = conv_dot(chi_inv, chi_m, "right", delta2)
+    m_chi = (chi_m @ chi_inv) * delta2
     S_chi = None
     if b.S is not None:
         u = c.chi * (b.id_map() @ b.S) * b.delta
         # Doi's identity: u^- = chi^- o (S (x) id) o Delta
         u_inv = chi_inv * (b.S @ b.id_map()) * b.delta
-        S_chi = conv_dot(u_inv, conv_dot(u, b.S, "left", b.delta),
-                         "right", b.delta)
+        S_chi = (((u @ b.S) * b.delta) @ u_inv) * b.delta
     out = Structure(b.space, m_chi, b.eta, b.delta, b.eps, S_chi)
     if m_chi != b.m or S_chi != b.S:
         kind = "hopf" if S_chi is not None else "bialgebra"
@@ -419,95 +457,29 @@ def _products(inp: DoubleBiproductInput
     return ch, hb, z.product(name)
 
 
-class _RhoFreePart:
-    """The part of double_biproduct that reads no rho, for one input's H,
-    B, C and crossed modules, in two stages kept as cached properties.
-    _preconditions verifies both crossed modules and B's and C's braided
-    bialgebra laws under providers built here and never handed out (so
-    nothing registers another space on them), and decides the
-    double-braiding-trivial entry; _assembly builds C><H, H><B and Z,
-    checks Z as a bialgebra and the canonical maps.  A stage whose check
-    raises keeps nothing, so it is refused again on every request.  The
-    holder's input is the given one with rho dropped."""
-
-    def __init__(self, inp: DoubleBiproductInput):
-        self.inp = dataclasses.replace(inp, rho=None)
-
-    @cached_property
-    def _preconditions(self) -> Tuple[LinMap, CheckEntry]:
-        """Psi_{B,B} of B's provider, which the pairing entries read, and
-        the double-braiding-trivial entry, passed or not."""
-        inp = self.inp
-        H, B, C = inp.H, inp.B, inp.C
-        sh, sb, sc = H.space, B.space, C.space
-        prov_r, prov_l = _yd_providers(
-            H, (YetterDrinfeld, [(sb, inp.b_act, inp.b_coact)]),
-            (LeftYetterDrinfeld, [(sc, inp.c_act, inp.c_coact)]))
-        for tag, st, prov in (("B", B, prov_r), ("C", C, prov_l)):
-            check_axioms(st, "bialgebra", prov).require(
-                f"{tag} is not a bialgebra in its crossed-module category "
-                "({})")
-        # square of the mixed braidings against the action/coaction loop
-        loop = ((inp.b_act @ inp.c_act)
-                * (B.id_map() @ flip(sh, sh) @ C.id_map())
-                * (inp.b_coact @ inp.c_coact))
-        return prov_r.braiding(sb, sb), compare(
-            "double-braiding-trivial", LinMap.identity((sb, sc)), loop)
-
-    @cached_property
-    def _assembly(self) -> Tuple[Structure, Structure, Structure,
-                                 CheckReport]:
-        """C><H, H><B, Z, and the report of the canonical injections and
-        projections as bialgebra morphisms and of their retractions."""
-        inp = self.inp
-        ch, hb, Z = _products(inp)
-        check_axioms(Z, "bialgebra").require("assembled product fails {}",
-                                             ConsistencyError)
-        canon = []
-        mono_c, _, epi_c, _ = canonical_maps(ch, inp.B, Z.space)
-        _, mono_b, _, epi_b = canonical_maps(inp.C, hb, Z.space)
-        for tag, f, src, dst in (("mono-c-side", mono_c, ch, Z),
-                                 ("mono-b-side", mono_b, hb, Z),
-                                 ("epi-c-side", epi_c, Z, ch),
-                                 ("epi-b-side", epi_b, Z, hb)):
-            bad = [e for rep in morphism_reports(f, src, dst, tag)
-                   for e in rep.entries if not e.ok]
-            canon.append(CheckEntry(tag, not bad,
-                                    bad[0].witness if bad else None))
-        canon.append(compare("retraction-c-side", epi_c * mono_c,
-                             ch.id_map()))
-        canon.append(compare("retraction-b-side", epi_b * mono_b,
-                             hb.id_map()))
-        rep = CheckReport(canon)
-        rep.require("canonical morphism fails: {}", ConsistencyError)
-        return ch, hb, Z, rep
-
-
 def _twisted_mult_direct(inp: DoubleBiproductInput, rho_inv: LinMap
                          ) -> LinMap:
-    """The closed-form twisted multiplication on C(x)H(x)B, evaluated as
-    one tall strand diagram (its crossings are flips)."""
+    """The closed-form twisted multiplication on C(x)H(x)B, one tall
+    strand diagram whose crossings are flips, its rows read from the last
+    factor up; it is evaluated when its entries are first read."""
     C, H, B = inp.C, inp.H, inp.B
     sc, sh, sb = C.space, H.space, B.space
     idc, idh, idb = C.id_map(), H.id_map(), B.id_map()
-    rho = inp.rho
-    layers = [
-        [idc, H.delta, B.delta, C.delta, H.delta, idb],
-        [idc, idh, idh, idb, flip(sb, sc), idc, idh, idh, idb],
-        [idc, idh, idh, inp.b_coact, C.delta, B.delta, inp.c_coact,
-         idh, idh, idb],
-        [idc, idh, idh, idb, flip(sh, sc), idc, idb, flip(sb, sh),
-         idc, idh, idh, idb],
-        [idc, idh, idh, rho, H.delta, idc, idb, H.delta, rho_inv,
-         idh, idh, idb],
-        [idc, idh, idh, idh, flip(sh, sc), flip(sb, sh), idh, idh,
-         idh, idb],
-        [idc, idh, idh, inp.c_act, H.m, inp.b_act, idh, idh, idb],
-        [idc, idh, flip(sh, sc), idh, flip(sb, sh), idh, idb],
-        [idc, inp.c_act, H.m, idh, inp.b_act, idb],
-        [C.m, H.m, B.m],
-    ]
-    return pipeline_as_linmap(layers)
+    return ((C.m @ H.m @ B.m)
+            * (idc @ inp.c_act @ H.m @ idh @ inp.b_act @ idb)
+            * (idc @ idh @ flip(sh, sc) @ idh @ flip(sb, sh) @ idh @ idb)
+            * (idc @ idh @ idh @ inp.c_act @ H.m @ inp.b_act @ idh @ idh
+               @ idb)
+            * (idc @ idh @ idh @ idh @ flip(sh, sc) @ flip(sb, sh) @ idh
+               @ idh @ idh @ idb)
+            * (idc @ idh @ idh @ inp.rho @ H.delta @ idc @ idb @ H.delta
+               @ rho_inv @ idh @ idh @ idb)
+            * (idc @ idh @ idh @ idb @ flip(sh, sc) @ idc @ idb
+               @ flip(sb, sh) @ idc @ idh @ idh @ idb)
+            * (idc @ idh @ idh @ inp.b_coact @ C.delta @ B.delta
+               @ inp.c_coact @ idh @ idh @ idb)
+            * (idc @ idh @ idh @ idb @ flip(sb, sc) @ idc @ idh @ idh @ idb)
+            * (idc @ H.delta @ B.delta @ C.delta @ H.delta @ idb))
 
 
 def double_biproduct(inp: DoubleBiproductInput) -> dict:
@@ -535,12 +507,12 @@ def double_biproduct(inp: DoubleBiproductInput) -> dict:
     crossed modules).
 
     The part that reads no rho (the crossed modules, B's and C's braided
-    laws, the loop, Z and its canonical maps) is the input's kept
-    _rho_free, shared by every input with_rho makes from it, so it is
-    decided once per input and read back on later calls.  Each call still
-    runs the steps in the order above, so a failure raises the same error
-    with the same report on every call, and only the pairing's entries,
-    rho_hat, the twist and the direct product are computed again.
+    laws, the loop, Z and its canonical maps) is kept in the stages of
+    the input's _rho_free, shared by every input with_rho makes from it,
+    so it is decided once per input and read back on later calls.  Each
+    call still runs the steps in the order above, so a failure raises the
+    same error with the same report on every call, and only the pairing's
+    entries, rho_hat, the twist and the direct product are computed again.
     """
     if inp.rho is None:
         err = ShapeError("no pairing rho supplied")

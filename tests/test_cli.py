@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -41,7 +43,7 @@ from tests.test_twisting import (_braided_line_rho, bicharacter_cocycle,
                                  coboundary_cocycle, counit_pairing,
                                  perturbed_bicharacter, sweedler_rho,
                                  uninvertible_cocycle)
-from tests.test_verify_once import qline_and_point
+from tests.test_verify_once import kept_copy, qline_and_point
 
 ONE = Fraction(1)
 
@@ -1176,6 +1178,26 @@ def test_double_biproduct_command(tmp_path, capsys):
             assert code == 0
             assert (json.loads(open(twisted).read())["structures"]["main"]
                     == doc["structures"]["z_twisted"])
+
+
+def test_a_cli_build_keeps_no_input_alive(monkeypatch, tmp_path, capsys):
+    # what an input keeps lives in its __dict__, so a CLI build drops it
+    # with the input: once cli.main returns, neither the input it built nor
+    # that input's rho-free copy is referenced
+    path = str(tmp_path / "dbp.json")
+    save_workspace(dbp_workspace(sweedler_rho(1)), path)
+    build, refs = cli.double_biproduct, []
+
+    def watched(inp):
+        out = build(inp)
+        refs.extend(weakref.ref(x) for x in (inp, kept_copy(inp)))
+        return out
+
+    monkeypatch.setattr(cli, "double_biproduct", watched)
+    assert main(["double-biproduct", "build", "--in", path]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(refs) == 2 and [r() for r in refs] == [None, None]
 
 
 def _with_trivial_cocycle(ws, name):

@@ -20,8 +20,7 @@ import crossbial
 from crossbial.datum import HopfDatum
 from crossbial.scalars import InputError, VerifiedFailure
 from crossbial.structures import Structure
-from crossbial.twisting import (DoubleBiproductInput, TwoCocycle,
-                                _RhoFreePart)
+from crossbial.twisting import DoubleBiproductInput, TwoCocycle
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "crossbial").glob("*.py"))
@@ -353,11 +352,11 @@ ROW_EVALUATORS = ("run_pipeline", "apply_at")
 ROW_EVALUATIONS = []
 
 
-def row_evaluations(source: str):
-    """(function, name) of each read of run_pipeline or apply_at, called
-    by name or as an attribute or passed on, in source; the function is
-    the innermost one around it, "<module>" at module level.  An import
-    is no read."""
+def row_evaluations(source: str, names=ROW_EVALUATORS):
+    """(function, name) of each read of one of names, by default
+    run_pipeline and apply_at, called by name or as an attribute or passed
+    on, in source; the function is the innermost one around it,
+    "<module>" at module level.  An import is no read."""
     tree = ast.parse(source)
     owner = {}
     # a nested function is walked after the one around it, so it wins
@@ -369,7 +368,7 @@ def row_evaluations(source: str):
         (owner.get(n, "<module>"), name) for n in ast.walk(tree)
         for name in [getattr(n, "id", None) or getattr(n, "attr", None)]
         if isinstance(n, (ast.Name, ast.Attribute))
-        and isinstance(n.ctx, ast.Load) and name in ROW_EVALUATORS)
+        and isinstance(n.ctx, ast.Load) and name in names)
 
 
 def test_the_scanner_flags_a_row_evaluation():
@@ -392,6 +391,14 @@ def test_only_linmaps_evaluates_rows(path):
     assert [(path.name, *site) for site in row_evaluations(
         path.read_text())] == [e for e in ROW_EVALUATIONS
                                if e[0] == path.name]
+
+
+def test_only_phis_split_diagram_is_pushed_in_blocks():
+    # Phi's split diagram (datum._phi_layers) is the one row list, pushed
+    # in blocks; every other diagram is one `*`/`@` expression
+    assert [p.name for p in PACKAGE if p.name != "linmaps.py"
+            and row_evaluations(p.read_text(),
+                                ("pipeline_as_linmap",))] == ["datum.py"]
 
 
 def _is_linmap_identity(node) -> bool:
@@ -669,16 +676,17 @@ def test_every_verified_failure_carries_a_report():
 
 # the cached properties each class keeps in its objects' __dict__, by the
 # one module that may read them: a HopfDatum's, a Structure's, and in
-# twisting.py a TwoCocycle's, a DoubleBiproductInput's and the rho-free
-# holder's that the input keeps.  The scanner matches names as strings, so
-# a name two classes shared would be found outside one of their modules
+# twisting.py a TwoCocycle's and a DoubleBiproductInput's, whose stages
+# are read on the rho-free copy the input keeps.  The scanner matches
+# names as strings, so a name two classes shared would be found outside
+# one of their modules
 KEPT = {"datum.py": ((HopfDatum, ("_report", "_induced", "_bottom",
                                   "_phi")),),
         "structures.py": ((Structure, ("_verdicts", "_gens")),),
         "twisting.py": ((TwoCocycle, ("_doi", "_cocycle_laws",
                                       "_chi_inverse")),
-                        (DoubleBiproductInput, ("_rho_free",)),
-                        (_RhoFreePart, ("_preconditions", "_assembly")))}
+                        (DoubleBiproductInput, ("_rho_free", "_preconditions",
+                                                "_assembly")))}
 
 
 def kept_names(module):

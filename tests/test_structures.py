@@ -42,8 +42,7 @@ from crossbial.structures import (
     yd_provider,
     yd_provider_left,
 )
-from crossbial.twisting import (DualPairing, TwoCocycle, conv_dot,
-                                unit_bialgebra)
+from crossbial.twisting import DualPairing, TwoCocycle, unit_bialgebra
 from crossbial.zoo import (OreParams, RadfordParams, dual_group_algebra,
                            group_algebra, ore_finite, radford,
                            sweedler_crossed_modules, taft_factor)
@@ -235,8 +234,6 @@ def _wrong_slots():
         # on a copy that keeps Phi, f is checked before Phi is read
         ("phi_apply-warm", lambda: phi_apply(with_phi(d), d.b1.id_map()),
          "f", f"{Q} -> {Q}", "Taft2 -> Taft2"),
-        ("conv_dot", lambda: conv_dot(g2.eps, g2.id_map(), "left", g2.m),
-         "delta", "kC2 -> kC2 (x) kC2", "kC2 (x) kC2 -> kC2"),
     ]
 
 

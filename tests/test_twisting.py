@@ -32,7 +32,6 @@ from crossbial.twisting import (
     _scalar_inverse,
     TwoCocycle,
     cocycle_inverse,
-    conv_dot,
     double_biproduct,
     matched_pair_from_pairing,
     pairing_inverse,
@@ -166,17 +165,6 @@ def test_trivial_cocycle_twists_nothing():
     tw = twist(g3, c)
     assert tw.m == g3.m and tw.S == g3.S
     assert cocycle_inverse(c) == c.chi
-
-
-def test_conv_dot_unit_laws():
-    g3 = group_algebra(3)
-    for f in (g3.id_map(), g3.S):
-        assert conv_dot(g3.eps, f, "left", g3.delta) == f
-        assert conv_dot(g3.eps, f, "right", g3.delta) == f
-    with pytest.raises(ShapeError):
-        conv_dot(g3.id_map(), g3.id_map(), "left", g3.delta)
-    with pytest.raises(ValueError, match="^unknown side 'middle'$"):
-        conv_dot(g3.eps, g3.id_map(), "middle", g3.delta)
 
 
 @given(st.integers(min_value=0, max_value=2))
@@ -319,8 +307,7 @@ def test_a_coboundary_twist_moves_the_antipode(params):
     # the antipode from the convolution inverse of u, solved over H
     u = run_pipeline([[H.delta], [H.id_map(), H.S], [c.chi]])
     u_inv = _scalar_inverse(u, H)
-    S_chi = conv_dot(u_inv, conv_dot(u, H.S, "left", H.delta), "right",
-                     H.delta)
+    S_chi = (((u @ H.S) * H.delta) @ u_inv) * H.delta
     assert tw.S == S_chi
     assert repr(sorted(tw.S.entries.items())) == repr(
         sorted(S_chi.entries.items()))
@@ -760,6 +747,48 @@ def test_a_direct_twisted_product_that_disagrees_is_refused(monkeypatch):
     (entry,) = exc.value.report.entries
     assert entry.witness is not None
     assert entry.witness.lhs == 2 * entry.witness.rhs != 0
+
+
+def row_list_twisted_mult(inp, rho_inv):
+    """The direct twisted product as a row list, bottom row first, pushed
+    in blocks by pipeline_as_linmap: the oracle of the one diagram that
+    double_biproduct evaluates."""
+    C, H, B = inp.C, inp.H, inp.B
+    sc, sh, sb = C.space, H.space, B.space
+    idc, idh, idb = C.id_map(), H.id_map(), B.id_map()
+    return pipeline_as_linmap([
+        [idc, H.delta, B.delta, C.delta, H.delta, idb],
+        [idc, idh, idh, idb, flip(sb, sc), idc, idh, idh, idb],
+        [idc, idh, idh, inp.b_coact, C.delta, B.delta, inp.c_coact,
+         idh, idh, idb],
+        [idc, idh, idh, idb, flip(sh, sc), idc, idb, flip(sb, sh),
+         idc, idh, idh, idb],
+        [idc, idh, idh, inp.rho, H.delta, idc, idb, H.delta, rho_inv,
+         idh, idh, idb],
+        [idc, idh, idh, idh, flip(sh, sc), flip(sb, sh), idh, idh,
+         idh, idb],
+        [idc, idh, idh, inp.c_act, H.m, inp.b_act, idh, idh, idb],
+        [idc, idh, flip(sh, sc), idh, flip(sb, sh), idh, idb],
+        [idc, inp.c_act, H.m, idh, inp.b_act, idb],
+        [C.m, H.m, B.m],
+    ])
+
+
+@pytest.mark.parametrize("case", ["sweedler alpha=1", "braided line N=4",
+                                  "braided line N=6", "braided line N=8"])
+def test_the_direct_twisted_product_is_the_row_list(case):
+    # one diagram evaluated by run_pipeline gives what the row list pushed
+    # in blocks gives: the same entries, in the same order, with the same
+    # scalar types
+    inp = (sweedler_rho(1) if case.startswith("sweedler")
+           else _braided_line_rho(int(case.split("=")[1])))
+    rho_inv = _scalar_inverse(inp.rho, tensor_structure(inp.B, inp.C))
+    got = twisting._twisted_mult_direct(inp, rho_inv)
+    want = row_list_twisted_mult(inp, rho_inv)
+    assert (got.dom, got.cod) == (want.dom, want.cod)
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert ([repr(v) for v in got.entries.values()]
+            == [repr(v) for v in want.entries.values()])
 
 
 def test_a_failing_induced_datum_is_refused(monkeypatch):

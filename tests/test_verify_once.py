@@ -7,6 +7,7 @@ as strong (hopf covers bialgebra, which covers algebra and coalgebra).
 """
 
 import dataclasses
+import functools
 import importlib.util
 import json
 import random
@@ -21,7 +22,8 @@ from crossbial import (cli, crossproduct, datum, linmaps, structures,
 from crossbial.datum import ConsistencyError, check_hopf_datum
 from crossbial.linmaps import FLIP, UNIT, LinMap, VectFlip, flip
 from crossbial.scalars import root_of_unity
-from crossbial.twisting import (DualPairing, TwoCocycle, cocycle_inverse,
+from crossbial.twisting import (DoubleBiproductInput, DualPairing,
+                                TwoCocycle, cocycle_inverse,
                                 double_biproduct, matched_pair_from_pairing,
                                 pairing_inverse, twist, validate_cocycle)
 from crossbial.zoo import (RadfordParams, dual_group_algebra, group_algebra,
@@ -139,6 +141,12 @@ def _count_calls(monkeypatch, name, *mods):
         if getattr(mod, name, None) is orig:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def fields(x):
+    """The names of a dataclass object's fields; what it keeps is the rest
+    of its __dict__."""
+    return {f.name for f in dataclasses.fields(x)}
 
 
 def test_trivalence_classifies_each_split_map_once(monkeypatch, tmp_path,
@@ -390,14 +398,15 @@ def test_a_moved_antipode_alone_is_checked(monkeypatch):
     # S^chi is doubled while m^chi = m stays: the twisted structure is
     # checked, and 2S fails the antipode laws
     gg, c = bicharacter_cocycle(2)
-    dot = twisting.conv_dot
+    tensor = LinMap.tensor
 
-    def doubled_s_chi(chi, f, side, delta):
-        out = dot(chi, f, side, delta)
-        # the final dot of S^chi is the one right dot over Delta_B
-        return doubled(out) if side == "right" and delta is gg.delta else out
+    def doubled_s_chi(f, g):
+        out = tensor(f, g)
+        # u (x) S, with u: B -> k, is the one tensor of S^chi = u.S.u^-
+        # whose left factor is scalar-valued, so doubling it doubles S^chi
+        return doubled(out) if g is gg.S and f.cod == UNIT else out
 
-    monkeypatch.setattr(twisting, "conv_dot", doubled_s_chi)
+    monkeypatch.setattr(LinMap, "tensor", doubled_s_chi)
     with pytest.raises(ConsistencyError) as exc:
         twist(gg, c)
     assert str(exc.value) == "twisted structure fails left-antipode"
@@ -414,11 +423,12 @@ def test_a_stored_inverse_is_certified_not_solved(monkeypatch):
         stored = TwoCocycle(b, c.chi, cocycle_inverse(c))
         solves = _count_calls(monkeypatch, "_convolution_inverse",
                               structures, twisting)
-        dots = _count_calls(monkeypatch, "conv_dot", twisting)
         assert cocycle_inverse(stored) is stored.chi_inv
         got = twist(b, stored)
         assert solves == []
-        assert [a[0] for a in dots if a[2] == "right"][0] is stored.chi_inv
+        # the inverse the twist read is the one the cocycle keeps
+        assert any(v is stored.chi_inv for k, v in vars(stored).items()
+                   if k not in fields(stored))
         assert (got.m, got.S) == (want.m, want.S)
         monkeypatch.undo()
 
@@ -510,11 +520,10 @@ def test_twist_builds_delta_b_b_once_and_chi_dot_m_once(monkeypatch):
     # over it
     gg, c = bicharacter_cocycle(4)
     comults = _count_calls(monkeypatch, "_cross_comult", structures)
-    dots = _count_calls(monkeypatch, "conv_dot", twisting)
+    dots = _count_calls(monkeypatch, "_chi_dot_m", twisting)
     twist(gg, c)
     assert len([a for a in comults if a[0] is gg and a[1] is gg]) == 1
-    assert len([a for a in dots if a[0] is c.chi and a[1] is gg.m
-                and a[2] == "left"]) == 1
+    assert [a[0] for a in dots] == [c]
 
 
 class MultiplicationBuilt(Exception):
@@ -704,10 +713,9 @@ def test_a_replaced_structure_or_cocycle_starts_with_nothing_kept(
     gg, c = bicharacter_cocycle(2)
     twist(gg, c)
     for x in (gg, c):
-        fields = {f.name for f in dataclasses.fields(x)}
         copy = dataclasses.replace(x)
-        assert set(vars(x)) > fields
-        assert set(vars(copy)) == fields
+        assert set(vars(x)) > fields(x)
+        assert set(vars(copy)) == fields(x)
         assert copy == x and repr(copy) == repr(x)
     laws = _count_calls(monkeypatch, "compare", structures)
     reports = _count_calls(monkeypatch, "_cocycle_report", twisting)
@@ -728,11 +736,26 @@ def test_a_replaced_structure_or_cocycle_starts_with_nothing_kept(
 # a double-biproduct input keeps what reads no rho, shared by with_rho
 # ---------------------------------------------------------------------------
 
-def kept_holder(inp):
-    """What an input keeps beside its fields: its one rho-free holder."""
-    fields = {f.name for f in dataclasses.fields(inp)}
-    (holder,) = [v for k, v in vars(inp).items() if k not in fields]
-    return holder
+# what an input keeps, in the order it is decided: the rho-free copy, then
+# the two stages kept on that copy
+KEPT_BY_INPUT = [k for k, v in vars(DoubleBiproductInput).items()
+                 if isinstance(v, functools.cached_property)]
+
+
+def kept_copy(inp):
+    """What an input keeps beside its fields: its one rho-free copy, a new
+    input equal to inp but for rho, which it drops."""
+    (key, copy), = [(k, v) for k, v in vars(inp).items()
+                    if k not in fields(inp)]
+    assert key == KEPT_BY_INPUT[0]
+    assert copy is not inp and copy == dataclasses.replace(inp, rho=None)
+    return copy
+
+
+def kept_stages(inp):
+    """The stages kept on inp's rho-free copy, in the order kept."""
+    copy = kept_copy(inp)
+    return [k for k in vars(copy) if k not in fields(copy)]
 
 
 PAIRINGS = (ONE, Fraction(1, 2), -ONE)
@@ -755,14 +778,15 @@ def test_pairings_made_from_one_input_verify_its_crossed_modules_once(
     assert [(args[0], args[1]) for args in checks] == [
         (base.B, "bialgebra"), (base.C, "bialgebra"), (Z, "bialgebra")]
     assert all(out["Z"] is Z for out in outs)
-    assert all(kept_holder(inp) is kept_holder(base) for inp in inputs)
+    assert all(kept_copy(inp) is kept_copy(base) for inp in inputs)
+    assert kept_stages(base) == KEPT_BY_INPUT[1:]
     # a copy with another field, and a fresh input, each decide again
     copy = dataclasses.replace(inputs[0], B=dataclasses.replace(base.B))
     fresh = sweedler_rho(PAIRINGS[0])
     for n, inp in enumerate((copy, fresh), 2):
         assert double_biproduct(inp)["report"].ok
         assert len(modules) == 2 * n and len(products) == n
-    assert kept_holder(copy) is not kept_holder(base)
+    assert kept_copy(copy) is not kept_copy(base)
     monkeypatch.undo()
     for alpha, out in zip(PAIRINGS, outs):
         assert out["report"].ok
@@ -814,4 +838,4 @@ def test_a_failed_rho_free_stage_is_refused_on_every_call(
         assert err.value.report.failed()[0] == text.split()[-1]
         assert len(modules) == 2 * (n if not kept else 1)
         assert len(products) == (n if kept else 0)
-        assert len(vars(kept_holder(base))) == 1 + kept
+        assert kept_stages(base) == KEPT_BY_INPUT[1:1 + kept]

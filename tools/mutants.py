@@ -332,19 +332,29 @@ MUTANTS = [
            "        return _scalar_inverse(self.chi, self._doi[0], "
            "self.chi_inv)\n",
            (VO + "test_a_wrong_stored_inverse_is_refused_on_every_call",)),
-    # the rho-free holder keeps its first stage before the crossed modules
-    # are verified, so it stays kept when their check raises
+    # an input's rho-free copy keeps its first stage before the crossed
+    # modules are verified, so it stays kept when their check raises
     Mutant("twisting.py",
-           "        inp = self.inp\n        H, B, C = inp.H, inp.B, inp.C\n",
+           "        H, B, C = self.H, self.B, self.C\n",
            "        vars(self)[\"_preconditions\"] = None\n"
-           "        inp = self.inp\n        H, B, C = inp.H, inp.B, inp.C\n",
+           "        H, B, C = self.H, self.B, self.C\n",
            (VO + "test_a_failed_rho_free_stage_is_refused_on_every_call",)),
-    # with_rho builds a fresh holder, so each pairing verifies the crossed
-    # modules and Z again
+    # with_rho leaves the new input without the rho-free copy, so each
+    # pairing verifies the crossed modules and Z again
     Mutant("twisting.py",
            "        vars(out)[\"_rho_free\"] = self._rho_free\n", "",
            (VO + "test_pairings_made_from_one_input_verify_its_crossed_"
             "modules_once",)),
+    # the direct twisted product pairs by rho^- where it pairs by rho, and
+    # by rho where it pairs by rho^-
+    Mutant("twisting.py",
+           "            * (idc @ idh @ idh @ inp.rho @ H.delta @ idc @ idb "
+           "@ H.delta\n"
+           "               @ rho_inv @ idh @ idh @ idb)\n",
+           "            * (idc @ idh @ idh @ rho_inv @ H.delta @ idc @ idb "
+           "@ H.delta\n"
+           "               @ inp.rho @ idh @ idh @ idb)\n",
+           (TW + "test_the_direct_twisted_product_is_the_row_list",)),
     # sop_compose keeps the zeros its sums leave
     Mutant("datum.py",
            "        if summed:\n"
